@@ -14,7 +14,7 @@ skel = desk_skeleton()
 pose = standing_pose(skel)
 goal = GoalSpec(np.array([1.5, 1.5, 1.0]), target_frame=120)
 
-vec = it.compute_intention(pose, skel, goal, current_frame=0, canonical=True)
+vec = it.compute_intention(pose, skel, goal, current_frame=0)
 print("wrist intention (m/frame):", np.round(np.asarray(vec.wrist), 4))
 print("orientation intention:    ", np.round(np.asarray(vec.orientation), 4))
 print("pelvis intention:         ", np.round(np.asarray(vec.pelvis), 4))

@@ -85,12 +85,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor({self.data!r}, requires_grad={self.requires_grad})"
 
@@ -137,14 +131,6 @@ class Tensor:
 def value(x):
     """Underlying ndarray of a Tensor, or x itself."""
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def is_tensor(x) -> bool:
-    return isinstance(x, Tensor)
-
-
-def constant(x) -> Tensor:
-    return Tensor(x)
 
 
 def _record(out_data, inputs, vjp):

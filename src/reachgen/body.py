@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .errors import DimensionMismatchError
-from .geometry import rotate_sixd_z, rotate_z, sixd_to_matrix, yaw_of
+from .geometry import rotate_sixd_z, rotate_z, safe_unit, sixd_to_matrix, yaw_of
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,9 @@ class Skeleton:
             f.write(self.to_text() + "\n")
 
 
-def load_skeleton(path) -> Skeleton:
-    with open(path) as f:
-        payload = json.load(f)
+def skeleton_from_text(text: str) -> Skeleton:
+    """Inverse of Skeleton.to_text."""
+    payload = json.loads(text)
     names = tuple(j["name"] for j in payload["joints"])
     parents = tuple(
         -1 if j["parent"] is None else names.index(j["parent"])
@@ -95,6 +95,11 @@ def load_skeleton(path) -> Skeleton:
     offsets = np.array([j["offset"] for j in payload["joints"]], dtype=np.float64)
     forward = np.asarray(payload["forward_axis"], dtype=np.float64)
     return Skeleton(names, parents, offsets, forward)
+
+
+def load_skeleton(path) -> Skeleton:
+    with open(path) as f:
+        return skeleton_from_text(f.read())
 
 
 def desk_skeleton() -> Skeleton:
@@ -173,10 +178,7 @@ def vector_to_pose(vec, n_rotated: int) -> Pose:
 
 
 def delta_to_vector(delta: PoseDelta):
-    j = delta.d_joints
-    jd = ag.value(j)
-    flat = ag.reshape(j, jd.shape[:-2] + (jd.shape[-2] * 6,))
-    return ag.concatenate([delta.d_translation, delta.d_root, flat], axis=-1)
+    return pose_to_vector(Pose(delta.d_translation, delta.d_root, delta.d_joints))
 
 
 def vector_to_delta(vec, n_rotated: int) -> PoseDelta:
@@ -273,12 +275,7 @@ def heading_of(pose: Pose, skeleton: Skeleton):
     """Unit xy direction of the body's forward axis; (0, 0) when degenerate."""
     rot = sixd_to_matrix(pose.root_orientation)
     fwd = ag.matmul(rot, skeleton.forward_axis.reshape(3, 1))[..., 0]
-    xy = fwd[..., 0:2]
-    n = ag.norm(xy, axis=-1, keepdims=True)
-    nd = ag.value(n)
-    safe = ag.where(nd < 1e-8, 1.0, n)
-    unit = xy / safe
-    return ag.where(np.broadcast_to(nd < 1e-8, ag.value(unit).shape), 0.0, unit)
+    return safe_unit(fwd[..., 0:2])[0]
 
 
 def rotate_pose_z(pose: Pose, angle) -> Pose:

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .body import desk_skeleton, vector_to_pose
-from .dataset import (MotionSequence, SyntheticGenConfig, filter_floating,
+from .body import desk_skeleton
+from .dataset import (SyntheticGenConfig, filter_floating,
                       generate_synthetic_corpus, load_motion, save_motion,
                       save_motion_csv, split_dataset, standing_pose,
                       write_manifest)
@@ -153,14 +153,13 @@ def _load_corpus(data_dir: str, skeleton):
     manifest_path = os.path.join(data_dir, "manifest.json")
     with open(manifest_path) as f:
         manifest = json.load(f)
-    train_seqs, ids = [], []
+    train_seqs = []
     for entry in manifest["sequences"]:
         if entry["split"] != "train":
             continue
         seq = load_motion(os.path.join(data_dir, "motions",
                                        f"{entry['ident']}.mot"), skeleton)
         train_seqs.append(seq)
-        ids.append(entry["ident"])
     return train_seqs, _file_hash(manifest_path)
 
 
@@ -300,20 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, workers=False):
+    def common(p):
         p.add_argument("--config", help="JSON settings file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--preset", choices=sorted(PRESETS), default=None)
         p.add_argument("--out", help="output directory")
-        if workers:
-            p.add_argument("--workers", type=int, default=None)
 
     p = sub.add_parser("gen-data", help="generate the synthetic corpus")
-    common(p, workers=True)
+    common(p)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the motion model")
-    common(p, workers=True)
+    common(p)
     p.add_argument("--data", required=True, help="gen-data output directory")
     p.add_argument("--epochs", type=int, default=None)
     p.set_defaults(fn=cmd_train)
@@ -333,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("evaluate", help="run the goal-reaching benchmark")
-    common(p, workers=True)
+    common(p)
+    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_evaluate)
 

@@ -8,22 +8,20 @@ labeled frame. Everything is a pure function of (config, seed).
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .body import (Pose, Skeleton, forward_kinematics, heading_of,
-                   joint_position, pose_dim, pose_to_vector, rest_pose,
-                   vector_to_pose)
+                   joint_position, pose_dim, vector_to_pose)
+from .container import read_container, write_container
 from .errors import (CorruptFileError, DimensionMismatchError,
-                     InfeasibleTargetError, ModelMismatchError, SkipWindow,
-                     VersionMismatchError)
+                     InfeasibleTargetError, ModelMismatchError, SkipWindow)
 from .geometry import axis_angle_matrix, matrix_to_sixd, rotation_z_matrix
 from .intention import GoalSpec, hindsight_goal
 
 MOTION_MAGIC = b"RGMO"
-MOTION_VERSION = 1
+MOTION_VERSION = 2
 
 
 @dataclass
@@ -713,60 +711,23 @@ def sample_training_window(seq: MotionSequence, window_len: int,
 # ------------------------------------------------------------------ file IO
 
 def save_motion(seq: MotionSequence, path) -> None:
-    """Binary container: header + n x dim little-endian float64 rows."""
-    has_label = seq.label is not None
-    header = bytearray()
-    header += MOTION_MAGIC
-    header += struct.pack("<HH", MOTION_VERSION, 1 if has_label else 0)
-    header += struct.pack("<d", seq.fps)
-    header += bytes.fromhex(seq.skeleton.hash())
-    header += struct.pack("<II", seq.n_frames, seq.poses.shape[1])
-    if has_label:
-        header += struct.pack("<3d", *seq.label.position)
-        header += struct.pack("<I", seq.label.target_frame)
-        tj = seq.label.target_joint.encode()
-        header += struct.pack("<H", len(tj)) + tj
-    prov = seq.provenance.encode()
-    ident = seq.ident.encode()
-    header += struct.pack("<H", len(prov)) + prov
-    header += struct.pack("<H", len(ident)) + ident
-    with open(path, "wb") as f:
-        f.write(bytes(header))
-        f.write(np.ascontiguousarray(seq.poses, dtype="<f8").tobytes())
+    """Container with the clip's metadata and its (n, dim) float64 pose rows."""
+    header = {"fps": float(seq.fps), "skeleton_hash": seq.skeleton.hash(),
+              "label": None if seq.label is None else seq.label.to_dict(),
+              "provenance": seq.provenance, "ident": seq.ident}
+    write_container(path, MOTION_MAGIC, MOTION_VERSION, header, {"poses": seq.poses})
 
 
 def load_motion(path, skeleton: Skeleton) -> MotionSequence:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8 or raw[:4] != MOTION_MAGIC:
-        raise CorruptFileError(f"{path}: not a motion container")
-    version, has_label = struct.unpack("<HH", raw[4:8])
-    if version != MOTION_VERSION:
-        raise VersionMismatchError(f"{path}: motion format version {version}")
-    off = 8
-    (fps,) = struct.unpack("<d", raw[off:off + 8]); off += 8
-    skel_hash = raw[off:off + 32].hex(); off += 32
-    if skel_hash != skeleton.hash():
+    header, arrays = read_container(path, MOTION_MAGIC, MOTION_VERSION)
+    if header.get("skeleton_hash") != skeleton.hash():
         raise ModelMismatchError(f"{path}: skeleton hash mismatch")
-    n_frames, dim = struct.unpack("<II", raw[off:off + 8]); off += 8
-    label = None
-    if has_label:
-        pos = struct.unpack("<3d", raw[off:off + 24]); off += 24
-        (tf,) = struct.unpack("<I", raw[off:off + 4]); off += 4
-        (tl,) = struct.unpack("<H", raw[off:off + 2]); off += 2
-        tj = raw[off:off + tl].decode(); off += tl
-        label = GoalSpec(np.array(pos), tf, tj)
-    (pl,) = struct.unpack("<H", raw[off:off + 2]); off += 2
-    prov = raw[off:off + pl].decode(); off += pl
-    (il,) = struct.unpack("<H", raw[off:off + 2]); off += 2
-    ident = raw[off:off + il].decode(); off += il
-    expected = n_frames * dim * 8
-    payload = raw[off:]
-    if len(payload) != expected:
-        raise CorruptFileError(
-            f"{path}: payload truncated ({len(payload)} of {expected} bytes)")
-    poses = np.frombuffer(payload, dtype="<f8").reshape(n_frames, dim).copy()
-    return MotionSequence(fps, poses, skeleton, label, prov, ident)
+    try:
+        label = None if header["label"] is None else GoalSpec(**header["label"])
+        return MotionSequence(header["fps"], arrays["poses"], skeleton, label,
+                              header["provenance"], header["ident"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorruptFileError(f"{path}: bad motion fields ({e!r})") from e
 
 
 def save_motion_csv(seq: MotionSequence, path) -> None:

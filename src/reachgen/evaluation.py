@@ -8,7 +8,7 @@ contact/height gating; DTG aggregates as the mean over sequences.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -37,6 +37,16 @@ def sixd_to_matrix(r):
     return ag.stack([c1, c2, c3], axis=-1)
 
 
+def safe_unit(v):
+    """(unit, safe_norm) along the last axis; where the norm is degenerate,
+    unit is zero and safe_norm is 1."""
+    n = ag.norm(v, axis=-1, keepdims=True)
+    small = ag.value(n) < DEGENERACY_EPS
+    safe = ag.where(small, 1.0, n)
+    unit = v / safe
+    return ag.where(np.broadcast_to(small, ag.value(unit).shape), 0.0, unit), safe
+
+
 def matrix_to_sixd(m):
     """First two columns of an orthonormal matrix as a (..., 6) vector."""
     md = ag.value(m)

@@ -15,7 +15,7 @@ from . import autodiff as ag
 from .body import (Pose, PoseDelta, Skeleton, delta_to_vector, heading_of,
                    joint_position)
 from .errors import SkipWindow
-from .geometry import rotate_sixd_z, rotate_z, yaw_of
+from .geometry import rotate_sixd_z, rotate_z, safe_unit, yaw_of
 
 INTENTION_DIM = 7
 PELVIS_SATURATION = 2.0
@@ -35,6 +35,12 @@ class GoalSpec:
                            np.asarray(self.position, dtype=np.float64))
         if not np.all(np.isfinite(self.position)):
             raise ValueError("goal position must be finite")
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields of a single goal; GoalSpec(**d) reads them back."""
+        return {"position": [float(v) for v in self.position],
+                "target_frame": int(self.target_frame),
+                "target_joint": self.target_joint}
 
 
 @dataclass
@@ -62,14 +68,6 @@ def wrist_intention(wrist_pos, goal: GoalSpec, current_frame):
     return (goal.position - wrist_pos) / remaining
 
 
-def _unit_xy(v):
-    n = ag.norm(v, axis=-1, keepdims=True)
-    nd = ag.value(n)
-    safe = ag.where(nd < 1e-8, 1.0, n)
-    unit = v / safe
-    return ag.where(np.broadcast_to(nd < 1e-8, ag.value(unit).shape), 0.0, unit)
-
-
 def orientation_intention(pose: Pose, goal: GoalSpec, skeleton: Skeleton,
                           goal_heading=None):
     """Difference between the desired and the current unit xy heading.
@@ -80,27 +78,23 @@ def orientation_intention(pose: Pose, goal: GoalSpec, skeleton: Skeleton,
     """
     current = heading_of(pose, skeleton)
     if goal_heading is not None:
-        desired = _unit_xy(np.asarray(goal_heading, dtype=np.float64))
+        desired = safe_unit(np.asarray(goal_heading, dtype=np.float64))[0]
     else:
         to_goal = goal.position[..., 0:2] - pose.translation[..., 0:2]
-        desired = _unit_xy(to_goal)
+        desired = safe_unit(to_goal)[0]
     return desired - current
 
 
 def pelvis_intention(pelvis_pos, goal_pos):
     """Saturated xy direction to the goal: 2(1 - e^-d) * v/d, zero at d = 0."""
     v = goal_pos[..., 0:2] - pelvis_pos[..., 0:2]
-    d = ag.norm(v, axis=-1, keepdims=True)
-    dd = ag.value(d)
-    safe = ag.where(dd < 1e-8, 1.0, d)
-    scaled = PELVIS_SATURATION * (1.0 - ag.exp(-safe)) * (v / safe)
-    return ag.where(np.broadcast_to(dd < 1e-8, ag.value(scaled).shape), 0.0, scaled)
+    unit, d = safe_unit(v)
+    return PELVIS_SATURATION * (1.0 - ag.exp(-d)) * unit
 
 
 def compute_intention(pose: Pose, skeleton: Skeleton, goal: GoalSpec,
-                      current_frame, goal_heading=None,
-                      canonical=True) -> IntentionVector:
-    """All three components for one pose, optionally in the yaw-canonical frame.
+                      current_frame, goal_heading=None) -> IntentionVector:
+    """All three components for one pose, in the yaw-canonical frame.
 
     The canonical rotation (by -yaw of the root) makes the condition vector,
     and therefore closed-loop generation, equivariant to world heading.
@@ -110,11 +104,10 @@ def compute_intention(pose: Pose, skeleton: Skeleton, goal: GoalSpec,
     i_w = wrist_intention(wrist, goal, current_frame)
     i_r = orientation_intention(pose, goal, skeleton, goal_heading=goal_heading)
     i_p = pelvis_intention(pose.translation, goal.position)
-    if canonical:
-        yaw = yaw_of(pose.root_orientation)
-        i_w = rotate_z(i_w, -yaw)
-        i_r = rotate_z(i_r, -yaw)
-        i_p = rotate_z(i_p, -yaw)
+    yaw = yaw_of(pose.root_orientation)
+    i_w = rotate_z(i_w, -yaw)
+    i_r = rotate_z(i_r, -yaw)
+    i_p = rotate_z(i_p, -yaw)
     return IntentionVector(i_w, i_r, i_p)
 
 

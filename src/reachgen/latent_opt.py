@@ -120,10 +120,7 @@ def optimize_latents(record: RolloutRecord, goal: GoalSpec,
         report.l_waypoint.append(float(ag.value(l_way)))
     report.iterations = steps
     refined = with_latents(record, latents.data.copy(), model)
-    final_pose = vector_to_pose(refined.sequence.poses[-1], model.skeleton.n_rotated)
-    wrist = np.asarray(joint_position(final_pose, model.skeleton,
-                                      model.skeleton.joint_index(goal.target_joint)))
-    report.final_distance = float(np.linalg.norm(wrist - goal.position))
+    report.final_distance = final_wrist_distance(refined, goal, model)
     return refined, report
 
 

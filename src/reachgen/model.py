@@ -5,22 +5,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff as ag
 from .body import (Pose, Skeleton, forward_kinematics, integrate_delta,
-                   pose_dim, vector_to_delta)
-from .errors import (CorruptFileError, DimensionMismatchError,
-                     ModelMismatchError, VersionMismatchError)
+                   pose_dim, skeleton_from_text, vector_to_delta)
+from .container import read_container, write_container
+from .errors import CorruptFileError, DimensionMismatchError, ModelMismatchError
 from .intention import condition_dim
-from .nn import (GaussianParams, MlpConfig, ParameterStore, init_mlp_params,
-                 kl_divergence, mlp_forward)
+from .nn import (AdamState, GaussianParams, MlpConfig, ParameterStore,
+                 init_mlp_params, kl_divergence, mlp_forward)
 
 CHECKPOINT_MAGIC = b"RGCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,6 @@ class MotionModel:
         return decode(self.spec, self.params, z, cond_vec, train=train,
                       dropout_seed=dropout_seed)
 
-    def encode_delta(self, delta_vec, cond_vec, train=False, dropout_seed=None):
-        return encode(self.spec, self.params, delta_vec, cond_vec, train=train,
-                      dropout_seed=dropout_seed)
-
 
 def fresh_model(skeleton: Skeleton, latent_dim=16, hidden_dim=64, n_layers=4,
                 dropout=0.1, seed=0) -> MotionModel:
@@ -165,106 +160,52 @@ def fresh_model(skeleton: Skeleton, latent_dim=16, hidden_dim=64, n_layers=4,
 
 def save_checkpoint(model: MotionModel, path, adam_state=None,
                     train_meta: dict | None = None) -> None:
-    """Versioned binary container: params (+ optimizer moments) and configs.
+    """Container with params (+ optimizer moments) and configs.
 
     Byte-identical for identical contents; no timestamps.
     """
-    arrays: list[tuple[str, np.ndarray]] = [
-        (name, model.params[name].data) for name in model.params.names()
-    ]
+    arrays = {name: model.params[name].data for name in model.params.names()}
     adam_payload = None
     if adam_state is not None:
-        adam_payload = {
-            "lr_base": adam_state.lr_base, "lr_final": adam_state.lr_final,
-            "total_steps": adam_state.total_steps, "beta1": adam_state.beta1,
-            "beta2": adam_state.beta2, "eps": adam_state.eps,
-            "step": adam_state.step,
-        }
+        adam_payload = {k: v for k, v in vars(adam_state).items() if k not in ("m", "v")}
         for name in model.params.names():
             if name in adam_state.m:
-                arrays.append((f"adam.m.{name}", adam_state.m[name]))
-                arrays.append((f"adam.v.{name}", adam_state.v[name]))
-    manifest = []
-    offset = 0
-    for name, arr in arrays:
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 8
+                arrays[f"adam.m.{name}"] = adam_state.m[name]
+                arrays[f"adam.v.{name}"] = adam_state.v[name]
     header = {
-        "format_version": CHECKPOINT_VERSION,
         "spec": model.spec.to_dict(),
         "skeleton_text": model.skeleton.to_text(),
         "skeleton_hash": model.skeleton.hash(),
         "meta": model.meta,
         "train_meta": train_meta,
         "adam": adam_payload,
-        "arrays": manifest,
-        "payload_bytes": offset,
     }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<HQ", CHECKPOINT_VERSION, len(blob)))
-        f.write(blob)
-        for _, arr in arrays:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays)
 
 
 def load_checkpoint(path, expected_skeleton_hash: str | None = None):
     """Returns (model, adam_state_or_None). Validates magic, version, size."""
-    from .body import Skeleton as _Skeleton  # local to avoid cycle confusion
-    from .nn import AdamState
-
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 14 or raw[:4] != CHECKPOINT_MAGIC:
-        raise CorruptFileError(f"{path}: not a checkpoint file")
-    version, header_len = struct.unpack("<HQ", raw[4:14])
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"{path}: format version {version}")
-    try:
-        header = json.loads(raw[14:14 + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CorruptFileError(f"{path}: bad header ({e})") from e
-    payload = raw[14 + header_len:]
-    if len(payload) != header["payload_bytes"]:
-        raise CorruptFileError(
-            f"{path}: payload truncated ({len(payload)} of {header['payload_bytes']} bytes)")
-    if expected_skeleton_hash is not None and header["skeleton_hash"] != expected_skeleton_hash:
+    header, values = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    if expected_skeleton_hash is not None and header.get("skeleton_hash") != expected_skeleton_hash:
         raise ModelMismatchError(
-            f"{path}: checkpoint skeleton {header['skeleton_hash'][:12]} does not match "
-            f"expected {expected_skeleton_hash[:12]}")
-
-    skel_payload = json.loads(header["skeleton_text"])
-    names = tuple(j["name"] for j in skel_payload["joints"])
-    parents = tuple(-1 if j["parent"] is None else names.index(j["parent"])
-                    for j in skel_payload["joints"])
-    offsets = np.array([j["offset"] for j in skel_payload["joints"]])
-    skeleton = _Skeleton(names, parents, offsets,
-                         np.asarray(skel_payload["forward_axis"], dtype=np.float64))
-
-    spec = ModelSpec.from_dict(header["spec"])
-    values = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        values[entry["name"]] = np.frombuffer(
-            payload, dtype="<f8", count=n, offset=start).reshape(shape).copy()
-
-    store = ParameterStore()
-    param_names = [e["name"] for e in header["arrays"] if not e["name"].startswith("adam.")]
-    for name in param_names:
-        store.add(name, values[name])
-    model = MotionModel(spec, store, skeleton, meta=header.get("meta", {}))
-
-    adam = None
-    if header.get("adam"):
-        a = header["adam"]
-        adam = AdamState(a["lr_base"], a["lr_final"], a["total_steps"],
-                         beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-                         step=a["step"])
+            f"{path}: checkpoint skeleton {str(header.get('skeleton_hash'))[:12]} "
+            f"does not match expected {expected_skeleton_hash[:12]}")
+    try:
+        skeleton = skeleton_from_text(header["skeleton_text"])
+        spec = ModelSpec.from_dict(header["spec"])
+        store = ParameterStore()
+        param_names = [name for name in values if not name.startswith("adam.")]
         for name in param_names:
-            if f"adam.m.{name}" in values:
-                adam.m[name] = values[f"adam.m.{name}"]
-                adam.v[name] = values[f"adam.v.{name}"]
+            store.add(name, values[name])
+        model = MotionModel(spec, store, skeleton, meta=header.get("meta", {}))
+
+        adam = None
+        if header.get("adam"):
+            adam = AdamState(**header["adam"])
+            for name in param_names:
+                if f"adam.m.{name}" in values:
+                    adam.m[name] = values[f"adam.m.{name}"]
+                    adam.v[name] = values[f"adam.v.{name}"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorruptFileError(f"{path}: bad checkpoint fields ({e!r})") from e
     return model, adam

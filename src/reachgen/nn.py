@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ag
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import DimensionMismatchError, NumericFault
 
 LOG_STD_MIN = -8.0
@@ -61,15 +61,6 @@ class ParameterStore:
         for name, t in self._params.items():
             fresh.add(name, t.data.copy())
         return fresh
-
-    def assign(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, arr in arrays.items():
-            if self._params[name].data.shape != arr.shape:
-                raise DimensionMismatchError(f"shape mismatch for {name!r}")
-            self._params[name].data = np.asarray(arr, dtype=np.float64)
-
-    def n_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
 
 @dataclass(frozen=True)
@@ -154,12 +145,6 @@ def _affine(h, w, b):
         out = ag.matmul(ag.reshape(h, (1, hd.shape[0])), w)
         return ag.reshape(out, (ag.value(out).shape[-1],)) + b
     return ag.matmul(h, w) + b
-
-
-def backward(tape: Tape, output, output_gradient, store: ParameterStore):
-    """Walk the tape from `output` and return ParameterStore-shaped grads."""
-    tape.backward(output, output_gradient)
-    return store.gradients()
 
 
 @dataclass

@@ -4,7 +4,6 @@ everything needed to replay bit-exactly or to re-optimize the latents.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,14 +11,15 @@ import numpy as np
 from . import autodiff as ag
 from .body import (Pose, integrate_delta, joint_position, pose_to_vector,
                    vector_to_delta, vector_to_pose, zero_delta)
-from .dataset import MOTION_MAGIC, MotionSequence, load_motion, save_motion
+from .container import read_container, write_container
+from .dataset import MotionSequence, load_motion, save_motion
 from .errors import (CorruptFileError, ModelMismatchError, NumericFault,
-                     TimeScaleError, VersionMismatchError)
+                     TimeScaleError)
 from .intention import GoalSpec, assemble_condition, compute_intention
 from .model import MotionModel
 
 SIDECAR_MAGIC = b"RGLA"
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _advance_schedule(schedule: GoalSchedule, active: int, cur_pose: Pose,
 
 
 def rollout_poses(initial_pose: Pose, schedule_or_goal, duration: int,
-                  model: MotionModel, latents, collect=None):
+                  model: MotionModel, latents):
     """Core loop shared by generation, replay, and latent optimization.
 
     latents: (duration, latent_dim) array or Tensor rows; when a Tape is
@@ -124,8 +124,7 @@ def rollout_poses(initial_pose: Pose, schedule_or_goal, duration: int,
         current_frame = i - 1
         active = _advance_schedule(schedule, active, cur, model, current_frame)
         goal = schedule.goals[active]
-        intent = compute_intention(cur, skeleton, goal, current_frame,
-                                   canonical=True)
+        intent = compute_intention(cur, skeleton, goal, current_frame)
         cond = assemble_condition(cur, prev_delta, intent)
         z = latents[i - 1]
         delta_vec = model.decode_delta(z, cond)
@@ -137,9 +136,13 @@ def rollout_poses(initial_pose: Pose, schedule_or_goal, duration: int,
         intents.append(intent.as_vector())
         goal_idx.append(active)
         prev_delta = delta
-        if collect is not None:
-            collect(i, cur)
     return poses, intents, goal_idx
+
+
+def _generated_sequence(poses, fps: float, model: MotionModel,
+                        ident: str) -> MotionSequence:
+    pose_mat = np.stack([np.asarray(pose_to_vector(p)) for p in poses])
+    return MotionSequence(fps, pose_mat, model.skeleton, None, "generated", ident)
 
 
 def generate(initial_pose: Pose, schedule: GoalSchedule, duration: int,
@@ -158,30 +161,20 @@ def generate(initial_pose: Pose, schedule: GoalSchedule, duration: int,
         latents = np.stack([
             np.random.default_rng(int(s)).standard_normal(k) * temperature
             for s in noise_seeds])
-    try:
-        poses, intents, goal_idx = rollout_poses(
-            initial_pose, schedule, duration, model, latents)
-    except NumericFault:
-        raise
-    pose_mat = np.stack([np.asarray(pose_to_vector(p)) for p in poses])
-    seq = MotionSequence(fps, pose_mat, model.skeleton, None, "generated", ident)
+    poses, intents, goal_idx = rollout_poses(
+        initial_pose, schedule, duration, model, latents)
     return RolloutRecord(
-        sequence=seq, latents=latents, intentions=np.stack(intents),
-        noise_seeds=noise_seeds, goal_indices=np.array(goal_idx),
-        schedule=schedule, model_hash=model.hash(), mode=mode,
-        temperature=temperature)
+        sequence=_generated_sequence(poses, fps, model, ident), latents=latents,
+        intentions=np.stack(intents), noise_seeds=noise_seeds,
+        goal_indices=np.array(goal_idx), schedule=schedule,
+        model_hash=model.hash(), mode=mode, temperature=temperature)
 
 
 def replay(record: RolloutRecord, model: MotionModel) -> MotionSequence:
     """Re-decode the recorded latents; reproduces the poses bit-exactly."""
     if record.model_hash != model.hash():
         raise ModelMismatchError("record was generated by a different model")
-    initial = vector_to_pose(record.sequence.poses[0], model.skeleton.n_rotated)
-    poses, _, _ = rollout_poses(initial, record.schedule, record.duration,
-                                model, record.latents)
-    pose_mat = np.stack([np.asarray(pose_to_vector(p)) for p in poses])
-    return MotionSequence(record.sequence.fps, pose_mat, model.skeleton, None,
-                          "generated", record.sequence.ident)
+    return with_latents(record, record.latents, model).sequence
 
 
 def with_latents(record: RolloutRecord, latents: np.ndarray,
@@ -190,9 +183,8 @@ def with_latents(record: RolloutRecord, latents: np.ndarray,
     initial = vector_to_pose(record.sequence.poses[0], model.skeleton.n_rotated)
     poses, intents, goal_idx = rollout_poses(
         initial, record.schedule, record.duration, model, latents)
-    pose_mat = np.stack([np.asarray(pose_to_vector(p)) for p in poses])
-    seq = MotionSequence(record.sequence.fps, pose_mat, model.skeleton, None,
-                         "generated", record.sequence.ident)
+    seq = _generated_sequence(poses, record.sequence.fps, model,
+                              record.sequence.ident)
     return replace(record, sequence=seq, latents=np.asarray(latents),
                    intentions=np.stack(intents),
                    goal_indices=np.array(goal_idx))
@@ -200,66 +192,32 @@ def with_latents(record: RolloutRecord, latents: np.ndarray,
 
 # ------------------------------------------------------------------ file IO
 
-def _pack_goal(g: GoalSpec) -> bytes:
-    tj = g.target_joint.encode()
-    return (struct.pack("<3dI", *g.position, int(g.target_frame))
-            + struct.pack("<H", len(tj)) + tj)
-
-
 def save_record(record: RolloutRecord, motion_path, sidecar_path) -> None:
+    """The motion as a `.mot` plus a `.lat` sidecar with what replay needs."""
     save_motion(record.sequence, motion_path)
-    n, k = record.latents.shape
-    out = bytearray()
-    out += SIDECAR_MAGIC
-    out += struct.pack("<H", SIDECAR_VERSION)
-    out += bytes.fromhex(record.model_hash)
-    out += struct.pack("<B", 0 if record.mode == "sample" else 1)
-    out += struct.pack("<d", record.temperature)
-    out += struct.pack("<II", n, k)
-    out += struct.pack("<H", len(record.schedule.goals))
-    for g in record.schedule.goals:
-        out += _pack_goal(g)
-    out += struct.pack("<Bd", 0 if record.schedule.policy == "on_frame" else 1,
-                       record.schedule.radius)
-    out += np.ascontiguousarray(record.latents, dtype="<f8").tobytes()
-    out += np.ascontiguousarray(record.intentions, dtype="<f8").tobytes()
-    out += np.ascontiguousarray(record.noise_seeds, dtype="<u8").tobytes()
-    out += np.ascontiguousarray(record.goal_indices, dtype="<i8").tobytes()
-    with open(sidecar_path, "wb") as f:
-        f.write(bytes(out))
+    schedule = record.schedule
+    header = {"model_hash": record.model_hash, "mode": record.mode,
+              "temperature": float(record.temperature),
+              "schedule": {"goals": [g.to_dict() for g in schedule.goals],
+                           "policy": schedule.policy,
+                           "radius": float(schedule.radius)}}
+    arrays = {"latents": np.asarray(record.latents, dtype=np.float64),
+              "intentions": np.asarray(record.intentions, dtype=np.float64),
+              "noise_seeds": np.asarray(record.noise_seeds, dtype=np.uint64),
+              "goal_indices": np.asarray(record.goal_indices, dtype=np.int64)}
+    write_container(sidecar_path, SIDECAR_MAGIC, SIDECAR_VERSION, header, arrays)
 
 
 def load_record(motion_path, sidecar_path, model: MotionModel) -> RolloutRecord:
     seq = load_motion(motion_path, model.skeleton)
-    with open(sidecar_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 6 or raw[:4] != SIDECAR_MAGIC:
-        raise CorruptFileError(f"{sidecar_path}: not a latent sidecar")
-    (version,) = struct.unpack("<H", raw[4:6])
-    if version != SIDECAR_VERSION:
-        raise VersionMismatchError(f"{sidecar_path}: sidecar version {version}")
-    off = 6
-    model_hash = raw[off:off + 32].hex(); off += 32
-    (mode_b,) = struct.unpack("<B", raw[off:off + 1]); off += 1
-    (temperature,) = struct.unpack("<d", raw[off:off + 8]); off += 8
-    n, k = struct.unpack("<II", raw[off:off + 8]); off += 8
-    (n_goals,) = struct.unpack("<H", raw[off:off + 2]); off += 2
-    goals = []
-    for _ in range(n_goals):
-        x, y, z, tf = struct.unpack("<3dI", raw[off:off + 28]); off += 28
-        (tl,) = struct.unpack("<H", raw[off:off + 2]); off += 2
-        tj = raw[off:off + tl].decode(); off += tl
-        goals.append(GoalSpec(np.array([x, y, z]), tf, tj))
-    policy_b, radius = struct.unpack("<Bd", raw[off:off + 9]); off += 9
-    need = n * k * 8 + n * 7 * 8 + n * 8 + n * 8
-    if len(raw) - off != need:
-        raise CorruptFileError(f"{sidecar_path}: truncated payload")
-    latents = np.frombuffer(raw, "<f8", n * k, off).reshape(n, k).copy(); off += n * k * 8
-    intentions = np.frombuffer(raw, "<f8", n * 7, off).reshape(n, 7).copy(); off += n * 7 * 8
-    noise_seeds = np.frombuffer(raw, "<u8", n, off).copy(); off += n * 8
-    goal_indices = np.frombuffer(raw, "<i8", n, off).copy()
-    schedule = GoalSchedule(tuple(goals),
-                            "on_frame" if policy_b == 0 else "on_reach", radius)
-    return RolloutRecord(seq, latents, intentions, noise_seeds, goal_indices,
-                         schedule, model_hash,
-                         "sample" if mode_b == 0 else "mean", temperature)
+    header, arrays = read_container(sidecar_path, SIDECAR_MAGIC, SIDECAR_VERSION)
+    try:
+        sched = header["schedule"]
+        schedule = GoalSchedule(tuple(GoalSpec(**g) for g in sched["goals"]),
+                                sched["policy"], sched["radius"])
+        return RolloutRecord(seq, arrays["latents"], arrays["intentions"],
+                             arrays["noise_seeds"], arrays["goal_indices"],
+                             schedule, header["model_hash"], header["mode"],
+                             header["temperature"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorruptFileError(f"{sidecar_path}: bad sidecar fields ({e!r})") from e

@@ -4,20 +4,19 @@ integrated predictions back in for up to s steps per window.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ag
 from .autodiff import Tape
-from .body import (Pose, Skeleton, forward_kinematics, integrate_delta,
-                   pose_delta, delta_to_vector, vector_to_delta, vector_to_pose,
-                   zero_delta)
+from .body import (Skeleton, forward_kinematics, integrate_delta, pose_delta,
+                   delta_to_vector, vector_to_delta, vector_to_pose)
 from .dataset import MotionSequence, TrainingWindow, sample_training_window
 from .errors import NumericFault, SkipWindow
 from .intention import GoalSpec, assemble_condition, compute_intention
-from .model import LossBreakdown, ModelSpec, MotionModel, compute_loss, decode, encode
-from .nn import AdamState, GaussianParams, adam_step, kl_divergence, reparameterize
+from .model import LossBreakdown, MotionModel, compute_loss, decode, encode
+from .nn import AdamState, adam_step, reparameterize
 
 
 @dataclass(frozen=True)

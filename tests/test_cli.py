@@ -110,12 +110,17 @@ def test_inspect_prints_summary(tmp_path, checkpoint, data_dir):
     assert "dtg_m:" in r2.stdout
 
 
-def test_inspect_corrupt_file_nonzero(tmp_path):
-    bad = tmp_path / "bad.mot"
-    bad.write_bytes(b"not a motion file")
-    r = run_cli("inspect", str(bad))
-    assert r.returncode != 0
-    assert r.stderr.startswith("error code=")
+def test_inspect_corrupt_file_nonzero(tmp_path, data_dir):
+    manifest = json.loads(open(os.path.join(data_dir, "manifest.json")).read())
+    motion = os.path.join(data_dir, "motions", f"{manifest['sequences'][0]['ident']}.mot")
+    raw = open(motion, "rb").read()
+    for name, content, code in (("bad.mot", b"not a motion file", "error code="),
+                                ("cut.mot", raw[:60], "error code=CorruptFileError")):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        r = run_cli("inspect", str(bad))
+        assert r.returncode != 0
+        assert r.stderr.startswith(code)
 
 
 def test_missing_checkpoint_nonzero(tmp_path):
@@ -144,5 +149,6 @@ def test_flag_beats_env(tmp_path, tiny_config):
 
 
 def test_unknown_flag_usage_error():
-    r = run_cli("train", "--nonsense")
-    assert r.returncode != 0
+    for argv in (("train", "--nonsense"), ("gen-data", "--workers", "2")):
+        r = run_cli(*argv)
+        assert r.returncode != 0

@@ -1,0 +1,77 @@
+import json
+
+import numpy as np
+import pytest
+
+from reachgen import dataset as ds
+from reachgen import model as md
+from reachgen import rollout as ro
+from reachgen.body import desk_skeleton, rest_pose
+from reachgen.container import PREFIX_BYTES, read_container, write_container
+from reachgen.errors import CorruptFileError, VersionMismatchError
+from reachgen.intention import GoalSpec
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A small .mot, .lat and .ckpt, each with the loader that reads it."""
+    skel = desk_skeleton()
+    model = md.fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=1)
+    goal = GoalSpec(np.array([0.5, 0.5, 1.0]), 5)
+    rec = ro.generate(rest_pose(skel), ro.GoalSchedule.single(goal), 3, model,
+                      np.random.default_rng(0))
+    d = tmp_path_factory.mktemp("files")
+    ro.save_record(rec, d / "m.mot", d / "m.lat")
+    md.save_checkpoint(model, d / "m.ckpt")
+    return d, {"m.mot": lambda p: ds.load_motion(p, skel),
+               "m.lat": lambda p: ro.load_record(d / "m.mot", p, model),
+               "m.ckpt": md.load_checkpoint}
+
+
+@pytest.mark.parametrize("name", ["m.mot", "m.lat", "m.ckpt"])
+def test_every_truncation_is_corrupt(files, name):
+    d, loaders = files
+    raw = (d / name).read_bytes()
+    loaders[name](d / name)
+    header_end = PREFIX_BYTES + int.from_bytes(raw[6:PREFIX_BYTES], "little")
+    cut = d / f"cut_{name}"
+    for n in [*range(header_end + 1), (header_end + len(raw)) // 2, len(raw) - 1]:
+        cut.write_bytes(raw[:n])
+        with pytest.raises(CorruptFileError):
+            loaders[name](cut)
+
+
+def craft(path, header, payload=b"", version=1):
+    blob = json.dumps(header).encode()
+    path.write_bytes(b"TEST" + version.to_bytes(2, "little")
+                     + len(blob).to_bytes(8, "little") + blob + payload)
+
+
+def test_roundtrip_keeps_dtypes_and_bits(tmp_path):
+    arrays = {"f": np.array([[0.1, -np.inf], [np.nan, 5e-324]]),
+              "u": np.array([2**64 - 1, 0], dtype=np.uint64),
+              "i": np.array([-1], dtype=np.int64), "empty": np.zeros((0, 3))}
+    write_container(tmp_path / "a", b"TEST", 1, {"k": [1, "x"]}, arrays)
+    header, back = read_container(tmp_path / "a", b"TEST", 1)
+    assert header == {"k": [1, "x"]} and list(back) == list(arrays)
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype
+        assert back[name].tobytes() == arr.tobytes()
+    with pytest.raises(VersionMismatchError):
+        read_container(tmp_path / "a", b"TEST", 2)
+    with pytest.raises(ValueError):
+        write_container(tmp_path / "b", b"TEST", 1, {}, {"o": np.array([None])})
+
+
+@pytest.mark.parametrize("header,payload", [
+    ([], b""),
+    ({"arrays": None}, b""),
+    ({"arrays": [{"name": "a", "dtype": "|O", "shape": [1]}]}, b"\0" * 8),
+    ({"arrays": [{"name": "a", "dtype": "<f8", "shape": [-1]}]}, b""),
+    ({"arrays": [{"name": "a", "dtype": "<f8", "shape": [1]}] * 2}, b"\0" * 16),
+    ({"arrays": [{"name": "a", "dtype": "<f8", "shape": [1]}]}, b"\0" * 9),
+])
+def test_reader_rejects_bad_structure(tmp_path, header, payload):
+    craft(tmp_path / "bad", header, payload)
+    with pytest.raises(CorruptFileError):
+        read_container(tmp_path / "bad", b"TEST", 1)

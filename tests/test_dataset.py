@@ -212,9 +212,10 @@ def test_motion_container_rejects_corruption(tmp_path, small_corpus, skel):
         ds.load_motion(truncated, skel)
 
     bad_version = tmp_path / "vers.mot"
-    bad_version.write_bytes(raw[:4] + b"\x63\x00" + raw[6:])
-    with pytest.raises(VersionMismatchError):
-        ds.load_motion(bad_version, skel)
+    for version in (b"\x63\x00", b"\x01\x00"):  # unknown, and the retired v1
+        bad_version.write_bytes(raw[:4] + version + raw[6:])
+        with pytest.raises(VersionMismatchError):
+            ds.load_motion(bad_version, skel)
 
     other = desk_skeleton()
     object.__setattr__(other, "offsets", other.offsets * 1.1)

@@ -237,9 +237,10 @@ def test_checkpoint_rejects_corruption(tmp_path, skel):
     with pytest.raises(CorruptFileError):
         md.load_checkpoint(bad)
     vers = tmp_path / "vers.ckpt"
-    vers.write_bytes(raw[:4] + b"\x42\x00" + raw[6:])
-    with pytest.raises(VersionMismatchError):
-        md.load_checkpoint(vers)
+    for version in (b"\x42\x00", b"\x01\x00"):  # unknown, and the retired v1
+        vers.write_bytes(raw[:4] + version + raw[6:])
+        with pytest.raises(VersionMismatchError):
+            md.load_checkpoint(vers)
 
 
 def test_model_hash_changes_with_params(skel):

@@ -162,7 +162,9 @@ def test_record_io_roundtrip(tmp_path, model, skel):
     back = ro.load_record(mp, sp, model)
     np.testing.assert_array_equal(back.sequence.poses, rec.sequence.poses)
     np.testing.assert_array_equal(back.latents, rec.latents)
+    np.testing.assert_array_equal(back.intentions, rec.intentions)
     np.testing.assert_array_equal(back.noise_seeds, rec.noise_seeds)
+    np.testing.assert_array_equal(back.goal_indices, rec.goal_indices)
     assert back.model_hash == rec.model_hash
     assert back.schedule.policy == rec.schedule.policy
     assert len(back.schedule.goals) == 2
@@ -171,3 +173,6 @@ def test_record_io_roundtrip(tmp_path, model, skel):
     # replay of the loaded record still matches
     seq = ro.replay(back, model)
     np.testing.assert_array_equal(seq.poses, rec.sequence.poses)
+    # byte-stable: writing twice gives identical files
+    ro.save_record(back, tmp_path / "b.mot", tmp_path / "b.lat")
+    assert (tmp_path / "b.lat").read_bytes() == sp.read_bytes()
