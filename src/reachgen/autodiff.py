@@ -5,6 +5,10 @@ Tensor objects. When a Tape is active and an input requires gradients, the op
 records a node with a vector-Jacobian closure; Tape.backward walks the nodes
 in reverse creation order (creation order is already topological).
 
+Fused ops elsewhere in the package (6D decoding, FK, layer norm, ...) compute
+their forward in plain numpy and call `record` once with a hand-written VJP,
+so each records one node however many array operations it runs.
+
 Ops never mutate inputs, so the same source line serves data generation,
 inference, and training.
 """
@@ -55,10 +59,6 @@ class Tape:
                 if g is None or not isinstance(inp, Tensor) or not inp.requires_grad:
                     continue
                 inp.grad = g if inp.grad is None else inp.grad + g
-
-
-def _active_tape() -> Tape | None:
-    return Tape._stack[-1] if Tape._stack else None
 
 
 class Tensor:
@@ -136,19 +136,33 @@ def value(x):
 def _record(out_data, inputs, vjp):
     # without an active tape no gradient can ever be requested, so ops
     # degrade to plain arrays and inference runs at numpy speed
-    tape = _active_tape()
-    if tape is None:
+    if not Tape._stack:
         return out_data
     out = Tensor(out_data)
-    if any(isinstance(i, Tensor) and i.requires_grad for i in inputs):
-        out.requires_grad = True
-        out._inputs = tuple(inputs)
-        out._vjp = vjp
-        tape._nodes.append(out)
+    for i in inputs:
+        if isinstance(i, Tensor) and i.requires_grad:
+            out.requires_grad = True
+            out._inputs = tuple(inputs)
+            out._vjp = vjp
+            Tape._stack[-1]._nodes.append(out)
+            break
     return out
 
 
-def _unbroadcast(g, shape):
+def record(out_data, inputs, vjp):
+    """Result of a fused op computed in plain numpy from `inputs`.
+
+    A plain array unless a tape is active and some input is a Tensor; then
+    a Tensor recorded as one node when an input requires gradients.
+    `vjp(g)` returns one gradient per input, shaped like that input (None
+    where no gradient flows).
+    """
+    if not _any_tensor(*inputs):
+        return out_data
+    return _record(out_data, inputs, vjp)
+
+
+def unbroadcast(g, shape):
     """Sum g over axes that were broadcast so it matches `shape`."""
     if g.shape == shape:
         return g
@@ -162,7 +176,10 @@ def _unbroadcast(g, shape):
 
 
 def _any_tensor(*xs):
-    return any(isinstance(x, Tensor) for x in xs)
+    for x in xs:
+        if isinstance(x, Tensor):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------- binary ops
@@ -172,7 +189,7 @@ def add(x, y):
         return np.add(x, y)
     xd, yd = value(x), value(y)
     return _record(xd + yd, (x, y),
-                   lambda g: (_unbroadcast(g, xd.shape), _unbroadcast(g, yd.shape)))
+                   lambda g: (unbroadcast(g, xd.shape), unbroadcast(g, yd.shape)))
 
 
 def subtract(x, y):
@@ -180,7 +197,7 @@ def subtract(x, y):
         return np.subtract(x, y)
     xd, yd = value(x), value(y)
     return _record(xd - yd, (x, y),
-                   lambda g: (_unbroadcast(g, xd.shape), _unbroadcast(-g, yd.shape)))
+                   lambda g: (unbroadcast(g, xd.shape), unbroadcast(-g, yd.shape)))
 
 
 def multiply(x, y):
@@ -188,7 +205,7 @@ def multiply(x, y):
         return np.multiply(x, y)
     xd, yd = value(x), value(y)
     return _record(xd * yd, (x, y),
-                   lambda g: (_unbroadcast(g * yd, xd.shape), _unbroadcast(g * xd, yd.shape)))
+                   lambda g: (unbroadcast(g * yd, xd.shape), unbroadcast(g * xd, yd.shape)))
 
 
 def divide(x, y):
@@ -197,8 +214,8 @@ def divide(x, y):
     xd, yd = value(x), value(y)
     out = xd / yd
     return _record(out, (x, y),
-                   lambda g: (_unbroadcast(g / yd, xd.shape),
-                              _unbroadcast(-g * out / yd, yd.shape)))
+                   lambda g: (unbroadcast(g / yd, xd.shape),
+                              unbroadcast(-g * out / yd, yd.shape)))
 
 
 def matmul(x, y):
@@ -210,8 +227,8 @@ def matmul(x, y):
     out = xd @ yd
 
     def vjp(g):
-        gx = _unbroadcast(g @ yd.mT, xd.shape)
-        gy = _unbroadcast(xd.mT @ g, yd.shape)
+        gx = unbroadcast(g @ yd.mT, xd.shape)
+        gy = unbroadcast(xd.mT @ g, yd.shape)
         return gx, gy
 
     return _record(out, (x, y), vjp)
@@ -231,8 +248,8 @@ def atan2(y, x):
     yd, xd = value(y), value(x)
     denom = xd * xd + yd * yd
     return _record(np.arctan2(yd, xd), (y, x),
-                   lambda g: (_unbroadcast(g * xd / denom, yd.shape),
-                              _unbroadcast(-g * yd / denom, xd.shape)))
+                   lambda g: (unbroadcast(g * xd / denom, yd.shape),
+                              unbroadcast(-g * yd / denom, xd.shape)))
 
 
 def maximum(x, y):
@@ -241,8 +258,8 @@ def maximum(x, y):
     xd, yd = value(x), value(y)
     mask = xd > yd
     return _record(np.maximum(xd, yd), (x, y),
-                   lambda g: (_unbroadcast(g * mask, xd.shape),
-                              _unbroadcast(g * ~mask, yd.shape)))
+                   lambda g: (unbroadcast(g * mask, xd.shape),
+                              unbroadcast(g * ~mask, yd.shape)))
 
 
 def minimum(x, y):
@@ -251,8 +268,8 @@ def minimum(x, y):
     xd, yd = value(x), value(y)
     mask = xd < yd
     return _record(np.minimum(xd, yd), (x, y),
-                   lambda g: (_unbroadcast(g * mask, xd.shape),
-                              _unbroadcast(g * ~mask, yd.shape)))
+                   lambda g: (unbroadcast(g * mask, xd.shape),
+                              unbroadcast(g * ~mask, yd.shape)))
 
 
 def cross3(a, b):
@@ -261,8 +278,8 @@ def cross3(a, b):
         return np.cross(a, b)
     ad, bd = value(a), value(b)
     return _record(np.cross(ad, bd), (a, b),
-                   lambda g: (_unbroadcast(np.cross(bd, g), ad.shape),
-                              _unbroadcast(np.cross(g, ad), bd.shape)))
+                   lambda g: (unbroadcast(np.cross(bd, g), ad.shape),
+                              unbroadcast(np.cross(g, ad), bd.shape)))
 
 
 # ----------------------------------------------------------------- unary ops
@@ -326,14 +343,26 @@ def reshape(x, shape):
     return _record(xd.reshape(shape), (x,), lambda g: (g.reshape(xd.shape),))
 
 
+def _is_basic_index(idx) -> bool:
+    """True for slices, ints, Ellipsis and None: every element is picked at
+    most once, so a gradient can be written instead of accumulated."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(i is Ellipsis or i is None or isinstance(i, (slice, int, np.integer))
+               for i in items)
+
+
 def take(x, idx):
     if not isinstance(x, Tensor):
         return np.asarray(x)[idx]
     xd = value(x)
+    basic = _is_basic_index(idx)
 
     def vjp(g):
         gx = np.zeros_like(xd)
-        np.add.at(gx, idx, g)
+        if basic:
+            gx[idx] = g
+        else:
+            np.add.at(gx, idx, g)
         return (gx,)
 
     return _record(xd[idx], (x,), vjp)
@@ -371,11 +400,15 @@ def concatenate(parts, axis=-1):
         return np.concatenate(parts, axis=axis)
     datas = [value(p) for p in parts]
     out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        lead = (slice(None),) * (axis % g.ndim)
+        grads, start = [], 0
+        for d in datas:
+            stop = start + d.shape[axis]
+            grads.append(g[lead + (slice(start, stop),)])
+            start = stop
+        return grads
 
     return _record(out, tuple(parts), vjp)
 
@@ -399,8 +432,8 @@ def where(cond, x, y):
         return np.where(cond, x, y)
     xd, yd = value(x), value(y)
     return _record(np.where(cond, xd, yd), (x, y),
-                   lambda g: (_unbroadcast(g * cond, xd.shape),
-                              _unbroadcast(g * ~cond, yd.shape)))
+                   lambda g: (unbroadcast(g * cond, xd.shape),
+                              unbroadcast(g * ~cond, yd.shape)))
 
 
 def clip(x, lo, hi):

@@ -10,12 +10,25 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ag
 from .errors import DimensionMismatchError
 from .geometry import rotate_sixd_z, rotate_z, safe_unit, sixd_to_matrix, yaw_of
+
+
+FK_ROWS = 64   # poses per batched FK pass; see forward_kinematics
+
+
+@dataclass(frozen=True)
+class DepthLevel:
+    """Joints at one tree depth with their parents and rest offsets."""
+
+    joints: np.ndarray     # (K,) joint indices, ascending
+    parents: np.ndarray    # (K,)
+    offsets: np.ndarray    # (K, 3, 1)
 
 
 @dataclass(frozen=True)
@@ -55,12 +68,19 @@ class Skeleton:
     def joint_index(self, name: str) -> int:
         return self.names.index(name)
 
-    def ancestors(self, joint: int) -> list[int]:
-        """Chain root..joint inclusive."""
-        chain = [joint]
-        while self.parents[chain[-1]] != -1:
-            chain.append(self.parents[chain[-1]])
-        return chain[::-1]
+    @cached_property
+    def depth_levels(self) -> tuple[DepthLevel, ...]:
+        """Non-root joints grouped by tree depth, shallowest first; forward
+        kinematics does one batched step per level."""
+        depth = [0] * self.n_joints
+        for j in range(1, self.n_joints):
+            depth[j] = depth[self.parents[j]] + 1
+        levels = []
+        for d in range(1, max(depth) + 1):
+            joints = np.array([j for j in range(self.n_joints) if depth[j] == d])
+            levels.append(DepthLevel(joints, np.array(self.parents)[joints],
+                                     self.offsets[joints][:, :, None]))
+        return tuple(levels)
 
     def to_text(self) -> str:
         payload = {
@@ -232,50 +252,100 @@ def integrate_delta(prev: Pose, delta: PoseDelta) -> Pose:
     return Pose(t, r, j)
 
 
+def _local_rotations(pose: Pose, skeleton: Skeleton):
+    """(..., n_joints, 3, 3): the root's and every joint's local rotation,
+    decoded in one sixd_to_matrix call."""
+    jd = ag.value(pose.joint_rotations)
+    if jd.shape[-2] != skeleton.n_rotated:
+        raise DimensionMismatchError(
+            f"pose has {jd.shape[-2]} joint rotations, "
+            f"skeleton expects {skeleton.n_rotated}")
+    root = pose.root_orientation[..., None, :]
+    return sixd_to_matrix(ag.concatenate([root, pose.joint_rotations], axis=-2))
+
+
+def _joint_positions(translation, local, skeleton: Skeleton):
+    """World positions (..., n_joints, 3) from local rotations, one fused op.
+
+    position(root) = translation; position(j) = position(parent) +
+    R_world(parent) @ offset(j); R_world(j) = R_world(parent) @ local(j).
+    Each depth level is one stacked matmul per product; arrays are kept
+    joint-first so a level's gather is one `take`.
+    """
+    td = ag.value(translation)
+    ld = ag.value(local)
+    lead = np.broadcast_shapes(td.shape[:-1], ld.shape[:-3])
+    lt = np.moveaxis(ld, -3, 0)
+    pos = np.empty((skeleton.n_joints,) + lead + (3,))
+    world = np.empty((skeleton.n_joints,) + lead + (3, 3))
+    pos[0] = td
+    world[0] = lt[0]
+    offsets = [lvl.offsets.reshape(lvl.offsets.shape[:1] + (1,) * len(lead) + (3, 1))
+               for lvl in skeleton.depth_levels]
+    for lvl, off in zip(skeleton.depth_levels, offsets):
+        pw = world.take(lvl.parents, axis=0)
+        pos[lvl.joints] = pos.take(lvl.parents, axis=0) + (pw @ off)[..., 0]
+        world[lvl.joints] = pw @ lt.take(lvl.joints, axis=0)
+
+    def vjp(g):
+        gpos = np.moveaxis(g, -2, 0).copy()    # gradient of each joint's subtree
+        gworld = np.zeros(world.shape)
+        glocal = np.zeros(world.shape)
+        for lvl, off in zip(reversed(skeleton.depth_levels), reversed(offsets)):
+            gw = gworld.take(lvl.joints, axis=0)
+            gp = gpos.take(lvl.joints, axis=0)
+            glocal[lvl.joints] = world.take(lvl.parents, axis=0).mT @ gw
+            np.add.at(gworld, lvl.parents,
+                      gw @ lt.take(lvl.joints, axis=0).mT + gp[..., None] * off.mT)
+            np.add.at(gpos, lvl.parents, gp)
+        glocal[0] = gworld[0]
+        return (ag.unbroadcast(gpos[0], td.shape),
+                ag.unbroadcast(np.moveaxis(glocal, 0, -3), ld.shape))
+
+    return ag.record(np.ascontiguousarray(np.moveaxis(pos, 0, -2)),
+                     (translation, local), vjp)
+
+
+def _heading(root_matrix, skeleton: Skeleton):
+    fwd = ag.matmul(root_matrix, skeleton.forward_axis.reshape(3, 1))[..., 0]
+    return safe_unit(fwd[..., 0:2])
+
+
 def forward_kinematics(pose: Pose, skeleton: Skeleton):
     """World joint positions (..., n_joints, 3).
 
-    position(root) = translation; position(j) = position(parent) +
-    R_world(parent) @ offset(j); world rotations compose down the tree.
+    A tape-free batch of more than FK_ROWS poses along axis 0 runs FK_ROWS
+    rows at a time: rows are independent, so the bits do not change, and
+    a whole motion clip needs no more transient memory than a chunk.
     """
-    if ag.value(pose.joint_rotations).shape[-2] != skeleton.n_rotated:
-        raise DimensionMismatchError(
-            f"pose has {ag.value(pose.joint_rotations).shape[-2]} joint rotations, "
-            f"skeleton expects {skeleton.n_rotated}")
-    rots = {0: sixd_to_matrix(pose.root_orientation)}
-    pos = {0: pose.translation}
-    has_child = [False] * skeleton.n_joints
-    for j in range(1, skeleton.n_joints):
-        has_child[skeleton.parents[j]] = True
-    for j in range(1, skeleton.n_joints):
-        parent = skeleton.parents[j]
-        off = skeleton.offsets[j]
-        step = ag.matmul(rots[parent], off.reshape(3, 1))[..., 0]
-        pos[j] = pos[parent] + step
-        if has_child[j]:
-            local = sixd_to_matrix(pose.joint_rotations[..., j - 1, :])
-            rots[j] = ag.matmul(rots[parent], local)
-    return ag.stack([pos[j] for j in range(skeleton.n_joints)], axis=-2)
+    fields = (pose.translation, pose.root_orientation, pose.joint_rotations)
+    rows = np.shape(ag.value(pose.translation))[:-1]
+    if (rows and rows[0] > FK_ROWS
+            and all(isinstance(f, np.ndarray) and len(f) == rows[0] for f in fields)):
+        out = np.empty(rows + (skeleton.n_joints, 3))
+        for i in range(0, rows[0], FK_ROWS):
+            chunk = Pose(*(f[i:i + FK_ROWS] for f in fields))
+            out[i:i + FK_ROWS] = _joint_positions(
+                chunk.translation, _local_rotations(chunk, skeleton), skeleton)
+        return out
+    return _joint_positions(pose.translation, _local_rotations(pose, skeleton), skeleton)
 
 
 def joint_position(pose: Pose, skeleton: Skeleton, joint: int):
-    """World position of one joint, walking only its ancestor chain."""
-    chain = skeleton.ancestors(joint)
-    rot = sixd_to_matrix(pose.root_orientation)
-    pos = pose.translation
-    for depth, j in enumerate(chain[1:], start=1):
-        parent_rot = rot
-        pos = pos + ag.matmul(parent_rot, skeleton.offsets[j].reshape(3, 1))[..., 0]
-        if depth < len(chain) - 1:
-            rot = ag.matmul(parent_rot, sixd_to_matrix(pose.joint_rotations[..., j - 1, :]))
-    return pos
+    """World position of one joint."""
+    return forward_kinematics(pose, skeleton)[..., joint, :]
 
 
 def heading_of(pose: Pose, skeleton: Skeleton):
     """Unit xy direction of the body's forward axis; (0, 0) when degenerate."""
-    rot = sixd_to_matrix(pose.root_orientation)
-    fwd = ag.matmul(rot, skeleton.forward_axis.reshape(3, 1))[..., 0]
-    return safe_unit(fwd[..., 0:2])[0]
+    return _heading(sixd_to_matrix(pose.root_orientation), skeleton)
+
+
+def joint_position_and_heading(pose: Pose, skeleton: Skeleton, joint: int):
+    """(joint_position, heading_of) from one decode of the pose's rotations."""
+    local = _local_rotations(pose, skeleton)
+    pos = _joint_positions(pose.translation, local, skeleton)
+    return pos[..., joint, :], _heading(local[..., 0, :, :], skeleton)
 
 
 def rotate_pose_z(pose: Pose, angle) -> Pose:

@@ -17,11 +17,11 @@ import numpy as np
 
 from . import __version__
 from .body import desk_skeleton
-from .dataset import (SyntheticGenConfig, filter_floating,
+from .dataset import (MIN_SPLIT_SEQUENCES, SyntheticGenConfig, filter_floating,
                       generate_synthetic_corpus, load_motion, save_motion,
                       save_motion_csv, split_dataset, standing_pose,
                       write_manifest)
-from .errors import ReachGenError
+from .errors import CorpusTooSmallError, ReachGenError
 from .evaluation import EvalConfig, emit_report, run_benchmark, distance_to_goal
 from .intention import GoalSpec
 from .latent_opt import OptObjective, optimize_latents, final_wrist_distance
@@ -81,7 +81,10 @@ def resolve_config(args) -> dict:
     cfg = json.loads(json.dumps(PRESETS[preset]))  # deep copy
     cfg["preset"] = preset
     cfg["seed"] = 0
-    cfg["workers"] = 1
+    # only evaluate runs in a process pool; other commands carry no workers
+    evaluate = args.command == "evaluate"
+    if evaluate:
+        cfg["workers"] = 1
 
     config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
@@ -93,12 +96,12 @@ def resolve_config(args) -> dict:
 
     if os.environ.get(ENV_PREFIX + "SEED"):
         cfg["seed"] = int(os.environ[ENV_PREFIX + "SEED"])
-    if os.environ.get(ENV_PREFIX + "WORKERS"):
+    if evaluate and os.environ.get(ENV_PREFIX + "WORKERS"):
         cfg["workers"] = int(os.environ[ENV_PREFIX + "WORKERS"])
 
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
+    if evaluate and args.workers is not None:
         cfg["workers"] = args.workers
     return cfg
 
@@ -135,6 +138,10 @@ def cmd_gen_data(args) -> int:
     out = args.out or "runs/gen-data"
     skeleton = desk_skeleton()
     gen_cfg = SyntheticGenConfig(seed=cfg["seed"], **cfg["data"])
+    planned = gen_cfg.n_locomotion + gen_cfg.n_reaching + gen_cfg.n_walk_reach
+    if planned < MIN_SPLIT_SEQUENCES:
+        raise CorpusTooSmallError(f"config asks for {planned} sequences; the split "
+                                  f"needs at least {MIN_SPLIT_SEQUENCES}")
     corpus = generate_synthetic_corpus(gen_cfg, skeleton)
     corpus = filter_floating(corpus, skeleton)
     split = split_dataset(corpus, cfg["seed"])

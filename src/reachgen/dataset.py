@@ -15,13 +15,14 @@ import numpy as np
 from .body import (Pose, Skeleton, forward_kinematics, heading_of,
                    joint_position, pose_dim, vector_to_pose)
 from .container import read_container, write_container
-from .errors import (CorruptFileError, DimensionMismatchError,
+from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
                      InfeasibleTargetError, ModelMismatchError, SkipWindow)
 from .geometry import axis_angle_matrix, matrix_to_sixd, rotation_z_matrix
 from .intention import GoalSpec, hindsight_goal
 
 MOTION_MAGIC = b"RGMO"
 MOTION_VERSION = 2
+MIN_SPLIT_SEQUENCES = 10   # 80/10/10 needs one validation and one test clip
 
 
 @dataclass
@@ -665,8 +666,9 @@ def filter_floating(sequences, skeleton: Skeleton,
 
 def split_dataset(sequences, seed: int) -> DatasetSplit:
     """Deterministic shuffle then 80/10/10 by count."""
-    if len(sequences) < 10:
-        raise ValueError("need at least 10 sequences to split")
+    if len(sequences) < MIN_SPLIT_SEQUENCES:
+        raise CorpusTooSmallError(f"need at least {MIN_SPLIT_SEQUENCES} sequences "
+                                  f"to split, got {len(sequences)}")
     ids = sorted(s.ident for s in sequences)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))

@@ -33,6 +33,10 @@ class SkipWindow(ReachGenError):
     """The sequence is too short for the requested training window."""
 
 
+class CorpusTooSmallError(ReachGenError, ValueError):
+    """The corpus has fewer sequences than a train/val/test split needs."""
+
+
 class InfeasibleTargetError(ReachGenError):
     """A reach target could not be realized within the resample cap."""
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .body import Pose, Skeleton, forward_kinematics
 from .dataset import MotionSequence, standing_pose
-from .errors import NumericFault
+from .errors import ReachGenError
 from .intention import GoalSpec
 from .model import MotionModel
 from .rollout import GoalSchedule, generate
@@ -152,7 +152,7 @@ def _rollout_metrics(args):
                       dtg <= cfg.success_radius,
                       foot_skate(seq, model.skeleton, cfg.skate_threshold))
         return row, False
-    except NumericFault:
+    except ReachGenError:
         return EvalRow(pose_id, *combo, sample, float("inf"), False, 1.0), True
 
 

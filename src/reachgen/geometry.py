@@ -15,36 +15,80 @@ DEGENERACY_EPS = 1e-8
 ORTHO_TOL = 1e-6
 
 
+def _cross(a, b, out=None):
+    """a x b along the last axis, in np.cross's op order (same bits)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def _project_out(g, unit, norm):
+    """VJP of v -> v / |v| at unit = v / |v|."""
+    return (g - unit * (unit * g).sum(axis=-1, keepdims=True)) / norm
+
+
 def sixd_to_matrix(r):
     """Decode (..., 6) into orthonormal right-handed (..., 3, 3).
 
     col1 = normalize(a); col2 = normalize(b - (b.col1)col1); col3 = col1 x col2.
     Raises DegenerateRotationError for near-zero or collinear halves.
     """
-    a = r[..., 0:3]
-    b = r[..., 3:6]
-    na = ag.norm(a, axis=-1, keepdims=True)
-    if np.any(ag.value(na) < DEGENERACY_EPS):
+    rd = ag.value(r)
+    a = rd[..., 0:3]
+    b = rd[..., 3:6]
+    na = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+    if np.any(na < DEGENERACY_EPS):
         raise DegenerateRotationError("first 6D half has near-zero norm")
-    c1 = a / na
-    d = ag.sum(b * c1, axis=-1, keepdims=True)
-    u = b - d * c1
-    nu = ag.norm(u, axis=-1, keepdims=True)
-    if np.any(ag.value(nu) < DEGENERACY_EPS):
+    # the columns are computed in place in the output, which keeps the
+    # peak memory of a batched decode near the size of the result
+    m = np.empty(rd.shape[:-1] + (3, 3))
+    c1 = np.divide(a, na, out=m[..., :, 0])
+    d = (b * c1).sum(axis=-1, keepdims=True)
+    u = np.multiply(d, c1, out=m[..., :, 1])
+    np.subtract(b, u, out=u)
+    nu = np.sqrt((u * u).sum(axis=-1, keepdims=True))
+    if np.any(nu < DEGENERACY_EPS):
         raise DegenerateRotationError("6D halves are collinear")
-    c2 = u / nu
-    c3 = ag.cross3(c1, c2)
-    return ag.stack([c1, c2, c3], axis=-1)
+    c2 = np.divide(u, nu, out=u)
+    _cross(c1, c2, out=m[..., :, 2])
+
+    def vjp(g):
+        g3 = g[..., :, 2]
+        gc1 = g[..., :, 0] + _cross(c2, g3)
+        gu = _project_out(g[..., :, 1] + _cross(g3, c1), c2, nu)
+        gu_c1 = (gu * c1).sum(axis=-1, keepdims=True)
+        gc1 = gc1 - d * gu - gu_c1 * b
+        return (np.concatenate([_project_out(gc1, c1, na), gu - gu_c1 * c1], axis=-1),)
+
+    return ag.record(m, (r,), vjp)
+
+
+def _safe_norm(vd):
+    n = np.sqrt((vd * vd).sum(axis=-1, keepdims=True))
+    small = n < DEGENERACY_EPS
+    return np.where(small, 1.0, n), small
 
 
 def safe_unit(v):
-    """(unit, safe_norm) along the last axis; where the norm is degenerate,
-    unit is zero and safe_norm is 1."""
-    n = ag.norm(v, axis=-1, keepdims=True)
-    small = ag.value(n) < DEGENERACY_EPS
-    safe = ag.where(small, 1.0, n)
-    unit = v / safe
-    return ag.where(np.broadcast_to(small, ag.value(unit).shape), 0.0, unit), safe
+    """Unit vector along the last axis; zero where the norm is degenerate."""
+    vd = ag.value(v)
+    safe, small = _safe_norm(vd)
+    unit = np.where(small, 0.0, vd / safe)
+    return ag.record(unit, (v,),
+                     lambda g: (np.where(small, 0.0, _project_out(g, unit, safe)),))
+
+
+def safe_norm(v):
+    """Norm along the last axis (kept as length 1); 1 where it is degenerate,
+    which is where safe_unit is zero."""
+    vd = ag.value(v)
+    safe, small = _safe_norm(vd)
+    return ag.record(safe, (v,), lambda g: (g * np.where(small, 0.0, vd / safe),))
 
 
 def matrix_to_sixd(m):
@@ -66,7 +110,45 @@ def yaw_of(r):
     normalize(a) and atan2 is scale-invariant, this reads the raw first half
     directly. Gimbal-degenerate inputs resolve to atan2's branch (never fail).
     """
-    return ag.atan2(r[..., 1], r[..., 0])
+    rd = ag.value(r)
+    x = rd[..., 0]
+    y = rd[..., 1]
+
+    def vjp(g):
+        scale = g / (x * x + y * y)
+        gr = np.zeros_like(rd)
+        gr[..., 0] = -scale * y
+        gr[..., 1] = scale * x
+        return (gr,)
+
+    return ag.record(np.arctan2(y, x), (r,), vjp)
+
+
+def _rotate_xy(vd, c, s):
+    """(c x - s y, s x + c y) on the first two components of the last axis;
+    the rest is copied."""
+    x = vd[..., 0]
+    y = vd[..., 1]
+    xr = c * x - s * y
+    yr = s * x + c * y
+    out = np.empty(xr.shape + vd.shape[-1:])
+    out[..., 0] = xr
+    out[..., 1] = yr
+    out[..., 2:] = vd[..., 2:]
+    return out
+
+
+def _rotated(vd, c, s, angle_shape):
+    """vd (..., k) rotated by (c, s) = (cos, sin) of an angle shaped
+    `angle_shape`, and the VJP of that rotation."""
+    out = _rotate_xy(vd, c, s)
+
+    def vjp(g):
+        ga = g[..., 1] * out[..., 0] - g[..., 0] * out[..., 1]
+        return (ag.unbroadcast(_rotate_xy(g, c, -s), vd.shape),
+                ag.unbroadcast(ga, np.shape(c)).reshape(angle_shape))
+
+    return out, vjp
 
 
 def rotate_z(v, angle):
@@ -75,18 +157,12 @@ def rotate_z(v, angle):
     angle broadcasts over the leading axes of v; the z component (when
     present) is untouched.
     """
-    c = ag.cos(angle)
-    s = ag.sin(angle)
-    x = v[..., 0]
-    y = v[..., 1]
-    xr = c * x - s * y
-    yr = s * x + c * y
     vd = ag.value(v)
-    if vd.shape[-1] == 2:
-        return ag.stack([xr, yr], axis=-1)
-    if vd.shape[-1] == 3:
-        return ag.stack([xr, yr, v[..., 2]], axis=-1)
-    raise ValueError(f"rotate_z expects 2- or 3-vectors, got {vd.shape}")
+    if vd.shape[-1] not in (2, 3):
+        raise ValueError(f"rotate_z expects 2- or 3-vectors, got {vd.shape}")
+    ad = ag.value(angle)
+    out, vjp = _rotated(vd, np.cos(ad), np.sin(ad), ad.shape)
+    return ag.record(out, (v, angle), vjp)
 
 
 def rotate_sixd_z(r, angle):
@@ -96,8 +172,16 @@ def rotate_sixd_z(r, angle):
     left-multiplication by a rotation, so rotating the raw halves is exact
     even for non-orthonormal encodings.
     """
-    return ag.concatenate([rotate_z(r[..., 0:3], angle),
-                           rotate_z(r[..., 3:6], angle)], axis=-1)
+    rd = ag.value(r)
+    ad = ag.value(angle)
+    halves = rd.reshape(rd.shape[:-1] + (2, 3))
+    out, vjp = _rotated(halves, np.cos(ad)[..., None], np.sin(ad)[..., None], ad.shape)
+
+    def sixd_vjp(g):
+        gr, ga = vjp(g.reshape(out.shape))
+        return gr.reshape(rd.shape), ga
+
+    return ag.record(out.reshape(out.shape[:-2] + (6,)), (r, angle), sixd_vjp)
 
 
 def rotation_z_matrix(angle):

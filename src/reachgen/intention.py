@@ -13,9 +13,9 @@ import numpy as np
 
 from . import autodiff as ag
 from .body import (Pose, PoseDelta, Skeleton, delta_to_vector, heading_of,
-                   joint_position)
+                   joint_position_and_heading)
 from .errors import SkipWindow
-from .geometry import rotate_sixd_z, rotate_z, safe_unit, yaw_of
+from .geometry import rotate_sixd_z, rotate_z, safe_norm, safe_unit, yaw_of
 
 INTENTION_DIM = 7
 PELVIS_SATURATION = 2.0
@@ -76,20 +76,21 @@ def orientation_intention(pose: Pose, goal: GoalSpec, skeleton: Skeleton,
     Inference (goal_heading None): unit pelvis-to-goal xy direction minus
     current. Degenerate directions contribute zero terms.
     """
-    current = heading_of(pose, skeleton)
+    return _orientation_term(heading_of(pose, skeleton), pose, goal, goal_heading)
+
+
+def _orientation_term(current, pose: Pose, goal: GoalSpec, goal_heading):
     if goal_heading is not None:
-        desired = safe_unit(np.asarray(goal_heading, dtype=np.float64))[0]
+        desired = safe_unit(np.asarray(goal_heading, dtype=np.float64))
     else:
-        to_goal = goal.position[..., 0:2] - pose.translation[..., 0:2]
-        desired = safe_unit(to_goal)[0]
+        desired = safe_unit(goal.position[..., 0:2] - pose.translation[..., 0:2])
     return desired - current
 
 
 def pelvis_intention(pelvis_pos, goal_pos):
     """Saturated xy direction to the goal: 2(1 - e^-d) * v/d, zero at d = 0."""
     v = goal_pos[..., 0:2] - pelvis_pos[..., 0:2]
-    unit, d = safe_unit(v)
-    return PELVIS_SATURATION * (1.0 - ag.exp(-d)) * unit
+    return PELVIS_SATURATION * (1.0 - ag.exp(-safe_norm(v))) * safe_unit(v)
 
 
 def compute_intention(pose: Pose, skeleton: Skeleton, goal: GoalSpec,
@@ -99,10 +100,10 @@ def compute_intention(pose: Pose, skeleton: Skeleton, goal: GoalSpec,
     The canonical rotation (by -yaw of the root) makes the condition vector,
     and therefore closed-loop generation, equivariant to world heading.
     """
-    wrist_idx = skeleton.joint_index(goal.target_joint)
-    wrist = joint_position(pose, skeleton, wrist_idx)
+    wrist, heading = joint_position_and_heading(
+        pose, skeleton, skeleton.joint_index(goal.target_joint))
     i_w = wrist_intention(wrist, goal, current_frame)
-    i_r = orientation_intention(pose, goal, skeleton, goal_heading=goal_heading)
+    i_r = _orientation_term(heading, pose, goal, goal_heading)
     i_p = pelvis_intention(pose.translation, goal.position)
     yaw = yaw_of(pose.root_orientation)
     i_w = rotate_z(i_w, -yaw)
@@ -164,7 +165,7 @@ def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator,
     t_g = int(rng.integers(lo, hi + 1))
     pose = sequence.pose_at(t_g)
     skeleton = sequence.skeleton
-    position = joint_position(pose, skeleton, skeleton.joint_index(target_joint))
-    heading = heading_of(pose, skeleton)
+    position, heading = joint_position_and_heading(
+        pose, skeleton, skeleton.joint_index(target_joint))
     return HindsightGoal(GoalSpec(np.asarray(position), t_g, target_joint),
                          np.asarray(heading))

@@ -99,10 +99,24 @@ def init_mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str,
 
 
 def _layer_norm(x, gain, offset):
-    mu = ag.mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = ag.mean(centered * centered, axis=-1, keepdims=True)
-    return centered / ag.sqrt(var + LAYER_NORM_EPS) * gain + offset
+    """(x - mean) / sqrt(var + eps) * gain + offset over the last axis."""
+    xd = ag.value(x)
+    gd = ag.value(gain)
+    inv_n = 1.0 / xd.shape[-1]
+    centered = xd - xd.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centered / std
+    out = xhat * gd + ag.value(offset)
+
+    def vjp(g):
+        gx = g * gd
+        gx = (gx - gx.sum(axis=-1, keepdims=True) * inv_n
+              - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)) / std
+        lead = tuple(range(g.ndim - 1))
+        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+    return ag.record(out, (x, gain, offset), vjp)
 
 
 def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
@@ -140,11 +154,20 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
 
 
 def _affine(h, w, b):
+    """h @ w + b. A 1-D h is multiplied as a (1, d) matrix: BLAS may round a
+    vector-matrix product differently, and rollout bits rest on this layout."""
     hd = ag.value(h)
+    wd = ag.value(w)
     if hd.ndim == 1:
-        out = ag.matmul(ag.reshape(h, (1, hd.shape[0])), w)
-        return ag.reshape(out, (ag.value(out).shape[-1],)) + b
-    return ag.matmul(h, w) + b
+        out = (hd.reshape(1, -1) @ wd).reshape(-1) + ag.value(b)
+    else:
+        out = hd @ wd + ag.value(b)
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return g @ wd.T, hd.reshape(-1, hd.shape[-1]).T @ g2, g2.sum(axis=0)
+
+    return ag.record(out, (h, w, b), vjp)
 
 
 @dataclass

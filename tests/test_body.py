@@ -89,6 +89,9 @@ def test_joint_position_matches_full_fk(skel):
     for name in ("right_wrist", "left_foot", "head"):
         j = skel.joint_index(name)
         np.testing.assert_allclose(body.joint_position(pose, skel, j), full[j], atol=1e-12)
+        pos, heading = body.joint_position_and_heading(pose, skel, j)
+        assert pos.tobytes() == body.joint_position(pose, skel, j).tobytes()
+        assert heading.tobytes() == body.heading_of(pose, skel).tobytes()
 
 
 def test_pose_delta_identical_poses_is_zero(skel):
@@ -202,3 +205,59 @@ def test_fk_gradient_through_pose(skel):
     fd = ag.finite_difference_gradient(ref, vec0.copy())
     rel = np.abs(t.grad - fd) / np.maximum(np.abs(fd), 1e-6)
     assert np.max(rel) < 1e-4
+
+
+def per_joint_fk(pose, skeleton):
+    """The per-joint tree walk that FK by depth level replaced: one decode
+    and one matmul per joint, in joint order."""
+    rots = {0: geo.sixd_to_matrix(pose.root_orientation)}
+    pos = {0: pose.translation}
+    for j in range(1, skeleton.n_joints):
+        parent = skeleton.parents[j]
+        pos[j] = pos[parent] + (rots[parent] @ skeleton.offsets[j].reshape(3, 1))[..., 0]
+        rots[j] = rots[parent] @ geo.sixd_to_matrix(pose.joint_rotations[..., j - 1, :])
+    return np.stack([pos[j] for j in range(skeleton.n_joints)], axis=-2)
+
+
+def random_poses(skeleton, rng, lead):
+    n = skeleton.n_rotated
+    return body.Pose(rng.normal(size=lead + (3,)), rng.normal(size=lead + (6,)),
+                     rng.normal(size=lead + (n, 6)))
+
+
+def test_fk_by_depth_matches_per_joint_walk_bit_for_bit(skel):
+    rng = np.random.default_rng(27)
+    # (150,) runs in FK_ROWS chunks
+    for lead in ((), (1,), (5,), (2, 3), (body.FK_ROWS * 2 + 22,)):
+        pose = random_poses(skel, rng, lead)
+        fk = body.forward_kinematics(pose, skel)
+        assert fk.shape == lead + (skel.n_joints, 3)
+        assert fk.tobytes() == per_joint_fk(pose, skel).tobytes(), lead
+
+
+def test_fk_records_one_node_per_decode_and_walk(skel):
+    rng = np.random.default_rng(28)
+    vec = ag.Tensor(body.pose_to_vector(random_poses(skel, rng, (2,))), requires_grad=True)
+    with ag.Tape() as tape:
+        pose = body.vector_to_pose(vec, skel.n_rotated)
+        n0 = len(tape)
+        body.forward_kinematics(pose, skel)
+    # root[..., None, :], concatenate, sixd_to_matrix, FK
+    assert len(tape) - n0 == 4
+
+
+def test_fk_gradient_batched(skel):
+    rng = np.random.default_rng(29)
+    vec0 = body.pose_to_vector(random_poses(skel, rng, (2, 2)))
+    w = rng.normal(size=(2, 2, skel.n_joints, 3))
+
+    def ref(v):
+        return np.sum(body.forward_kinematics(body.vector_to_pose(v, skel.n_rotated), skel) * w)
+
+    t = ag.Tensor(vec0, requires_grad=True)
+    with ag.Tape() as tape:
+        pose = body.vector_to_pose(t, skel.n_rotated)
+        loss = ag.sum(body.forward_kinematics(pose, skel) * w)
+    tape.backward(loss)
+    fd = ag.finite_difference_gradient(ref, vec0.copy())
+    np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-7)

@@ -152,3 +152,25 @@ def test_unknown_flag_usage_error():
     for argv in (("train", "--nonsense"), ("gen-data", "--workers", "2")):
         r = run_cli(*argv)
         assert r.returncode != 0
+
+
+def test_gen_data_too_small_corpus_is_a_clean_error(tmp_path):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(
+        {"data": {"n_locomotion": 2, "n_reaching": 1, "n_walk_reach": 1}}))
+    out = tmp_path / "small"
+    r = run_cli("gen-data", "--config", str(config), "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error code=CorpusTooSmallError")
+    assert not out.exists()
+
+
+def test_workers_resolved_only_for_evaluate(tmp_path, tiny_config, data_dir, checkpoint):
+    resolved = json.loads(open(os.path.join(data_dir, "resolved_config.json")).read())
+    assert "workers" not in resolved["resolved"]
+    out = str(tmp_path / "eval")
+    r = run_cli("evaluate", "--config", tiny_config, "--checkpoint", checkpoint,
+                "--seed", "11", "--out", out, env_extra={"REACHGEN_WORKERS": "2"})
+    assert r.returncode == 0, r.stderr
+    resolved = json.loads(open(os.path.join(out, "resolved_config.json")).read())
+    assert resolved["resolved"]["workers"] == 2

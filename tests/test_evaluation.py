@@ -5,8 +5,10 @@ from reachgen import dataset as ds
 from reachgen import evaluation as ev
 from reachgen.body import (desk_skeleton, forward_kinematics, joint_position,
                            pose_to_vector, rest_pose)
+from reachgen.errors import DegenerateRotationError
 from reachgen.intention import GoalSpec
-from reachgen.model import fresh_model
+from reachgen.model import MotionModel, fresh_model
+from reachgen.rollout import GoalSchedule, generate
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +181,36 @@ def test_corpus_scores_low_fs(skel):
         skel)
     values = [ev.foot_skate(seq, skel) for seq in corpus]
     assert float(np.mean(values)) < 0.02
+
+
+def test_degenerate_rotation_mid_rollout_fails_one_row(skel, monkeypatch):
+    """A rollout whose root 6D collapses becomes a failed row; the rest of
+    the benchmark still runs."""
+    model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=3)
+    cfg = ev.EvalConfig(n_angles=2, n_heights=1, n_distances=1,
+                        n_initial_poses=1, samples_per_pair=1, duration=8,
+                        height_range=(1.0, 1.0), distance_range=(1.0, 1.0))
+    decode = MotionModel.decode_delta
+    calls = []
+
+    def collapsing_decoder(self, z, cond_vec, **kwargs):
+        delta = np.array(decode(self, z, cond_vec, **kwargs))
+        calls.append(1)
+        if len(calls) == 4:
+            # the condition holds the yaw-canonical root 6D at [1:7], so this
+            # root delta cancels the root orientation on integration
+            delta[3:9] = -np.asarray(cond_vec)[1:7]
+        return delta
+
+    monkeypatch.setattr(MotionModel, "decode_delta", collapsing_decoder)
+    goal = GoalSpec(np.array([1.0, 0.0, 1.0]), cfg.duration)
+    with pytest.raises(DegenerateRotationError):
+        generate(rest_pose(skel), GoalSchedule.single(goal), cfg.duration, model,
+                 np.random.default_rng(0))
+
+    calls.clear()
+    report = ev.run_benchmark(model, cfg, seed=1)
+    assert report.n_failures == 1
+    failed, ok = report.rows
+    assert failed.dtg_cm == float("inf") and failed.fs == 1.0 and not failed.success
+    assert np.isfinite(ok.dtg_cm)

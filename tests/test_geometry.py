@@ -138,3 +138,125 @@ def test_yaw_and_rotate_gradient():
     fd_v = ag.finite_difference_gradient(lambda x: ref(r0, x), v0.copy())
     np.testing.assert_allclose(r.grad, fd_r, rtol=1e-5, atol=1e-8)
     np.testing.assert_allclose(v.grad, fd_v, rtol=1e-5, atol=1e-8)
+
+
+# ---------------------------------------------------------------- fused ops
+#
+# Each fused op records one tape node with a hand-written VJP. The reference
+# below is the elementary-op composition it replaced; run without a tape it
+# is plain numpy, and the fused forward must match it bit for bit so that
+# tape-free rollouts keep their bytes.
+
+def ref_sixd_to_matrix(r):
+    a, b = r[..., 0:3], r[..., 3:6]
+    c1 = a / ag.norm(a, axis=-1, keepdims=True)
+    u = b - ag.sum(b * c1, axis=-1, keepdims=True) * c1
+    c2 = u / ag.norm(u, axis=-1, keepdims=True)
+    return ag.stack([c1, c2, ag.cross3(c1, c2)], axis=-1)
+
+
+def ref_rotate_z(v, angle):
+    c, s = ag.cos(angle), ag.sin(angle)
+    x, y = v[..., 0], v[..., 1]
+    parts = [c * x - s * y, s * x + c * y]
+    if np.shape(v)[-1] == 3:
+        parts.append(v[..., 2])
+    return ag.stack(parts, axis=-1)
+
+
+def ref_rotate_sixd_z(r, angle):
+    return ag.concatenate([ref_rotate_z(r[..., 0:3], angle),
+                           ref_rotate_z(r[..., 3:6], angle)], axis=-1)
+
+
+def ref_safe_unit(v):
+    n = ag.norm(v, axis=-1, keepdims=True)
+    small = n < geo.DEGENERACY_EPS
+    safe = ag.where(small, 1.0, n)
+    unit = v / safe
+    return ag.where(np.broadcast_to(small, unit.shape), 0.0, unit), safe
+
+
+def bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def degenerate_rows(v):
+    """Zero some rows and shrink others below the degeneracy threshold."""
+    v = v.copy()
+    v[0] = 0.0
+    v[1] *= 1e-10
+    return v
+
+
+def test_fused_forward_bits_match_elementary_composition():
+    rng = np.random.default_rng(30)
+    for shape in ((6,), (4, 6), (3, 5, 6)):
+        r = rng.normal(size=shape)
+        angle = rng.uniform(-np.pi, np.pi, size=shape[:-1])
+        assert bits(geo.sixd_to_matrix(r)) == bits(ref_sixd_to_matrix(r))
+        assert bits(geo.yaw_of(r)) == bits(ag.atan2(r[..., 1], r[..., 0]))
+        assert bits(geo.rotate_sixd_z(r, angle)) == bits(ref_rotate_sixd_z(r, angle))
+        assert bits(geo.rotate_sixd_z(r, 0.7)) == bits(ref_rotate_sixd_z(r, 0.7))
+        for k in (2, 3):
+            v = rng.normal(size=shape[:-1] + (k,))
+            assert bits(geo.rotate_z(v, angle)) == bits(ref_rotate_z(v, angle))
+            assert bits(geo.rotate_z(v, -1.3)) == bits(ref_rotate_z(v, -1.3))
+    v = degenerate_rows(rng.normal(size=(3, 5, 2)))
+    unit, safe = ref_safe_unit(v)
+    assert bits(geo.safe_unit(v)) == bits(unit)
+    assert bits(geo.safe_norm(v)) == bits(safe)
+
+
+def fused_gradients(op, inputs, weights):
+    """Tape gradients of sum(op(*inputs) * weights) for every input."""
+    ts = [Tensor(x, requires_grad=True) for x in inputs]
+    with Tape() as tape:
+        loss = ag.sum(op(*ts) * weights)
+    tape.backward(loss)
+    assert len(tape) == 3, "a fused op records one node (plus multiply and sum)"
+    return [t.grad for t in ts]
+
+
+def check_fused_gradient(op, inputs, h=1e-6, rtol=1e-5, atol=1e-8):
+    rng = np.random.default_rng(31)
+    weights = rng.normal(size=np.shape(op(*inputs)))
+    grads = fused_gradients(op, inputs, weights)
+    for i, x0 in enumerate(inputs):
+        def loss(x, i=i):
+            args = list(inputs)
+            args[i] = x
+            return np.sum(op(*args) * weights)
+        fd = ag.finite_difference_gradient(loss, np.array(x0, dtype=np.float64), h=h)
+        np.testing.assert_allclose(grads[i], fd, rtol=rtol, atol=atol)
+
+
+def test_fused_op_gradients_batched():
+    rng = np.random.default_rng(32)
+    r = rng.normal(size=(3, 4, 6))
+    angle = rng.uniform(-np.pi, np.pi, size=(3, 4))
+    check_fused_gradient(geo.sixd_to_matrix, [r])
+    check_fused_gradient(geo.yaw_of, [r])
+    check_fused_gradient(geo.rotate_sixd_z, [r, angle])
+    check_fused_gradient(geo.rotate_sixd_z, [r, np.array(0.4)])   # angle broadcast
+    for k in (2, 3):
+        check_fused_gradient(geo.rotate_z, [rng.normal(size=(3, 4, k)), angle])
+        check_fused_gradient(geo.rotate_z, [rng.normal(size=(3, 4, k)), np.array(-0.9)])
+    v = rng.normal(size=(3, 4, 2))
+    check_fused_gradient(geo.safe_unit, [v])
+    check_fused_gradient(geo.safe_norm, [v])
+
+
+def test_safe_unit_degenerate_branch_has_zero_gradient():
+    rng = np.random.default_rng(33)
+    # every perturbation of size h stays below the threshold, so the op is
+    # locally constant: zero vector and norm 1
+    v = rng.normal(size=(4, 2)) * 1e-10
+    check_fused_gradient(geo.safe_unit, [v], h=1e-12)
+    check_fused_gradient(geo.safe_norm, [v], h=1e-12)
+    for op in (geo.safe_unit, geo.safe_norm):
+        mixed = degenerate_rows(rng.normal(size=(3, 2)))
+        grad = fused_gradients(op, [mixed], np.ones(np.shape(op(mixed))))[0]
+        np.testing.assert_array_equal(grad[:2], 0.0)
+        assert np.all(grad[2] != 0.0)

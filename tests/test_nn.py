@@ -211,3 +211,59 @@ def test_parameter_store_deterministic_order_and_copy():
     assert dup.names() == ["b", "a"]
     dup["a"].data[0] = 99.0
     assert store["a"].data[0] == 1.0
+
+
+# --------------------------------------------- fused affine and layer norm
+
+def ref_layer_norm(x, gain, offset):
+    """The elementary-op composition `nn._layer_norm` replaced."""
+    mu = ag.mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = ag.mean(centered * centered, axis=-1, keepdims=True)
+    return centered / ag.sqrt(var + nn.LAYER_NORM_EPS) * gain + offset
+
+
+def ref_affine(h, w, b):
+    """The elementary-op composition `nn._affine` replaced; a 1-D input goes
+    through matmul as a (1, d) matrix."""
+    if np.ndim(h) == 1:
+        out = ag.matmul(ag.reshape(h, (1, np.shape(h)[0])), w)
+        return ag.reshape(out, (np.shape(out)[-1],)) + b
+    return ag.matmul(h, w) + b
+
+
+def fused_inputs(rng, lead, d_in=8, d_out=5):
+    x = rng.normal(size=lead + (d_in,))
+    return {"affine": (nn._affine, ref_affine,
+                       [x, rng.normal(size=(d_in, d_out)), rng.normal(size=d_out)]),
+            "layer_norm": (nn._layer_norm, ref_layer_norm,
+                           [x * 3.0 + 1.0, rng.normal(size=d_in), rng.normal(size=d_in)])}
+
+
+def test_fused_affine_and_layer_norm_forward_bits():
+    rng = np.random.default_rng(40)
+    for lead in ((), (1,), (7,), (2, 3)):
+        for name, (op, ref, args) in fused_inputs(rng, lead).items():
+            out, expected = op(*args), ref(*args)
+            assert out.shape == expected.shape, name
+            assert out.tobytes() == expected.tobytes(), (name, lead)
+
+
+def test_fused_affine_and_layer_norm_gradients():
+    rng = np.random.default_rng(41)
+    for lead in ((), (3,), (2, 3)):
+        for name, (op, _, args) in fused_inputs(rng, lead).items():
+            weights = rng.normal(size=np.shape(op(*args)))
+            ts = [Tensor(a, requires_grad=True) for a in args]
+            with Tape() as tape:
+                loss = ag.sum(op(*ts) * weights)
+            tape.backward(loss)
+            assert len(tape) == 3, name
+            for i, (t, a0) in enumerate(zip(ts, args)):
+                def f(v, i=i):
+                    vals = list(args)
+                    vals[i] = v
+                    return np.sum(op(*vals) * weights)
+                fd = ag.finite_difference_gradient(f, np.array(a0))
+                np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-8,
+                                           err_msg=f"{name} input {i} lead {lead}")
