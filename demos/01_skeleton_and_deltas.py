@@ -24,12 +24,13 @@ for name in ("pelvis", "head", "right_wrist", "left_foot"):
     print(f"  {name:12s} at {np.round(positions[skel.joint_index(name)], 3)}")
 
 # deltas canonicalize away the global heading: the same step forward gives
-# the same delta no matter which way the body faces
+# the same delta no matter which way the body faces. A delta is a vector in
+# the pose-vector layout: translation 3, root 6D, then one 6D per joint
 step = rest_pose(skel, translation=(0.0, 0.1, 0.90))
 d0 = pose_delta(pose, step)
 d1 = pose_delta(rotate_pose_z(pose, 1.3), rotate_pose_z(step, 1.3))
-print("delta translation, facing +y:   ", np.round(d0.d_translation, 6))
-print("delta translation, rotated 1.3: ", np.round(d1.d_translation, 6))
+print("delta translation, facing +y:   ", np.round(d0[0:3], 6))
+print("delta translation, rotated 1.3: ", np.round(d1[0:3], 6))
 
 # integration inverts the delta exactly
 back = integrate_delta(pose, d0)

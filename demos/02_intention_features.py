@@ -14,10 +14,11 @@ skel = desk_skeleton()
 pose = standing_pose(skel)
 goal = GoalSpec(np.array([1.5, 1.5, 1.0]), target_frame=120)
 
+# the intention is one 7-vector: wrist 3, orientation 2, pelvis 2
 vec = it.compute_intention(pose, skel, goal, current_frame=0)
-print("wrist intention (m/frame):", np.round(np.asarray(vec.wrist), 4))
-print("orientation intention:    ", np.round(np.asarray(vec.orientation), 4))
-print("pelvis intention:         ", np.round(np.asarray(vec.pelvis), 4))
+print("wrist intention (m/frame):", np.round(vec[0:3], 4))
+print("orientation intention:    ", np.round(vec[3:5], 4))
+print("pelvis intention:         ", np.round(vec[5:7], 4))
 
 # the pelvis component saturates at norm 2 no matter how far the goal is
 for d in (0.5, 2.0, 10.0, 100.0):

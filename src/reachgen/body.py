@@ -1,9 +1,9 @@
 """Kinematic skeleton, poses, yaw-canonical pose deltas, forward kinematics.
 
 A pose is root translation + root orientation (6D) + one 6D rotation per
-non-root joint. Deltas are stored component-wise on the raw 6D encodings
-after removing the previous frame's global yaw, which keeps integration
-exactly linear and invertible.
+non-root joint. A delta is a vector in the pose-vector layout, taken
+component-wise on the raw 6D encodings after removing the previous frame's
+global yaw, which keeps integration exactly linear and invertible.
 """
 from __future__ import annotations
 
@@ -168,15 +168,6 @@ class Pose:
         return ag.value(self.joint_rotations).shape[-2]
 
 
-@dataclass
-class PoseDelta:
-    """Yaw-canonicalized frame-to-frame difference, same layout as Pose."""
-
-    d_translation: object
-    d_root: object
-    d_joints: object
-
-
 def pose_dim(n_rotated: int) -> int:
     return 3 + 6 + 6 * n_rotated
 
@@ -197,23 +188,6 @@ def vector_to_pose(vec, n_rotated: int) -> Pose:
     return Pose(vec[..., 0:3], vec[..., 3:9], joints)
 
 
-def delta_to_vector(delta: PoseDelta):
-    return pose_to_vector(Pose(delta.d_translation, delta.d_root, delta.d_joints))
-
-
-def vector_to_delta(vec, n_rotated: int) -> PoseDelta:
-    p = vector_to_pose(vec, n_rotated)
-    return PoseDelta(p.translation, p.root_orientation, p.joint_rotations)
-
-
-def zero_delta(n_rotated: int, batch_shape=()) -> PoseDelta:
-    return PoseDelta(
-        np.zeros(batch_shape + (3,)),
-        np.zeros(batch_shape + (6,)),
-        np.zeros(batch_shape + (n_rotated, 6)),
-    )
-
-
 def rest_pose(skeleton: Skeleton, translation=(0.0, 0.0, 0.90)) -> Pose:
     ident = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     return Pose(
@@ -228,27 +202,30 @@ def _check_same_skeleton(a: Pose, b: Pose):
         raise DimensionMismatchError("poses have different joint counts")
 
 
-def pose_delta(prev: Pose, nxt: Pose) -> PoseDelta:
-    """Difference nxt - prev with prev's global yaw removed.
+def pose_delta(prev: Pose, nxt: Pose):
+    """Difference nxt - prev with prev's global yaw removed, as a
+    (..., pose_dim) vector in pose_to_vector layout.
 
     Translation and root-orientation deltas are rotated by -yaw(prev) about
     world z; joint rotations are parent-local, so their raw 6D difference is
     already heading-agnostic.
     """
     _check_same_skeleton(prev, nxt)
-    yaw = yaw_of(prev.root_orientation)
-    d_t = rotate_z(nxt.translation - prev.translation, -yaw)
-    d_r = rotate_sixd_z(nxt.root_orientation, -yaw) - rotate_sixd_z(prev.root_orientation, -yaw)
+    neg_yaw = -yaw_of(prev.root_orientation)
+    d_t = rotate_z(nxt.translation - prev.translation, neg_yaw)
+    d_r = rotate_sixd_z(nxt.root_orientation, neg_yaw) - rotate_sixd_z(prev.root_orientation, neg_yaw)
     d_j = nxt.joint_rotations - prev.joint_rotations
-    return PoseDelta(d_t, d_r, d_j)
+    return pose_to_vector(Pose(d_t, d_r, d_j))
 
 
-def integrate_delta(prev: Pose, delta: PoseDelta) -> Pose:
-    """Exact inverse of pose_delta: re-apply prev's yaw and add."""
+def integrate_delta(prev: Pose, delta) -> Pose:
+    """Exact inverse of pose_delta: re-apply prev's yaw and add the delta
+    vector."""
+    d = vector_to_pose(delta, prev.n_rotated)
     yaw = yaw_of(prev.root_orientation)
-    t = prev.translation + rotate_z(delta.d_translation, yaw)
-    r = prev.root_orientation + rotate_sixd_z(delta.d_root, yaw)
-    j = prev.joint_rotations + delta.d_joints
+    t = prev.translation + rotate_z(d.translation, yaw)
+    r = prev.root_orientation + rotate_sixd_z(d.root_orientation, yaw)
+    j = prev.joint_rotations + d.joint_rotations
     return Pose(t, r, j)
 
 

@@ -21,7 +21,7 @@ from .dataset import (MIN_SPLIT_SEQUENCES, SyntheticGenConfig, filter_floating,
                       generate_synthetic_corpus, load_motion, save_motion,
                       save_motion_csv, split_dataset, standing_pose,
                       write_manifest)
-from .errors import CorpusTooSmallError, ReachGenError
+from .errors import CorpusTooSmallError, InvalidInputError, ReachGenError
 from .evaluation import EvalConfig, emit_report, run_benchmark, distance_to_goal
 from .intention import GoalSpec
 from .latent_opt import OptObjective, optimize_latents, final_wrist_distance
@@ -125,9 +125,12 @@ def _file_hash(path) -> str:
 
 
 def _parse_goal(text: str) -> np.ndarray:
-    parts = [float(v) for v in text.split(",")]
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
-        raise ReachGenError(f"goal must be x,y,z meters, got {text!r}")
+        raise InvalidInputError(f"goal must be x,y,z meters, got {text!r}")
     return np.array(parts)
 
 

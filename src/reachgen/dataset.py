@@ -8,21 +8,24 @@ labeled frame. Everything is a pure function of (config, seed).
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .body import (Pose, Skeleton, forward_kinematics, heading_of,
-                   joint_position, pose_dim, vector_to_pose)
+from .body import (Pose, Skeleton, desk_skeleton, forward_kinematics,
+                   heading_of, joint_position, pose_dim, vector_to_pose)
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
                      InfeasibleTargetError, ModelMismatchError, SkipWindow)
-from .geometry import axis_angle_matrix, matrix_to_sixd, rotation_z_matrix
+from .geometry import (axis_angle_matrix, matrix_to_sixd, rotation_z_matrix,
+                       sixd_to_matrix)
 from .intention import GoalSpec, hindsight_goal
 
 MOTION_MAGIC = b"RGMO"
 MOTION_VERSION = 2
 MIN_SPLIT_SEQUENCES = 10   # 80/10/10 needs one validation and one test clip
+DOWN = np.array([0.0, 0.0, -1.0])   # rest direction of a leg link
 
 
 @dataclass
@@ -92,20 +95,6 @@ class DatasetSplit:
 def _smoothstep(u):
     u = np.clip(u, 0.0, 1.0)
     return u * u * (3.0 - 2.0 * u)
-
-
-def _align_to(direction):
-    """Rotation matrix taking (0, 0, -1) onto the given unit direction."""
-    u = np.array([0.0, 0.0, -1.0])
-    v = np.asarray(direction, dtype=np.float64)
-    c = float(np.dot(u, v))
-    axis = np.cross(u, v)
-    s = float(np.linalg.norm(axis))
-    if s < 1e-12:
-        if c > 0:
-            return np.eye(3)
-        return axis_angle_matrix([1.0, 0.0, 0.0], np.pi)
-    return axis_angle_matrix(axis / s, np.arctan2(s, c))
 
 
 def _align_vec_to(src, dst):
@@ -183,7 +172,7 @@ class _WalkRig:
         n = np.linalg.norm(vec)
         if n < 1e-9:
             return None
-        return matrix_to_sixd(yaw_mat.T @ _align_to(vec / n))
+        return matrix_to_sixd(yaw_mat.T @ _align_vec_to(DOWN, vec / n))
 
     def leg_swing(self, root, yaw_mat, side, swing_xy, floor_z, clearance):
         """Hip rotation placing the foot on the reachable sphere at an xy.
@@ -208,7 +197,7 @@ class _WalkRig:
             dx = dx * (hi / r)
             r = hi
         dz = -np.sqrt(L * L - r * r)
-        return matrix_to_sixd(yaw_mat.T @ _align_to(np.array([dx[0], dx[1], dz]) / L))
+        return matrix_to_sixd(yaw_mat.T @ _align_vec_to(DOWN, np.array([dx[0], dx[1], dz]) / L))
 
     def arm_locals(self, phase, amp=0.5, droop=1.1):
         """Arms lowered from T-pose, counter-swinging with the gait phase."""
@@ -450,8 +439,6 @@ def _solve_reach(skeleton: Skeleton, stand_vec: np.ndarray, target: np.ndarray):
     a = float(np.linalg.norm(skeleton.offsets[skeleton.joint_index("right_elbow")]))
     b = float(np.linalg.norm(skeleton.offsets[skeleton.joint_index("right_wrist")]))
 
-    from .geometry import sixd_to_matrix
-
     for pitch in np.linspace(0.0, 1.1, 8):
         joints = np.array(base.joint_rotations, copy=True)
         spine_local = axis_angle_matrix([1.0, 0.0, 0.0], -pitch)  # lean toward +y
@@ -509,8 +496,6 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator, fps: float,
     if solution is None:
         raise InfeasibleTargetError(
             f"no reachable target found in {resample_cap} samples")
-
-    from .geometry import sixd_to_matrix
 
     base = vector_to_pose(stand.copy(), n_rot)
     slots = {name: skeleton.joint_index(name) - 1 for name in solution}
@@ -578,8 +563,6 @@ def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator,
 def generate_synthetic_corpus(cfg: SyntheticGenConfig,
                               skeleton: Skeleton | None = None) -> list[MotionSequence]:
     """Deterministic corpus: unlabeled walks + labeled reaches (+ composites)."""
-    from .body import desk_skeleton
-
     skeleton = skeleton or desk_skeleton()
     sequences: list[MotionSequence] = []
     root_ss = np.random.SeedSequence(cfg.seed)
@@ -784,8 +767,6 @@ def load_motion_csv(path, skeleton: Skeleton) -> MotionSequence:
 
 
 def write_manifest(sequences, split: DatasetSplit, path) -> None:
-    import json
-
     membership = {}
     for name, ids in (("train", split.train), ("val", split.val), ("test", split.test)):
         for i in ids:

@@ -37,6 +37,11 @@ class CorpusTooSmallError(ReachGenError, ValueError):
     """The corpus has fewer sequences than a train/val/test split needs."""
 
 
+class InvalidInputError(ReachGenError, ValueError):
+    """A goal, goal schedule, objective or duration is malformed or out of
+    range."""
+
+
 class InfeasibleTargetError(ReachGenError):
     """A reach target could not be realized within the resample cap."""
 

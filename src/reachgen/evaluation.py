@@ -7,12 +7,14 @@ contact/height gating; DTG aggregates as the mean over sequences.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .body import Pose, Skeleton, forward_kinematics
+from .body import (Pose, Skeleton, forward_kinematics, pose_to_vector,
+                   vector_to_pose)
 from .dataset import MotionSequence, standing_pose
 from .errors import ReachGenError
 from .intention import GoalSpec
@@ -140,7 +142,6 @@ def default_initial_poses(skeleton: Skeleton, n: int = 6) -> list[Pose]:
 
 def _rollout_metrics(args):
     model, cfg, pose_vec, goal, combo, pose_id, sample, seed_key = args
-    from .body import vector_to_pose
     pose = vector_to_pose(pose_vec, model.skeleton.n_rotated)
     rng = np.random.default_rng(seed_key)
     try:
@@ -161,8 +162,6 @@ def run_benchmark(model: MotionModel, cfg: EvalConfig,
                   workers: int = 1) -> EvalReport:
     """One rollout per (pose, goal, sample); per-rollout seeds derive from the
     index tuple, so reports are identical for any worker count."""
-    from .body import pose_to_vector
-
     if initial_poses is None:
         initial_poses = default_initial_poses(model.skeleton, cfg.n_initial_poses)
     if len(initial_poses) != cfg.n_initial_poses:
@@ -242,8 +241,6 @@ REPORT_HEADER = ("# lowest joint stands in for the lowest mesh vertex; "
 
 def emit_report(report: EvalReport, out_dir) -> list[str]:
     """Write report.csv, aggregates.csv, and SR bar charts; returns paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 

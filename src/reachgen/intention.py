@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ag
-from .body import (Pose, PoseDelta, Skeleton, delta_to_vector, heading_of,
-                   joint_position_and_heading)
-from .errors import SkipWindow
+from .body import Pose, Skeleton, heading_of, joint_position_and_heading
+from .errors import InvalidInputError, SkipWindow
 from .geometry import rotate_sixd_z, rotate_z, safe_norm, safe_unit, yaw_of
 
 INTENTION_DIM = 7
@@ -34,25 +33,13 @@ class GoalSpec:
         object.__setattr__(self, "position",
                            np.asarray(self.position, dtype=np.float64))
         if not np.all(np.isfinite(self.position)):
-            raise ValueError("goal position must be finite")
+            raise InvalidInputError("goal position must be finite")
 
     def to_dict(self) -> dict:
         """JSON-ready fields of a single goal; GoalSpec(**d) reads them back."""
         return {"position": [float(v) for v in self.position],
                 "target_frame": int(self.target_frame),
                 "target_joint": self.target_joint}
-
-
-@dataclass
-class IntentionVector:
-    """wrist (..., 3) m/frame; orientation (..., 2); pelvis (..., 2), norm < 2."""
-
-    wrist: object
-    orientation: object
-    pelvis: object
-
-    def as_vector(self):
-        return ag.concatenate([self.wrist, self.orientation, self.pelvis], axis=-1)
 
 
 def wrist_intention(wrist_pos, goal: GoalSpec, current_frame):
@@ -76,40 +63,54 @@ def orientation_intention(pose: Pose, goal: GoalSpec, skeleton: Skeleton,
     Inference (goal_heading None): unit pelvis-to-goal xy direction minus
     current. Degenerate directions contribute zero terms.
     """
-    return _orientation_term(heading_of(pose, skeleton), pose, goal, goal_heading)
+    to_goal = goal.position[..., 0:2] - pose.translation[..., 0:2]
+    return _orientation_term(heading_of(pose, skeleton), safe_unit(to_goal),
+                             goal_heading)
 
 
-def _orientation_term(current, pose: Pose, goal: GoalSpec, goal_heading):
-    if goal_heading is not None:
-        desired = safe_unit(np.asarray(goal_heading, dtype=np.float64))
-    else:
-        desired = safe_unit(goal.position[..., 0:2] - pose.translation[..., 0:2])
-    return desired - current
+def _orientation_term(current, goal_direction, goal_heading):
+    if goal_heading is None:
+        return goal_direction - current
+    return safe_unit(np.asarray(goal_heading, dtype=np.float64)) - current
 
 
 def pelvis_intention(pelvis_pos, goal_pos):
     """Saturated xy direction to the goal: 2(1 - e^-d) * v/d, zero at d = 0."""
     v = goal_pos[..., 0:2] - pelvis_pos[..., 0:2]
-    return PELVIS_SATURATION * (1.0 - ag.exp(-safe_norm(v))) * safe_unit(v)
+    return _pelvis_term(v, safe_unit(v))
+
+
+def _pelvis_term(to_goal, goal_direction):
+    return PELVIS_SATURATION * (1.0 - ag.exp(-safe_norm(to_goal))) * goal_direction
+
+
+def _intention(pose: Pose, skeleton: Skeleton, goal: GoalSpec, current_frame,
+               goal_heading):
+    """(intention (..., 7), -yaw of the root) for compute_intention and
+    assemble_condition; the pelvis-to-goal direction serves both the
+    orientation and the pelvis term."""
+    wrist, heading = joint_position_and_heading(
+        pose, skeleton, skeleton.joint_index(goal.target_joint))
+    to_goal = goal.position[..., 0:2] - pose.translation[..., 0:2]
+    direction = safe_unit(to_goal)
+    neg_yaw = -yaw_of(pose.root_orientation)
+    intention = ag.concatenate([
+        rotate_z(wrist_intention(wrist, goal, current_frame), neg_yaw),
+        rotate_z(_orientation_term(heading, direction, goal_heading), neg_yaw),
+        rotate_z(_pelvis_term(to_goal, direction), neg_yaw),
+    ], axis=-1)
+    return intention, neg_yaw
 
 
 def compute_intention(pose: Pose, skeleton: Skeleton, goal: GoalSpec,
-                      current_frame, goal_heading=None) -> IntentionVector:
-    """All three components for one pose, in the yaw-canonical frame.
+                      current_frame, goal_heading=None):
+    """(..., 7) intention of one pose: wrist 3, orientation 2, pelvis 2.
 
-    The canonical rotation (by -yaw of the root) makes the condition vector,
-    and therefore closed-loop generation, equivariant to world heading.
+    All three components are rotated by -yaw of the root into the canonical
+    frame, which makes the condition vector, and therefore closed-loop
+    generation, equivariant to world heading.
     """
-    wrist, heading = joint_position_and_heading(
-        pose, skeleton, skeleton.joint_index(goal.target_joint))
-    i_w = wrist_intention(wrist, goal, current_frame)
-    i_r = _orientation_term(heading, pose, goal, goal_heading)
-    i_p = pelvis_intention(pose.translation, goal.position)
-    yaw = yaw_of(pose.root_orientation)
-    i_w = rotate_z(i_w, -yaw)
-    i_r = rotate_z(i_r, -yaw)
-    i_p = rotate_z(i_p, -yaw)
-    return IntentionVector(i_w, i_r, i_p)
+    return _intention(pose, skeleton, goal, current_frame, goal_heading)[0]
 
 
 def condition_dim(n_rotated: int) -> int:
@@ -117,26 +118,27 @@ def condition_dim(n_rotated: int) -> int:
     return (1 + 6 + 6 * n_rotated) + (3 + 6 + 6 * n_rotated) + INTENTION_DIM
 
 
-def assemble_condition(pose: Pose, prev_delta: PoseDelta,
-                       intention: IntentionVector):
-    """Concatenate [z, canonical root 6D, joint 6Ds, prev delta, intention].
+def assemble_condition(pose: Pose, prev_delta, skeleton: Skeleton,
+                       goal: GoalSpec, current_frame, goal_heading=None):
+    """(condition, intention): [z, canonical root 6D, joint 6Ds, prev delta,
+    intention] and the intention it holds.
 
     Only the z translation enters and the root orientation is
-    yaw-canonicalized, so the state half is invariant to world heading and
-    xy position; intention components pass through as given.
+    yaw-canonicalized, so the condition is invariant to world heading and
+    xy position when the goal moves with the body.
     """
-    yaw = yaw_of(pose.root_orientation)
-    root_canon = rotate_sixd_z(pose.root_orientation, -yaw)
+    intention, neg_yaw = _intention(pose, skeleton, goal, current_frame,
+                                    goal_heading)
     joints = pose.joint_rotations
     jd = ag.value(joints)
-    joints_flat = ag.reshape(joints, jd.shape[:-2] + (jd.shape[-2] * 6,))
-    return ag.concatenate([
+    condition = ag.concatenate([
         pose.translation[..., 2:3],
-        root_canon,
-        joints_flat,
-        delta_to_vector(prev_delta),
-        intention.as_vector(),
+        rotate_sixd_z(pose.root_orientation, neg_yaw),
+        ag.reshape(joints, jd.shape[:-2] + (jd.shape[-2] * 6,)),
+        prev_delta,
+        intention,
     ], axis=-1)
+    return condition, intention
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ag
 from .autodiff import Tape, Tensor
 from .body import joint_position, vector_to_pose
-from .errors import ModelMismatchError
+from .errors import InvalidInputError, ModelMismatchError
 from .intention import GoalSpec
 from .model import MotionModel
 from .nn import AdamState, ParameterStore, adam_step
@@ -32,12 +32,12 @@ class OptObjective:
 
     def __post_init__(self):
         if self.goal_weight < 0 or self.prior_weight < 0:
-            raise ValueError("weights must be >= 0")
+            raise InvalidInputError("weights must be >= 0")
         for frame, xy, weight in self.waypoints:
             if weight < 0:
-                raise ValueError("waypoint weights must be >= 0")
+                raise InvalidInputError("waypoint weights must be >= 0")
             if len(np.asarray(xy)) != 2:
-                raise ValueError("waypoints are xy points")
+                raise InvalidInputError("waypoints are xy points")
 
 
 def waypoints_from_curve(points, frames, weight: float) -> tuple:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .body import (Pose, Skeleton, forward_kinematics, integrate_delta,
-                   pose_dim, skeleton_from_text, vector_to_delta)
+                   pose_dim, skeleton_from_text)
 from .container import read_container, write_container
 from .errors import CorruptFileError, DimensionMismatchError, ModelMismatchError
 from .intention import condition_dim
@@ -119,9 +119,8 @@ def compute_loss(true_delta_vec, pred_delta_vec, gaussian: GaussianParams,
     diff = pred_delta_vec - true_delta_vec
     rec = ag.mean(diff * diff)
     kl = ag.mean(kl_divergence(gaussian, kl_direction))
-    n = skeleton.n_rotated
-    pred_pose = integrate_delta(prev_pose, vector_to_delta(pred_delta_vec, n))
-    true_pose = integrate_delta(prev_pose, vector_to_delta(true_delta_vec, n))
+    pred_pose = integrate_delta(prev_pose, pred_delta_vec)
+    true_pose = integrate_delta(prev_pose, true_delta_vec)
     jdiff = forward_kinematics(pred_pose, skeleton) - forward_kinematics(true_pose, skeleton)
     joint = ag.mean(jdiff * jdiff)
     total = rec + alpha * kl + joint

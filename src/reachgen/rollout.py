@@ -9,13 +9,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ag
-from .body import (Pose, integrate_delta, joint_position, pose_to_vector,
-                   vector_to_delta, vector_to_pose, zero_delta)
+from .body import (Pose, integrate_delta, joint_position, pose_dim,
+                   pose_to_vector, vector_to_pose)
 from .container import read_container, write_container
 from .dataset import MotionSequence, load_motion, save_motion
-from .errors import (CorruptFileError, ModelMismatchError, NumericFault,
-                     TimeScaleError)
-from .intention import GoalSpec, assemble_condition, compute_intention
+from .errors import (CorruptFileError, InvalidInputError, ModelMismatchError,
+                     NumericFault, TimeScaleError)
+from .intention import GoalSpec, assemble_condition
 from .model import MotionModel
 
 SIDECAR_MAGIC = b"RGLA"
@@ -36,14 +36,14 @@ class GoalSchedule:
 
     def __post_init__(self):
         if not self.goals:
-            raise ValueError("schedule needs at least one goal")
+            raise InvalidInputError("schedule needs at least one goal")
         if self.policy not in ("on_frame", "on_reach"):
-            raise ValueError(f"unknown switch policy {self.policy!r}")
+            raise InvalidInputError(f"unknown switch policy {self.policy!r}")
         if self.radius <= 0:
-            raise ValueError("radius must be positive")
+            raise InvalidInputError("radius must be positive")
         frames = [g.target_frame for g in self.goals]
         if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError("goal target frames must be strictly increasing")
+            raise InvalidInputError("goal target frames must be strictly increasing")
 
     @classmethod
     def single(cls, goal: GoalSpec) -> "GoalSchedule":
@@ -106,16 +106,13 @@ def rollout_poses(initial_pose: Pose, schedule_or_goal, duration: int,
     them. Returns (pose list incl. initial, per-frame intention vectors,
     per-frame goal indices).
     """
-    if duration < 1:
-        raise ValueError("duration must be >= 1")
     if isinstance(schedule_or_goal, GoalSpec):
         schedule = GoalSchedule.single(schedule_or_goal)
     else:
         schedule = schedule_or_goal
     skeleton = model.skeleton
-    n = skeleton.n_rotated
     cur = initial_pose
-    prev_delta = zero_delta(n)
+    prev_delta = np.zeros(pose_dim(skeleton.n_rotated))
     poses = [cur]
     intents = []
     goal_idx = []
@@ -123,19 +120,16 @@ def rollout_poses(initial_pose: Pose, schedule_or_goal, duration: int,
     for i in range(1, duration + 1):
         current_frame = i - 1
         active = _advance_schedule(schedule, active, cur, model, current_frame)
-        goal = schedule.goals[active]
-        intent = compute_intention(cur, skeleton, goal, current_frame)
-        cond = assemble_condition(cur, prev_delta, intent)
-        z = latents[i - 1]
-        delta_vec = model.decode_delta(z, cond)
-        if not np.all(np.isfinite(ag.value(delta_vec))):
+        cond, intent = assemble_condition(cur, prev_delta, skeleton,
+                                          schedule.goals[active], current_frame)
+        # the decoded delta is integrated now and conditions the next frame
+        prev_delta = model.decode_delta(latents[i - 1], cond)
+        if not np.all(np.isfinite(ag.value(prev_delta))):
             raise NumericFault("non-finite delta", where=f"rollout frame {i}")
-        delta = vector_to_delta(delta_vec, n)
-        cur = integrate_delta(cur, delta)
+        cur = integrate_delta(cur, prev_delta)
         poses.append(cur)
-        intents.append(intent.as_vector())
+        intents.append(intent)
         goal_idx.append(active)
-        prev_delta = delta
     return poses, intents, goal_idx
 
 
@@ -152,6 +146,8 @@ def generate(initial_pose: Pose, schedule: GoalSchedule, duration: int,
     """Generate `duration` new frames from the initial pose."""
     if mode not in ("sample", "mean"):
         raise ValueError(f"unknown mode {mode!r}")
+    if duration < 1:
+        raise InvalidInputError("duration must be >= 1")
     k = model.spec.latent_dim
     if mode == "mean":
         noise_seeds = np.zeros(duration, dtype=np.uint64)

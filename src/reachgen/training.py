@@ -11,11 +11,12 @@ import numpy as np
 from . import autodiff as ag
 from .autodiff import Tape
 from .body import (Skeleton, forward_kinematics, integrate_delta, pose_delta,
-                   delta_to_vector, vector_to_delta, vector_to_pose)
+                   vector_to_pose)
 from .dataset import MotionSequence, TrainingWindow, sample_training_window
 from .errors import NumericFault, SkipWindow
-from .intention import GoalSpec, assemble_condition, compute_intention
-from .model import LossBreakdown, MotionModel, compute_loss, decode, encode
+from .intention import GoalSpec, assemble_condition
+from .model import (LossBreakdown, MotionModel, compute_loss, decode, encode,
+                    fresh_model)
 from .nn import AdamState, adam_step, reparameterize
 
 
@@ -73,13 +74,13 @@ def prepare_window(win: TrainingWindow, skeleton: Skeleton) -> PreparedWindow:
     n = skeleton.n_rotated
     prev = vector_to_pose(win.poses[:-1], n)
     nxt = vector_to_pose(win.poses[1:], n)
-    deltas = delta_to_vector(pose_delta(prev, nxt))
+    deltas = pose_delta(prev, nxt)
     prev_deltas = np.vstack([np.zeros((1, deltas.shape[1])), deltas[:-1]])
 
     frames = win.start_frame - 1 + np.arange(w)
-    intent = compute_intention(prev, skeleton, win.goal, frames,
-                               goal_heading=np.broadcast_to(win.goal_heading, (w, 2)))
-    conditions = assemble_condition(prev, vector_to_delta(prev_deltas, n), intent)
+    conditions, _ = assemble_condition(
+        prev, prev_deltas, skeleton, win.goal, frames,
+        goal_heading=np.broadcast_to(win.goal_heading, (w, 2)))
     targets = forward_kinematics(nxt, skeleton)
     return PreparedWindow(
         deltas=np.asarray(deltas), conditions=np.asarray(conditions),
@@ -146,31 +147,26 @@ def _batch_loss(windows: list[PreparedWindow], model: MotionModel,
         start = w - s_eff
         cur_pose = vector_to_pose(
             np.stack([win.prev_pose_vecs[start] for win in windows]), n)
-        prev_delta = vector_to_delta(
-            np.stack([win.deltas[start - 1] for win in windows]), n)
+        prev_delta = np.stack([win.deltas[start - 1] for win in windows])
         goal = _batched_goal(windows)
         heading = np.stack([win.goal_heading for win in windows])
         for j in range(start, w):
             frames = np.array([win.start_frame - 1 + j for win in windows])
-            intent = compute_intention(cur_pose, skeleton, goal, frames,
-                                       goal_heading=heading)
-            cond = assemble_condition(cur_pose, prev_delta, intent)
+            cond, _ = assemble_condition(cur_pose, prev_delta, skeleton, goal,
+                                         frames, goal_heading=heading)
             zr = noise_rng.standard_normal((b, spec.latent_dim))
-            pred_vec = decode(spec, store, zr, cond, train=train_mode,
-                              dropout_seed=dropout_seed + 100 + j)
-            pred_delta = vector_to_delta(pred_vec, n)
+            pred = decode(spec, store, zr, cond, train=train_mode,
+                          dropout_seed=dropout_seed + 100 + j)
             gt_next = vector_to_pose(
                 np.stack([win.next_pose_vecs[j] for win in windows]), n)
             # target: the correcting delta onto the ground-truth frame
-            corr = delta_to_vector(pose_delta(cur_pose, gt_next))
-            diff = pred_vec - corr
+            diff = pred - pose_delta(cur_pose, gt_next)
             rec_parts.append((ag.mean(diff * diff), b))
-            new_pose = integrate_delta(cur_pose, pred_delta)
+            cur_pose = integrate_delta(cur_pose, pred)
             target_pos = np.stack([win.target_positions[j] for win in windows])
-            jd = forward_kinematics(new_pose, skeleton) - target_pos
+            jd = forward_kinematics(cur_pose, skeleton) - target_pos
             joint_parts.append((ag.mean(jd * jd), b))
-            cur_pose = new_pose
-            prev_delta = pred_delta
+            prev_delta = pred
 
     n_total = n_teacher + b * s_eff
     rec = sum(r * (c / n_total) for r, c in rec_parts)
@@ -228,8 +224,6 @@ LOG_HEADER = ("# kl summed over latent dims, averaged over teacher-forced "
 def train(sequences: list[MotionSequence], skeleton: Skeleton, cfg: TrainConfig,
           model: MotionModel | None = None, log_path=None):
     """Full training run; returns (model, adam_state, log_rows)."""
-    from .model import fresh_model
-
     if model is None:
         model = fresh_model(skeleton, seed=cfg.seed)
     windows = build_training_windows(sequences, cfg, skeleton)

@@ -117,9 +117,9 @@ def test_criterion_2_representation_invariants():
         d_rot = pose_delta(rotate_pose_z(p, phi), rotate_pose_z(q, phi))
         worst_yaw = max(
             worst_yaw,
-            float(np.max(np.abs(np.asarray(d_rot.d_translation) - np.asarray(d.d_translation)))),
-            float(np.max(np.abs(np.asarray(d_rot.d_root) - np.asarray(d.d_root)))),
-            float(np.max(np.abs(np.asarray(d_rot.d_joints) - np.asarray(d.d_joints)))))
+            float(np.max(np.abs(d_rot[0:3] - d[0:3]))),
+            float(np.max(np.abs(d_rot[3:9] - d[3:9]))),
+            float(np.max(np.abs(d_rot[9:] - d[9:]))))
     assert worst_rt < 1e-9, worst_rt
     assert worst_yaw < 1e-6, worst_yaw
     runtime = time.time() - start

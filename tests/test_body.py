@@ -98,22 +98,22 @@ def test_pose_delta_identical_poses_is_zero(skel):
     rng = np.random.default_rng(22)
     pose = random_pose(skel, rng)
     d = body.pose_delta(pose, pose)
-    np.testing.assert_allclose(d.d_translation, 0, atol=1e-15)
-    np.testing.assert_allclose(d.d_root, 0, atol=1e-15)
-    np.testing.assert_allclose(d.d_joints, 0, atol=1e-15)
+    np.testing.assert_allclose(d[0:3], 0, atol=1e-15)
+    np.testing.assert_allclose(d[3:9], 0, atol=1e-15)
+    np.testing.assert_allclose(d[9:], 0, atol=1e-15)
 
 
 def test_pose_delta_forward_step_and_yaw_invariance(skel):
     prev = body.rest_pose(skel)  # facing +y, yaw 0
     nxt = body.translate_pose(prev, (0.1, 0.0, 0.0))
     d = body.pose_delta(prev, nxt)
-    np.testing.assert_allclose(d.d_translation, [0.1, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(d[0:3], [0.1, 0.0, 0.0], atol=1e-15)
     # pre-rotating both poses 90deg about z yields the identical delta
     prev_r = body.rotate_pose_z(prev, np.pi / 2)
     nxt_r = body.rotate_pose_z(nxt, np.pi / 2)
     d_r = body.pose_delta(prev_r, nxt_r)
-    np.testing.assert_allclose(d_r.d_translation, d.d_translation, atol=1e-12)
-    np.testing.assert_allclose(d_r.d_root, d.d_root, atol=1e-12)
+    np.testing.assert_allclose(d_r[0:3], d[0:3], atol=1e-12)
+    np.testing.assert_allclose(d_r[3:9], d[3:9], atol=1e-12)
 
 
 def test_roundtrip_and_yaw_invariance_over_random_pairs(skel):
@@ -129,15 +129,15 @@ def test_roundtrip_and_yaw_invariance_over_random_pairs(skel):
 
         phi = rng.uniform(-np.pi, np.pi)
         d_rot = body.pose_delta(body.rotate_pose_z(p, phi), body.rotate_pose_z(q, phi))
-        np.testing.assert_allclose(d_rot.d_translation, d.d_translation, atol=1e-6)
-        np.testing.assert_allclose(d_rot.d_root, d.d_root, atol=1e-6)
-        np.testing.assert_allclose(d_rot.d_joints, d.d_joints, atol=1e-6)
+        np.testing.assert_allclose(d_rot[0:3], d[0:3], atol=1e-6)
+        np.testing.assert_allclose(d_rot[3:9], d[3:9], atol=1e-6)
+        np.testing.assert_allclose(d_rot[9:], d[9:], atol=1e-6)
 
 
 def test_zero_delta_integrates_to_same_pose(skel):
     rng = np.random.default_rng(24)
     p = random_pose(skel, rng)
-    out = body.integrate_delta(p, body.zero_delta(skel.n_rotated))
+    out = body.integrate_delta(p, np.zeros(body.pose_dim(skel.n_rotated)))
     np.testing.assert_allclose(out.translation, p.translation, atol=1e-15)
     np.testing.assert_allclose(out.root_orientation, p.root_orientation, atol=1e-15)
 
@@ -147,8 +147,8 @@ def test_constant_forward_delta_walks_straight_along_heading(skel):
     # should advance along the yawed heading every step
     yaw0 = 0.8
     pose = body.rotate_pose_z(body.rest_pose(skel), yaw0)
-    delta = body.zero_delta(skel.n_rotated)
-    delta.d_translation = np.array([0.0, 0.05, 0.0])
+    delta = np.zeros(body.pose_dim(skel.n_rotated))
+    delta[0:3] = [0.0, 0.05, 0.0]
     heading = np.array([-np.sin(yaw0), np.cos(yaw0), 0.0])
     for k in range(1, 11):
         pose = body.integrate_delta(pose, delta)

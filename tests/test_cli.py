@@ -174,3 +174,19 @@ def test_workers_resolved_only_for_evaluate(tmp_path, tiny_config, data_dir, che
     assert r.returncode == 0, r.stderr
     resolved = json.loads(open(os.path.join(out, "resolved_config.json")).read())
     assert resolved["resolved"]["workers"] == 2
+
+
+def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
+    gen = ("generate", "--checkpoint", checkpoint)
+    opt = ("optimize", "--checkpoint", checkpoint, "--goal", "1,1,1", "--steps", "1")
+    for k, argv in enumerate((
+            gen + ("--goal", "1,x,1"),
+            gen + ("--goal", "1,1,1", "--goal", "1,2,1", "--duration", "1"),
+            gen + ("--goal", "1,1,1", "--radius", "-1"),
+            gen + ("--goal", "1,1,1", "--duration", "0"),
+            opt + ("--prior-weight", "-1"))):
+        out = tmp_path / f"bad{k}"
+        r = run_cli(*argv, "--out", str(out))
+        assert r.returncode == 1, (argv, r.stderr)
+        assert r.stderr.startswith("error code=InvalidInputError"), (argv, r.stderr)
+        assert not out.exists()

@@ -1,4 +1,5 @@
-"""Every name a module in src/reachgen imports is used in that module."""
+"""Every name a module in src/reachgen imports is used in that module, and
+every import sits at module level."""
 import ast
 import pathlib
 
@@ -19,3 +20,13 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, f"{path.name} imports unused names {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    tree = ast.parse(path.read_text())
+    local = sorted(
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not local, f"{path.name} imports inside functions at {local}"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reachgen import body, intention as it
-from reachgen.body import desk_skeleton, rest_pose, rotate_pose_z, translate_pose, zero_delta
+from reachgen.body import desk_skeleton, pose_dim, rest_pose, rotate_pose_z, translate_pose
 from reachgen.intention import GoalSpec
 
 
@@ -112,40 +112,51 @@ def test_condition_dim_formula(skel):
 
 def test_assemble_condition_layout_and_zero_slots(skel):
     pose = rest_pose(skel)
-    cond = it.assemble_condition(pose, zero_delta(skel.n_rotated),
-                                 it.IntentionVector(np.zeros(3), np.zeros(2), np.zeros(2)))
+    goal = GoalSpec(np.array([1.0, 2.0, 1.1]), target_frame=60)
+    cond, intent = it.assemble_condition(pose, np.zeros(pose_dim(skel.n_rotated)),
+                                         skel, goal, 0)
     assert cond.shape == (167,)
-    # delta and intention slots are zero
-    np.testing.assert_array_equal(cond[79:], np.zeros(88))
+    # the delta slots are zero and the intention slots hold the intention
+    np.testing.assert_array_equal(cond[79:160], np.zeros(81))
+    assert cond[160:].tobytes() == intent.tobytes()
+    assert intent.tobytes() == it.compute_intention(pose, skel, goal, 0).tobytes()
     assert cond[0] == 0.90  # z translation
+
+
+def _move_goal(goal, angle, offset):
+    c, s = np.cos(angle), np.sin(angle)
+    xy = np.array([[c, -s], [s, c]]) @ goal.position[:2] + offset[:2]
+    return GoalSpec(np.append(xy, goal.position[2]), goal.target_frame)
 
 
 def test_assemble_condition_invariant_to_yaw_and_xy(skel):
     rng = np.random.default_rng(1)
-    # random-ish pose via perturbed joints; yaw/xy moves must not show up
+    # random-ish pose via perturbed joints; yaw/xy moves of the pose and the
+    # goal together must not show up
     pose = rest_pose(skel)
     pose.joint_rotations = pose.joint_rotations + rng.normal(scale=0.1,
                                                              size=pose.joint_rotations.shape)
-    delta = zero_delta(skel.n_rotated)
-    delta.d_translation = rng.normal(size=3)
-    intent = it.IntentionVector(rng.normal(size=3), rng.normal(size=2), rng.normal(size=2))
+    delta = np.zeros(pose_dim(skel.n_rotated))
+    delta[0:3] = rng.normal(size=3)
+    goal = GoalSpec(rng.normal(size=3), target_frame=30)
 
-    base = it.assemble_condition(pose, delta, intent)
-    moved = translate_pose(rotate_pose_z(pose, 1.3), (5.0, -2.0, 0.0))
-    cond2 = it.assemble_condition(moved, delta, intent)
+    base, _ = it.assemble_condition(pose, delta, skel, goal, 0)
+    offset = np.array([5.0, -2.0, 0.0])
+    moved = translate_pose(rotate_pose_z(pose, 1.3), offset)
+    cond2, _ = it.assemble_condition(moved, delta, skel, _move_goal(goal, 1.3, offset), 0)
     np.testing.assert_allclose(cond2, base, atol=1e-9)
 
 
 def test_compute_intention_canonical_is_yaw_invariant(skel):
     pose = rotate_pose_z(rest_pose(skel), 0.4)
     goal = GoalSpec(np.array([2.0, 1.0, 1.2]), target_frame=120)
-    base = it.compute_intention(pose, skel, goal, current_frame=0).as_vector()
+    base = it.compute_intention(pose, skel, goal, current_frame=0)
     phi = 1.1
     pose_r = rotate_pose_z(pose, phi)
     goal_r = GoalSpec(np.append(
         np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]) @ goal.position[:2],
         goal.position[2]), target_frame=120)
-    rotated = it.compute_intention(pose_r, skel, goal_r, current_frame=0).as_vector()
+    rotated = it.compute_intention(pose_r, skel, goal_r, current_frame=0)
     np.testing.assert_allclose(rotated, base, atol=1e-9)
 
 

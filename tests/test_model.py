@@ -90,9 +90,8 @@ def test_wrist_only_error_isolates_joint_loss(skel):
     assert float(ag.value(out.rec)) > 0
     assert float(ag.value(out.joint)) > 0
     # verify only the wrist moved
-    from reachgen.body import forward_kinematics, integrate_delta, vector_to_delta
-    moved = forward_kinematics(
-        integrate_delta(pose, vector_to_delta(pred, skel.n_rotated)), skel)
+    from reachgen.body import forward_kinematics, integrate_delta
+    moved = forward_kinematics(integrate_delta(pose, pred), skel)
     base = forward_kinematics(pose, skel)
     diff = np.linalg.norm(np.asarray(moved) - np.asarray(base), axis=-1)
     wrist = skel.joint_index("right_wrist")
