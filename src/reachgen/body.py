@@ -1,22 +1,26 @@
-"""Kinematic skeleton, poses, yaw-canonical pose deltas, forward kinematics.
+"""Kinematic skeleton, pose vectors, yaw-canonical pose deltas, forward
+kinematics.
 
-A pose is root translation + root orientation (6D) + one 6D rotation per
-non-root joint. A delta is a vector in the pose-vector layout, taken
-component-wise on the raw 6D encodings after removing the previous frame's
-global yaw, which keeps integration exactly linear and invertible.
+A pose is a (..., pose_dim) float vector: root translation (3), then one 6D
+rotation per joint with the root's first. Joint j (the root is j = 0) sits
+at pose[..., 3+6j : 9+6j], so pose[..., 3:] reshaped to (..., n_joints, 6)
+lists the rotations in joint order. A delta is a vector in the same layout,
+taken component-wise on the raw 6D encodings after removing the previous
+frame's global yaw, which keeps integration exactly linear and invertible.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ag
 from .errors import DimensionMismatchError
-from .geometry import rotate_sixd_z, rotate_z, safe_unit, sixd_to_matrix, yaw_of
+from .geometry import (_rotated, identity_sixd, rotate_sixd_z, rotate_z, safe_unit,
+                       sixd_to_matrix, yaw_of)
 
 
 FK_ROWS = 64   # poses per batched FK pass; see forward_kinematics
@@ -150,95 +154,51 @@ def desk_skeleton() -> Skeleton:
     return Skeleton(names, parents, offsets, np.array([0.0, 1.0, 0.0]))
 
 
-@dataclass
-class Pose:
-    """One motion frame: translation (m), root 6D, per-joint 6D rotations.
-
-    Fields may hold plain arrays or autodiff Tensors, with arbitrary leading
-    batch axes: translation (..., 3), root_orientation (..., 6),
-    joint_rotations (..., J, 6).
-    """
-
-    translation: object
-    root_orientation: object
-    joint_rotations: object
-
-    @property
-    def n_rotated(self) -> int:
-        return ag.value(self.joint_rotations).shape[-2]
-
-
 def pose_dim(n_rotated: int) -> int:
     return 3 + 6 + 6 * n_rotated
 
 
-def pose_to_vector(pose: Pose):
-    j = pose.joint_rotations
-    jd = ag.value(j)
-    flat = ag.reshape(j, jd.shape[:-2] + (jd.shape[-2] * 6,))
-    return ag.concatenate([pose.translation, pose.root_orientation, flat], axis=-1)
+def rest_pose(skeleton: Skeleton, translation=(0.0, 0.0, 0.90)) -> np.ndarray:
+    """Identity rotation on every joint, root at `translation`."""
+    return np.concatenate([np.asarray(translation, dtype=np.float64),
+                           np.tile(identity_sixd(), skeleton.n_joints)])
 
 
-def vector_to_pose(vec, n_rotated: int) -> Pose:
-    vd = ag.value(vec)
-    if vd.shape[-1] != pose_dim(n_rotated):
-        raise DimensionMismatchError(
-            f"pose vector has dim {vd.shape[-1]}, expected {pose_dim(n_rotated)}")
-    joints = ag.reshape(vec[..., 9:], vd.shape[:-1] + (n_rotated, 6))
-    return Pose(vec[..., 0:3], vec[..., 3:9], joints)
-
-
-def rest_pose(skeleton: Skeleton, translation=(0.0, 0.0, 0.90)) -> Pose:
-    ident = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    return Pose(
-        np.asarray(translation, dtype=np.float64),
-        ident.copy(),
-        np.tile(ident, (skeleton.n_rotated, 1)),
-    )
-
-
-def _check_same_skeleton(a: Pose, b: Pose):
-    if ag.value(a.joint_rotations).shape[-2] != ag.value(b.joint_rotations).shape[-2]:
-        raise DimensionMismatchError("poses have different joint counts")
-
-
-def pose_delta(prev: Pose, nxt: Pose):
+def pose_delta(prev, nxt):
     """Difference nxt - prev with prev's global yaw removed, as a
-    (..., pose_dim) vector in pose_to_vector layout.
+    (..., pose_dim) vector in the pose layout.
 
     Translation and root-orientation deltas are rotated by -yaw(prev) about
     world z; joint rotations are parent-local, so their raw 6D difference is
     already heading-agnostic.
     """
-    _check_same_skeleton(prev, nxt)
-    neg_yaw = -yaw_of(prev.root_orientation)
-    d_t = rotate_z(nxt.translation - prev.translation, neg_yaw)
-    d_r = rotate_sixd_z(nxt.root_orientation, neg_yaw) - rotate_sixd_z(prev.root_orientation, neg_yaw)
-    d_j = nxt.joint_rotations - prev.joint_rotations
-    return pose_to_vector(Pose(d_t, d_r, d_j))
+    if ag.value(prev).shape[-1] != ag.value(nxt).shape[-1]:
+        raise DimensionMismatchError("poses have different joint counts")
+    root = prev[..., 3:9]
+    neg_yaw = -yaw_of(root)
+    return ag.concatenate([
+        rotate_z(nxt[..., 0:3] - prev[..., 0:3], neg_yaw),
+        rotate_sixd_z(nxt[..., 3:9], neg_yaw) - rotate_sixd_z(root, neg_yaw),
+        nxt[..., 9:] - prev[..., 9:],
+    ], axis=-1)
 
 
-def integrate_delta(prev: Pose, delta) -> Pose:
+def integrate_delta(prev, delta):
     """Exact inverse of pose_delta: re-apply prev's yaw and add the delta
     vector."""
-    d = vector_to_pose(delta, prev.n_rotated)
-    yaw = yaw_of(prev.root_orientation)
-    t = prev.translation + rotate_z(d.translation, yaw)
-    r = prev.root_orientation + rotate_sixd_z(d.root_orientation, yaw)
-    j = prev.joint_rotations + d.joint_rotations
-    return Pose(t, r, j)
+    return prev + rotate_pose_z(delta, yaw_of(prev[..., 3:9]))
 
 
-def _local_rotations(pose: Pose, skeleton: Skeleton):
-    """(..., n_joints, 3, 3): the root's and every joint's local rotation,
-    decoded in one sixd_to_matrix call."""
-    jd = ag.value(pose.joint_rotations)
-    if jd.shape[-2] != skeleton.n_rotated:
+def _local_rotations(pose, skeleton: Skeleton):
+    """(..., n_joints, 3, 3): every joint's local rotation, the root's
+    first, decoded in one sixd_to_matrix call."""
+    pd = ag.value(pose)
+    if pd.shape[-1] != pose_dim(skeleton.n_rotated):
         raise DimensionMismatchError(
-            f"pose has {jd.shape[-2]} joint rotations, "
-            f"skeleton expects {skeleton.n_rotated}")
-    root = pose.root_orientation[..., None, :]
-    return sixd_to_matrix(ag.concatenate([root, pose.joint_rotations], axis=-2))
+            f"pose vector has dim {pd.shape[-1]}, "
+            f"skeleton expects {pose_dim(skeleton.n_rotated)}")
+    rotations = ag.reshape(pose[..., 3:], pd.shape[:-1] + (skeleton.n_joints, 6))
+    return sixd_to_matrix(rotations)
 
 
 def _joint_positions(translation, local, skeleton: Skeleton):
@@ -288,51 +248,59 @@ def _heading(root_matrix, skeleton: Skeleton):
     return safe_unit(fwd[..., 0:2])
 
 
-def forward_kinematics(pose: Pose, skeleton: Skeleton):
+def _forward_kinematics(pose, skeleton: Skeleton):
+    return _joint_positions(pose[..., 0:3], _local_rotations(pose, skeleton), skeleton)
+
+
+def forward_kinematics(pose, skeleton: Skeleton):
     """World joint positions (..., n_joints, 3).
 
     A tape-free batch of more than FK_ROWS poses along axis 0 runs FK_ROWS
     rows at a time: rows are independent, so the bits do not change, and
     a whole motion clip needs no more transient memory than a chunk.
     """
-    fields = (pose.translation, pose.root_orientation, pose.joint_rotations)
-    rows = np.shape(ag.value(pose.translation))[:-1]
-    if (rows and rows[0] > FK_ROWS
-            and all(isinstance(f, np.ndarray) and len(f) == rows[0] for f in fields)):
-        out = np.empty(rows + (skeleton.n_joints, 3))
-        for i in range(0, rows[0], FK_ROWS):
-            chunk = Pose(*(f[i:i + FK_ROWS] for f in fields))
-            out[i:i + FK_ROWS] = _joint_positions(
-                chunk.translation, _local_rotations(chunk, skeleton), skeleton)
+    if isinstance(pose, np.ndarray) and pose.ndim > 1 and len(pose) > FK_ROWS:
+        out = np.empty(pose.shape[:-1] + (skeleton.n_joints, 3))
+        for i in range(0, len(pose), FK_ROWS):
+            out[i:i + FK_ROWS] = _forward_kinematics(pose[i:i + FK_ROWS], skeleton)
         return out
-    return _joint_positions(pose.translation, _local_rotations(pose, skeleton), skeleton)
+    return _forward_kinematics(pose, skeleton)
 
 
-def joint_position(pose: Pose, skeleton: Skeleton, joint: int):
+def joint_position(pose, skeleton: Skeleton, joint: int):
     """World position of one joint."""
     return forward_kinematics(pose, skeleton)[..., joint, :]
 
 
-def heading_of(pose: Pose, skeleton: Skeleton):
+def heading_of(pose, skeleton: Skeleton):
     """Unit xy direction of the body's forward axis; (0, 0) when degenerate."""
-    return _heading(sixd_to_matrix(pose.root_orientation), skeleton)
+    return _heading(sixd_to_matrix(pose[..., 3:9]), skeleton)
 
 
-def joint_position_and_heading(pose: Pose, skeleton: Skeleton, joint: int):
+def joint_position_and_heading(pose, skeleton: Skeleton, joint: int):
     """(joint_position, heading_of) from one decode of the pose's rotations."""
     local = _local_rotations(pose, skeleton)
-    pos = _joint_positions(pose.translation, local, skeleton)
+    pos = _joint_positions(pose[..., 0:3], local, skeleton)
     return pos[..., joint, :], _heading(local[..., 0, :, :], skeleton)
 
 
-def rotate_pose_z(pose: Pose, angle) -> Pose:
-    """Rigidly rotate a pose about the world z axis (translation + root)."""
-    return Pose(
-        rotate_z(pose.translation, angle),
-        rotate_sixd_z(pose.root_orientation, angle),
-        pose.joint_rotations,
-    )
+def rotate_pose_z(pose, angle):
+    """Rigidly rotate poses (..., pose_dim) about the world z axis, one fused
+    op: the translation and both root 6D halves are three xy-rotated
+    3-vectors; the parent-local joint slots are copied."""
+    pd = ag.value(pose)
+    ad = ag.value(angle)
+    head = pd[..., :9].reshape(pd.shape[:-1] + (3, 3))
+    turned, vjp = _rotated(head, np.cos(ad)[..., None], np.sin(ad)[..., None], ad.shape)
+    out = np.empty(turned.shape[:-2] + pd.shape[-1:])
+    out[..., :9] = turned.reshape(turned.shape[:-2] + (9,))
+    out[..., 9:] = pd[..., 9:]
 
+    def pose_vjp(g):
+        gh, ga = vjp(g[..., :9].reshape(turned.shape))
+        gp = np.empty(pd.shape)
+        gp[..., :9] = gh.reshape(pd.shape[:-1] + (9,))
+        gp[..., 9:] = ag.unbroadcast(g[..., 9:], gp[..., 9:].shape)
+        return gp, ga
 
-def translate_pose(pose: Pose, offset) -> Pose:
-    return replace(pose, translation=pose.translation + np.asarray(offset, dtype=np.float64))
+    return ag.record(out, (pose, angle), pose_vjp)

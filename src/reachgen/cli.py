@@ -21,7 +21,8 @@ from .dataset import (MIN_SPLIT_SEQUENCES, SyntheticGenConfig, filter_floating,
                       generate_synthetic_corpus, load_motion, save_motion,
                       save_motion_csv, split_dataset, standing_pose,
                       write_manifest)
-from .errors import CorpusTooSmallError, InvalidInputError, ReachGenError
+from .errors import (CorpusTooSmallError, CorruptFileError, InvalidInputError,
+                     ReachGenError)
 from .evaluation import EvalConfig, emit_report, run_benchmark, distance_to_goal
 from .intention import GoalSpec
 from .latent_opt import OptObjective, optimize_latents, final_wrist_distance
@@ -94,10 +95,14 @@ def resolve_config(args) -> dict:
         except (OSError, json.JSONDecodeError) as e:
             raise ReachGenError(f"unreadable config {config_path}: {e}") from e
 
-    if os.environ.get(ENV_PREFIX + "SEED"):
-        cfg["seed"] = int(os.environ[ENV_PREFIX + "SEED"])
-    if evaluate and os.environ.get(ENV_PREFIX + "WORKERS"):
-        cfg["workers"] = int(os.environ[ENV_PREFIX + "WORKERS"])
+    for key in ("seed", "workers") if evaluate else ("seed",):
+        name = ENV_PREFIX + key.upper()
+        if os.environ.get(name):
+            try:
+                cfg[key] = int(os.environ[name])
+            except ValueError as e:
+                raise InvalidInputError(f"{name} must be an integer, "
+                                        f"got {os.environ[name]!r}") from e
 
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -124,6 +129,16 @@ def _file_hash(path) -> str:
     return h.hexdigest()
 
 
+def _from_settings(factory, section: str, settings: dict, **fixed):
+    """factory(**fixed, **settings) for one section of the resolved config,
+    where an unknown key (TypeError) or an out-of-range value (ValueError)
+    is the operator's input error."""
+    try:
+        return factory(**fixed, **settings)
+    except (TypeError, ValueError) as e:
+        raise InvalidInputError(f"bad {section!r} settings: {e}") from e
+
+
 def _parse_goal(text: str) -> np.ndarray:
     try:
         parts = [float(v) for v in text.split(",")]
@@ -140,7 +155,7 @@ def cmd_gen_data(args) -> int:
     cfg = resolve_config(args)
     out = args.out or "runs/gen-data"
     skeleton = desk_skeleton()
-    gen_cfg = SyntheticGenConfig(seed=cfg["seed"], **cfg["data"])
+    gen_cfg = _from_settings(SyntheticGenConfig, "data", cfg["data"], seed=cfg["seed"])
     planned = gen_cfg.n_locomotion + gen_cfg.n_reaching + gen_cfg.n_walk_reach
     if planned < MIN_SPLIT_SEQUENCES:
         raise CorpusTooSmallError(f"config asks for {planned} sequences; the split "
@@ -162,14 +177,13 @@ def cmd_gen_data(args) -> int:
 def _load_corpus(data_dir: str, skeleton):
     manifest_path = os.path.join(data_dir, "manifest.json")
     with open(manifest_path) as f:
-        manifest = json.load(f)
-    train_seqs = []
-    for entry in manifest["sequences"]:
-        if entry["split"] != "train":
-            continue
-        seq = load_motion(os.path.join(data_dir, "motions",
-                                       f"{entry['ident']}.mot"), skeleton)
-        train_seqs.append(seq)
+        try:
+            idents = [e["ident"] for e in json.load(f)["sequences"]
+                      if e["split"] == "train"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise CorruptFileError(f"{manifest_path}: bad manifest ({e!r})") from e
+    train_seqs = [load_motion(os.path.join(data_dir, "motions", f"{ident}.mot"), skeleton)
+                  for ident in idents]
     return train_seqs, _file_hash(manifest_path)
 
 
@@ -182,8 +196,9 @@ def cmd_train(args) -> int:
         raise ReachGenError(f"no training sequences in {args.data}")
     if args.epochs is not None:
         cfg["train"]["epochs"] = args.epochs
-    train_cfg = TrainConfig(seed=cfg["seed"], **cfg["train"])
-    model = fresh_model(skeleton, seed=cfg["seed"], **cfg["model"])
+    train_cfg = _from_settings(TrainConfig, "train", cfg["train"], seed=cfg["seed"])
+    model = _from_settings(fresh_model, "model", cfg["model"], skeleton=skeleton,
+                           seed=cfg["seed"])
     os.makedirs(out, exist_ok=True)
     model, adam, rows = train(sequences, skeleton, train_cfg, model=model,
                               log_path=os.path.join(out, "train_log.csv"))
@@ -241,8 +256,8 @@ def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     out = args.out or "runs/evaluate"
     model = _load_model(args)
-    eval_cfg = EvalConfig(**{k: tuple(v) if isinstance(v, list) else v
-                             for k, v in cfg["eval"].items()})
+    eval_cfg = _from_settings(EvalConfig, "eval", {
+        k: tuple(v) if isinstance(v, list) else v for k, v in cfg["eval"].items()})
     report = run_benchmark(model, eval_cfg, seed=cfg["seed"],
                            workers=cfg["workers"])
     os.makedirs(out, exist_ok=True)

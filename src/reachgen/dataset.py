@@ -5,6 +5,11 @@ its plant (root height solves the leg-length constraint), so the corpus
 itself scores near-zero foot skating. Reaching clips solve a closed-form
 two-link arm IK so the wrist lands exactly on the sampled target at the
 labeled frame. Everything is a pure function of (config, seed).
+
+A pose is a (pose_dim,) vector in the body layout: translation 3, then joint
+j's 6D rotation at pose[3+6j : 9+6j], the root's (j = 0) first. The
+generators write rotations through the (n_joints, 6) view
+pose[3:].reshape(n_joints, 6), indexed by joint.
 """
 from __future__ import annotations
 
@@ -13,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .body import (Pose, Skeleton, desk_skeleton, forward_kinematics,
-                   heading_of, joint_position, pose_dim, vector_to_pose)
+from .body import (Skeleton, desk_skeleton, forward_kinematics, heading_of,
+                   joint_position, pose_dim, rest_pose)
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
                      InfeasibleTargetError, ModelMismatchError, SkipWindow)
@@ -52,12 +57,6 @@ class MotionSequence:
     @property
     def n_frames(self) -> int:
         return self.poses.shape[0]
-
-    def pose_at(self, i: int) -> Pose:
-        return vector_to_pose(self.poses[i], self.skeleton.n_rotated)
-
-    def batched_poses(self) -> Pose:
-        return vector_to_pose(self.poses, self.skeleton.n_rotated)
 
 
 @dataclass(frozen=True)
@@ -142,15 +141,9 @@ class _WalkRig:
         self.skel = skeleton
         self.hip_idx = {"left": skeleton.joint_index("left_hip"),
                         "right": skeleton.joint_index("right_hip")}
-        self.hip_slot = {"left": skeleton.joint_index("left_hip") - 1,
-                         "right": skeleton.joint_index("right_hip") - 1}
         self.hip_off = {s: skeleton.offsets[self.hip_idx[s]] for s in ("left", "right")}
         self.leg_len = float(np.linalg.norm(
             skeleton.offsets[skeleton.joint_index("left_foot")]))
-        self.arm_slots = {
-            "left_shoulder": skeleton.joint_index("left_shoulder") - 1,
-            "right_shoulder": skeleton.joint_index("right_shoulder") - 1,
-        }
 
     def stance_height(self, root_xy, yaw, stance, stance_plant) -> float:
         """Root z that makes the stance leg exactly leg-length."""
@@ -221,13 +214,8 @@ class _ArmGestures:
 
     def __init__(self, skeleton: Skeleton, rng: np.random.Generator, n: int,
                  fps: float):
-        self.slots = {
-            "right_shoulder": skeleton.joint_index("right_shoulder") - 1,
-            "right_elbow": skeleton.joint_index("right_elbow") - 1,
-            "left_shoulder": skeleton.joint_index("left_shoulder") - 1,
-            "left_elbow": skeleton.joint_index("left_elbow") - 1,
-            "spine": skeleton.joint_index("spine") - 1,
-        }
+        self.joints = {name: skeleton.joint_index(name) for name in (
+            "right_shoulder", "right_elbow", "left_shoulder", "left_elbow", "spine")}
         self.keys_at = np.arange(0, n + 1, max(int(rng.uniform(0.8, 1.6) * fps), 8))
         if self.keys_at[-1] < n:
             self.keys_at = np.append(self.keys_at, n)
@@ -248,14 +236,14 @@ class _ArmGestures:
         out["spine"] = axis_angle_matrix([1, 0, 0], rng.uniform(-0.8, 0.15))
         return out
 
-    def apply(self, joints: np.ndarray, i: int) -> None:
+    def apply(self, rot: np.ndarray, i: int) -> None:
         k = int(np.searchsorted(self.keys_at, i, side="right") - 1)
         k = min(k, len(self.keyframes) - 2)
         span = self.keys_at[k + 1] - self.keys_at[k]
         s = _smoothstep((i - self.keys_at[k]) / max(span, 1))
-        for name, slot in self.slots.items():
+        for name, j in self.joints.items():
             m = _slerp(self.keyframes[k][name], self.keyframes[k + 1][name], s)
-            joints[slot] = matrix_to_sixd(m)
+            rot[j] = matrix_to_sixd(m)
 
 
 def _edge_ramp(n: int, fps: float, ramp_s: float = 1.0) -> np.ndarray:
@@ -342,30 +330,30 @@ def _generate_gait(skeleton: Skeleton, fps: float, yaw: np.ndarray,
             z_root[i] = z_cur
         frame_plan.append((stance, swing, plants[stance].copy(), spec))
 
-    # pass 2: build the frames
-    poses = np.zeros((n, pose_dim(skeleton.n_rotated)))
-    ident6 = np.array([1.0, 0, 0, 0, 1.0, 0])
+    # pass 2: build the frames in place, one rotation row per joint
+    poses = np.tile(rest_pose(skeleton), (n, 1))
     for i, (stance, swing, stance_plant, spec) in enumerate(frame_plan):
         yaw_mat = rotation_z_matrix(yaw[i])
-        root = np.array([root_xy[i][0], root_xy[i][1], z_root[i]])
-        joints = np.tile(ident6, (skeleton.n_rotated, 1))
+        root = poses[i, 0:3]
+        root[:] = root_xy[i][0], root_xy[i][1], z_root[i]
+        rot = poses[i, 3:].reshape(skeleton.n_joints, 6)
+        rot[0] = matrix_to_sixd(yaw_mat)
         st = rig.leg_to_point(root, yaw_mat, stance, stance_plant)
         if st is not None:
-            joints[rig.hip_slot[stance]] = st
+            rot[rig.hip_idx[stance]] = st
         if spec[0] == "hold":
             sw = rig.leg_to_point(root, yaw_mat, swing, spec[1])
             if sw is not None:
-                joints[rig.hip_slot[swing]] = sw
+                rot[rig.hip_idx[swing]] = sw
         else:
-            joints[rig.hip_slot[swing]] = rig.leg_swing(
+            rot[rig.hip_idx[swing]] = rig.leg_swing(
                 root, yaw_mat, swing, spec[1], floor_z=0.0, clearance=spec[2])
         phase = 2.0 * np.pi * i / (2 * frames_per_step)
         amp = 0.5 * min(speed[i] / 0.5, 1.0)   # arms swing with walking speed
         for name, six in rig.arm_locals(phase, amp=amp).items():
-            joints[rig.arm_slots[name]] = six
+            rot[skeleton.joint_index(name)] = six
         if gestures is not None:
-            gestures.apply(joints, i)
-        poses[i] = np.concatenate([root, matrix_to_sixd(yaw_mat), joints.reshape(-1)])
+            gestures.apply(rot, i)
     return poses
 
 
@@ -401,29 +389,25 @@ def _generate_turn_in_place(skeleton: Skeleton, rng: np.random.Generator,
                           step_time=rng.uniform(0.40, 0.55), gestures=gestures)
 
 
-def standing_pose(skeleton: Skeleton, xy=(0.0, 0.0), yaw: float = 0.0) -> Pose:
-    """Corpus-style standing pose (feet grounded, arms lowered)."""
-    return vector_to_pose(_standing_pose(skeleton, xy, yaw), skeleton.n_rotated)
-
-
-def _standing_pose(skeleton: Skeleton, xy, yaw) -> np.ndarray:
-    """Symmetric stance at a point; both feet grounded exactly, arms lowered."""
+def standing_pose(skeleton: Skeleton, xy=(0.0, 0.0), yaw: float = 0.0) -> np.ndarray:
+    """Corpus-style standing pose vector: a symmetric stance at a point,
+    both feet grounded exactly, arms lowered."""
     rig = _WalkRig(skeleton)
     yaw_mat = rotation_z_matrix(yaw)
     xy = np.asarray(xy, dtype=np.float64)
     left_plant = np.append(xy + yaw_mat[:2, :2] @ rig.hip_off["left"][:2], 0.0)
     right_plant = np.append(xy + yaw_mat[:2, :2] @ rig.hip_off["right"][:2], 0.0)
-    root = np.array([xy[0], xy[1],
-                     rig.stance_height(xy, yaw, "left", left_plant)])
-    ident6 = np.array([1.0, 0, 0, 0, 1.0, 0])
-    joints = np.tile(ident6, (skeleton.n_rotated, 1))
+    height = rig.stance_height(xy, yaw, "left", left_plant)
+    pose = rest_pose(skeleton, (xy[0], xy[1], height))
+    rot = pose[3:].reshape(skeleton.n_joints, 6)
+    rot[0] = matrix_to_sixd(yaw_mat)
     for side, plant in (("left", left_plant), ("right", right_plant)):
-        six = rig.leg_to_point(root, yaw_mat, side, plant)
+        six = rig.leg_to_point(pose[0:3], yaw_mat, side, plant)
         if six is not None:
-            joints[rig.hip_slot[side]] = six
+            rot[rig.hip_idx[side]] = six
     for name, six in rig.arm_locals(0.0, amp=0.0).items():
-        joints[rig.arm_slots[name]] = six
-    return np.concatenate([root, matrix_to_sixd(yaw_mat), joints.reshape(-1)])
+        rot[skeleton.joint_index(name)] = six
+    return pose
 
 
 def _solve_reach(skeleton: Skeleton, stand_vec: np.ndarray, target: np.ndarray):
@@ -432,18 +416,16 @@ def _solve_reach(skeleton: Skeleton, stand_vec: np.ndarray, target: np.ndarray):
     Returns {joint_name: 6d} or None when the target is outside the
     pitched-spine reach envelope.
     """
-    n_rot = skeleton.n_rotated
-    base = vector_to_pose(stand_vec.copy(), n_rot)
     i_spine = skeleton.joint_index("spine")
     i_sh = skeleton.joint_index("right_shoulder")
     a = float(np.linalg.norm(skeleton.offsets[skeleton.joint_index("right_elbow")]))
     b = float(np.linalg.norm(skeleton.offsets[skeleton.joint_index("right_wrist")]))
 
     for pitch in np.linspace(0.0, 1.1, 8):
-        joints = np.array(base.joint_rotations, copy=True)
+        probe = stand_vec.copy()
         spine_local = axis_angle_matrix([1.0, 0.0, 0.0], -pitch)  # lean toward +y
-        joints[i_spine - 1] = matrix_to_sixd(spine_local)
-        probe = Pose(base.translation, base.root_orientation, joints)
+        spine = probe[3 + 6 * i_spine:9 + 6 * i_spine]
+        spine[:] = matrix_to_sixd(spine_local)
         shoulder_pos = np.asarray(joint_position(probe, skeleton, i_sh))
         v = target - shoulder_pos
         r = float(np.linalg.norm(v))
@@ -454,8 +436,7 @@ def _solve_reach(skeleton: Skeleton, stand_vec: np.ndarray, target: np.ndarray):
         alpha = float(np.arccos(cos_al))
         elbow_local = rotation_z_matrix(alpha)
         wrist_in_shoulder = np.array([a + b * np.cos(alpha), b * np.sin(alpha), 0.0])
-        w_sh_parent = (sixd_to_matrix(probe.root_orientation)
-                       @ sixd_to_matrix(joints[i_spine - 1]))
+        w_sh_parent = sixd_to_matrix(probe[3:9]) @ sixd_to_matrix(spine)
         # shoulder world rotation must map wrist_in_shoulder onto v
         world = _align_vec_to(wrist_in_shoulder / r, v / r)
         shoulder_local = w_sh_parent.T @ world
@@ -474,8 +455,7 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator, fps: float,
     """Stand-and-reach clip; returns (poses, GoalSpec)."""
     if yaw is None:
         yaw = rng.uniform(-np.pi, np.pi)
-    stand = _standing_pose(skeleton, stand_xy, yaw) if start_vec is None else start_vec
-    n_rot = skeleton.n_rotated
+    stand = standing_pose(skeleton, stand_xy, yaw) if start_vec is None else start_vec
     n = max(int(round(duration_s * fps)), 10)
     hold = max(int(round(0.2 * fps)), 2)
     t_reach = n - 1 - hold
@@ -497,22 +477,20 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator, fps: float,
         raise InfeasibleTargetError(
             f"no reachable target found in {resample_cap} samples")
 
-    base = vector_to_pose(stand.copy(), n_rot)
-    slots = {name: skeleton.joint_index(name) - 1 for name in solution}
-    start_rot = {name: sixd_to_matrix(np.array(base.joint_rotations[s]))
-                 for name, s in slots.items()}
-    end_rot = {name: sixd_to_matrix(solution[name]) for name in slots}
+    joints = {name: skeleton.joint_index(name) for name in solution}
+    start_rot = {name: sixd_to_matrix(stand[3 + 6 * j:9 + 6 * j])
+                 for name, j in joints.items()}
+    end_rot = {name: sixd_to_matrix(solution[name]) for name in joints}
 
     poses = np.tile(stand, (n, 1))
     for i in range(n):
         s = _smoothstep(min(i / t_reach, 1.0))
-        joints = np.array(base.joint_rotations, copy=True)
-        for name, slot in slots.items():
+        rot = poses[i, 3:].reshape(skeleton.n_joints, 6)
+        for name, j in joints.items():
             if s >= 1.0:
-                joints[slot] = solution[name]
+                rot[j] = solution[name]
             else:
-                joints[slot] = matrix_to_sixd(_slerp(start_rot[name], end_rot[name], s))
-        poses[i, 9:] = joints.reshape(-1)
+                rot[j] = matrix_to_sixd(_slerp(start_rot[name], end_rot[name], s))
 
     goal = GoalSpec(position=target, target_frame=t_reach, target_joint="right_wrist")
     return poses, goal
@@ -547,14 +525,12 @@ def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator,
 
     # freeze the final frame and blend the arm into a reach
     final = walk[-1].copy()
-    final_pose = vector_to_pose(final, skeleton.n_rotated)
-    hd = np.asarray(heading_of(final_pose, skeleton))
+    hd = np.asarray(heading_of(final, skeleton))
     end_yaw = float(np.arctan2(-hd[0], hd[1]))
     reach_s = rng.uniform(*cfg.reach_duration_range)
     reach, goal = _generate_reach(
         skeleton, rng, fps, reach_s, cfg,
-        stand_xy=np.asarray(final_pose.translation)[:2], yaw=end_yaw,
-        start_vec=final)
+        stand_xy=final[:2], yaw=end_yaw, start_vec=final)
     poses = np.concatenate([walk[:-1], reach], axis=0)
     goal = replace(goal, target_frame=goal.target_frame + walk.shape[0] - 1)
     return poses, goal
@@ -640,7 +616,7 @@ def filter_floating(sequences, skeleton: Skeleton,
     rf = skeleton.joint_index("right_foot")
     kept = []
     for seq in sequences:
-        pos = forward_kinematics(seq.batched_poses(), skeleton)
+        pos = forward_kinematics(seq.poses, skeleton)
         lowest_foot = np.minimum(pos[:, lf, 2], pos[:, rf, 2])
         if not np.any(lowest_foot > threshold):
             kept.append(seq)
@@ -686,7 +662,7 @@ def sample_training_window(seq: MotionSequence, window_len: int,
     poses = seq.poses[start - 1:start + window_len].copy()
     if seq.label is not None:
         goal = seq.label
-        gh = np.asarray(heading_of(seq.pose_at(goal.target_frame), seq.skeleton))
+        gh = np.asarray(heading_of(seq.poses[goal.target_frame], seq.skeleton))
     else:
         hg = hindsight_goal(seq, start, rng, horizon=horizon)
         goal, gh = hg.goal, hg.goal_heading

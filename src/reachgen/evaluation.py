@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import (Pose, Skeleton, forward_kinematics, pose_to_vector,
-                   vector_to_pose)
+from .body import Skeleton, forward_kinematics
 from .dataset import MotionSequence, standing_pose
 from .errors import ReachGenError
 from .intention import GoalSpec
@@ -58,13 +57,13 @@ class GoalGrid:
     combos: list       # parallel (angle, height, distance) values
 
 
-def build_goal_grid(center_pose: Pose, cfg: EvalConfig = EvalConfig()) -> GoalGrid:
+def build_goal_grid(center_pose, cfg: EvalConfig = EvalConfig()) -> GoalGrid:
     """Goals covering a cylinder around the human: angles equally spaced over
     2 pi, heights and distances linearly spaced over their ranges."""
     angles = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
     heights = np.linspace(*cfg.height_range, cfg.n_heights)
     distances = np.linspace(*cfg.distance_range, cfg.n_distances)
-    center = np.asarray(center_pose.translation, dtype=np.float64)[:2]
+    center = np.asarray(center_pose, dtype=np.float64)[:2]
     goals, combos = [], []
     for a in angles:
         for h in heights:
@@ -78,7 +77,7 @@ def build_goal_grid(center_pose: Pose, cfg: EvalConfig = EvalConfig()) -> GoalGr
 
 def wrist_positions(seq: MotionSequence, skeleton: Skeleton,
                     joint: str = "right_wrist") -> np.ndarray:
-    pos = forward_kinematics(seq.batched_poses(), skeleton)
+    pos = forward_kinematics(seq.poses, skeleton)
     return np.asarray(pos[:, skeleton.joint_index(joint), :])
 
 
@@ -101,7 +100,7 @@ def foot_skate(seq: MotionSequence, skeleton: Skeleton,
     (3D displacement, meters) to the next frame."""
     if seq.n_frames < 2:
         raise ValueError("foot skate needs at least 2 frames")
-    pos = np.asarray(forward_kinematics(seq.batched_poses(), skeleton))
+    pos = forward_kinematics(seq.poses, skeleton)
     lowest = np.argmin(pos[:, :, 2], axis=1)
     idx = np.arange(seq.n_frames - 1)
     a = pos[idx, lowest[:-1]]
@@ -135,14 +134,13 @@ class EvalReport:
     config: EvalConfig | None = None
 
 
-def default_initial_poses(skeleton: Skeleton, n: int = 6) -> list[Pose]:
+def default_initial_poses(skeleton: Skeleton, n: int = 6) -> list[np.ndarray]:
     """Corpus-style standing poses facing n evenly spread directions."""
     return [standing_pose(skeleton, yaw=2.0 * np.pi * k / n) for k in range(n)]
 
 
 def _rollout_metrics(args):
-    model, cfg, pose_vec, goal, combo, pose_id, sample, seed_key = args
-    pose = vector_to_pose(pose_vec, model.skeleton.n_rotated)
+    model, cfg, pose, goal, combo, pose_id, sample, seed_key = args
     rng = np.random.default_rng(seed_key)
     try:
         rec = generate(pose, GoalSchedule.single(goal), cfg.duration, model,
@@ -158,7 +156,7 @@ def _rollout_metrics(args):
 
 
 def run_benchmark(model: MotionModel, cfg: EvalConfig,
-                  initial_poses: list[Pose] | None = None, seed: int = 0,
+                  initial_poses: list[np.ndarray] | None = None, seed: int = 0,
                   workers: int = 1) -> EvalReport:
     """One rollout per (pose, goal, sample); per-rollout seeds derive from the
     index tuple, so reports are identical for any worker count."""
@@ -170,10 +168,9 @@ def run_benchmark(model: MotionModel, cfg: EvalConfig,
     tasks = []
     for pose_id, pose in enumerate(initial_poses):
         grid = build_goal_grid(pose, cfg)
-        pose_vec = np.asarray(pose_to_vector(pose))
         for goal_id, (goal, combo) in enumerate(zip(grid.goals, grid.combos)):
             for sample in range(cfg.samples_per_pair):
-                tasks.append((model, cfg, pose_vec, goal, combo, pose_id,
+                tasks.append((model, cfg, pose, goal, combo, pose_id,
                               sample, [seed, pose_id, goal_id, sample]))
 
     if workers <= 1:

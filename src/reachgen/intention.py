@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ag
-from .body import Pose, Skeleton, heading_of, joint_position_and_heading
+from .body import Skeleton, heading_of, joint_position_and_heading, rotate_pose_z
 from .errors import InvalidInputError, SkipWindow
-from .geometry import rotate_sixd_z, rotate_z, safe_norm, safe_unit, yaw_of
+from .geometry import rotate_z, safe_norm, safe_unit, yaw_of
 
 INTENTION_DIM = 7
 PELVIS_SATURATION = 2.0
@@ -55,7 +55,7 @@ def wrist_intention(wrist_pos, goal: GoalSpec, current_frame):
     return (goal.position - wrist_pos) / remaining
 
 
-def orientation_intention(pose: Pose, goal: GoalSpec, skeleton: Skeleton,
+def orientation_intention(pose, goal: GoalSpec, skeleton: Skeleton,
                           goal_heading=None):
     """Difference between the desired and the current unit xy heading.
 
@@ -63,7 +63,7 @@ def orientation_intention(pose: Pose, goal: GoalSpec, skeleton: Skeleton,
     Inference (goal_heading None): unit pelvis-to-goal xy direction minus
     current. Degenerate directions contribute zero terms.
     """
-    to_goal = goal.position[..., 0:2] - pose.translation[..., 0:2]
+    to_goal = goal.position[..., 0:2] - pose[..., 0:2]
     return _orientation_term(heading_of(pose, skeleton), safe_unit(to_goal),
                              goal_heading)
 
@@ -84,16 +84,16 @@ def _pelvis_term(to_goal, goal_direction):
     return PELVIS_SATURATION * (1.0 - ag.exp(-safe_norm(to_goal))) * goal_direction
 
 
-def _intention(pose: Pose, skeleton: Skeleton, goal: GoalSpec, current_frame,
+def _intention(pose, skeleton: Skeleton, goal: GoalSpec, current_frame,
                goal_heading):
     """(intention (..., 7), -yaw of the root) for compute_intention and
     assemble_condition; the pelvis-to-goal direction serves both the
     orientation and the pelvis term."""
     wrist, heading = joint_position_and_heading(
         pose, skeleton, skeleton.joint_index(goal.target_joint))
-    to_goal = goal.position[..., 0:2] - pose.translation[..., 0:2]
+    to_goal = goal.position[..., 0:2] - pose[..., 0:2]
     direction = safe_unit(to_goal)
-    neg_yaw = -yaw_of(pose.root_orientation)
+    neg_yaw = -yaw_of(pose[..., 3:9])
     intention = ag.concatenate([
         rotate_z(wrist_intention(wrist, goal, current_frame), neg_yaw),
         rotate_z(_orientation_term(heading, direction, goal_heading), neg_yaw),
@@ -102,7 +102,7 @@ def _intention(pose: Pose, skeleton: Skeleton, goal: GoalSpec, current_frame,
     return intention, neg_yaw
 
 
-def compute_intention(pose: Pose, skeleton: Skeleton, goal: GoalSpec,
+def compute_intention(pose, skeleton: Skeleton, goal: GoalSpec,
                       current_frame, goal_heading=None):
     """(..., 7) intention of one pose: wrist 3, orientation 2, pelvis 2.
 
@@ -118,7 +118,7 @@ def condition_dim(n_rotated: int) -> int:
     return (1 + 6 + 6 * n_rotated) + (3 + 6 + 6 * n_rotated) + INTENTION_DIM
 
 
-def assemble_condition(pose: Pose, prev_delta, skeleton: Skeleton,
+def assemble_condition(pose, prev_delta, skeleton: Skeleton,
                        goal: GoalSpec, current_frame, goal_heading=None):
     """(condition, intention): [z, canonical root 6D, joint 6Ds, prev delta,
     intention] and the intention it holds.
@@ -129,16 +129,8 @@ def assemble_condition(pose: Pose, prev_delta, skeleton: Skeleton,
     """
     intention, neg_yaw = _intention(pose, skeleton, goal, current_frame,
                                     goal_heading)
-    joints = pose.joint_rotations
-    jd = ag.value(joints)
-    condition = ag.concatenate([
-        pose.translation[..., 2:3],
-        rotate_sixd_z(pose.root_orientation, neg_yaw),
-        ag.reshape(joints, jd.shape[:-2] + (jd.shape[-2] * 6,)),
-        prev_delta,
-        intention,
-    ], axis=-1)
-    return condition, intention
+    local = rotate_pose_z(pose, neg_yaw)[..., 2:]
+    return ag.concatenate([local, prev_delta, intention], axis=-1), intention
 
 
 @dataclass
@@ -165,9 +157,8 @@ def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator,
             f"anchor {anchor_frame} + horizon {min_h} exceeds last frame {last}")
     hi = min(anchor_frame + max_h, last)
     t_g = int(rng.integers(lo, hi + 1))
-    pose = sequence.pose_at(t_g)
     skeleton = sequence.skeleton
     position, heading = joint_position_and_heading(
-        pose, skeleton, skeleton.joint_index(target_joint))
+        sequence.poses[t_g], skeleton, skeleton.joint_index(target_joint))
     return HindsightGoal(GoalSpec(np.asarray(position), t_g, target_joint),
                          np.asarray(heading))

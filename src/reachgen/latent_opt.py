@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .autodiff import Tape, Tensor
-from .body import joint_position, vector_to_pose
+from .body import joint_position
 from .errors import InvalidInputError, ModelMismatchError
 from .intention import GoalSpec
 from .model import MotionModel
@@ -74,8 +74,8 @@ class OptReport:
 def _objective_terms(latents: Tensor, record: RolloutRecord, goal: GoalSpec,
                      objective: OptObjective, model: MotionModel):
     skeleton = model.skeleton
-    initial = vector_to_pose(record.sequence.poses[0], skeleton.n_rotated)
-    poses, _, _ = rollout_poses(initial, goal, record.duration, model, latents)
+    poses, _, _ = rollout_poses(record.sequence.poses[0], goal, record.duration,
+                                model, latents)
     l_norm = 0.5 * ag.sum(latents * latents)
     wrist_idx = skeleton.joint_index(goal.target_joint)
     wrist = joint_position(poses[-1], skeleton, wrist_idx)
@@ -85,7 +85,7 @@ def _objective_terms(latents: Tensor, record: RolloutRecord, goal: GoalSpec,
     for frame, xy, weight in objective.waypoints:
         if not 0 <= frame <= record.duration:
             raise ValueError(f"waypoint frame {frame} outside rollout duration")
-        pelvis_xy = poses[frame].translation[..., 0:2]
+        pelvis_xy = poses[frame][..., 0:2]
         wdiff = pelvis_xy - np.asarray(xy)
         l_way = l_way + weight * ag.sum(wdiff * wdiff)
     total = (objective.prior_weight * l_norm
@@ -127,7 +127,6 @@ def optimize_latents(record: RolloutRecord, goal: GoalSpec,
 def final_wrist_distance(record: RolloutRecord, goal: GoalSpec,
                          model: MotionModel) -> float:
     """Distance of the last frame's target joint to the goal."""
-    pose = vector_to_pose(record.sequence.poses[-1], model.skeleton.n_rotated)
-    wrist = np.asarray(joint_position(pose, model.skeleton,
+    wrist = np.asarray(joint_position(record.sequence.poses[-1], model.skeleton,
                                       model.skeleton.joint_index(goal.target_joint)))
     return float(np.linalg.norm(wrist - goal.position))

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ag
-from .body import (Pose, Skeleton, forward_kinematics, integrate_delta,
-                   pose_dim, skeleton_from_text)
+from .body import (Skeleton, forward_kinematics, integrate_delta, pose_dim,
+                   skeleton_from_text)
 from .container import read_container, write_container
 from .errors import CorruptFileError, DimensionMismatchError, ModelMismatchError
 from .intention import condition_dim
@@ -109,7 +109,7 @@ class LossBreakdown:
 
 
 def compute_loss(true_delta_vec, pred_delta_vec, gaussian: GaussianParams,
-                 prev_pose: Pose, skeleton: Skeleton, alpha: float,
+                 prev_pose, skeleton: Skeleton, alpha: float,
                  kl_direction: str = "standard") -> LossBreakdown:
     """MSE on deltas + alpha * KL + MSE on FK joints of the integrated poses.
 

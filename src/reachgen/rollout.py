@@ -9,8 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ag
-from .body import (Pose, integrate_delta, joint_position, pose_dim,
-                   pose_to_vector, vector_to_pose)
+from .body import integrate_delta, joint_position, pose_dim
 from .container import read_container, write_container
 from .dataset import MotionSequence, load_motion, save_motion
 from .errors import (CorruptFileError, InvalidInputError, ModelMismatchError,
@@ -80,7 +79,7 @@ class RolloutRecord:
         return self.latents.shape[0]
 
 
-def _advance_schedule(schedule: GoalSchedule, active: int, cur_pose: Pose,
+def _advance_schedule(schedule: GoalSchedule, active: int, cur_pose,
                       model: MotionModel, current_frame: int) -> int:
     if active >= len(schedule.goals) - 1:
         return active
@@ -97,7 +96,7 @@ def _advance_schedule(schedule: GoalSchedule, active: int, cur_pose: Pose,
     return active
 
 
-def rollout_poses(initial_pose: Pose, schedule_or_goal, duration: int,
+def rollout_poses(initial_pose, schedule_or_goal, duration: int,
                   model: MotionModel, latents):
     """Core loop shared by generation, replay, and latent optimization.
 
@@ -135,11 +134,10 @@ def rollout_poses(initial_pose: Pose, schedule_or_goal, duration: int,
 
 def _generated_sequence(poses, fps: float, model: MotionModel,
                         ident: str) -> MotionSequence:
-    pose_mat = np.stack([np.asarray(pose_to_vector(p)) for p in poses])
-    return MotionSequence(fps, pose_mat, model.skeleton, None, "generated", ident)
+    return MotionSequence(fps, np.stack(poses), model.skeleton, None, "generated", ident)
 
 
-def generate(initial_pose: Pose, schedule: GoalSchedule, duration: int,
+def generate(initial_pose, schedule: GoalSchedule, duration: int,
              model: MotionModel, rng: np.random.Generator,
              mode: str = "sample", temperature: float = 1.0,
              fps: float = 30.0, ident: str = "rollout") -> RolloutRecord:
@@ -176,9 +174,8 @@ def replay(record: RolloutRecord, model: MotionModel) -> MotionSequence:
 def with_latents(record: RolloutRecord, latents: np.ndarray,
                  model: MotionModel) -> RolloutRecord:
     """New record generated from the same start with different latents."""
-    initial = vector_to_pose(record.sequence.poses[0], model.skeleton.n_rotated)
     poses, intents, goal_idx = rollout_poses(
-        initial, record.schedule, record.duration, model, latents)
+        record.sequence.poses[0], record.schedule, record.duration, model, latents)
     seq = _generated_sequence(poses, record.sequence.fps, model,
                               record.sequence.ident)
     return replace(record, sequence=seq, latents=np.asarray(latents),

@@ -10,8 +10,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .autodiff import Tape
-from .body import (Skeleton, forward_kinematics, integrate_delta, pose_delta,
-                   vector_to_pose)
+from .body import Skeleton, forward_kinematics, integrate_delta, pose_delta
 from .dataset import MotionSequence, TrainingWindow, sample_training_window
 from .errors import NumericFault, SkipWindow
 from .intention import GoalSpec, assemble_condition
@@ -71,9 +70,7 @@ class PreparedWindow:
 
 def prepare_window(win: TrainingWindow, skeleton: Skeleton) -> PreparedWindow:
     w = win.poses.shape[0] - 1
-    n = skeleton.n_rotated
-    prev = vector_to_pose(win.poses[:-1], n)
-    nxt = vector_to_pose(win.poses[1:], n)
+    prev, nxt = win.poses[:-1], win.poses[1:]
     deltas = pose_delta(prev, nxt)
     prev_deltas = np.vstack([np.zeros((1, deltas.shape[1])), deltas[:-1]])
 
@@ -121,7 +118,6 @@ def _batch_loss(windows: list[PreparedWindow], model: MotionModel,
     Returns (total_loss_node, LossBreakdown floats, sample counts).
     """
     spec, store, skeleton = model.spec, model.params, model.skeleton
-    n = skeleton.n_rotated
     b = len(windows)
     w = windows[0].deltas.shape[0]
 
@@ -135,8 +131,8 @@ def _batch_loss(windows: list[PreparedWindow], model: MotionModel,
     z = reparameterize(gauss, noise)
     pred = decode(spec, store, z, conds, train=train_mode,
                   dropout_seed=dropout_seed + 1)
-    teacher = compute_loss(deltas, pred, gauss, vector_to_pose(prev_vecs, n),
-                           skeleton, cfg.alpha, cfg.kl_direction)
+    teacher = compute_loss(deltas, pred, gauss, prev_vecs, skeleton, cfg.alpha,
+                           cfg.kl_direction)
 
     n_teacher = b * w
     rec_parts = [(teacher.rec, n_teacher)]
@@ -145,8 +141,7 @@ def _batch_loss(windows: list[PreparedWindow], model: MotionModel,
     s_eff = min(s_steps, w - 1)
     if s_eff > 0:
         start = w - s_eff
-        cur_pose = vector_to_pose(
-            np.stack([win.prev_pose_vecs[start] for win in windows]), n)
+        cur_pose = np.stack([win.prev_pose_vecs[start] for win in windows])
         prev_delta = np.stack([win.deltas[start - 1] for win in windows])
         goal = _batched_goal(windows)
         heading = np.stack([win.goal_heading for win in windows])
@@ -157,8 +152,7 @@ def _batch_loss(windows: list[PreparedWindow], model: MotionModel,
             zr = noise_rng.standard_normal((b, spec.latent_dim))
             pred = decode(spec, store, zr, cond, train=train_mode,
                           dropout_seed=dropout_seed + 100 + j)
-            gt_next = vector_to_pose(
-                np.stack([win.next_pose_vecs[j] for win in windows]), n)
+            gt_next = np.stack([win.next_pose_vecs[j] for win in windows])
             # target: the correcting delta onto the ground-truth frame
             diff = pred - pose_delta(cur_pose, gt_next)
             rec_parts.append((ag.mean(diff * diff), b))

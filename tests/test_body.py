@@ -8,16 +8,14 @@ from reachgen.errors import DimensionMismatchError
 
 
 def random_pose(skeleton, rng):
-    """Pose with orthonormal 6D fields from uniformly random rotations."""
-    n = skeleton.n_rotated
-    seeds = rng.integers(0, 2**31 - 1, size=n + 1)
-    root = geo.matrix_to_sixd(Rotation.random(random_state=int(seeds[0])).as_matrix())
-    joints = np.stack([
+    """Pose vector with orthonormal 6D slots from uniformly random rotations."""
+    seeds = rng.integers(0, 2**31 - 1, size=skeleton.n_joints)
+    rots = np.stack([
         geo.matrix_to_sixd(Rotation.random(random_state=int(s)).as_matrix())
-        for s in seeds[1:]
+        for s in seeds
     ])
     trans = rng.normal(scale=2.0, size=3)
-    return body.Pose(trans, root, joints)
+    return np.concatenate([trans, rots.reshape(-1)])
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +57,7 @@ def test_fk_single_chain_rotated_link():
         forward_axis=np.array([0.0, 1.0, 0.0]),
     )
     r90 = geo.matrix_to_sixd(geo.rotation_z_matrix(np.pi / 2))
-    pose = body.Pose(np.zeros(3), r90, np.tile(geo.identity_sixd(), (1, 1)))
+    pose = np.concatenate([np.zeros(3), r90, geo.identity_sixd()])
     pos = body.forward_kinematics(pose, chain)
     np.testing.assert_allclose(pos[1], [-1.0, 0.0, 0.0], atol=1e-15)
 
@@ -76,8 +74,7 @@ def test_fk_rigid_equivariance(skel):
 
 
 def test_fk_dimension_mismatch(skel):
-    pose = body.rest_pose(skel)
-    bad = body.Pose(pose.translation, pose.root_orientation, pose.joint_rotations[:5])
+    bad = body.rest_pose(skel)[:9 + 6 * 5]
     with pytest.raises(DimensionMismatchError):
         body.forward_kinematics(bad, skel)
 
@@ -105,7 +102,7 @@ def test_pose_delta_identical_poses_is_zero(skel):
 
 def test_pose_delta_forward_step_and_yaw_invariance(skel):
     prev = body.rest_pose(skel)  # facing +y, yaw 0
-    nxt = body.translate_pose(prev, (0.1, 0.0, 0.0))
+    nxt = body.rest_pose(skel, translation=(0.1, 0.0, 0.90))
     d = body.pose_delta(prev, nxt)
     np.testing.assert_allclose(d[0:3], [0.1, 0.0, 0.0], atol=1e-15)
     # pre-rotating both poses 90deg about z yields the identical delta
@@ -123,9 +120,9 @@ def test_roundtrip_and_yaw_invariance_over_random_pairs(skel):
         q = random_pose(skel, rng)
         d = body.pose_delta(p, q)
         q2 = body.integrate_delta(p, d)
-        np.testing.assert_allclose(q2.translation, q.translation, atol=1e-9)
-        np.testing.assert_allclose(q2.root_orientation, q.root_orientation, atol=1e-9)
-        np.testing.assert_allclose(q2.joint_rotations, q.joint_rotations, atol=1e-9)
+        np.testing.assert_allclose(q2[0:3], q[0:3], atol=1e-9)
+        np.testing.assert_allclose(q2[3:9], q[3:9], atol=1e-9)
+        np.testing.assert_allclose(q2[9:], q[9:], atol=1e-9)
 
         phi = rng.uniform(-np.pi, np.pi)
         d_rot = body.pose_delta(body.rotate_pose_z(p, phi), body.rotate_pose_z(q, phi))
@@ -138,8 +135,8 @@ def test_zero_delta_integrates_to_same_pose(skel):
     rng = np.random.default_rng(24)
     p = random_pose(skel, rng)
     out = body.integrate_delta(p, np.zeros(body.pose_dim(skel.n_rotated)))
-    np.testing.assert_allclose(out.translation, p.translation, atol=1e-15)
-    np.testing.assert_allclose(out.root_orientation, p.root_orientation, atol=1e-15)
+    np.testing.assert_allclose(out[0:3], p[0:3], atol=1e-15)
+    np.testing.assert_allclose(out[3:9], p[3:9], atol=1e-15)
 
 
 def test_constant_forward_delta_walks_straight_along_heading(skel):
@@ -153,7 +150,7 @@ def test_constant_forward_delta_walks_straight_along_heading(skel):
     for k in range(1, 11):
         pose = body.integrate_delta(pose, delta)
         expected = np.array([0.0, 0.0, 0.90]) + 0.05 * k * heading
-        np.testing.assert_allclose(pose.translation, expected, atol=1e-12)
+        np.testing.assert_allclose(pose[0:3], expected, atol=1e-12)
 
 
 def test_heading_trivial_cases(skel):
@@ -163,18 +160,9 @@ def test_heading_trivial_cases(skel):
     np.testing.assert_allclose(body.heading_of(pose90, skel), [-1.0, 0.0], atol=1e-12)
     # forward axis pointing straight up -> degenerate (0, 0)
     rx = geo.matrix_to_sixd(geo.axis_angle_matrix([1, 0, 0], np.pi / 2))
-    tilted = body.Pose(pose.translation, rx, pose.joint_rotations)
+    tilted = pose.copy()
+    tilted[3:9] = rx
     np.testing.assert_allclose(body.heading_of(tilted, skel), [0.0, 0.0], atol=1e-15)
-
-
-def test_pose_vector_roundtrip(skel):
-    rng = np.random.default_rng(25)
-    p = random_pose(skel, rng)
-    vec = body.pose_to_vector(p)
-    assert vec.shape == (body.pose_dim(skel.n_rotated),)
-    back = body.vector_to_pose(vec, skel.n_rotated)
-    np.testing.assert_array_equal(back.translation, p.translation)
-    np.testing.assert_array_equal(back.joint_rotations, p.joint_rotations)
 
 
 def test_skeleton_file_roundtrip(tmp_path, skel):
@@ -189,18 +177,15 @@ def test_skeleton_file_roundtrip(tmp_path, skel):
 
 def test_fk_gradient_through_pose(skel):
     rng = np.random.default_rng(26)
-    p = random_pose(skel, rng)
-    vec0 = body.pose_to_vector(p)
+    vec0 = random_pose(skel, rng)
     w = rng.normal(size=(skel.n_joints, 3))
 
     def ref(v):
-        pose = body.vector_to_pose(v, skel.n_rotated)
-        return np.sum(body.forward_kinematics(pose, skel) * w)
+        return np.sum(body.forward_kinematics(v, skel) * w)
 
     t = ag.Tensor(vec0, requires_grad=True)
     with ag.Tape() as tape:
-        pose = body.vector_to_pose(t, skel.n_rotated)
-        loss = ag.sum(body.forward_kinematics(pose, skel) * w)
+        loss = ag.sum(body.forward_kinematics(t, skel) * w)
     tape.backward(loss)
     fd = ag.finite_difference_gradient(ref, vec0.copy())
     rel = np.abs(t.grad - fd) / np.maximum(np.abs(fd), 1e-6)
@@ -210,19 +195,17 @@ def test_fk_gradient_through_pose(skel):
 def per_joint_fk(pose, skeleton):
     """The per-joint tree walk that FK by depth level replaced: one decode
     and one matmul per joint, in joint order."""
-    rots = {0: geo.sixd_to_matrix(pose.root_orientation)}
-    pos = {0: pose.translation}
+    rots = {0: geo.sixd_to_matrix(pose[..., 3:9])}
+    pos = {0: pose[..., 0:3]}
     for j in range(1, skeleton.n_joints):
         parent = skeleton.parents[j]
         pos[j] = pos[parent] + (rots[parent] @ skeleton.offsets[j].reshape(3, 1))[..., 0]
-        rots[j] = rots[parent] @ geo.sixd_to_matrix(pose.joint_rotations[..., j - 1, :])
+        rots[j] = rots[parent] @ geo.sixd_to_matrix(pose[..., 3 + 6 * j:9 + 6 * j])
     return np.stack([pos[j] for j in range(skeleton.n_joints)], axis=-2)
 
 
 def random_poses(skeleton, rng, lead):
-    n = skeleton.n_rotated
-    return body.Pose(rng.normal(size=lead + (3,)), rng.normal(size=lead + (6,)),
-                     rng.normal(size=lead + (n, 6)))
+    return rng.normal(size=lead + (body.pose_dim(skeleton.n_rotated),))
 
 
 def test_fk_by_depth_matches_per_joint_walk_bit_for_bit(skel):
@@ -237,27 +220,24 @@ def test_fk_by_depth_matches_per_joint_walk_bit_for_bit(skel):
 
 def test_fk_records_one_node_per_decode_and_walk(skel):
     rng = np.random.default_rng(28)
-    vec = ag.Tensor(body.pose_to_vector(random_poses(skel, rng, (2,))), requires_grad=True)
+    vec = ag.Tensor(random_poses(skel, rng, (2,)), requires_grad=True)
     with ag.Tape() as tape:
-        pose = body.vector_to_pose(vec, skel.n_rotated)
-        n0 = len(tape)
-        body.forward_kinematics(pose, skel)
-    # root[..., None, :], concatenate, sixd_to_matrix, FK
-    assert len(tape) - n0 == 4
+        body.forward_kinematics(vec, skel)
+    # pose[..., 0:3], pose[..., 3:], reshape, sixd_to_matrix, FK
+    assert len(tape) == 5
 
 
 def test_fk_gradient_batched(skel):
     rng = np.random.default_rng(29)
-    vec0 = body.pose_to_vector(random_poses(skel, rng, (2, 2)))
+    vec0 = random_poses(skel, rng, (2, 2))
     w = rng.normal(size=(2, 2, skel.n_joints, 3))
 
     def ref(v):
-        return np.sum(body.forward_kinematics(body.vector_to_pose(v, skel.n_rotated), skel) * w)
+        return np.sum(body.forward_kinematics(v, skel) * w)
 
     t = ag.Tensor(vec0, requires_grad=True)
     with ag.Tape() as tape:
-        pose = body.vector_to_pose(t, skel.n_rotated)
-        loss = ag.sum(body.forward_kinematics(pose, skel) * w)
+        loss = ag.sum(body.forward_kinematics(t, skel) * w)
     tape.backward(loss)
     fd = ag.finite_difference_gradient(ref, vec0.copy())
     np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-7)

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "reachgen.cli"]
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = os.environ.copy()
     env.pop("REACHGEN_SEED", None)
+    # the checkout's package, also when it is not installed
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
@@ -190,3 +194,32 @@ def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
         assert r.returncode == 1, (argv, r.stderr)
         assert r.stderr.startswith("error code=InvalidInputError"), (argv, r.stderr)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command,settings,env,manifest,code", [
+    ("gen-data", {"data": {"n_reaching": -1}}, {}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"bogus": 1}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"bogus": 1}}, {}, None, "InvalidInputError"),
+    ("train", {"model": {"bogus": 1}}, {}, None, "InvalidInputError"),
+    ("evaluate", {"eval": {"bogus": 1}}, {}, None, "InvalidInputError"),
+    ("gen-data", {}, {"REACHGEN_SEED": "abc"}, None, "InvalidInputError"),
+    ("evaluate", {}, {"REACHGEN_WORKERS": "abc"}, None, "InvalidInputError"),
+    ("train", {}, {}, "not json", "CorruptFileError"),
+    ("train", {}, {}, "{}", "CorruptFileError"),
+], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
+        "env-seed", "env-workers", "manifest-not-json", "manifest-no-sequences"])
+def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
+                                              settings, env, manifest, code):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps(settings))
+    inputs = {"gen-data": (), "train": ("--data", data_dir),
+              "evaluate": ("--checkpoint", checkpoint)}[command]
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_text(manifest)
+        inputs = ("--data", str(tmp_path))
+    out = tmp_path / "out"
+    r = run_cli(command, *inputs, "--config", str(config), "--out", str(out),
+                env_extra=env)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith(f"error code={code}"), r.stderr
+    assert not out.exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reachgen import dataset as ds
-from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose, pose_to_vector
+from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose
 from reachgen.errors import (CorruptFileError, ModelMismatchError, SkipWindow,
                              VersionMismatchError)
 from reachgen.intention import GoalSpec, hindsight_goal
@@ -20,7 +20,7 @@ def small_corpus(skel):
 
 
 def static_sequence(skel, n=120):
-    vec = pose_to_vector(rest_pose(skel))
+    vec = rest_pose(skel)
     return ds.MotionSequence(30.0, np.tile(vec, (n, 1)), skel, None, "locomotion", "static")
 
 
@@ -44,7 +44,7 @@ def test_reaching_labels_hit_wrist_within_1cm(small_corpus, skel):
     labeled = [s for s in small_corpus if s.label is not None]
     assert labeled
     for seq in labeled:
-        pose = seq.pose_at(seq.label.target_frame)
+        pose = seq.poses[seq.label.target_frame]
         pos = np.asarray(joint_position(pose, skel, wrist))
         assert np.linalg.norm(pos - seq.label.position) < 0.01
 
@@ -53,7 +53,7 @@ def test_locomotion_feet_stay_near_ground(small_corpus, skel):
     loco = [s for s in small_corpus if s.provenance == "locomotion"]
     lf, rf = skel.joint_index("left_foot"), skel.joint_index("right_foot")
     for seq in loco:
-        pos = forward_kinematics(seq.batched_poses(), skel)
+        pos = forward_kinematics(seq.poses, skel)
         assert pos[:, [lf, rf], 2].min() > -1e-9
         # at least one foot on the ground at every frame
         assert np.all(np.minimum(pos[:, lf, 2], pos[:, rf, 2]) < 0.02)
@@ -66,7 +66,7 @@ def test_resample_identity_at_target_fps(skel):
 
 
 def test_resample_halves_frames(skel):
-    vec = pose_to_vector(rest_pose(skel))
+    vec = rest_pose(skel)
     seq = ds.MotionSequence(60.0, np.tile(vec, (121, 1)), skel, None, "locomotion", "x")
     out = ds.resample_fps(seq, 30.0)
     assert abs(out.n_frames - 61) <= 1
@@ -75,7 +75,7 @@ def test_resample_halves_frames(skel):
 
 def test_resample_preserves_constant_velocity(skel):
     n = 91
-    vec = pose_to_vector(rest_pose(skel))
+    vec = rest_pose(skel)
     poses = np.tile(vec, (n, 1))
     poses[:, 0] = np.arange(n) * 0.02   # 0.02 m/frame at 60 fps = 1.2 m/s
     seq = ds.MotionSequence(60.0, poses, skel, None, "locomotion", "cv")
@@ -87,7 +87,7 @@ def test_resample_preserves_constant_velocity(skel):
 
 
 def test_resample_rejects_single_frame(skel):
-    vec = pose_to_vector(rest_pose(skel))
+    vec = rest_pose(skel)
     seq = ds.MotionSequence(30.0, np.tile(vec, (2, 1)), skel, None, "locomotion", "s")
     seq.poses = seq.poses[:1]
     with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ def test_filter_floating_rules(skel):
     boundary = ds.MotionSequence(30.0, grounded.poses.copy(), skel, None, "locomotion", "bd")
     boundary.poses[:, 2] += 0.20
     # use the exact FK height as the threshold so the boundary case is exact
-    pos = forward_kinematics(boundary.batched_poses(), skel)
+    pos = forward_kinematics(boundary.poses, skel)
     lf, rf = skel.joint_index("left_foot"), skel.joint_index("right_foot")
     exact = float(np.minimum(pos[:, lf, 2], pos[:, rf, 2]).max())
 
@@ -114,7 +114,7 @@ def test_filter_floating_rules(skel):
 
 
 def test_split_ratios_and_determinism(skel):
-    seqs = [ds.MotionSequence(30.0, np.tile(pose_to_vector(rest_pose(skel)), (2, 1)),
+    seqs = [ds.MotionSequence(30.0, np.tile(rest_pose(skel), (2, 1)),
                               skel, None, "locomotion", f"s{i:03d}") for i in range(100)]
     split = ds.split_dataset(seqs, seed=4)
     assert (len(split.train), len(split.val), len(split.test)) == (80, 10, 10)
@@ -127,7 +127,7 @@ def test_split_ratios_and_determinism(skel):
 
 
 def test_split_ten_sequences(skel):
-    seqs = [ds.MotionSequence(30.0, np.tile(pose_to_vector(rest_pose(skel)), (2, 1)),
+    seqs = [ds.MotionSequence(30.0, np.tile(rest_pose(skel), (2, 1)),
                               skel, None, "locomotion", f"s{i}") for i in range(10)]
     split = ds.split_dataset(seqs, seed=0)
     assert (len(split.train), len(split.val), len(split.test)) == (8, 1, 1)
@@ -162,7 +162,7 @@ def test_training_window_too_short_skips(skel):
 def test_hindsight_static_sequence_goal_is_current_wrist(skel):
     seq = static_sequence(skel)
     hg = hindsight_goal(seq, 0, np.random.default_rng(0), horizon=(15, 60))
-    wrist = np.asarray(joint_position(seq.pose_at(0), skel,
+    wrist = np.asarray(joint_position(seq.poses[0], skel,
                                       skel.joint_index("right_wrist")))
     np.testing.assert_allclose(hg.goal.position, wrist, atol=1e-12)
     assert 15 <= hg.goal.target_frame <= 60

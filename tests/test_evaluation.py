@@ -3,8 +3,7 @@ import pytest
 
 from reachgen import dataset as ds
 from reachgen import evaluation as ev
-from reachgen.body import (desk_skeleton, forward_kinematics, joint_position,
-                           pose_to_vector, rest_pose)
+from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose
 from reachgen.errors import DegenerateRotationError
 from reachgen.intention import GoalSpec
 from reachgen.model import MotionModel, fresh_model
@@ -18,8 +17,7 @@ def skel():
 
 def sequence_from_translations(skel, offsets):
     """Rest pose rigidly translated per frame; the wrist follows exactly."""
-    base = pose_to_vector(rest_pose(skel))
-    poses = np.tile(base, (len(offsets), 1))
+    poses = np.tile(rest_pose(skel), (len(offsets), 1))
     poses[:, :3] += np.asarray(offsets)
     return ds.MotionSequence(30.0, poses, skel, None, "locomotion", "hand")
 

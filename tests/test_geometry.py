@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from reachgen import autodiff as ag
-from reachgen import geometry as geo
+from reachgen import body, geometry as geo
 from reachgen.autodiff import Tape, Tensor
 from reachgen.errors import DegenerateRotationError, InvalidRotationError
 
@@ -169,6 +169,13 @@ def ref_rotate_sixd_z(r, angle):
                            ref_rotate_z(r[..., 3:6], angle)], axis=-1)
 
 
+def ref_rotate_pose_z(pose, angle):
+    # rotate_pose_z as the per-field composition it replaced
+    return ag.concatenate([geo.rotate_z(pose[..., 0:3], angle),
+                           geo.rotate_sixd_z(pose[..., 3:9], angle),
+                           pose[..., 9:]], axis=-1)
+
+
 def ref_safe_unit(v):
     n = ag.norm(v, axis=-1, keepdims=True)
     small = n < geo.DEGENERACY_EPS
@@ -203,6 +210,11 @@ def test_fused_forward_bits_match_elementary_composition():
             v = rng.normal(size=shape[:-1] + (k,))
             assert bits(geo.rotate_z(v, angle)) == bits(ref_rotate_z(v, angle))
             assert bits(geo.rotate_z(v, -1.3)) == bits(ref_rotate_z(v, -1.3))
+    for lead in ((), (4,), (3, 5)):
+        pose = rng.normal(size=lead + (body.pose_dim(12),))
+        angle = rng.uniform(-np.pi, np.pi, size=lead)
+        assert bits(body.rotate_pose_z(pose, angle)) == bits(ref_rotate_pose_z(pose, angle))
+        assert bits(body.rotate_pose_z(pose, -0.6)) == bits(ref_rotate_pose_z(pose, -0.6))
     v = degenerate_rows(rng.normal(size=(3, 5, 2)))
     unit, safe = ref_safe_unit(v)
     assert bits(geo.safe_unit(v)) == bits(unit)
@@ -246,6 +258,9 @@ def test_fused_op_gradients_batched():
     v = rng.normal(size=(3, 4, 2))
     check_fused_gradient(geo.safe_unit, [v])
     check_fused_gradient(geo.safe_norm, [v])
+    pose = rng.normal(size=(3, 4, body.pose_dim(2)))
+    check_fused_gradient(body.rotate_pose_z, [pose, angle])
+    check_fused_gradient(body.rotate_pose_z, [pose, np.array(0.4)])
 
 
 def test_safe_unit_degenerate_branch_has_zero_gradient():

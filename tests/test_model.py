@@ -6,7 +6,7 @@ from reachgen import dataset as ds
 from reachgen import model as md
 from reachgen import training as tr
 from reachgen.autodiff import Tape
-from reachgen.body import desk_skeleton, rest_pose, vector_to_pose
+from reachgen.body import desk_skeleton, rest_pose
 from reachgen.errors import (CorruptFileError, ModelMismatchError,
                              VersionMismatchError)
 from reachgen.nn import AdamState, GaussianParams, adam_step
