@@ -5,9 +5,12 @@ Tensor objects. When a Tape is active and an input requires gradients, the op
 records a node with a vector-Jacobian closure; Tape.backward walks the nodes
 in reverse creation order (creation order is already topological).
 
-Fused ops elsewhere in the package (6D decoding, FK, layer norm, ...) compute
-their forward in plain numpy and call `record` once with a hand-written VJP,
-so each records one node however many array operations it runs.
+The ops are the ones the package records: add, subtract, multiply, divide
+and matmul (also through Tensor's operators), negative, exp, relu, clip,
+reshape, take (indexing), sum, mean and concatenate. Fused ops elsewhere in
+the package (6D decoding, FK, layer norm, ...) compute their forward in plain
+numpy and call `record` once with a hand-written VJP, so each records one
+node however many array operations it runs.
 
 Ops never mutate inputs, so the same source line serves data generation,
 inference, and training.
@@ -114,9 +117,6 @@ class Tensor:
 
     def __neg__(self):
         return negative(self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -234,54 +234,6 @@ def matmul(x, y):
     return _record(out, (x, y), vjp)
 
 
-def power(x, p):
-    if not isinstance(x, Tensor):
-        return np.power(x, p)
-    xd = value(x)
-    p = float(p)
-    return _record(xd ** p, (x,), lambda g: (g * p * xd ** (p - 1.0),))
-
-
-def atan2(y, x):
-    if not _any_tensor(y, x):
-        return np.arctan2(y, x)
-    yd, xd = value(y), value(x)
-    denom = xd * xd + yd * yd
-    return _record(np.arctan2(yd, xd), (y, x),
-                   lambda g: (unbroadcast(g * xd / denom, yd.shape),
-                              unbroadcast(-g * yd / denom, xd.shape)))
-
-
-def maximum(x, y):
-    if not _any_tensor(x, y):
-        return np.maximum(x, y)
-    xd, yd = value(x), value(y)
-    mask = xd > yd
-    return _record(np.maximum(xd, yd), (x, y),
-                   lambda g: (unbroadcast(g * mask, xd.shape),
-                              unbroadcast(g * ~mask, yd.shape)))
-
-
-def minimum(x, y):
-    if not _any_tensor(x, y):
-        return np.minimum(x, y)
-    xd, yd = value(x), value(y)
-    mask = xd < yd
-    return _record(np.minimum(xd, yd), (x, y),
-                   lambda g: (unbroadcast(g * mask, xd.shape),
-                              unbroadcast(g * ~mask, yd.shape)))
-
-
-def cross3(a, b):
-    """Cross product along the last axis (length 3)."""
-    if not _any_tensor(a, b):
-        return np.cross(a, b)
-    ad, bd = value(a), value(b)
-    return _record(np.cross(ad, bd), (a, b),
-                   lambda g: (unbroadcast(np.cross(bd, g), ad.shape),
-                              unbroadcast(np.cross(g, ad), bd.shape)))
-
-
 # ----------------------------------------------------------------- unary ops
 
 def negative(x):
@@ -298,40 +250,22 @@ def exp(x):
     return _record(out, (x,), lambda g: (g * out,))
 
 
-def log(x):
-    if not isinstance(x, Tensor):
-        return np.log(x)
-    xd = value(x)
-    return _record(np.log(xd), (x,), lambda g: (g / xd,))
-
-
-def sqrt(x):
-    if not isinstance(x, Tensor):
-        return np.sqrt(x)
-    out = np.sqrt(value(x))
-    return _record(out, (x,), lambda g: (g * 0.5 / out,))
-
-
-def sin(x):
-    if not isinstance(x, Tensor):
-        return np.sin(x)
-    xd = value(x)
-    return _record(np.sin(xd), (x,), lambda g: (g * np.cos(xd),))
-
-
-def cos(x):
-    if not isinstance(x, Tensor):
-        return np.cos(x)
-    xd = value(x)
-    return _record(np.cos(xd), (x,), lambda g: (-g * np.sin(xd),))
-
-
 def relu(x):
     if not isinstance(x, Tensor):
         return np.maximum(x, 0.0)
     xd = value(x)
     mask = xd > 0.0
     return _record(xd * mask, (x,), lambda g: (g * mask,))
+
+
+def clip(x, lo, hi):
+    """x limited to [lo, hi] for scalar bounds; the gradient passes only
+    strictly inside the bounds."""
+    if not isinstance(x, Tensor):
+        return np.minimum(np.maximum(x, lo), hi)
+    xd = value(x)
+    inside = (xd > lo) & (xd < hi)
+    return _record(np.minimum(np.maximum(xd, lo), hi), (x,), lambda g: (g * inside,))
 
 
 # ------------------------------------------------------------ shape/reduce
@@ -411,38 +345,6 @@ def concatenate(parts, axis=-1):
         return grads
 
     return _record(out, tuple(parts), vjp)
-
-
-def stack(parts, axis=-1):
-    if not _any_tensor(*parts):
-        return np.stack(parts, axis=axis)
-    datas = [value(p) for p in parts]
-    out = np.stack(datas, axis=axis)
-
-    def vjp(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    return _record(out, tuple(parts), vjp)
-
-
-def where(cond, x, y):
-    """cond is a plain boolean array; no gradient flows through it."""
-    cond = np.asarray(cond, dtype=bool)
-    if not _any_tensor(x, y):
-        return np.where(cond, x, y)
-    xd, yd = value(x), value(y)
-    return _record(np.where(cond, xd, yd), (x, y),
-                   lambda g: (unbroadcast(g * cond, xd.shape),
-                              unbroadcast(g * ~cond, yd.shape)))
-
-
-def clip(x, lo, hi):
-    return minimum(maximum(x, lo), hi)
-
-
-def norm(x, axis=-1, keepdims=False):
-    """Euclidean norm along an axis; not differentiable at exactly zero."""
-    return sqrt(sum(x * x, axis=axis, keepdims=keepdims))
 
 
 def finite_difference_gradient(fn, x0, h=1e-5):

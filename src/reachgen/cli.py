@@ -84,6 +84,7 @@ def resolve_config(args) -> dict:
     cfg["seed"] = 0
     # only evaluate runs in a process pool; other commands carry no workers
     evaluate = args.command == "evaluate"
+    int_keys = ("seed", "workers") if evaluate else ("seed",)
     if evaluate:
         cfg["workers"] = 1
 
@@ -91,11 +92,14 @@ def resolve_config(args) -> dict:
     if config_path:
         try:
             with open(config_path) as f:
-                _deep_update(cfg, json.load(f))
+                settings = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ReachGenError(f"unreadable config {config_path}: {e}") from e
+        if not isinstance(settings, dict):
+            raise InvalidInputError(f"config {config_path} must hold a JSON object")
+        _deep_update(cfg, settings)
 
-    for key in ("seed", "workers") if evaluate else ("seed",):
+    for key in int_keys:
         name = ENV_PREFIX + key.upper()
         if os.environ.get(name):
             try:
@@ -108,6 +112,14 @@ def resolve_config(args) -> dict:
         cfg["seed"] = args.seed
     if evaluate and args.workers is not None:
         cfg["workers"] = args.workers
+
+    for key in int_keys:
+        if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
+            raise InvalidInputError(f"{key!r} must be an integer, got {cfg[key]!r}")
+    for section in ("data", "model", "train", "eval"):
+        if not isinstance(cfg[section], dict):
+            raise InvalidInputError(f"{section!r} must be a JSON object, "
+                                    f"got {cfg[section]!r}")
     return cfg
 
 

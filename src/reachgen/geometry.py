@@ -92,7 +92,8 @@ def safe_norm(v):
 
 
 def matrix_to_sixd(m):
-    """First two columns of an orthonormal matrix as a (..., 6) vector."""
+    """First two columns of an orthonormal matrix as a plain (..., 6) array;
+    it records no tape node."""
     md = ag.value(m)
     gram = md.mT @ md
     eye = np.eye(3)
@@ -100,7 +101,7 @@ def matrix_to_sixd(m):
         raise InvalidRotationError("matrix is not orthonormal within tolerance")
     if np.any(np.linalg.det(md) < 0.0):
         raise InvalidRotationError("matrix is left-handed")
-    return ag.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
+    return np.concatenate([md[..., :, 0], md[..., :, 1]], axis=-1)
 
 
 def yaw_of(r):

@@ -206,13 +206,29 @@ def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
     ("evaluate", {}, {"REACHGEN_WORKERS": "abc"}, None, "InvalidInputError"),
     ("train", {}, {}, "not json", "CorruptFileError"),
     ("train", {}, {}, "{}", "CorruptFileError"),
+    ("gen-data", {"seed": "x"}, {}, None, "InvalidInputError"),
+    ("gen-data", {"seed": True}, {}, None, "InvalidInputError"),
+    ("generate", {"seed": "x"}, {}, None, "InvalidInputError"),
+    ("evaluate", {"seed": "x"}, {}, None, "InvalidInputError"),
+    ("train", {"seed": "x"}, {}, None, "InvalidInputError"),
+    ("evaluate", {"workers": "x"}, {}, None, "InvalidInputError"),
+    ("evaluate", {"workers": False}, {}, None, "InvalidInputError"),
+    ("evaluate", {"eval": 5}, {}, None, "InvalidInputError"),
+    ("train", {"train": 5}, {}, None, "InvalidInputError"),
+    ("gen-data", {"data": [1]}, {}, None, "InvalidInputError"),
+    ("gen-data", [1], {}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
-        "env-seed", "env-workers", "manifest-not-json", "manifest-no-sequences"])
+        "env-seed", "env-workers", "manifest-not-json", "manifest-no-sequences",
+        "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
+        "workers-str", "workers-bool", "eval-not-object", "train-not-object",
+        "data-not-object", "config-not-object"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
                                               settings, env, manifest, code):
     config = tmp_path / "settings.json"
     config.write_text(json.dumps(settings))
-    inputs = {"gen-data": (), "train": ("--data", data_dir),
+    # --epochs writes into the 'train' section, so it must see a checked one
+    inputs = {"gen-data": (), "train": ("--data", data_dir, "--epochs", "1"),
+              "generate": ("--checkpoint", checkpoint, "--goal", "1,1,1"),
               "evaluate": ("--checkpoint", checkpoint)}[command]
     if manifest is not None:
         (tmp_path / "manifest.json").write_text(manifest)
@@ -222,4 +238,7 @@ def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, co
                 env_extra=env)
     assert r.returncode == 1, r.stderr
     assert r.stderr.startswith(f"error code={code}"), r.stderr
+    if isinstance(settings, dict):
+        # the message names the setting at fault
+        assert all(repr(key) in r.stderr for key in settings), r.stderr
     assert not out.exists()

@@ -143,25 +143,25 @@ def test_yaw_and_rotate_gradient():
 # ---------------------------------------------------------------- fused ops
 #
 # Each fused op records one tape node with a hand-written VJP. The reference
-# below is the elementary-op composition it replaced; run without a tape it
-# is plain numpy, and the fused forward must match it bit for bit so that
-# tape-free rollouts keep their bytes.
+# below is the elementary-op composition it replaced, written as the numpy
+# calls those ops ran without a tape, in the same order; the fused forward
+# must match it bit for bit so that tape-free rollouts keep their bytes.
 
 def ref_sixd_to_matrix(r):
     a, b = r[..., 0:3], r[..., 3:6]
-    c1 = a / ag.norm(a, axis=-1, keepdims=True)
-    u = b - ag.sum(b * c1, axis=-1, keepdims=True) * c1
-    c2 = u / ag.norm(u, axis=-1, keepdims=True)
-    return ag.stack([c1, c2, ag.cross3(c1, c2)], axis=-1)
+    c1 = a / np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+    u = b - np.sum(b * c1, axis=-1, keepdims=True) * c1
+    c2 = u / np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
+    return np.stack([c1, c2, np.cross(c1, c2)], axis=-1)
 
 
 def ref_rotate_z(v, angle):
-    c, s = ag.cos(angle), ag.sin(angle)
+    c, s = np.cos(angle), np.sin(angle)
     x, y = v[..., 0], v[..., 1]
     parts = [c * x - s * y, s * x + c * y]
     if np.shape(v)[-1] == 3:
         parts.append(v[..., 2])
-    return ag.stack(parts, axis=-1)
+    return np.stack(parts, axis=-1)
 
 
 def ref_rotate_sixd_z(r, angle):
@@ -177,11 +177,11 @@ def ref_rotate_pose_z(pose, angle):
 
 
 def ref_safe_unit(v):
-    n = ag.norm(v, axis=-1, keepdims=True)
+    n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
     small = n < geo.DEGENERACY_EPS
-    safe = ag.where(small, 1.0, n)
+    safe = np.where(small, 1.0, n)
     unit = v / safe
-    return ag.where(np.broadcast_to(small, unit.shape), 0.0, unit), safe
+    return np.where(np.broadcast_to(small, unit.shape), 0.0, unit), safe
 
 
 def bits(x):
@@ -203,7 +203,7 @@ def test_fused_forward_bits_match_elementary_composition():
         r = rng.normal(size=shape)
         angle = rng.uniform(-np.pi, np.pi, size=shape[:-1])
         assert bits(geo.sixd_to_matrix(r)) == bits(ref_sixd_to_matrix(r))
-        assert bits(geo.yaw_of(r)) == bits(ag.atan2(r[..., 1], r[..., 0]))
+        assert bits(geo.yaw_of(r)) == bits(np.arctan2(r[..., 1], r[..., 0]))
         assert bits(geo.rotate_sixd_z(r, angle)) == bits(ref_rotate_sixd_z(r, angle))
         assert bits(geo.rotate_sixd_z(r, 0.7)) == bits(ref_rotate_sixd_z(r, 0.7))
         for k in (2, 3):

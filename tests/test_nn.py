@@ -220,7 +220,7 @@ def ref_layer_norm(x, gain, offset):
     mu = ag.mean(x, axis=-1, keepdims=True)
     centered = x - mu
     var = ag.mean(centered * centered, axis=-1, keepdims=True)
-    return centered / ag.sqrt(var + nn.LAYER_NORM_EPS) * gain + offset
+    return centered / np.sqrt(var + nn.LAYER_NORM_EPS) * gain + offset
 
 
 def ref_affine(h, w, b):
