@@ -34,6 +34,7 @@ print("wrist intention with half the time:",
 # hindsight: an unlabeled walk becomes goal-conditioned training data
 corpus = generate_synthetic_corpus(
     SyntheticGenConfig(n_locomotion=1, n_reaching=0, n_walk_reach=0, seed=4), skel)
-hg = it.hindsight_goal(corpus[0], anchor_frame=10, rng=np.random.default_rng(0))
-print(f"hindsight goal: wrist position at future frame {hg.goal.target_frame}: "
-      f"{np.round(hg.goal.position, 3)}")
+hindsight, _ = it.hindsight_goal(corpus[0], anchor_frame=10,
+                                 rng=np.random.default_rng(0))
+print(f"hindsight goal: wrist position at future frame {hindsight.target_frame}: "
+      f"{np.round(hindsight.position, 3)}")

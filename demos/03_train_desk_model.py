@@ -1,6 +1,6 @@
 """Generate a small synthetic corpus and train the delta autoencoder on it.
 
-Run: python demos/03_train_desk_model.py    (about a minute)
+Run: python demos/03_train_desk_model.py    (about 15 s)
 """
 import numpy as np
 

@@ -28,7 +28,7 @@ from .intention import GoalSpec
 from .latent_opt import OptObjective, optimize_latents, final_wrist_distance
 from .model import fresh_model, load_checkpoint, save_checkpoint
 from .rollout import GoalSchedule, generate as rollout_generate, save_record
-from .training import TrainConfig, train
+from .training import TrainConfig, train, write_training_log
 
 ENV_PREFIX = "REACHGEN_"
 
@@ -75,19 +75,14 @@ def _deep_update(base: dict, extra: dict) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """defaults(preset) <- config file <- env <- flags."""
-    preset = args.preset or os.environ.get(ENV_PREFIX + "PRESET") or "desk"
-    if preset not in PRESETS:
-        raise ReachGenError(f"unknown preset {preset!r}")
-    cfg = json.loads(json.dumps(PRESETS[preset]))  # deep copy
-    cfg["preset"] = preset
-    cfg["seed"] = 0
+    """defaults(preset) <- config file <- env <- flags. The preset itself
+    comes from the flag, else the env, else the file, else desk."""
     # only evaluate runs in a process pool; other commands carry no workers
     evaluate = args.command == "evaluate"
     int_keys = ("seed", "workers") if evaluate else ("seed",)
-    if evaluate:
-        cfg["workers"] = 1
+    sections = ("data", "model", "train", "eval")
 
+    settings = {}
     config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         try:
@@ -97,7 +92,21 @@ def resolve_config(args) -> dict:
             raise ReachGenError(f"unreadable config {config_path}: {e}") from e
         if not isinstance(settings, dict):
             raise InvalidInputError(f"config {config_path} must hold a JSON object")
-        _deep_update(cfg, settings)
+        unknown = sorted(set(settings) - {"preset", *int_keys, *sections})
+        if unknown:
+            raise InvalidInputError(f"config {config_path} has unknown settings "
+                                    f"{', '.join(map(repr, unknown))}")
+    file_preset = settings.pop("preset", None)
+    preset = (args.preset or os.environ.get(ENV_PREFIX + "PRESET")
+              or file_preset or "desk")
+    if not isinstance(preset, str) or preset not in PRESETS:
+        raise InvalidInputError(f"unknown preset {preset!r}")
+    cfg = json.loads(json.dumps(PRESETS[preset]))  # deep copy
+    cfg["preset"] = preset
+    cfg["seed"] = 0
+    if evaluate:
+        cfg["workers"] = 1
+    _deep_update(cfg, settings)
 
     for key in int_keys:
         name = ENV_PREFIX + key.upper()
@@ -116,7 +125,7 @@ def resolve_config(args) -> dict:
     for key in int_keys:
         if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
             raise InvalidInputError(f"{key!r} must be an integer, got {cfg[key]!r}")
-    for section in ("data", "model", "train", "eval"):
+    for section in sections:
         if not isinstance(cfg[section], dict):
             raise InvalidInputError(f"{section!r} must be a JSON object, "
                                     f"got {cfg[section]!r}")
@@ -204,16 +213,14 @@ def cmd_train(args) -> int:
     out = args.out or "runs/train"
     skeleton = desk_skeleton()
     sequences, manifest_hash = _load_corpus(args.data, skeleton)
-    if not sequences:
-        raise ReachGenError(f"no training sequences in {args.data}")
     if args.epochs is not None:
         cfg["train"]["epochs"] = args.epochs
     train_cfg = _from_settings(TrainConfig, "train", cfg["train"], seed=cfg["seed"])
     model = _from_settings(fresh_model, "model", cfg["model"], skeleton=skeleton,
                            seed=cfg["seed"])
+    model, adam, rows = train(sequences, skeleton, train_cfg, model=model)
     os.makedirs(out, exist_ok=True)
-    model, adam, rows = train(sequences, skeleton, train_cfg, model=model,
-                              log_path=os.path.join(out, "train_log.csv"))
+    write_training_log(rows, os.path.join(out, "train_log.csv"))
     ckpt = os.path.join(out, "checkpoint.ckpt")
     save_checkpoint(model, ckpt, adam_state=adam,
                     train_meta={"epochs": train_cfg.epochs})

@@ -22,7 +22,8 @@ from .body import (Skeleton, desk_skeleton, forward_kinematics, heading_of,
                    joint_position, pose_dim, rest_pose)
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
-                     InfeasibleTargetError, ModelMismatchError, SkipWindow)
+                     InfeasibleTargetError, InvalidInputError, ModelMismatchError,
+                     SkipWindow)
 from .geometry import (axis_angle_matrix, matrix_to_sixd, rotation_z_matrix,
                        sixd_to_matrix)
 from .intention import GoalSpec, hindsight_goal
@@ -640,33 +641,23 @@ def split_dataset(sequences, seed: int) -> DatasetSplit:
                         tuple(shuffled[n_train + n_val:]))
 
 
-@dataclass
-class TrainingWindow:
-    """window_len + 1 poses (one leading context frame) plus a goal."""
-
-    poses: np.ndarray        # (window_len + 1, pose_dim)
-    start_frame: int         # absolute index of poses[1] in the source
-    goal: GoalSpec
-    goal_heading: np.ndarray
-    source_id: str = ""
-
-
 def sample_training_window(seq: MotionSequence, window_len: int,
-                           rng: np.random.Generator,
-                           horizon=(15, 150)) -> TrainingWindow:
-    """One fixed-length window with its goal (stored label, else hindsight)."""
+                           rng: np.random.Generator, horizon=(15, 150)):
+    """(start, goal, goal_heading) of one fixed-length window: it holds
+    seq.poses[start - 1 : start + window_len], one leading context frame
+    then window_len frames, and its goal is the stored label, else a
+    hindsight goal."""
     if seq.n_frames < window_len + 1:
         raise SkipWindow(
             f"sequence {seq.ident} has {seq.n_frames} frames, needs {window_len + 1}")
     start = int(rng.integers(1, seq.n_frames - window_len + 1))
-    poses = seq.poses[start - 1:start + window_len].copy()
-    if seq.label is not None:
-        goal = seq.label
-        gh = np.asarray(heading_of(seq.poses[goal.target_frame], seq.skeleton))
-    else:
-        hg = hindsight_goal(seq, start, rng, horizon=horizon)
-        goal, gh = hg.goal, hg.goal_heading
-    return TrainingWindow(poses, start, goal, gh, seq.ident)
+    if seq.label is None:
+        return (start, *hindsight_goal(seq, start, rng, horizon=horizon))
+    goal = seq.label
+    if goal.target_joint != "right_wrist":  # as the training rollout steps assume
+        raise InvalidInputError(f"{seq.ident}: training labels must be right_wrist goals")
+    heading = heading_of(seq.poses[goal.target_frame], seq.skeleton)
+    return start, goal, np.asarray(heading)
 
 
 # ------------------------------------------------------------------ file IO

@@ -34,7 +34,8 @@ class SkipWindow(ReachGenError):
 
 
 class CorpusTooSmallError(ReachGenError, ValueError):
-    """The corpus has fewer sequences than a train/val/test split needs."""
+    """The corpus has fewer sequences than a train/val/test split needs, or
+    no sequence can host a training window."""
 
 
 class InvalidInputError(ReachGenError, ValueError):

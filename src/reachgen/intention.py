@@ -7,7 +7,7 @@ pseudo-goal turns unlabeled motion into goal-conditioned training data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,18 +133,10 @@ def assemble_condition(pose, prev_delta, skeleton: Skeleton,
     return ag.concatenate([local, prev_delta, intention], axis=-1), intention
 
 
-@dataclass
-class HindsightGoal:
-    """A pseudo-goal plus the body heading at its frame (for training I^r)."""
-
-    goal: GoalSpec
-    goal_heading: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-
 def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator,
-                   horizon=DEFAULT_HINDSIGHT_HORIZON,
-                   target_joint: str = "right_wrist") -> HindsightGoal:
-    """Declare the target joint's position at a random future frame the goal.
+                   horizon=DEFAULT_HINDSIGHT_HORIZON):
+    """(goal, goal_heading): the right wrist's position at a random future
+    frame declared the goal, and the body heading at that frame.
 
     t_g is drawn uniformly from [anchor+min, min(anchor+max, last_frame)].
     Raises SkipWindow when the sequence cannot host the minimum horizon.
@@ -159,6 +151,5 @@ def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator,
     t_g = int(rng.integers(lo, hi + 1))
     skeleton = sequence.skeleton
     position, heading = joint_position_and_heading(
-        sequence.poses[t_g], skeleton, skeleton.joint_index(target_joint))
-    return HindsightGoal(GoalSpec(np.asarray(position), t_g, target_joint),
-                         np.asarray(heading))
+        sequence.poses[t_g], skeleton, skeleton.joint_index("right_wrist"))
+    return GoalSpec(np.asarray(position), t_g), np.asarray(heading)

@@ -4,16 +4,17 @@ integrated predictions back in for up to s steps per window.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ag
 from .autodiff import Tape
-from .body import Skeleton, forward_kinematics, integrate_delta, pose_delta
-from .dataset import MotionSequence, TrainingWindow, sample_training_window
-from .errors import NumericFault, SkipWindow
-from .intention import GoalSpec, assemble_condition
+from .body import (FK_ROWS, Skeleton, forward_kinematics, integrate_delta,
+                   pose_delta)
+from .dataset import MotionSequence, sample_training_window
+from .errors import CorpusTooSmallError, NumericFault, SkipWindow
+from .intention import GoalSpec, assemble_condition, condition_dim
 from .model import (LossBreakdown, MotionModel, compute_loss, decode, encode,
                     fresh_model)
 from .nn import AdamState, adam_step, reparameterize
@@ -41,6 +42,12 @@ class TrainConfig:
             raise ValueError("alpha must be positive")
         if self.ramp_epochs <= 0 or self.s_max < 0:
             raise ValueError("rollout schedule parameters must be positive")
+        for name in ("epochs", "batch_size", "window_len", "windows_per_sequence"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        min_h, max_h = self.hindsight_horizon
+        if not 0 <= min_h <= max_h:
+            raise ValueError("hindsight_horizon must satisfy 0 <= min <= max")
 
 
 def rollout_steps_for_epoch(epoch: int, cfg: TrainConfig) -> int:
@@ -48,69 +55,80 @@ def rollout_steps_for_epoch(epoch: int, cfg: TrainConfig) -> int:
     return int(round(cfg.s_max * min(epoch / cfg.ramp_epochs, 1.0)))
 
 
-@dataclass
-class PreparedWindow:
-    """Precomputed teacher-forcing inputs for one training window.
+@dataclass(frozen=True)
+class WindowSet:
+    """The run's N training windows as stacked arrays, computed once outside
+    any tape; windows[idx] indexes every field along the window axis.
 
-    Entry j targets the delta p_j -> p_{j+1}; conditions depend only on the
-    data and the window's goal, so they are computed once, outside any tape.
+    Window i holds W + 1 poses, a context frame then W frames; poses[i, 1]
+    is frame start_frame[i] of its source. Entry j of deltas, conditions and
+    targets belongs to the step poses[i, j] -> poses[i, j + 1]. Every goal
+    is a right-wrist goal.
     """
 
-    deltas: np.ndarray            # (W, delta_dim)
-    conditions: np.ndarray        # (W, condition_dim)
-    prev_pose_vecs: np.ndarray    # (W, pose_dim)
-    next_pose_vecs: np.ndarray    # (W, pose_dim)
-    target_positions: np.ndarray  # (W, n_joints, 3)
-    goal_position: np.ndarray
-    goal_frame: int
-    goal_heading: np.ndarray
-    start_frame: int
-    source_id: str = ""
+    poses: np.ndarray          # (N, W + 1, pose_dim)
+    deltas: np.ndarray         # (N, W, pose_dim)
+    conditions: np.ndarray     # (N, W, condition_dim)
+    targets: np.ndarray        # (N, W, n_joints, 3): FK of poses[:, 1:]
+    goal_position: np.ndarray  # (N, 3)
+    goal_frame: np.ndarray     # (N,)
+    goal_heading: np.ndarray   # (N, 2)
+    start_frame: np.ndarray    # (N,)
 
+    def __len__(self) -> int:
+        return len(self.start_frame)
 
-def prepare_window(win: TrainingWindow, skeleton: Skeleton) -> PreparedWindow:
-    w = win.poses.shape[0] - 1
-    prev, nxt = win.poses[:-1], win.poses[1:]
-    deltas = pose_delta(prev, nxt)
-    prev_deltas = np.vstack([np.zeros((1, deltas.shape[1])), deltas[:-1]])
-
-    frames = win.start_frame - 1 + np.arange(w)
-    conditions, _ = assemble_condition(
-        prev, prev_deltas, skeleton, win.goal, frames,
-        goal_heading=np.broadcast_to(win.goal_heading, (w, 2)))
-    targets = forward_kinematics(nxt, skeleton)
-    return PreparedWindow(
-        deltas=np.asarray(deltas), conditions=np.asarray(conditions),
-        prev_pose_vecs=win.poses[:-1].copy(), next_pose_vecs=win.poses[1:].copy(),
-        target_positions=np.asarray(targets),
-        goal_position=win.goal.position.copy(), goal_frame=win.goal.target_frame,
-        goal_heading=np.asarray(win.goal_heading, dtype=np.float64).copy(),
-        start_frame=win.start_frame, source_id=win.source_id)
+    def __getitem__(self, idx) -> WindowSet:
+        return WindowSet(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 def build_training_windows(sequences: list[MotionSequence], cfg: TrainConfig,
-                           skeleton: Skeleton) -> list[PreparedWindow]:
-    """Fixed window set for a run: deterministic per (seed, sequence index)."""
-    out = []
+                           skeleton: Skeleton) -> WindowSet:
+    """Fixed window set for a run: deterministic per (seed, sequence index).
+
+    Deltas, conditions and FK targets are computed FK_ROWS windows at a
+    time, which bounds the temporaries of one pass.
+    """
+    w = cfg.window_len
+    picks = []
     for idx, seq in enumerate(sorted(sequences, key=lambda s: s.ident)):
         for k in range(cfg.windows_per_sequence):
             rng = np.random.default_rng([cfg.seed, idx, k])
             try:
-                win = sample_training_window(seq, cfg.window_len, rng,
-                                             horizon=cfg.hindsight_horizon)
+                start, goal, heading = sample_training_window(
+                    seq, w, rng, horizon=cfg.hindsight_horizon)
             except SkipWindow:
                 continue
-            out.append(prepare_window(win, skeleton))
-    return out
+            picks.append((seq.poses[start - 1:start + w], start, goal, heading))
+    if not picks:
+        raise CorpusTooSmallError(
+            f"no usable training windows in {len(sequences)} sequences for the "
+            f"'train' window_len {w} and hindsight_horizon "
+            f"{tuple(cfg.hindsight_horizon)}")
+    poses, starts, goals, headings = zip(*picks)
+    poses, start_frame = np.stack(poses), np.array(starts)
+    goal_heading = np.stack(headings)
+    goal_position = np.stack([g.position for g in goals])
+    goal_frame = np.array([g.target_frame for g in goals])
+
+    deltas = np.empty(poses[:, 1:].shape)
+    conditions = np.empty((len(poses), w, condition_dim(skeleton.n_rotated)))
+    for lo in range(0, len(poses), FK_ROWS):
+        c = slice(lo, lo + FK_ROWS)
+        deltas[c] = pose_delta(poses[c, :-1], poses[c, 1:])
+        prev_deltas = np.concatenate(
+            [np.zeros_like(deltas[c, :1]), deltas[c, :-1]], axis=1)
+        conditions[c], _ = assemble_condition(
+            poses[c, :-1], prev_deltas, skeleton,
+            GoalSpec(goal_position[c, None], goal_frame[c, None]),
+            start_frame[c, None] - 1 + np.arange(w),
+            goal_heading=goal_heading[c, None])
+    targets = forward_kinematics(poses[:, 1:], skeleton)
+    return WindowSet(poses, deltas, conditions, targets, goal_position,
+                     goal_frame, goal_heading, start_frame)
 
 
-def _batched_goal(windows: list[PreparedWindow]) -> GoalSpec:
-    # GoalSpec broadcasts: position (B, 3) and per-window target frames
-    return GoalSpec(np.stack([w.goal_position for w in windows]),
-                    np.array([w.goal_frame for w in windows]))
-
-
-def _batch_loss(windows: list[PreparedWindow], model: MotionModel,
+def _batch_loss(windows: WindowSet, model: MotionModel,
                 s_steps: int, cfg: TrainConfig, noise_rng: np.random.Generator,
                 dropout_seed: int, train_mode: bool = True):
     """Teacher-forced pass over every frame plus s generated rollout steps.
@@ -118,12 +136,11 @@ def _batch_loss(windows: list[PreparedWindow], model: MotionModel,
     Returns (total_loss_node, LossBreakdown floats, sample counts).
     """
     spec, store, skeleton = model.spec, model.params, model.skeleton
-    b = len(windows)
-    w = windows[0].deltas.shape[0]
+    b, w = windows.deltas.shape[:2]
 
-    deltas = np.concatenate([win.deltas for win in windows])            # (B*W, Dd)
-    conds = np.concatenate([win.conditions for win in windows])         # (B*W, C)
-    prev_vecs = np.concatenate([win.prev_pose_vecs for win in windows])
+    deltas = windows.deltas.reshape(b * w, -1)
+    conds = windows.conditions.reshape(b * w, -1)
+    prev_vecs = windows.poses[:, :-1].reshape(b * w, -1)
 
     gauss = encode(spec, store, deltas, conds, train=train_mode,
                    dropout_seed=dropout_seed)
@@ -141,24 +158,21 @@ def _batch_loss(windows: list[PreparedWindow], model: MotionModel,
     s_eff = min(s_steps, w - 1)
     if s_eff > 0:
         start = w - s_eff
-        cur_pose = np.stack([win.prev_pose_vecs[start] for win in windows])
-        prev_delta = np.stack([win.deltas[start - 1] for win in windows])
-        goal = _batched_goal(windows)
-        heading = np.stack([win.goal_heading for win in windows])
+        cur_pose = windows.poses[:, start]
+        prev_delta = windows.deltas[:, start - 1]
+        goal = GoalSpec(windows.goal_position, windows.goal_frame)
         for j in range(start, w):
-            frames = np.array([win.start_frame - 1 + j for win in windows])
             cond, _ = assemble_condition(cur_pose, prev_delta, skeleton, goal,
-                                         frames, goal_heading=heading)
+                                         windows.start_frame - 1 + j,
+                                         goal_heading=windows.goal_heading)
             zr = noise_rng.standard_normal((b, spec.latent_dim))
             pred = decode(spec, store, zr, cond, train=train_mode,
                           dropout_seed=dropout_seed + 100 + j)
-            gt_next = np.stack([win.next_pose_vecs[j] for win in windows])
             # target: the correcting delta onto the ground-truth frame
-            diff = pred - pose_delta(cur_pose, gt_next)
+            diff = pred - pose_delta(cur_pose, windows.poses[:, j + 1])
             rec_parts.append((ag.mean(diff * diff), b))
             cur_pose = integrate_delta(cur_pose, pred)
-            target_pos = np.stack([win.target_positions[j] for win in windows])
-            jd = forward_kinematics(cur_pose, skeleton) - target_pos
+            jd = forward_kinematics(cur_pose, skeleton) - windows.targets[:, j]
             joint_parts.append((ag.mean(jd * jd), b))
             prev_delta = pred
 
@@ -171,7 +185,7 @@ def _batch_loss(windows: list[PreparedWindow], model: MotionModel,
     return total, breakdown, n_total, n_teacher
 
 
-def train_epoch(windows: list[PreparedWindow], model: MotionModel,
+def train_epoch(windows: WindowSet, model: MotionModel,
                 adam: AdamState, epoch: int, cfg: TrainConfig) -> LossBreakdown:
     """One pass over all windows; one Adam step per batch."""
     if not windows:
@@ -180,11 +194,10 @@ def train_epoch(windows: list[PreparedWindow], model: MotionModel,
     order = order_rng.permutation(len(windows))
     s_steps = rollout_steps_for_epoch(epoch, cfg)
 
-    sums = {"rec": 0.0, "kl": 0.0, "joint": 0.0}
-    n_all = 0
-    n_kl = 0
+    rec = kl = joint = 0.0
+    n_all = n_kl = 0
     for bi, lo in enumerate(range(0, len(order), cfg.batch_size)):
-        batch = [windows[i] for i in order[lo:lo + cfg.batch_size]]
+        batch = windows[order[lo:lo + cfg.batch_size]]
         noise_rng = np.random.default_rng([cfg.seed, epoch, bi, 1])
         dropout_seed = int(np.random.default_rng([cfg.seed, epoch, bi, 2])
                            .integers(0, 2**31 - 1))
@@ -198,14 +211,12 @@ def train_epoch(windows: list[PreparedWindow], model: MotionModel,
             raise NumericFault(
                 f"epoch {epoch} batch {bi}: {e}", where="train_epoch") from e
         adam_step(adam, model.params, model.params.gradients())
-        sums["rec"] += breakdown.rec * n_total
-        sums["joint"] += breakdown.joint * n_total
-        sums["kl"] += breakdown.kl * n_teacher
+        rec += breakdown.rec * n_total
+        joint += breakdown.joint * n_total
+        kl += breakdown.kl * n_teacher
         n_all += n_total
         n_kl += n_teacher
-    rec = sums["rec"] / n_all
-    kl = sums["kl"] / n_kl
-    joint = sums["joint"] / n_all
+    rec, kl, joint = rec / n_all, kl / n_kl, joint / n_all
     return LossBreakdown(rec, kl, joint, rec + cfg.alpha * kl + joint)
 
 
@@ -216,27 +227,22 @@ LOG_HEADER = ("# kl summed over latent dims, averaged over teacher-forced "
 
 
 def train(sequences: list[MotionSequence], skeleton: Skeleton, cfg: TrainConfig,
-          model: MotionModel | None = None, log_path=None):
-    """Full training run; returns (model, adam_state, log_rows)."""
+          model: MotionModel | None = None):
+    """Full training run; returns (model, adam_state, log_rows), the rows
+    as write_training_log takes them."""
     if model is None:
         model = fresh_model(skeleton, seed=cfg.seed)
     windows = build_training_windows(sequences, cfg, skeleton)
-    if not windows:
-        raise ValueError("no usable training windows")
     batches_per_epoch = (len(windows) + cfg.batch_size - 1) // cfg.batch_size
     adam = AdamState(cfg.lr_base, cfg.lr_final,
                      total_steps=cfg.epochs * batches_per_epoch)
     rows = []
     for epoch in range(cfg.epochs):
         lr = adam.lr_at(adam.step)
-        breakdown = train_epoch(windows, model, adam, epoch, cfg)
-        s = rollout_steps_for_epoch(epoch, cfg)
-        rows.append((epoch, s, breakdown.rec, breakdown.kl, breakdown.joint,
-                     breakdown.total, lr))
-    model.meta = dict(model.meta)
-    model.meta["train"] = asdict(cfg)
-    if log_path is not None:
-        write_training_log(rows, log_path)
+        lb = train_epoch(windows, model, adam, epoch, cfg)
+        rows.append((epoch, rollout_steps_for_epoch(epoch, cfg), lb.rec, lb.kl,
+                     lb.joint, lb.total, lr))
+    model.meta = {**model.meta, "train": asdict(cfg)}
     return model, adam, rows
 
 

@@ -169,6 +169,29 @@ def test_gen_data_too_small_corpus_is_a_clean_error(tmp_path):
     assert not out.exists()
 
 
+def test_config_file_preset_selects_its_values(tmp_path):
+    config = tmp_path / "paper.json"
+    config.write_text(json.dumps(
+        {"preset": "paper",
+         "data": {"n_locomotion": 8, "n_reaching": 5, "n_walk_reach": 2}}))
+    out = tmp_path / "paper"
+    r = run_cli("gen-data", "--config", str(config), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    resolved = json.loads((out / "resolved_config.json").read_text())["resolved"]
+    assert resolved["preset"] == "paper"
+    assert resolved["model"] == {"latent_dim": 64, "hidden_dim": 512,
+                                 "n_layers": 15, "dropout": 0.1}
+    assert resolved["train"]["batch_size"] == 512
+    # the flag beats the file
+    out = tmp_path / "desk"
+    r = run_cli("gen-data", "--config", str(config), "--preset", "desk",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    resolved = json.loads((out / "resolved_config.json").read_text())["resolved"]
+    assert resolved["preset"] == "desk"
+    assert resolved["model"]["latent_dim"] == 16
+
+
 def test_workers_resolved_only_for_evaluate(tmp_path, tiny_config, data_dir, checkpoint):
     resolved = json.loads(open(os.path.join(data_dir, "resolved_config.json")).read())
     assert "workers" not in resolved["resolved"]
@@ -217,15 +240,27 @@ def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
     ("train", {"train": 5}, {}, None, "InvalidInputError"),
     ("gen-data", {"data": [1]}, {}, None, "InvalidInputError"),
     ("gen-data", [1], {}, None, "InvalidInputError"),
+    ("train --epochs 0", {}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"batch_size": 0}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"window_len": 0}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"window_len": 5000}}, {}, None, "CorpusTooSmallError"),
+    ("train", {"train": {"windows_per_sequence": 0}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"hindsight_horizon": [150, 15]}}, {}, None,
+     "InvalidInputError"),
+    ("gen-data", {"sed": 3}, {}, None, "InvalidInputError"),
+    ("gen-data", {"workers": 2}, {}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
         "env-seed", "env-workers", "manifest-not-json", "manifest-no-sequences",
         "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
         "workers-str", "workers-bool", "eval-not-object", "train-not-object",
-        "data-not-object", "config-not-object"])
+        "data-not-object", "config-not-object", "epochs-zero", "batch-size-zero",
+        "window-len-zero", "window-len-too-long", "windows-per-sequence-zero",
+        "horizon-reversed", "unknown-key", "workers-not-evaluate"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
                                               settings, env, manifest, code):
     config = tmp_path / "settings.json"
     config.write_text(json.dumps(settings))
+    command, *flags = command.split()
     # --epochs writes into the 'train' section, so it must see a checked one
     inputs = {"gen-data": (), "train": ("--data", data_dir, "--epochs", "1"),
               "generate": ("--checkpoint", checkpoint, "--goal", "1,1,1"),
@@ -234,7 +269,8 @@ def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, co
         (tmp_path / "manifest.json").write_text(manifest)
         inputs = ("--data", str(tmp_path))
     out = tmp_path / "out"
-    r = run_cli(command, *inputs, "--config", str(config), "--out", str(out),
+    # a repeated flag's last value wins
+    r = run_cli(command, *inputs, *flags, "--config", str(config), "--out", str(out),
                 env_extra=env)
     assert r.returncode == 1, r.stderr
     assert r.stderr.startswith(f"error code={code}"), r.stderr

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from reachgen import dataset as ds
 from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose
-from reachgen.errors import (CorruptFileError, ModelMismatchError, SkipWindow,
-                             VersionMismatchError)
+from reachgen.errors import (CorruptFileError, InvalidInputError, ModelMismatchError,
+                             SkipWindow, VersionMismatchError)
 from reachgen.intention import GoalSpec, hindsight_goal
 
 
@@ -139,18 +141,28 @@ def test_training_window_uses_stored_label(small_corpus, skel):
     labeled = next(s for s in small_corpus if s.label is not None
                    and s.n_frames >= 41)
     rng = np.random.default_rng(0)
-    win = ds.sample_training_window(labeled, 40, rng)
-    assert win.goal == labeled.label
-    assert win.poses.shape == (41, labeled.poses.shape[1])
+    start, goal, _ = ds.sample_training_window(labeled, 40, rng)
+    assert goal == labeled.label
+    # the window's poses are labeled.poses[start - 1 : start + 40]
+    assert 1 <= start <= labeled.n_frames - 40
+
+
+def test_training_window_rejects_other_joint_label(small_corpus):
+    labeled = next(s for s in small_corpus if s.label is not None
+                   and s.n_frames >= 41)
+    other = replace(labeled, label=replace(labeled.label, target_joint="left_wrist"))
+    with pytest.raises(InvalidInputError):
+        ds.sample_training_window(other, 40, np.random.default_rng(0))
 
 
 def test_training_window_hindsight_deterministic(small_corpus):
     unlabeled = next(s for s in small_corpus if s.label is None and s.n_frames >= 60)
     a = ds.sample_training_window(unlabeled, 40, np.random.default_rng(9))
     b = ds.sample_training_window(unlabeled, 40, np.random.default_rng(9))
-    assert a.goal.target_frame == b.goal.target_frame
-    np.testing.assert_array_equal(a.goal.position, b.goal.position)
-    np.testing.assert_array_equal(a.poses, b.poses)
+    assert a[0] == b[0]
+    assert a[1].target_frame == b[1].target_frame
+    np.testing.assert_array_equal(a[1].position, b[1].position)
+    np.testing.assert_array_equal(a[2], b[2])
 
 
 def test_training_window_too_short_skips(skel):
@@ -161,11 +173,11 @@ def test_training_window_too_short_skips(skel):
 
 def test_hindsight_static_sequence_goal_is_current_wrist(skel):
     seq = static_sequence(skel)
-    hg = hindsight_goal(seq, 0, np.random.default_rng(0), horizon=(15, 60))
+    goal, _ = hindsight_goal(seq, 0, np.random.default_rng(0), horizon=(15, 60))
     wrist = np.asarray(joint_position(seq.poses[0], skel,
                                       skel.joint_index("right_wrist")))
-    np.testing.assert_allclose(hg.goal.position, wrist, atol=1e-12)
-    assert 15 <= hg.goal.target_frame <= 60
+    np.testing.assert_allclose(goal.position, wrist, atol=1e-12)
+    assert 15 <= goal.target_frame <= 60
 
 
 def test_hindsight_anchor_at_end_raises(skel):
@@ -176,7 +188,7 @@ def test_hindsight_anchor_at_end_raises(skel):
 
 def test_hindsight_seeded_determinism(skel):
     seq = static_sequence(skel, n=120)
-    frames = [hindsight_goal(seq, 0, np.random.default_rng(42), horizon=(30, 90)).goal.target_frame
+    frames = [hindsight_goal(seq, 0, np.random.default_rng(42), horizon=(30, 90))[0].target_frame
               for _ in range(3)]
     assert len(set(frames)) == 1
     assert 30 <= frames[0] <= 90
@@ -238,9 +250,9 @@ def test_every_window_carries_a_goal(small_corpus):
     for seq in small_corpus:
         if seq.n_frames < 41:
             continue
-        win = ds.sample_training_window(seq, 40, rng)
-        assert isinstance(win.goal, GoalSpec)
-        assert np.all(np.isfinite(win.goal.position))
+        _, goal, _ = ds.sample_training_window(seq, 40, rng)
+        assert isinstance(goal, GoalSpec)
+        assert np.all(np.isfinite(goal.position))
 
 
 def test_manifest_lists_all(tmp_path, small_corpus):

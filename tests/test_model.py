@@ -6,9 +6,11 @@ from reachgen import dataset as ds
 from reachgen import model as md
 from reachgen import training as tr
 from reachgen.autodiff import Tape
-from reachgen.body import desk_skeleton, rest_pose
-from reachgen.errors import (CorruptFileError, ModelMismatchError,
+from reachgen.body import (FK_ROWS, desk_skeleton, forward_kinematics,
+                           pose_delta, rest_pose)
+from reachgen.errors import (CorruptFileError, ModelMismatchError, SkipWindow,
                              VersionMismatchError)
+from reachgen.intention import assemble_condition
 from reachgen.nn import AdamState, GaussianParams, adam_step
 
 
@@ -119,6 +121,49 @@ def small_windows(skel):
     return tr.build_training_windows(corpus, cfg, skel), cfg
 
 
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
+def test_window_set_matches_per_window_reference(skel):
+    # more than FK_ROWS windows, so the chunked fill crosses a chunk boundary
+    corpus = ds.generate_synthetic_corpus(
+        ds.SyntheticGenConfig(n_locomotion=2, n_reaching=1, n_walk_reach=1, seed=1), skel)
+    cfg = tr.TrainConfig(seed=1, windows_per_sequence=18)
+    windows = tr.build_training_windows(corpus, cfg, skel)
+    assert len(windows) > FK_ROWS
+    w = cfg.window_len
+    i = 0
+    for idx, seq in enumerate(sorted(corpus, key=lambda s: s.ident)):
+        for k in range(cfg.windows_per_sequence):
+            rng = np.random.default_rng([cfg.seed, idx, k])
+            try:
+                start, goal, heading = ds.sample_training_window(
+                    seq, w, rng, horizon=cfg.hindsight_horizon)
+            except SkipWindow:
+                continue
+            # one window at a time, as a (W + 1, pose_dim) slice
+            poses = seq.poses[start - 1:start + w]
+            prev, nxt = poses[:-1], poses[1:]
+            deltas = pose_delta(prev, nxt)
+            prev_deltas = np.vstack([np.zeros((1, deltas.shape[1])), deltas[:-1]])
+            conditions, _ = assemble_condition(
+                prev, prev_deltas, skel, goal, start - 1 + np.arange(w),
+                goal_heading=np.broadcast_to(heading, (w, 2)))
+            win = windows[i]
+            assert_same_bits(win.poses, poses)
+            assert_same_bits(win.deltas, deltas)
+            assert_same_bits(win.conditions, conditions)
+            assert_same_bits(win.targets, forward_kinematics(nxt, skel))
+            assert_same_bits(win.goal_position, goal.position)
+            assert_same_bits(win.goal_heading, heading)
+            assert (win.start_frame, win.goal_frame) == (start, goal.target_frame)
+            i += 1
+    assert i == len(windows)
+
+
 def test_memorization_sanity(skel):
     # over-parameterized tiny model, no KL, no dropout, 5 windows:
     # rec + joint decreases and reaches < 1e-3 within 50 steps
@@ -181,7 +226,7 @@ def test_rollout_never_indexes_past_window_end(skel, small_windows):
         total, _, n_total, n_teacher = tr._batch_loss(
             windows[:2], model, s_steps=500, cfg=cfg, noise_rng=noise_rng,
             dropout_seed=0)
-    w = windows[0].deltas.shape[0]
+    w = windows.deltas.shape[1]
     assert n_total == n_teacher + 2 * (w - 1)
 
 
@@ -254,7 +299,8 @@ def test_training_log_format(tmp_path, skel):
     corpus = ds.generate_synthetic_corpus(
         ds.SyntheticGenConfig(n_locomotion=3, n_reaching=2, n_walk_reach=0, seed=7), skel)
     cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=0, window_len=15)
-    _, _, rows = tr.train(corpus, skel, cfg, log_path=tmp_path / "log.csv")
+    _, _, rows = tr.train(corpus, skel, cfg)
+    tr.write_training_log(rows, tmp_path / "log.csv")
     text = (tmp_path / "log.csv").read_text()
     lines = text.strip().split("\n")
     assert lines[0].startswith("#")

@@ -44,7 +44,7 @@ def test_training_step_tape_budgets(desk_model):
     corpus = ds.generate_synthetic_corpus(
         ds.SyntheticGenConfig(seed=1, n_locomotion=2, n_reaching=1, n_walk_reach=1), skel)
     windows = training.build_training_windows(corpus, cfg, skel)[:cfg.batch_size]
-    assert (len(windows), windows[0].deltas.shape[0]) == (32, 40)
+    assert (len(windows), windows.deltas.shape[1]) == (32, 40)
     nodes = {}
     for s in (0, 10):
         with Tape() as tape:
