@@ -26,7 +26,7 @@ from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchErr
                      SkipWindow)
 from .geometry import (axis_angle_matrix, matrix_to_sixd, rotation_z_matrix,
                        sixd_to_matrix)
-from .intention import GoalSpec, hindsight_goal
+from .intention import DEFAULT_HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
 
 MOTION_MAGIC = b"RGMO"
 MOTION_VERSION = 2
@@ -642,7 +642,8 @@ def split_dataset(sequences, seed: int) -> DatasetSplit:
 
 
 def sample_training_window(seq: MotionSequence, window_len: int,
-                           rng: np.random.Generator, horizon=(15, 150)):
+                           rng: np.random.Generator,
+                           horizon=DEFAULT_HINDSIGHT_HORIZON):
     """(start, goal, goal_heading) of one fixed-length window: it holds
     seq.poses[start - 1 : start + window_len], one leading context frame
     then window_len frames, and its goal is the stored label, else a

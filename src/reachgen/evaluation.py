@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +19,13 @@ from .dataset import MotionSequence, standing_pose
 from .errors import ReachGenError
 from .intention import GoalSpec
 from .model import MotionModel
-from .rollout import GoalSchedule, generate
+from .rollout import GoalSchedule, draw_latents, rollout_poses
+
+# Rollouts per batched chunk of run_benchmark. Fixed, because a row's bits
+# depend on the shape of the BLAS calls it shares with its siblings. On a
+# 2-core machine 64 rows ran about 8% faster a rollout than 32, but peaked
+# at 1.5x the memory and leave half as many chunks to spread over workers.
+ROLLOUT_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -75,17 +82,30 @@ def build_goal_grid(center_pose, cfg: EvalConfig = EvalConfig()) -> GoalGrid:
     return GoalGrid(angles, heights, distances, goals, combos)
 
 
-def wrist_positions(seq: MotionSequence, skeleton: Skeleton,
-                    joint: str = "right_wrist") -> np.ndarray:
-    pos = forward_kinematics(seq.poses, skeleton)
-    return np.asarray(pos[:, skeleton.joint_index(joint), :])
+def _closest_approach(pos, goal_position, joint: int):
+    """(...) closest distance of one joint to the goal over the frames of
+    joint positions pos (..., n_frames, n_joints, 3); goal_position (..., 3)."""
+    gap = pos[..., joint, :] - np.asarray(goal_position)[..., None, :]
+    return np.min(np.linalg.norm(gap, axis=-1), axis=-1)
+
+
+def _skate_share(pos, threshold: float):
+    """(...) share of frames whose lowest joint moves more than `threshold`
+    (3D displacement, meters) to the next frame; pos (..., n_frames,
+    n_joints, 3)."""
+    lowest = np.argmin(pos[..., :-1, :, 2], axis=-1)[..., None, None]
+    a = np.take_along_axis(pos[..., :-1, :, :], lowest, axis=-2)
+    b = np.take_along_axis(pos[..., 1:, :, :], lowest, axis=-2)
+    disp = np.linalg.norm((b - a)[..., 0, :], axis=-1)
+    return np.mean(disp > threshold, axis=-1)
 
 
 def distance_to_goal(seq: MotionSequence, goal: GoalSpec,
                      skeleton: Skeleton) -> float:
     """Closest the target joint ever gets to the goal, in meters."""
-    wrists = wrist_positions(seq, skeleton, goal.target_joint)
-    return float(np.min(np.linalg.norm(wrists - goal.position, axis=-1)))
+    pos = forward_kinematics(seq.poses, skeleton)
+    return float(_closest_approach(pos, goal.position,
+                                   skeleton.joint_index(goal.target_joint)))
 
 
 def is_success(seq: MotionSequence, goal: GoalSpec, skeleton: Skeleton,
@@ -100,13 +120,7 @@ def foot_skate(seq: MotionSequence, skeleton: Skeleton,
     (3D displacement, meters) to the next frame."""
     if seq.n_frames < 2:
         raise ValueError("foot skate needs at least 2 frames")
-    pos = forward_kinematics(seq.poses, skeleton)
-    lowest = np.argmin(pos[:, :, 2], axis=1)
-    idx = np.arange(seq.n_frames - 1)
-    a = pos[idx, lowest[:-1]]
-    b = pos[idx + 1, lowest[:-1]]
-    disp = np.linalg.norm(b - a, axis=-1)
-    return float(np.mean(disp > threshold))
+    return float(_skate_share(forward_kinematics(seq.poses, skeleton), threshold))
 
 
 @dataclass
@@ -119,6 +133,7 @@ class EvalRow:
     dtg_cm: float
     success: bool
     fs: float
+    error: str = ""     # "<ExceptionType>@<where>" when the rollout failed
 
 
 @dataclass
@@ -126,6 +141,7 @@ class EvalReport:
     rows: list
     sr: float
     fs: float
+    fs_ok: float        # FS over the rollouts that did not fail
     dtg_cm: float
     sr_by_angle: dict
     sr_by_height: dict
@@ -139,27 +155,61 @@ def default_initial_poses(skeleton: Skeleton, n: int = 6) -> list[np.ndarray]:
     return [standing_pose(skeleton, yaw=2.0 * np.pi * k / n) for k in range(n)]
 
 
-def _rollout_metrics(args):
-    model, cfg, pose, goal, combo, pose_id, sample, seed_key = args
-    rng = np.random.default_rng(seed_key)
+class EvalTask(NamedTuple):
+    """One rollout of the benchmark; seed_key seeds its latents."""
+
+    pose: np.ndarray
+    goal: GoalSpec
+    combo: tuple       # (angle, height, distance)
+    pose_id: int
+    sample: int
+    seed_key: list
+
+
+def _failed_row(task: EvalTask, err: ReachGenError, where: str) -> EvalRow:
+    return EvalRow(task.pose_id, *task.combo, task.sample, float("inf"), False,
+                   1.0, f"{type(err).__name__}@{where}")
+
+
+def _chunk_metrics(args) -> list[EvalRow]:
+    """Rows of one chunk of tasks: one batched rollout, each row's latents
+    drawn as generate draws them from the row's seed key, and all rows
+    scored from one FK pass."""
+    model, cfg, tasks = args
+    k = model.spec.latent_dim
+    latents = np.stack([
+        draw_latents(np.random.default_rng(t.seed_key), cfg.duration, k,
+                     "sample", cfg.temperature)[1] for t in tasks])
+    joint = tasks[0].goal.target_joint
+    goal = GoalSpec(np.stack([t.goal.position for t in tasks]),
+                    np.array([t.goal.target_frame for t in tasks]), joint)
     try:
-        rec = generate(pose, GoalSchedule.single(goal), cfg.duration, model,
-                       rng, mode="sample", temperature=cfg.temperature)
-        seq = rec.sequence
-        dtg = distance_to_goal(seq, goal, model.skeleton)
-        row = EvalRow(pose_id, *combo, sample, dtg * 100.0,
-                      dtg <= cfg.success_radius,
-                      foot_skate(seq, model.skeleton, cfg.skate_threshold))
-        return row, False
-    except ReachGenError:
-        return EvalRow(pose_id, *combo, sample, float("inf"), False, 1.0), True
+        out = rollout_poses(np.stack([t.pose for t in tasks]),
+                            GoalSchedule.single(goal), cfg.duration, model, latents)
+    except ReachGenError as e:   # a fault that no held row explains
+        return [_failed_row(t, e, getattr(e, "where", None) or "rollout")
+                for t in tasks]
+    if all(out.faults):
+        return [_failed_row(t, err, f"rollout frame {frame}")
+                for t, (frame, err) in zip(tasks, out.faults)]
+    pos = forward_kinematics(np.stack(out.poses, axis=1), model.skeleton)
+    dtg = _closest_approach(pos, goal.position, model.skeleton.joint_index(joint))
+    fs = _skate_share(pos, cfg.skate_threshold)
+    return [EvalRow(t.pose_id, *t.combo, t.sample, float(d) * 100.0,
+                    bool(d <= cfg.success_radius), float(f)) if fault is None
+            else _failed_row(t, fault[1], f"rollout frame {fault[0]}")
+            for t, d, f, fault in zip(tasks, dtg, fs, out.faults)]
 
 
 def run_benchmark(model: MotionModel, cfg: EvalConfig,
                   initial_poses: list[np.ndarray] | None = None, seed: int = 0,
                   workers: int = 1) -> EvalReport:
-    """One rollout per (pose, goal, sample); per-rollout seeds derive from the
-    index tuple, so reports are identical for any worker count."""
+    """One rollout per (pose, goal, sample), run ROLLOUT_ROWS rows at a time.
+
+    Per-rollout seeds derive from the index tuple and the chunks are cut
+    from the task list in index order, so every row shares its BLAS calls
+    with the same siblings, and reports are identical for any worker count.
+    """
     if initial_poses is None:
         initial_poses = default_initial_poses(model.skeleton, cfg.n_initial_poses)
     if len(initial_poses) != cfg.n_initial_poses:
@@ -170,26 +220,27 @@ def run_benchmark(model: MotionModel, cfg: EvalConfig,
         grid = build_goal_grid(pose, cfg)
         for goal_id, (goal, combo) in enumerate(zip(grid.goals, grid.combos)):
             for sample in range(cfg.samples_per_pair):
-                tasks.append((model, cfg, pose, goal, combo, pose_id,
-                              sample, [seed, pose_id, goal_id, sample]))
+                tasks.append(EvalTask(np.asarray(pose, dtype=np.float64), goal,
+                                      combo, pose_id, sample,
+                                      [seed, pose_id, goal_id, sample]))
+    chunks = [(model, cfg, tasks[i:i + ROLLOUT_ROWS])
+              for i in range(0, len(tasks), ROLLOUT_ROWS)]
 
-    if workers <= 1:
-        results = [_rollout_metrics(t) for t in tasks]
+    if workers <= 1 or len(chunks) == 1:
+        results = [_chunk_metrics(c) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_rollout_metrics, tasks,
-                                    chunksize=max(len(tasks) // (workers * 4), 1)))
-
-    rows = [r for r, _ in results]
-    n_failures = sum(1 for _, failed in results if failed)
-    return summarize(rows, cfg, n_failures)
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            results = list(pool.map(_chunk_metrics, chunks))
+    return summarize([row for rows in results for row in rows], cfg)
 
 
-def summarize(rows: list, cfg: EvalConfig | None = None,
-              n_failures: int = 0) -> EvalReport:
-    ok = [r for r in rows if np.isfinite(r.dtg_cm)]
+def summarize(rows: list, cfg: EvalConfig | None = None) -> EvalReport:
+    """Aggregates of the rows; a failed row counts as a miss with FS 1 in
+    `sr` and `fs`, and is left out of `fs_ok` and `dtg_cm`."""
+    ok = [r for r in rows if not r.error and np.isfinite(r.dtg_cm)]
     sr = float(np.mean([r.success for r in rows])) if rows else 0.0
     fs = float(np.mean([r.fs for r in rows])) if rows else 0.0
+    fs_ok = float(np.mean([r.fs for r in ok])) if ok else float("nan")
     dtg = float(np.mean([r.dtg_cm for r in ok])) if ok else float("inf")
 
     def bucket(key):
@@ -198,8 +249,8 @@ def summarize(rows: list, cfg: EvalConfig | None = None,
             vals.setdefault(getattr(r, key), []).append(r.success)
         return {k: float(np.mean(v)) for k, v in sorted(vals.items())}
 
-    return EvalReport(rows, sr, fs, dtg, bucket("angle"), bucket("height"),
-                      bucket("distance"), n_failures, cfg)
+    return EvalReport(rows, sr, fs, fs_ok, dtg, bucket("angle"), bucket("height"),
+                      bucket("distance"), sum(1 for r in rows if r.error), cfg)
 
 
 # ------------------------------------------------------------------- output
@@ -233,7 +284,7 @@ def _svg_bar_chart(title: str, labels: list[str], values: list[float]) -> str:
 
 REPORT_HEADER = ("# lowest joint stands in for the lowest mesh vertex; "
                  "FS ungated; DTG = mean over sequences\n"
-                 "pose_id,angle,height,distance,sample,dtg_cm,success,fs\n")
+                 "pose_id,angle,height,distance,sample,dtg_cm,success,fs,error\n")
 
 
 def emit_report(report: EvalReport, out_dir) -> list[str]:
@@ -246,7 +297,8 @@ def emit_report(report: EvalReport, out_dir) -> list[str]:
         f.write(REPORT_HEADER)
         for r in report.rows:
             f.write(f"{r.pose_id},{r.angle!r},{r.height!r},{r.distance!r},"
-                    f"{r.sample},{r.dtg_cm!r},{int(r.success)},{r.fs!r}\n")
+                    f"{r.sample},{r.dtg_cm!r},{int(r.success)},{r.fs!r},"
+                    f"{r.error}\n")
     paths.append(path)
 
     path = os.path.join(out_dir, "aggregates.csv")
@@ -255,6 +307,7 @@ def emit_report(report: EvalReport, out_dir) -> list[str]:
         f.write(f"rollouts,{len(report.rows)}\n")
         f.write(f"sr,{report.sr!r}\n")
         f.write(f"fs,{report.fs!r}\n")
+        f.write(f"fs_ok,{report.fs_ok!r}\n")
         f.write(f"dtg_cm,{report.dtg_cm!r}\n")
         f.write(f"failures,{report.n_failures}\n")
         for name, buckets in (("angle", report.sr_by_angle),
@@ -282,7 +335,8 @@ def parse_report_csv(path) -> list[EvalRow]:
         for line in f:
             if line.startswith("#") or line.startswith("pose_id"):
                 continue
-            p = line.strip().split(",")
+            p = line.rstrip("\n").split(",")
             rows.append(EvalRow(int(p[0]), float(p[1]), float(p[2]), float(p[3]),
-                                int(p[4]), float(p[5]), bool(int(p[6])), float(p[7])))
+                                int(p[4]), float(p[5]), bool(int(p[6])), float(p[7]),
+                                p[8]))
     return rows

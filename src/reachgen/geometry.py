@@ -32,6 +32,37 @@ def _project_out(g, unit, norm):
     return (g - unit * (unit * g).sum(axis=-1, keepdims=True)) / norm
 
 
+def _gram_schmidt(rd, m):
+    """The first two decoded columns of (..., 6) encodings, written in place
+    into m[..., :, 0] and m[..., :, 1]; returns (na, d, nu, short, collinear).
+
+    na and nu are the norms of the first half and of the second half with
+    its projection d removed. `short` and `collinear` ((..., 1) bool) mark the
+    encodings sixd_to_matrix rejects; a short first half is divided by 1
+    instead, so the other rows keep their bits and no division warns.
+    """
+    a = rd[..., 0:3]
+    b = rd[..., 3:6]
+    na = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+    short = na < DEGENERACY_EPS
+    c1 = np.divide(a, np.where(short, 1.0, na) if short.any() else na,
+                   out=m[..., :, 0])
+    d = (b * c1).sum(axis=-1, keepdims=True)
+    u = np.multiply(d, c1, out=m[..., :, 1])
+    np.subtract(b, u, out=u)
+    nu = np.sqrt((u * u).sum(axis=-1, keepdims=True))
+    collinear = nu < DEGENERACY_EPS
+    np.divide(u, np.where(collinear, 1.0, nu) if collinear.any() else nu, out=u)
+    return na, d, nu, short, collinear
+
+
+def degenerate_sixd(r) -> np.ndarray:
+    """(...) bool: the (..., 6) encodings sixd_to_matrix rejects."""
+    rd = ag.value(r)
+    *_, short, collinear = _gram_schmidt(rd, np.empty(rd.shape[:-1] + (3, 3)))
+    return (short | collinear)[..., 0]
+
+
 def sixd_to_matrix(r):
     """Decode (..., 6) into orthonormal right-handed (..., 3, 3).
 
@@ -39,22 +70,17 @@ def sixd_to_matrix(r):
     Raises DegenerateRotationError for near-zero or collinear halves.
     """
     rd = ag.value(r)
-    a = rd[..., 0:3]
     b = rd[..., 3:6]
-    na = np.sqrt((a * a).sum(axis=-1, keepdims=True))
-    if np.any(na < DEGENERACY_EPS):
-        raise DegenerateRotationError("first 6D half has near-zero norm")
     # the columns are computed in place in the output, which keeps the
     # peak memory of a batched decode near the size of the result
     m = np.empty(rd.shape[:-1] + (3, 3))
-    c1 = np.divide(a, na, out=m[..., :, 0])
-    d = (b * c1).sum(axis=-1, keepdims=True)
-    u = np.multiply(d, c1, out=m[..., :, 1])
-    np.subtract(b, u, out=u)
-    nu = np.sqrt((u * u).sum(axis=-1, keepdims=True))
-    if np.any(nu < DEGENERACY_EPS):
+    na, d, nu, short, collinear = _gram_schmidt(rd, m)
+    if short.any():
+        raise DegenerateRotationError("first 6D half has near-zero norm")
+    if collinear.any():
         raise DegenerateRotationError("6D halves are collinear")
-    c2 = np.divide(u, nu, out=u)
+    c1 = m[..., :, 0]
+    c2 = m[..., :, 1]
     _cross(c1, c2, out=m[..., :, 2])
 
     def vjp(g):

@@ -74,8 +74,10 @@ class OptReport:
 def _objective_terms(latents: Tensor, record: RolloutRecord, goal: GoalSpec,
                      objective: OptObjective, model: MotionModel):
     skeleton = model.skeleton
-    poses, _, _ = rollout_poses(record.sequence.poses[0], goal, record.duration,
-                                model, latents)
+    out = rollout_poses(record.sequence.poses[0], goal, record.duration,
+                        model, latents)
+    out.raise_fault()
+    poses = out.poses
     l_norm = 0.5 * ag.sum(latents * latents)
     wrist_idx = skeleton.joint_index(goal.target_joint)
     wrist = joint_position(poses[-1], skeleton, wrist_idx)

@@ -5,15 +5,17 @@ everything needed to replay bit-exactly or to re-optimize the latents.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ag
-from .body import integrate_delta, joint_position, pose_dim
+from .body import Skeleton, integrate_delta, joint_position, pose_dim
 from .container import read_container, write_container
 from .dataset import MotionSequence, load_motion, save_motion
-from .errors import (CorruptFileError, InvalidInputError, ModelMismatchError,
-                     NumericFault, TimeScaleError)
+from .errors import (CorruptFileError, DegenerateRotationError, InvalidInputError,
+                     ModelMismatchError, NumericFault, TimeScaleError)
+from .geometry import degenerate_sixd
 from .intention import GoalSpec, assemble_condition
 from .model import MotionModel
 
@@ -40,8 +42,8 @@ class GoalSchedule:
             raise InvalidInputError(f"unknown switch policy {self.policy!r}")
         if self.radius <= 0:
             raise InvalidInputError("radius must be positive")
-        frames = [g.target_frame for g in self.goals]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
+        frames = [np.asarray(g.target_frame) for g in self.goals]
+        if any(np.any(b <= a) for a, b in zip(frames, frames[1:])):
             raise InvalidInputError("goal target frames must be strictly increasing")
 
     @classmethod
@@ -79,31 +81,112 @@ class RolloutRecord:
         return self.latents.shape[0]
 
 
-def _advance_schedule(schedule: GoalSchedule, active: int, cur_pose,
-                      model: MotionModel, current_frame: int) -> int:
-    if active >= len(schedule.goals) - 1:
-        return active
-    goal = schedule.goals[active]
-    if schedule.policy == "on_frame":
-        while (active < len(schedule.goals) - 1
-               and current_frame >= schedule.goals[active].target_frame):
-            active += 1
-        return active
-    wrist_idx = model.skeleton.joint_index(goal.target_joint)
-    wrist = ag.value(joint_position(cur_pose, model.skeleton, wrist_idx))
-    if np.linalg.norm(wrist - goal.position) <= schedule.radius:
-        active += 1
-    return active
+class Rollout(NamedTuple):
+    """The rows of one closed-loop rollout. Each list holds one entry per
+    frame, shaped like the rows, (B, ...) or one unbatched row: poses from
+    the initial frame on, intentions and active goal indices from the first
+    generated frame on. The lists stop early only when every row faulted.
+
+    faults[r] is None, or (frame, error) for the first frame whose pose row
+    r could not produce: a non-finite delta (NumericFault) or an integrated
+    6D rotation that sixd_to_matrix rejects (DegenerateRotationError). From
+    then on the row holds that frame's previous pose and a zero delta.
+    """
+
+    poses: list
+    intentions: list
+    goal_indices: list
+    faults: list
+
+    def raise_fault(self) -> None:
+        """Raise the recorded fault of a single-row rollout, if any."""
+        if self.faults[0] is not None:
+            raise self.faults[0][1]
+
+
+class _GoalRows:
+    """A schedule's goals broadcast to the rows' leading shape, (B,) or (),
+    for per-row goal switching."""
+
+    def __init__(self, schedule: GoalSchedule, lead: tuple):
+        self.schedule = schedule
+        self.last = len(schedule.goals) - 1
+        self.rows = (np.arange(lead[0]),) if lead else ()
+        if self.last:
+            self.positions = np.stack([np.broadcast_to(g.position, lead + (3,))
+                                       for g in schedule.goals])
+            self.frames = np.stack([np.broadcast_to(g.target_frame, lead)
+                                    for g in schedule.goals])
+
+    def _joint(self, active) -> str:
+        joints = {self.schedule.goals[k].target_joint for k in np.unique(active)}
+        if len(joints) > 1:
+            raise InvalidInputError("rows on different goals need one target joint")
+        return joints.pop()
+
+    def goal(self, active) -> GoalSpec:
+        """The active goal of every row; the schedule's own GoalSpec while
+        all rows share one."""
+        if not self.last:
+            return self.schedule.goals[0]
+        first = active.flat[0]
+        if (active == first).all():
+            return self.schedule.goals[first]
+        at = (active,) + self.rows
+        return GoalSpec(self.positions[at], self.frames[at], self._joint(active))
+
+    def advance(self, active, cur_pose, skeleton: Skeleton, current_frame: int):
+        """Per-row active goal indices after the switch policy's test."""
+        if not self.last or (active >= self.last).all():
+            return active
+        if self.schedule.policy == "on_frame":
+            while True:
+                step = ((active < self.last)
+                        & (current_frame >= self.frames[(active,) + self.rows]))
+                if not step.any():
+                    return active
+                active = active + step
+        wrist_idx = skeleton.joint_index(self._joint(active))
+        wrist = ag.value(joint_position(cur_pose, skeleton, wrist_idx))
+        dist = np.linalg.norm(wrist - self.positions[(active,) + self.rows], axis=-1)
+        return active + ((active < self.last) & (dist <= self.schedule.radius))
+
+
+def _degenerate_rows(pose, n_joints: int):
+    """Mask of the pose rows holding a 6D rotation sixd_to_matrix rejects."""
+    pd = ag.value(pose)
+    return degenerate_sixd(
+        pd[..., 3:].reshape(pd.shape[:-1] + (n_joints, 6))).any(axis=-1)
+
+
+def _non_finite_fault(frame: int):
+    return NumericFault("non-finite delta", where=f"rollout frame {frame}")
+
+
+def _degenerate_fault(frame: int):
+    return DegenerateRotationError(
+        f"integrated 6D rotation is near-zero or collinear (at rollout frame {frame})")
 
 
 def rollout_poses(initial_pose, schedule_or_goal, duration: int,
-                  model: MotionModel, latents):
-    """Core loop shared by generation, replay, and latent optimization.
+                  model: MotionModel, latents) -> Rollout:
+    """The closed-loop rollout of B rows, shared by generation, replay,
+    latent optimization and evaluation.
 
-    latents: (duration, latent_dim) array or Tensor rows; when a Tape is
-    active and latents require gradients, every pose is differentiable in
-    them. Returns (pose list incl. initial, per-frame intention vectors,
-    per-frame goal indices).
+    initial_pose: (B, pose_dim) and latents: (B, duration, latent_dim), or
+    one unbatched row, (pose_dim,) and (duration, latent_dim); arrays or
+    Tensor rows. A leading axis of 1 would cost numpy overhead on every op
+    of every frame, so single-row callers pass the row unbatched. When a
+    Tape is active and the latents require gradients, every pose is
+    differentiable in them. The schedule's goals may hold per-row (B, 3)
+    positions and (B,) target frames; each row switches goals on its own.
+    A row that faults is frozen (see Rollout) but keeps its row in every
+    matmul, so its siblings keep their bits; the loop stops once every row
+    faulted.
+
+    A degenerate 6D rotation is found where the next frame's FK rejects
+    it, so the check costs nothing while no row faults; the last frame's
+    poses are checked after the loop.
     """
     if isinstance(schedule_or_goal, GoalSpec):
         schedule = GoalSchedule.single(schedule_or_goal)
@@ -111,30 +194,89 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
         schedule = schedule_or_goal
     skeleton = model.skeleton
     cur = initial_pose
-    prev_delta = np.zeros(pose_dim(skeleton.n_rotated))
-    poses = [cur]
-    intents = []
-    goal_idx = []
-    active = 0
+    lead = ag.value(cur).shape[:-1]
+    at_frame = (slice(None),) * len(lead)
+    goals = _GoalRows(schedule, lead)
+    prev_delta = np.zeros(lead + (pose_dim(skeleton.n_rotated),))
+    active = np.zeros(lead, dtype=np.int64)
+    frozen = np.zeros(lead, dtype=bool)
+    out = Rollout([cur], [], [], [None] * frozen.size)
+
+    def freeze(bad, frame: int, fault) -> bool:
+        """Record the first fault of the bad rows; True once all faulted."""
+        for r in np.flatnonzero(bad & ~frozen):
+            out.faults[r] = (frame, fault(frame))
+        np.logical_or(frozen, bad, out=frozen)
+        return bool(frozen.all())
+
+    def hold_degenerate(bad, frame: int) -> bool:
+        """Hold the bad rows, degenerate at `frame`, at the pose before it;
+        True once all rows faulted."""
+        nonlocal cur, prev_delta
+        if freeze(bad, frame, _degenerate_fault):
+            return True
+        cur = np.where(bad[..., None], ag.value(out.poses[-2]), ag.value(cur))
+        prev_delta = np.where(bad[..., None], 0.0, ag.value(prev_delta))
+        out.poses[-1] = cur
+        return False
+
+    def condition(current_frame: int):
+        now = goals.advance(active, cur, skeleton, current_frame)
+        cond, intent = assemble_condition(cur, prev_delta, skeleton,
+                                          goals.goal(now), current_frame)
+        return now, cond, intent
+
     for i in range(1, duration + 1):
         current_frame = i - 1
-        active = _advance_schedule(schedule, active, cur, model, current_frame)
-        cond, intent = assemble_condition(cur, prev_delta, skeleton,
-                                          schedule.goals[active], current_frame)
+        try:
+            active, cond, intent = condition(current_frame)
+        except DegenerateRotationError:
+            bad = _degenerate_rows(cur, skeleton.n_joints)
+            if i == 1 or not bad.any():
+                raise   # the caller's input, not a pose the loop integrated
+            if hold_degenerate(bad, current_frame):
+                break
+            active, cond, intent = condition(current_frame)
         # the decoded delta is integrated now and conditions the next frame
-        prev_delta = model.decode_delta(latents[i - 1], cond)
-        if not np.all(np.isfinite(ag.value(prev_delta))):
-            raise NumericFault("non-finite delta", where=f"rollout frame {i}")
-        cur = integrate_delta(cur, prev_delta)
-        poses.append(cur)
-        intents.append(intent)
-        goal_idx.append(active)
-    return poses, intents, goal_idx
+        delta = model.decode_delta(latents[at_frame + (i - 1,)], cond)
+        finite = np.isfinite(ag.value(delta)).all(axis=-1)
+        if not finite.all() and freeze(~finite, i, _non_finite_fault):
+            break
+        nxt = integrate_delta(cur, delta)
+        if any(out.faults):    # some row is held
+            hold = frozen[..., None]
+            delta = np.where(hold, 0.0, ag.value(delta))
+            nxt = np.where(hold, ag.value(cur), ag.value(nxt))
+        prev_delta = delta
+        cur = nxt
+        out.poses.append(cur)
+        out.intentions.append(intent)
+        out.goal_indices.append(active)
+    else:
+        bad = _degenerate_rows(cur, skeleton.n_joints)
+        if bad.any():
+            hold_degenerate(bad, duration)
+    return out
 
 
 def _generated_sequence(poses, fps: float, model: MotionModel,
                         ident: str) -> MotionSequence:
     return MotionSequence(fps, np.stack(poses), model.skeleton, None, "generated", ident)
+
+
+def draw_latents(rng: np.random.Generator, duration: int, latent_dim: int,
+                 mode: str = "sample", temperature: float = 1.0):
+    """(noise_seeds (duration,) uint64, latents (duration, latent_dim)): one
+    seed per frame drawn from rng, each seeding its frame's normal draw;
+    zeros in "mean" mode."""
+    if mode == "mean":
+        return (np.zeros(duration, dtype=np.uint64),
+                np.zeros((duration, latent_dim)))
+    noise_seeds = rng.integers(0, 2**63 - 1, size=duration, dtype=np.uint64)
+    latents = np.stack([
+        np.random.default_rng(int(s)).standard_normal(latent_dim) * temperature
+        for s in noise_seeds])
+    return noise_seeds, latents
 
 
 def generate(initial_pose, schedule: GoalSchedule, duration: int,
@@ -146,22 +288,16 @@ def generate(initial_pose, schedule: GoalSchedule, duration: int,
         raise ValueError(f"unknown mode {mode!r}")
     if duration < 1:
         raise InvalidInputError("duration must be >= 1")
-    k = model.spec.latent_dim
-    if mode == "mean":
-        noise_seeds = np.zeros(duration, dtype=np.uint64)
-        latents = np.zeros((duration, k))
-    else:
-        noise_seeds = rng.integers(0, 2**63 - 1, size=duration, dtype=np.uint64)
-        latents = np.stack([
-            np.random.default_rng(int(s)).standard_normal(k) * temperature
-            for s in noise_seeds])
-    poses, intents, goal_idx = rollout_poses(
-        initial_pose, schedule, duration, model, latents)
+    noise_seeds, latents = draw_latents(rng, duration, model.spec.latent_dim,
+                                        mode, temperature)
+    out = rollout_poses(initial_pose, schedule, duration, model, latents)
+    out.raise_fault()
     return RolloutRecord(
-        sequence=_generated_sequence(poses, fps, model, ident), latents=latents,
-        intentions=np.stack(intents), noise_seeds=noise_seeds,
-        goal_indices=np.array(goal_idx), schedule=schedule,
-        model_hash=model.hash(), mode=mode, temperature=temperature)
+        sequence=_generated_sequence(out.poses, fps, model, ident),
+        latents=latents, intentions=np.stack(out.intentions),
+        noise_seeds=noise_seeds, goal_indices=np.array(out.goal_indices),
+        schedule=schedule, model_hash=model.hash(), mode=mode,
+        temperature=temperature)
 
 
 def replay(record: RolloutRecord, model: MotionModel) -> MotionSequence:
@@ -174,13 +310,14 @@ def replay(record: RolloutRecord, model: MotionModel) -> MotionSequence:
 def with_latents(record: RolloutRecord, latents: np.ndarray,
                  model: MotionModel) -> RolloutRecord:
     """New record generated from the same start with different latents."""
-    poses, intents, goal_idx = rollout_poses(
-        record.sequence.poses[0], record.schedule, record.duration, model, latents)
-    seq = _generated_sequence(poses, record.sequence.fps, model,
+    out = rollout_poses(record.sequence.poses[0], record.schedule,
+                        record.duration, model, latents)
+    out.raise_fault()
+    seq = _generated_sequence(out.poses, record.sequence.fps, model,
                               record.sequence.ident)
     return replace(record, sequence=seq, latents=np.asarray(latents),
-                   intentions=np.stack(intents),
-                   goal_indices=np.array(goal_idx))
+                   intentions=np.stack(out.intentions),
+                   goal_indices=np.array(out.goal_indices))
 
 
 # ------------------------------------------------------------------ file IO

@@ -14,7 +14,8 @@ from .body import (FK_ROWS, Skeleton, forward_kinematics, integrate_delta,
                    pose_delta)
 from .dataset import MotionSequence, sample_training_window
 from .errors import CorpusTooSmallError, NumericFault, SkipWindow
-from .intention import GoalSpec, assemble_condition, condition_dim
+from .intention import (DEFAULT_HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
+                        condition_dim)
 from .model import (LossBreakdown, MotionModel, compute_loss, decode, encode,
                     fresh_model)
 from .nn import AdamState, adam_step, reparameterize
@@ -35,7 +36,7 @@ class TrainConfig:
     window_len: int = 40
     windows_per_sequence: int = 1
     kl_direction: str = "standard"
-    hindsight_horizon: tuple[int, int] = (15, 150)
+    hindsight_horizon: tuple[int, int] = DEFAULT_HINDSIGHT_HORIZON
 
     def __post_init__(self):
         if self.alpha <= 0:

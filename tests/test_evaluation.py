@@ -4,10 +4,10 @@ import pytest
 from reachgen import dataset as ds
 from reachgen import evaluation as ev
 from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose
-from reachgen.errors import DegenerateRotationError
+from reachgen.errors import DegenerateRotationError, NumericFault
 from reachgen.intention import GoalSpec
 from reachgen.model import MotionModel, fresh_model
-from reachgen.rollout import GoalSchedule, generate
+from reachgen.rollout import GoalSchedule, draw_latents, generate, rollout_poses
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +128,19 @@ def test_benchmark_oracle_teleporting_wrist(skel, monkeypatch):
     wrist_idx = skel.joint_index("right_wrist")
 
     def oracle_metrics(args):
-        model, cfg, pose_vec, goal, combo, pose_id, sample, seed_key = args
+        model, cfg, tasks = args
         wrist_rest = np.asarray(joint_position(rest_pose(skel), skel, wrist_idx))
-        # translate the whole body so the wrist sits exactly on the goal
-        seq = sequence_from_translations(skel, [goal.position - wrist_rest] * 3)
-        dtg = ev.distance_to_goal(seq, goal, skel)
-        return ev.EvalRow(pose_id, *combo, sample, dtg * 100.0,
-                          dtg <= cfg.success_radius, 0.0), False
+        rows = []
+        for task in tasks:
+            # translate the whole body so the wrist sits exactly on the goal
+            seq = sequence_from_translations(
+                skel, [task.goal.position - wrist_rest] * 3)
+            dtg = ev.distance_to_goal(seq, task.goal, skel)
+            rows.append(ev.EvalRow(task.pose_id, *task.combo, task.sample,
+                                   dtg * 100.0, dtg <= cfg.success_radius, 0.0))
+        return rows
 
-    monkeypatch.setattr(ev, "_rollout_metrics", oracle_metrics)
+    monkeypatch.setattr(ev, "_chunk_metrics", oracle_metrics)
     report = ev.run_benchmark(model, cfg, seed=1)
     assert len(report.rows) == 8
     assert report.sr == 1.0
@@ -196,8 +200,10 @@ def test_degenerate_rotation_mid_rollout_fails_one_row(skel, monkeypatch):
         calls.append(1)
         if len(calls) == 4:
             # the condition holds the yaw-canonical root 6D at [1:7], so this
-            # root delta cancels the root orientation on integration
-            delta[3:9] = -np.asarray(cond_vec)[1:7]
+            # root delta cancels the first row's root orientation on
+            # integration; generate decodes one unbatched row and
+            # run_benchmark (B, ...) rows, one decode call per frame
+            np.atleast_2d(delta)[0, 3:9] = -np.atleast_2d(cond_vec)[0, 1:7]
         return delta
 
     monkeypatch.setattr(MotionModel, "decode_delta", collapsing_decoder)
@@ -212,3 +218,109 @@ def test_degenerate_rotation_mid_rollout_fails_one_row(skel, monkeypatch):
     failed, ok = report.rows
     assert failed.dtg_cm == float("inf") and failed.fs == 1.0 and not failed.success
     assert np.isfinite(ok.dtg_cm)
+
+
+def test_report_keeps_failed_rows_error_and_fs_ok(tmp_path):
+    rows = [ev.EvalRow(0, 0.0, 0.9, 0.5, 0, 7.5, True, 0.25),
+            ev.EvalRow(0, np.pi, 0.9, 0.5, 0, float("inf"), False, 1.0,
+                       "NumericFault@rollout frame 7")]
+    report = ev.summarize(rows)
+    assert report.n_failures == 1
+    assert report.fs == 0.625 and report.fs_ok == 0.25
+    assert report.dtg_cm == 7.5
+    paths = ev.emit_report(report, tmp_path)
+    assert ev.parse_report_csv(paths[0]) == rows
+    assert "fs_ok,0.25\n" in (tmp_path / "aggregates.csv").read_text()
+
+
+def test_chunk_rows_match_batch1_generate_within_tolerance(skel):
+    """Every row of one chunk against a batch-1 generate of its seed key,
+    40 frames, desk-size model. OpenBLAS rounds a 12-row matmul differently
+    from a 1-row one and the closed loop amplifies it: measured at most
+    2.0e-13 in pose over four model seeds, so the bound leaves 500x."""
+    model = fresh_model(skel, latent_dim=16, hidden_dim=64, n_layers=4, seed=0)
+    cfg = ev.EvalConfig(n_angles=3, n_heights=2, n_distances=2,
+                        n_initial_poses=1, samples_per_pair=1, duration=40,
+                        height_range=(0.8, 1.2), distance_range=(0.6, 1.5))
+    pose = ev.default_initial_poses(skel, 1)[0]
+    grid = ev.build_goal_grid(pose, cfg)
+    keys = [[7, 0, g, 0] for g in range(len(grid.goals))]
+    assert len(keys) <= ev.ROLLOUT_ROWS    # one chunk
+    latents = np.stack([draw_latents(np.random.default_rng(k), 40, 16)[1]
+                        for k in keys])
+    goal = GoalSpec(np.stack([g.position for g in grid.goals]), 40)
+    out = rollout_poses(np.tile(pose, (len(keys), 1)), GoalSchedule.single(goal),
+                        40, model, latents)
+    assert out.faults == [None] * len(keys)
+    chunk = np.stack(out.poses, axis=1)
+    report = ev.run_benchmark(model, cfg, [pose], seed=7)
+    for row, goal_k, key, chunk_row in zip(report.rows, grid.goals, keys, chunk):
+        rec = generate(pose, GoalSchedule.single(goal_k), 40, model,
+                       np.random.default_rng(key))
+        np.testing.assert_allclose(chunk_row, rec.sequence.poses, rtol=0, atol=1e-10)
+        dtg = ev.distance_to_goal(rec.sequence, goal_k, skel)
+        assert row.dtg_cm == pytest.approx(dtg * 100.0, rel=0, abs=1e-8)
+        assert row.fs == ev.foot_skate(rec.sequence, skel, cfg.skate_threshold)
+
+
+def test_faulting_row_leaves_siblings_bit_identical(skel, monkeypatch):
+    """Row 1 collapses its root 6D at frame 4 and row 2 decodes NaN at frame
+    7; both are held, and rows 0 and 3 keep every bit of the clean chunk."""
+    model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=3)
+    cfg = ev.EvalConfig(n_angles=4, n_heights=1, n_distances=1,
+                        n_initial_poses=1, samples_per_pair=1, duration=12,
+                        height_range=(1.0, 1.0), distance_range=(1.0, 1.0))
+    pose = ev.default_initial_poses(skel, 1)[0]
+    grid = ev.build_goal_grid(pose, cfg)
+    latents = np.random.default_rng(0).standard_normal((4, 12, 4))
+    goal = GoalSpec(np.stack([g.position for g in grid.goals]), 12)
+
+    def chunk():
+        return rollout_poses(np.tile(pose, (4, 1)), goal, 12, model, latents)
+
+    clean = chunk()
+    clean_rows = ev.run_benchmark(model, cfg, seed=1).rows
+    decode = MotionModel.decode_delta
+    calls = []
+
+    def faulting_decoder(self, z, cond_vec, **kwargs):
+        delta = np.array(decode(self, z, cond_vec, **kwargs))
+        calls.append(1)
+        if len(calls) == 4:
+            delta[1, 3:9] = -np.asarray(cond_vec)[1, 1:7]
+        if len(calls) == 7:
+            delta[2, 5] = np.nan
+        return delta
+
+    monkeypatch.setattr(MotionModel, "decode_delta", faulting_decoder)
+    out = chunk()
+    assert [f and (f[0], type(f[1])) for f in out.faults] == \
+        [None, (4, DegenerateRotationError), (7, NumericFault), None]
+    poses, clean_poses = np.stack(out.poses, axis=1), np.stack(clean.poses, axis=1)
+    np.testing.assert_array_equal(poses[[0, 3]], clean_poses[[0, 3]])
+    np.testing.assert_array_equal(poses[1, 3:], np.broadcast_to(poses[1, 3], (10, 81)))
+    np.testing.assert_array_equal(poses[2, 6:], np.broadcast_to(poses[2, 6], (7, 81)))
+
+    calls.clear()
+    report = ev.run_benchmark(model, cfg, seed=1)
+    assert [r.error for r in report.rows] == [
+        "", "DegenerateRotationError@rollout frame 4",
+        "NumericFault@rollout frame 7", ""]
+    assert report.rows[0] == clean_rows[0] and report.rows[3] == clean_rows[3]
+    assert report.n_failures == 2
+
+
+def test_report_identical_for_any_worker_count(skel, monkeypatch, tmp_path):
+    # 9 rollouts in chunks of 2: five chunks, more than any worker count here
+    monkeypatch.setattr(ev, "ROLLOUT_ROWS", 2)
+    model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=5)
+    cfg = ev.EvalConfig(n_angles=3, n_heights=1, n_distances=1,
+                        n_initial_poses=1, samples_per_pair=3, duration=6,
+                        height_range=(1.0, 1.0), distance_range=(1.0, 1.0))
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / str(workers)
+        ev.emit_report(ev.run_benchmark(model, cfg, seed=4, workers=workers), out)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("report.csv", "aggregates.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -3,10 +3,10 @@ import pytest
 
 from reachgen import rollout as ro
 from reachgen.body import desk_skeleton, joint_position, rest_pose, rotate_pose_z
-from reachgen.errors import ModelMismatchError, TimeScaleError
+from reachgen.errors import ModelMismatchError, NumericFault, TimeScaleError
 from reachgen.geometry import rotation_z_matrix
 from reachgen.intention import GoalSpec, wrist_intention
-from reachgen.model import fresh_model
+from reachgen.model import MotionModel, fresh_model
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +171,50 @@ def test_record_io_roundtrip(tmp_path, model, skel):
     # byte-stable: writing twice gives identical files
     ro.save_record(back, tmp_path / "b.mot", tmp_path / "b.lat")
     assert (tmp_path / "b.lat").read_bytes() == sp.read_bytes()
+
+
+def test_non_finite_delta_raises_numeric_fault_with_its_frame(model, skel,
+                                                              monkeypatch):
+    decode = MotionModel.decode_delta
+    calls = []
+
+    def nan_decoder(self, z, cond_vec, **kwargs):
+        calls.append(1)
+        delta = np.array(decode(self, z, cond_vec, **kwargs))
+        if len(calls) == 3:
+            delta[..., 4] = np.nan
+        return delta
+
+    monkeypatch.setattr(MotionModel, "decode_delta", nan_decoder)
+    with pytest.raises(NumericFault, match="rollout frame 3"):
+        ro.generate(rest_pose(skel), ro.GoalSchedule.single(goal_at(1, 1, 1)),
+                    10, model, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("policy", ["on_frame", "on_reach"])
+def test_rows_switch_goals_on_their_own(model, skel, policy):
+    """Two rows with their own goals and target frames in one rollout: each
+    row's goal indices equal those of its batch-1 generate, and its poses
+    agree to rounding."""
+    pose = rest_pose(skel)
+    wrist = np.asarray(joint_position(pose, skel, skel.joint_index("right_wrist")))
+    # row 0 starts on its first goal, so on_reach switches it at frame 0
+    first = np.stack([wrist, wrist + 3.0])
+    second = np.array([[-0.5, 0.5, 1.0], [0.5, -0.5, 1.2]])
+    frames = (np.array([4, 9]), np.array([20, 30]))
+    rows = [ro.GoalSchedule((GoalSpec(first[r], frames[0][r]),
+                             GoalSpec(second[r], frames[1][r])), policy=policy)
+            for r in range(2)]
+    batched = ro.GoalSchedule((GoalSpec(first, frames[0]),
+                               GoalSpec(second, frames[1])), policy=policy)
+    recs = [ro.generate(pose, sched, 15, model, np.random.default_rng(r))
+            for r, sched in enumerate(rows)]
+    out = ro.rollout_poses(np.stack([pose, pose]), batched, 15, model,
+                           np.stack([rec.latents for rec in recs]))
+    assert out.faults == [None, None]
+    goal_idx = np.stack(out.goal_indices, axis=1)
+    poses = np.stack(out.poses, axis=1)
+    for r, rec in enumerate(recs):
+        np.testing.assert_array_equal(goal_idx[r], rec.goal_indices)
+        np.testing.assert_allclose(poses[r], rec.sequence.poses, rtol=0, atol=1e-10)
+    assert goal_idx[0].tolist() != goal_idx[1].tolist()
