@@ -19,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ag
 from .errors import DimensionMismatchError
-from .geometry import (_rotated, identity_sixd, rotate_sixd_z, rotate_z, safe_unit,
-                       sixd_to_matrix, yaw_of)
+from .geometry import (_project_out, _rotated, _safe_norm, identity_sixd, rotate_sixd_z,
+                       rotate_z, sixd_to_matrix, yaw_of)
 
 
 FK_ROWS = 64   # poses per batched FK pass; see forward_kinematics
@@ -85,6 +85,19 @@ class Skeleton:
             levels.append(DepthLevel(joints, np.array(self.parents)[joints],
                                      self.offsets[joints][:, :, None]))
         return tuple(levels)
+
+    @cached_property
+    def _chains(self) -> tuple:
+        chains = [()]
+        for j in range(1, self.n_joints):
+            chains.append(chains[self.parents[j]]
+                          + ((j, self.offsets[j].reshape(3, 1)),))
+        return tuple(chains)
+
+    def chain(self, joint: int) -> tuple[tuple[int, np.ndarray], ...]:
+        """(joint, rest offset (3, 1)) steps from the root's child down to
+        `joint`; empty for the root."""
+        return self._chains[joint]
 
     def to_text(self) -> str:
         payload = {
@@ -243,9 +256,54 @@ def _joint_positions(translation, local, skeleton: Skeleton):
                      (translation, local), vjp)
 
 
-def _heading(root_matrix, skeleton: Skeleton):
-    fwd = ag.matmul(root_matrix, skeleton.forward_axis.reshape(3, 1))[..., 0]
-    return safe_unit(fwd[..., 0:2])
+def _chain_position(translation, local, skeleton: Skeleton, joint: int):
+    """World position (..., 3) of one joint from local rotations, one fused
+    op that walks only the root-to-`joint` chain.
+
+    Each step is FK's for that joint, in the same op order, so the result
+    has the bits of forward_kinematics(...)[..., joint, :]; the VJP also
+    runs along the chain only.
+    """
+    td = ag.value(translation)
+    ld = ag.value(local)
+    chain = skeleton.chain(joint)
+    world = [ld[..., 0, :, :]]     # the world rotation of each step's parent
+    for j, _ in chain[:-1]:
+        world.append(world[-1] @ ld[..., j, :, :])
+    pos = td
+    for (j, off), w in zip(chain, world):
+        pos = pos + (w @ off)[..., 0]
+
+    def vjp(g):
+        glocal = np.zeros(pos.shape[:-1] + ld.shape[-3:])
+        gw = np.zeros(pos.shape + (3,))
+        for (j, off), w in zip(reversed(chain), reversed(world)):
+            glocal[..., j, :, :] = w.mT @ gw
+            gw = gw @ ld[..., j, :, :].mT + g[..., None] * off.mT
+        glocal[..., 0, :, :] = gw
+        return ag.unbroadcast(g, td.shape), ag.unbroadcast(glocal, ld.shape)
+
+    return ag.record(pos, (translation, local), vjp)
+
+
+def _heading(local, skeleton: Skeleton):
+    """Unit xy direction of the forward axis turned by the root rotation
+    local[..., 0, :, :], (0, 0) where it is degenerate; one fused op with
+    the op order of a matmul followed by safe_unit."""
+    ld = ag.value(local)
+    axis = skeleton.forward_axis.reshape(3, 1)
+    fwd = (ld[..., 0, :, :] @ axis)[..., 0:2, 0]
+    safe, small = _safe_norm(fwd)
+    unit = np.where(small, 0.0, fwd / safe)
+
+    def vjp(g):
+        groot = np.zeros(ld.shape[:-3] + (3, 1))
+        groot[..., 0:2, 0] = np.where(small, 0.0, _project_out(g, unit, safe))
+        glocal = np.zeros(ld.shape)
+        glocal[..., 0, :, :] = groot @ axis.mT
+        return (glocal,)
+
+    return ag.record(unit, (local,), vjp)
 
 
 def _forward_kinematics(pose, skeleton: Skeleton):
@@ -268,20 +326,23 @@ def forward_kinematics(pose, skeleton: Skeleton):
 
 
 def joint_position(pose, skeleton: Skeleton, joint: int):
-    """World position of one joint."""
-    return forward_kinematics(pose, skeleton)[..., joint, :]
+    """World position (..., 3) of one joint: every rotation is decoded, as
+    for forward_kinematics, so a degenerate one raises here too, but only
+    the root-to-joint chain is walked."""
+    return _chain_position(pose[..., 0:3], _local_rotations(pose, skeleton),
+                           skeleton, joint)
 
 
 def heading_of(pose, skeleton: Skeleton):
     """Unit xy direction of the body's forward axis; (0, 0) when degenerate."""
-    return _heading(sixd_to_matrix(pose[..., 3:9]), skeleton)
+    return _heading(sixd_to_matrix(pose[..., None, 3:9]), skeleton)
 
 
 def joint_position_and_heading(pose, skeleton: Skeleton, joint: int):
     """(joint_position, heading_of) from one decode of the pose's rotations."""
     local = _local_rotations(pose, skeleton)
-    pos = _joint_positions(pose[..., 0:3], local, skeleton)
-    return pos[..., joint, :], _heading(local[..., 0, :, :], skeleton)
+    return (_chain_position(pose[..., 0:3], local, skeleton, joint),
+            _heading(local, skeleton))
 
 
 def rotate_pose_z(pose, angle):

@@ -101,8 +101,13 @@ def optimize_latents(record: RolloutRecord, goal: GoalSpec,
     """Adam on the latent rows; returns (refined record, report).
 
     Dropout stays off and there is no fresh sampling, so the objective is a
-    deterministic function of the latents.
+    deterministic function of the latents. Raises InvalidInputError for a
+    negative step count or a learning rate that is not finite and positive.
     """
+    if steps < 0:
+        raise InvalidInputError(f"steps must be >= 0, got {steps}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise InvalidInputError(f"lr must be finite and positive, got {lr}")
     if record.model_hash != model.hash():
         raise ModelMismatchError("record was generated by a different model")
     store = ParameterStore()

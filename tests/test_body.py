@@ -4,7 +4,10 @@ from scipy.spatial.transform import Rotation
 
 from reachgen import autodiff as ag
 from reachgen import body, geometry as geo
-from reachgen.errors import DimensionMismatchError
+from reachgen import intention, latent_opt, rollout
+from reachgen.dataset import standing_pose
+from reachgen.errors import DegenerateRotationError, DimensionMismatchError
+from reachgen.model import MotionModel, fresh_model
 
 
 def random_pose(skeleton, rng):
@@ -80,15 +83,18 @@ def test_fk_dimension_mismatch(skel):
 
 
 def test_joint_position_matches_full_fk(skel):
+    """A one-joint read walks its chain in FK's op order, so it has FK's
+    bits for every joint, unbatched, (B,) and (N, W)."""
     rng = np.random.default_rng(21)
-    pose = random_pose(skel, rng)
-    full = body.forward_kinematics(pose, skel)
-    for name in ("right_wrist", "left_foot", "head"):
-        j = skel.joint_index(name)
-        np.testing.assert_allclose(body.joint_position(pose, skel, j), full[j], atol=1e-12)
-        pos, heading = body.joint_position_and_heading(pose, skel, j)
-        assert pos.tobytes() == body.joint_position(pose, skel, j).tobytes()
-        assert heading.tobytes() == body.heading_of(pose, skel).tobytes()
+    for pose in (random_pose(skel, rng), random_poses(skel, rng, (5,)),
+                 random_poses(skel, rng, (4, 3))):
+        full = body.forward_kinematics(pose, skel)
+        heading = body.heading_of(pose, skel)
+        for j in range(skel.n_joints):
+            expected = np.ascontiguousarray(full[..., j, :]).tobytes()
+            assert body.joint_position(pose, skel, j).tobytes() == expected, skel.names[j]
+            pos, head = body.joint_position_and_heading(pose, skel, j)
+            assert pos.tobytes() == expected and head.tobytes() == heading.tobytes()
 
 
 def test_pose_delta_identical_poses_is_zero(skel):
@@ -239,5 +245,133 @@ def test_fk_gradient_batched(skel):
     with ag.Tape() as tape:
         loss = ag.sum(body.forward_kinematics(t, skel) * w)
     tape.backward(loss)
+    fd = ag.finite_difference_gradient(ref, vec0.copy())
+    np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-7)
+
+
+def test_chain_steps_follow_the_parents(skel):
+    wrist = skel.joint_index("right_wrist")
+    assert [skel.names[j] for j, _ in skel.chain(wrist)] == [
+        "spine", "right_shoulder", "right_elbow", "right_wrist"]
+    assert skel.chain(0) == ()
+    for j, off in skel.chain(wrist):
+        assert off.shape == (3, 1)
+        np.testing.assert_array_equal(off[:, 0], skel.offsets[j])
+
+
+def full_fk_joint_position(pose, skeleton, joint):
+    """One joint read out of whole-body FK, as before the chain walk."""
+    return body.forward_kinematics(pose, skeleton)[..., joint, :]
+
+
+def elementary_heading(root, skeleton):
+    """The matmul, slices and safe_unit that the fused heading op replaced."""
+    fwd = ag.matmul(root, skeleton.forward_axis.reshape(3, 1))[..., 0]
+    return geo.safe_unit(fwd[..., 0:2])
+
+
+def full_fk_joint_position_and_heading(pose, skeleton, joint):
+    """One joint read out of whole-body FK and the unfused heading."""
+    local = body._local_rotations(pose, skeleton)
+    pos = body._joint_positions(pose[..., 0:3], local, skeleton)
+    return pos[..., joint, :], elementary_heading(local[..., 0, :, :], skeleton)
+
+
+def test_latent_gradient_through_chain_walk_equals_full_fk(skel, monkeypatch):
+    model = fresh_model(skel, latent_dim=4, hidden_dim=16, n_layers=2, seed=2)
+    goal = intention.GoalSpec(np.array([0.8, 0.5, 1.1]), 30)
+    record = rollout.generate(standing_pose(skel), rollout.GoalSchedule.single(goal),
+                              30, model, np.random.default_rng(2))
+    objective = latent_opt.OptObjective(waypoints=((15, np.array([0.1, 0.2]), 1.0),))
+
+    def value_and_gradient():
+        latents = ag.Tensor(record.latents.copy(), requires_grad=True)
+        with ag.Tape() as tape:
+            total = latent_opt._objective_terms(latents, record, goal, objective, model)[0]
+        tape.backward(total)
+        return total.data.tobytes() + latents.grad.tobytes()
+
+    chain = value_and_gradient()
+    monkeypatch.setattr(intention, "joint_position_and_heading",
+                        full_fk_joint_position_and_heading)
+    monkeypatch.setattr(latent_opt, "joint_position", full_fk_joint_position)
+    monkeypatch.setattr(rollout, "joint_position", full_fk_joint_position)
+    assert chain == value_and_gradient()
+
+
+def test_degenerate_off_chain_rotation_still_faults_its_row(skel, monkeypatch):
+    """The wrist read walks only the wrist's chain, but every rotation is
+    still decoded: a left_foot 6D driven to zero faults its row on the frame
+    after it was integrated, and the other row runs on."""
+    model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=3)
+    decode = MotionModel.decode_delta
+    calls = []
+    foot = skel.joint_index("left_foot")
+    # joint j's 6D sits at [3+6j, 9+6j) of a delta and at [1+6j, 7+6j) of
+    # the condition, which drops the x and y translation
+    in_delta = slice(3 + 6 * foot, 9 + 6 * foot)
+    in_condition = slice(1 + 6 * foot, 7 + 6 * foot)
+
+    def collapsing_decoder(self, z, cond_vec, **kwargs):
+        delta = np.array(decode(self, z, cond_vec, **kwargs))
+        calls.append(1)
+        if len(calls) == 4:
+            np.atleast_2d(delta)[0, in_delta] = -np.atleast_2d(cond_vec)[0, in_condition]
+        return delta
+
+    monkeypatch.setattr(MotionModel, "decode_delta", collapsing_decoder)
+    goal = intention.GoalSpec(np.array([1.0, 0.0, 1.0]), 8)
+    with pytest.raises(DegenerateRotationError):
+        rollout.generate(standing_pose(skel), rollout.GoalSchedule.single(goal), 8,
+                         model, np.random.default_rng(0))
+
+    calls.clear()
+    start = np.stack([standing_pose(skel)] * 2)
+    out = rollout.rollout_poses(start, goal, 8, model,
+                                np.random.default_rng(1).normal(size=(2, 8, 4)))
+    frame, err = out.faults[0]
+    assert (frame, type(err)) == (4, DegenerateRotationError)
+    assert out.faults[1] is None and len(out.poses) == 9
+    np.testing.assert_array_equal(out.poses[-1][0], out.poses[3][0])
+
+
+def test_fused_heading_matches_elementary_ops_bit_for_bit(skel):
+    rng = np.random.default_rng(32)
+    poses = random_poses(skel, rng, (6,))
+    # forward axis straight up: a degenerate heading with a zero gradient
+    poses[0, 3:9] = geo.matrix_to_sixd(geo.axis_angle_matrix([1, 0, 0], np.pi / 2))
+    w = rng.normal(size=(6, 2))
+    results = []
+    for fused in (True, False):
+        t = ag.Tensor(poses, requires_grad=True)
+        with ag.Tape() as tape:
+            head = (body.heading_of(t, skel) if fused else
+                    elementary_heading(geo.sixd_to_matrix(t[..., 3:9]), skel))
+            loss = ag.sum(head * w)
+        tape.backward(loss)
+        results.append((head.data.tobytes(), t.grad.tobytes()))
+    assert results[0] == results[1]
+    np.testing.assert_array_equal(body.heading_of(poses[0], skel), 0.0)
+
+
+@pytest.mark.parametrize("name", ["right_wrist", "left_foot", "pelvis"])
+def test_position_and_heading_gradient_and_nodes(skel, name):
+    rng = np.random.default_rng(33)
+    j = skel.joint_index(name)
+    vec0 = random_poses(skel, rng, (2,))
+    w_pos, w_head = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
+
+    def ref(v):
+        pos, head = body.joint_position_and_heading(v, skel, j)
+        return np.sum(pos * w_pos) + np.sum(head * w_head)
+
+    t = ag.Tensor(vec0, requires_grad=True)
+    with ag.Tape() as tape:
+        pos, head = body.joint_position_and_heading(t, skel, j)
+        n_nodes = len(tape)
+        loss = ag.sum(pos * w_pos) + ag.sum(head * w_head)
+    tape.backward(loss)
+    # pose[..., 0:3], pose[..., 3:], reshape, sixd_to_matrix, chain, heading
+    assert n_nodes == 6
     fd = ag.finite_difference_gradient(ref, vec0.copy())
     np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-7)

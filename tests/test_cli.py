@@ -211,7 +211,10 @@ def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
             gen + ("--goal", "1,1,1", "--goal", "1,2,1", "--duration", "1"),
             gen + ("--goal", "1,1,1", "--radius", "-1"),
             gen + ("--goal", "1,1,1", "--duration", "0"),
-            opt + ("--prior-weight", "-1"))):
+            opt + ("--prior-weight", "-1"),
+            opt + ("--steps", "-2"),
+            opt + ("--lr", "0"),
+            opt + ("--lr", "nan"))):
         out = tmp_path / f"bad{k}"
         r = run_cli(*argv, "--out", str(out))
         assert r.returncode == 1, (argv, r.stderr)

@@ -1,9 +1,10 @@
-"""Demos 01, 02, 03 and 05 run end to end against the current API. Demo 05
-benchmarks the checkpoint demo 03 trains, in the same temporary directory;
-03 takes about 14 s and 05 about 4 s on 2 cores. Demo 04 (about 16 s) is
-run by hand."""
+"""Every demo runs end to end against the current API. Demos 04 and 05
+refine latents on and benchmark the checkpoint demo 03 trains, in the same
+temporary directory; 03 takes about 10 s, 04 about 9 s and 05 about 4 s on
+2 cores."""
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -53,3 +54,17 @@ def test_benchmark_demo_runs_on_the_trained_checkpoint(trained_demo_dir):
     assert r.returncode == 0, r.stderr
     assert "-> 162 rollouts" in r.stdout
     assert (cwd / "demo_report" / "report.csv").exists()
+
+
+def test_optimize_demo_runs_on_the_trained_checkpoint(trained_demo_dir):
+    cwd, r = trained_demo_dir
+    assert r.returncode == 0, r.stderr
+    r = run_demo("04_generate_and_optimize.py", cwd=cwd)
+    assert r.returncode == 0, r.stderr
+    before = re.search(r"generated 90 frames, final wrist-goal distance ([0-9.]+) cm",
+                       r.stdout)
+    after = re.search(r"after optimization: ([0-9.]+) cm", r.stdout)
+    assert before and after, r.stdout
+    # the 80 refinement steps pull the wrist toward the goal
+    assert float(after.group(1)) < float(before.group(1))
+    assert "time-scaled rollout: 45 frames" in r.stdout

@@ -6,6 +6,7 @@ from reachgen import latent_opt as lo
 from reachgen import rollout as ro
 from reachgen.autodiff import Tape, Tensor
 from reachgen.body import desk_skeleton, rest_pose
+from reachgen.errors import InvalidInputError
 from reachgen.intention import GoalSpec
 from reachgen.model import fresh_model
 
@@ -131,3 +132,20 @@ def test_report_csv(tmp_path, model, short_record):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "iteration,l_opt,l_norm,l_goal,l_waypoint,wrist_distance"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("steps,lr", [(-2, 1e-2), (1, 0.0), (1, -1e-2),
+                                      (1, float("nan")), (1, float("inf"))])
+def test_optimize_rejects_negative_steps_and_bad_lr(model, short_record, steps, lr):
+    goal = GoalSpec(np.array([1.0, 0.8, 1.1]), 40)
+    with pytest.raises(InvalidInputError):
+        lo.optimize_latents(short_record, goal, lo.OptObjective(), model,
+                            steps=steps, lr=lr)
+
+
+def test_zero_steps_returns_the_record_unchanged(model, short_record):
+    goal = GoalSpec(np.array([1.0, 0.8, 1.1]), 40)
+    refined, report = lo.optimize_latents(short_record, goal, lo.OptObjective(), model,
+                                          steps=0)
+    assert report.iterations == 0
+    np.testing.assert_array_equal(refined.sequence.poses, short_record.sequence.poses)
