@@ -5,11 +5,9 @@ Tensor objects. When a Tape is active and an input requires gradients, the op
 records a node with a vector-Jacobian closure; Tape.backward walks the nodes
 in reverse creation order (creation order is already topological).
 
-The ops are the ones the package records: add, subtract, multiply and
-divide (also through Tensor's operators), negative, exp, relu, clip,
-reshape, take (indexing), sum, mean and concatenate; matmul (also `@`) is
-recorded only by the unfused references that the tests hold the fused
-affine and heading ops against. Fused ops elsewhere in
+The ops are the ones the package records: add, subtract, multiply, divide
+and matmul (also through Tensor's operators), negative, exp, relu, clip,
+reshape, take (indexing), sum, mean and concatenate. Fused ops elsewhere in
 the package (6D decoding, FK, layer norm, ...) compute their forward in plain
 numpy and call `record` once with a hand-written VJP, so each records one
 node however many array operations it runs.

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ag
 from .errors import DimensionMismatchError
-from .geometry import (_project_out, _rotated, _safe_norm, identity_sixd, rotate_sixd_z,
-                       rotate_z, sixd_to_matrix, yaw_of)
+from .geometry import (_rotated, identity_sixd, rotate_sixd_z, rotate_z, safe_unit,
+                       sixd_to_matrix, yaw_of)
 
 
 FK_ROWS = 64   # poses per batched FK pass; see forward_kinematics
@@ -87,17 +87,14 @@ class Skeleton:
         return tuple(levels)
 
     @cached_property
-    def _chains(self) -> tuple:
+    def chains(self) -> tuple[tuple[tuple[int, np.ndarray], ...], ...]:
+        """Per joint, its (joint, rest offset (3, 1)) steps from the root's
+        child down to it, empty for the root; a one-joint read walks these."""
         chains = [()]
         for j in range(1, self.n_joints):
             chains.append(chains[self.parents[j]]
                           + ((j, self.offsets[j].reshape(3, 1)),))
         return tuple(chains)
-
-    def chain(self, joint: int) -> tuple[tuple[int, np.ndarray], ...]:
-        """(joint, rest offset (3, 1)) steps from the root's child down to
-        `joint`; empty for the root."""
-        return self._chains[joint]
 
     def to_text(self) -> str:
         payload = {
@@ -266,11 +263,11 @@ def _chain_position(translation, local, skeleton: Skeleton, joint: int):
     """
     td = ag.value(translation)
     ld = ag.value(local)
-    chain = skeleton.chain(joint)
+    chain = skeleton.chains[joint]
     world = [ld[..., 0, :, :]]     # the world rotation of each step's parent
     for j, _ in chain[:-1]:
         world.append(world[-1] @ ld[..., j, :, :])
-    pos = td
+    pos = td.copy()     # the root's own read must not alias the pose
     for (j, off), w in zip(chain, world):
         pos = pos + (w @ off)[..., 0]
 
@@ -286,24 +283,9 @@ def _chain_position(translation, local, skeleton: Skeleton, joint: int):
     return ag.record(pos, (translation, local), vjp)
 
 
-def _heading(local, skeleton: Skeleton):
-    """Unit xy direction of the forward axis turned by the root rotation
-    local[..., 0, :, :], (0, 0) where it is degenerate; one fused op with
-    the op order of a matmul followed by safe_unit."""
-    ld = ag.value(local)
-    axis = skeleton.forward_axis.reshape(3, 1)
-    fwd = (ld[..., 0, :, :] @ axis)[..., 0:2, 0]
-    safe, small = _safe_norm(fwd)
-    unit = np.where(small, 0.0, fwd / safe)
-
-    def vjp(g):
-        groot = np.zeros(ld.shape[:-3] + (3, 1))
-        groot[..., 0:2, 0] = np.where(small, 0.0, _project_out(g, unit, safe))
-        glocal = np.zeros(ld.shape)
-        glocal[..., 0, :, :] = groot @ axis.mT
-        return (glocal,)
-
-    return ag.record(unit, (local,), vjp)
+def _heading(root_matrix, skeleton: Skeleton):
+    fwd = ag.matmul(root_matrix, skeleton.forward_axis.reshape(3, 1))[..., 0]
+    return safe_unit(fwd[..., 0:2])
 
 
 def _forward_kinematics(pose, skeleton: Skeleton):
@@ -335,14 +317,14 @@ def joint_position(pose, skeleton: Skeleton, joint: int):
 
 def heading_of(pose, skeleton: Skeleton):
     """Unit xy direction of the body's forward axis; (0, 0) when degenerate."""
-    return _heading(sixd_to_matrix(pose[..., None, 3:9]), skeleton)
+    return _heading(sixd_to_matrix(pose[..., 3:9]), skeleton)
 
 
 def joint_position_and_heading(pose, skeleton: Skeleton, joint: int):
     """(joint_position, heading_of) from one decode of the pose's rotations."""
     local = _local_rotations(pose, skeleton)
     return (_chain_position(pose[..., 0:3], local, skeleton, joint),
-            _heading(local, skeleton))
+            _heading(local[..., 0, :, :], skeleton))
 
 
 def rotate_pose_z(pose, angle):

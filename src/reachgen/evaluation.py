@@ -201,18 +201,6 @@ def _chunk_metrics(args) -> list[EvalRow]:
             for t, d, f, fault in zip(tasks, dtg, fs, out.faults)]
 
 
-_worker_state: tuple = ()   # (model, cfg) of a run_benchmark worker process
-
-
-def _init_worker(model: MotionModel, cfg: EvalConfig) -> None:
-    global _worker_state
-    _worker_state = (model, cfg)
-
-
-def _worker_chunk_metrics(tasks: list) -> list[EvalRow]:
-    return _chunk_metrics(_worker_state + (tasks,))
-
-
 def run_benchmark(model: MotionModel, cfg: EvalConfig,
                   initial_poses: list[np.ndarray] | None = None, seed: int = 0,
                   workers: int = 1) -> EvalReport:
@@ -235,16 +223,14 @@ def run_benchmark(model: MotionModel, cfg: EvalConfig,
                 tasks.append(EvalTask(np.asarray(pose, dtype=np.float64), goal,
                                       combo, pose_id, sample,
                                       [seed, pose_id, goal_id, sample]))
-    chunks = [tasks[i:i + ROLLOUT_ROWS] for i in range(0, len(tasks), ROLLOUT_ROWS)]
+    chunks = [(model, cfg, tasks[i:i + ROLLOUT_ROWS])
+              for i in range(0, len(tasks), ROLLOUT_ROWS)]
 
     if workers <= 1 or len(chunks) == 1:
-        results = [_chunk_metrics((model, cfg, c)) for c in chunks]
+        results = [_chunk_metrics(c) for c in chunks]
     else:
-        # the model and config go to each worker once, not with every chunk
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
-                                 initializer=_init_worker,
-                                 initargs=(model, cfg)) as pool:
-            results = list(pool.map(_worker_chunk_metrics, chunks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            results = list(pool.map(_chunk_metrics, chunks))
     return summarize([row for rows in results for row in rows], cfg)
 
 

@@ -95,6 +95,8 @@ def test_joint_position_matches_full_fk(skel):
             assert body.joint_position(pose, skel, j).tobytes() == expected, skel.names[j]
             pos, head = body.joint_position_and_heading(pose, skel, j)
             assert pos.tobytes() == expected and head.tobytes() == heading.tobytes()
+        # the root's read is a fresh array, not a view of the pose
+        assert not np.shares_memory(body.joint_position(pose, skel, 0), pose)
 
 
 def test_pose_delta_identical_poses_is_zero(skel):
@@ -251,10 +253,10 @@ def test_fk_gradient_batched(skel):
 
 def test_chain_steps_follow_the_parents(skel):
     wrist = skel.joint_index("right_wrist")
-    assert [skel.names[j] for j, _ in skel.chain(wrist)] == [
+    assert [skel.names[j] for j, _ in skel.chains[wrist]] == [
         "spine", "right_shoulder", "right_elbow", "right_wrist"]
-    assert skel.chain(0) == ()
-    for j, off in skel.chain(wrist):
+    assert skel.chains[0] == ()
+    for j, off in skel.chains[wrist]:
         assert off.shape == (3, 1)
         np.testing.assert_array_equal(off[:, 0], skel.offsets[j])
 
@@ -264,17 +266,11 @@ def full_fk_joint_position(pose, skeleton, joint):
     return body.forward_kinematics(pose, skeleton)[..., joint, :]
 
 
-def elementary_heading(root, skeleton):
-    """The matmul, slices and safe_unit that the fused heading op replaced."""
-    fwd = ag.matmul(root, skeleton.forward_axis.reshape(3, 1))[..., 0]
-    return geo.safe_unit(fwd[..., 0:2])
-
-
 def full_fk_joint_position_and_heading(pose, skeleton, joint):
-    """One joint read out of whole-body FK and the unfused heading."""
+    """One joint read out of whole-body FK, and the heading."""
     local = body._local_rotations(pose, skeleton)
     pos = body._joint_positions(pose[..., 0:3], local, skeleton)
-    return pos[..., joint, :], elementary_heading(local[..., 0, :, :], skeleton)
+    return pos[..., joint, :], body._heading(local[..., 0, :, :], skeleton)
 
 
 def test_latent_gradient_through_chain_walk_equals_full_fk(skel, monkeypatch):
@@ -335,25 +331,6 @@ def test_degenerate_off_chain_rotation_still_faults_its_row(skel, monkeypatch):
     np.testing.assert_array_equal(out.poses[-1][0], out.poses[3][0])
 
 
-def test_fused_heading_matches_elementary_ops_bit_for_bit(skel):
-    rng = np.random.default_rng(32)
-    poses = random_poses(skel, rng, (6,))
-    # forward axis straight up: a degenerate heading with a zero gradient
-    poses[0, 3:9] = geo.matrix_to_sixd(geo.axis_angle_matrix([1, 0, 0], np.pi / 2))
-    w = rng.normal(size=(6, 2))
-    results = []
-    for fused in (True, False):
-        t = ag.Tensor(poses, requires_grad=True)
-        with ag.Tape() as tape:
-            head = (body.heading_of(t, skel) if fused else
-                    elementary_heading(geo.sixd_to_matrix(t[..., 3:9]), skel))
-            loss = ag.sum(head * w)
-        tape.backward(loss)
-        results.append((head.data.tobytes(), t.grad.tobytes()))
-    assert results[0] == results[1]
-    np.testing.assert_array_equal(body.heading_of(poses[0], skel), 0.0)
-
-
 @pytest.mark.parametrize("name", ["right_wrist", "left_foot", "pelvis"])
 def test_position_and_heading_gradient_and_nodes(skel, name):
     rng = np.random.default_rng(33)
@@ -371,7 +348,8 @@ def test_position_and_heading_gradient_and_nodes(skel, name):
         n_nodes = len(tape)
         loss = ag.sum(pos * w_pos) + ag.sum(head * w_head)
     tape.backward(loss)
-    # pose[..., 0:3], pose[..., 3:], reshape, sixd_to_matrix, chain, heading
-    assert n_nodes == 6
+    # pose[..., 0:3], pose[..., 3:], reshape, sixd_to_matrix, chain; the
+    # heading's root take, matmul, two slices and safe_unit
+    assert n_nodes == 10
     fd = ag.finite_difference_gradient(ref, vec0.copy())
     np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-7)

@@ -324,38 +324,3 @@ def test_report_identical_for_any_worker_count(skel, monkeypatch, tmp_path):
         outputs.append([(out / name).read_bytes()
                         for name in ("report.csv", "aggregates.csv")])
     assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_workers_receive_the_model_once(skel, monkeypatch):
-    """The pool gets the model and config through its initializer; each
-    mapped item is one chunk's task list."""
-    monkeypatch.setattr(ev, "ROLLOUT_ROWS", 2)
-    model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=5)
-    cfg = ev.EvalConfig(n_angles=3, n_heights=1, n_distances=1,
-                        n_initial_poses=1, samples_per_pair=1, duration=4,
-                        height_range=(1.0, 1.0), distance_range=(1.0, 1.0))
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            pools.append({"initargs": initargs, "items": []})
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            pools[-1]["items"] = list(items)
-            return map(fn, pools[-1]["items"])
-
-    monkeypatch.setattr(ev, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(ev, "_worker_state", ())   # set here by the initializer
-    report = ev.run_benchmark(model, cfg, seed=2, workers=2)
-    (pool,) = pools
-    assert pool["initargs"] == (model, cfg)
-    assert [len(chunk) for chunk in pool["items"]] == [2, 1]
-    assert all(isinstance(t, ev.EvalTask) for chunk in pool["items"] for t in chunk)
-    assert report.rows == ev.run_benchmark(model, cfg, seed=2, workers=1).rows
