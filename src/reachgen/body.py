@@ -4,9 +4,10 @@ kinematics.
 A pose is a (..., pose_dim) float vector: root translation (3), then one 6D
 rotation per joint with the root's first. Joint j (the root is j = 0) sits
 at pose[..., 3+6j : 9+6j], so pose[..., 3:] reshaped to (..., n_joints, 6)
-lists the rotations in joint order. A delta is a vector in the same layout,
-taken component-wise on the raw 6D encodings after removing the previous
-frame's global yaw, which keeps integration exactly linear and invertible.
+lists the rotations in joint order. A delta is a vector in the same layout:
+nxt - prev turned by minus the previous frame's global yaw, one z rotation
+on the raw 6D encodings, which keeps integration exactly linear and
+invertible.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .errors import DimensionMismatchError
-from .geometry import (_rotated, identity_sixd, rotate_sixd_z, rotate_z, safe_unit,
-                       sixd_to_matrix, yaw_of)
+from .geometry import _rotated, identity_sixd, safe_unit, sixd_to_matrix, yaw_of
 
 
 FK_ROWS = 64   # poses per batched FK pass; see forward_kinematics
@@ -176,21 +176,15 @@ def rest_pose(skeleton: Skeleton, translation=(0.0, 0.0, 0.90)) -> np.ndarray:
 
 def pose_delta(prev, nxt):
     """Difference nxt - prev with prev's global yaw removed, as a
-    (..., pose_dim) vector in the pose layout.
+    (..., pose_dim) vector in the pose layout: the mirror of integrate_delta.
 
-    Translation and root-orientation deltas are rotated by -yaw(prev) about
+    Translation and root-orientation deltas are turned by -yaw(prev) about
     world z; joint rotations are parent-local, so their raw 6D difference is
-    already heading-agnostic.
+    already heading-agnostic and rotate_pose_z copies it.
     """
     if ag.value(prev).shape[-1] != ag.value(nxt).shape[-1]:
         raise DimensionMismatchError("poses have different joint counts")
-    root = prev[..., 3:9]
-    neg_yaw = -yaw_of(root)
-    return ag.concatenate([
-        rotate_z(nxt[..., 0:3] - prev[..., 0:3], neg_yaw),
-        rotate_sixd_z(nxt[..., 3:9], neg_yaw) - rotate_sixd_z(root, neg_yaw),
-        nxt[..., 9:] - prev[..., 9:],
-    ], axis=-1)
+    return rotate_pose_z(nxt - prev, -yaw_of(prev[..., 3:9]))
 
 
 def integrate_delta(prev, delta):

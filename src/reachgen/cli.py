@@ -170,6 +170,14 @@ def _parse_goal(text: str) -> np.ndarray:
     return np.array(parts)
 
 
+def _one_goal(args) -> np.ndarray:
+    """The position of the single --goal that optimize and inspect take."""
+    if len(args.goal) != 1:
+        raise InvalidInputError(f"{args.command} takes one --goal x,y,z, "
+                                f"got {len(args.goal)}")
+    return _parse_goal(args.goal[0])
+
+
 # ------------------------------------------------------------- subcommands
 
 def cmd_gen_data(args) -> int:
@@ -246,10 +254,10 @@ def cmd_generate(args) -> int:
     duration = args.duration
     positions = [_parse_goal(g) for g in args.goal]
     if not positions:
-        raise ReachGenError("at least one --goal x,y,z is required")
+        raise InvalidInputError("at least one --goal x,y,z is required")
     frames = args.goal_frame or []
     if frames and len(frames) != len(positions):
-        raise ReachGenError("--goal-frame count must match --goal count")
+        raise InvalidInputError("--goal-frame count must match --goal count")
     if not frames:
         step = duration // len(positions)
         frames = [step * (i + 1) for i in range(len(positions))]
@@ -292,7 +300,7 @@ def cmd_optimize(args) -> int:
     cfg = resolve_config(args)
     out = args.out or "runs/optimize"
     model = _load_model(args)
-    goal = GoalSpec(_parse_goal(args.goal[0]), args.duration)
+    goal = GoalSpec(_one_goal(args), args.duration)
     initial = standing_pose(model.skeleton)
     rng = np.random.default_rng(cfg["seed"])
     record = rollout_generate(initial, GoalSchedule.single(goal), args.duration,
@@ -316,6 +324,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    position = _one_goal(args) if args.goal else None
     skeleton = desk_skeleton()
     seq = load_motion(args.motion, skeleton)
     print(f"fps: {seq.fps}")
@@ -329,8 +338,8 @@ def cmd_inspect(args) -> int:
               f"{g.position[2]:.4f}) frame={g.target_frame} joint={g.target_joint}")
     else:
         print("label: none")
-    if args.goal:
-        goal = GoalSpec(_parse_goal(args.goal[0]), seq.n_frames - 1)
+    if position is not None:
+        goal = GoalSpec(position, seq.n_frames - 1)
         dtg = distance_to_goal(seq, goal, skeleton)
         print(f"dtg_m: {dtg!r}")
     return 0

@@ -192,25 +192,6 @@ def rotate_z(v, angle):
     return ag.record(out, (v, angle), vjp)
 
 
-def rotate_sixd_z(r, angle):
-    """Rotate both 3-vector halves of a 6D encoding about world z.
-
-    Equivalent to encoding R_z(angle) @ decode(r): Gram-Schmidt commutes with
-    left-multiplication by a rotation, so rotating the raw halves is exact
-    even for non-orthonormal encodings.
-    """
-    rd = ag.value(r)
-    ad = ag.value(angle)
-    halves = rd.reshape(rd.shape[:-1] + (2, 3))
-    out, vjp = _rotated(halves, np.cos(ad)[..., None], np.sin(ad)[..., None], ad.shape)
-
-    def sixd_vjp(g):
-        gr, ga = vjp(g.reshape(out.shape))
-        return gr.reshape(rd.shape), ga
-
-    return ag.record(out.reshape(out.shape[:-2] + (6,)), (r, angle), sixd_vjp)
-
-
 def rotation_z_matrix(angle):
     """Plain (3, 3) rotation about z for a scalar angle (no autodiff)."""
     c, s = np.cos(angle), np.sin(angle)

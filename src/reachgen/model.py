@@ -1,5 +1,5 @@
-"""Conditional VAE over pose deltas: encoder/decoder assembly, the
-three-term loss, model bundling, and checkpoint IO.
+"""Conditional VAE over pose deltas: encoder/decoder assembly, the step
+loss, model bundling, and checkpoint IO.
 """
 from __future__ import annotations
 
@@ -10,13 +10,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ag
-from .body import (Skeleton, forward_kinematics, integrate_delta, pose_dim,
-                   skeleton_from_text)
+from .body import Skeleton, forward_kinematics, pose_dim, skeleton_from_text
 from .container import read_container, write_container
 from .errors import CorruptFileError, DimensionMismatchError, ModelMismatchError
 from .intention import condition_dim
 from .nn import (AdamState, GaussianParams, MlpConfig, ParameterStore,
-                 init_mlp_params, kl_divergence, mlp_forward)
+                 init_mlp_params, mlp_forward)
 
 CHECKPOINT_MAGIC = b"RGCK"
 CHECKPOINT_VERSION = 2
@@ -94,37 +93,18 @@ def decode(spec: ModelSpec, store: ParameterStore, z, cond_vec,
                        dropout_seed=dropout_seed)
 
 
-@dataclass
-class LossBreakdown:
-    """rec + alpha * kl + joint; `total` is assembled from the parts."""
+def compute_loss(true_delta_vec, pred_delta_vec, pred_pose, target_joints,
+                 skeleton: Skeleton):
+    """The step loss (rec, joint): the MSE of the predicted delta against the
+    true one, and the MSE of the FK joints of `pred_pose`, the pose the
+    predicted delta integrates to, against `target_joints` (..., n_joints, 3).
 
-    rec: object
-    kl: object
-    joint: object
-    total: object
-
-    def as_floats(self) -> "LossBreakdown":
-        return LossBreakdown(*(float(ag.value(v)) for v in
-                               (self.rec, self.kl, self.joint, self.total)))
-
-
-def compute_loss(true_delta_vec, pred_delta_vec, gaussian: GaussianParams,
-                 prev_pose, skeleton: Skeleton, alpha: float,
-                 kl_direction: str = "standard") -> LossBreakdown:
-    """MSE on deltas + alpha * KL + MSE on FK joints of the integrated poses.
-
-    Accepts batched inputs; every term is averaged over batch rows (KL is
-    first summed over latent dims per row).
+    Accepts batched inputs; both terms are averaged over batch rows. The
+    caller integrates, so a rollout step feeds the same pose onward.
     """
     diff = pred_delta_vec - true_delta_vec
-    rec = ag.mean(diff * diff)
-    kl = ag.mean(kl_divergence(gaussian, kl_direction))
-    pred_pose = integrate_delta(prev_pose, pred_delta_vec)
-    true_pose = integrate_delta(prev_pose, true_delta_vec)
-    jdiff = forward_kinematics(pred_pose, skeleton) - forward_kinematics(true_pose, skeleton)
-    joint = ag.mean(jdiff * jdiff)
-    total = rec + alpha * kl + joint
-    return LossBreakdown(rec, kl, joint, total)
+    jdiff = forward_kinematics(pred_pose, skeleton) - target_joints
+    return ag.mean(diff * diff), ag.mean(jdiff * jdiff)
 
 
 @dataclass

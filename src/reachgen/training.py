@@ -16,9 +16,8 @@ from .dataset import MotionSequence, sample_training_window
 from .errors import CorpusTooSmallError, NumericFault, SkipWindow
 from .intention import (DEFAULT_HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
                         condition_dim)
-from .model import (LossBreakdown, MotionModel, compute_loss, decode, encode,
-                    fresh_model)
-from .nn import AdamState, adam_step, reparameterize
+from .model import MotionModel, compute_loss, decode, encode, fresh_model
+from .nn import AdamState, adam_step, kl_divergence, reparameterize
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,20 @@ class TrainConfig:
 def rollout_steps_for_epoch(epoch: int, cfg: TrainConfig) -> int:
     """s(epoch) = round(s_max * min(epoch / ramp_epochs, 1))."""
     return int(round(cfg.s_max * min(epoch / cfg.ramp_epochs, 1.0)))
+
+
+@dataclass
+class LossBreakdown:
+    """rec + alpha * kl + joint; `total` is assembled from the parts."""
+
+    rec: object
+    kl: object
+    joint: object
+    total: object
+
+    def as_floats(self) -> "LossBreakdown":
+        return LossBreakdown(*(float(ag.value(v)) for v in
+                               (self.rec, self.kl, self.joint, self.total)))
 
 
 @dataclass(frozen=True)
@@ -132,29 +145,30 @@ def build_training_windows(sequences: list[MotionSequence], cfg: TrainConfig,
 def _batch_loss(windows: WindowSet, model: MotionModel,
                 s_steps: int, cfg: TrainConfig, noise_rng: np.random.Generator,
                 dropout_seed: int, train_mode: bool = True):
-    """Teacher-forced pass over every frame plus s generated rollout steps.
+    """Teacher-forced pass over every frame plus s generated rollout steps,
+    each scored by compute_loss against the stored targets; the KL term
+    comes from the teacher-forced pass alone.
 
-    Returns (total_loss_node, LossBreakdown floats, sample counts).
+    Returns (total loss node, LossBreakdown floats, samples scored,
+    teacher-forced samples).
     """
     spec, store, skeleton = model.spec, model.params, model.skeleton
     b, w = windows.deltas.shape[:2]
+    n_teacher = b * w
 
-    deltas = windows.deltas.reshape(b * w, -1)
-    conds = windows.conditions.reshape(b * w, -1)
-    prev_vecs = windows.poses[:, :-1].reshape(b * w, -1)
-
+    deltas = windows.deltas.reshape(n_teacher, -1)
+    conds = windows.conditions.reshape(n_teacher, -1)
     gauss = encode(spec, store, deltas, conds, train=train_mode,
                    dropout_seed=dropout_seed)
-    noise = noise_rng.standard_normal((b * w, spec.latent_dim))
+    noise = noise_rng.standard_normal((n_teacher, spec.latent_dim))
     z = reparameterize(gauss, noise)
     pred = decode(spec, store, z, conds, train=train_mode,
                   dropout_seed=dropout_seed + 1)
-    teacher = compute_loss(deltas, pred, gauss, prev_vecs, skeleton, cfg.alpha,
-                           cfg.kl_direction)
-
-    n_teacher = b * w
-    rec_parts = [(teacher.rec, n_teacher)]
-    joint_parts = [(teacher.joint, n_teacher)]
+    pred_pose = integrate_delta(windows.poses[:, :-1].reshape(n_teacher, -1), pred)
+    parts = [(*compute_loss(deltas, pred, pred_pose,
+                            windows.targets.reshape(n_teacher, -1, 3), skeleton),
+              n_teacher)]
+    kl = ag.mean(kl_divergence(gauss, cfg.kl_direction))
 
     s_eff = min(s_steps, w - 1)
     if s_eff > 0:
@@ -170,17 +184,15 @@ def _batch_loss(windows: WindowSet, model: MotionModel,
             pred = decode(spec, store, zr, cond, train=train_mode,
                           dropout_seed=dropout_seed + 100 + j)
             # target: the correcting delta onto the ground-truth frame
-            diff = pred - pose_delta(cur_pose, windows.poses[:, j + 1])
-            rec_parts.append((ag.mean(diff * diff), b))
+            true = pose_delta(cur_pose, windows.poses[:, j + 1])
             cur_pose = integrate_delta(cur_pose, pred)
-            jd = forward_kinematics(cur_pose, skeleton) - windows.targets[:, j]
-            joint_parts.append((ag.mean(jd * jd), b))
+            parts.append((*compute_loss(true, pred, cur_pose, windows.targets[:, j],
+                                        skeleton), b))
             prev_delta = pred
 
     n_total = n_teacher + b * s_eff
-    rec = sum(r * (c / n_total) for r, c in rec_parts)
-    joint = sum(jl * (c / n_total) for jl, c in joint_parts)
-    kl = teacher.kl
+    rec = sum(r * (c / n_total) for r, _, c in parts)
+    joint = sum(jl * (c / n_total) for _, jl, c in parts)
     total = rec + cfg.alpha * kl + joint
     breakdown = LossBreakdown(rec, kl, joint, total).as_floats()
     return total, breakdown, n_total, n_teacher

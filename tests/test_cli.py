@@ -211,6 +211,9 @@ def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
             gen + ("--goal", "1,1,1", "--goal", "1,2,1", "--duration", "1"),
             gen + ("--goal", "1,1,1", "--radius", "-1"),
             gen + ("--goal", "1,1,1", "--duration", "0"),
+            gen,
+            gen + ("--goal", "1,1,1", "--goal-frame", "10", "--goal-frame", "20"),
+            opt + ("--goal", "1,2,1"),
             opt + ("--prior-weight", "-1"),
             opt + ("--steps", "-2"),
             opt + ("--lr", "0"),
@@ -220,6 +223,15 @@ def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
         assert r.returncode == 1, (argv, r.stderr)
         assert r.stderr.startswith("error code=InvalidInputError"), (argv, r.stderr)
         assert not out.exists()
+
+
+def test_inspect_takes_one_goal(data_dir):
+    manifest = json.loads(open(os.path.join(data_dir, "manifest.json")).read())
+    motion = os.path.join(data_dir, "motions", f"{manifest['sequences'][0]['ident']}.mot")
+    r = run_cli("inspect", motion, "--goal", "0.5,0.5,1.0", "--goal", "1,1,1")
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error code=InvalidInputError"), r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("command,settings,env,manifest,code", [

@@ -89,13 +89,22 @@ def test_yaw_trivial_cases():
     np.testing.assert_allclose(geo.yaw_of(rx), 0.0, atol=1e-15)
 
 
-def test_rotate_sixd_z_matches_matrix_product():
-    ms = random_rotations(50, seed=10)
-    r6 = geo.matrix_to_sixd(ms)
+def test_rotate_pose_z_matches_matrix_product():
+    # the root slot turns as R_z @ decode(root), for orthonormal and raw
+    # encodings alike (Gram-Schmidt commutes with a left rotation); the
+    # translation turns as R_z @ t and the parent-local joint slots are copied
+    rng = np.random.default_rng(10)
     angle = 0.7
-    rotated = geo.rotate_sixd_z(r6, angle)
-    expected = geo.matrix_to_sixd(geo.rotation_z_matrix(angle) @ ms)
-    np.testing.assert_allclose(rotated, expected, atol=1e-12)
+    rz = geo.rotation_z_matrix(angle)
+    for root in (geo.matrix_to_sixd(random_rotations(50, seed=10)),
+                 rng.normal(size=(50, 6))):
+        pose = rng.normal(size=(50, body.pose_dim(12)))
+        pose[:, 3:9] = root
+        rotated = body.rotate_pose_z(pose, angle)
+        np.testing.assert_allclose(rotated[:, 0:3], pose[:, 0:3] @ rz.T, atol=1e-12)
+        np.testing.assert_allclose(geo.sixd_to_matrix(rotated[:, 3:9]),
+                                   rz @ geo.sixd_to_matrix(root), atol=1e-12)
+        np.testing.assert_array_equal(rotated[:, 9:], pose[:, 9:])
 
 
 def test_rotate_z_two_and_three_vectors():
@@ -172,7 +181,7 @@ def ref_rotate_sixd_z(r, angle):
 def ref_rotate_pose_z(pose, angle):
     # rotate_pose_z as the per-field composition it replaced
     return ag.concatenate([geo.rotate_z(pose[..., 0:3], angle),
-                           geo.rotate_sixd_z(pose[..., 3:9], angle),
+                           ref_rotate_sixd_z(pose[..., 3:9], angle),
                            pose[..., 9:]], axis=-1)
 
 
@@ -204,8 +213,6 @@ def test_fused_forward_bits_match_elementary_composition():
         angle = rng.uniform(-np.pi, np.pi, size=shape[:-1])
         assert bits(geo.sixd_to_matrix(r)) == bits(ref_sixd_to_matrix(r))
         assert bits(geo.yaw_of(r)) == bits(np.arctan2(r[..., 1], r[..., 0]))
-        assert bits(geo.rotate_sixd_z(r, angle)) == bits(ref_rotate_sixd_z(r, angle))
-        assert bits(geo.rotate_sixd_z(r, 0.7)) == bits(ref_rotate_sixd_z(r, 0.7))
         for k in (2, 3):
             v = rng.normal(size=shape[:-1] + (k,))
             assert bits(geo.rotate_z(v, angle)) == bits(ref_rotate_z(v, angle))
@@ -250,8 +257,6 @@ def test_fused_op_gradients_batched():
     angle = rng.uniform(-np.pi, np.pi, size=(3, 4))
     check_fused_gradient(geo.sixd_to_matrix, [r])
     check_fused_gradient(geo.yaw_of, [r])
-    check_fused_gradient(geo.rotate_sixd_z, [r, angle])
-    check_fused_gradient(geo.rotate_sixd_z, [r, np.array(0.4)])   # angle broadcast
     for k in (2, 3):
         check_fused_gradient(geo.rotate_z, [rng.normal(size=(3, 4, k)), angle])
         check_fused_gradient(geo.rotate_z, [rng.normal(size=(3, 4, k)), np.array(-0.9)])

@@ -1,6 +1,6 @@
 """Every name a module in src/reachgen imports is used in that module, every
-import sits at module level, and every public autodiff function is used by
-the package."""
+import sits at module level, and every public function of autodiff.py and
+geometry.py is used by the package."""
 import ast
 import pathlib
 
@@ -33,27 +33,28 @@ def test_no_function_local_imports(path):
     assert not local, f"{path.name} imports inside functions at {local}"
 
 
-def test_every_autodiff_function_is_used():
-    tree = ast.parse((SRC / "autodiff.py").read_text())
+@pytest.mark.parametrize("module", ["autodiff", "geometry"], ids=lambda m: f"{m}.py")
+def test_every_autodiff_function_is_used(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
     public = {s.name for s in tree.body
               if isinstance(s, ast.FunctionDef) and not s.name.startswith("_")}
     # the finite-difference checker serves the test suite's gradient checks
     public.discard("finite_difference_gradient")
-    # inside autodiff.py, a name used by any top-level statement but its own
-    # def (Tensor's dunder bodies count); elsewhere, `ag.name` or an import
+    # inside the module, a name used by any top-level statement but its own
+    # def (Tensor's dunder bodies count); elsewhere, `alias.name` or an import
     used = set()
     for stmt in tree.body:
         used |= ({n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
                  - {getattr(stmt, "name", None)})
     for path in SRC.glob("*.py"):
-        if path.name == "autodiff.py":
+        if path.stem == module:
             continue
         nodes = list(ast.walk(ast.parse(path.read_text())))
         imports = [a for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names]
-        aliases = {a.asname or a.name for a in imports if a.name == "autodiff"}
+        aliases = {a.asname or a.name for a in imports if a.name == module}
         used |= {a.name for n in nodes if isinstance(n, ast.ImportFrom)
-                 and n.module == "autodiff" for a in n.names}
+                 and n.module == module for a in n.names}
         used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)
                  and isinstance(n.value, ast.Name) and n.value.id in aliases}
     unused = sorted(public - used)
-    assert not unused, f"autodiff.py defines functions nothing uses: {unused}"
+    assert not unused, f"{module}.py defines functions nothing uses: {unused}"

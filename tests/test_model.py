@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,11 @@ from reachgen import model as md
 from reachgen import training as tr
 from reachgen.autodiff import Tape
 from reachgen.body import (FK_ROWS, desk_skeleton, forward_kinematics,
-                           pose_delta, rest_pose)
+                           integrate_delta, pose_delta, rest_pose)
 from reachgen.errors import (CorruptFileError, ModelMismatchError, SkipWindow,
                              VersionMismatchError)
 from reachgen.intention import assemble_condition
-from reachgen.nn import AdamState, GaussianParams, adam_step
+from reachgen.nn import AdamState, adam_step
 
 
 @pytest.fixture(scope="module")
@@ -61,21 +63,9 @@ def test_decode_output_dim(tiny_model, skel):
 def test_perfect_prediction_zero_loss(skel):
     pose = rest_pose(skel)
     d = np.zeros(md.ModelSpec.build(skel.n_rotated).delta_dim)
-    g = GaussianParams(np.zeros(4), np.zeros(4))
-    out = md.compute_loss(d, d, g, pose, skel, alpha=1e-2)
-    assert float(ag.value(out.total)) == 0.0
-
-
-def test_alpha_zero_removes_kl(skel):
-    rng = np.random.default_rng(1)
-    dim = 3 + 6 + 6 * skel.n_rotated
-    true = rng.normal(scale=0.01, size=dim)
-    pred = rng.normal(scale=0.01, size=dim)
-    g = GaussianParams(rng.normal(size=4), rng.normal(size=4))
-    with_kl = md.compute_loss(true, pred, g, rest_pose(skel), skel, alpha=1.0)
-    without = md.compute_loss(true, pred, g, rest_pose(skel), skel, alpha=0.0)
-    assert float(ag.value(without.total)) == pytest.approx(
-        float(ag.value(with_kl.rec)) + float(ag.value(with_kl.joint)), rel=1e-12)
+    rec, joint = md.compute_loss(d, d, integrate_delta(pose, d),
+                                 forward_kinematics(pose, skel), skel)
+    assert (float(rec), float(joint)) == (0.0, 0.0)
 
 
 def test_wrist_only_error_isolates_joint_loss(skel):
@@ -87,30 +77,17 @@ def test_wrist_only_error_isolates_joint_loss(skel):
     pred = np.zeros(dim)
     slot = skel.joint_index("right_elbow") - 1
     pred[9 + slot * 6: 9 + slot * 6 + 6] = [0.0, 0.3, 0.0, -0.3, 0.0, 0.0]
-    g = GaussianParams(np.zeros(2), np.zeros(2))
-    out = md.compute_loss(true, pred, g, pose, skel, alpha=0.0)
-    assert float(ag.value(out.rec)) > 0
-    assert float(ag.value(out.joint)) > 0
-    # verify only the wrist moved
-    from reachgen.body import forward_kinematics, integrate_delta
     moved = forward_kinematics(integrate_delta(pose, pred), skel)
-    base = forward_kinematics(pose, skel)
-    diff = np.linalg.norm(np.asarray(moved) - np.asarray(base), axis=-1)
+    base = forward_kinematics(integrate_delta(pose, true), skel)
+    rec, joint = md.compute_loss(true, pred, integrate_delta(pose, pred), base, skel)
+    assert float(rec) > 0
+    assert float(joint) > 0
+    # verify only the wrist moved
+    diff = np.linalg.norm(moved - base, axis=-1)
     wrist = skel.joint_index("right_wrist")
     assert diff[wrist] > 1e-3
     others = np.delete(diff, wrist)
     np.testing.assert_allclose(others, 0.0, atol=1e-12)
-
-
-def test_total_assembled_from_parts(skel):
-    rng = np.random.default_rng(2)
-    dim = 3 + 6 + 6 * skel.n_rotated
-    g = GaussianParams(rng.normal(size=4), rng.normal(scale=0.3, size=4))
-    out = md.compute_loss(rng.normal(size=dim) * 0.01, rng.normal(size=dim) * 0.01,
-                          g, rest_pose(skel), skel, alpha=1e-2)
-    parts = (float(ag.value(out.rec)) + 1e-2 * float(ag.value(out.kl))
-             + float(ag.value(out.joint)))
-    assert float(ag.value(out.total)) == pytest.approx(parts, rel=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +139,45 @@ def test_window_set_matches_per_window_reference(skel):
             assert (win.start_frame, win.goal_frame) == (start, goal.target_frame)
             i += 1
     assert i == len(windows)
+
+
+def batch_breakdown(windows, model, s, cfg):
+    """(total loss value, LossBreakdown floats) of one batch, fixed noise."""
+    total, breakdown, _, _ = tr._batch_loss(windows, model, s, cfg,
+                                            np.random.default_rng(0), dropout_seed=0)
+    return float(ag.value(total)), breakdown
+
+
+def test_total_assembled_from_parts(skel, small_windows):
+    windows, cfg = small_windows
+    model = md.fresh_model(skel, seed=2)
+    for s in (0, 3):
+        total, out = batch_breakdown(windows, model, s, cfg)
+        assert out.total == total
+        assert total == pytest.approx(out.rec + cfg.alpha * out.kl + out.joint,
+                                      rel=1e-15)
+
+
+def test_alpha_weights_only_the_kl(skel, small_windows):
+    windows, cfg = small_windows
+    model = md.fresh_model(skel, seed=2)
+    for s in (0, 3):
+        _, low = batch_breakdown(windows, model, s, dataclasses.replace(cfg, alpha=1e-2))
+        _, high = batch_breakdown(windows, model, s, dataclasses.replace(cfg, alpha=1.0))
+        assert (high.rec, high.kl, high.joint) == (low.rec, low.kl, low.joint)
+        assert low.kl > 0
+        assert high.total - low.total == pytest.approx((1.0 - 1e-2) * low.kl,
+                                                       rel=1e-12)
+
+
+def test_teacher_joint_term_reads_the_stored_targets(skel, small_windows):
+    windows, cfg = small_windows
+    model = md.fresh_model(skel, seed=2)
+    _, base = batch_breakdown(windows, model, 0, cfg)
+    moved = dataclasses.replace(windows, targets=windows.targets + 0.05)
+    _, shifted = batch_breakdown(moved, model, 0, cfg)
+    assert (shifted.rec, shifted.kl) == (base.rec, base.kl)
+    assert shifted.joint != base.joint
 
 
 def test_memorization_sanity(skel):
