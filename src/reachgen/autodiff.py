@@ -6,11 +6,11 @@ records a node with a vector-Jacobian closure; Tape.backward walks the nodes
 in reverse creation order (creation order is already topological).
 
 The ops are the ones the package records: add, subtract, multiply, divide
-and matmul (also through Tensor's operators), negative, exp, relu, clip,
-reshape, take (indexing), sum, mean and concatenate. Fused ops elsewhere in
-the package (6D decoding, FK, layer norm, ...) compute their forward in plain
-numpy and call `record` once with a hand-written VJP, so each records one
-node however many array operations it runs.
+and matmul (also through Tensor's operators), negative, exp, clip, reshape,
+take (indexing), sum, mean and concatenate. Fused ops elsewhere in the
+package (6D decoding, FK, the whole MLP, the condition vector, ...) compute
+their forward in plain numpy and call `record` once with a hand-written VJP,
+so each records one node however many array operations it runs.
 
 Ops never mutate inputs, so the same source line serves data generation,
 inference, and training.
@@ -248,14 +248,6 @@ def exp(x):
         return np.exp(x)
     out = np.exp(value(x))
     return _record(out, (x,), lambda g: (g * out,))
-
-
-def relu(x):
-    if not isinstance(x, Tensor):
-        return np.maximum(x, 0.0)
-    xd = value(x)
-    mask = xd > 0.0
-    return _record(xd * mask, (x,), lambda g: (g * mask,))
 
 
 def clip(x, lo, hi):

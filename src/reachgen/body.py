@@ -314,11 +314,18 @@ def heading_of(pose, skeleton: Skeleton):
     return _heading(sixd_to_matrix(pose[..., 3:9]), skeleton)
 
 
-def joint_position_and_heading(pose, skeleton: Skeleton, joint: int):
-    """(joint_position, heading_of) from one decode of the pose's rotations."""
+def joint_position_and_root(pose, skeleton: Skeleton, joint: int):
+    """(joint_position, root rotation (..., 3, 3)) from one decode of the
+    pose's rotations."""
     local = _local_rotations(pose, skeleton)
     return (_chain_position(pose[..., 0:3], local, skeleton, joint),
-            _heading(local[..., 0, :, :], skeleton))
+            local[..., 0, :, :])
+
+
+def joint_position_and_heading(pose, skeleton: Skeleton, joint: int):
+    """(joint_position, heading_of) from one decode of the pose's rotations."""
+    position, root = joint_position_and_root(pose, skeleton, joint)
+    return position, _heading(root, skeleton)
 
 
 def rotate_pose_z(pose, angle):

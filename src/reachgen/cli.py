@@ -88,8 +88,10 @@ def resolve_config(args) -> dict:
         try:
             with open(config_path) as f:
                 settings = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise ReachGenError(f"unreadable config {config_path}: {e}") from e
+        except FileNotFoundError as e:
+            raise FileNotFoundError(f"config {config_path} does not exist") from e
+        except (OSError, ValueError) as e:   # ValueError: bad JSON or text
+            raise InvalidInputError(f"unreadable config {config_path}: {e}") from e
         if not isinstance(settings, dict):
             raise InvalidInputError(f"config {config_path} must hold a JSON object")
         unknown = sorted(set(settings) - {"preset", *int_keys, *sections})
@@ -240,9 +242,9 @@ def cmd_train(args) -> int:
 
 def _load_model(args):
     if not args.checkpoint:
-        raise ReachGenError("missing --checkpoint path")
+        raise InvalidInputError("missing --checkpoint path")
     if not os.path.exists(args.checkpoint):
-        raise ReachGenError(f"checkpoint {args.checkpoint} does not exist")
+        raise FileNotFoundError(f"checkpoint {args.checkpoint} does not exist")
     model, _ = load_checkpoint(args.checkpoint)
     return model
 

@@ -581,32 +581,6 @@ def generate_synthetic_corpus(cfg: SyntheticGenConfig,
     return sequences
 
 
-def resample_fps(seq: MotionSequence, target_fps: float = 30.0) -> MotionSequence:
-    """Linear interpolation of every pose component; duration preserved.
-
-    Interpolated 6D encodings are re-orthonormalized whenever they are
-    decoded, so raw linear mixing is safe.
-    """
-    if seq.n_frames < 2:
-        raise ValueError("cannot resample a single-frame sequence")
-    if seq.fps == target_fps:
-        return seq
-    duration = (seq.n_frames - 1) / seq.fps
-    n_new = int(round(duration * target_fps)) + 1
-    old_t = np.arange(seq.n_frames) / seq.fps
-    new_t = np.arange(n_new) / target_fps
-    new_t = np.minimum(new_t, old_t[-1])
-    poses = np.empty((n_new, seq.poses.shape[1]))
-    for c in range(seq.poses.shape[1]):
-        poses[:, c] = np.interp(new_t, old_t, seq.poses[:, c])
-    label = seq.label
-    if label is not None:
-        scaled = int(round(label.target_frame * target_fps / seq.fps))
-        label = replace(label, target_frame=min(scaled, n_new - 1))
-    return MotionSequence(target_fps, poses, seq.skeleton, label,
-                          seq.provenance, seq.ident)
-
-
 def filter_floating(sequences, skeleton: Skeleton,
                     threshold: float = 0.20) -> list[MotionSequence]:
     """Drop sequences with any frame whose lowest foot exceeds `threshold`.

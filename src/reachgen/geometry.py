@@ -94,27 +94,21 @@ def sixd_to_matrix(r):
     return ag.record(m, (r,), vjp)
 
 
-def _safe_norm(vd):
+def _safe_unit(vd):
+    """(unit, safe norm, small) of plain vectors along the last axis: the
+    norm (kept as length 1) is 1 and the unit vector zero where `small`
+    marks a degenerate norm."""
     n = np.sqrt((vd * vd).sum(axis=-1, keepdims=True))
     small = n < DEGENERACY_EPS
-    return np.where(small, 1.0, n), small
+    safe = np.where(small, 1.0, n)
+    return np.where(small, 0.0, vd / safe), safe, small
 
 
 def safe_unit(v):
     """Unit vector along the last axis; zero where the norm is degenerate."""
-    vd = ag.value(v)
-    safe, small = _safe_norm(vd)
-    unit = np.where(small, 0.0, vd / safe)
+    unit, safe, small = _safe_unit(ag.value(v))
     return ag.record(unit, (v,),
                      lambda g: (np.where(small, 0.0, _project_out(g, unit, safe)),))
-
-
-def safe_norm(v):
-    """Norm along the last axis (kept as length 1); 1 where it is degenerate,
-    which is where safe_unit is zero."""
-    vd = ag.value(v)
-    safe, small = _safe_norm(vd)
-    return ag.record(safe, (v,), lambda g: (g * np.where(small, 0.0, vd / safe),))
 
 
 def matrix_to_sixd(m):
@@ -176,20 +170,6 @@ def _rotated(vd, c, s, angle_shape):
                 ag.unbroadcast(ga, np.shape(c)).reshape(angle_shape))
 
     return out, vjp
-
-
-def rotate_z(v, angle):
-    """Rotate the xy components of (..., 2) or (..., 3) vectors by `angle`.
-
-    angle broadcasts over the leading axes of v; the z component (when
-    present) is untouched.
-    """
-    vd = ag.value(v)
-    if vd.shape[-1] not in (2, 3):
-        raise ValueError(f"rotate_z expects 2- or 3-vectors, got {vd.shape}")
-    ad = ag.value(angle)
-    out, vjp = _rotated(vd, np.cos(ad), np.sin(ad), ad.shape)
-    return ag.record(out, (v, angle), vjp)
 
 
 def rotation_z_matrix(angle):

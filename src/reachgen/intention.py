@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
-from .body import Skeleton, heading_of, joint_position_and_heading, rotate_pose_z
+from .body import (Skeleton, heading_of, joint_position_and_heading,
+                   joint_position_and_root)
 from .errors import InvalidInputError, SkipWindow
-from .geometry import rotate_z, safe_norm, safe_unit, yaw_of
+from .geometry import _project_out, _safe_unit, safe_unit
 
 INTENTION_DIM = 7
 PELVIS_SATURATION = 2.0
@@ -42,17 +43,20 @@ class GoalSpec:
                 "target_joint": self.target_joint}
 
 
+def _remaining(goal: GoalSpec, current_frame):
+    """max(t_g - i, 1), shaped to divide (..., 3) vectors."""
+    remaining = np.maximum(
+        np.asarray(goal.target_frame, dtype=np.float64) - current_frame, 1.0)
+    return remaining[..., None] if np.ndim(remaining) > 0 else remaining
+
+
 def wrist_intention(wrist_pos, goal: GoalSpec, current_frame):
     """Average velocity needed to land on the goal at its target frame.
 
     (g - w) / max(t_g - i, 1); the clamp keeps multi-goal rollouts finite
     after the deadline passes.
     """
-    remaining = np.maximum(
-        np.asarray(goal.target_frame, dtype=np.float64) - current_frame, 1.0)
-    if np.ndim(remaining) > 0:
-        remaining = remaining[..., None]
-    return (goal.position - wrist_pos) / remaining
+    return (goal.position - wrist_pos) / _remaining(goal, current_frame)
 
 
 def orientation_intention(pose, goal: GoalSpec, skeleton: Skeleton,
@@ -76,30 +80,12 @@ def _orientation_term(current, goal_direction, goal_heading):
 
 def pelvis_intention(pelvis_pos, goal_pos):
     """Saturated xy direction to the goal: 2(1 - e^-d) * v/d, zero at d = 0."""
-    v = goal_pos[..., 0:2] - pelvis_pos[..., 0:2]
-    return _pelvis_term(v, safe_unit(v))
+    direction, distance, _ = _safe_unit(goal_pos[..., 0:2] - pelvis_pos[..., 0:2])
+    return _pelvis_term(direction, np.exp(-distance))
 
 
-def _pelvis_term(to_goal, goal_direction):
-    return PELVIS_SATURATION * (1.0 - ag.exp(-safe_norm(to_goal))) * goal_direction
-
-
-def _intention(pose, skeleton: Skeleton, goal: GoalSpec, current_frame,
-               goal_heading):
-    """(intention (..., 7), -yaw of the root) for compute_intention and
-    assemble_condition; the pelvis-to-goal direction serves both the
-    orientation and the pelvis term."""
-    wrist, heading = joint_position_and_heading(
-        pose, skeleton, skeleton.joint_index(goal.target_joint))
-    to_goal = goal.position[..., 0:2] - pose[..., 0:2]
-    direction = safe_unit(to_goal)
-    neg_yaw = -yaw_of(pose[..., 3:9])
-    intention = ag.concatenate([
-        rotate_z(wrist_intention(wrist, goal, current_frame), neg_yaw),
-        rotate_z(_orientation_term(heading, direction, goal_heading), neg_yaw),
-        rotate_z(_pelvis_term(to_goal, direction), neg_yaw),
-    ], axis=-1)
-    return intention, neg_yaw
+def _pelvis_term(direction, decay):
+    return PELVIS_SATURATION * (1.0 - decay) * direction
 
 
 def compute_intention(pose, skeleton: Skeleton, goal: GoalSpec,
@@ -110,7 +96,8 @@ def compute_intention(pose, skeleton: Skeleton, goal: GoalSpec,
     frame, which makes the condition vector, and therefore closed-loop
     generation, equivariant to world heading.
     """
-    return _intention(pose, skeleton, goal, current_frame, goal_heading)[0]
+    return assemble_condition(pose, np.zeros(ag.value(pose).shape), skeleton,
+                              goal, current_frame, goal_heading)[1]
 
 
 def condition_dim(n_rotated: int) -> int:
@@ -119,18 +106,96 @@ def condition_dim(n_rotated: int) -> int:
 
 
 def assemble_condition(pose, prev_delta, skeleton: Skeleton,
-                       goal: GoalSpec, current_frame, goal_heading=None):
+                       goal: GoalSpec, current_frame, goal_heading=None,
+                       read=None):
     """(condition, intention): [z, canonical root 6D, joint 6Ds, prev delta,
-    intention] and the intention it holds.
+    intention] and a copy of the intention it holds.
 
     Only the z translation enters and the root orientation is
     yaw-canonicalized, so the condition is invariant to world heading and
-    xy position when the goal moves with the body.
+    xy position when the goal moves with the body. `read` is the pose's
+    (target joint position, root rotation) from
+    body.joint_position_and_root, for a caller that has read them already.
     """
-    intention, neg_yaw = _intention(pose, skeleton, goal, current_frame,
-                                    goal_heading)
-    local = rotate_pose_z(pose, neg_yaw)[..., 2:]
-    return ag.concatenate([local, prev_delta, intention], axis=-1), intention
+    if read is None:
+        read = joint_position_and_root(pose, skeleton,
+                                       skeleton.joint_index(goal.target_joint))
+    wrist, root = read
+    return _condition(pose, root, wrist, prev_delta, skeleton, goal,
+                      current_frame, goal_heading)
+
+
+def _condition(pose, root, wrist, prev_delta, skeleton: Skeleton,
+               goal: GoalSpec, current_frame, goal_heading):
+    """The condition of assemble_condition as one fused op over (pose, root
+    rotation, target joint position, previous delta).
+
+    The heading, the pelvis-to-goal direction and the three intention terms
+    run the numpy calls of their elementary ops in the same order, and one
+    cos/sin of -yaw turns all five xy pairs, so the bits are those of the
+    composition; the VJP is written out by hand.
+    """
+    pd, rd, wd, dd = (ag.value(a) for a in (pose, root, wrist, prev_delta))
+    n = pd.shape[-1]
+    i = 2 * n - 2    # the intention's first column
+    out = np.empty(pd.shape[:-1] + (i + INTENTION_DIM,))
+    out[..., :n - 2] = pd[..., 2:]
+    out[..., n - 2:i] = dd
+    forward = skeleton.forward_axis
+    heading, heading_norm, flat = _safe_unit((rd @ forward.reshape(3, 1))[..., 0:2, 0])
+    to_goal = goal.position[..., 0:2] - pd[..., 0:2]
+    direction, distance, near = _safe_unit(to_goal)
+    remaining = _remaining(goal, current_frame)
+    out[..., i:i + 3] = (goal.position - wd) / remaining
+    out[..., i + 3:i + 5] = _orientation_term(heading, direction, goal_heading)
+    decay = np.exp(-distance)
+    out[..., i + 5:] = _pelvis_term(direction, decay)
+    # the x column of each xy pair: both root 6D halves, then the wrist,
+    # orientation and pelvis terms
+    xs = np.array([1, 4, i, i + 3, i + 5])
+    ys = xs + 1
+    neg_yaw = -np.arctan2(pd[..., 4], pd[..., 3])
+    c = np.cos(neg_yaw)[..., None]
+    s = np.sin(neg_yaw)[..., None]
+    x = out[..., xs]
+    y = out[..., ys]
+    xt = c * x - s * y
+    yt = s * x + c * y
+    out[..., xs] = xt
+    out[..., ys] = yt
+
+    def vjp(g):
+        gx = g[..., xs]
+        gy = g[..., ys]
+        g_yaw = (gx * yt - gy * xt).sum(axis=-1)   # d/d(yaw) = -d/d(-yaw)
+        gu = g.copy()     # the gradient of the slots before the turn
+        gu[..., xs] = c * gx + s * gy
+        gu[..., ys] = c * gy - s * gx
+        gp = np.zeros(gu.shape[:-1] + (n,))
+        gp[..., 2:] = gu[..., :n - 2]
+        scale = g_yaw / (pd[..., 3] * pd[..., 3] + pd[..., 4] * pd[..., 4])
+        gp[..., 3] -= scale * pd[..., 4]
+        gp[..., 4] += scale * pd[..., 3]
+        g_orient = gu[..., i + 3:i + 5]
+        g_pelvis = gu[..., i + 5:]
+        g_dir = g_pelvis * (PELVIS_SATURATION * (1.0 - decay))
+        if goal_heading is None:
+            g_dir = g_dir + g_orient
+        g_dist = ((g_pelvis * direction).sum(axis=-1, keepdims=True)
+                  * (PELVIS_SATURATION * decay))
+        g_to_goal = np.where(near, 0.0, g_dist * direction
+                             + _project_out(g_dir, direction, distance))
+        gp[..., 0:2] -= g_to_goal
+        g_fwd = np.where(flat, 0.0, _project_out(-g_orient, heading, heading_norm))
+        g_root = np.zeros(g_fwd.shape[:-1] + (3, 3))
+        g_root[..., 0:2, :] = g_fwd[..., :, None] * forward
+        g_wrist = -gu[..., i:i + 3] / remaining
+        return (ag.unbroadcast(gp, pd.shape), ag.unbroadcast(g_root, rd.shape),
+                ag.unbroadcast(g_wrist, wd.shape),
+                ag.unbroadcast(gu[..., n - 2:i], dd.shape))
+
+    cond = ag.record(out, (pose, root, wrist, prev_delta), vjp)
+    return cond, out[..., i:].copy()
 
 
 def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator,

@@ -98,34 +98,16 @@ def init_mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str,
             store.add(f"{prefix}.ln_b{i}", np.zeros(d_out))
 
 
-def _layer_norm(x, gain, offset):
-    """(x - mean) / sqrt(var + eps) * gain + offset over the last axis."""
-    xd = ag.value(x)
-    gd = ag.value(gain)
-    inv_n = 1.0 / xd.shape[-1]
-    centered = xd - xd.sum(axis=-1, keepdims=True) * inv_n
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered / std
-    out = xhat * gd + ag.value(offset)
-
-    def vjp(g):
-        gx = g * gd
-        gx = (gx - gx.sum(axis=-1, keepdims=True) * inv_n
-              - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)) / std
-        lead = tuple(range(g.ndim - 1))
-        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
-
-    return ag.record(out, (x, gain, offset), vjp)
-
-
 def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
                 train: bool = False, dropout_seed: int | None = None):
     """Forward pass: per layer affine -> layer-norm -> relu -> dropout
     (train only, inverted scaling); final layer affine only.
 
-    x is (..., in_dim), plain array or Tensor. Raises NumericFault with the
-    offending layer index when activations go non-finite.
+    x is (..., in_dim), plain array or Tensor. The whole network is one
+    fused op: it records one tape node whose VJP runs back through every
+    layer. Raises NumericFault naming the first layer whose activations
+    went non-finite: only the output is checked on every call, and the
+    saved activations are scanned once it is non-finite.
     """
     xd = ag.value(x)
     if xd.shape[-1] != cfg.in_dim:
@@ -134,40 +116,90 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
     dropout_rng = None
     if train and cfg.dropout > 0.0:
         dropout_rng = np.random.default_rng(dropout_seed)
-    h = x
+    keep = 1.0 - cfg.dropout
     n = cfg.n_layers
-    for i in range(n):
-        w = store[f"{prefix}.w{i}"]
-        b = store[f"{prefix}.b{i}"]
-        h = _affine(h, w, b)
-        if i < n - 1:
-            if cfg.layer_norm:
-                h = _layer_norm(h, store[f"{prefix}.ln_g{i}"], store[f"{prefix}.ln_b{i}"])
-            h = ag.relu(h)
-            if dropout_rng is not None:
-                keep = 1.0 - cfg.dropout
-                mask = (dropout_rng.random(ag.value(h).shape) < keep) / keep
-                h = h * mask
-        if not np.all(np.isfinite(ag.value(h))):
-            raise NumericFault("non-finite activation", where=f"{prefix} layer {i}")
-    return h
-
-
-def _affine(h, w, b):
-    """h @ w + b. A 1-D h is multiplied as a (1, d) matrix: BLAS may round a
-    vector-matrix product differently, and rollout bits rest on this layout."""
-    hd = ag.value(h)
-    wd = ag.value(w)
-    if hd.ndim == 1:
-        out = (hd.reshape(1, -1) @ wd).reshape(-1) + ag.value(b)
-    else:
-        out = hd @ wd + ag.value(b)
+    params = []
+    layers = []     # per layer: (input, pre-relu, xhat, std, dropout mask)
+    h = xd
+    # a non-finite activation runs on to the output quietly; the scan below
+    # names its layer
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(n):
+            w = store[f"{prefix}.w{i}"]
+            b = store[f"{prefix}.b{i}"]
+            params += (w, b)
+            h_in = h
+            # a 1-D h is multiplied as a (1, d) matrix: BLAS may round a
+            # vector-matrix product differently, and rollout bits rest on this
+            if h.ndim == 1:
+                h = (h.reshape(1, -1) @ w.data).reshape(-1) + b.data
+            else:
+                h = h @ w.data + b.data
+            pre = xhat = std = mask = None
+            if i < n - 1:
+                if cfg.layer_norm:
+                    gain = store[f"{prefix}.ln_g{i}"]
+                    offset = store[f"{prefix}.ln_b{i}"]
+                    params += (gain, offset)
+                    h, xhat, std = _layer_norm(h, gain.data, offset.data)
+                pre = h
+                h = np.maximum(pre, 0.0)
+                if dropout_rng is not None:
+                    mask = (dropout_rng.random(h.shape) < keep) / keep
+                    h = h * mask
+            layers.append((h_in, pre, xhat, std, mask))
+    if not np.isfinite(h).all():
+        for i in range(n - 1):
+            if not np.isfinite(layers[i + 1][0]).all():
+                break
+        else:
+            i = n - 1
+        raise NumericFault("non-finite activation", where=f"{prefix} layer {i}")
+    wants_input_grad = isinstance(x, Tensor) and x.requires_grad
 
     def vjp(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        return g @ wd.T, hd.reshape(-1, hd.shape[-1]).T @ g2, g2.sum(axis=0)
+        grads = []
+        k = len(params)
+        for i in reversed(range(n)):
+            h_in, pre, xhat, std, mask = layers[i]
+            if pre is not None:
+                if mask is not None:
+                    g = g * mask
+                g = g * (pre > 0.0)
+                if xhat is not None:
+                    k -= 2
+                    g, g_gain, g_offset = _layer_norm_vjp(g, xhat, std, params[k].data)
+                    grads += (g_offset, g_gain)
+            k -= 2
+            g2 = g.reshape(-1, g.shape[-1])
+            grads += (g2.sum(axis=0), h_in.reshape(-1, h_in.shape[-1]).T @ g2)
+            if i or wants_input_grad:
+                g = g @ params[k].data.T
+        grads.append(g if wants_input_grad else None)
+        return grads[::-1]
 
-    return ag.record(out, (h, w, b), vjp)
+    return ag.record(h, (x, *params), vjp)
+
+
+def _layer_norm(xd, gain, offset):
+    """(out, xhat, std): (x - mean) / sqrt(var + eps) * gain + offset over
+    the last axis, with what its VJP reads."""
+    inv_n = 1.0 / xd.shape[-1]
+    centered = xd - xd.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centered / std
+    return xhat * gain + offset, xhat, std
+
+
+def _layer_norm_vjp(g, xhat, std, gain):
+    """Gradients of the layer norm's (input, gain, offset)."""
+    inv_n = 1.0 / g.shape[-1]
+    gx = g * gain
+    gx = (gx - gx.sum(axis=-1, keepdims=True) * inv_n
+          - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)) / std
+    lead = tuple(range(g.ndim - 1))
+    return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
 @dataclass

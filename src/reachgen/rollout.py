@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ag
-from .body import Skeleton, integrate_delta, joint_position, pose_dim
+from .body import integrate_delta, joint_position_and_root, pose_dim
 from .container import read_container, write_container
 from .dataset import MotionSequence, load_motion, save_motion
 from .errors import (CorruptFileError, DegenerateRotationError, InvalidInputError,
@@ -29,6 +29,8 @@ class GoalSchedule:
 
     on_frame: advance once the clock passes the active goal's target frame.
     on_reach: advance once the wrist comes within `radius` of the active goal.
+    The goals share one target joint, which each frame reads once for the
+    switch test and the condition.
     """
 
     goals: tuple[GoalSpec, ...]
@@ -42,6 +44,8 @@ class GoalSchedule:
             raise InvalidInputError(f"unknown switch policy {self.policy!r}")
         if self.radius <= 0:
             raise InvalidInputError("radius must be positive")
+        if len({g.target_joint for g in self.goals}) > 1:
+            raise InvalidInputError("a schedule's goals need one target joint")
         frames = [np.asarray(g.target_frame) for g in self.goals]
         if any(np.any(b <= a) for a, b in zip(frames, frames[1:])):
             raise InvalidInputError("goal target frames must be strictly increasing")
@@ -118,12 +122,6 @@ class _GoalRows:
             self.frames = np.stack([np.broadcast_to(g.target_frame, lead)
                                     for g in schedule.goals])
 
-    def _joint(self, active) -> str:
-        joints = {self.schedule.goals[k].target_joint for k in np.unique(active)}
-        if len(joints) > 1:
-            raise InvalidInputError("rows on different goals need one target joint")
-        return joints.pop()
-
     def goal(self, active) -> GoalSpec:
         """The active goal of every row; the schedule's own GoalSpec while
         all rows share one."""
@@ -133,10 +131,12 @@ class _GoalRows:
         if (active == first).all():
             return self.schedule.goals[first]
         at = (active,) + self.rows
-        return GoalSpec(self.positions[at], self.frames[at], self._joint(active))
+        return GoalSpec(self.positions[at], self.frames[at],
+                        self.schedule.goals[0].target_joint)
 
-    def advance(self, active, cur_pose, skeleton: Skeleton, current_frame: int):
-        """Per-row active goal indices after the switch policy's test."""
+    def advance(self, active, wrist, current_frame: int):
+        """Per-row active goal indices after the switch policy's test;
+        `wrist` is the rows' target joint position."""
         if not self.last or (active >= self.last).all():
             return active
         if self.schedule.policy == "on_frame":
@@ -146,8 +146,6 @@ class _GoalRows:
                 if not step.any():
                     return active
                 active = active + step
-        wrist_idx = skeleton.joint_index(self._joint(active))
-        wrist = ag.value(joint_position(cur_pose, skeleton, wrist_idx))
         dist = np.linalg.norm(wrist - self.positions[(active,) + self.rows], axis=-1)
         return active + ((active < self.last) & (dist <= self.schedule.radius))
 
@@ -220,10 +218,13 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
         out.poses[-1] = cur
         return False
 
+    joint = skeleton.joint_index(schedule.goals[0].target_joint)
+
     def condition(current_frame: int):
-        now = goals.advance(active, cur, skeleton, current_frame)
-        cond, intent = assemble_condition(cur, prev_delta, skeleton,
-                                          goals.goal(now), current_frame)
+        read = joint_position_and_root(cur, skeleton, joint)
+        now = goals.advance(active, ag.value(read[0]), current_frame)
+        cond, intent = assemble_condition(cur, prev_delta, skeleton, goals.goal(now),
+                                          current_frame, read=read)
         return now, cond, intent
 
     for i in range(1, duration + 1):

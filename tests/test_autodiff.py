@@ -112,15 +112,14 @@ def test_sum_mean_axis_gradients():
     np.testing.assert_allclose(x.grad, fd, rtol=1e-5, atol=1e-8)
 
 
-def test_relu_clip_gradients():
+def test_clip_gradients():
     x0 = np.array([-1.0, 0.5, 2.0, -0.2])
     x = Tensor(x0, requires_grad=True)
     with Tape() as tape:
         c = ag.clip(x, -0.5, 1.0)
-        loss = ag.sum(ag.relu(x)) + ag.sum(c * c)
+        loss = ag.sum(c * c)
     tape.backward(loss)
-    fd = grad_of(lambda v: np.sum(np.maximum(v, 0)) + np.sum(np.clip(v, -0.5, 1.0) ** 2),
-                 x0.copy())
+    fd = grad_of(lambda v: np.sum(np.clip(v, -0.5, 1.0) ** 2), x0.copy())
     np.testing.assert_allclose(x.grad, fd, rtol=1e-5, atol=1e-8)
 
     # clip records one node; exactly at a bound its gradient is 0, and its

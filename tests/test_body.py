@@ -266,11 +266,11 @@ def full_fk_joint_position(pose, skeleton, joint):
     return body.forward_kinematics(pose, skeleton)[..., joint, :]
 
 
-def full_fk_joint_position_and_heading(pose, skeleton, joint):
-    """One joint read out of whole-body FK, and the heading."""
+def full_fk_joint_position_and_root(pose, skeleton, joint):
+    """One joint read out of whole-body FK, and the root rotation."""
     local = body._local_rotations(pose, skeleton)
     pos = body._joint_positions(pose[..., 0:3], local, skeleton)
-    return pos[..., joint, :], body._heading(local[..., 0, :, :], skeleton)
+    return pos[..., joint, :], local[..., 0, :, :]
 
 
 def test_latent_gradient_through_chain_walk_equals_full_fk(skel, monkeypatch):
@@ -288,10 +288,10 @@ def test_latent_gradient_through_chain_walk_equals_full_fk(skel, monkeypatch):
         return total.data.tobytes() + latents.grad.tobytes()
 
     chain = value_and_gradient()
-    monkeypatch.setattr(intention, "joint_position_and_heading",
-                        full_fk_joint_position_and_heading)
+    for module in (intention, rollout):
+        monkeypatch.setattr(module, "joint_position_and_root",
+                            full_fk_joint_position_and_root)
     monkeypatch.setattr(latent_opt, "joint_position", full_fk_joint_position)
-    monkeypatch.setattr(rollout, "joint_position", full_fk_joint_position)
     assert chain == value_and_gradient()
 
 

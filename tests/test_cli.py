@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from reachgen import cli
+
 CLI = [sys.executable, "-m", "reachgen.cli"]
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -132,6 +134,19 @@ def test_missing_checkpoint_nonzero(tmp_path):
                 "--goal", "1,1,1", "--out", str(tmp_path / "o"))
     assert r.returncode != 0
     assert "error code=" in r.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "--checkpoint", "{tmp}/nope.ckpt", "--goal", "1,1,1"], "FileNotFound"),
+    (["gen-data", "--config", "{tmp}/nope.json"], "FileNotFound"),
+    (["gen-data", "--config", "{tmp}/bad.json"], "InvalidInputError"),
+    (["gen-data", "--config", "{tmp}"], "InvalidInputError"),
+], ids=["missing-checkpoint", "missing-config", "bad-json-config", "directory-config"])
+def test_unreadable_input_file_error_codes(tmp_path, capsys, argv, code):
+    (tmp_path / "bad.json").write_text("{not json")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert cli.dispatch(argv) == 1
+    assert f"error code={code} " in capsys.readouterr().err
 
 
 def test_env_seed_override(tmp_path, tiny_config):

@@ -61,41 +61,6 @@ def test_locomotion_feet_stay_near_ground(small_corpus, skel):
         assert np.all(np.minimum(pos[:, lf, 2], pos[:, rf, 2]) < 0.02)
 
 
-def test_resample_identity_at_target_fps(skel):
-    seq = static_sequence(skel)
-    out = ds.resample_fps(seq, 30.0)
-    assert out is seq
-
-
-def test_resample_halves_frames(skel):
-    vec = rest_pose(skel)
-    seq = ds.MotionSequence(60.0, np.tile(vec, (121, 1)), skel, None, "locomotion", "x")
-    out = ds.resample_fps(seq, 30.0)
-    assert abs(out.n_frames - 61) <= 1
-    assert out.fps == 30.0
-
-
-def test_resample_preserves_constant_velocity(skel):
-    n = 91
-    vec = rest_pose(skel)
-    poses = np.tile(vec, (n, 1))
-    poses[:, 0] = np.arange(n) * 0.02   # 0.02 m/frame at 60 fps = 1.2 m/s
-    seq = ds.MotionSequence(60.0, poses, skel, None, "locomotion", "cv")
-    out = ds.resample_fps(seq, 30.0)
-    vel = np.diff(out.poses[:, 0]) * 30.0
-    np.testing.assert_allclose(vel, 1.2, atol=1e-9)
-    # duration preserved within one frame
-    assert abs((out.n_frames - 1) / 30.0 - (n - 1) / 60.0) <= 1.0 / 30.0
-
-
-def test_resample_rejects_single_frame(skel):
-    vec = rest_pose(skel)
-    seq = ds.MotionSequence(30.0, np.tile(vec, (2, 1)), skel, None, "locomotion", "s")
-    seq.poses = seq.poses[:1]
-    with pytest.raises(ValueError):
-        ds.resample_fps(seq, 60.0)
-
-
 def test_filter_floating_rules(skel):
     grounded = static_sequence(skel)
     floating = static_sequence(skel)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reachgen import body, intention as it
+from reachgen import autodiff as ag, body, geometry as geo, intention as it
 from reachgen.body import desk_skeleton, pose_dim, rest_pose, rotate_pose_z
 from reachgen.intention import GoalSpec
 
@@ -163,3 +163,117 @@ def test_compute_intention_canonical_is_yaw_invariant(skel):
 def test_goal_spec_rejects_non_finite():
     with pytest.raises(ValueError):
         GoalSpec(np.array([np.nan, 0.0, 0.0]), 10)
+
+
+# -------------------------------------------------------- fused condition op
+
+def ref_rotate_z(v, angle):
+    """xy of (..., k) vectors turned by angle, as the rotate_z op did it."""
+    c, s = np.cos(angle), np.sin(angle)
+    x, y = v[..., 0], v[..., 1]
+    return np.concatenate([np.stack([c * x - s * y, s * x + c * y], axis=-1),
+                           v[..., 2:]], axis=-1)
+
+
+def ref_condition(pose, prev_delta, skel, goal, current_frame, goal_heading=None):
+    """The elementary-op composition `assemble_condition` replaced, as the
+    numpy calls those ops ran without a tape, in the same order."""
+    wrist, heading = body.joint_position_and_heading(
+        pose, skel, skel.joint_index(goal.target_joint))
+    to_goal = goal.position[..., 0:2] - pose[..., 0:2]
+    direction = geo.safe_unit(to_goal)
+    neg_yaw = -np.arctan2(pose[..., 4], pose[..., 3])
+    distance = np.sqrt((to_goal * to_goal).sum(axis=-1, keepdims=True))
+    distance = np.where(distance < geo.DEGENERACY_EPS, 1.0, distance)
+    desired = direction if goal_heading is None else geo.safe_unit(goal_heading)
+    terms = [it.wrist_intention(wrist, goal, current_frame), desired - heading,
+             it.PELVIS_SATURATION * (1.0 - np.exp(-distance)) * direction]
+    intention = np.concatenate([ref_rotate_z(t, neg_yaw) for t in terms], axis=-1)
+    local = rotate_pose_z(pose, neg_yaw)[..., 2:]
+    return np.concatenate([local, prev_delta, intention], axis=-1), intention
+
+
+def condition_case(skel, rng, lead, with_heading):
+    """A random pose, previous delta, goal, frame and goal heading; the
+    first row's goal sits on its pelvis, a degenerate direction."""
+    pose = np.broadcast_to(rest_pose(skel), lead + (pose_dim(skel.n_rotated),)).copy()
+    pose[..., :3] += rng.normal(size=lead + (3,))
+    pose[..., 3:] += rng.normal(scale=0.3, size=lead + (pose.shape[-1] - 3,))
+    prev_delta = rng.normal(scale=0.01, size=pose.shape)
+    position = rng.normal(size=lead + (3,))
+    if lead:
+        position.reshape(-1, 3)[0, :2] = pose.reshape(-1, pose.shape[-1])[0, :2]
+    frame = rng.integers(1, 60, size=lead)
+    goal = GoalSpec(position, rng.integers(30, 90, size=lead))
+    heading = rng.normal(size=lead + (2,)) if with_heading else None
+    return pose, prev_delta, goal, frame, heading
+
+
+def test_fused_condition_forward_bits(skel):
+    rng = np.random.default_rng(50)
+    for lead in ((), (1,), (3,), (2, 3)):
+        for with_heading in (False, True):
+            for _ in range(20):
+                pose, prev, goal, frame, heading = condition_case(
+                    skel, rng, lead, with_heading)
+                cond, intent = it.assemble_condition(pose, prev, skel, goal, frame,
+                                                     goal_heading=heading)
+                ref_cond, ref_intent = ref_condition(pose, prev, skel, goal, frame,
+                                                     heading)
+                assert cond.shape == lead + (it.condition_dim(skel.n_rotated),)
+                assert cond.tobytes() == ref_cond.tobytes(), (lead, with_heading)
+                assert intent.tobytes() == ref_intent.tobytes()
+                # a copy: a kept intention must not hold its condition row
+                assert not np.shares_memory(intent, cond)
+
+
+def test_fused_condition_gradients(skel):
+    """One tape node over (pose, root rotation, wrist, previous delta), and
+    a VJP that matches finite differences for each."""
+    rng = np.random.default_rng(51)
+    joint = skel.joint_index("right_wrist")
+    for lead in ((), (3,), (2, 3)):
+        for with_heading in (False, True):
+            pose, prev, goal, frame, heading = condition_case(
+                skel, rng, lead, with_heading)
+            goal = GoalSpec(goal.position + 3.0, goal.target_frame)  # off the pelvis
+            wrist, root = (np.asarray(a) for a in
+                           body.joint_position_and_root(pose, skel, joint))
+            inputs = [pose, root.copy(), wrist, prev]
+            weights = rng.normal(size=lead + (it.condition_dim(skel.n_rotated),))
+
+            def loss(*args):
+                cond, _ = it._condition(*args, skel, goal, frame, heading)
+                return np.sum(cond * weights)
+
+            ts = [ag.Tensor(a, requires_grad=True) for a in inputs]
+            with ag.Tape() as tape:
+                cond, _ = it._condition(*ts, skel, goal, frame, heading)
+                assert len(tape) == 1
+                total = ag.sum(cond * weights)
+            tape.backward(total)
+            for i, (t, a0) in enumerate(zip(ts, inputs)):
+                def f(v, i=i):
+                    args = list(inputs)
+                    args[i] = v
+                    return loss(*args)
+                fd = ag.finite_difference_gradient(f, a0.copy(), h=1e-6)
+                np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-7,
+                                           err_msg=f"input {i}, lead {lead}")
+
+
+def test_fused_condition_gradient_is_zero_on_a_degenerate_direction(skel):
+    """A goal on the pelvis gives the direction and the distance a locally
+    constant value (zero vector, norm 1), so no gradient reaches the
+    pelvis xy of that row; the other row gets one."""
+    rng = np.random.default_rng(52)
+    pose, prev, goal, frame, _ = condition_case(skel, rng, (2,), False)
+    wrist, root = (np.asarray(a) for a in body.joint_position_and_root(
+        pose, skel, skel.joint_index("right_wrist")))
+    t = ag.Tensor(pose, requires_grad=True)
+    with ag.Tape() as tape:
+        cond, _ = it._condition(t, root, wrist, prev, skel, goal, frame, None)
+        total = ag.sum(cond * rng.normal(size=cond.shape))
+    tape.backward(total)
+    np.testing.assert_array_equal(t.grad[0, 0:2], 0.0)
+    assert np.all(t.grad[1, 0:2] != 0.0)

@@ -213,10 +213,10 @@ def test_parameter_store_deterministic_order_and_copy():
     assert store["a"].data[0] == 1.0
 
 
-# --------------------------------------------- fused affine and layer norm
+# ------------------------------------------------------------- fused MLP
 
 def ref_layer_norm(x, gain, offset):
-    """The elementary-op composition `nn._layer_norm` replaced."""
+    """The elementary-op composition of a layer norm."""
     mu = ag.mean(x, axis=-1, keepdims=True)
     centered = x - mu
     var = ag.mean(centered * centered, axis=-1, keepdims=True)
@@ -224,7 +224,7 @@ def ref_layer_norm(x, gain, offset):
 
 
 def ref_affine(h, w, b):
-    """The elementary-op composition `nn._affine` replaced; a 1-D input goes
+    """The elementary-op composition of an affine layer; a 1-D input goes
     through matmul as a (1, d) matrix."""
     if np.ndim(h) == 1:
         out = ag.matmul(ag.reshape(h, (1, np.shape(h)[0])), w)
@@ -232,38 +232,118 @@ def ref_affine(h, w, b):
     return ag.matmul(h, w) + b
 
 
-def fused_inputs(rng, lead, d_in=8, d_out=5):
-    x = rng.normal(size=lead + (d_in,))
-    return {"affine": (nn._affine, ref_affine,
-                       [x, rng.normal(size=(d_in, d_out)), rng.normal(size=d_out)]),
-            "layer_norm": (nn._layer_norm, ref_layer_norm,
-                           [x * 3.0 + 1.0, rng.normal(size=d_in), rng.normal(size=d_in)])}
+def ref_relu(h):
+    """np.maximum on plain arrays; a multiply by the positive mask under the
+    tape, as the relu op did."""
+    if isinstance(h, Tensor):
+        return h * (h.data > 0.0)
+    return np.maximum(h, 0.0)
+
+
+def ref_mlp(cfg, store, x, prefix="net", train=False, dropout_seed=None):
+    """The per-layer elementary-op composition `nn.mlp_forward` replaced."""
+    rng = np.random.default_rng(dropout_seed) if train and cfg.dropout > 0.0 else None
+    h = x
+    for i in range(cfg.n_layers):
+        h = ref_affine(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
+        if i < cfg.n_layers - 1:
+            if cfg.layer_norm:
+                h = ref_layer_norm(h, store[f"{prefix}.ln_g{i}"],
+                                   store[f"{prefix}.ln_b{i}"])
+            h = ref_relu(h)
+            if rng is not None:
+                keep = 1.0 - cfg.dropout
+                h = h * ((rng.random(ag.value(h).shape) < keep) / keep)
+    return h
+
+
+def mlp_case(seed, dropout, layer_norm=True):
+    cfg = nn.MlpConfig(in_dim=8, out_dim=5, hidden_dim=6, n_layers=3,
+                       dropout=dropout, layer_norm=layer_norm)
+    store = make_mlp(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for name, p in store.items():    # move the gains and offsets off 1 and 0
+        p.data = p.data + rng.normal(scale=0.3, size=p.data.shape)
+    return cfg, store
 
 
 def test_fused_affine_and_layer_norm_forward_bits():
+    """The fused MLP (affine, layer norm, relu and dropout per layer) has
+    the bits of the elementary composition."""
     rng = np.random.default_rng(40)
-    for lead in ((), (1,), (7,), (2, 3)):
-        for name, (op, ref, args) in fused_inputs(rng, lead).items():
-            out, expected = op(*args), ref(*args)
-            assert out.shape == expected.shape, name
-            assert out.tobytes() == expected.tobytes(), (name, lead)
+    for dropout in (0.0, 0.4):
+        for layer_norm in (True, False):
+            cfg, store = mlp_case(40, dropout, layer_norm)
+            for lead in ((), (1,), (3,), (2, 3)):
+                x = rng.normal(size=lead + (8,)) * 2.0
+                for train in (False, True):
+                    out = nn.mlp_forward(cfg, store, x, prefix="net", train=train,
+                                         dropout_seed=7)
+                    expected = ref_mlp(cfg, store, x, train=train, dropout_seed=7)
+                    assert out.shape == expected.shape == lead + (5,)
+                    assert out.tobytes() == expected.tobytes(), (dropout, lead, train)
 
 
 def test_fused_affine_and_layer_norm_gradients():
+    """One tape node for the whole MLP, and a VJP that matches finite
+    differences for the input and every parameter."""
     rng = np.random.default_rng(41)
-    for lead in ((), (3,), (2, 3)):
-        for name, (op, _, args) in fused_inputs(rng, lead).items():
-            weights = rng.normal(size=np.shape(op(*args)))
-            ts = [Tensor(a, requires_grad=True) for a in args]
+    for dropout in (0.0, 0.4):
+        cfg, store = mlp_case(41, dropout)
+        for lead in ((), (3,), (2, 3)):
+            x0 = rng.normal(size=lead + (8,))
+            weights = rng.normal(size=lead + (5,))
+
+            def loss(x):
+                out = nn.mlp_forward(cfg, store, x, prefix="net", train=True,
+                                     dropout_seed=3)
+                return np.sum(ag.value(out) * weights)
+
+            store.zero_grad()
+            x = Tensor(x0, requires_grad=True)
             with Tape() as tape:
-                loss = ag.sum(op(*ts) * weights)
-            tape.backward(loss)
-            assert len(tape) == 3, name
-            for i, (t, a0) in enumerate(zip(ts, args)):
-                def f(v, i=i):
-                    vals = list(args)
-                    vals[i] = v
-                    return np.sum(op(*vals) * weights)
-                fd = ag.finite_difference_gradient(f, np.array(a0))
-                np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-8,
-                                           err_msg=f"{name} input {i} lead {lead}")
+                out = nn.mlp_forward(cfg, store, x, prefix="net", train=True,
+                                     dropout_seed=3)
+                assert len(tape) == 1
+                total = ag.sum(out * weights)
+            tape.backward(total)
+            fd = ag.finite_difference_gradient(loss, x0.copy(), h=1e-6)
+            np.testing.assert_allclose(x.grad, fd, rtol=1e-5, atol=1e-8,
+                                       err_msg=f"input, lead {lead}")
+            for name, param in store.items():
+                base = param.data.copy()
+
+                def f(v, param=param, base=base):
+                    param.data = v
+                    try:
+                        return loss(x0)
+                    finally:
+                        param.data = base
+
+                fd = ag.finite_difference_gradient(f, base.copy(), h=1e-6)
+                np.testing.assert_allclose(param.grad, fd, rtol=1e-5, atol=1e-8,
+                                           err_msg=f"{name}, lead {lead}")
+
+
+def test_plain_input_gets_no_gradient_but_parameters_do():
+    """The VJP skips the input's gradient when the input is a plain array;
+    the parameter gradients keep their bits."""
+    cfg, store = mlp_case(42, 0.0)
+    x = np.random.default_rng(42).normal(size=(4, 8))
+    grads = []
+    for inp in (x, Tensor(x, requires_grad=True)):
+        store.zero_grad()
+        with Tape() as tape:
+            total = ag.sum(nn.mlp_forward(cfg, store, inp, prefix="net"))
+        tape.backward(total)
+        grads.append({name: p.grad.tobytes() for name, p in store.items()})
+    assert grads[0] == grads[1]
+    assert inp.grad is not None
+
+
+def test_nan_in_a_middle_layer_is_named():
+    cfg, store = mlp_case(43, 0.0)
+    store["net.b1"].data[2] = np.nan
+    with pytest.raises(NumericFault) as exc:
+        nn.mlp_forward(cfg, store, np.ones((2, 8)), prefix="net")
+    assert exc.value.where == "net layer 1"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from reachgen import rollout as ro
+from reachgen import body, rollout as ro
 from reachgen.body import desk_skeleton, joint_position, rest_pose, rotate_pose_z
-from reachgen.errors import ModelMismatchError, NumericFault, TimeScaleError
+from reachgen.errors import (InvalidInputError, ModelMismatchError, NumericFault,
+                             TimeScaleError)
 from reachgen.geometry import rotation_z_matrix
 from reachgen.intention import GoalSpec, wrist_intention
 from reachgen.model import MotionModel, fresh_model
@@ -125,6 +126,30 @@ def test_on_reach_schedule_advances_only_within_radius(model, skel):
                              policy="on_reach", radius=0.10)
     rec2 = ro.generate(pose, sched2, 10, model, np.random.default_rng(0))
     assert np.all(rec2.goal_indices == 0)
+
+
+def test_on_reach_reads_the_wrist_once_per_frame(model, skel, monkeypatch):
+    """The switch test and the condition share one decode of the pose."""
+    calls = []
+    decode = body.sixd_to_matrix
+
+    def counting(r):
+        calls.append(1)
+        return decode(r)
+
+    monkeypatch.setattr(body, "sixd_to_matrix", counting)
+    pose = rest_pose(skel)
+    sched = ro.GoalSchedule((goal_at(3.0, 3.0, 1.0, 10), goal_at(-3.0, 3.0, 1.0, 40)),
+                            policy="on_reach")
+    rec = ro.generate(pose, sched, 12, model, np.random.default_rng(0))
+    assert np.all(rec.goal_indices == 0)
+    assert len(calls) == 12
+
+
+def test_schedule_goals_share_one_target_joint():
+    with pytest.raises(InvalidInputError):
+        ro.GoalSchedule((GoalSpec(np.ones(3), 10),
+                         GoalSpec(np.ones(3), 20, target_joint="left_wrist")))
 
 
 def test_time_to_reach_scaling(skel):
