@@ -6,8 +6,8 @@ records a node with a vector-Jacobian closure; Tape.backward walks the nodes
 in reverse creation order (creation order is already topological).
 
 The ops are the ones the package records: add, subtract, multiply, divide
-and matmul (also through Tensor's operators), negative, exp, clip, reshape,
-take (indexing), sum, mean and concatenate. Fused ops elsewhere in the
+and matmul (also through Tensor's operators), negative, exp, clip, take
+(indexing), sum, mean and concatenate. Fused ops elsewhere in the
 package (6D decoding, FK, the whole MLP, the condition vector, ...) compute
 their forward in plain numpy and call `record` once with a hand-written VJP,
 so each records one node however many array operations it runs.
@@ -261,13 +261,6 @@ def clip(x, lo, hi):
 
 
 # ------------------------------------------------------------ shape/reduce
-
-def reshape(x, shape):
-    if not isinstance(x, Tensor):
-        return np.reshape(x, shape)
-    xd = value(x)
-    return _record(xd.reshape(shape), (x,), lambda g: (g.reshape(xd.shape),))
-
 
 def _is_basic_index(idx) -> bool:
     """True for slices, ints, Ellipsis and None: every element is picked at

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .errors import DimensionMismatchError
-from .geometry import _rotated, identity_sixd, safe_unit, sixd_to_matrix, yaw_of
+from .geometry import _decode, _rotated, identity_sixd, safe_unit, sixd_to_matrix, yaw_of
 
 
 FK_ROWS = 64   # poses per batched FK pass; see forward_kinematics
@@ -189,31 +189,66 @@ def pose_delta(prev, nxt):
 
 def integrate_delta(prev, delta):
     """Exact inverse of pose_delta: re-apply prev's yaw and add the delta
-    vector."""
-    return prev + rotate_pose_z(delta, yaw_of(prev[..., 3:9]))
+    vector, one fused op over (prev, delta) in the op order of
+    prev + rotate_pose_z(delta, yaw_of(prev[..., 3:9])). Its VJP builds no
+    gradient for a prev that needs none."""
+    pd = ag.value(prev)
+    x = pd[..., 3]
+    y = pd[..., 4]
+    turned, turn_vjp = _turned_pose(ag.value(delta), np.arctan2(y, x))
+    out = pd + turned
+    wants_prev = isinstance(prev, ag.Tensor) and prev.requires_grad
+
+    def vjp(g):
+        g_delta, g_yaw = turn_vjp(ag.unbroadcast(g, turned.shape))
+        if not wants_prev:
+            return None, g_delta
+        g_prev = ag.unbroadcast(g, pd.shape).copy()
+        scale = g_yaw / (x * x + y * y)
+        g_prev[..., 3] -= scale * y
+        g_prev[..., 4] += scale * x
+        return g_prev, g_delta
+
+    return ag.record(out, (prev, delta), vjp)
 
 
 def _local_rotations(pose, skeleton: Skeleton):
     """(..., n_joints, 3, 3): every joint's local rotation, the root's
-    first, decoded in one sixd_to_matrix call."""
+    first, decoded in one call; one fused op over the whole pose."""
     pd = ag.value(pose)
     if pd.shape[-1] != pose_dim(skeleton.n_rotated):
         raise DimensionMismatchError(
             f"pose vector has dim {pd.shape[-1]}, "
             f"skeleton expects {pose_dim(skeleton.n_rotated)}")
-    rotations = ag.reshape(pose[..., 3:], pd.shape[:-1] + (skeleton.n_joints, 6))
-    return sixd_to_matrix(rotations)
+    lead = pd.shape[:-1]
+    local, decode_vjp = _decode(pd[..., 3:].reshape(lead + (skeleton.n_joints, 6)))
+
+    def vjp(g):
+        gp = np.zeros(pd.shape)
+        gp[..., 3:] = decode_vjp(g).reshape(lead + (-1,))
+        return (gp,)
+
+    return ag.record(local, (pose,), vjp)
 
 
-def _joint_positions(translation, local, skeleton: Skeleton):
-    """World positions (..., n_joints, 3) from local rotations, one fused op.
+def _translation_gradient(g, pd):
+    """A pose's gradient from the gradient g of its translation slots."""
+    gp = np.zeros(pd.shape)
+    gp[..., 0:3] = ag.unbroadcast(g, gp[..., 0:3].shape)
+    return gp
+
+
+def _joint_positions(pose, local, skeleton: Skeleton):
+    """World positions (..., n_joints, 3) from the pose's translation and
+    its local rotations, one fused op.
 
     position(root) = translation; position(j) = position(parent) +
     R_world(parent) @ offset(j); R_world(j) = R_world(parent) @ local(j).
     Each depth level is one stacked matmul per product; arrays are kept
     joint-first so a level's gather is one `take`.
     """
-    td = ag.value(translation)
+    pd = ag.value(pose)
+    td = pd[..., 0:3]
     ld = ag.value(local)
     lead = np.broadcast_shapes(td.shape[:-1], ld.shape[:-3])
     lt = np.moveaxis(ld, -3, 0)
@@ -240,28 +275,29 @@ def _joint_positions(translation, local, skeleton: Skeleton):
                       gw @ lt.take(lvl.joints, axis=0).mT + gp[..., None] * off.mT)
             np.add.at(gpos, lvl.parents, gp)
         glocal[0] = gworld[0]
-        return (ag.unbroadcast(gpos[0], td.shape),
+        return (_translation_gradient(gpos[0], pd),
                 ag.unbroadcast(np.moveaxis(glocal, 0, -3), ld.shape))
 
     return ag.record(np.ascontiguousarray(np.moveaxis(pos, 0, -2)),
-                     (translation, local), vjp)
+                     (pose, local), vjp)
 
 
-def _chain_position(translation, local, skeleton: Skeleton, joint: int):
-    """World position (..., 3) of one joint from local rotations, one fused
-    op that walks only the root-to-`joint` chain.
+def _chain_position(pose, local, skeleton: Skeleton, joint: int):
+    """World position (..., 3) of one joint from the pose's translation and
+    its local rotations, one fused op that walks only the root-to-`joint`
+    chain.
 
     Each step is FK's for that joint, in the same op order, so the result
     has the bits of forward_kinematics(...)[..., joint, :]; the VJP also
     runs along the chain only.
     """
-    td = ag.value(translation)
+    pd = ag.value(pose)
     ld = ag.value(local)
     chain = skeleton.chains[joint]
     world = [ld[..., 0, :, :]]     # the world rotation of each step's parent
     for j, _ in chain[:-1]:
         world.append(world[-1] @ ld[..., j, :, :])
-    pos = td.copy()     # the root's own read must not alias the pose
+    pos = pd[..., 0:3].copy()     # the root's own read must not alias the pose
     for (j, off), w in zip(chain, world):
         pos = pos + (w @ off)[..., 0]
 
@@ -272,9 +308,9 @@ def _chain_position(translation, local, skeleton: Skeleton, joint: int):
             glocal[..., j, :, :] = w.mT @ gw
             gw = gw @ ld[..., j, :, :].mT + g[..., None] * off.mT
         glocal[..., 0, :, :] = gw
-        return ag.unbroadcast(g, td.shape), ag.unbroadcast(glocal, ld.shape)
+        return _translation_gradient(g, pd), ag.unbroadcast(glocal, ld.shape)
 
-    return ag.record(pos, (translation, local), vjp)
+    return ag.record(pos, (pose, local), vjp)
 
 
 def _heading(root_matrix, skeleton: Skeleton):
@@ -283,7 +319,7 @@ def _heading(root_matrix, skeleton: Skeleton):
 
 
 def _forward_kinematics(pose, skeleton: Skeleton):
-    return _joint_positions(pose[..., 0:3], _local_rotations(pose, skeleton), skeleton)
+    return _joint_positions(pose, _local_rotations(pose, skeleton), skeleton)
 
 
 def forward_kinematics(pose, skeleton: Skeleton):
@@ -305,8 +341,7 @@ def joint_position(pose, skeleton: Skeleton, joint: int):
     """World position (..., 3) of one joint: every rotation is decoded, as
     for forward_kinematics, so a degenerate one raises here too, but only
     the root-to-joint chain is walked."""
-    return _chain_position(pose[..., 0:3], _local_rotations(pose, skeleton),
-                           skeleton, joint)
+    return _chain_position(pose, _local_rotations(pose, skeleton), skeleton, joint)
 
 
 def heading_of(pose, skeleton: Skeleton):
@@ -318,7 +353,7 @@ def joint_position_and_root(pose, skeleton: Skeleton, joint: int):
     """(joint_position, root rotation (..., 3, 3)) from one decode of the
     pose's rotations."""
     local = _local_rotations(pose, skeleton)
-    return (_chain_position(pose[..., 0:3], local, skeleton, joint),
+    return (_chain_position(pose, local, skeleton, joint),
             local[..., 0, :, :])
 
 
@@ -332,8 +367,13 @@ def rotate_pose_z(pose, angle):
     """Rigidly rotate poses (..., pose_dim) about the world z axis, one fused
     op: the translation and both root 6D halves are three xy-rotated
     3-vectors; the parent-local joint slots are copied."""
-    pd = ag.value(pose)
-    ad = ag.value(angle)
+    out, vjp = _turned_pose(ag.value(pose), ag.value(angle))
+    return ag.record(out, (pose, angle), vjp)
+
+
+def _turned_pose(pd, ad):
+    """(out, vjp) of rotate_pose_z on plain arrays; vjp(g) returns the
+    gradients of (pose, angle)."""
     head = pd[..., :9].reshape(pd.shape[:-1] + (3, 3))
     turned, vjp = _rotated(head, np.cos(ad)[..., None], np.sin(ad)[..., None], ad.shape)
     out = np.empty(turned.shape[:-2] + pd.shape[-1:])
@@ -347,4 +387,4 @@ def rotate_pose_z(pose, angle):
         gp[..., 9:] = ag.unbroadcast(g[..., 9:], gp[..., 9:].shape)
         return gp, ga
 
-    return ag.record(out, (pose, angle), pose_vjp)
+    return out, pose_vjp

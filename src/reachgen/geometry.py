@@ -63,13 +63,12 @@ def degenerate_sixd(r) -> np.ndarray:
     return (short | collinear)[..., 0]
 
 
-def sixd_to_matrix(r):
-    """Decode (..., 6) into orthonormal right-handed (..., 3, 3).
+def _decode(rd):
+    """(m, vjp) for plain (..., 6) encodings: the decoded (..., 3, 3)
+    matrices and the VJP g -> gradient of rd, shaped like rd.
 
-    col1 = normalize(a); col2 = normalize(b - (b.col1)col1); col3 = col1 x col2.
     Raises DegenerateRotationError for near-zero or collinear halves.
     """
-    rd = ag.value(r)
     b = rd[..., 3:6]
     # the columns are computed in place in the output, which keeps the
     # peak memory of a batched decode near the size of the result
@@ -89,9 +88,19 @@ def sixd_to_matrix(r):
         gu = _project_out(g[..., :, 1] + _cross(g3, c1), c2, nu)
         gu_c1 = (gu * c1).sum(axis=-1, keepdims=True)
         gc1 = gc1 - d * gu - gu_c1 * b
-        return (np.concatenate([_project_out(gc1, c1, na), gu - gu_c1 * c1], axis=-1),)
+        return np.concatenate([_project_out(gc1, c1, na), gu - gu_c1 * c1], axis=-1)
 
-    return ag.record(m, (r,), vjp)
+    return m, vjp
+
+
+def sixd_to_matrix(r):
+    """Decode (..., 6) into orthonormal right-handed (..., 3, 3).
+
+    col1 = normalize(a); col2 = normalize(b - (b.col1)col1); col3 = col1 x col2.
+    Raises DegenerateRotationError for near-zero or collinear halves.
+    """
+    m, vjp = _decode(ag.value(r))
+    return ag.record(m, (r,), lambda g: (vjp(g),))
 
 
 def _safe_unit(vd):

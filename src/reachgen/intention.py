@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
-from .body import (Skeleton, heading_of, joint_position_and_heading,
-                   joint_position_and_root)
+from .body import Skeleton, joint_position_and_heading, joint_position_and_root
 from .errors import InvalidInputError, SkipWindow
 from .geometry import _project_out, _safe_unit, safe_unit
 
@@ -59,20 +58,13 @@ def wrist_intention(wrist_pos, goal: GoalSpec, current_frame):
     return (goal.position - wrist_pos) / _remaining(goal, current_frame)
 
 
-def orientation_intention(pose, goal: GoalSpec, skeleton: Skeleton,
-                          goal_heading=None):
+def _orientation_term(current, goal_direction, goal_heading):
     """Difference between the desired and the current unit xy heading.
 
     Training (goal_heading given): stored goal-frame heading minus current.
     Inference (goal_heading None): unit pelvis-to-goal xy direction minus
     current. Degenerate directions contribute zero terms.
     """
-    to_goal = goal.position[..., 0:2] - pose[..., 0:2]
-    return _orientation_term(heading_of(pose, skeleton), safe_unit(to_goal),
-                             goal_heading)
-
-
-def _orientation_term(current, goal_direction, goal_heading):
     if goal_heading is None:
         return goal_direction - current
     return safe_unit(np.asarray(goal_heading, dtype=np.float64)) - current

@@ -66,9 +66,10 @@ class OptReport:
         with open(path, "w") as f:
             f.write("iteration,l_opt,l_norm,l_goal,l_waypoint,wrist_distance\n")
             for i in range(self.iterations):
-                dist = np.sqrt(self.l_goal[i]) if self.l_goal[i] >= 0 else float("nan")
+                goal = self.l_goal[i]
+                dist = float(np.sqrt(goal)) if goal >= 0 else float("nan")
                 f.write(f"{i},{self.l_opt[i]!r},{self.l_norm[i]!r},"
-                        f"{self.l_goal[i]!r},{self.l_waypoint[i]!r},{dist!r}\n")
+                        f"{goal!r},{self.l_waypoint[i]!r},{dist!r}\n")
 
 
 def _objective_terms(latents: Tensor, record: RolloutRecord, goal: GoalSpec,
@@ -101,8 +102,12 @@ def optimize_latents(record: RolloutRecord, goal: GoalSpec,
     """Adam on the latent rows; returns (refined record, report).
 
     Dropout stays off and there is no fresh sampling, so the objective is a
-    deterministic function of the latents. Raises InvalidInputError for a
-    negative step count or a learning rate that is not finite and positive.
+    deterministic function of the latents. The model's parameters are
+    frozen (requires_grad False) for the steps, so the backward pass
+    differentiates the latents only and leaves the model's gradients
+    untouched; their flags are restored on return or raise. Raises
+    InvalidInputError for a negative step count or a learning rate that is
+    not finite and positive.
     """
     if steps < 0:
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
@@ -114,17 +119,24 @@ def optimize_latents(record: RolloutRecord, goal: GoalSpec,
     latents = store.add("latents", record.latents.copy())
     adam = AdamState(lr_base=lr, lr_final=lr, total_steps=steps)
     report = OptReport()
-    for _ in range(steps):
-        store.zero_grad()
-        with Tape() as tape:
-            total, l_norm, l_goal, l_way = _objective_terms(
-                latents, record, goal, objective, model)
-        tape.backward(total)
-        adam_step(adam, store, store.gradients())
-        report.l_opt.append(float(ag.value(total)))
-        report.l_norm.append(float(ag.value(l_norm)))
-        report.l_goal.append(float(ag.value(l_goal)))
-        report.l_waypoint.append(float(ag.value(l_way)))
+    frozen = [(t, t.requires_grad) for _, t in model.params.items()]
+    try:
+        for t, _ in frozen:
+            t.requires_grad = False
+        for _ in range(steps):
+            store.zero_grad()
+            with Tape() as tape:
+                total, l_norm, l_goal, l_way = _objective_terms(
+                    latents, record, goal, objective, model)
+            tape.backward(total)
+            adam_step(adam, store, store.gradients())
+            report.l_opt.append(float(ag.value(total)))
+            report.l_norm.append(float(ag.value(l_norm)))
+            report.l_goal.append(float(ag.value(l_goal)))
+            report.l_waypoint.append(float(ag.value(l_way)))
+    finally:
+        for t, flag in frozen:
+            t.requires_grad = flag
     report.iterations = steps
     refined = with_latents(record, latents.data.copy(), model)
     report.final_distance = final_wrist_distance(refined, goal, model)

@@ -105,9 +105,11 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
 
     x is (..., in_dim), plain array or Tensor. The whole network is one
     fused op: it records one tape node whose VJP runs back through every
-    layer. Raises NumericFault naming the first layer whose activations
-    went non-finite: only the output is checked on every call, and the
-    saved activations are scanned once it is non-finite.
+    layer; while no parameter requires a gradient (latent refinement
+    freezes the model), it runs only the input path and gives the
+    parameters None. Raises NumericFault naming the first layer whose
+    activations went non-finite: only the output is checked on every call,
+    and the saved activations are scanned once it is non-finite.
     """
     xd = ag.value(x)
     if xd.shape[-1] != cfg.in_dim:
@@ -156,6 +158,7 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
             i = n - 1
         raise NumericFault("non-finite activation", where=f"{prefix} layer {i}")
     wants_input_grad = isinstance(x, Tensor) and x.requires_grad
+    wants_param_grads = any(p.requires_grad for p in params)
 
     def vjp(g):
         grads = []
@@ -168,13 +171,18 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
                 g = g * (pre > 0.0)
                 if xhat is not None:
                     k -= 2
-                    g, g_gain, g_offset = _layer_norm_vjp(g, xhat, std, params[k].data)
-                    grads += (g_offset, g_gain)
+                    if wants_param_grads:
+                        lead = tuple(range(g.ndim - 1))
+                        grads += (g.sum(axis=lead), (g * xhat).sum(axis=lead))
+                    g = _layer_norm_vjp(g, xhat, std, params[k].data)
             k -= 2
-            g2 = g.reshape(-1, g.shape[-1])
-            grads += (g2.sum(axis=0), h_in.reshape(-1, h_in.shape[-1]).T @ g2)
+            if wants_param_grads:
+                g2 = g.reshape(-1, g.shape[-1])
+                grads += (g2.sum(axis=0), h_in.reshape(-1, h_in.shape[-1]).T @ g2)
             if i or wants_input_grad:
                 g = g @ params[k].data.T
+        if not wants_param_grads:
+            grads = [None] * len(params)
         grads.append(g if wants_input_grad else None)
         return grads[::-1]
 
@@ -193,13 +201,12 @@ def _layer_norm(xd, gain, offset):
 
 
 def _layer_norm_vjp(g, xhat, std, gain):
-    """Gradients of the layer norm's (input, gain, offset)."""
+    """Gradient of the layer norm's input; its gain's is (g * xhat) and its
+    offset's g, each summed over the leading axes."""
     inv_n = 1.0 / g.shape[-1]
     gx = g * gain
-    gx = (gx - gx.sum(axis=-1, keepdims=True) * inv_n
-          - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)) / std
-    lead = tuple(range(g.ndim - 1))
-    return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+    return (gx - gx.sum(axis=-1, keepdims=True) * inv_n
+            - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)) / std
 
 
 @dataclass

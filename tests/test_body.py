@@ -231,8 +231,8 @@ def test_fk_records_one_node_per_decode_and_walk(skel):
     vec = ag.Tensor(random_poses(skel, rng, (2,)), requires_grad=True)
     with ag.Tape() as tape:
         body.forward_kinematics(vec, skel)
-    # pose[..., 0:3], pose[..., 3:], reshape, sixd_to_matrix, FK
-    assert len(tape) == 5
+    # the decode and the walk, each reading its slice of the pose
+    assert len(tape) == 2
 
 
 def test_fk_gradient_batched(skel):
@@ -269,7 +269,7 @@ def full_fk_joint_position(pose, skeleton, joint):
 def full_fk_joint_position_and_root(pose, skeleton, joint):
     """One joint read out of whole-body FK, and the root rotation."""
     local = body._local_rotations(pose, skeleton)
-    pos = body._joint_positions(pose[..., 0:3], local, skeleton)
+    pos = body._joint_positions(pose, local, skeleton)
     return pos[..., joint, :], local[..., 0, :, :]
 
 
@@ -299,14 +299,26 @@ def test_degenerate_off_chain_rotation_still_faults_its_row(skel, monkeypatch):
     """The wrist read walks only the wrist's chain, but every rotation is
     still decoded: a left_foot 6D driven to zero faults its row on the frame
     after it was integrated, and the other row runs on."""
+    check_collapsed_rotation_faults_its_row(skel, monkeypatch, "left_foot")
+
+
+@pytest.mark.parametrize("name", ["right_elbow", "pelvis"])
+def test_degenerate_chain_rotation_faults_on_the_same_frame(skel, monkeypatch, name):
+    """The fused decode of the whole pose raises on the frame after a chain
+    or root 6D was driven to zero, as the per-slice decode did."""
+    check_collapsed_rotation_faults_its_row(skel, monkeypatch, name)
+
+
+def check_collapsed_rotation_faults_its_row(skel, monkeypatch, name):
     model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=3)
     decode = MotionModel.decode_delta
     calls = []
-    foot = skel.joint_index("left_foot")
+    j = skel.joint_index(name)
     # joint j's 6D sits at [3+6j, 9+6j) of a delta and at [1+6j, 7+6j) of
-    # the condition, which drops the x and y translation
-    in_delta = slice(3 + 6 * foot, 9 + 6 * foot)
-    in_condition = slice(1 + 6 * foot, 7 + 6 * foot)
+    # the condition, which drops the x and y translation; the root's is
+    # yaw-canonical in both, so the negated condition slot zeroes it too
+    in_delta = slice(3 + 6 * j, 9 + 6 * j)
+    in_condition = slice(1 + 6 * j, 7 + 6 * j)
 
     def collapsing_decoder(self, z, cond_vec, **kwargs):
         delta = np.array(decode(self, z, cond_vec, **kwargs))
@@ -348,8 +360,105 @@ def test_position_and_heading_gradient_and_nodes(skel, name):
         n_nodes = len(tape)
         loss = ag.sum(pos * w_pos) + ag.sum(head * w_head)
     tape.backward(loss)
-    # pose[..., 0:3], pose[..., 3:], reshape, sixd_to_matrix, chain; the
-    # heading's root take, matmul, two slices and safe_unit
-    assert n_nodes == 10
+    # the decode and the chain; the heading's root take, matmul, two slices
+    # and safe_unit
+    assert n_nodes == 7
     fd = ag.finite_difference_gradient(ref, vec0.copy())
     np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-7)
+
+
+# ------------------------------------------------------ fused pose ops
+#
+# integrate_delta, the decode of a pose's rotations and the chain walk each
+# read their own slices of the pose and record one node. The references
+# are the compositions they replaced, run on plain arrays.
+
+def ref_integrate_delta(prev, delta):
+    return prev + body.rotate_pose_z(delta, geo.yaw_of(prev[..., 3:9]))
+
+
+def ref_local_rotations(pose, skeleton):
+    rotations = pose[..., 3:].reshape(pose.shape[:-1] + (skeleton.n_joints, 6))
+    return geo.sixd_to_matrix(rotations)
+
+
+WRIST = body.desk_skeleton().joint_index("right_wrist")
+FUSED_POSE_OPS = {
+    "integrate_delta": lambda prev, delta, skel: body.integrate_delta(prev, delta),
+    "local_rotations": lambda pose, skel: body._local_rotations(pose, skel),
+    "chain_position": lambda pose, local, skel: body._chain_position(pose, local, skel,
+                                                                     WRIST),
+}
+
+
+def fused_pose_case(op, skel, rng, lead):
+    pose = random_poses(skel, rng, lead)
+    if op == "integrate_delta":
+        return [pose, rng.normal(scale=0.1, size=pose.shape)]
+    if op == "local_rotations":
+        return [pose]
+    return [pose, ref_local_rotations(pose, skel)]
+
+
+def test_fused_pose_ops_forward_bits(skel):
+    rng = np.random.default_rng(34)
+    for lead in ((), (3,), (2, 3)):
+        pose, delta = fused_pose_case("integrate_delta", skel, rng, lead)
+        out = body.integrate_delta(pose, delta)
+        assert out.tobytes() == ref_integrate_delta(pose, delta).tobytes(), lead
+        local = body._local_rotations(pose, skel)
+        assert local.shape == lead + (skel.n_joints, 3, 3)
+        assert local.tobytes() == ref_local_rotations(pose, skel).tobytes(), lead
+        wrist = body._chain_position(pose, local, skel, WRIST)
+        assert wrist.tobytes() == per_joint_fk(pose, skel)[..., WRIST, :].tobytes(), lead
+        assert not np.shares_memory(body._chain_position(pose, local, skel, 0), pose)
+
+
+@pytest.mark.parametrize("op", sorted(FUSED_POSE_OPS))
+def test_fused_pose_op_gradients_and_one_node(skel, op):
+    rng = np.random.default_rng(35)
+    fn = FUSED_POSE_OPS[op]
+    for lead in ((), (3,), (2, 3)):
+        inputs = fused_pose_case(op, skel, rng, lead)
+        weights = rng.normal(size=np.shape(fn(*inputs, skel)))
+        ts = [ag.Tensor(x, requires_grad=True) for x in inputs]
+        with ag.Tape() as tape:
+            out = fn(*ts, skel)
+            assert len(tape) == 1
+            loss = ag.sum(out * weights)
+        tape.backward(loss)
+        for i, x0 in enumerate(inputs):
+            def f(x, i=i):
+                args = list(inputs)
+                args[i] = x
+                return np.sum(fn(*args, skel) * weights)
+            fd = ag.finite_difference_gradient(f, x0.copy(), h=1e-6)
+            np.testing.assert_allclose(ts[i].grad, fd, rtol=1e-5, atol=1e-7,
+                                       err_msg=f"{op} input {i}, lead {lead}")
+
+
+def test_integrate_delta_skips_a_plain_prev(skel):
+    """A plain prev gets no gradient; the delta's keeps its bits."""
+    rng = np.random.default_rng(36)
+    prev, delta = fused_pose_case("integrate_delta", skel, rng, (3,))
+    weights = rng.normal(size=prev.shape)
+    grads = []
+    for prev_in in (prev, ag.Tensor(prev, requires_grad=True)):
+        d = ag.Tensor(delta, requires_grad=True)
+        with ag.Tape() as tape:
+            loss = ag.sum(body.integrate_delta(prev_in, d) * weights)
+        tape.backward(loss)
+        grads.append(d.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
+def test_fused_decode_raises_on_a_degenerate_rotation(skel):
+    pose = random_poses(skel, np.random.default_rng(37), (2,))
+    foot = skel.joint_index("left_foot")
+    pose[1, 3 + 6 * foot:9 + 6 * foot] = 0.0
+    for read in (lambda p: body._local_rotations(p, skel),
+                 lambda p: body.joint_position(p, skel, WRIST)):
+        with pytest.raises(DegenerateRotationError):
+            read(pose)
+        with pytest.raises(DegenerateRotationError), ag.Tape():
+            read(ag.Tensor(pose, requires_grad=True))

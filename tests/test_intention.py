@@ -71,24 +71,29 @@ def test_pelvis_intention_strictly_increasing_in_distance():
     assert np.all(np.diff(norms) > 0)
 
 
+def orientation_intention(pose, goal, skel, goal_heading=None):
+    """The orientation columns of compute_intention, in the canonical frame."""
+    return it.compute_intention(pose, skel, goal, 0, goal_heading)[3:5]
+
+
 def test_orientation_intention_goal_ahead_is_zero(skel):
     pose = rest_pose(skel)  # heading (0, 1)
     g = GoalSpec(np.array([0.0, 5.0, 1.0]), target_frame=100)
-    out = it.orientation_intention(pose, g, skel)
+    out = orientation_intention(pose, g, skel)
     np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-12)
 
 
 def test_orientation_intention_goal_along_x(skel):
-    pose = rest_pose(skel)
+    pose = rest_pose(skel)  # yaw 0: the canonical frame is the world frame
     g = GoalSpec(np.array([5.0, 0.0, 1.0]), target_frame=100)
-    out = it.orientation_intention(pose, g, skel)
+    out = orientation_intention(pose, g, skel)
     np.testing.assert_allclose(out, [1.0, -1.0], atol=1e-12)
 
 
 def test_orientation_intention_train_mode_matching_heading(skel):
     pose = rest_pose(skel)
     g = GoalSpec(np.array([3.0, 3.0, 1.0]), target_frame=100)
-    out = it.orientation_intention(pose, g, skel, goal_heading=np.array([0.0, 1.0]))
+    out = orientation_intention(pose, g, skel, goal_heading=np.array([0.0, 1.0]))
     np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-12)
 
 
@@ -99,10 +104,10 @@ def test_orientation_intention_zero_iff_heading_matches_goal_direction(skel):
         pose = rotate_pose_z(rest_pose(skel), yaw)
         heading = np.array([-np.sin(yaw), np.cos(yaw)])
         goal_aligned = GoalSpec(np.concatenate([heading * 3.0, [1.0]]), 100)
-        out = it.orientation_intention(pose, goal_aligned, skel)
+        out = orientation_intention(pose, goal_aligned, skel)
         np.testing.assert_allclose(out, [0, 0], atol=1e-9)
         goal_off = GoalSpec(np.concatenate([-heading * 3.0, [1.0]]), 100)
-        assert np.linalg.norm(it.orientation_intention(pose, goal_off, skel)) > 1e-6
+        assert np.linalg.norm(orientation_intention(pose, goal_off, skel)) > 1e-6
 
 
 def test_condition_dim_formula(skel):

@@ -149,3 +149,40 @@ def test_zero_steps_returns_the_record_unchanged(model, short_record):
                                           steps=0)
     assert report.iterations == 0
     np.testing.assert_array_equal(refined.sequence.poses, short_record.sequence.poses)
+
+
+def test_report_csv_cells_parse_as_floats(tmp_path, model, short_record):
+    goal = GoalSpec(np.array([0.6, 0.7, 1.2]), 30)
+    _, report = lo.optimize_latents(short_record, goal, lo.OptObjective(),
+                                    model, steps=3)
+    path = tmp_path / "opt.csv"
+    report.to_csv(path)
+    rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+    values = [[float(cell) for cell in row] for row in rows]
+    assert len(values) == 3 and all(len(row) == 6 for row in values)
+    np.testing.assert_array_equal([row[5] for row in values],
+                                  np.sqrt(report.l_goal))
+
+
+def assert_model_untouched(model):
+    for name, param in model.params.items():
+        assert param.grad is None, name
+        assert param.requires_grad is True, name
+
+
+def test_optimize_latents_leaves_the_model_as_it_found_it(skel):
+    """The model is frozen for the steps: no parameter gradient is kept,
+    and every parameter requires gradients again afterwards, also when a
+    step raises."""
+    model = fresh_model(skel, latent_dim=6, hidden_dim=24, n_layers=2,
+                        dropout=0.0, seed=22)
+    goal = GoalSpec(np.array([1.0, 0.8, 1.1]), 40)
+    rec = ro.generate(rest_pose(skel), ro.GoalSchedule.single(goal), 5,
+                      model, np.random.default_rng(3))
+    refined, _ = lo.optimize_latents(rec, goal, lo.OptObjective(), model, steps=2)
+    assert np.any(refined.latents != rec.latents)
+    assert_model_untouched(model)
+    outside = lo.OptObjective(waypoints=((rec.duration + 1, np.zeros(2), 1.0),))
+    with pytest.raises(ValueError, match="outside rollout duration"):
+        lo.optimize_latents(rec, goal, outside, model, steps=2)
+    assert_model_untouched(model)

@@ -224,11 +224,10 @@ def ref_layer_norm(x, gain, offset):
 
 
 def ref_affine(h, w, b):
-    """The elementary-op composition of an affine layer; a 1-D input goes
-    through matmul as a (1, d) matrix."""
+    """The elementary-op composition of an affine layer, run tape-free; a
+    1-D input goes through matmul as a (1, d) matrix."""
     if np.ndim(h) == 1:
-        out = ag.matmul(ag.reshape(h, (1, np.shape(h)[0])), w)
-        return ag.reshape(out, (np.shape(out)[-1],)) + b
+        return ag.matmul(np.reshape(h, (1, -1)), w).reshape(-1) + b
     return ag.matmul(h, w) + b
 
 
@@ -323,6 +322,29 @@ def test_fused_affine_and_layer_norm_gradients():
                 fd = ag.finite_difference_gradient(f, base.copy(), h=1e-6)
                 np.testing.assert_allclose(param.grad, fd, rtol=1e-5, atol=1e-8,
                                            err_msg=f"{name}, lead {lead}")
+
+
+def test_frozen_parameters_keep_the_input_gradient_bits():
+    """With every parameter's requires_grad off, the VJP runs only the input
+    path: the input gradient has the unfrozen bits and no parameter gets a
+    gradient."""
+    rng = np.random.default_rng(42)
+    cfg, store = mlp_case(42, 0.0)
+    for lead in ((), (3,)):
+        x0 = rng.normal(size=lead + (8,))
+        weights = rng.normal(size=lead + (5,))
+        grads = []
+        for frozen in (False, True):
+            store.zero_grad()
+            for _, p in store.items():
+                p.requires_grad = not frozen
+            x = Tensor(x0, requires_grad=True)
+            with Tape() as tape:
+                total = ag.sum(nn.mlp_forward(cfg, store, x, prefix="net") * weights)
+            tape.backward(total)
+            grads.append(x.grad.tobytes())
+            assert all((p.grad is None) == frozen for _, p in store.items())
+        assert grads[0] == grads[1], lead
 
 
 def test_plain_input_gets_no_gradient_but_parameters_do():

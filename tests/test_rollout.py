@@ -131,13 +131,13 @@ def test_on_reach_schedule_advances_only_within_radius(model, skel):
 def test_on_reach_reads_the_wrist_once_per_frame(model, skel, monkeypatch):
     """The switch test and the condition share one decode of the pose."""
     calls = []
-    decode = body.sixd_to_matrix
+    decode = body._decode
 
-    def counting(r):
+    def counting(rd):
         calls.append(1)
-        return decode(r)
+        return decode(rd)
 
-    monkeypatch.setattr(body, "sixd_to_matrix", counting)
+    monkeypatch.setattr(body, "_decode", counting)
     pose = rest_pose(skel)
     sched = ro.GoalSchedule((goal_at(3.0, 3.0, 1.0, 10), goal_at(-3.0, 3.0, 1.0, 40)),
                             policy="on_reach")

@@ -1,9 +1,9 @@
 """Tape-node budgets of the recorded workloads.
 
 Node counts are deterministic and do not depend on the machine, so they pin
-the size of the autodiff graph. The budgets are the measured counts: 1,266
-nodes for a 90-frame latent refinement (14 a frame), 376 for an s=10
-training step and 41 for an s=0 step. A change that records more nodes
+the size of the autodiff graph. The budgets are the measured counts: 728
+nodes for a 90-frame latent refinement (8 a frame), 287 for an s=10
+training step and 37 for an s=0 step. A change that records more nodes
 fails here; one that records fewer should lower the budget.
 """
 import numpy as np
@@ -35,7 +35,7 @@ def test_latent_refinement_tape_budget(desk_model):
     latents = Tensor(record.latents.copy(), requires_grad=True)
     with Tape() as tape:
         lo._objective_terms(latents, record, goal, lo.OptObjective(), desk_model)
-    assert len(tape) <= 1266
+    assert len(tape) <= 728
 
 
 def test_training_step_tape_budgets(desk_model):
@@ -51,5 +51,5 @@ def test_training_step_tape_budgets(desk_model):
             training._batch_loss(windows, desk_model, s, cfg,
                                  np.random.default_rng(0), dropout_seed=0)
         nodes[s] = len(tape)
-    assert nodes[0] <= 41
-    assert nodes[10] <= 376
+    assert nodes[0] <= 37
+    assert nodes[10] <= 287
