@@ -191,8 +191,8 @@ def cmd_gen_data(args) -> int:
     if planned < MIN_SPLIT_SEQUENCES:
         raise CorpusTooSmallError(f"config asks for {planned} sequences; the split "
                                   f"needs at least {MIN_SPLIT_SEQUENCES}")
-    corpus = generate_synthetic_corpus(gen_cfg, skeleton)
-    corpus = filter_floating(corpus, skeleton)
+    generated = generate_synthetic_corpus(gen_cfg, skeleton)
+    corpus = filter_floating(generated, skeleton)
     split = split_dataset(corpus, cfg["seed"])
     motion_dir = os.path.join(out, "motions")
     os.makedirs(motion_dir, exist_ok=True)
@@ -201,7 +201,8 @@ def cmd_gen_data(args) -> int:
     write_manifest(corpus, split, os.path.join(out, "manifest.json"))
     skeleton.save(os.path.join(out, "skeleton.json"))
     _write_resolved(cfg, out, "gen-data")
-    print(f"wrote {len(corpus)} sequences to {out}")
+    print(f"wrote {len(corpus)} of {planned} planned sequences to {out} "
+          f"({len(generated) - len(corpus)} dropped as floating)")
     return 0
 
 

@@ -8,8 +8,11 @@ labeled frame. Everything is a pure function of (config, seed).
 
 A pose is a (pose_dim,) vector in the body layout: translation 3, then joint
 j's 6D rotation at pose[3+6j : 9+6j], the root's (j = 0) first. The
-generators write rotations through the (n_joints, 6) view
-pose[3:].reshape(n_joints, 6), indexed by joint.
+generators build rotation matrices: a walk writes every frame into one
+(n_frames, n_joints, 3, 3) buffer, a reach collects each moving joint's
+slerped track. Each joint track then becomes 6D in one matrix_to_sixd
+call, which also checks that every written rotation is orthonormal and
+right-handed.
 """
 from __future__ import annotations
 
@@ -19,13 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .body import (Skeleton, desk_skeleton, forward_kinematics, heading_of,
-                   joint_position, pose_dim, rest_pose)
+                   joint_position, pose_dim)
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
                      InfeasibleTargetError, InvalidInputError, ModelMismatchError,
                      SkipWindow)
-from .geometry import (axis_angle_matrix, matrix_to_sixd, rotation_z_matrix,
-                       sixd_to_matrix)
+from .geometry import (_cross, axis_angle_matrix, matrix_to_sixd,
+                       rotation_z_matrix, sixd_to_matrix)
 from .intention import DEFAULT_HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
 
 MOTION_MAGIC = b"RGMO"
@@ -97,11 +100,16 @@ def _smoothstep(u):
     return u * u * (3.0 - 2.0 * u)
 
 
+def _identity_stack(*shape):
+    """(*shape, 3, 3) identity matrices: the rest rotation of every joint."""
+    return np.tile(np.eye(3), shape + (1, 1))
+
+
 def _align_vec_to(src, dst):
     """Rotation matrix taking unit src onto unit dst."""
     c = float(np.dot(src, dst))
-    axis = np.cross(src, dst)
-    s = float(np.linalg.norm(axis))
+    axis = _cross(src, dst)
+    s = float(np.sqrt(axis.dot(axis)))
     if s < 1e-12:
         if c > 0:
             return np.eye(3)
@@ -109,8 +117,8 @@ def _align_vec_to(src, dst):
         helper = np.array([1.0, 0.0, 0.0])
         if abs(src[0]) > 0.9:
             helper = np.array([0.0, 1.0, 0.0])
-        axis = np.cross(src, helper)
-        return axis_angle_matrix(axis / np.linalg.norm(axis), np.pi)
+        axis = _cross(src, helper)
+        return axis_angle_matrix(axis / np.sqrt(axis.dot(axis)), np.pi)
     return axis_angle_matrix(axis / s, np.arctan2(s, c))
 
 
@@ -130,7 +138,9 @@ def _matrix_log_axis_angle(m):
     return axis / n, angle
 
 
-def _slerp(m0, m1, s):
+def _slerp_track(m0, m1, s):
+    """(len(s), 3, 3) rotations from m0 toward m1 at fractions s; the
+    matrix log of m0.T @ m1 is taken once for the whole track."""
     axis, angle = _matrix_log_axis_angle(m0.T @ m1)
     return m0 @ axis_angle_matrix(axis, s * angle)
 
@@ -138,38 +148,45 @@ def _slerp(m0, m1, s):
 class _WalkRig:
     """Shared geometry for the procedural gait."""
 
+    # the shoulders' fixed droop below T-pose, about y
+    droop = {"right_shoulder": axis_angle_matrix([0, 1, 0], 1.1),
+             "left_shoulder": axis_angle_matrix([0, 1, 0], -1.1)}
+
     def __init__(self, skeleton: Skeleton):
         self.skel = skeleton
         self.hip_idx = {"left": skeleton.joint_index("left_hip"),
                         "right": skeleton.joint_index("right_hip")}
         self.hip_off = {s: skeleton.offsets[self.hip_idx[s]] for s in ("left", "right")}
+        self.arm_idx = {name: skeleton.joint_index(name) for name in self.droop}
         self.leg_len = float(np.linalg.norm(
             skeleton.offsets[skeleton.joint_index("left_foot")]))
 
-    def stance_height(self, root_xy, yaw, stance, stance_plant) -> float:
+    def stance_height(self, root_xy, yaw_mat, stance, stance_plant) -> float:
         """Root z that makes the stance leg exactly leg-length."""
         L = self.leg_len
         hip_off_st = self.hip_off[stance]
-        rz2 = rotation_z_matrix(yaw)[:2, :2]
-        hip_xy = np.asarray(root_xy) + rz2 @ hip_off_st[:2]
-        d = min(np.linalg.norm(stance_plant[:2] - hip_xy), L - 1e-3)
+        hip_xy = np.asarray(root_xy) + yaw_mat[:2, :2] @ hip_off_st[:2]
+        gap = stance_plant[:2] - hip_xy
+        d = min(np.sqrt(gap.dot(gap)), L - 1e-3)
         return stance_plant[2] + np.sqrt(L * L - d * d) - hip_off_st[2]
 
     def leg_to_point(self, root, yaw_mat, side, point):
-        """Hip rotation aiming the foot at a world point along the leg ray.
+        """Hip rotation matrix aiming the foot at a world point along the
+        leg ray, or None when the point sits on the hip.
 
         Exact when the point is one leg-length away; otherwise the foot sits
         on the ray at leg-length (error = distance mismatch).
         """
         hip_pos = root + yaw_mat @ self.hip_off[side]
         vec = np.asarray(point) - hip_pos
-        n = np.linalg.norm(vec)
+        n = np.sqrt(vec.dot(vec))
         if n < 1e-9:
             return None
-        return matrix_to_sixd(yaw_mat.T @ _align_vec_to(DOWN, vec / n))
+        return yaw_mat.T @ _align_vec_to(DOWN, vec / n)
 
     def leg_swing(self, root, yaw_mat, side, swing_xy, floor_z, clearance):
-        """Hip rotation placing the foot on the reachable sphere at an xy.
+        """Hip rotation matrix placing the foot on the reachable sphere at
+        an xy.
 
         The radius is clamped up so the foot keeps `clearance` above
         `floor_z` (z >= floor requires r >= horizontal stance reach).
@@ -177,7 +194,7 @@ class _WalkRig:
         L = self.leg_len
         hip_sw = root + yaw_mat @ self.hip_off[side]
         dx = np.asarray(swing_xy) - hip_sw[:2]
-        r = np.linalg.norm(dx)
+        r = np.sqrt(dx.dot(dx))
         zc = max(hip_sw[2] - floor_z - clearance, 0.0)
         lo = min(np.sqrt(max(L * L - zc * zc, 0.0)), L * 0.999)
         hi = L * 0.999
@@ -191,17 +208,16 @@ class _WalkRig:
             dx = dx * (hi / r)
             r = hi
         dz = -np.sqrt(L * L - r * r)
-        return matrix_to_sixd(yaw_mat.T @ _align_vec_to(DOWN, np.array([dx[0], dx[1], dz]) / L))
+        return yaw_mat.T @ _align_vec_to(DOWN, np.array([dx[0], dx[1], dz]) / L)
 
-    def arm_locals(self, phase, amp=0.5, droop=1.1):
-        """Arms lowered from T-pose, counter-swinging with the gait phase."""
-        out = {}
+    def arm_locals(self, rot, phase, amp):
+        """Arms lowered from T-pose, counter-swinging with the gait phase:
+        written into (..., n_joints, 3, 3) rotations for phases and
+        amplitudes shaped (...)."""
         sw = amp * np.sin(phase)
-        out["right_shoulder"] = matrix_to_sixd(
-            rotation_z_matrix(sw) @ axis_angle_matrix([0, 1, 0], droop))
-        out["left_shoulder"] = matrix_to_sixd(
-            rotation_z_matrix(-sw) @ axis_angle_matrix([0, 1, 0], -droop))
-        return out
+        right, left = self.arm_idx["right_shoulder"], self.arm_idx["left_shoulder"]
+        rot[..., right, :, :] = rotation_z_matrix(sw) @ self.droop["right_shoulder"]
+        rot[..., left, :, :] = rotation_z_matrix(-sw) @ self.droop["left_shoulder"]
 
 
 class _ArmGestures:
@@ -237,14 +253,15 @@ class _ArmGestures:
         out["spine"] = axis_angle_matrix([1, 0, 0], rng.uniform(-0.8, 0.15))
         return out
 
-    def apply(self, rot: np.ndarray, i: int) -> None:
-        k = int(np.searchsorted(self.keys_at, i, side="right") - 1)
-        k = min(k, len(self.keyframes) - 2)
-        span = self.keys_at[k + 1] - self.keys_at[k]
-        s = _smoothstep((i - self.keys_at[k]) / max(span, 1))
-        for name, j in self.joints.items():
-            m = _slerp(self.keyframes[k][name], self.keyframes[k + 1][name], s)
-            rot[j] = matrix_to_sixd(m)
+    def apply(self, mats: np.ndarray) -> None:
+        """Write the gestured joints' slerped keyframes into a clip's
+        (n_frames, n_joints, 3, 3) rotations, one keyframe pair at a time."""
+        for k in range(len(self.keys_at) - 1):
+            start, stop = self.keys_at[k], self.keys_at[k + 1]
+            s = _smoothstep(np.arange(stop - start) / (stop - start))
+            for name, j in self.joints.items():
+                mats[start:stop, j] = _slerp_track(self.keyframes[k][name],
+                                                   self.keyframes[k + 1][name], s)
 
 
 def _edge_ramp(n: int, fps: float, ramp_s: float = 1.0) -> np.ndarray:
@@ -272,9 +289,11 @@ def _generate_gait(skeleton: Skeleton, fps: float, yaw: np.ndarray,
     # footstep plan: each foot plants at the midpoint of its own hip path
     # between landing and liftoff, so the leg-length height constraint takes
     # the same value at both handovers and the root height is continuous
+    yaw_mats = rotation_z_matrix(yaw)
+
     def hip_xy_at(i, side):
         j = min(max(i, 0), n - 1)
-        return root_xy[j] + rotation_z_matrix(yaw[j])[:2, :2] @ rig.hip_off[side][:2]
+        return root_xy[j] + yaw_mats[j, :2, :2] @ rig.hip_off[side][:2]
 
     def plant_at(land_i, side):
         a = hip_xy_at(land_i, side)
@@ -310,20 +329,19 @@ def _generate_gait(skeleton: Skeleton, fps: float, yaw: np.ndarray,
             next_plant = plant_at(step_start + frames_per_step, swing)
         raw = (i - step_start) / frames_per_step
         ds_w = 0.2  # double-support fraction at each end of the step
-        z_cur = rig.stance_height(root_xy[i], yaw[i], stance, plants[stance])
+        z_cur = rig.stance_height(root_xy[i], yaw_mats[i], stance, plants[stance])
         if raw < ds_w or raw > 1.0 - ds_w:
             # double support: the root rides the taller of the two leg
             # constraints, so neither grounded leg is ever over-length and
             # ray-held feet stay between plant and hip (never underground)
             hold = prev_plant if raw < ds_w else next_plant
             spec = ("hold", hold.copy())
-            z_other = rig.stance_height(root_xy[i], yaw[i], swing, hold)
+            z_other = rig.stance_height(root_xy[i], yaw_mats[i], swing, hold)
             z_root[i] = max(z_cur, z_other)
         else:
             s = _smoothstep((raw - ds_w) / (1.0 - 2 * ds_w))
             # circumduction: an outward bulge buys clearance for a rigid leg
-            rz2 = rotation_z_matrix(yaw[i])[:2, :2]
-            bulge = rz2 @ np.array([outward[swing] * swing_lift * 2.0, 0.0])
+            bulge = yaw_mats[i, :2, :2] @ np.array([outward[swing] * swing_lift * 2.0, 0.0])
             swing_xy = (prev_plant[:2] + (next_plant[:2] - prev_plant[:2]) * s
                         + bulge * np.sin(np.pi * s))
             arc_s = (raw - ds_w) / (1.0 - 2 * ds_w)
@@ -331,14 +349,16 @@ def _generate_gait(skeleton: Skeleton, fps: float, yaw: np.ndarray,
             z_root[i] = z_cur
         frame_plan.append((stance, swing, plants[stance].copy(), spec))
 
-    # pass 2: build the frames in place, one rotation row per joint
-    poses = np.tile(rest_pose(skeleton), (n, 1))
+    # pass 2: every frame's rotations into one (n, n_joints, 3, 3) buffer
+    poses = np.empty((n, pose_dim(skeleton.n_rotated)))
+    poses[:, 0:2] = root_xy
+    poses[:, 2] = z_root
+    mats = _identity_stack(n, skeleton.n_joints)
+    mats[:, 0] = yaw_mats
     for i, (stance, swing, stance_plant, spec) in enumerate(frame_plan):
-        yaw_mat = rotation_z_matrix(yaw[i])
+        yaw_mat = yaw_mats[i]
         root = poses[i, 0:3]
-        root[:] = root_xy[i][0], root_xy[i][1], z_root[i]
-        rot = poses[i, 3:].reshape(skeleton.n_joints, 6)
-        rot[0] = matrix_to_sixd(yaw_mat)
+        rot = mats[i]
         st = rig.leg_to_point(root, yaw_mat, stance, stance_plant)
         if st is not None:
             rot[rig.hip_idx[stance]] = st
@@ -349,12 +369,14 @@ def _generate_gait(skeleton: Skeleton, fps: float, yaw: np.ndarray,
         else:
             rot[rig.hip_idx[swing]] = rig.leg_swing(
                 root, yaw_mat, swing, spec[1], floor_z=0.0, clearance=spec[2])
-        phase = 2.0 * np.pi * i / (2 * frames_per_step)
-        amp = 0.5 * min(speed[i] / 0.5, 1.0)   # arms swing with walking speed
-        for name, six in rig.arm_locals(phase, amp=amp).items():
-            rot[skeleton.joint_index(name)] = six
-        if gestures is not None:
-            gestures.apply(rot, i)
+    if gestures is None:
+        phase = 2.0 * np.pi * np.arange(n) / (2 * frames_per_step)
+        amp = 0.5 * np.minimum(speed / 0.5, 1.0)   # arms swing with walking speed
+        rig.arm_locals(mats, phase, amp)
+    else:   # gestures set both shoulders themselves
+        gestures.apply(mats)
+    for j in range(skeleton.n_joints):   # one conversion per joint track
+        poses[:, 3 + 6 * j:9 + 6 * j] = matrix_to_sixd(mats[:, j])
     return poses
 
 
@@ -398,16 +420,17 @@ def standing_pose(skeleton: Skeleton, xy=(0.0, 0.0), yaw: float = 0.0) -> np.nda
     xy = np.asarray(xy, dtype=np.float64)
     left_plant = np.append(xy + yaw_mat[:2, :2] @ rig.hip_off["left"][:2], 0.0)
     right_plant = np.append(xy + yaw_mat[:2, :2] @ rig.hip_off["right"][:2], 0.0)
-    height = rig.stance_height(xy, yaw, "left", left_plant)
-    pose = rest_pose(skeleton, (xy[0], xy[1], height))
-    rot = pose[3:].reshape(skeleton.n_joints, 6)
-    rot[0] = matrix_to_sixd(yaw_mat)
+    height = rig.stance_height(xy, yaw_mat, "left", left_plant)
+    pose = np.empty(pose_dim(skeleton.n_rotated))
+    pose[0:3] = xy[0], xy[1], height
+    rot = _identity_stack(skeleton.n_joints)
+    rot[0] = yaw_mat
     for side, plant in (("left", left_plant), ("right", right_plant)):
-        six = rig.leg_to_point(pose[0:3], yaw_mat, side, plant)
-        if six is not None:
-            rot[rig.hip_idx[side]] = six
-    for name, six in rig.arm_locals(0.0, amp=0.0).items():
-        rot[skeleton.joint_index(name)] = six
+        m = rig.leg_to_point(pose[0:3], yaw_mat, side, plant)
+        if m is not None:
+            rot[rig.hip_idx[side]] = m
+    rig.arm_locals(rot, 0.0, 0.0)
+    pose[3:] = matrix_to_sixd(rot).reshape(-1)
     return pose
 
 
@@ -478,20 +501,16 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator, fps: float,
         raise InfeasibleTargetError(
             f"no reachable target found in {resample_cap} samples")
 
-    joints = {name: skeleton.joint_index(name) for name in solution}
-    start_rot = {name: sixd_to_matrix(stand[3 + 6 * j:9 + 6 * j])
-                 for name, j in joints.items()}
-    end_rot = {name: sixd_to_matrix(solution[name]) for name in joints}
-
+    # the moving joints slerp from the stance to the solution, then hold it
+    s = _smoothstep(np.minimum(np.arange(n) / t_reach, 1.0))
+    moving = s < 1.0
     poses = np.tile(stand, (n, 1))
-    for i in range(n):
-        s = _smoothstep(min(i / t_reach, 1.0))
-        rot = poses[i, 3:].reshape(skeleton.n_joints, 6)
-        for name, j in joints.items():
-            if s >= 1.0:
-                rot[j] = solution[name]
-            else:
-                rot[j] = matrix_to_sixd(_slerp(start_rot[name], end_rot[name], s))
+    for name, six in solution.items():
+        j = skeleton.joint_index(name)
+        slot = slice(3 + 6 * j, 9 + 6 * j)
+        track = _slerp_track(sixd_to_matrix(stand[slot]), sixd_to_matrix(six), s[moving])
+        poses[moving, slot] = matrix_to_sixd(track)
+        poses[~moving, slot] = six
 
     goal = GoalSpec(position=target, target_frame=t_reach, target_joint="right_wrist")
     return poses, goal
@@ -672,40 +691,6 @@ def save_motion_csv(seq: MotionSequence, path) -> None:
         lines.append(",".join(repr(float(v)) for v in row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def load_motion_csv(path, skeleton: Skeleton) -> MotionSequence:
-    fps = 30.0
-    provenance, ident, label = "locomotion", "", None
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("fps="):
-                        fps = float(token[4:])
-                    elif token.startswith("provenance="):
-                        provenance = token[11:]
-                    elif token.startswith("ident="):
-                        ident = token[6:]
-                    elif token.startswith("goal="):
-                        label = [float(v) for v in token[5:].split(",")]
-                    elif token.startswith("target_frame="):
-                        label = (label, int(token[13:]))
-                    elif token.startswith("target_joint="):
-                        label = (*label, token[13:])
-                continue
-            if line.split(",")[0] == "c0":
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    goal = None
-    if label is not None:
-        pos, tf, tj = label
-        goal = GoalSpec(np.array(pos), tf, tj)
-    return MotionSequence(fps, np.array(rows), skeleton, goal, provenance, ident)
 
 
 def write_manifest(sequences, split: DatasetSplit, path) -> None:

@@ -182,23 +182,36 @@ def _rotated(vd, c, s, angle_shape):
 
 
 def rotation_z_matrix(angle):
-    """Plain (3, 3) rotation about z for a scalar angle (no autodiff)."""
+    """Plain rotation about z: (3, 3) for a scalar angle, (..., 3, 3) for
+    an array of angles (no autodiff)."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    m = np.zeros(np.shape(angle) + (3, 3))
+    m[..., 0, 0] = c
+    m[..., 0, 1] = -s
+    m[..., 1, 0] = s
+    m[..., 1, 1] = c
+    m[..., 2, 2] = 1.0
+    return m
 
 
 def axis_angle_matrix(axis, angle):
-    """Rodrigues rotation for a unit axis and scalar angle (no autodiff)."""
+    """Rodrigues rotation about one axis (normalised here): (3, 3) for a
+    scalar angle, (..., 3, 3) for an array of angles (no autodiff)."""
     axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    x, y, z = axis
+    x, y, z = axis / np.sqrt(axis.dot(axis))
     c, s = np.cos(angle), np.sin(angle)
     cc = 1.0 - c
-    return np.array([
-        [c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
-        [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
-        [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
-    ])
+    m = np.empty(np.shape(angle) + (3, 3))
+    m[..., 0, 0] = c + x * x * cc
+    m[..., 0, 1] = x * y * cc - z * s
+    m[..., 0, 2] = x * z * cc + y * s
+    m[..., 1, 0] = y * x * cc + z * s
+    m[..., 1, 1] = c + y * y * cc
+    m[..., 1, 2] = y * z * cc - x * s
+    m[..., 2, 0] = z * x * cc - y * s
+    m[..., 2, 1] = z * y * cc + x * s
+    m[..., 2, 2] = c + z * z * cc
+    return m
 
 
 def identity_sixd():

@@ -61,6 +61,15 @@ def test_gen_data_outputs(data_dir):
     assert os.path.exists(os.path.join(data_dir, "skeleton.json"))
 
 
+def test_gen_data_reports_planned_and_dropped(tmp_path, tiny_config, capsys):
+    out = tmp_path / "data"
+    assert cli.dispatch(["gen-data", "--config", tiny_config, "--seed", "3",
+                         "--out", str(out)]) == 0
+    kept = len(json.loads((out / "manifest.json").read_text())["sequences"])
+    assert capsys.readouterr().out == (f"wrote {kept} of 15 planned sequences to {out} "
+                                       f"({15 - kept} dropped as floating)\n")
+
+
 def test_train_outputs(checkpoint):
     out = os.path.dirname(checkpoint)
     log = open(os.path.join(out, "train_log.csv")).read()

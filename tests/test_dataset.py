@@ -21,6 +21,41 @@ def small_corpus(skel):
     return ds.generate_synthetic_corpus(cfg, skel)
 
 
+def ref_axis_angle_matrix(axis, angle):
+    """Scalar Rodrigues as geometry.axis_angle_matrix wrote it before it
+    took arrays of angles."""
+    axis = np.asarray(axis, dtype=np.float64)
+    x, y, z = axis / np.linalg.norm(axis)
+    c, s = np.cos(angle), np.sin(angle)
+    cc = 1.0 - c
+    return np.array([
+        [c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
+        [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
+        [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
+    ])
+
+
+def ref_slerp(m0, m1, s):
+    """One frame of the per-frame slerp the generators used before slerp
+    tracks: the matrix log of m0.T @ m1 taken again for every frame."""
+    axis, angle = ds._matrix_log_axis_angle(m0.T @ m1)
+    return m0 @ ref_axis_angle_matrix(axis, s * angle)
+
+
+def ref_align_vec_to(src, dst):
+    """dataset._align_vec_to written with np.cross and np.linalg.norm."""
+    c = float(np.dot(src, dst))
+    axis = np.cross(src, dst)
+    s = float(np.linalg.norm(axis))
+    if s < 1e-12:
+        if c > 0:
+            return np.eye(3)
+        helper = np.array([0.0, 1.0, 0.0]) if abs(src[0]) > 0.9 else np.array([1.0, 0.0, 0.0])
+        axis = np.cross(src, helper)
+        return ref_axis_angle_matrix(axis / np.linalg.norm(axis), np.pi)
+    return ref_axis_angle_matrix(axis / s, np.arctan2(s, c))
+
+
 def static_sequence(skel, n=120):
     vec = rest_pose(skel)
     return ds.MotionSequence(30.0, np.tile(vec, (n, 1)), skel, None, "locomotion", "static")
@@ -39,6 +74,41 @@ def test_corpus_deterministic_under_seed(skel):
     for x, y in zip(a, b):
         assert x.ident == y.ident
         np.testing.assert_array_equal(x.poses, y.poses)
+
+
+def test_slerp_track_matches_per_frame_slerp():
+    # one matrix log per keyframe pair gives the per-frame slerp's bits,
+    # for a generic pair, an equal pair (zero angle) and a half turn
+    rng = np.random.default_rng(5)
+    s = ds._smoothstep(np.arange(37) / 37)
+    pairs = []
+    for _ in range(4):
+        m0 = ref_axis_angle_matrix(rng.normal(size=3), rng.uniform(-3.0, 3.0))
+        pairs.append((m0, m0 @ ref_axis_angle_matrix(rng.normal(size=3),
+                                                     rng.uniform(-3.0, 3.0))))
+    pairs.append((pairs[0][0], pairs[0][0]))
+    pairs.append((pairs[1][0], pairs[1][0] @ np.diag([1.0, -1.0, -1.0])))
+    for m0, m1 in pairs:
+        track = ds._slerp_track(m0, m1, s)
+        np.testing.assert_array_equal(track, [ref_slerp(m0, m1, si) for si in s])
+
+
+def test_cross_and_norm_match_numpy_bits():
+    v = np.random.default_rng(6).normal(size=(500, 2, 3))
+    for a, b in v:
+        np.testing.assert_array_equal(ds._cross(a, b), np.cross(a, b))
+        assert np.sqrt(a.dot(a)) == np.linalg.norm(a)
+
+
+def test_align_vec_to_matches_reference():
+    rng = np.random.default_rng(7)
+    units = rng.normal(size=(200, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    pairs = [(ds.DOWN, u) for u in units] + [(u, -u) for u in units[:20]]
+    x = np.array([1.0, 0.0, 0.0])
+    pairs += [(ds.DOWN, ds.DOWN), (ds.DOWN, -ds.DOWN), (x, -x)]
+    for src, dst in pairs:
+        np.testing.assert_array_equal(ds._align_vec_to(src, dst), ref_align_vec_to(src, dst))
 
 
 def test_reaching_labels_hit_wrist_within_1cm(small_corpus, skel):
@@ -200,14 +270,22 @@ def test_motion_container_rejects_corruption(tmp_path, small_corpus, skel):
         ds.load_motion(path, other)
 
 
-def test_motion_csv_twin_lossless(tmp_path, small_corpus, skel):
+def test_motion_csv_twin_lossless(tmp_path, small_corpus):
     seq = next(s for s in small_corpus if s.label is not None)
     path = tmp_path / "clip.csv"
     ds.save_motion_csv(seq, path)
-    back = ds.load_motion_csv(path, skel)
-    np.testing.assert_array_equal(back.poses, seq.poses)
-    assert back.fps == seq.fps
-    np.testing.assert_array_equal(back.label.position, seq.label.position)
+    lines = path.read_text().splitlines()
+    meta = dict(token.split("=", 1) for line in lines if line.startswith("#")
+                for token in line[1:].split())
+    header, *rows = [line for line in lines if not line.startswith("#")]
+    assert header.split(",") == [f"c{i}" for i in range(seq.poses.shape[1])]
+    back = np.array([[float(v) for v in row.split(",")] for row in rows])
+    np.testing.assert_array_equal(back, seq.poses)
+    assert float(meta["fps"]) == seq.fps
+    assert meta["ident"] == seq.ident
+    np.testing.assert_array_equal([float(v) for v in meta["goal"].split(",")],
+                                  seq.label.position)
+    assert int(meta["target_frame"]) == seq.label.target_frame
 
 
 def test_every_window_carries_a_goal(small_corpus):

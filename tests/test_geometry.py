@@ -68,6 +68,42 @@ def test_non_orthonormal_matrix_rejected():
         geo.matrix_to_sixd(flipped)
 
 
+def test_matrix_to_sixd_stack_matches_each_matrix():
+    # the corpus converts whole joint tracks at once: a stack must give
+    # each matrix's own encoding, bit for bit, at any leading shape
+    ms = random_rotations(64, seed=13)
+    stacked = geo.matrix_to_sixd(ms)
+    assert stacked.shape == (64, 6)
+    for m, six in zip(ms, stacked):
+        np.testing.assert_array_equal(six, geo.matrix_to_sixd(m))
+    np.testing.assert_array_equal(
+        geo.matrix_to_sixd(ms.reshape(8, 8, 3, 3)).reshape(64, 6), stacked)
+
+
+@pytest.mark.parametrize("at", [0, 37, 63])
+def test_matrix_to_sixd_stack_rejects_one_bad_matrix(at):
+    ms = random_rotations(64, seed=14)
+    scaled = ms.copy()
+    scaled[at] *= 1.1
+    with pytest.raises(InvalidRotationError):
+        geo.matrix_to_sixd(scaled)
+    left_handed = ms.copy()
+    left_handed[at] = left_handed[at] @ np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(InvalidRotationError):
+        geo.matrix_to_sixd(left_handed)
+
+
+def test_rotation_builders_stack_matches_each_angle():
+    # an array of angles gives each scalar angle's matrix, bit for bit
+    angles = np.random.default_rng(15).uniform(-4.0, 4.0, 50)
+    axis = np.array([0.3, -0.5, 0.8])
+    for build in (geo.rotation_z_matrix, lambda a: geo.axis_angle_matrix(axis, a)):
+        stacked = build(angles)
+        assert stacked.shape == (50, 3, 3)
+        for a, m in zip(angles, stacked):
+            np.testing.assert_array_equal(m, build(a))
+
+
 def test_yaw_of_matches_scipy_euler():
     # extrinsic z-y-x: scipy lowercase "zyx" intrinsic reversed == extrinsic "xyz"...
     # use the documented formula directly against scipy's extrinsic decomposition

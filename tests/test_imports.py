@@ -1,6 +1,6 @@
 """Every name a module in src/reachgen imports is used in that module, every
-import sits at module level, and every public function of autodiff.py and
-geometry.py is used by the package."""
+import sits at module level, and every public function of autodiff.py,
+geometry.py and dataset.py is used by the package."""
 import ast
 import pathlib
 
@@ -33,7 +33,8 @@ def test_no_function_local_imports(path):
     assert not local, f"{path.name} imports inside functions at {local}"
 
 
-@pytest.mark.parametrize("module", ["autodiff", "geometry"], ids=lambda m: f"{m}.py")
+@pytest.mark.parametrize("module", ["autodiff", "geometry", "dataset"],
+                         ids=lambda m: f"{m}.py")
 def test_every_autodiff_function_is_used(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     public = {s.name for s in tree.body
