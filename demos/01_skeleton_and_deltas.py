@@ -11,7 +11,7 @@ from reachgen.body import (desk_skeleton, forward_kinematics, integrate_delta,
 
 skel = desk_skeleton()
 print(f"skeleton: {skel.n_joints} joints ({skel.n_rotated} rotated), "
-      f"hash {skel.hash()[:12]}")
+      f"hash {skel.hash[:12]}")
 
 # 6D rotations decode via Gram-Schmidt; scale does not matter
 m = geo.sixd_to_matrix(np.array([2.0, 0, 0, 0, 3.0, 0]))

@@ -41,7 +41,8 @@ class Skeleton:
 
     Parents must be topologically ordered (parents[i] < i); offsets are in
     meters in the parent frame; forward_axis is a unit vector in the root
-    frame.
+    frame. Both arrays are kept as read-only copies, so the cached hash,
+    chains and depth levels stay true to them.
     """
 
     names: tuple[str, ...]
@@ -50,6 +51,10 @@ class Skeleton:
     forward_axis: np.ndarray   # (3,)
 
     def __post_init__(self):
+        for name in ("offsets", "forward_axis"):
+            frozen = np.array(getattr(self, name), dtype=np.float64)
+            frozen.flags.writeable = False
+            object.__setattr__(self, name, frozen)
         if self.parents[0] != -1 or self.names[0] != "pelvis":
             raise ValueError("joint 0 must be the pelvis root")
         for i, p in enumerate(self.parents[1:], start=1):
@@ -110,7 +115,9 @@ class Skeleton:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
+    @cached_property
     def hash(self) -> str:
+        """sha256 of to_text(), computed once per skeleton."""
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
     def save(self, path) -> None:

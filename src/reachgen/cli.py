@@ -332,7 +332,7 @@ def cmd_inspect(args) -> int:
     seq = load_motion(args.motion, skeleton)
     print(f"fps: {seq.fps}")
     print(f"frames: {seq.n_frames}")
-    print(f"skeleton: {skeleton.hash()}")
+    print(f"skeleton: {skeleton.hash}")
     print(f"provenance: {seq.provenance}")
     print(f"ident: {seq.ident}")
     if seq.label is not None:

@@ -8,7 +8,8 @@ labeled frame. Everything is a pure function of (config, seed).
 
 A pose is a (pose_dim,) vector in the body layout: translation 3, then joint
 j's 6D rotation at pose[3+6j : 9+6j], the root's (j = 0) first. The
-generators build rotation matrices: a walk writes every frame into one
+generators build rotation matrices as frame stacks: a walk plans its
+footsteps, root height and both legs in whole-clip array ops and writes one
 (n_frames, n_joints, 3, 3) buffer, a reach collects each moving joint's
 slerped track. Each joint track then becomes 6D in one matrix_to_sixd
 call, which also checks that every written rotation is orthonormal and
@@ -27,7 +28,7 @@ from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
                      InfeasibleTargetError, InvalidInputError, ModelMismatchError,
                      SkipWindow)
-from .geometry import (_cross, axis_angle_matrix, matrix_to_sixd,
+from .geometry import (_cross, _dot_rows, axis_angle_matrix, matrix_to_sixd,
                        rotation_z_matrix, sixd_to_matrix)
 from .intention import DEFAULT_HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
 
@@ -74,18 +75,19 @@ class SyntheticGenConfig:
     turn_rate_range: tuple[float, float] = (-0.5, 0.5)   # rad/s
     step_time_range: tuple[float, float] = (0.40, 0.55)  # s per step
     reach_height_range: tuple[float, float] = (0.5, 1.7)
-    reach_radius_range: tuple[float, float] = (0.15, 0.46)
     fps: float = 30.0
     seed: int = 0
 
     def __post_init__(self):
         for lo, hi in (self.duration_range, self.reach_duration_range,
-                       self.speed_range, self.step_time_range,
-                       self.reach_height_range, self.reach_radius_range):
+                       self.speed_range, self.turn_rate_range,
+                       self.step_time_range, self.reach_height_range):
             if lo > hi:
                 raise ValueError("config range is not well-ordered")
         if min(self.n_locomotion, self.n_reaching, self.n_walk_reach) < 0:
             raise ValueError("counts must be >= 0")
+        if not self.fps > 0:
+            raise ValueError("fps must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,21 +107,32 @@ def _identity_stack(*shape):
     return np.tile(np.eye(3), shape + (1, 1))
 
 
-def _align_vec_to(src, dst):
-    """Rotation matrix taking unit src onto unit dst."""
-    c = float(np.dot(src, dst))
+def _align_rows(src, dst):
+    """(..., 3, 3) rotations taking unit src rows onto unit dst rows (the
+    two broadcast). Rows whose cross product vanishes, parallel or
+    anti-parallel, are built one at a time."""
+    shape = np.broadcast_shapes(np.shape(src), np.shape(dst))
+    src = np.broadcast_to(src, shape).reshape(-1, 3)
+    dst = np.broadcast_to(dst, shape).reshape(-1, 3)
+    c = _dot_rows(src, dst)
     axis = _cross(src, dst)
-    s = float(np.sqrt(axis.dot(axis)))
-    if s < 1e-12:
-        if c > 0:
-            return np.eye(3)
+    s = np.sqrt(_dot_rows(axis, axis))
+    flat = s < 1e-12
+    out = np.empty((len(src), 3, 3))
+    turn = ~flat
+    out[turn] = axis_angle_matrix(axis[turn] / s[turn, None],
+                                  np.arctan2(s[turn], c[turn]))
+    for i in np.flatnonzero(flat):
+        if c[i] > 0:
+            out[i] = np.eye(3)
+            continue
         # pick any axis orthogonal to src
         helper = np.array([1.0, 0.0, 0.0])
-        if abs(src[0]) > 0.9:
+        if abs(src[i, 0]) > 0.9:
             helper = np.array([0.0, 1.0, 0.0])
-        axis = _cross(src, helper)
-        return axis_angle_matrix(axis / np.sqrt(axis.dot(axis)), np.pi)
-    return axis_angle_matrix(axis / s, np.arctan2(s, c))
+        ortho = _cross(src[i], helper)
+        out[i] = axis_angle_matrix(ortho / np.sqrt(ortho.dot(ortho)), np.pi)
+    return out.reshape(shape + (3,))
 
 
 def _matrix_log_axis_angle(m):
@@ -146,69 +159,83 @@ def _slerp_track(m0, m1, s):
 
 
 class _WalkRig:
-    """Shared geometry for the procedural gait."""
+    """Shared geometry for the procedural gait, over stacks of frames.
+
+    A side is 0 (left) or 1 (right); the leg helpers take rows shaped
+    (..., 3) and aim each hip so its leg, at rest along DOWN, points where
+    the row asks.
+    """
 
     # the shoulders' fixed droop below T-pose, about y
     droop = {"right_shoulder": axis_angle_matrix([0, 1, 0], 1.1),
              "left_shoulder": axis_angle_matrix([0, 1, 0], -1.1)}
 
     def __init__(self, skeleton: Skeleton):
-        self.skel = skeleton
-        self.hip_idx = {"left": skeleton.joint_index("left_hip"),
-                        "right": skeleton.joint_index("right_hip")}
-        self.hip_off = {s: skeleton.offsets[self.hip_idx[s]] for s in ("left", "right")}
+        self.hip_idx = (skeleton.joint_index("left_hip"),
+                        skeleton.joint_index("right_hip"))
+        self.hip_off = skeleton.offsets[list(self.hip_idx)]   # (2, 3)
         self.arm_idx = {name: skeleton.joint_index(name) for name in self.droop}
         self.leg_len = float(np.linalg.norm(
             skeleton.offsets[skeleton.joint_index("left_foot")]))
 
-    def stance_height(self, root_xy, yaw_mat, stance, stance_plant) -> float:
-        """Root z that makes the stance leg exactly leg-length."""
-        L = self.leg_len
-        hip_off_st = self.hip_off[stance]
-        hip_xy = np.asarray(root_xy) + yaw_mat[:2, :2] @ hip_off_st[:2]
-        gap = stance_plant[:2] - hip_xy
-        d = min(np.sqrt(gap.dot(gap)), L - 1e-3)
-        return stance_plant[2] + np.sqrt(L * L - d * d) - hip_off_st[2]
+    def hip_xy(self, root_xy, yaw_mats, side):
+        """(..., 2) xy of one side's hip for roots at root_xy."""
+        return root_xy + yaw_mats[..., :2, :2] @ self.hip_off[side, :2]
 
-    def leg_to_point(self, root, yaw_mat, side, point):
-        """Hip rotation matrix aiming the foot at a world point along the
-        leg ray, or None when the point sits on the hip.
+    def hip_pos(self, root, yaw_mats, side):
+        """(..., 3) position of one side's hip for roots at root."""
+        return root + yaw_mats @ self.hip_off[side]
+
+    def stance_height(self, hip_xy, plant, side):
+        """(...) root z that makes a leg exactly leg-length from its hip at
+        hip_xy to its plant; side (int or (...) ints) picks the hip's z."""
+        L = self.leg_len
+        gap = plant[..., :2] - hip_xy
+        d = np.minimum(np.sqrt(_dot_rows(gap, gap)), L - 1e-3)
+        return plant[..., 2] + np.sqrt(L * L - d * d) - self.hip_off[side, 2]
+
+    def to_point(self, hip, point):
+        """(leg_dir, aimed): unit directions from hips to world points, and
+        the rows whose point is off the hip; a row whose point sits on the
+        hip is not aimed.
 
         Exact when the point is one leg-length away; otherwise the foot sits
         on the ray at leg-length (error = distance mismatch).
         """
-        hip_pos = root + yaw_mat @ self.hip_off[side]
-        vec = np.asarray(point) - hip_pos
-        n = np.sqrt(vec.dot(vec))
-        if n < 1e-9:
-            return None
-        return yaw_mat.T @ _align_vec_to(DOWN, vec / n)
+        vec = point - hip
+        n = np.sqrt(_dot_rows(vec, vec))
+        aimed = ~(n < 1e-9)
+        return vec / np.where(aimed, n, 1.0)[..., None], aimed
 
-    def leg_swing(self, root, yaw_mat, side, swing_xy, floor_z, clearance):
-        """Hip rotation matrix placing the foot on the reachable sphere at
-        an xy.
+    def swing(self, hip, yaw_mats, swing_xy, clearance):
+        """(..., 3) unit leg directions placing each foot on the reachable
+        sphere at an xy.
 
-        The radius is clamped up so the foot keeps `clearance` above
-        `floor_z` (z >= floor requires r >= horizontal stance reach).
+        The radius is clamped up so the foot keeps `clearance` above the
+        floor (z >= 0 requires r >= horizontal stance reach). A foot right
+        below its hip steps forward by that radius.
         """
         L = self.leg_len
-        hip_sw = root + yaw_mat @ self.hip_off[side]
-        dx = np.asarray(swing_xy) - hip_sw[:2]
-        r = np.sqrt(dx.dot(dx))
-        zc = max(hip_sw[2] - floor_z - clearance, 0.0)
-        lo = min(np.sqrt(max(L * L - zc * zc, 0.0)), L * 0.999)
+        dx = swing_xy - hip[..., :2]
+        r = np.sqrt(_dot_rows(dx, dx))
+        zc = np.maximum(hip[..., 2] - clearance, 0.0)
+        lo = np.minimum(np.sqrt(np.maximum(L * L - zc * zc, 0.0)), L * 0.999)
         hi = L * 0.999
-        if r < 1e-9:
-            dx = yaw_mat[:2, :2] @ np.array([0.0, lo])
-            r = lo
-        elif r < lo:
-            dx = dx * (lo / r)
-            r = lo
-        elif r > hi:
-            dx = dx * (hi / r)
-            r = hi
+        below = r < 1e-9
+        short = ~below & (r < lo)
+        long = ~below & ~short & (r > hi)
+        for i in zip(*np.nonzero(below)):
+            dx[i] = yaw_mats[i][:2, :2] @ np.array([0.0, lo[i]])
+        dx[short] = dx[short] * (lo[short] / r[short])[:, None]
+        dx[long] = dx[long] * (hi / r[long])[:, None]
+        r = np.where(below | short, lo, np.where(long, hi, r))
         dz = -np.sqrt(L * L - r * r)
-        return yaw_mat.T @ _align_vec_to(DOWN, np.array([dx[0], dx[1], dz]) / L)
+        return np.concatenate([dx, dz[..., None]], axis=-1) / L
+
+    def hip_rotation(self, yaw_mats, leg_dir):
+        """(..., 3, 3) hip rotations, in the root frame, turning the rest
+        leg onto unit leg directions."""
+        return yaw_mats.mT @ _align_rows(DOWN, leg_dir)
 
     def arm_locals(self, rot, phase, amp):
         """Arms lowered from T-pose, counter-swinging with the gait phase:
@@ -275,100 +302,78 @@ def _generate_gait(skeleton: Skeleton, fps: float, yaw: np.ndarray,
                    speed: np.ndarray, start_xy=(0.0, 0.0),
                    step_time: float = 0.5, swing_lift: float = 0.06,
                    gestures: "_ArmGestures | None" = None) -> np.ndarray:
-    """Stance-locked gait following per-frame yaw and speed series."""
+    """Stance-locked gait following per-frame yaw and speed series, built
+    as whole-clip frame stacks."""
     rig = _WalkRig(skeleton)
     n = len(yaw)
     frames_per_step = max(int(round(step_time * fps)), 6)
 
     heading = np.stack([-np.sin(yaw), np.cos(yaw)], axis=-1)
-    root_xy = np.zeros((n, 2))
-    root_xy[0] = start_xy
-    for i in range(1, n):
-        root_xy[i] = root_xy[i - 1] + heading[i - 1] * (speed[i - 1] / fps)
+    travel = heading[:-1] * (speed[:-1] / fps)[:, None]
+    root_xy = np.cumsum(np.concatenate([np.reshape(start_xy, (1, 2)), travel]), axis=0)
+    yaw_mats = rotation_z_matrix(yaw)
+    hip_xy = np.stack([rig.hip_xy(root_xy, yaw_mats, side) for side in (0, 1)])
 
     # footstep plan: each foot plants at the midpoint of its own hip path
     # between landing and liftoff, so the leg-length height constraint takes
-    # the same value at both handovers and the root height is continuous
-    yaw_mats = rotation_z_matrix(yaw)
+    # the same value at both handovers and the root height is continuous.
+    # Step k (frames k*F to k*F + F - 1) stands on plant k, left on even k,
+    # and swings from plant k - 1 to plant k + 1; the right foot's pre-roll
+    # plant -1 is extrapolated back from its path over the first step.
+    land = np.arange(-1, (n - 1) // frames_per_step + 2) * frames_per_step
+    foot = (land // frames_per_step) % 2
+    a = hip_xy[foot, np.clip(land, 0, n - 1)]
+    b = hip_xy[foot, np.clip(land + frames_per_step, 0, n - 1)]
+    a[0] = 2.0 * hip_xy[1, 0] - hip_xy[1, min(frames_per_step, n - 1)]
+    plants = np.zeros((len(land), 3))
+    plants[:, :2] = 0.5 * (a + b)
 
-    def hip_xy_at(i, side):
-        j = min(max(i, 0), n - 1)
-        return root_xy[j] + yaw_mats[j, :2, :2] @ rig.hip_off[side][:2]
-
-    def plant_at(land_i, side):
-        a = hip_xy_at(land_i, side)
-        b = hip_xy_at(land_i + frames_per_step, side)
-        if land_i < 0:  # extrapolate the pre-roll plant for the first swing
-            a = 2.0 * hip_xy_at(0, side) - hip_xy_at(frames_per_step, side)
-            b = hip_xy_at(0, side)
-        mid = 0.5 * (a + b)
-        return np.array([mid[0], mid[1], 0.0])
-
-    plants = {"left": plant_at(0, "left"),
-              "right": plant_at(-frames_per_step, "right")}
-
-    # pass 1: gait state machine; per-frame targets and the root height.
+    # pass 1: gait state per frame, then the root height.
     # Turning makes the two legs' exact height constraints disagree by ~cm at
     # handover, so the height crossfades between them across the
     # double-support window and is exact during single support.
-    stance = "left"
-    swing = "right"
-    step_start = 0
-    prev_plant = plants[swing].copy()
-    next_plant = plant_at(frames_per_step, swing)
-    outward = {"left": -1.0, "right": 1.0}
-    frame_plan = []
-    z_root = np.zeros(n)
-    for i in range(n):
-        if i - step_start >= frames_per_step:
-            # handover: the swing foot becomes stance at its planned plant
-            plants[swing] = next_plant
-            stance, swing = swing, stance
-            step_start = i
-            prev_plant = plants[swing].copy()
-            next_plant = plant_at(step_start + frames_per_step, swing)
-        raw = (i - step_start) / frames_per_step
-        ds_w = 0.2  # double-support fraction at each end of the step
-        z_cur = rig.stance_height(root_xy[i], yaw_mats[i], stance, plants[stance])
-        if raw < ds_w or raw > 1.0 - ds_w:
-            # double support: the root rides the taller of the two leg
-            # constraints, so neither grounded leg is ever over-length and
-            # ray-held feet stay between plant and hip (never underground)
-            hold = prev_plant if raw < ds_w else next_plant
-            spec = ("hold", hold.copy())
-            z_other = rig.stance_height(root_xy[i], yaw_mats[i], swing, hold)
-            z_root[i] = max(z_cur, z_other)
-        else:
-            s = _smoothstep((raw - ds_w) / (1.0 - 2 * ds_w))
-            # circumduction: an outward bulge buys clearance for a rigid leg
-            bulge = yaw_mats[i, :2, :2] @ np.array([outward[swing] * swing_lift * 2.0, 0.0])
-            swing_xy = (prev_plant[:2] + (next_plant[:2] - prev_plant[:2]) * s
-                        + bulge * np.sin(np.pi * s))
-            arc_s = (raw - ds_w) / (1.0 - 2 * ds_w)
-            spec = ("arc", swing_xy, max(0.02 * np.sin(np.pi * arc_s), 0.004))
-            z_root[i] = z_cur
-        frame_plan.append((stance, swing, plants[stance].copy(), spec))
+    frame = np.arange(n)
+    step = frame // frames_per_step
+    stance = step % 2
+    swing = 1 - stance
+    raw = (frame - step * frames_per_step) / frames_per_step
+    ds_w = 0.2  # double-support fraction at each end of the step
+    early = raw < ds_w
+    double = early | (raw > 1.0 - ds_w)
+    stance_plant = plants[step + 1]
+    prev_plant, next_plant = plants[step], plants[step + 2]
+    z_root = rig.stance_height(hip_xy[stance, frame], stance_plant, stance)
+    # double support: the root rides the taller of the two leg constraints,
+    # so neither grounded leg is ever over-length and ray-held feet stay
+    # between plant and hip (never underground)
+    hold = np.where(early[:, None], prev_plant, next_plant)
+    z_other = rig.stance_height(hip_xy[swing, frame], hold, swing)
+    z_root = np.where(double, np.maximum(z_root, z_other), z_root)
+    # single support: the swing foot arcs from plant to plant
+    arc_s = (raw - ds_w) / (1.0 - 2 * ds_w)
+    s = _smoothstep(arc_s)
+    # circumduction: an outward bulge buys clearance for a rigid leg
+    bulge = np.stack([yaw_mats[:, :2, :2] @ np.array([out * swing_lift * 2.0, 0.0])
+                      for out in (-1.0, 1.0)])[swing, frame]
+    swing_xy = (prev_plant[:, :2] + (next_plant[:, :2] - prev_plant[:, :2]) * s[:, None]
+                + bulge * np.sin(np.pi * s)[:, None])
+    clearance = np.maximum(0.02 * np.sin(np.pi * arc_s), 0.004)
 
-    # pass 2: every frame's rotations into one (n, n_joints, 3, 3) buffer
+    # pass 2: both hips over all frames into one (n, n_joints, 3, 3) buffer;
+    # a leg holds its plant in stance and in double support, else it swings
     poses = np.empty((n, pose_dim(skeleton.n_rotated)))
     poses[:, 0:2] = root_xy
     poses[:, 2] = z_root
     mats = _identity_stack(n, skeleton.n_joints)
     mats[:, 0] = yaw_mats
-    for i, (stance, swing, stance_plant, spec) in enumerate(frame_plan):
-        yaw_mat = yaw_mats[i]
-        root = poses[i, 0:3]
-        rot = mats[i]
-        st = rig.leg_to_point(root, yaw_mat, stance, stance_plant)
-        if st is not None:
-            rot[rig.hip_idx[stance]] = st
-        if spec[0] == "hold":
-            sw = rig.leg_to_point(root, yaw_mat, swing, spec[1])
-            if sw is not None:
-                rot[rig.hip_idx[swing]] = sw
-        else:
-            rot[rig.hip_idx[swing]] = rig.leg_swing(
-                root, yaw_mat, swing, spec[1], floor_z=0.0, clearance=spec[2])
+    for side in (0, 1):
+        hip = rig.hip_pos(poses[:, 0:3], yaw_mats, side)
+        point = np.where((stance == side)[:, None], stance_plant, hold)
+        leg_dir, aimed = rig.to_point(hip, point)
+        arc = (swing == side) & ~double
+        leg_dir[arc] = rig.swing(hip[arc], yaw_mats[arc], swing_xy[arc], clearance[arc])
+        aimed |= arc
+        mats[aimed, rig.hip_idx[side]] = rig.hip_rotation(yaw_mats[aimed], leg_dir[aimed])
     if gestures is None:
         phase = 2.0 * np.pi * np.arange(n) / (2 * frames_per_step)
         amp = 0.5 * np.minimum(speed / 0.5, 1.0)   # arms swing with walking speed
@@ -418,17 +423,18 @@ def standing_pose(skeleton: Skeleton, xy=(0.0, 0.0), yaw: float = 0.0) -> np.nda
     rig = _WalkRig(skeleton)
     yaw_mat = rotation_z_matrix(yaw)
     xy = np.asarray(xy, dtype=np.float64)
-    left_plant = np.append(xy + yaw_mat[:2, :2] @ rig.hip_off["left"][:2], 0.0)
-    right_plant = np.append(xy + yaw_mat[:2, :2] @ rig.hip_off["right"][:2], 0.0)
-    height = rig.stance_height(xy, yaw_mat, "left", left_plant)
+    plants = np.zeros((2, 3))
+    for side in (0, 1):
+        plants[side, :2] = rig.hip_xy(xy, yaw_mat, side)
     pose = np.empty(pose_dim(skeleton.n_rotated))
-    pose[0:3] = xy[0], xy[1], height
+    pose[0:2] = xy
+    pose[2] = rig.stance_height(plants[0, :2], plants[0], 0)
     rot = _identity_stack(skeleton.n_joints)
     rot[0] = yaw_mat
-    for side, plant in (("left", left_plant), ("right", right_plant)):
-        m = rig.leg_to_point(pose[0:3], yaw_mat, side, plant)
-        if m is not None:
-            rot[rig.hip_idx[side]] = m
+    for side in (0, 1):
+        leg_dir, aimed = rig.to_point(rig.hip_pos(pose[0:3], yaw_mat, side), plants[side])
+        if aimed:
+            rot[rig.hip_idx[side]] = rig.hip_rotation(yaw_mat, leg_dir)
     rig.arm_locals(rot, 0.0, 0.0)
     pose[3:] = matrix_to_sixd(rot).reshape(-1)
     return pose
@@ -462,7 +468,7 @@ def _solve_reach(skeleton: Skeleton, stand_vec: np.ndarray, target: np.ndarray):
         wrist_in_shoulder = np.array([a + b * np.cos(alpha), b * np.sin(alpha), 0.0])
         w_sh_parent = sixd_to_matrix(probe[3:9]) @ sixd_to_matrix(spine)
         # shoulder world rotation must map wrist_in_shoulder onto v
-        world = _align_vec_to(wrist_in_shoulder / r, v / r)
+        world = _align_rows(wrist_in_shoulder / r, v / r)
         shoulder_local = w_sh_parent.T @ world
         return {
             "spine": matrix_to_sixd(spine_local),
@@ -658,7 +664,7 @@ def sample_training_window(seq: MotionSequence, window_len: int,
 
 def save_motion(seq: MotionSequence, path) -> None:
     """Container with the clip's metadata and its (n, dim) float64 pose rows."""
-    header = {"fps": float(seq.fps), "skeleton_hash": seq.skeleton.hash(),
+    header = {"fps": float(seq.fps), "skeleton_hash": seq.skeleton.hash,
               "label": None if seq.label is None else seq.label.to_dict(),
               "provenance": seq.provenance, "ident": seq.ident}
     write_container(path, MOTION_MAGIC, MOTION_VERSION, header, {"poses": seq.poses})
@@ -666,7 +672,7 @@ def save_motion(seq: MotionSequence, path) -> None:
 
 def load_motion(path, skeleton: Skeleton) -> MotionSequence:
     header, arrays = read_container(path, MOTION_MAGIC, MOTION_VERSION)
-    if header.get("skeleton_hash") != skeleton.hash():
+    if header.get("skeleton_hash") != skeleton.hash:
         raise ModelMismatchError(f"{path}: skeleton hash mismatch")
     try:
         label = None if header["label"] is None else GoalSpec(**header["label"])
@@ -678,7 +684,7 @@ def load_motion(path, skeleton: Skeleton) -> MotionSequence:
 
 def save_motion_csv(seq: MotionSequence, path) -> None:
     """Lossless CSV twin (shortest-roundtrip float repr)."""
-    lines = [f"# fps={seq.fps!r} skeleton={seq.skeleton.hash()} "
+    lines = [f"# fps={seq.fps!r} skeleton={seq.skeleton.hash} "
              f"provenance={seq.provenance} ident={seq.ident}"]
     if seq.label is not None:
         g = seq.label

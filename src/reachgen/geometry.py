@@ -27,6 +27,12 @@ def _cross(a, b, out=None):
     return out
 
 
+def _dot_rows(a, b):
+    """a . b along the last axis as stacked (1, k) @ (k, 1) matmuls, which
+    give each row the bits of its 1-D a.dot(b)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _project_out(g, unit, norm):
     """VJP of v -> v / |v| at unit = v / |v|."""
     return (g - unit * (unit * g).sum(axis=-1, keepdims=True)) / norm
@@ -195,13 +201,15 @@ def rotation_z_matrix(angle):
 
 
 def axis_angle_matrix(axis, angle):
-    """Rodrigues rotation about one axis (normalised here): (3, 3) for a
-    scalar angle, (..., 3, 3) for an array of angles (no autodiff)."""
+    """Rodrigues rotation about (3,) or (..., 3) axes (normalised here) by
+    angles that broadcast against them: (3, 3) for one axis and a scalar
+    angle, else (..., 3, 3) (no autodiff)."""
     axis = np.asarray(axis, dtype=np.float64)
-    x, y, z = axis / np.sqrt(axis.dot(axis))
+    unit = axis / np.sqrt(_dot_rows(axis, axis))[..., None]
+    x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]
     c, s = np.cos(angle), np.sin(angle)
     cc = 1.0 - c
-    m = np.empty(np.shape(angle) + (3, 3))
+    m = np.empty(np.broadcast_shapes(np.shape(angle), axis.shape[:-1]) + (3, 3))
     m[..., 0, 0] = c + x * x * cc
     m[..., 0, 1] = x * y * cc - z * s
     m[..., 0, 2] = x * z * cc + y * s

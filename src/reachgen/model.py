@@ -119,7 +119,7 @@ class MotionModel:
     def hash(self) -> str:
         h = hashlib.sha256()
         h.update(json.dumps(self.spec.to_dict(), sort_keys=True).encode())
-        h.update(self.skeleton.hash().encode())
+        h.update(self.skeleton.hash.encode())
         for name in self.params.names():
             h.update(name.encode())
             h.update(self.params[name].data.tobytes())
@@ -154,7 +154,7 @@ def save_checkpoint(model: MotionModel, path, adam_state=None,
     header = {
         "spec": model.spec.to_dict(),
         "skeleton_text": model.skeleton.to_text(),
-        "skeleton_hash": model.skeleton.hash(),
+        "skeleton_hash": model.skeleton.hash,
         "meta": model.meta,
         "train_meta": train_meta,
         "adam": adam_payload,

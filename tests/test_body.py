@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -180,7 +182,22 @@ def test_skeleton_file_roundtrip(tmp_path, skel):
     assert loaded.names == skel.names
     assert loaded.parents == skel.parents
     np.testing.assert_array_equal(loaded.offsets, skel.offsets)
-    assert loaded.hash() == skel.hash()
+    assert loaded.hash == skel.hash
+
+
+def test_skeleton_hash_is_computed_once(monkeypatch):
+    # the cached hash is the sha256 of to_text(), which runs once per skeleton
+    skel = body.desk_skeleton()
+    texts = []
+    to_text = body.Skeleton.to_text
+    monkeypatch.setattr(body.Skeleton, "to_text",
+                        lambda self: texts.append(1) or to_text(self))
+    first = skel.hash
+    assert skel.hash == first == hashlib.sha256(to_text(skel).encode()).hexdigest()
+    assert len(texts) == 1
+    # the offsets it hashes cannot change under it
+    with pytest.raises(ValueError):
+        skel.offsets[3] *= 1.1
 
 
 def test_fk_gradient_through_pose(skel):

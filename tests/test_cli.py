@@ -288,13 +288,20 @@ def test_inspect_takes_one_goal(data_dir):
      "InvalidInputError"),
     ("gen-data", {"sed": 3}, {}, None, "InvalidInputError"),
     ("gen-data", {"workers": 2}, {}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"turn_rate_range": [0.5, -0.5]}}, {}, None,
+     "InvalidInputError"),
+    ("gen-data", {"data": {"fps": 0}}, {}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"fps": -30}}, {}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"reach_radius_range": [0.15, 0.46]}}, {}, None,
+     "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
         "env-seed", "env-workers", "manifest-not-json", "manifest-no-sequences",
         "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
         "workers-str", "workers-bool", "eval-not-object", "train-not-object",
         "data-not-object", "config-not-object", "epochs-zero", "batch-size-zero",
         "window-len-zero", "window-len-too-long", "windows-per-sequence-zero",
-        "horizon-reversed", "unknown-key", "workers-not-evaluate"])
+        "horizon-reversed", "unknown-key", "workers-not-evaluate",
+        "turn-rate-reversed", "fps-zero", "fps-negative", "reach-radius-retired"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
                                               settings, env, manifest, code):
     config = tmp_path / "settings.json"

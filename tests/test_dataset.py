@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from reachgen import dataset as ds
 from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose
 from reachgen.errors import (CorruptFileError, InvalidInputError, ModelMismatchError,
                              SkipWindow, VersionMismatchError)
+from reachgen.geometry import matrix_to_sixd, rotation_z_matrix
 from reachgen.intention import GoalSpec, hindsight_goal
 
 
@@ -43,7 +45,8 @@ def ref_slerp(m0, m1, s):
 
 
 def ref_align_vec_to(src, dst):
-    """dataset._align_vec_to written with np.cross and np.linalg.norm."""
+    """The scalar align the generators used before row-wise aligns, written
+    with np.cross and np.linalg.norm."""
     c = float(np.dot(src, dst))
     axis = np.cross(src, dst)
     s = float(np.linalg.norm(axis))
@@ -54,6 +57,148 @@ def ref_align_vec_to(src, dst):
         axis = np.cross(src, helper)
         return ref_axis_angle_matrix(axis / np.linalg.norm(axis), np.pi)
     return ref_axis_angle_matrix(axis / s, np.arctan2(s, c))
+
+
+class RefLegs:
+    """The per-frame leg helpers dataset._WalkRig had before the gait was
+    built as frame stacks; `hits` counts the branches taken."""
+
+    def __init__(self, skel):
+        self.hip_off = {s: skel.offsets[skel.joint_index(f"{s}_hip")] for s in ("left", "right")}
+        self.leg_len = float(np.linalg.norm(skel.offsets[skel.joint_index("left_foot")]))
+        self.hits = Counter()
+
+    def stance_height(self, root_xy, yaw_mat, stance, stance_plant):
+        L = self.leg_len
+        hip_off_st = self.hip_off[stance]
+        hip_xy = np.asarray(root_xy) + yaw_mat[:2, :2] @ hip_off_st[:2]
+        gap = stance_plant[:2] - hip_xy
+        d = min(np.sqrt(gap.dot(gap)), L - 1e-3)
+        return stance_plant[2] + np.sqrt(L * L - d * d) - hip_off_st[2]
+
+    def leg_to_point(self, root, yaw_mat, side, point):
+        hip_pos = root + yaw_mat @ self.hip_off[side]
+        vec = np.asarray(point) - hip_pos
+        n = np.sqrt(vec.dot(vec))
+        if n < 1e-9:
+            self.hits["on hip"] += 1
+            return None
+        return yaw_mat.T @ ref_align_vec_to(ds.DOWN, vec / n)
+
+    def leg_swing(self, root, yaw_mat, side, swing_xy, floor_z, clearance):
+        L = self.leg_len
+        hip_sw = root + yaw_mat @ self.hip_off[side]
+        dx = np.asarray(swing_xy) - hip_sw[:2]
+        r = np.sqrt(dx.dot(dx))
+        zc = max(hip_sw[2] - floor_z - clearance, 0.0)
+        lo = min(np.sqrt(max(L * L - zc * zc, 0.0)), L * 0.999)
+        hi = L * 0.999
+        if r < 1e-9:
+            self.hits["r < 1e-9"] += 1
+            dx = yaw_mat[:2, :2] @ np.array([0.0, lo])
+            r = lo
+        elif r < lo:
+            self.hits["r < lo"] += 1
+            dx = dx * (lo / r)
+            r = lo
+        elif r > hi:
+            self.hits["r > hi"] += 1
+            dx = dx * (hi / r)
+            r = hi
+        dz = -np.sqrt(L * L - r * r)
+        return yaw_mat.T @ ref_align_vec_to(ds.DOWN, np.array([dx[0], dx[1], dz]) / L)
+
+
+def ref_gait(legs, skeleton, fps, yaw, speed, start_xy=(0.0, 0.0), step_time=0.5,
+             swing_lift=0.06, gestures=None):
+    """dataset._generate_gait as it was before frame stacks: a per-frame
+    footstep state machine (pass 1), then both legs one frame at a time
+    (pass 2)."""
+    rig = ds._WalkRig(skeleton)
+    hip_idx = {"left": skeleton.joint_index("left_hip"), "right": skeleton.joint_index("right_hip")}
+    n = len(yaw)
+    frames_per_step = max(int(round(step_time * fps)), 6)
+    heading = np.stack([-np.sin(yaw), np.cos(yaw)], axis=-1)
+    root_xy = np.zeros((n, 2))
+    root_xy[0] = start_xy
+    for i in range(1, n):
+        root_xy[i] = root_xy[i - 1] + heading[i - 1] * (speed[i - 1] / fps)
+    yaw_mats = rotation_z_matrix(yaw)
+
+    def hip_xy_at(i, side):
+        j = min(max(i, 0), n - 1)
+        return root_xy[j] + yaw_mats[j, :2, :2] @ legs.hip_off[side][:2]
+
+    def plant_at(land_i, side):
+        a = hip_xy_at(land_i, side)
+        b = hip_xy_at(land_i + frames_per_step, side)
+        if land_i < 0:
+            a = 2.0 * hip_xy_at(0, side) - hip_xy_at(frames_per_step, side)
+            b = hip_xy_at(0, side)
+        mid = 0.5 * (a + b)
+        return np.array([mid[0], mid[1], 0.0])
+
+    plants = {"left": plant_at(0, "left"), "right": plant_at(-frames_per_step, "right")}
+    stance, swing, step_start = "left", "right", 0
+    prev_plant = plants[swing].copy()
+    next_plant = plant_at(frames_per_step, swing)
+    outward = {"left": -1.0, "right": 1.0}
+    frame_plan = []
+    z_root = np.zeros(n)
+    for i in range(n):
+        if i - step_start >= frames_per_step:
+            plants[swing] = next_plant
+            stance, swing = swing, stance
+            step_start = i
+            prev_plant = plants[swing].copy()
+            next_plant = plant_at(step_start + frames_per_step, swing)
+        raw = (i - step_start) / frames_per_step
+        ds_w = 0.2
+        z_cur = legs.stance_height(root_xy[i], yaw_mats[i], stance, plants[stance])
+        if raw < ds_w or raw > 1.0 - ds_w:
+            legs.hits["double support"] += 1
+            hold = prev_plant if raw < ds_w else next_plant
+            spec = ("hold", hold.copy())
+            z_other = legs.stance_height(root_xy[i], yaw_mats[i], swing, hold)
+            z_root[i] = max(z_cur, z_other)
+        else:
+            s = ds._smoothstep((raw - ds_w) / (1.0 - 2 * ds_w))
+            bulge = yaw_mats[i, :2, :2] @ np.array([outward[swing] * swing_lift * 2.0, 0.0])
+            swing_xy = (prev_plant[:2] + (next_plant[:2] - prev_plant[:2]) * s
+                        + bulge * np.sin(np.pi * s))
+            arc_s = (raw - ds_w) / (1.0 - 2 * ds_w)
+            spec = ("arc", swing_xy, max(0.02 * np.sin(np.pi * arc_s), 0.004))
+            z_root[i] = z_cur
+        frame_plan.append((stance, swing, plants[stance].copy(), spec))
+
+    poses = np.empty((n, 3 + 6 * skeleton.n_joints))
+    poses[:, 0:2] = root_xy
+    poses[:, 2] = z_root
+    mats = np.tile(np.eye(3), (n, skeleton.n_joints, 1, 1))
+    mats[:, 0] = yaw_mats
+    for i, (stance, swing, stance_plant, spec) in enumerate(frame_plan):
+        yaw_mat = yaw_mats[i]
+        root = poses[i, 0:3]
+        rot = mats[i]
+        st = legs.leg_to_point(root, yaw_mat, stance, stance_plant)
+        if st is not None:
+            rot[hip_idx[stance]] = st
+        if spec[0] == "hold":
+            sw = legs.leg_to_point(root, yaw_mat, swing, spec[1])
+            if sw is not None:
+                rot[hip_idx[swing]] = sw
+        else:
+            rot[hip_idx[swing]] = legs.leg_swing(
+                root, yaw_mat, swing, spec[1], floor_z=0.0, clearance=spec[2])
+    if gestures is None:
+        phase = 2.0 * np.pi * np.arange(n) / (2 * frames_per_step)
+        amp = 0.5 * np.minimum(speed / 0.5, 1.0)
+        rig.arm_locals(mats, phase, amp)
+    else:
+        gestures.apply(mats)
+    for j in range(skeleton.n_joints):
+        poses[:, 3 + 6 * j:9 + 6 * j] = matrix_to_sixd(mats[:, j])
+    return poses
 
 
 def static_sequence(skel, n=120):
@@ -101,14 +246,99 @@ def test_cross_and_norm_match_numpy_bits():
 
 
 def test_align_vec_to_matches_reference():
+    # the row-wise align gives each row the scalar formula's bits: 10k unit
+    # vectors from DOWN, exact +-DOWN (the per-row branches), anti-parallel
+    # pairs, and one pair without a leading axis
     rng = np.random.default_rng(7)
-    units = rng.normal(size=(200, 3))
+    units = rng.normal(size=(10_000, 3))
     units /= np.linalg.norm(units, axis=1, keepdims=True)
-    pairs = [(ds.DOWN, u) for u in units] + [(u, -u) for u in units[:20]]
+    units[[10, 500, 9_000]] = ds.DOWN
+    units[[11, 501]] = -ds.DOWN
+    stacked = ds._align_rows(ds.DOWN, units)
+    assert stacked.shape == (10_000, 3, 3)
+    for u, m in zip(units, stacked):
+        np.testing.assert_array_equal(m, ref_align_vec_to(ds.DOWN, u))
     x = np.array([1.0, 0.0, 0.0])
-    pairs += [(ds.DOWN, ds.DOWN), (ds.DOWN, -ds.DOWN), (x, -x)]
-    for src, dst in pairs:
-        np.testing.assert_array_equal(ds._align_vec_to(src, dst), ref_align_vec_to(src, dst))
+    src = np.concatenate([units[:20], [ds.DOWN, x]])
+    dst = np.concatenate([-units[:20], [-ds.DOWN, -x]])
+    for a, b, m in zip(src, dst, ds._align_rows(src, dst)):
+        np.testing.assert_array_equal(m, ref_align_vec_to(a, b))
+    np.testing.assert_array_equal(ds._align_rows(units[0], units[1]),
+                                  ref_align_vec_to(units[0], units[1]))
+
+
+def test_stacked_gait_matches_per_frame_gait_on_corpus_clips(skel, monkeypatch):
+    # every gait of a corpus (walks with and without gestures, turns in
+    # place, the walk of each walk-reach) against the per-frame passes
+    legs = RefLegs(skel)
+    stacked = ds._generate_gait
+    calls = Counter()
+
+    def both(skeleton, fps, yaw, speed, start_xy=(0.0, 0.0), step_time=0.5,
+             swing_lift=0.06, gestures=None):
+        out = stacked(skeleton, fps, yaw, speed, start_xy, step_time, swing_lift, gestures)
+        ref = ref_gait(legs, skeleton, fps, yaw, speed, start_xy, step_time,
+                       swing_lift, gestures)
+        assert out.tobytes() == ref.tobytes()
+        calls["plain" if gestures is None else "gestured"] += 1
+        return out
+
+    monkeypatch.setattr(ds, "_generate_gait", both)
+    cfg = ds.SyntheticGenConfig(n_locomotion=8, n_reaching=1, n_walk_reach=2, seed=3)
+    corpus = ds.generate_synthetic_corpus(cfg, skel)
+    assert len(corpus) == 11
+    # gestures on the even walks and on both turns; walk-reaches walk plain
+    assert calls == {"gestured": 4 + 2, "plain": 2 + 2}
+    assert legs.hits["double support"] > 0 and legs.hits["r < lo"] > 0
+
+
+@pytest.mark.parametrize("speed,turn_rate,branch", [
+    (2.5, 0.0, "r > hi"),      # strides longer than a leg
+    (0.0, 0.0, "r < 1e-9"),    # stepping on the spot: the arc passes the hip
+    (0.0, 2.0, "r < lo"),      # turning in place
+    (0.6, -0.4, "r < lo"),
+])
+def test_stacked_gait_matches_per_frame_gait_on_every_swing_branch(skel, speed,
+                                                                   turn_rate, branch):
+    legs = RefLegs(skel)
+    yaw = 0.3 + turn_rate * np.arange(90) / 30.0
+    speeds = np.full(90, speed)
+    out = ds._generate_gait(skel, 30.0, yaw, speeds, (0.2, -0.1), step_time=0.5)
+    ref = ref_gait(legs, skel, 30.0, yaw, speeds, (0.2, -0.1), step_time=0.5)
+    assert out.tobytes() == ref.tobytes()
+    assert legs.hits[branch] > 0 and legs.hits["double support"] > 0
+
+
+def test_leg_helpers_match_per_frame_legs(skel):
+    # rows of one stack: points on and off the hip, and swing targets on
+    # every clamp branch, each against its per-frame call
+    rig, legs = ds._WalkRig(skel), RefLegs(skel)
+    rng = np.random.default_rng(8)
+    n = 40
+    yaw_mats = rotation_z_matrix(rng.uniform(-np.pi, np.pi, n))
+    root = np.column_stack([rng.uniform(-1, 1, (n, 2)), rng.uniform(0.85, 0.95, n)])
+    for k, side in enumerate(("left", "right")):
+        hip = rig.hip_pos(root, yaw_mats, k)
+        point = hip + rng.normal(scale=0.5, size=(n, 3))
+        point[::5] = hip[::5]                   # the point sits on the hip
+        leg_dir, aimed = rig.to_point(hip, point)
+        assert not aimed[::5].any() and aimed.sum() == n - n // 5
+        rot = rig.hip_rotation(yaw_mats[aimed], leg_dir[aimed])
+        refs = [legs.leg_to_point(root[i], yaw_mats[i], side, point[i]) for i in range(n)]
+        assert [m is not None for m in refs] == list(aimed)
+        np.testing.assert_array_equal(rot, [m for m in refs if m is not None])
+
+        # swing targets at 0, 0.05, 0.3 and 0.9 m from the hip, xy
+        reach = np.array([0.0, 0.05, 0.3, 0.9])[np.arange(n) % 4]
+        bearing = rng.uniform(-np.pi, np.pi, n)
+        swing_xy = hip[:, :2] + reach[:, None] * np.column_stack([np.cos(bearing),
+                                                                 np.sin(bearing)])
+        clearance = rng.uniform(0.004, 0.02, n)
+        rot = rig.hip_rotation(yaw_mats, rig.swing(hip, yaw_mats, swing_xy, clearance))
+        for i in range(n):
+            np.testing.assert_array_equal(rot[i], legs.leg_swing(
+                root[i], yaw_mats[i], side, swing_xy[i], 0.0, clearance[i]))
+    assert {"on hip", "r < 1e-9", "r < lo", "r > hi"} <= set(legs.hits)
 
 
 def test_reaching_labels_hit_wrist_within_1cm(small_corpus, skel):

@@ -104,6 +104,25 @@ def test_rotation_builders_stack_matches_each_angle():
             np.testing.assert_array_equal(m, build(a))
 
 
+def test_axis_angle_matrix_stacked_axes_match_each_axis():
+    # (..., 3) axes with angles that broadcast against them give each
+    # (axis, angle) pair's matrix, bit for bit
+    rng = np.random.default_rng(16)
+    axes = rng.normal(size=(4, 25, 3))
+    angles = rng.uniform(-4.0, 4.0, (4, 25))
+    stacked = geo.axis_angle_matrix(axes, angles)
+    assert stacked.shape == (4, 25, 3, 3)
+    one_angle = geo.axis_angle_matrix(axes, 0.7)
+    for a, angle, m, m1 in zip(axes.reshape(-1, 3), angles.reshape(-1),
+                               stacked.reshape(-1, 3, 3), one_angle.reshape(-1, 3, 3)):
+        np.testing.assert_array_equal(m, geo.axis_angle_matrix(a, angle))
+        np.testing.assert_array_equal(m1, geo.axis_angle_matrix(a, 0.7))
+        # and the 1-D axis keeps the bits of its scalar formula
+        x, y, z = a / np.sqrt(a.dot(a))
+        c, s = np.cos(angle), np.sin(angle)
+        assert m[0, 1] == x * y * (1.0 - c) - z * s and m[2, 2] == c + z * z * (1.0 - c)
+
+
 def test_yaw_of_matches_scipy_euler():
     # extrinsic z-y-x: scipy lowercase "zyx" intrinsic reversed == extrinsic "xyz"...
     # use the documented formula directly against scipy's extrinsic decomposition

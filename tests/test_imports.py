@@ -1,8 +1,10 @@
 """Every name a module in src/reachgen imports is used in that module, every
-import sits at module level, and every public function of autodiff.py,
-geometry.py and dataset.py is used by the package."""
+import sits at module level, every public function of autodiff.py,
+geometry.py and dataset.py is used by the package, and so is every private
+function and _WalkRig method of dataset.py."""
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -59,3 +61,27 @@ def test_every_autodiff_function_is_used(module):
                  and isinstance(n.value, ast.Name) and n.value.id in aliases}
     unused = sorted(public - used)
     assert not unused, f"{module}.py defines functions nothing uses: {unused}"
+
+
+def _references(tree):
+    """Every name and attribute name read anywhere in an AST."""
+    return Counter([n.id for n in ast.walk(tree) if isinstance(n, ast.Name)]
+                   + [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)])
+
+
+def test_every_dataset_helper_is_used():
+    # a private function or a rig method counts as used when the package
+    # refers to it outside its own body, so no per-frame leg path can stay
+    # beside the stacked one
+    tree = ast.parse((SRC / "dataset.py").read_text())
+    rig = next(s for s in tree.body if isinstance(s, ast.ClassDef) and s.name == "_WalkRig")
+    helpers = [s for s in tree.body
+               if isinstance(s, ast.FunctionDef) and s.name.startswith("_")]
+    helpers += [s for s in rig.body
+                if isinstance(s, ast.FunctionDef) and not s.name.startswith("__")]
+    assert {"_align_rows", "to_point", "swing"} <= {f.name for f in helpers}
+    package = sum((_references(ast.parse(p.read_text())) for p in SRC.glob("*.py")),
+                  Counter())
+    unused = sorted(f.name for f in helpers
+                    if package[f.name] == _references(f)[f.name])
+    assert not unused, f"dataset.py defines helpers nothing uses: {unused}"

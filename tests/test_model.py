@@ -260,7 +260,7 @@ def test_checkpoint_roundtrip(tmp_path, skel, small_windows):
     assert adam2.step == adam.step
     np.testing.assert_array_equal(adam2.m[model.params.names()[0]],
                                   adam.m[model.params.names()[0]])
-    assert loaded.skeleton.hash() == skel.hash()
+    assert loaded.skeleton.hash == skel.hash
     # identical eval outputs on a probe input
     spec = model.spec
     rng = np.random.default_rng(3)
@@ -283,7 +283,7 @@ def test_checkpoint_rejects_wrong_skeleton_hash(tmp_path, skel):
     md.save_checkpoint(model, path)
     with pytest.raises(ModelMismatchError):
         md.load_checkpoint(path, expected_skeleton_hash="0" * 64)
-    loaded, _ = md.load_checkpoint(path, expected_skeleton_hash=skel.hash())
+    loaded, _ = md.load_checkpoint(path, expected_skeleton_hash=skel.hash)
     assert loaded.spec == model.spec
 
 
