@@ -173,13 +173,12 @@ def _failed_row(task: EvalTask, err: ReachGenError, where: str) -> EvalRow:
 
 def _chunk_metrics(args) -> list[EvalRow]:
     """Rows of one chunk of tasks: one batched rollout, each row's latents
-    drawn as generate draws them from the row's seed key, and all rows
-    scored from one FK pass."""
+    drawn as generate draws them from the row's seed key (all rows in one
+    draw_latents call), and all rows scored from one FK pass."""
     model, cfg, tasks = args
-    k = model.spec.latent_dim
-    latents = np.stack([
-        draw_latents(np.random.default_rng(t.seed_key), cfg.duration, k,
-                     "sample", cfg.temperature)[1] for t in tasks])
+    latents = draw_latents([np.random.default_rng(t.seed_key) for t in tasks],
+                           cfg.duration, model.spec.latent_dim, "sample",
+                           cfg.temperature)
     joint = tasks[0].goal.target_joint
     goal = GoalSpec(np.stack([t.goal.position for t in tasks]),
                     np.array([t.goal.target_frame for t in tasks]), joint)

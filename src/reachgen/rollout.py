@@ -8,6 +8,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from . import autodiff as ag
 from .body import integrate_delta, joint_position_and_root, pose_dim
@@ -20,7 +22,17 @@ from .intention import GoalSpec, assemble_condition
 from .model import MotionModel
 
 SIDECAR_MAGIC = b"RGLA"
-SIDECAR_VERSION = 2
+SIDECAR_VERSION = 3
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), which
+# NumPy's stream-compatibility policy (NEP 19) keeps fixed.
+INIT_A = 0x43b0d7e5
+MULT_A = 0x931e8875
+INIT_B = 0x8b51f9dd
+MULT_B = 0x58f38ded
+MIX_MULT_L = 0xca01f9dd
+MIX_MULT_R = 0x4973f715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,6 @@ class RolloutRecord:
     sequence: MotionSequence
     latents: np.ndarray        # (duration, latent_dim)
     intentions: np.ndarray     # (duration, 7)
-    noise_seeds: np.ndarray    # (duration,) uint64
     goal_indices: np.ndarray   # (duration,) active goal per generated frame
     schedule: GoalSchedule
     model_hash: str
@@ -265,19 +276,88 @@ def _generated_sequence(poses, fps: float, model: MotionModel,
     return MotionSequence(fps, np.stack(poses), model.skeleton, None, "generated", ident)
 
 
-def draw_latents(rng: np.random.Generator, duration: int, latent_dim: int,
-                 mode: str = "sample", temperature: float = 1.0):
-    """(noise_seeds (duration,) uint64, latents (duration, latent_dim)): one
-    seed per frame drawn from rng, each seeding its frame's normal draw;
-    zeros in "mean" mode."""
+def seed_words(seeds) -> np.ndarray:
+    """`SeedSequence(int(s)).generate_state(4, np.uint64)` for every seed
+    below 2**64 in `seeds`, as a C-contiguous `seeds.shape + (4,)` uint64
+    array, in one vectorised pass.
+
+    A seed's entropy is its little-endian uint32 words, one for a seed
+    below 2**32 and two above, and the pool mixes in a zero for each word
+    past the entropy, so every seed fills the 4-word pool as (low, high,
+    0, 0). The hash constants advance
+    the same way for every seed and stay Python ints; the data runs through
+    uint32 arrays, which wrap as the C code does.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    u32 = np.uint32
+    hash_const = INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * MULT_A & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(MIX_MULT_L) * x - u32(MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    zero = np.zeros(seeds.shape, u32)
+    pool = [hashmix(v) for v in ((seeds & np.uint64(_MASK32)).astype(u32),
+                                 (seeds >> np.uint64(32)).astype(u32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ u32(hash_const)
+        hash_const = hash_const * MULT_B & _MASK32
+        value = value * u32(hash_const)
+        halves.append((value ^ (value >> u32(16))).astype(np.uint64))
+    words = np.empty(seeds.shape + (4,), dtype=np.uint64)
+    for i in range(4):
+        words[..., i] = halves[2 * i] | (halves[2 * i + 1] << np.uint64(32))
+    return words
+
+
+class _HashedSeed(ISeedSequence):
+    """Hands PCG64 the state words `seed_words` computed for one seed, as
+    the SeedSequence of that seed would. PCG64 reads the returned array's
+    buffer as it is, so `words` is a C-contiguous (4,) uint64 array."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def draw_latents(rngs: list[Generator], duration: int, latent_dim: int,
+                 mode: str = "sample", temperature: float = 1.0) -> np.ndarray:
+    """Latents (len(rngs), duration, latent_dim), one row per generator;
+    zeros in "mean" mode.
+
+    In "sample" mode each row draws one u63 seed per frame from its
+    generator, and frame t's latent is `temperature` times latent_dim
+    normals from `default_rng(seed_t)`. All frames of all rows are hashed
+    in one `seed_words` pass, and each frame's PCG64 is seeded from its
+    words, so no SeedSequence is built.
+    """
+    if mode not in ("sample", "mean"):
+        raise ValueError(f"unknown mode {mode!r}")
+    latents = np.zeros((len(rngs), duration, latent_dim))
     if mode == "mean":
-        return (np.zeros(duration, dtype=np.uint64),
-                np.zeros((duration, latent_dim)))
-    noise_seeds = rng.integers(0, 2**63 - 1, size=duration, dtype=np.uint64)
-    latents = np.stack([
-        np.random.default_rng(int(s)).standard_normal(latent_dim) * temperature
-        for s in noise_seeds])
-    return noise_seeds, latents
+        return latents
+    seeds = np.stack([rng.integers(0, 2**63 - 1, size=duration, dtype=np.uint64)
+                      for rng in rngs])
+    for words, row in zip(seed_words(seeds).reshape(-1, 4),
+                          latents.reshape(-1, latent_dim)):
+        Generator(PCG64(_HashedSeed(words))).standard_normal(out=row)
+    latents *= temperature
+    return latents
 
 
 def generate(initial_pose, schedule: GoalSchedule, duration: int,
@@ -285,18 +365,16 @@ def generate(initial_pose, schedule: GoalSchedule, duration: int,
              mode: str = "sample", temperature: float = 1.0,
              fps: float = 30.0, ident: str = "rollout") -> RolloutRecord:
     """Generate `duration` new frames from the initial pose."""
-    if mode not in ("sample", "mean"):
-        raise ValueError(f"unknown mode {mode!r}")
     if duration < 1:
         raise InvalidInputError("duration must be >= 1")
-    noise_seeds, latents = draw_latents(rng, duration, model.spec.latent_dim,
-                                        mode, temperature)
+    latents = draw_latents([rng], duration, model.spec.latent_dim,
+                           mode, temperature)[0]
     out = rollout_poses(initial_pose, schedule, duration, model, latents)
     out.raise_fault()
     return RolloutRecord(
         sequence=_generated_sequence(out.poses, fps, model, ident),
         latents=latents, intentions=np.stack(out.intentions),
-        noise_seeds=noise_seeds, goal_indices=np.array(out.goal_indices),
+        goal_indices=np.array(out.goal_indices),
         schedule=schedule, model_hash=model.hash(), mode=mode,
         temperature=temperature)
 
@@ -334,7 +412,6 @@ def save_record(record: RolloutRecord, motion_path, sidecar_path) -> None:
                            "radius": float(schedule.radius)}}
     arrays = {"latents": np.asarray(record.latents, dtype=np.float64),
               "intentions": np.asarray(record.intentions, dtype=np.float64),
-              "noise_seeds": np.asarray(record.noise_seeds, dtype=np.uint64),
               "goal_indices": np.asarray(record.goal_indices, dtype=np.int64)}
     write_container(sidecar_path, SIDECAR_MAGIC, SIDECAR_VERSION, header, arrays)
 
@@ -347,7 +424,7 @@ def load_record(motion_path, sidecar_path, model: MotionModel) -> RolloutRecord:
         schedule = GoalSchedule(tuple(GoalSpec(**g) for g in sched["goals"]),
                                 sched["policy"], sched["radius"])
         return RolloutRecord(seq, arrays["latents"], arrays["intentions"],
-                             arrays["noise_seeds"], arrays["goal_indices"],
+                             arrays["goal_indices"],
                              schedule, header["model_hash"], header["mode"],
                              header["temperature"])
     except (KeyError, TypeError, ValueError) as e:

@@ -246,8 +246,7 @@ def test_chunk_rows_match_batch1_generate_within_tolerance(skel):
     grid = ev.build_goal_grid(pose, cfg)
     keys = [[7, 0, g, 0] for g in range(len(grid.goals))]
     assert len(keys) <= ev.ROLLOUT_ROWS    # one chunk
-    latents = np.stack([draw_latents(np.random.default_rng(k), 40, 16)[1]
-                        for k in keys])
+    latents = draw_latents([np.random.default_rng(k) for k in keys], 40, 16)
     goal = GoalSpec(np.stack([g.position for g in grid.goals]), 40)
     out = rollout_poses(np.tile(pose, (len(keys), 1)), GoalSchedule.single(goal),
                         40, model, latents)

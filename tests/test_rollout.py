@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from reachgen import body, rollout as ro
+from reachgen import body, evaluation as ev, rollout as ro
 from reachgen.body import desk_skeleton, joint_position, rest_pose, rotate_pose_z
+from reachgen.container import read_container, write_container
 from reachgen.errors import (InvalidInputError, ModelMismatchError, NumericFault,
-                             TimeScaleError)
+                             TimeScaleError, VersionMismatchError)
 from reachgen.geometry import rotation_z_matrix
 from reachgen.intention import GoalSpec, wrist_intention
 from reachgen.model import MotionModel, fresh_model
@@ -30,7 +31,7 @@ def test_duration_one_single_new_pose(model, skel):
     assert rec.sequence.n_frames == 2
     assert rec.latents.shape == (1, model.spec.latent_dim)
     assert rec.intentions.shape == (1, 7)
-    assert rec.noise_seeds.shape == (1,)
+    assert rec.goal_indices.shape == (1,)
 
 
 def test_mean_mode_deterministic(model, skel):
@@ -48,7 +49,7 @@ def test_sample_mode_seeded_reproducible(model, skel):
     a = ro.generate(rest_pose(skel), sched, 20, model, np.random.default_rng(5))
     b = ro.generate(rest_pose(skel), sched, 20, model, np.random.default_rng(5))
     np.testing.assert_array_equal(a.sequence.poses, b.sequence.poses)
-    np.testing.assert_array_equal(a.noise_seeds, b.noise_seeds)
+    np.testing.assert_array_equal(a.latents, b.latents)
 
 
 def test_replay_bit_exact(model, skel):
@@ -183,7 +184,6 @@ def test_record_io_roundtrip(tmp_path, model, skel):
     np.testing.assert_array_equal(back.sequence.poses, rec.sequence.poses)
     np.testing.assert_array_equal(back.latents, rec.latents)
     np.testing.assert_array_equal(back.intentions, rec.intentions)
-    np.testing.assert_array_equal(back.noise_seeds, rec.noise_seeds)
     np.testing.assert_array_equal(back.goal_indices, rec.goal_indices)
     assert back.model_hash == rec.model_hash
     assert back.schedule.policy == rec.schedule.policy
@@ -196,6 +196,20 @@ def test_record_io_roundtrip(tmp_path, model, skel):
     # byte-stable: writing twice gives identical files
     ro.save_record(back, tmp_path / "b.mot", tmp_path / "b.lat")
     assert (tmp_path / "b.lat").read_bytes() == sp.read_bytes()
+
+
+def test_version_2_sidecar_is_rejected(tmp_path, model, skel):
+    """Version 2 sidecars also held a noise_seeds array; version 3 drops it."""
+    rec = ro.generate(rest_pose(skel), ro.GoalSchedule.single(goal_at(1, 1, 1)),
+                      5, model, np.random.default_rng(0))
+    mp, sp = tmp_path / "m.mot", tmp_path / "m.lat"
+    ro.save_record(rec, mp, sp)
+    header, arrays = read_container(sp, ro.SIDECAR_MAGIC, 3)
+    assert "noise_seeds" not in arrays
+    arrays["noise_seeds"] = np.zeros(5, dtype=np.uint64)
+    write_container(sp, ro.SIDECAR_MAGIC, 2, header, arrays)
+    with pytest.raises(VersionMismatchError):
+        ro.load_record(mp, sp, model)
 
 
 def test_non_finite_delta_raises_numeric_fault_with_its_frame(model, skel,
@@ -243,3 +257,106 @@ def test_rows_switch_goals_on_their_own(model, skel, policy):
         np.testing.assert_array_equal(goal_idx[r], rec.goal_indices)
         np.testing.assert_allclose(poses[r], rec.sequence.poses, rtol=0, atol=1e-10)
     assert goal_idx[0].tolist() != goal_idx[1].tolist()
+
+
+# ------------------------------------------------------------ latent draws
+
+def per_frame_latents(rngs, duration, latent_dim, mode="sample", temperature=1.0):
+    """The reference draw: one default_rng built per frame from its seed."""
+    if mode == "mean":
+        return np.zeros((len(rngs), duration, latent_dim))
+    return np.stack([np.stack([
+        np.random.default_rng(int(s)).standard_normal(latent_dim) * temperature
+        for s in rng.integers(0, 2**63 - 1, size=duration, dtype=np.uint64)])
+        for rng in rngs])
+
+
+class FixedSeeds:
+    """A generator stand-in whose frame seeds are the given ones."""
+
+    def __init__(self, seeds):
+        self.seeds = np.asarray(seeds, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        assert size == len(self.seeds) and dtype == np.uint64
+        return self.seeds
+
+
+def test_seed_words_and_draws_match_seed_sequence():
+    drawn = np.random.default_rng(11).integers(0, 2**63 - 1, size=2000,
+                                               dtype=np.uint64)
+    seeds = np.concatenate([np.array([0, 1, 2**32 - 1, 2**32, 2**63 - 2],
+                                     dtype=np.uint64), drawn])
+    words = ro.seed_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.flags.c_contiguous
+    expected = np.stack([np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+                         for s in seeds])
+    np.testing.assert_array_equal(words, expected)
+    k = 16
+    got = ro.draw_latents([FixedSeeds(seeds)], len(seeds), k)[0]
+    want = np.stack([np.random.default_rng(int(s)).standard_normal(k) for s in seeds])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+def test_generate_draws_the_per_frame_bits(skel, temperature, monkeypatch):
+    model16 = fresh_model(skel, latent_dim=16, hidden_dim=16, n_layers=2, seed=4)
+    sched = ro.GoalSchedule.single(goal_at(1.0, 0.5, 1.0, t=20))
+
+    def run():
+        return ro.generate(rest_pose(skel), sched, 30, model16,
+                           np.random.default_rng([3, 1]), temperature=temperature)
+
+    rec = run()
+    monkeypatch.setattr(ro, "draw_latents", per_frame_latents)
+    ref = run()
+    assert rec.latents.tobytes() == ref.latents.tobytes()
+    assert rec.sequence.poses.tobytes() == ref.sequence.poses.tobytes()
+
+
+def small_grid(duration):
+    """An evaluation config of one 32-row chunk."""
+    cfg = ev.EvalConfig(n_angles=2, n_heights=2, n_distances=2, n_initial_poses=1,
+                        samples_per_pair=4, duration=duration,
+                        height_range=(0.8, 1.2), distance_range=(0.6, 1.5))
+    assert cfg.n_rollouts == ev.ROLLOUT_ROWS
+    return cfg
+
+
+def test_benchmark_chunk_draws_the_per_frame_bits(skel, monkeypatch):
+    model16 = fresh_model(skel, latent_dim=16, hidden_dim=16, n_layers=2, seed=4)
+    cfg = small_grid(20)
+    report = ev.run_benchmark(model16, cfg, seed=5)
+    monkeypatch.setattr(ev, "draw_latents", per_frame_latents)
+    assert ev.run_benchmark(model16, cfg, seed=5).rows == report.rows
+
+
+def test_draws_build_no_generator_per_frame(model, skel, monkeypatch):
+    """generate builds no default_rng or SeedSequence for its frames, and a
+    run_benchmark chunk builds one default_rng per row."""
+    counts = {"default_rng": 0, "SeedSequence": 0}
+    default_rng = np.random.default_rng
+
+    def counting_default_rng(*args, **kwargs):
+        counts["default_rng"] += 1
+        return default_rng(*args, **kwargs)
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            counts["SeedSequence"] += 1
+            super().__init__(*args, **kwargs)
+
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    rec = ro.generate(rest_pose(skel), ro.GoalSchedule.single(goal_at(1, 1, 1, t=200)),
+                      240, model, rng)
+    assert rec.duration == 240
+    assert counts == {"default_rng": 0, "SeedSequence": 0}
+    ev.run_benchmark(model, small_grid(20), seed=0)
+    assert counts == {"default_rng": ev.ROLLOUT_ROWS, "SeedSequence": 0}
+
+
+def test_draw_latents_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode"):
+        ro.draw_latents([np.random.default_rng(0)], 5, 4, mode="median")
