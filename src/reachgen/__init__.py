@@ -9,7 +9,7 @@ Library layout:
   model       conditional VAE encode/decode, losses, checkpoints
   training    teacher-forcing + scheduled-rollout training loop
   dataset     synthetic corpus, preprocessing, window sampling, motion files
-  container   the one versioned binary format behind .mot, .lat and .ckpt
+  container   the one versioned binary format behind .mot and .ckpt
   rollout     closed-loop autoregressive generation
   latent_opt  gradient refinement of rollout latents
   evaluation  goal grid, SR/FS/DTG metrics, report emission

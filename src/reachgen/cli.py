@@ -27,7 +27,7 @@ from .evaluation import EvalConfig, emit_report, run_benchmark, distance_to_goal
 from .intention import GoalSpec
 from .latent_opt import OptObjective, optimize_latents, final_wrist_distance
 from .model import fresh_model, load_checkpoint, save_checkpoint
-from .rollout import GoalSchedule, generate as rollout_generate, save_record
+from .rollout import GoalSchedule, generate as rollout_generate
 from .training import TrainConfig, train, write_training_log
 
 ENV_PREFIX = "REACHGEN_"
@@ -271,8 +271,7 @@ def cmd_generate(args) -> int:
     record = rollout_generate(initial, schedule, duration, model, rng,
                               mode=args.mode, ident="generated")
     os.makedirs(out, exist_ok=True)
-    save_record(record, os.path.join(out, "motion.mot"),
-                os.path.join(out, "motion.lat"))
+    save_motion(record.sequence, os.path.join(out, "motion.mot"))
     save_motion_csv(record.sequence, os.path.join(out, "motion.csv"))
     _write_resolved(cfg, out, "generate",
                     {"checkpoint": _file_hash(args.checkpoint)})
@@ -313,10 +312,8 @@ def cmd_optimize(args) -> int:
     refined, report = optimize_latents(record, goal, objective, model,
                                        steps=args.steps, lr=args.lr)
     os.makedirs(out, exist_ok=True)
-    save_record(record, os.path.join(out, "initial.mot"),
-                os.path.join(out, "initial.lat"))
-    save_record(refined, os.path.join(out, "optimized.mot"),
-                os.path.join(out, "optimized.lat"))
+    save_motion(record.sequence, os.path.join(out, "initial.mot"))
+    save_motion(refined.sequence, os.path.join(out, "optimized.mot"))
     report.to_csv(os.path.join(out, "opt_report.csv"))
     _write_resolved(cfg, out, "optimize",
                     {"checkpoint": _file_hash(args.checkpoint)})

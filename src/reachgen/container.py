@@ -1,4 +1,4 @@
-"""The one versioned binary container behind `.mot`, `.lat` and `.ckpt` files.
+"""The one versioned binary container behind `.mot` and `.ckpt` files.
 
 Layout: a 4-byte magic, a little-endian u16 version, a little-endian u64
 header length, a UTF-8 JSON header written with sorted keys, then the arrays

@@ -47,10 +47,6 @@ class InfeasibleTargetError(ReachGenError):
     """A reach target could not be realized within the resample cap."""
 
 
-class TimeScaleError(ReachGenError):
-    """Rescaling target frames collapsed the goal ordering."""
-
-
 class ModelMismatchError(ReachGenError):
     """Record/checkpoint hash does not match the supplied model."""
 

@@ -7,6 +7,8 @@ contact/height gating; DTG aggregates as the mean over sequences.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,6 +30,10 @@ from .rollout import GoalSchedule, draw_latents, rollout_poses
 ROLLOUT_ROWS = 32
 
 
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     n_angles: int = 5
@@ -41,6 +47,26 @@ class EvalConfig:
     success_radius: float = 0.10
     skate_threshold: float = 0.0066
     temperature: float = 1.0
+
+    def __post_init__(self):
+        for name in ("n_angles", "n_heights", "n_distances", "n_initial_poses",
+                     "samples_per_pair", "duration"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("height_range", "distance_range"):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and len(value) == 2
+                    and all(map(_finite, value)) and value[0] <= value[1]):
+                raise ValueError(f"{name} must be two finite numbers, low <= high, "
+                                 f"got {value!r}")
+        if not (_finite(self.success_radius) and self.success_radius > 0):
+            raise ValueError(f"success_radius must be finite and positive, "
+                             f"got {self.success_radius!r}")
+        for name in ("skate_threshold", "temperature"):
+            value = getattr(self, name)
+            if not (_finite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
     def n_rollouts(self) -> int:

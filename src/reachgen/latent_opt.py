@@ -31,24 +31,15 @@ class OptObjective:
     waypoints: tuple = ()
 
     def __post_init__(self):
-        if self.goal_weight < 0 or self.prior_weight < 0:
-            raise InvalidInputError("weights must be >= 0")
+        weights = [self.goal_weight, self.prior_weight]
+        if not all(np.isfinite(w) and w >= 0 for w in weights):
+            raise InvalidInputError(f"weights must be finite and >= 0, got {weights}")
         for frame, xy, weight in self.waypoints:
-            if weight < 0:
-                raise InvalidInputError("waypoint weights must be >= 0")
-            if len(np.asarray(xy)) != 2:
-                raise InvalidInputError("waypoints are xy points")
-
-
-def waypoints_from_curve(points, frames, weight: float) -> tuple:
-    """One waypoint constraint per sampled curve point."""
-    points = [np.asarray(p, dtype=np.float64) for p in points]
-    frames = list(frames)
-    if len(points) != len(frames):
-        raise ValueError("points and frames must have equal length")
-    if any(b <= a for a, b in zip(frames, frames[1:])):
-        raise ValueError("frames must be increasing")
-    return tuple((int(f), p, float(weight)) for f, p in zip(frames, points))
+            if not (np.isfinite(weight) and weight >= 0):
+                raise InvalidInputError(
+                    f"waypoint weights must be finite and >= 0, got {weight}")
+            if len(np.asarray(xy)) != 2 or not np.all(np.isfinite(xy)):
+                raise InvalidInputError("waypoints are finite xy points")
 
 
 @dataclass

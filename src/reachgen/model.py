@@ -31,10 +31,6 @@ class ModelSpec:
     decoder: MlpConfig
 
     @property
-    def delta_dim(self) -> int:
-        return pose_dim(self.n_rotated)
-
-    @property
     def condition_dim(self) -> int:
         return condition_dim(self.n_rotated)
 

@@ -1,6 +1,6 @@
 """Closed-loop autoregressive generation: recompute intention against the
-active goal each frame, decode a delta, integrate, repeat. Records carry
-everything needed to replay bit-exactly or to re-optimize the latents.
+active goal each frame, decode a delta, integrate, repeat. A record keeps
+its latents and schedule in memory to replay bit-exactly or refine them.
 """
 from __future__ import annotations
 
@@ -13,16 +13,12 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import autodiff as ag
 from .body import integrate_delta, joint_position_and_root, pose_dim
-from .container import read_container, write_container
-from .dataset import MotionSequence, load_motion, save_motion
-from .errors import (CorruptFileError, DegenerateRotationError, InvalidInputError,
-                     ModelMismatchError, NumericFault, TimeScaleError)
+from .dataset import MotionSequence
+from .errors import (DegenerateRotationError, InvalidInputError,
+                     ModelMismatchError, NumericFault)
 from .geometry import degenerate_sixd
 from .intention import GoalSpec, assemble_condition
 from .model import MotionModel
-
-SIDECAR_MAGIC = b"RGLA"
-SIDECAR_VERSION = 3
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), which
 # NumPy's stream-compatibility policy (NEP 19) keeps fixed.
@@ -54,8 +50,9 @@ class GoalSchedule:
             raise InvalidInputError("schedule needs at least one goal")
         if self.policy not in ("on_frame", "on_reach"):
             raise InvalidInputError(f"unknown switch policy {self.policy!r}")
-        if self.radius <= 0:
-            raise InvalidInputError("radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise InvalidInputError(
+                f"radius must be finite and positive, got {self.radius}")
         if len({g.target_joint for g in self.goals}) > 1:
             raise InvalidInputError("a schedule's goals need one target joint")
         frames = [np.asarray(g.target_frame) for g in self.goals]
@@ -65,17 +62,6 @@ class GoalSchedule:
     @classmethod
     def single(cls, goal: GoalSpec) -> "GoalSchedule":
         return cls((goal,))
-
-
-def time_to_reach(schedule: GoalSchedule, speedup: float) -> GoalSchedule:
-    """Rescale every target frame by 1/speedup (rounded, at least frame 1)."""
-    if speedup <= 0:
-        raise ValueError("speedup factor must be positive")
-    frames = [max(int(round(g.target_frame / speedup)), 1) for g in schedule.goals]
-    if any(b <= a for a, b in zip(frames, frames[1:])):
-        raise TimeScaleError("rescaled target frames collapse the goal order")
-    goals = tuple(replace(g, target_frame=f) for g, f in zip(schedule.goals, frames))
-    return GoalSchedule(goals, schedule.policy, schedule.radius)
 
 
 @dataclass
@@ -88,8 +74,6 @@ class RolloutRecord:
     goal_indices: np.ndarray   # (duration,) active goal per generated frame
     schedule: GoalSchedule
     model_hash: str
-    mode: str = "sample"
-    temperature: float = 1.0
 
     @property
     def duration(self) -> int:
@@ -375,8 +359,7 @@ def generate(initial_pose, schedule: GoalSchedule, duration: int,
         sequence=_generated_sequence(out.poses, fps, model, ident),
         latents=latents, intentions=np.stack(out.intentions),
         goal_indices=np.array(out.goal_indices),
-        schedule=schedule, model_hash=model.hash(), mode=mode,
-        temperature=temperature)
+        schedule=schedule, model_hash=model.hash())
 
 
 def replay(record: RolloutRecord, model: MotionModel) -> MotionSequence:
@@ -398,34 +381,3 @@ def with_latents(record: RolloutRecord, latents: np.ndarray,
                    intentions=np.stack(out.intentions),
                    goal_indices=np.array(out.goal_indices))
 
-
-# ------------------------------------------------------------------ file IO
-
-def save_record(record: RolloutRecord, motion_path, sidecar_path) -> None:
-    """The motion as a `.mot` plus a `.lat` sidecar with what replay needs."""
-    save_motion(record.sequence, motion_path)
-    schedule = record.schedule
-    header = {"model_hash": record.model_hash, "mode": record.mode,
-              "temperature": float(record.temperature),
-              "schedule": {"goals": [g.to_dict() for g in schedule.goals],
-                           "policy": schedule.policy,
-                           "radius": float(schedule.radius)}}
-    arrays = {"latents": np.asarray(record.latents, dtype=np.float64),
-              "intentions": np.asarray(record.intentions, dtype=np.float64),
-              "goal_indices": np.asarray(record.goal_indices, dtype=np.int64)}
-    write_container(sidecar_path, SIDECAR_MAGIC, SIDECAR_VERSION, header, arrays)
-
-
-def load_record(motion_path, sidecar_path, model: MotionModel) -> RolloutRecord:
-    seq = load_motion(motion_path, model.skeleton)
-    header, arrays = read_container(sidecar_path, SIDECAR_MAGIC, SIDECAR_VERSION)
-    try:
-        sched = header["schedule"]
-        schedule = GoalSchedule(tuple(GoalSpec(**g) for g in sched["goals"]),
-                                sched["policy"], sched["radius"])
-        return RolloutRecord(seq, arrays["latents"], arrays["intentions"],
-                             arrays["goal_indices"],
-                             schedule, header["model_hash"], header["mode"],
-                             header["temperature"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CorruptFileError(f"{sidecar_path}: bad sidecar fields ({e!r})") from e

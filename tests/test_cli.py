@@ -8,6 +8,11 @@ import numpy as np
 import pytest
 
 from reachgen import cli
+from reachgen.dataset import load_motion, standing_pose
+from reachgen.intention import GoalSpec
+from reachgen.latent_opt import OptObjective, optimize_latents
+from reachgen.model import load_checkpoint
+from reachgen.rollout import GoalSchedule, generate
 
 CLI = [sys.executable, "-m", "reachgen.cli"]
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -79,13 +84,32 @@ def test_train_outputs(checkpoint):
     assert "manifest" in resolved["input_hashes"]
 
 
-def test_generate_writes_motion_and_sidecar(tmp_path, checkpoint):
-    out = str(tmp_path / "gen")
+def test_generate_writes_exactly_its_outputs(tmp_path, checkpoint):
+    out = tmp_path / "gen"
     r = run_cli("generate", "--checkpoint", checkpoint, "--goal", "1.0,0.5,1.2",
-                "--duration", "15", "--seed", "7", "--out", out)
+                "--duration", "15", "--seed", "7", "--out", str(out))
     assert r.returncode == 0, r.stderr
-    for name in ("motion.mot", "motion.lat", "motion.csv", "resolved_config.json"):
-        assert os.path.exists(os.path.join(out, name)), name
+    assert sorted(os.listdir(out)) == ["motion.csv", "motion.mot", "resolved_config.json"]
+
+
+def test_optimize_writes_exactly_its_outputs(tmp_path, checkpoint):
+    out = tmp_path / "opt"
+    assert cli.dispatch(["optimize", "--checkpoint", checkpoint, "--goal", "0.8,0.5,1.1",
+                         "--duration", "12", "--steps", "2", "--seed", "5",
+                         "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["initial.mot", "opt_report.csv", "optimized.mot",
+                                       "resolved_config.json"]
+    # the refined record the command computes, rebuilt through the library
+    model, _ = load_checkpoint(checkpoint)
+    goal = GoalSpec(np.array([0.8, 0.5, 1.1]), 12)
+    record = generate(standing_pose(model.skeleton), GoalSchedule.single(goal), 12,
+                      model, np.random.default_rng(5))
+    refined, _ = optimize_latents(record, goal, OptObjective(prior_weight=1e-3), model,
+                                  steps=2, lr=1e-2)
+    for name, rec in (("initial.mot", record), ("optimized.mot", refined)):
+        back = load_motion(out / name, model.skeleton)
+        np.testing.assert_array_equal(back.poses, rec.sequence.poses)
+    assert not np.array_equal(refined.sequence.poses, record.sequence.poses)
 
 
 def test_generate_deterministic(tmp_path, checkpoint):
@@ -234,11 +258,15 @@ def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
             gen + ("--goal", "1,x,1"),
             gen + ("--goal", "1,1,1", "--goal", "1,2,1", "--duration", "1"),
             gen + ("--goal", "1,1,1", "--radius", "-1"),
+            gen + ("--goal", "1,1,1", "--radius", "nan", "--switch-policy", "on_reach"),
+            gen + ("--goal", "1,1,1", "--radius", "inf"),
             gen + ("--goal", "1,1,1", "--duration", "0"),
             gen,
             gen + ("--goal", "1,1,1", "--goal-frame", "10", "--goal-frame", "20"),
             opt + ("--goal", "1,2,1"),
             opt + ("--prior-weight", "-1"),
+            opt + ("--prior-weight", "nan"),
+            opt + ("--prior-weight", "inf"),
             opt + ("--steps", "-2"),
             opt + ("--lr", "0"),
             opt + ("--lr", "nan"))):
@@ -294,6 +322,8 @@ def test_inspect_takes_one_goal(data_dir):
     ("gen-data", {"data": {"fps": -30}}, {}, None, "InvalidInputError"),
     ("gen-data", {"data": {"reach_radius_range": [0.15, 0.46]}}, {}, None,
      "InvalidInputError"),
+    ("evaluate", {"eval": {"temperature": "x"}}, {}, None, "InvalidInputError"),
+    ("evaluate", {"eval": {"height_range": [1.0]}}, {}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
         "env-seed", "env-workers", "manifest-not-json", "manifest-no-sequences",
         "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
@@ -301,7 +331,8 @@ def test_inspect_takes_one_goal(data_dir):
         "data-not-object", "config-not-object", "epochs-zero", "batch-size-zero",
         "window-len-zero", "window-len-too-long", "windows-per-sequence-zero",
         "horizon-reversed", "unknown-key", "workers-not-evaluate",
-        "turn-rate-reversed", "fps-zero", "fps-negative", "reach-radius-retired"])
+        "turn-rate-reversed", "fps-zero", "fps-negative", "reach-radius-retired",
+        "eval-temperature-str", "eval-height-range-one"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
                                               settings, env, manifest, code):
     config = tmp_path / "settings.json"

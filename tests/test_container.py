@@ -14,21 +14,20 @@ from reachgen.intention import GoalSpec
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A small .mot, .lat and .ckpt, each with the loader that reads it."""
+    """A small .mot and .ckpt, each with the loader that reads it."""
     skel = desk_skeleton()
     model = md.fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=1)
     goal = GoalSpec(np.array([0.5, 0.5, 1.0]), 5)
     rec = ro.generate(rest_pose(skel), ro.GoalSchedule.single(goal), 3, model,
                       np.random.default_rng(0))
     d = tmp_path_factory.mktemp("files")
-    ro.save_record(rec, d / "m.mot", d / "m.lat")
+    ds.save_motion(rec.sequence, d / "m.mot")
     md.save_checkpoint(model, d / "m.ckpt")
     return d, {"m.mot": lambda p: ds.load_motion(p, skel),
-               "m.lat": lambda p: ro.load_record(d / "m.mot", p, model),
                "m.ckpt": md.load_checkpoint}
 
 
-@pytest.mark.parametrize("name", ["m.mot", "m.lat", "m.ckpt"])
+@pytest.mark.parametrize("name", ["m.mot", "m.ckpt"])
 def test_every_truncation_is_corrupt(files, name):
     d, loaders = files
     raw = (d / name).read_bytes()

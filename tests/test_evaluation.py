@@ -29,6 +29,28 @@ def test_grid_125_goals_and_3750_rollouts(skel):
     assert cfg.n_rollouts == 3750
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_angles", 0), ("n_heights", -1), ("n_distances", 2.0), ("n_initial_poses", 0),
+    ("samples_per_pair", -1), ("duration", 0), ("duration", "240"),
+    ("height_range", (1.0,)), ("height_range", (1.3, 0.7)),
+    ("height_range", (0.0, float("nan"))), ("distance_range", (0.5, float("inf"))),
+    ("distance_range", ("0.5", "5.0")), ("distance_range", 2.0),
+    ("success_radius", 0.0), ("success_radius", float("nan")),
+    ("skate_threshold", -1e-3), ("skate_threshold", float("inf")),
+    ("temperature", "x"), ("temperature", float("nan")), ("temperature", -1.0),
+])
+def test_eval_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ev.EvalConfig(**{field: value})
+
+
+def test_eval_config_accepts_edge_values():
+    cfg = ev.EvalConfig(n_angles=1, duration=1, height_range=(1.0, 1.0),
+                        distance_range=[0.8, 0.8], skate_threshold=0.0,
+                        temperature=0.0)
+    assert cfg.n_rollouts == 5 * 5 * 6 * 5
+
+
 def test_grid_values_match_paper_endpoints(skel):
     grid = ev.build_goal_grid(rest_pose(skel), ev.EvalConfig())
     np.testing.assert_allclose(grid.angles,

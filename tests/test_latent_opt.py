@@ -93,17 +93,17 @@ def test_optimization_reduces_final_distance(model, skel):
                                after, atol=1e-12)
 
 
-def test_waypoints_from_curve():
-    assert lo.waypoints_from_curve([], [], 1.0) == ()
-    pts = [np.array([0.0, 0.0]), np.array([0.5, 0.5]), np.array([1.0, 0.2])]
-    cons = lo.waypoints_from_curve(pts, [5, 10, 15], 2.0)
-    assert len(cons) == 3
-    assert [c[0] for c in cons] == [5, 10, 15]
-    assert all(c[2] == 2.0 for c in cons)
-    with pytest.raises(ValueError):
-        lo.waypoints_from_curve(pts, [5, 10], 1.0)
-    with pytest.raises(ValueError):
-        lo.waypoints_from_curve(pts, [5, 5, 6], 1.0)
+@pytest.mark.parametrize("fields", [
+    {"goal_weight": float("nan")}, {"goal_weight": -1.0},
+    {"prior_weight": float("inf")}, {"prior_weight": float("nan")},
+    {"waypoints": ((3, np.zeros(2), float("nan")),)},
+    {"waypoints": ((3, np.zeros(2), -0.5),)},
+    {"waypoints": ((3, np.array([0.0, float("inf")]), 1.0),)},
+    {"waypoints": ((3, np.zeros(3), 1.0),)},
+])
+def test_objective_rejects_non_finite_or_negative_terms(fields):
+    with pytest.raises(InvalidInputError):
+        lo.OptObjective(**fields)
 
 
 def test_waypoint_optimization_reduces_xy_error(model, skel):

@@ -9,7 +9,7 @@ from reachgen import model as md
 from reachgen import training as tr
 from reachgen.autodiff import Tape
 from reachgen.body import (FK_ROWS, desk_skeleton, forward_kinematics,
-                           integrate_delta, pose_delta, rest_pose)
+                           integrate_delta, pose_delta, pose_dim, rest_pose)
 from reachgen.errors import (CorruptFileError, ModelMismatchError, SkipWindow,
                              VersionMismatchError)
 from reachgen.intention import assemble_condition
@@ -29,7 +29,7 @@ def tiny_model(skel):
 
 def test_encode_output_shapes(tiny_model):
     spec = tiny_model.spec
-    delta = np.zeros(spec.delta_dim)
+    delta = np.zeros(pose_dim(spec.n_rotated))
     cond = np.zeros(spec.condition_dim)
     g = md.encode(spec, tiny_model.params, delta, cond)
     assert ag.value(g.mean).shape == (spec.latent_dim,)
@@ -42,7 +42,7 @@ def test_encode_output_shapes(tiny_model):
 def test_encode_decode_deterministic_in_eval(tiny_model):
     spec = tiny_model.spec
     rng = np.random.default_rng(0)
-    delta = rng.normal(size=spec.delta_dim)
+    delta = rng.normal(size=pose_dim(spec.n_rotated))
     cond = rng.normal(size=spec.condition_dim)
     z = rng.normal(size=spec.latent_dim)
     a = md.decode(spec, tiny_model.params, z, cond)
@@ -62,7 +62,7 @@ def test_decode_output_dim(tiny_model, skel):
 
 def test_perfect_prediction_zero_loss(skel):
     pose = rest_pose(skel)
-    d = np.zeros(md.ModelSpec.build(skel.n_rotated).delta_dim)
+    d = np.zeros(pose_dim(skel.n_rotated))
     rec, joint = md.compute_loss(d, d, integrate_delta(pose, d),
                                  forward_kinematics(pose, skel), skel)
     assert (float(rec), float(joint)) == (0.0, 0.0)

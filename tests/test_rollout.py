@@ -3,11 +3,9 @@ import pytest
 
 from reachgen import body, evaluation as ev, rollout as ro
 from reachgen.body import desk_skeleton, joint_position, rest_pose, rotate_pose_z
-from reachgen.container import read_container, write_container
-from reachgen.errors import (InvalidInputError, ModelMismatchError, NumericFault,
-                             TimeScaleError, VersionMismatchError)
+from reachgen.errors import InvalidInputError, ModelMismatchError, NumericFault
 from reachgen.geometry import rotation_z_matrix
-from reachgen.intention import GoalSpec, wrist_intention
+from reachgen.intention import GoalSpec
 from reachgen.model import MotionModel, fresh_model
 
 
@@ -151,65 +149,6 @@ def test_schedule_goals_share_one_target_joint():
     with pytest.raises(InvalidInputError):
         ro.GoalSchedule((GoalSpec(np.ones(3), 10),
                          GoalSpec(np.ones(3), 20, target_joint="left_wrist")))
-
-
-def test_time_to_reach_scaling(skel):
-    sched = ro.GoalSchedule.single(GoalSpec(np.array([1.0, 0, 1]), 240))
-    assert ro.time_to_reach(sched, 1.0).goals[0].target_frame == 240
-    fast = ro.time_to_reach(sched, 2.0)
-    assert fast.goals[0].target_frame == 120
-    # wrist intention doubles at frame 0 for fixed geometry
-    w = np.zeros(3)
-    slow_i = wrist_intention(w, sched.goals[0], 0)
-    fast_i = wrist_intention(w, fast.goals[0], 0)
-    np.testing.assert_allclose(fast_i, 2.0 * slow_i)
-
-
-def test_time_to_reach_collision_raises(skel):
-    sched = ro.GoalSchedule(
-        (GoalSpec(np.array([1.0, 0, 1]), 10), GoalSpec(np.array([0, 1.0, 1]), 11)),
-        policy="on_frame")
-    with pytest.raises(TimeScaleError):
-        ro.time_to_reach(sched, 6.0)
-
-
-def test_record_io_roundtrip(tmp_path, model, skel):
-    sched = ro.GoalSchedule(
-        (GoalSpec(np.array([1.0, 0.5, 1.0]), 30),
-         GoalSpec(np.array([0.0, 1.5, 0.8]), 90)), policy="on_frame")
-    rec = ro.generate(rest_pose(skel), sched, 25, model, np.random.default_rng(4))
-    mp, sp = tmp_path / "m.mot", tmp_path / "m.lat"
-    ro.save_record(rec, mp, sp)
-    back = ro.load_record(mp, sp, model)
-    np.testing.assert_array_equal(back.sequence.poses, rec.sequence.poses)
-    np.testing.assert_array_equal(back.latents, rec.latents)
-    np.testing.assert_array_equal(back.intentions, rec.intentions)
-    np.testing.assert_array_equal(back.goal_indices, rec.goal_indices)
-    assert back.model_hash == rec.model_hash
-    assert back.schedule.policy == rec.schedule.policy
-    assert len(back.schedule.goals) == 2
-    np.testing.assert_array_equal(back.schedule.goals[1].position,
-                                  rec.schedule.goals[1].position)
-    # replay of the loaded record still matches
-    seq = ro.replay(back, model)
-    np.testing.assert_array_equal(seq.poses, rec.sequence.poses)
-    # byte-stable: writing twice gives identical files
-    ro.save_record(back, tmp_path / "b.mot", tmp_path / "b.lat")
-    assert (tmp_path / "b.lat").read_bytes() == sp.read_bytes()
-
-
-def test_version_2_sidecar_is_rejected(tmp_path, model, skel):
-    """Version 2 sidecars also held a noise_seeds array; version 3 drops it."""
-    rec = ro.generate(rest_pose(skel), ro.GoalSchedule.single(goal_at(1, 1, 1)),
-                      5, model, np.random.default_rng(0))
-    mp, sp = tmp_path / "m.mot", tmp_path / "m.lat"
-    ro.save_record(rec, mp, sp)
-    header, arrays = read_container(sp, ro.SIDECAR_MAGIC, 3)
-    assert "noise_seeds" not in arrays
-    arrays["noise_seeds"] = np.zeros(5, dtype=np.uint64)
-    write_container(sp, ro.SIDECAR_MAGIC, 2, header, arrays)
-    with pytest.raises(VersionMismatchError):
-        ro.load_record(mp, sp, model)
 
 
 def test_non_finite_delta_raises_numeric_fault_with_its_frame(model, skel,
