@@ -90,3 +90,49 @@ def test_every_function_is_used(path):
     allowed = {name for name in UNCALLED if name.startswith(f"{path.stem}.")}
     assert unused - allowed == set(), f"{path.name} defines functions nothing uses"
     assert allowed - unused == set(), "allow-listed functions now have callers"
+
+
+@pytest.mark.parametrize("module", ["autodiff", "geometry", "dataset"],
+                         ids=lambda m: f"{m}.py")
+def test_every_autodiff_function_is_used(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    public = {s.name for s in tree.body
+              if isinstance(s, ast.FunctionDef) and not s.name.startswith("_")}
+    # the finite-difference checker serves the test suite's gradient checks
+    public.discard("finite_difference_gradient")
+    # inside the module, a name used by any top-level statement but its own
+    # def (Tensor's dunder bodies count); elsewhere, `alias.name` or an import
+    used = set()
+    for stmt in tree.body:
+        used |= ({n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                 - {getattr(stmt, "name", None)})
+    for path in SRC.glob("*.py"):
+        if path.stem == module:
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imports = [a for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names]
+        aliases = {a.asname or a.name for a in imports if a.name == module}
+        used |= {a.name for n in nodes if isinstance(n, ast.ImportFrom)
+                 and n.module == module for a in n.names}
+        used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id in aliases}
+    unused = sorted(public - used)
+    assert not unused, f"{module}.py defines functions nothing uses: {unused}"
+
+
+def test_every_dataset_helper_is_used():
+    # a private function or a rig method counts as used when the package
+    # refers to it outside its own body, so no per-frame leg path can stay
+    # beside the stacked one
+    tree = ast.parse((SRC / "dataset.py").read_text())
+    rig = next(s for s in tree.body if isinstance(s, ast.ClassDef) and s.name == "_WalkRig")
+    helpers = [s for s in tree.body
+               if isinstance(s, ast.FunctionDef) and s.name.startswith("_")]
+    helpers += [s for s in rig.body
+                if isinstance(s, ast.FunctionDef) and not s.name.startswith("__")]
+    assert {"_align_rows", "to_point", "swing"} <= {f.name for f in helpers}
+    package = sum((_references(ast.parse(p.read_text())) for p in SRC.glob("*.py")),
+                  Counter())
+    unused = sorted(f.name for f in helpers
+                    if package[f.name] == _references(f)[f.name])
+    assert not unused, f"dataset.py defines helpers nothing uses: {unused}"
