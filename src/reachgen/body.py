@@ -199,12 +199,18 @@ def integrate_delta(prev, delta):
     vector, one fused op over (prev, delta) in the op order of
     prev + rotate_pose_z(delta, yaw_of(prev[..., 3:9])). Its VJP builds no
     gradient for a prev that needs none."""
-    pd = ag.value(prev)
+    out, vjp = _integrated(ag.value(prev), ag.value(delta),
+                           isinstance(prev, ag.Tensor) and prev.requires_grad)
+    return ag.record(out, (prev, delta), vjp)
+
+
+def _integrated(pd, dd, wants_prev: bool):
+    """(out, vjp) of integrate_delta on plain arrays; vjp(g) returns the
+    gradients of (prev, delta), None for prev unless `wants_prev`."""
     x = pd[..., 3]
     y = pd[..., 4]
-    turned, turn_vjp = _turned_pose(ag.value(delta), np.arctan2(y, x))
+    turned, turn_vjp = _turned_pose(dd, np.arctan2(y, x))
     out = pd + turned
-    wants_prev = isinstance(prev, ag.Tensor) and prev.requires_grad
 
     def vjp(g):
         g_delta, g_yaw = turn_vjp(ag.unbroadcast(g, turned.shape))
@@ -216,26 +222,33 @@ def integrate_delta(prev, delta):
         g_prev[..., 4] += scale * x
         return g_prev, g_delta
 
-    return ag.record(out, (prev, delta), vjp)
+    return out, vjp
 
 
 def _local_rotations(pose, skeleton: Skeleton):
     """(..., n_joints, 3, 3): every joint's local rotation, the root's
     first, decoded in one call; one fused op over the whole pose."""
     pd = ag.value(pose)
+    local, vjp = _rotations(pd, skeleton)
+
+    def pose_vjp(g):
+        gp = np.zeros(pd.shape)
+        gp[..., 3:] = vjp(g)
+        return (gp,)
+
+    return ag.record(local, (pose,), pose_vjp)
+
+
+def _rotations(pd, skeleton: Skeleton):
+    """(local, vjp) of _local_rotations on a plain pose; vjp(g) returns the
+    gradient of the pose's rotation slots, pd[..., 3:]."""
     if pd.shape[-1] != pose_dim(skeleton.n_rotated):
         raise DimensionMismatchError(
             f"pose vector has dim {pd.shape[-1]}, "
             f"skeleton expects {pose_dim(skeleton.n_rotated)}")
     lead = pd.shape[:-1]
     local, decode_vjp = _decode(pd[..., 3:].reshape(lead + (skeleton.n_joints, 6)))
-
-    def vjp(g):
-        gp = np.zeros(pd.shape)
-        gp[..., 3:] = decode_vjp(g).reshape(lead + (-1,))
-        return (gp,)
-
-    return ag.record(local, (pose,), vjp)
+    return local, lambda g: decode_vjp(g).reshape(lead + (-1,))
 
 
 def _translation_gradient(g, pd):
@@ -255,8 +268,20 @@ def _joint_positions(pose, local, skeleton: Skeleton):
     joint-first so a level's gather is one `take`.
     """
     pd = ag.value(pose)
+    pos, vjp = _positions(pd, ag.value(local), skeleton)
+
+    def pose_vjp(g):
+        g_translation, g_local = vjp(g)
+        return _translation_gradient(g_translation, pd), g_local
+
+    return ag.record(pos, (pose, local), pose_vjp)
+
+
+def _positions(pd, ld, skeleton: Skeleton):
+    """(positions, vjp) of _joint_positions on plain arrays; vjp(g) returns
+    the gradients of the translation pd[..., 0:3] and of the local
+    rotations."""
     td = pd[..., 0:3]
-    ld = ag.value(local)
     lead = np.broadcast_shapes(td.shape[:-1], ld.shape[:-3])
     lt = np.moveaxis(ld, -3, 0)
     pos = np.empty((skeleton.n_joints,) + lead + (3,))
@@ -282,11 +307,9 @@ def _joint_positions(pose, local, skeleton: Skeleton):
                       gw @ lt.take(lvl.joints, axis=0).mT + gp[..., None] * off.mT)
             np.add.at(gpos, lvl.parents, gp)
         glocal[0] = gworld[0]
-        return (_translation_gradient(gpos[0], pd),
-                ag.unbroadcast(np.moveaxis(glocal, 0, -3), ld.shape))
+        return gpos[0], ag.unbroadcast(np.moveaxis(glocal, 0, -3), ld.shape)
 
-    return ag.record(np.ascontiguousarray(np.moveaxis(pos, 0, -2)),
-                     (pose, local), vjp)
+    return np.ascontiguousarray(np.moveaxis(pos, 0, -2)), vjp
 
 
 def _chain_position(pose, local, skeleton: Skeleton, joint: int):
@@ -299,7 +322,19 @@ def _chain_position(pose, local, skeleton: Skeleton, joint: int):
     runs along the chain only.
     """
     pd = ag.value(pose)
-    ld = ag.value(local)
+    pos, vjp = _chain_walk(pd, ag.value(local), skeleton, joint)
+
+    def pose_vjp(g):
+        g_translation, g_local = vjp(g)
+        return _translation_gradient(g_translation, pd), g_local
+
+    return ag.record(pos, (pose, local), pose_vjp)
+
+
+def _chain_walk(pd, ld, skeleton: Skeleton, joint: int):
+    """(position, vjp) of _chain_position on plain arrays; vjp(g) returns
+    the gradients of the translation pd[..., 0:3] and of the local
+    rotations."""
     chain = skeleton.chains[joint]
     world = [ld[..., 0, :, :]]     # the world rotation of each step's parent
     for j, _ in chain[:-1]:
@@ -315,9 +350,9 @@ def _chain_position(pose, local, skeleton: Skeleton, joint: int):
             glocal[..., j, :, :] = w.mT @ gw
             gw = gw @ ld[..., j, :, :].mT + g[..., None] * off.mT
         glocal[..., 0, :, :] = gw
-        return _translation_gradient(g, pd), ag.unbroadcast(glocal, ld.shape)
+        return g, ag.unbroadcast(glocal, ld.shape)
 
-    return ag.record(pos, (pose, local), vjp)
+    return pos, vjp
 
 
 def _heading(root_matrix, skeleton: Skeleton):

@@ -98,21 +98,16 @@ def condition_dim(n_rotated: int) -> int:
 
 
 def assemble_condition(pose, prev_delta, skeleton: Skeleton,
-                       goal: GoalSpec, current_frame, goal_heading=None,
-                       read=None):
+                       goal: GoalSpec, current_frame, goal_heading=None):
     """(condition, intention): [z, canonical root 6D, joint 6Ds, prev delta,
     intention] and a copy of the intention it holds.
 
     Only the z translation enters and the root orientation is
     yaw-canonicalized, so the condition is invariant to world heading and
-    xy position when the goal moves with the body. `read` is the pose's
-    (target joint position, root rotation) from
-    body.joint_position_and_root, for a caller that has read them already.
+    xy position when the goal moves with the body.
     """
-    if read is None:
-        read = joint_position_and_root(pose, skeleton,
-                                       skeleton.joint_index(goal.target_joint))
-    wrist, root = read
+    wrist, root = joint_position_and_root(pose, skeleton,
+                                          skeleton.joint_index(goal.target_joint))
     return _condition(pose, root, wrist, prev_delta, skeleton, goal,
                       current_frame, goal_heading)
 
@@ -127,7 +122,17 @@ def _condition(pose, root, wrist, prev_delta, skeleton: Skeleton,
     cos/sin of -yaw turns all five xy pairs, so the bits are those of the
     composition; the VJP is written out by hand.
     """
-    pd, rd, wd, dd = (ag.value(a) for a in (pose, root, wrist, prev_delta))
+    inputs = (pose, root, wrist, prev_delta)
+    out, vjp = _conditioned(*(ag.value(a) for a in inputs), skeleton, goal,
+                            current_frame, goal_heading)
+    return ag.record(out, inputs, vjp), out[..., -INTENTION_DIM:].copy()
+
+
+def _conditioned(pd, rd, wd, dd, skeleton: Skeleton, goal: GoalSpec,
+                 current_frame, goal_heading):
+    """(condition, vjp) of _condition on plain arrays; vjp(g) returns the
+    gradients of (pose, root rotation, target joint position, previous
+    delta)."""
     n = pd.shape[-1]
     i = 2 * n - 2    # the intention's first column
     out = np.empty(pd.shape[:-1] + (i + INTENTION_DIM,))
@@ -186,8 +191,7 @@ def _condition(pose, root, wrist, prev_delta, skeleton: Skeleton,
                 ag.unbroadcast(g_wrist, wd.shape),
                 ag.unbroadcast(gu[..., n - 2:i], dd.shape))
 
-    cond = ag.record(out, (pose, root, wrist, prev_delta), vjp)
-    return cond, out[..., i:].copy()
+    return out, vjp
 
 
 def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator,

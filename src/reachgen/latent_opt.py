@@ -23,7 +23,8 @@ class OptObjective:
     """Weights of the optimization terms plus optional waypoint constraints.
 
     Waypoints are (frame index, xy position, weight) triples pulling the
-    pelvis ground projection at that frame toward the point.
+    pelvis ground projection at that frame toward the point. A frame is an
+    integer >= 0; optimize_latents checks it against the rollout's duration.
     """
 
     goal_weight: float = 1.0
@@ -34,11 +35,20 @@ class OptObjective:
         weights = [self.goal_weight, self.prior_weight]
         if not all(np.isfinite(w) and w >= 0 for w in weights):
             raise InvalidInputError(f"weights must be finite and >= 0, got {weights}")
-        for frame, xy, weight in self.waypoints:
+        for waypoint in self.waypoints:
+            try:
+                frame, xy, weight = waypoint
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    f"a waypoint is (frame, xy, weight), got {waypoint!r}") from None
+            if (isinstance(frame, bool) or not isinstance(frame, (int, np.integer))
+                    or frame < 0):
+                raise InvalidInputError(
+                    f"waypoint frames must be integers >= 0, got {frame!r}")
             if not (np.isfinite(weight) and weight >= 0):
                 raise InvalidInputError(
                     f"waypoint weights must be finite and >= 0, got {weight}")
-            if len(np.asarray(xy)) != 2 or not np.all(np.isfinite(xy)):
+            if np.shape(xy) != (2,) or not np.all(np.isfinite(xy)):
                 raise InvalidInputError("waypoints are finite xy points")
 
 
@@ -65,9 +75,11 @@ class OptReport:
 
 def _objective_terms(latents: Tensor, record: RolloutRecord, goal: GoalSpec,
                      objective: OptObjective, model: MotionModel):
+    """(L_opt, l_norm, l_goal, l_waypoint) of the record's rollout under its
+    own schedule with `latents`; `goal` is the final wrist target."""
     skeleton = model.skeleton
-    out = rollout_poses(record.sequence.poses[0], goal, record.duration,
-                        model, latents)
+    out = rollout_poses(record.sequence.poses[0], record.schedule,
+                        record.duration, model, latents)
     out.raise_fault()
     poses = out.poses
     l_norm = 0.5 * ag.sum(latents * latents)
@@ -77,8 +89,6 @@ def _objective_terms(latents: Tensor, record: RolloutRecord, goal: GoalSpec,
     l_goal = ag.sum(gdiff * gdiff)
     l_way = 0.0
     for frame, xy, weight in objective.waypoints:
-        if not 0 <= frame <= record.duration:
-            raise ValueError(f"waypoint frame {frame} outside rollout duration")
         pelvis_xy = poses[frame][..., 0:2]
         wdiff = pelvis_xy - np.asarray(xy)
         l_way = l_way + weight * ag.sum(wdiff * wdiff)
@@ -92,18 +102,24 @@ def optimize_latents(record: RolloutRecord, goal: GoalSpec,
                      steps: int = 100, lr: float = 1e-2):
     """Adam on the latent rows; returns (refined record, report).
 
-    Dropout stays off and there is no fresh sampling, so the objective is a
+    Each step rolls out the record's own schedule, as the refined record
+    does, and `goal` is the final wrist target. Dropout stays off and there is no fresh sampling, so the objective is a
     deterministic function of the latents. The model's parameters are
     frozen (requires_grad False) for the steps, so the backward pass
     differentiates the latents only and leaves the model's gradients
     untouched; their flags are restored on return or raise. Raises
     InvalidInputError for a negative step count or a learning rate that is
-    not finite and positive.
+    not finite and positive, and for a waypoint frame past the record's
+    duration.
     """
     if steps < 0:
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInputError(f"lr must be finite and positive, got {lr}")
+    for frame, _, _ in objective.waypoints:
+        if frame > record.duration:
+            raise InvalidInputError(
+                f"waypoint frame {frame} outside rollout duration {record.duration}")
     if record.model_hash != model.hash():
         raise ModelMismatchError("record was generated by a different model")
     store = ParameterStore()

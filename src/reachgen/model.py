@@ -121,10 +121,6 @@ class MotionModel:
             h.update(self.params[name].data.tobytes())
         return h.hexdigest()
 
-    def decode_delta(self, z, cond_vec, train=False, dropout_seed=None):
-        return decode(self.spec, self.params, z, cond_vec, train=train,
-                      dropout_seed=dropout_seed)
-
 
 def fresh_model(skeleton: Skeleton, latent_dim=16, hidden_dim=64, n_layers=4,
                 dropout=0.1, seed=0) -> MotionModel:

@@ -111,7 +111,28 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
     activations went non-finite: only the output is checked on every call,
     and the saved activations are scanned once it is non-finite.
     """
-    xd = ag.value(x)
+    params = mlp_params(cfg, store, prefix)
+    out, vjp = _mlp(cfg, params, ag.value(x), prefix,
+                    isinstance(x, Tensor) and x.requires_grad, train, dropout_seed)
+    return ag.record(out, (x, *params), vjp)
+
+
+def mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str) -> list:
+    """The network's parameters in the order of mlp_forward's inputs: per
+    layer the weight and bias, then the layer norm's gain and offset."""
+    params = []
+    for i in range(cfg.n_layers):
+        params += (store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
+        if cfg.layer_norm and i < cfg.n_layers - 1:
+            params += (store[f"{prefix}.ln_g{i}"], store[f"{prefix}.ln_b{i}"])
+    return params
+
+
+def _mlp(cfg: MlpConfig, params: list, xd, prefix: str, wants_input_grad: bool,
+         train: bool = False, dropout_seed: int | None = None):
+    """(out, vjp) of mlp_forward on a plain input, with `params` from
+    mlp_params; vjp(g) returns the gradients of (x, *params), None for the
+    input unless `wants_input_grad`."""
     if xd.shape[-1] != cfg.in_dim:
         raise DimensionMismatchError(
             f"input dim {xd.shape[-1]}, config expects {cfg.in_dim}")
@@ -120,30 +141,28 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
         dropout_rng = np.random.default_rng(dropout_seed)
     keep = 1.0 - cfg.dropout
     n = cfg.n_layers
-    params = []
     layers = []     # per layer: (input, pre-relu, xhat, std, dropout mask)
     h = xd
+    k = 0
     # a non-finite activation runs on to the output quietly; the scan below
     # names its layer
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(n):
-            w = store[f"{prefix}.w{i}"]
-            b = store[f"{prefix}.b{i}"]
-            params += (w, b)
+            w = params[k].data
+            b = params[k + 1].data
+            k += 2
             h_in = h
             # a 1-D h is multiplied as a (1, d) matrix: BLAS may round a
             # vector-matrix product differently, and rollout bits rest on this
             if h.ndim == 1:
-                h = (h.reshape(1, -1) @ w.data).reshape(-1) + b.data
+                h = (h.reshape(1, -1) @ w).reshape(-1) + b
             else:
-                h = h @ w.data + b.data
+                h = h @ w + b
             pre = xhat = std = mask = None
             if i < n - 1:
                 if cfg.layer_norm:
-                    gain = store[f"{prefix}.ln_g{i}"]
-                    offset = store[f"{prefix}.ln_b{i}"]
-                    params += (gain, offset)
-                    h, xhat, std = _layer_norm(h, gain.data, offset.data)
+                    h, xhat, std = _layer_norm(h, params[k].data, params[k + 1].data)
+                    k += 2
                 pre = h
                 h = np.maximum(pre, 0.0)
                 if dropout_rng is not None:
@@ -157,7 +176,6 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
         else:
             i = n - 1
         raise NumericFault("non-finite activation", where=f"{prefix} layer {i}")
-    wants_input_grad = isinstance(x, Tensor) and x.requires_grad
     wants_param_grads = any(p.requires_grad for p in params)
 
     def vjp(g):
@@ -186,7 +204,7 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
         grads.append(g if wants_input_grad else None)
         return grads[::-1]
 
-    return ag.record(h, (x, *params), vjp)
+    return h, vjp
 
 
 def _layer_norm(xd, gain, offset):

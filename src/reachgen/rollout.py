@@ -12,13 +12,14 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from . import autodiff as ag
-from .body import integrate_delta, joint_position_and_root, pose_dim
+from .body import _chain_walk, _integrated, _rotations, pose_dim
 from .dataset import MotionSequence
 from .errors import (DegenerateRotationError, InvalidInputError,
                      ModelMismatchError, NumericFault)
 from .geometry import degenerate_sixd
-from .intention import GoalSpec, assemble_condition
+from .intention import INTENTION_DIM, GoalSpec, _conditioned
 from .model import MotionModel
+from .nn import _mlp, mlp_params
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), which
 # NumPy's stream-compatibility policy (NEP 19) keeps fixed.
@@ -161,6 +162,60 @@ def _degenerate_fault(frame: int):
         f"integrated 6D rotation is near-zero or collinear (at rollout frame {frame})")
 
 
+class _FrameGrads:
+    """What the frame nodes of one taped rollout share in their VJPs, which
+    run in reverse frame order: per frame, the gradient that the next
+    frame's condition sent its delta, and the latents' gradient, one buffer
+    every frame writes its row into and frame 1's node hands over."""
+
+    def __init__(self, latents, duration: int, at_frame: tuple):
+        wants = isinstance(latents, ag.Tensor) and latents.requires_grad
+        shape = ag.value(latents).shape
+        self.latents = np.zeros(shape) if wants else None
+        self.latent_dim = shape[-1]
+        self.deltas = [None] * (duration + 1)
+        self.at_frame = at_frame
+
+    def frame_vjp(self, frame: int, vjps, wants_pose: bool):
+        """The VJP of rollout frame `frame` from its helpers' VJPs, chained in
+        the order the tape walked the nodes of the composition, so the
+        gradients keep its bits.
+
+        It returns the gradients of the frame node's inputs, (pose, pose,
+        pose, latents, *decoder parameters). The pose is listed three times,
+        so the tape adds its gradients from the integration, the condition
+        and the chain walk with the decode in the composition's order, after
+        any gradient the caller's objective gave it.
+        """
+        rotations_vjp, chain_vjp, condition_vjp, decode_vjp, integrate_vjp = vjps
+        k = self.latent_dim
+
+        def vjp(g):
+            g_prev, g_delta = integrate_vjp(g)
+            fed = self.deltas[frame]
+            if fed is not None:
+                g_delta = fed + g_delta
+            g_input, *g_params = decode_vjp(g_delta)
+            if g_input is None:    # only the decoder's parameters want gradients
+                return (None, None, None, None, *g_params)
+            if self.latents is not None:
+                self.latents[self.at_frame + (frame - 1,)] = g_input[..., :k]
+            g_cond, g_root, g_wrist, g_prev_delta = condition_vjp(g_input[..., k:])
+            g_read = None
+            if wants_pose:
+                if frame > 1:
+                    self.deltas[frame - 1] = g_prev_delta
+                g_translation, g_local = chain_vjp(g_wrist)
+                g_local[..., 0, :, :] += g_root
+                g_read = np.empty(g_cond.shape)
+                g_read[..., :3] = g_translation
+                g_read[..., 3:] = rotations_vjp(g_local)
+            return (g_prev, g_cond, g_read, self.latents if frame == 1 else None,
+                    *g_params)
+
+        return vjp
+
+
 def rollout_poses(initial_pose, schedule_or_goal, duration: int,
                   model: MotionModel, latents) -> Rollout:
     """The closed-loop rollout of B rows, shared by generation, replay,
@@ -169,15 +224,21 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
     initial_pose: (B, pose_dim) and latents: (B, duration, latent_dim), or
     one unbatched row, (pose_dim,) and (duration, latent_dim); arrays or
     Tensor rows. A leading axis of 1 would cost numpy overhead on every op
-    of every frame, so single-row callers pass the row unbatched. When a
-    Tape is active and the latents require gradients, every pose is
-    differentiable in them. The schedule's goals may hold per-row (B, 3)
-    positions and (B,) target frames; each row switches goals on its own.
-    A row that faults is frozen (see Rollout) but keeps its row in every
-    matmul, so its siblings keep their bits; the loop stops once every row
-    faulted.
+    of every frame, so single-row callers pass the row unbatched. The
+    schedule's goals may hold per-row (B, 3) positions and (B,) target
+    frames; each row switches goals on its own. A row that faults is
+    frozen (see Rollout) but keeps its row in every matmul, so its siblings
+    keep their bits; the loop stops once every row faulted.
 
-    A degenerate 6D rotation is found where the next frame's FK rejects
+    A frame is one fused op. It decodes the pose's rotations, walks the
+    target joint's chain, runs the goal switch, the condition, the decoder
+    MLP and the integration on plain arrays through the helpers of those
+    fused ops, so its poses have the bits of their composition. When a Tape
+    is active and the latents, the initial pose or the decoder's parameters
+    require gradients, each frame records one node, and every pose is
+    differentiable in them; once a row is held, the frames record nothing.
+
+    A degenerate 6D rotation is found where the next frame's decode rejects
     it, so the check costs nothing while no row faults; the last frame's
     poses are checked after the loop.
     """
@@ -186,10 +247,15 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
     else:
         schedule = schedule_or_goal
     skeleton = model.skeleton
+    decoder = model.spec.decoder
+    params = mlp_params(decoder, model.params, "dec")
     cur = initial_pose
     lead = ag.value(cur).shape[:-1]
     at_frame = (slice(None),) * len(lead)
     goals = _GoalRows(schedule, lead)
+    lat = ag.value(latents)
+    grads = _FrameGrads(latents, duration, at_frame)
+    wants_latents = grads.latents is not None
     prev_delta = np.zeros(lead + (pose_dim(skeleton.n_rotated),))
     active = np.zeros(lead, dtype=np.int64)
     frozen = np.zeros(lead, dtype=bool)
@@ -209,44 +275,52 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
         if freeze(bad, frame, _degenerate_fault):
             return True
         cur = np.where(bad[..., None], ag.value(out.poses[-2]), ag.value(cur))
-        prev_delta = np.where(bad[..., None], 0.0, ag.value(prev_delta))
+        prev_delta = np.where(bad[..., None], 0.0, prev_delta)
         out.poses[-1] = cur
         return False
 
     joint = skeleton.joint_index(schedule.goals[0].target_joint)
 
-    def condition(current_frame: int):
-        read = joint_position_and_root(cur, skeleton, joint)
-        now = goals.advance(active, ag.value(read[0]), current_frame)
-        cond, intent = assemble_condition(cur, prev_delta, skeleton, goals.goal(now),
-                                          current_frame, read=read)
-        return now, cond, intent
-
     for i in range(1, duration + 1):
         current_frame = i - 1
+        pd = ag.value(cur)
         try:
-            active, cond, intent = condition(current_frame)
+            local, rotations_vjp = _rotations(pd, skeleton)
         except DegenerateRotationError:
-            bad = _degenerate_rows(cur, skeleton.n_joints)
+            bad = _degenerate_rows(pd, skeleton.n_joints)
             if i == 1 or not bad.any():
                 raise   # the caller's input, not a pose the loop integrated
             if hold_degenerate(bad, current_frame):
                 break
-            active, cond, intent = condition(current_frame)
+            pd = cur
+            local, rotations_vjp = _rotations(pd, skeleton)
+        wants_pose = isinstance(cur, ag.Tensor) and cur.requires_grad
+        wrist, chain_vjp = _chain_walk(pd, local, skeleton, joint)
+        active = goals.advance(active, wrist, current_frame)
+        cond, condition_vjp = _conditioned(pd, local[..., 0, :, :], wrist, prev_delta,
+                                           skeleton, goals.goal(active),
+                                           current_frame, None)
         # the decoded delta is integrated now and conditions the next frame
-        delta = model.decode_delta(latents[at_frame + (i - 1,)], cond)
-        finite = np.isfinite(ag.value(delta)).all(axis=-1)
-        if not finite.all() and freeze(~finite, i, _non_finite_fault):
+        delta, decode_vjp = _mlp(decoder, params,
+                                 np.concatenate([lat[at_frame + (i - 1,)], cond], axis=-1),
+                                 "dec", wants_latents or wants_pose)
+        if (not np.isfinite(delta).all()
+                and freeze(~np.isfinite(delta).all(axis=-1), i, _non_finite_fault)):
             break
-        nxt = integrate_delta(cur, delta)
+        nxt, integrate_vjp = _integrated(pd, delta, wants_pose)
         if any(out.faults):    # some row is held
             hold = frozen[..., None]
-            delta = np.where(hold, 0.0, ag.value(delta))
-            nxt = np.where(hold, ag.value(cur), ag.value(nxt))
+            delta = np.where(hold, 0.0, delta)
+            nxt = np.where(hold, pd, nxt)
+        else:
+            vjp = grads.frame_vjp(i, (rotations_vjp, chain_vjp, condition_vjp,
+                                      decode_vjp, integrate_vjp), wants_pose)
+            nxt = ag.record(nxt, (cur, cur, cur, latents if i == 1 else None, *params),
+                            vjp)
         prev_delta = delta
         cur = nxt
         out.poses.append(cur)
-        out.intentions.append(intent)
+        out.intentions.append(cond[..., -INTENTION_DIM:].copy())
         out.goal_indices.append(active)
     else:
         bad = _degenerate_rows(cur, skeleton.n_joints)

@@ -9,7 +9,7 @@ from reachgen import body, geometry as geo
 from reachgen import intention, latent_opt, rollout
 from reachgen.dataset import standing_pose
 from reachgen.errors import DegenerateRotationError, DimensionMismatchError
-from reachgen.model import MotionModel, fresh_model
+from reachgen.model import fresh_model
 
 
 def random_pose(skeleton, rng):
@@ -283,11 +283,17 @@ def full_fk_joint_position(pose, skeleton, joint):
     return body.forward_kinematics(pose, skeleton)[..., joint, :]
 
 
-def full_fk_joint_position_and_root(pose, skeleton, joint):
-    """One joint read out of whole-body FK, and the root rotation."""
-    local = body._local_rotations(pose, skeleton)
-    pos = body._joint_positions(pose, local, skeleton)
-    return pos[..., joint, :], local[..., 0, :, :]
+def full_fk_chain_walk(pd, ld, skeleton, joint):
+    """The rollout frame's joint read out of whole-body FK, as (position,
+    vjp) like the chain walk it stands in for."""
+    pos, vjp = body._positions(pd, ld, skeleton)
+
+    def joint_vjp(g):
+        g_all = np.zeros(pos.shape)
+        g_all[..., joint, :] = g
+        return vjp(g_all)
+
+    return pos[..., joint, :], joint_vjp
 
 
 def test_latent_gradient_through_chain_walk_equals_full_fk(skel, monkeypatch):
@@ -305,9 +311,7 @@ def test_latent_gradient_through_chain_walk_equals_full_fk(skel, monkeypatch):
         return total.data.tobytes() + latents.grad.tobytes()
 
     chain = value_and_gradient()
-    for module in (intention, rollout):
-        monkeypatch.setattr(module, "joint_position_and_root",
-                            full_fk_joint_position_and_root)
+    monkeypatch.setattr(rollout, "_chain_walk", full_fk_chain_walk)
     monkeypatch.setattr(latent_opt, "joint_position", full_fk_joint_position)
     assert chain == value_and_gradient()
 
@@ -328,7 +332,7 @@ def test_degenerate_chain_rotation_faults_on_the_same_frame(skel, monkeypatch, n
 
 def check_collapsed_rotation_faults_its_row(skel, monkeypatch, name):
     model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=3)
-    decode = MotionModel.decode_delta
+    mlp = rollout._mlp    # the frame's decoder MLP, over [latent | condition]
     calls = []
     j = skel.joint_index(name)
     # joint j's 6D sits at [3+6j, 9+6j) of a delta and at [1+6j, 7+6j) of
@@ -337,14 +341,16 @@ def check_collapsed_rotation_faults_its_row(skel, monkeypatch, name):
     in_delta = slice(3 + 6 * j, 9 + 6 * j)
     in_condition = slice(1 + 6 * j, 7 + 6 * j)
 
-    def collapsing_decoder(self, z, cond_vec, **kwargs):
-        delta = np.array(decode(self, z, cond_vec, **kwargs))
+    def collapsing_decoder(cfg, params, x, *args, **kwargs):
+        delta, vjp = mlp(cfg, params, x, *args, **kwargs)
+        delta = np.array(delta)
+        cond_vec = x[..., model.spec.latent_dim:]
         calls.append(1)
         if len(calls) == 4:
             np.atleast_2d(delta)[0, in_delta] = -np.atleast_2d(cond_vec)[0, in_condition]
-        return delta
+        return delta, vjp
 
-    monkeypatch.setattr(MotionModel, "decode_delta", collapsing_decoder)
+    monkeypatch.setattr(rollout, "_mlp", collapsing_decoder)
     goal = intention.GoalSpec(np.array([1.0, 0.0, 1.0]), 8)
     with pytest.raises(DegenerateRotationError):
         rollout.generate(standing_pose(skel), rollout.GoalSchedule.single(goal), 8,

@@ -3,10 +3,11 @@ import pytest
 
 from reachgen import dataset as ds
 from reachgen import evaluation as ev
+from reachgen import rollout
 from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose
 from reachgen.errors import DegenerateRotationError, NumericFault
 from reachgen.intention import GoalSpec
-from reachgen.model import MotionModel, fresh_model
+from reachgen.model import fresh_model
 from reachgen.rollout import GoalSchedule, draw_latents, generate, rollout_poses
 
 
@@ -214,11 +215,13 @@ def test_degenerate_rotation_mid_rollout_fails_one_row(skel, monkeypatch):
     cfg = ev.EvalConfig(n_angles=2, n_heights=1, n_distances=1,
                         n_initial_poses=1, samples_per_pair=1, duration=8,
                         height_range=(1.0, 1.0), distance_range=(1.0, 1.0))
-    decode = MotionModel.decode_delta
+    mlp = rollout._mlp    # the frame's decoder MLP, over [latent | condition]
     calls = []
 
-    def collapsing_decoder(self, z, cond_vec, **kwargs):
-        delta = np.array(decode(self, z, cond_vec, **kwargs))
+    def collapsing_decoder(cfg, params, x, *args, **kwargs):
+        delta, vjp = mlp(cfg, params, x, *args, **kwargs)
+        delta = np.array(delta)
+        cond_vec = x[..., model.spec.latent_dim:]
         calls.append(1)
         if len(calls) == 4:
             # the condition holds the yaw-canonical root 6D at [1:7], so this
@@ -226,9 +229,9 @@ def test_degenerate_rotation_mid_rollout_fails_one_row(skel, monkeypatch):
             # integration; generate decodes one unbatched row and
             # run_benchmark (B, ...) rows, one decode call per frame
             np.atleast_2d(delta)[0, 3:9] = -np.atleast_2d(cond_vec)[0, 1:7]
-        return delta
+        return delta, vjp
 
-    monkeypatch.setattr(MotionModel, "decode_delta", collapsing_decoder)
+    monkeypatch.setattr(rollout, "_mlp", collapsing_decoder)
     goal = GoalSpec(np.array([1.0, 0.0, 1.0]), cfg.duration)
     with pytest.raises(DegenerateRotationError):
         generate(rest_pose(skel), GoalSchedule.single(goal), cfg.duration, model,
@@ -301,19 +304,21 @@ def test_faulting_row_leaves_siblings_bit_identical(skel, monkeypatch):
 
     clean = chunk()
     clean_rows = ev.run_benchmark(model, cfg, seed=1).rows
-    decode = MotionModel.decode_delta
+    mlp = rollout._mlp    # the frame's decoder MLP, over [latent | condition]
     calls = []
 
-    def faulting_decoder(self, z, cond_vec, **kwargs):
-        delta = np.array(decode(self, z, cond_vec, **kwargs))
+    def faulting_decoder(cfg, params, x, *args, **kwargs):
+        delta, vjp = mlp(cfg, params, x, *args, **kwargs)
+        delta = np.array(delta)
+        cond_vec = x[..., model.spec.latent_dim:]
         calls.append(1)
         if len(calls) == 4:
-            delta[1, 3:9] = -np.asarray(cond_vec)[1, 1:7]
+            delta[1, 3:9] = -cond_vec[1, 1:7]
         if len(calls) == 7:
             delta[2, 5] = np.nan
-        return delta
+        return delta, vjp
 
-    monkeypatch.setattr(MotionModel, "decode_delta", faulting_decoder)
+    monkeypatch.setattr(rollout, "_mlp", faulting_decoder)
     out = chunk()
     assert [f and (f[0], type(f[1])) for f in out.faults] == \
         [None, (4, DegenerateRotationError), (7, NumericFault), None]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from reachgen import autodiff as ag
 from reachgen import latent_opt as lo
 from reachgen import rollout as ro
 from reachgen.autodiff import Tape, Tensor
-from reachgen.body import desk_skeleton, rest_pose
-from reachgen.errors import InvalidInputError
+from reachgen.body import desk_skeleton, joint_position, rest_pose
+from reachgen.errors import InvalidInputError, NumericFault
 from reachgen.intention import GoalSpec
 from reachgen.model import fresh_model
 
@@ -100,10 +102,44 @@ def test_optimization_reduces_final_distance(model, skel):
     {"waypoints": ((3, np.zeros(2), -0.5),)},
     {"waypoints": ((3, np.array([0.0, float("inf")]), 1.0),)},
     {"waypoints": ((3, np.zeros(3), 1.0),)},
+    {"waypoints": ((10, 5.0, 1.0),)},
+    {"waypoints": ((2.5, np.zeros(2), 1.0),)},
+    {"waypoints": ((-1, np.zeros(2), 1.0),)},
+    {"waypoints": ((3, np.zeros(2)),)},
 ])
 def test_objective_rejects_non_finite_or_negative_terms(fields):
     with pytest.raises(InvalidInputError):
         lo.OptObjective(**fields)
+
+
+def test_waypoint_past_the_duration_fails_before_any_rollout(model, short_record,
+                                                            monkeypatch):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rolled out")
+
+    monkeypatch.setattr(lo, "rollout_poses", no_rollout)
+    monkeypatch.setattr(lo, "with_latents", no_rollout)
+    goal = GoalSpec(np.array([1.0, 0.8, 1.1]), 40)
+    past = lo.OptObjective(waypoints=((short_record.duration + 1, np.zeros(2), 1.0),))
+    for steps in (0, 1):
+        with pytest.raises(InvalidInputError, match="outside rollout duration"):
+            lo.optimize_latents(short_record, goal, past, model, steps=steps)
+
+
+def test_refinement_rolls_out_the_records_own_schedule(model, skel):
+    """A 2-goal record: the first step's goal term is the squared final
+    wrist distance of the record itself, not of a single-goal rollout."""
+    first = GoalSpec(np.array([0.9, -0.6, 1.0]), 15)
+    goal = GoalSpec(np.array([-0.6, 0.9, 1.2]), 30)
+    record = ro.generate(rest_pose(skel), ro.GoalSchedule((first, goal)), 30,
+                         model, np.random.default_rng(3))
+    assert record.goal_indices[0] == 0 and record.goal_indices[-1] == 1
+    _, report = lo.optimize_latents(record, goal, lo.OptObjective(), model,
+                                    steps=1, lr=1e-12)
+    wrist = joint_position(record.sequence.poses[-1], skel,
+                           skel.joint_index(goal.target_joint))
+    gap = wrist - goal.position
+    assert report.l_goal[0] == np.sum(gap * gap)
 
 
 def test_waypoint_optimization_reduces_xy_error(model, skel):
@@ -185,4 +221,9 @@ def test_optimize_latents_leaves_the_model_as_it_found_it(skel):
     outside = lo.OptObjective(waypoints=((rec.duration + 1, np.zeros(2), 1.0),))
     with pytest.raises(ValueError, match="outside rollout duration"):
         lo.optimize_latents(rec, goal, outside, model, steps=2)
+    assert_model_untouched(model)
+    # non-finite latents make the first step's decoder raise
+    with pytest.raises(NumericFault):
+        lo.optimize_latents(replace(rec, latents=np.full_like(rec.latents, np.nan)),
+                            goal, lo.OptObjective(), model, steps=2)
     assert_model_untouched(model)

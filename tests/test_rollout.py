@@ -6,7 +6,7 @@ from reachgen.body import desk_skeleton, joint_position, rest_pose, rotate_pose_
 from reachgen.errors import InvalidInputError, ModelMismatchError, NumericFault
 from reachgen.geometry import rotation_z_matrix
 from reachgen.intention import GoalSpec
-from reachgen.model import MotionModel, fresh_model
+from reachgen.model import fresh_model
 
 
 @pytest.fixture(scope="module")
@@ -153,17 +153,18 @@ def test_schedule_goals_share_one_target_joint():
 
 def test_non_finite_delta_raises_numeric_fault_with_its_frame(model, skel,
                                                               monkeypatch):
-    decode = MotionModel.decode_delta
+    mlp = ro._mlp    # the frame's decoder MLP
     calls = []
 
-    def nan_decoder(self, z, cond_vec, **kwargs):
+    def nan_decoder(cfg, params, x, *args, **kwargs):
         calls.append(1)
-        delta = np.array(decode(self, z, cond_vec, **kwargs))
+        delta, vjp = mlp(cfg, params, x, *args, **kwargs)
+        delta = np.array(delta)
         if len(calls) == 3:
             delta[..., 4] = np.nan
-        return delta
+        return delta, vjp
 
-    monkeypatch.setattr(MotionModel, "decode_delta", nan_decoder)
+    monkeypatch.setattr(ro, "_mlp", nan_decoder)
     with pytest.raises(NumericFault, match="rollout frame 3"):
         ro.generate(rest_pose(skel), ro.GoalSchedule.single(goal_at(1, 1, 1)),
                     10, model, np.random.default_rng(0))

@@ -1,9 +1,9 @@
 """Tape-node budgets of the recorded workloads.
 
 Node counts are deterministic and do not depend on the machine, so they pin
-the size of the autodiff graph. The budgets are the measured counts: 728
-nodes for a 90-frame latent refinement (8 a frame), 287 for an s=10
-training step and 37 for an s=0 step. A change that records more nodes
+the size of the autodiff graph. The budgets are the measured counts: 102
+nodes for a 90-frame latent refinement (one fused node a frame, 12 for the
+objective), 287 for an s=10 training step and 37 for an s=0 step. A change that records more nodes
 fails here; one that records fewer should lower the budget.
 """
 import numpy as np
@@ -35,7 +35,7 @@ def test_latent_refinement_tape_budget(desk_model):
     latents = Tensor(record.latents.copy(), requires_grad=True)
     with Tape() as tape:
         lo._objective_terms(latents, record, goal, lo.OptObjective(), desk_model)
-    assert len(tape) <= 728
+    assert len(tape) <= 102
 
 
 def test_training_step_tape_budgets(desk_model):
