@@ -55,5 +55,9 @@ class CorruptFileError(ReachGenError):
     """Container file is truncated or fails validation."""
 
 
+class WorkerDiedError(ReachGenError):
+    """A worker process exited while computing its share of a step."""
+
+
 class VersionMismatchError(ReachGenError):
     """Container file was written by an incompatible format version."""

@@ -69,24 +69,28 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterStore:
 
 
 def encode(spec: ModelSpec, store: ParameterStore, delta_vec, cond_vec,
-           train: bool = False, dropout_seed: int | None = None) -> GaussianParams:
-    """MLP over (delta, condition), split into mean and clamped log-std."""
+           train: bool = False, dropout_seed: int | None = None,
+           dropout_rows: tuple[int, int] | None = None) -> GaussianParams:
+    """MLP over (delta, condition), split into mean and clamped log-std;
+    `dropout_rows` as `nn._mlp` takes it."""
     x = ag.concatenate([delta_vec, cond_vec], axis=-1)
     if ag.value(x).shape[-1] != spec.encoder.in_dim:
         raise DimensionMismatchError("encoder input dim mismatch")
     out = mlp_forward(spec.encoder, store, x, prefix="enc", train=train,
-                      dropout_seed=dropout_seed)
+                      dropout_seed=dropout_seed, dropout_rows=dropout_rows)
     return GaussianParams.from_stacked(out)
 
 
 def decode(spec: ModelSpec, store: ParameterStore, z, cond_vec,
-           train: bool = False, dropout_seed: int | None = None):
-    """MLP over (latent, condition), returned in pose-delta vector layout."""
+           train: bool = False, dropout_seed: int | None = None,
+           dropout_rows: tuple[int, int] | None = None):
+    """MLP over (latent, condition), returned in pose-delta vector layout;
+    `dropout_rows` as `nn._mlp` takes it."""
     x = ag.concatenate([z, cond_vec], axis=-1)
     if ag.value(x).shape[-1] != spec.decoder.in_dim:
         raise DimensionMismatchError("decoder input dim mismatch")
     return mlp_forward(spec.decoder, store, x, prefix="dec", train=train,
-                       dropout_seed=dropout_seed)
+                       dropout_seed=dropout_seed, dropout_rows=dropout_rows)
 
 
 def compute_loss(true_delta_vec, pred_delta_vec, pred_pose, target_joints,

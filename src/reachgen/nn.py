@@ -99,7 +99,8 @@ def init_mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str,
 
 
 def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
-                train: bool = False, dropout_seed: int | None = None):
+                train: bool = False, dropout_seed: int | None = None,
+                dropout_rows: tuple[int, int] | None = None):
     """Forward pass: per layer affine -> layer-norm -> relu -> dropout
     (train only, inverted scaling); final layer affine only.
 
@@ -107,13 +108,19 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
     fused op: it records one tape node whose VJP runs back through every
     layer; while no parameter requires a gradient (latent refinement
     freezes the model), it runs only the input path and gives the
-    parameters None. Raises NumericFault naming the first layer whose
-    activations went non-finite: only the output is checked on every call,
-    and the saved activations are scanned once it is non-finite.
+    parameters None. `dropout_rows` is as `_mlp` takes it. Raises
+    NumericFault naming the first layer whose activations went non-finite:
+    only the output is checked on every call, and the layer inputs are
+    scanned once it is non-finite.
     """
     params = mlp_params(cfg, store, prefix)
-    out, vjp = _mlp(cfg, params, ag.value(x), prefix,
-                    isinstance(x, Tensor) and x.requires_grad, train, dropout_seed)
+    inputs = []
+    out, vjp = _mlp(cfg, params, ag.value(x), isinstance(x, Tensor) and x.requires_grad,
+                    train, dropout_seed, dropout_rows, inputs)
+    if not np.isfinite(out).all():
+        bad = next((i for i in range(cfg.n_layers - 1)
+                    if not np.isfinite(inputs[i + 1]).all()), cfg.n_layers - 1)
+        raise NumericFault("non-finite activation", where=f"{prefix} layer {bad}")
     return ag.record(out, (x, *params), vjp)
 
 
@@ -128,11 +135,20 @@ def mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str) -> list:
     return params
 
 
-def _mlp(cfg: MlpConfig, params: list, xd, prefix: str, wants_input_grad: bool,
-         train: bool = False, dropout_seed: int | None = None):
+def _mlp(cfg: MlpConfig, params: list, xd, wants_input_grad: bool,
+         train: bool = False, dropout_seed: int | None = None,
+         dropout_rows: tuple[int, int] | None = None, inputs: list | None = None):
     """(out, vjp) of mlp_forward on a plain input, with `params` from
     mlp_params; vjp(g) returns the gradients of (x, *params), None for the
-    input unless `wants_input_grad`."""
+    input unless `wants_input_grad`. A non-finite activation runs on to the
+    output quietly; `inputs`, when given, receives each layer's input.
+
+    With `dropout_rows` = (lo, n), the input's rows are rows lo.. of an
+    n-row batch, and each layer's dropout mask is those rows of the mask
+    the seed draws for the whole batch, so a row's mask does not depend on
+    how the batch is cut. The draw takes one PCG64 output per element, so
+    skipping the other rows is an `advance`.
+    """
     if xd.shape[-1] != cfg.in_dim:
         raise DimensionMismatchError(
             f"input dim {xd.shape[-1]}, config expects {cfg.in_dim}")
@@ -144,8 +160,6 @@ def _mlp(cfg: MlpConfig, params: list, xd, prefix: str, wants_input_grad: bool,
     layers = []     # per layer: (input, pre-relu, xhat, std, dropout mask)
     h = xd
     k = 0
-    # a non-finite activation runs on to the output quietly; the scan below
-    # names its layer
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(n):
             w = params[k].data
@@ -166,16 +180,14 @@ def _mlp(cfg: MlpConfig, params: list, xd, prefix: str, wants_input_grad: bool,
                 pre = h
                 h = np.maximum(pre, 0.0)
                 if dropout_rng is not None:
+                    lo, rows = dropout_rows or (0, h.size // h.shape[-1])
+                    dropout_rng.bit_generator.advance(lo * h.shape[-1])
                     mask = (dropout_rng.random(h.shape) < keep) / keep
+                    dropout_rng.bit_generator.advance((rows - lo) * h.shape[-1] - h.size)
                     h = h * mask
             layers.append((h_in, pre, xhat, std, mask))
-    if not np.isfinite(h).all():
-        for i in range(n - 1):
-            if not np.isfinite(layers[i + 1][0]).all():
-                break
-        else:
-            i = n - 1
-        raise NumericFault("non-finite activation", where=f"{prefix} layer {i}")
+    if inputs is not None:
+        inputs += [layer[0] for layer in layers]
     wants_param_grads = any(p.requires_grad for p in params)
 
     def vjp(g):

@@ -303,7 +303,7 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
         # the decoded delta is integrated now and conditions the next frame
         delta, decode_vjp = _mlp(decoder, params,
                                  np.concatenate([lat[at_frame + (i - 1,)], cond], axis=-1),
-                                 "dec", wants_latents or wants_pose)
+                                 wants_latents or wants_pose)
         if (not np.isfinite(delta).all()
                 and freeze(~np.isfinite(delta).all(axis=-1), i, _non_finite_fault)):
             break

@@ -336,6 +336,27 @@ def test_faulting_row_leaves_siblings_bit_identical(skel, monkeypatch):
     assert report.n_failures == 2
 
 
+def test_non_finite_latent_fails_one_row_of_its_chunk(skel, monkeypatch):
+    """The real decoder MLP going non-finite on one row fails that row
+    alone; the chunk's other rows keep their bits."""
+    model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=3)
+    cfg = ev.EvalConfig(n_angles=2, n_heights=1, n_distances=2,
+                        n_initial_poses=1, samples_per_pair=1, duration=12,
+                        height_range=(1.0, 1.0), distance_range=(0.5, 1.0))
+    clean = ev.run_benchmark(model, cfg, seed=1).rows
+
+    def draw_with_inf(*args):
+        latents = draw_latents(*args)
+        latents[2, 6] = np.inf
+        return latents
+
+    monkeypatch.setattr(ev, "draw_latents", draw_with_inf)
+    report = ev.run_benchmark(model, cfg, seed=1)
+    assert report.n_failures == 1
+    assert [r.error for r in report.rows] == ["", "", "NumericFault@rollout frame 7", ""]
+    assert [report.rows[i] for i in (0, 1, 3)] == [clean[i] for i in (0, 1, 3)]
+
+
 def test_report_identical_for_any_worker_count(skel, monkeypatch, tmp_path):
     # 9 rollouts in chunks of 2: five chunks, more than any worker count here
     monkeypatch.setattr(ev, "ROLLOUT_ROWS", 2)

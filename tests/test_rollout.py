@@ -151,6 +151,29 @@ def test_schedule_goals_share_one_target_joint():
                          GoalSpec(np.ones(3), 20, target_joint="left_wrist")))
 
 
+def test_non_finite_decoder_row_holds_only_that_row(model, skel):
+    # an inf latent makes the real decoder MLP's row 1 non-finite at frame
+    # 11; the frame's per-row check holds that row and its siblings run on
+    goal = goal_at(1.0, 0.5, 1.0, t=20)
+    latents = np.random.default_rng(4).standard_normal((3, 20, model.spec.latent_dim))
+    initial = np.tile(rest_pose(skel), (3, 1))
+    clean = np.stack(ro.rollout_poses(initial, goal, 20, model, latents).poses, axis=1)
+    latents[1, 10] = np.inf
+    out = ro.rollout_poses(initial, goal, 20, model, latents)
+    assert out.faults[0] is None and out.faults[2] is None
+    frame, fault = out.faults[1]
+    assert frame == 11 and isinstance(fault, NumericFault)
+    assert str(fault) == "non-finite delta (at rollout frame 11)"
+    poses = np.stack(out.poses, axis=1)
+    np.testing.assert_array_equal(poses[[0, 2]], clean[[0, 2]])
+    np.testing.assert_array_equal(poses[1, :11], clean[1, :11])
+    np.testing.assert_array_equal(poses[1, 11:], np.broadcast_to(poses[1, 10], (10, 81)))
+
+    single = ro.rollout_poses(rest_pose(skel), goal, 20, model, latents[1])
+    with pytest.raises(NumericFault, match=r"non-finite delta \(at rollout frame 11\)"):
+        single.raise_fault()
+
+
 def test_non_finite_delta_raises_numeric_fault_with_its_frame(model, skel,
                                                               monkeypatch):
     mlp = ro._mlp    # the frame's decoder MLP

@@ -3,8 +3,10 @@
 Node counts are deterministic and do not depend on the machine, so they pin
 the size of the autodiff graph. The budgets are the measured counts: 102
 nodes for a 90-frame latent refinement (one fused node a frame, 12 for the
-objective), 287 for an s=10 training step and 37 for an s=0 step. A change that records more nodes
-fails here; one that records fewer should lower the budget.
+objective), and for one shard of a 32-window training step, the tape each
+of its TRAIN_SHARDS shards records, 287 at s=10 and 37 at s=0. A change
+that records more nodes fails here; one that records fewer should lower
+the budget.
 """
 import numpy as np
 import pytest
@@ -45,11 +47,13 @@ def test_training_step_tape_budgets(desk_model):
         ds.SyntheticGenConfig(seed=1, n_locomotion=2, n_reaching=1, n_walk_reach=1), skel)
     windows = training.build_training_windows(corpus, cfg, skel)[:cfg.batch_size]
     assert (len(windows), windows.deltas.shape[1]) == (32, 40)
+    lo, hi = training._shard_bounds(len(windows))[0]
     nodes = {}
     for s in (0, 10):
+        shard = training._shard_windows(windows, np.arange(lo, hi), s > 0)
         with Tape() as tape:
-            training._batch_loss(windows, desk_model, s, cfg,
-                                 np.random.default_rng(0), dropout_seed=0)
+            training._batch_loss(shard, desk_model, s, cfg, np.random.default_rng(0),
+                                 dropout_seed=0, batch_rows=(lo, len(windows)))
         nodes[s] = len(tape)
     assert nodes[0] <= 37
     assert nodes[10] <= 287
