@@ -138,11 +138,6 @@ def skeleton_from_text(text: str) -> Skeleton:
     return Skeleton(names, parents, offsets, forward)
 
 
-def load_skeleton(path) -> Skeleton:
-    with open(path) as f:
-        return skeleton_from_text(f.read())
-
-
 def desk_skeleton() -> Skeleton:
     """13-joint skeleton (pelvis + 12 rotated joints), z-up, +y forward.
 

@@ -353,15 +353,3 @@ def emit_report(report: EvalReport, out_dir) -> list[str]:
         paths.append(path)
     return paths
 
-
-def parse_report_csv(path) -> list[EvalRow]:
-    rows = []
-    with open(path) as f:
-        for line in f:
-            if line.startswith("#") or line.startswith("pose_id"):
-                continue
-            p = line.rstrip("\n").split(",")
-            rows.append(EvalRow(int(p[0]), float(p[1]), float(p[2]), float(p[3]),
-                                int(p[4]), float(p[5]), bool(int(p[6])), float(p[7]),
-                                p[8]))
-    return rows

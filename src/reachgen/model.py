@@ -93,16 +93,14 @@ def decode(spec: ModelSpec, store: ParameterStore, z, cond_vec,
                        dropout_seed=dropout_seed, dropout_rows=dropout_rows)
 
 
-def compute_loss(true_delta_vec, pred_delta_vec, pred_pose, target_joints,
-                 skeleton: Skeleton):
-    """The step loss (rec, joint): the MSE of the predicted delta against the
-    true one, and the MSE of the FK joints of `pred_pose`, the pose the
-    predicted delta integrates to, against `target_joints` (..., n_joints, 3).
-
-    Accepts batched inputs; both terms are averaged over batch rows. The
-    caller integrates, so a rollout step feeds the same pose onward.
+def compute_loss(pred_pose, true_pose, target_joints, skeleton: Skeleton):
+    """The step loss (rec, joint) of batched poses, each averaged over rows:
+    the MSE of the predicted poses against the true ones, and the MSE of
+    the FK joints of `pred_pose` against `target_joints` (..., n_joints, 3).
+    Where both poses integrate a delta from one previous pose, rec is the
+    delta MSE: a z turn by that pose's yaw keeps every xy pair's length.
     """
-    diff = pred_delta_vec - true_delta_vec
+    diff = pred_pose - true_pose
     jdiff = forward_kinematics(pred_pose, skeleton) - target_joints
     return ag.mean(diff * diff), ag.mean(jdiff * jdiff)
 

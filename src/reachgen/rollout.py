@@ -1,6 +1,7 @@
 """Closed-loop autoregressive generation: recompute intention against the
-active goal each frame, decode a delta, integrate, repeat. A record keeps
-its latents and schedule in memory to replay bit-exactly or refine them.
+active goal each frame, decode a delta, integrate, repeat. Training's
+scheduled rollout steps run the same frame. A record keeps its latents and
+schedule in memory to replay bit-exactly or refine them.
 """
 from __future__ import annotations
 
@@ -99,9 +100,10 @@ class Rollout(NamedTuple):
     faults: list
 
     def raise_fault(self) -> None:
-        """Raise the recorded fault of a single-row rollout, if any."""
-        if self.faults[0] is not None:
-            raise self.faults[0][1]
+        """Raise the recorded fault of the first row that faulted, if any."""
+        for fault in self.faults:
+            if fault is not None:
+                raise fault[1]
 
 
 class _GoalRows:
@@ -217,9 +219,10 @@ class _FrameGrads:
 
 
 def rollout_poses(initial_pose, schedule_or_goal, duration: int,
-                  model: MotionModel, latents) -> Rollout:
+                  model: MotionModel, latents, prev_delta=None, goal_heading=None,
+                  dropout: tuple[int, tuple[int, int]] | None = None) -> Rollout:
     """The closed-loop rollout of B rows, shared by generation, replay,
-    latent optimization and evaluation.
+    latent optimization, evaluation and training's scheduled rollout steps.
 
     initial_pose: (B, pose_dim) and latents: (B, duration, latent_dim), or
     one unbatched row, (pose_dim,) and (duration, latent_dim); arrays or
@@ -229,6 +232,12 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
     frames; each row switches goals on its own. A row that faults is
     frozen (see Rollout) but keeps its row in every matmul, so its siblings
     keep their bits; the loop stops once every row faulted.
+
+    Training starts inside a window: `prev_delta` conditions the first
+    frame (zeros by default), (B, 2) `goal_heading` replaces the direction
+    to the goal as the orientation target, and `dropout` = (seed, batch
+    rows) gives frame i's decoder the training masks of seed + i - 1, rows
+    as `nn._mlp` takes them (None: no dropout).
 
     A frame is one fused op. It decodes the pose's rotations, walks the
     target joint's chain, runs the goal switch, the condition, the decoder
@@ -256,7 +265,9 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
     lat = ag.value(latents)
     grads = _FrameGrads(latents, duration, at_frame)
     wants_latents = grads.latents is not None
-    prev_delta = np.zeros(lead + (pose_dim(skeleton.n_rotated),))
+    if prev_delta is None:
+        prev_delta = np.zeros(lead + (pose_dim(skeleton.n_rotated),))
+    dropout_seed, dropout_rows = dropout or (0, None)
     active = np.zeros(lead, dtype=np.int64)
     frozen = np.zeros(lead, dtype=bool)
     out = Rollout([cur], [], [], [None] * frozen.size)
@@ -299,11 +310,12 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
         active = goals.advance(active, wrist, current_frame)
         cond, condition_vjp = _conditioned(pd, local[..., 0, :, :], wrist, prev_delta,
                                            skeleton, goals.goal(active),
-                                           current_frame, None)
+                                           current_frame, goal_heading)
         # the decoded delta is integrated now and conditions the next frame
         delta, decode_vjp = _mlp(decoder, params,
                                  np.concatenate([lat[at_frame + (i - 1,)], cond], axis=-1),
-                                 wants_latents or wants_pose)
+                                 wants_latents or wants_pose, dropout is not None,
+                                 dropout_seed + i - 1, dropout_rows)
         if (not np.isfinite(delta).all()
                 and freeze(~np.isfinite(delta).all(axis=-1), i, _non_finite_fault)):
             break

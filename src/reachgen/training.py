@@ -1,6 +1,7 @@
 """Training loop: per-frame auto-encoding of deltas with goal-conditioned
 conditions, plus a scheduled-rollout curriculum that feeds the model's own
-integrated predictions back in for up to s steps per window.
+integrated predictions back in for up to s steps per window, through the
+closed-loop frame generation runs.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .intention import (DEFAULT_HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
                         condition_dim)
 from .model import MotionModel, compute_loss, decode, encode, fresh_model
 from .nn import AdamState, adam_step, kl_divergence, reparameterize
+from .rollout import rollout_poses
 
 # Row shards of every training batch, cut from the batch size alone. Each
 # shard's loss is weighted by its share of the batch rows and the shard
@@ -92,9 +94,7 @@ class WindowSet:
     Window i holds W + 1 poses, a context frame then W frames; poses[i, 1]
     is frame start_frame[i] of its source. Entry j of deltas, conditions and
     targets belongs to the step poses[i, j] -> poses[i, j + 1]. Every goal
-    is a right-wrist goal. The shard a teacher-forced step is sent holds
-    only the W poses each step starts from and None for the goal fields and
-    start frames, which only rollout steps read.
+    is a right-wrist goal.
     """
 
     poses: np.ndarray          # (N, W + 1, pose_dim)
@@ -161,19 +161,19 @@ def build_training_windows(sequences: list[MotionSequence], cfg: TrainConfig,
 
 def _batch_loss(windows: WindowSet, model: MotionModel,
                 s_steps: int, cfg: TrainConfig, noise_rng: np.random.Generator,
-                dropout_seed: int, train_mode: bool = True,
-                batch_rows: tuple[int, int] | None = None):
-    """Teacher-forced pass over every frame plus s generated rollout steps,
-    each scored by compute_loss against the stored targets; the KL term
+                dropout_seed: int, batch_rows: tuple[int, int] | None = None):
+    """Teacher-forced pass over every frame plus s generated rollout steps
+    from each window's step W - s on, one `rollout_poses` over the rows.
+    compute_loss scores the teacher-forced poses once and the rollout
+    steps' poses once, against the stored poses and targets; the KL term
     comes from the teacher-forced pass alone.
 
     With `batch_rows` = (lo, n), `windows` are rows lo.. of an n-row batch,
     a shard of it. The shard's noise is its rows of what `noise_rng` draws
     for the whole batch, its dropout masks likewise, and every term is
     weighted by its share of the batch rows, so the shards' losses,
-    breakdowns and gradients sum to the batch's. The pass reads the W poses
-    each step starts from as poses[:, :W]; only rollout steps read the last
-    pose, the goal fields and the start frames.
+    breakdowns and gradients sum to the batch's. A fault in any row's
+    rollout is raised: a held row stops every row's frames recording.
 
     Returns (total loss node, LossBreakdown floats, samples scored,
     teacher-forced samples); the counts are the shard's own.
@@ -185,14 +185,14 @@ def _batch_loss(windows: WindowSet, model: MotionModel,
 
     deltas = windows.deltas.reshape(n_teacher, -1)
     conds = windows.conditions.reshape(n_teacher, -1)
-    gauss = encode(spec, store, deltas, conds, train=train_mode,
+    gauss = encode(spec, store, deltas, conds, train=True,
                    dropout_seed=dropout_seed, dropout_rows=(lo * w, n * w))
     noise = noise_rng.standard_normal((n, w, spec.latent_dim))[lo:lo + b]
     z = reparameterize(gauss, noise.reshape(n_teacher, -1))
-    pred = decode(spec, store, z, conds, train=train_mode,
+    pred = decode(spec, store, z, conds, train=True,
                   dropout_seed=dropout_seed + 1, dropout_rows=(lo * w, n * w))
     pred_pose = integrate_delta(windows.poses[:, :w].reshape(n_teacher, -1), pred)
-    parts = [(*compute_loss(deltas, pred, pred_pose,
+    parts = [(*compute_loss(pred_pose, windows.poses[:, 1:].reshape(n_teacher, -1),
                             windows.targets.reshape(n_teacher, -1, 3), skeleton),
               n_teacher)]
     kl = ag.mean(kl_divergence(gauss, cfg.kl_direction))
@@ -200,22 +200,20 @@ def _batch_loss(windows: WindowSet, model: MotionModel,
     s_eff = min(s_steps, w - 1)
     if s_eff > 0:
         start = w - s_eff
-        cur_pose = windows.poses[:, start]
-        prev_delta = windows.deltas[:, start - 1]
-        goal = GoalSpec(windows.goal_position, windows.goal_frame)
-        for j in range(start, w):
-            cond, _ = assemble_condition(cur_pose, prev_delta, skeleton, goal,
-                                         windows.start_frame - 1 + j,
-                                         goal_heading=windows.goal_heading)
-            zr = noise_rng.standard_normal((n, spec.latent_dim))[lo:lo + b]
-            pred = decode(spec, store, zr, cond, train=train_mode,
-                          dropout_seed=dropout_seed + 100 + j, dropout_rows=(lo, n))
-            # target: the correcting delta onto the ground-truth frame
-            true = pose_delta(cur_pose, windows.poses[:, j + 1])
-            cur_pose = integrate_delta(cur_pose, pred)
-            parts.append((*compute_loss(true, pred, cur_pose, windows.targets[:, j],
-                                        skeleton), b))
-            prev_delta = pred
+        # rollout frame i is window step start + i - 1, on a clock from 0
+        goal = GoalSpec(windows.goal_position,
+                        windows.goal_frame - (windows.start_frame - 1 + start))
+        latents = noise_rng.standard_normal((s_eff, n, spec.latent_dim))[:, lo:lo + b]
+        out = rollout_poses(windows.poses[:, start], goal, s_eff, model,
+                            latents.swapaxes(0, 1), windows.deltas[:, start - 1],
+                            windows.goal_heading, (dropout_seed + 100 + start, (lo, n)))
+        out.raise_fault()
+        # step-major rows, as the rollout's poses are joined
+        parts.append((*compute_loss(
+            ag.concatenate(out.poses[1:], axis=0),
+            windows.poses[:, start + 1:].swapaxes(0, 1).reshape(b * s_eff, -1),
+            windows.targets[:, start:].swapaxes(0, 1).reshape(b * s_eff, -1, 3),
+            skeleton), b * s_eff))
 
     n_batch = n * (w + s_eff)
     share = b / n
@@ -231,18 +229,6 @@ def _shard_bounds(n: int) -> list[tuple[int, int]]:
     n-row batch; a batch of fewer rows has empty shards."""
     cuts = [n * k // TRAIN_SHARDS for k in range(TRAIN_SHARDS + 1)]
     return list(zip(cuts, cuts[1:]))
-
-
-def _shard_windows(windows: WindowSet, idx, rollout: bool) -> WindowSet:
-    """The windows at `idx`, gathered field by field from the run's set:
-    all of each when the step rolls out; otherwise only what a
-    teacher-forced step reads, the deltas, conditions, targets and the W
-    poses each step starts from, with None for the rest."""
-    if rollout:
-        return windows[idx]
-    return WindowSet(windows.poses[idx, :-1], windows.deltas[idx],
-                     windows.conditions[idx], windows.targets[idx],
-                     None, None, None, None)
 
 
 def _shard_grads(shard: WindowSet, model: MotionModel, cfg: TrainConfig,
@@ -395,15 +381,14 @@ def train_epoch(windows: WindowSet, model: MotionModel,
         raise ValueError("empty window set")
     order_rng = np.random.default_rng([cfg.seed, epoch, 0xC0FFEE])
     order = order_rng.permutation(len(windows))
-    rollout = rollout_steps_for_epoch(epoch, cfg) > 0
 
     rec = kl = joint = 0.0
     n_all = n_kl = 0
     for bi, lo in enumerate(range(0, len(order), cfg.batch_size)):
         rows = order[lo:lo + cfg.batch_size]
         model.params.zero_grad()    # the worker is sent the model without them
-        jobs = [(_shard_windows(windows, rows[a:b], rollout), model, cfg, epoch, bi,
-                 (a, len(rows))) for a, b in _shard_bounds(len(rows)) if b > a]
+        jobs = [(windows[rows[a:b]], model, cfg, epoch, bi, (a, len(rows)))
+                for a, b in _shard_bounds(len(rows)) if b > a]
         try:
             results = _run_shards(jobs)
         except NumericFault as e:

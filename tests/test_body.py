@@ -178,7 +178,8 @@ def test_heading_trivial_cases(skel):
 def test_skeleton_file_roundtrip(tmp_path, skel):
     path = tmp_path / "skeleton.json"
     skel.save(path)
-    loaded = body.load_skeleton(path)
+    with open(path) as f:     # the skeleton.json that gen-data writes
+        loaded = body.skeleton_from_text(f.read())
     assert loaded.names == skel.names
     assert loaded.parents == skel.parents
     np.testing.assert_array_equal(loaded.offsets, skel.offsets)

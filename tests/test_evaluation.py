@@ -16,6 +16,20 @@ def skel():
     return desk_skeleton()
 
 
+def parse_report_csv(path) -> list[ev.EvalRow]:
+    """The rows of the report.csv that evaluate writes."""
+    rows = []
+    with open(path) as f:
+        for line in f:
+            if line.startswith("#") or line.startswith("pose_id"):
+                continue
+            p = line.rstrip("\n").split(",")
+            rows.append(ev.EvalRow(int(p[0]), float(p[1]), float(p[2]), float(p[3]),
+                                   int(p[4]), float(p[5]), bool(int(p[6])), float(p[7]),
+                                   p[8]))
+    return rows
+
+
 def sequence_from_translations(skel, offsets):
     """Rest pose rigidly translated per frame; the wrist follows exactly."""
     poses = np.tile(rest_pose(skel), (len(offsets), 1))
@@ -188,7 +202,7 @@ def test_report_emission_and_reparse(tmp_path, skel):
     report = ev.summarize(rows)
     paths = ev.emit_report(report, tmp_path / "out")
     assert len(paths) == 5
-    parsed = ev.parse_report_csv(paths[0])
+    parsed = parse_report_csv(paths[0])
     assert len(parsed) == 2
     assert parsed[0].dtg_cm == 7.5
     assert parsed[1].success is False
@@ -254,7 +268,7 @@ def test_report_keeps_failed_rows_error_and_fs_ok(tmp_path):
     assert report.fs == 0.625 and report.fs_ok == 0.25
     assert report.dtg_cm == 7.5
     paths = ev.emit_report(report, tmp_path)
-    assert ev.parse_report_csv(paths[0]) == rows
+    assert parse_report_csv(paths[0]) == rows
     assert "fs_ok,0.25\n" in (tmp_path / "aggregates.csv").read_text()
 
 

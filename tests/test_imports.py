@@ -43,8 +43,6 @@ UNCALLED = {
     "evaluation.foot_skate": "a per-sequence reference of acceptance criterion 6 "
                              "and a perfbench trace target",
     "evaluation.is_success": "a per-sequence reference of acceptance criterion 6",
-    "evaluation.parse_report_csv": "reads the report.csv that evaluate writes",
-    "body.load_skeleton": "reads the skeleton.json that gen-data writes",
     "rollout._HashedSeed.generate_state": "called by NumPy's PCG64",
 }
 # names the guard must see: a private helper, a method, a nested function

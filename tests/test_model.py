@@ -63,9 +63,23 @@ def test_decode_output_dim(tiny_model, skel):
 def test_perfect_prediction_zero_loss(skel):
     pose = rest_pose(skel)
     d = np.zeros(pose_dim(skel.n_rotated))
-    rec, joint = md.compute_loss(d, d, integrate_delta(pose, d),
+    rec, joint = md.compute_loss(integrate_delta(pose, d), pose,
                                  forward_kinematics(pose, skel), skel)
     assert (float(rec), float(joint)) == (0.0, 0.0)
+
+
+def test_pose_mse_is_the_delta_mse(skel):
+    # both poses integrate from one yawed pose: their difference is the
+    # delta difference turned about z, which keeps every xy pair's length
+    rng = np.random.default_rng(3)
+    prev = rest_pose(skel)
+    yaw = 0.7
+    prev[3:9] = [np.cos(yaw), np.sin(yaw), 0.0, -np.sin(yaw), np.cos(yaw), 0.0]
+    true = 0.05 * rng.standard_normal((4, pose_dim(skel.n_rotated)))
+    pred = 0.05 * rng.standard_normal((4, pose_dim(skel.n_rotated)))
+    rec, _ = md.compute_loss(integrate_delta(prev, pred), integrate_delta(prev, true),
+                             np.zeros((4, skel.n_joints, 3)), skel)
+    assert float(rec) == pytest.approx(float(np.mean((pred - true) ** 2)), rel=1e-14)
 
 
 def test_wrist_only_error_isolates_joint_loss(skel):
@@ -79,7 +93,8 @@ def test_wrist_only_error_isolates_joint_loss(skel):
     pred[9 + slot * 6: 9 + slot * 6 + 6] = [0.0, 0.3, 0.0, -0.3, 0.0, 0.0]
     moved = forward_kinematics(integrate_delta(pose, pred), skel)
     base = forward_kinematics(integrate_delta(pose, true), skel)
-    rec, joint = md.compute_loss(true, pred, integrate_delta(pose, pred), base, skel)
+    rec, joint = md.compute_loss(integrate_delta(pose, pred), integrate_delta(pose, true),
+                                 base, skel)
     assert float(rec) > 0
     assert float(joint) > 0
     # verify only the wrist moved
@@ -197,8 +212,7 @@ def test_memorization_sanity(skel):
         noise_rng = np.random.default_rng(0)  # frozen noise
         with Tape() as tape:
             total, breakdown, _, _ = tr._batch_loss(
-                windows, model, 0, cfg, noise_rng, dropout_seed=0,
-                train_mode=False)
+                windows, model, 0, cfg, noise_rng, dropout_seed=0)
         tape.backward(total)
         adam_step(adam, model.params, model.params.gradients())
         losses.append(breakdown.rec + breakdown.joint)

@@ -174,6 +174,17 @@ def test_non_finite_decoder_row_holds_only_that_row(model, skel):
         single.raise_fault()
 
 
+def test_raise_fault_checks_every_row(model, skel):
+    # only row 2 of three faults: raise_fault still raises it
+    goal = goal_at(1.0, 0.5, 1.0, t=20)
+    latents = np.random.default_rng(4).standard_normal((3, 20, model.spec.latent_dim))
+    latents[2, 5] = np.inf
+    out = ro.rollout_poses(np.tile(rest_pose(skel), (3, 1)), goal, 20, model, latents)
+    assert out.faults[:2] == [None, None]
+    with pytest.raises(NumericFault, match=r"non-finite delta \(at rollout frame 6\)"):
+        out.raise_fault()
+
+
 def test_non_finite_delta_raises_numeric_fault_with_its_frame(model, skel,
                                                               monkeypatch):
     mlp = ro._mlp    # the frame's decoder MLP

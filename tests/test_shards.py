@@ -9,12 +9,15 @@ import sys
 import numpy as np
 import pytest
 
+from reachgen import autodiff as ag
 from reachgen import dataset as ds
+from reachgen import model as md
 from reachgen import nn
 from reachgen import training as tr
 from reachgen.autodiff import Tape
-from reachgen.body import desk_skeleton
+from reachgen.body import desk_skeleton, forward_kinematics, integrate_delta, pose_delta
 from reachgen.errors import NumericFault, WorkerDiedError
+from reachgen.intention import GoalSpec, assemble_condition
 from reachgen.model import fresh_model
 from reachgen.nn import AdamState
 
@@ -126,22 +129,21 @@ def test_shard_dropout_masks_are_rows_of_the_batch_masks():
 
 
 def capture_noise(monkeypatch):
-    """The noise each reparameterisation and each rollout step's decode
+    """The noise the reparameterisation and the rollout steps' latents
     receive, in call order."""
     seen = []
-    reparameterize, decode = tr.reparameterize, tr.decode
+    reparameterize, rollout_poses = tr.reparameterize, tr.rollout_poses
 
     def reparameterize_spy(gauss, noise):
         seen.append(noise.reshape(-1, noise.shape[-1]))
         return reparameterize(gauss, noise)
 
-    def decode_spy(spec, store, z, cond, **kwargs):
-        if not hasattr(z, "requires_grad"):    # a rollout step's drawn latent
-            seen.append(z)
-        return decode(spec, store, z, cond, **kwargs)
+    def rollout_spy(initial_pose, goal, duration, model, latents, *args):
+        seen.append(latents)
+        return rollout_poses(initial_pose, goal, duration, model, latents, *args)
 
     monkeypatch.setattr(tr, "reparameterize", reparameterize_spy)
-    monkeypatch.setattr(tr, "decode", decode_spy)
+    monkeypatch.setattr(tr, "rollout_poses", rollout_spy)
     return seen
 
 
@@ -171,13 +173,13 @@ def test_sharded_step_matches_the_unsharded_batch(skel, windows, monkeypatch, s,
         if hi == lo:
             continue
         seen.clear()
-        shard = tr._shard_windows(windows, rows[lo:hi], s > 0)
-        g, part, *shard_counts = batch_loss(shard, model, s, cfg, (lo, n))
+        g, part, *shard_counts = batch_loss(windows[rows[lo:hi]], model, s, cfg, (lo, n))
         # each shard draws its rows of the batch's noise, exactly
-        assert len(seen) == len(batch_noise) == 1 + min(s, w - 1)
+        assert len(seen) == len(batch_noise) == 1 + (s > 0)
         np.testing.assert_array_equal(seen[0], batch_noise[0][lo * w:hi * w])
-        for step, batch_step in zip(seen[1:], batch_noise[1:]):
-            np.testing.assert_array_equal(step, batch_step[lo:hi])
+        for latents, batch_latents in zip(seen[1:], batch_noise[1:]):
+            assert latents.shape == (hi - lo, min(s, w - 1), model.spec.latent_dim)
+            np.testing.assert_array_equal(latents, batch_latents[lo:hi])
         shard_grads.append(g)
         parts.append(part)
         counts = [c + k for c, k in zip(counts, shard_counts)]
@@ -190,20 +192,98 @@ def test_sharded_step_matches_the_unsharded_batch(skel, windows, monkeypatch, s,
         assert np.abs(summed - g).max() <= 1e-12 * np.abs(g).max(), name
 
 
+def per_step_batch_loss(windows, model, s, cfg, noise_rng, dropout_seed, batch_rows):
+    """The training step composed op by op: every rollout step assembles
+    its condition, decodes, integrates and scores its delta and the FK of
+    its pose on its own. Returns (total, LossBreakdown floats)."""
+    spec, store, skeleton = model.spec, model.params, model.skeleton
+    b, w = windows.deltas.shape[:2]
+    lo, n = batch_rows or (0, b)
+
+    def step_loss(true_delta, pred_delta, pred_pose, targets):
+        diff = pred_delta - true_delta
+        jdiff = forward_kinematics(pred_pose, skeleton) - targets
+        return ag.mean(diff * diff), ag.mean(jdiff * jdiff)
+
+    deltas = windows.deltas.reshape(b * w, -1)
+    conds = windows.conditions.reshape(b * w, -1)
+    gauss = md.encode(spec, store, deltas, conds, train=True, dropout_seed=dropout_seed,
+                      dropout_rows=(lo * w, n * w))
+    noise = noise_rng.standard_normal((n, w, spec.latent_dim))[lo:lo + b]
+    z = nn.reparameterize(gauss, noise.reshape(b * w, -1))
+    pred = md.decode(spec, store, z, conds, train=True, dropout_seed=dropout_seed + 1,
+                     dropout_rows=(lo * w, n * w))
+    pred_pose = integrate_delta(windows.poses[:, :w].reshape(b * w, -1), pred)
+    parts = [(*step_loss(deltas, pred, pred_pose, windows.targets.reshape(b * w, -1, 3)),
+              b * w)]
+    kl = ag.mean(nn.kl_divergence(gauss, cfg.kl_direction))
+    s_eff = min(s, w - 1)
+    start = w - s_eff
+    cur_pose = windows.poses[:, start]
+    prev_delta = windows.deltas[:, start - 1]
+    goal = GoalSpec(windows.goal_position, windows.goal_frame)
+    for j in range(start, w):
+        cond, _ = assemble_condition(cur_pose, prev_delta, skeleton, goal,
+                                     windows.start_frame - 1 + j,
+                                     goal_heading=windows.goal_heading)
+        zr = noise_rng.standard_normal((n, spec.latent_dim))[lo:lo + b]
+        pred = md.decode(spec, store, zr, cond, train=True,
+                         dropout_seed=dropout_seed + 100 + j, dropout_rows=(lo, n))
+        true = pose_delta(cur_pose, windows.poses[:, j + 1])
+        cur_pose = integrate_delta(cur_pose, pred)
+        parts.append((*step_loss(true, pred, cur_pose, windows.targets[:, j]), b))
+        prev_delta = pred
+    n_batch = n * (w + s_eff)
+    rec = sum(r * (c / n_batch) for r, _, c in parts)
+    joint = sum(jl * (c / n_batch) for _, jl, c in parts)
+    total = rec + (cfg.alpha * b / n) * kl + joint
+    return total, tr.LossBreakdown(rec, ag.value(kl) * b / n, joint, total).as_floats()
+
+
+@pytest.mark.parametrize("s", [1, 10])
+def test_closed_loop_step_matches_the_per_step_composition(skel, windows, s):
+    # the rollout steps run through rollout_poses and are scored by one
+    # pose-space loss; the per-step composition scored each delta, which
+    # equals the pose error turned by the previous pose's yaw
+    cfg = config(32)
+    model = small_model(skel)
+    assert model.spec.decoder.dropout > 0
+    batch = windows[np.arange(32)]
+    for lo, hi in [(0, 32), *tr._shard_bounds(32)]:
+        rows = None if hi - lo == 32 else (lo, 32)
+        model.params.zero_grad()
+        with Tape() as tape:
+            total, whole = per_step_batch_loss(batch[lo:hi], model, s, cfg,
+                                               np.random.default_rng([7, 1]), 11, rows)
+        tape.backward(total)
+        expected = model.params.gradients()
+        grads, breakdown, *_ = batch_loss(batch[lo:hi], model, s, cfg, rows)
+        for field in ("rec", "kl", "joint", "total"):
+            assert getattr(breakdown, field) == pytest.approx(getattr(whole, field),
+                                                              rel=1e-12)
+        for name, g in expected.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
 @pytest.mark.parametrize("processes", [2, 1])
 def test_numeric_fault_in_a_shard_names_its_epoch_and_batch(skel, windows, monkeypatch,
                                                             processes):
     cfg = config(32)
     monkeypatch.setattr(tr, "_process_count", lambda: processes)
-    order = np.random.default_rng([cfg.seed, 0, 0xC0FFEE]).permutation(len(windows))
-    for row in (order[31], order[0]):     # in shard 1, then in shard 0
-        conditions = windows.conditions.copy()
-        conditions[row, 3] = np.inf
-        broken = dataclasses.replace(windows, conditions=conditions)
-        with pytest.raises(NumericFault, match=r"^epoch 0 batch 0: non-finite "
-                                               r"activation \(at enc layer 0\)") as exc:
-            tr.train_epoch(broken, small_model(skel), AdamState(1e-3, 1e-4, 4), 0, cfg)
-        assert exc.value.where == "train_epoch"
+    # the s=0 epoch's teacher-forced pass reads the conditions; only the
+    # rollout steps of the s=10 epoch read the goal heading
+    for epoch, field, at, fault in (
+            (0, "conditions", 3, r"non-finite activation \(at enc layer 0\)"),
+            (1, "goal_heading", slice(None), r"non-finite delta \(at rollout frame 1\)")):
+        order = np.random.default_rng([cfg.seed, epoch, 0xC0FFEE]).permutation(len(windows))
+        for row in (order[31], order[0]):     # in shard 1, then in shard 0
+            values = getattr(windows, field).copy()
+            values[row, at] = np.inf
+            broken = dataclasses.replace(windows, **{field: values})
+            adam = AdamState(1e-3, 1e-4, 4)
+            with pytest.raises(NumericFault, match=rf"^epoch {epoch} batch 0: {fault}") as exc:
+                tr.train_epoch(broken, small_model(skel), adam, epoch, cfg)
+            assert exc.value.where == "train_epoch"
     # the worker, kept or replaced, still gives the in-process bytes
     after_faults = train_two_epochs(skel, windows, cfg)
     monkeypatch.setattr(tr, "_process_count", lambda: 1)
