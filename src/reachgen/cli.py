@@ -77,9 +77,6 @@ def _deep_update(base: dict, extra: dict) -> dict:
 def resolve_config(args) -> dict:
     """defaults(preset) <- config file <- env <- flags. The preset itself
     comes from the flag, else the env, else the file, else desk."""
-    # only evaluate runs in a process pool; other commands carry no workers
-    evaluate = args.command == "evaluate"
-    int_keys = ("seed", "workers") if evaluate else ("seed",)
     sections = ("data", "model", "train", "eval")
 
     settings = {}
@@ -94,7 +91,7 @@ def resolve_config(args) -> dict:
             raise InvalidInputError(f"unreadable config {config_path}: {e}") from e
         if not isinstance(settings, dict):
             raise InvalidInputError(f"config {config_path} must hold a JSON object")
-        unknown = sorted(set(settings) - {"preset", *int_keys, *sections})
+        unknown = sorted(set(settings) - {"preset", "seed", *sections})
         if unknown:
             raise InvalidInputError(f"config {config_path} has unknown settings "
                                     f"{', '.join(map(repr, unknown))}")
@@ -106,27 +103,19 @@ def resolve_config(args) -> dict:
     cfg = json.loads(json.dumps(PRESETS[preset]))  # deep copy
     cfg["preset"] = preset
     cfg["seed"] = 0
-    if evaluate:
-        cfg["workers"] = 1
     _deep_update(cfg, settings)
 
-    for key in int_keys:
-        name = ENV_PREFIX + key.upper()
-        if os.environ.get(name):
-            try:
-                cfg[key] = int(os.environ[name])
-            except ValueError as e:
-                raise InvalidInputError(f"{name} must be an integer, "
-                                        f"got {os.environ[name]!r}") from e
-
+    env_seed = os.environ.get(ENV_PREFIX + "SEED")
+    if env_seed:
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError as e:
+            raise InvalidInputError(f"{ENV_PREFIX}SEED must be an integer, "
+                                    f"got {env_seed!r}") from e
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if evaluate and args.workers is not None:
-        cfg["workers"] = args.workers
-
-    for key in int_keys:
-        if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
-            raise InvalidInputError(f"{key!r} must be an integer, got {cfg[key]!r}")
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
+        raise InvalidInputError(f"'seed' must be an integer, got {cfg['seed']!r}")
     for section in sections:
         if not isinstance(cfg[section], dict):
             raise InvalidInputError(f"{section!r} must be a JSON object, "
@@ -287,8 +276,7 @@ def cmd_evaluate(args) -> int:
     model = _load_model(args)
     eval_cfg = _from_settings(EvalConfig, "eval", {
         k: tuple(v) if isinstance(v, list) else v for k, v in cfg["eval"].items()})
-    report = run_benchmark(model, eval_cfg, seed=cfg["seed"],
-                           workers=cfg["workers"])
+    report = run_benchmark(model, eval_cfg, seed=cfg["seed"])
     os.makedirs(out, exist_ok=True)
     emit_report(report, out)
     _write_resolved(cfg, out, "evaluate",
@@ -384,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the goal-reaching benchmark")
     common(p)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_evaluate)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,11 +21,12 @@ from .errors import ReachGenError
 from .intention import GoalSpec
 from .model import MotionModel
 from .rollout import GoalSchedule, draw_latents, rollout_poses
+from .worker import MAX_PROCESSES, _process_count, run_jobs
 
 # Rollouts per batched chunk of run_benchmark. Fixed, because a row's bits
 # depend on the shape of the BLAS calls it shares with its siblings. On a
 # 2-core machine 64 rows ran about 8% faster a rollout than 32, but peaked
-# at 1.5x the memory and leave half as many chunks to spread over workers.
+# at 1.5x the memory and leave coarser halves to split between processes.
 ROLLOUT_ROWS = 32
 
 
@@ -226,14 +226,21 @@ def _chunk_metrics(args) -> list[EvalRow]:
             for t, d, f, fault in zip(tasks, dtg, fs, out.faults)]
 
 
+def _chunks_metrics(model: MotionModel, cfg: EvalConfig, chunks: list) -> list[EvalRow]:
+    """Rows of consecutive chunks of tasks, in order: one run_benchmark job."""
+    return [row for tasks in chunks for row in _chunk_metrics((model, cfg, tasks))]
+
+
 def run_benchmark(model: MotionModel, cfg: EvalConfig,
                   initial_poses: list[np.ndarray] | None = None, seed: int = 0,
-                  workers: int = 1) -> EvalReport:
+                  workers: int = MAX_PROCESSES) -> EvalReport:
     """One rollout per (pose, goal, sample), run ROLLOUT_ROWS rows at a time.
 
     Per-rollout seeds derive from the index tuple and the chunks are cut
     from the task list in index order, so every row shares its BLAS calls
-    with the same siblings, and reports are identical for any worker count.
+    with the same siblings. Contiguous halves of the chunks run one per
+    process (worker.run_jobs), in at most `workers` processes; the report is
+    identical for any split.
     """
     if initial_poses is None:
         initial_poses = default_initial_poses(model.skeleton, cfg.n_initial_poses)
@@ -248,14 +255,10 @@ def run_benchmark(model: MotionModel, cfg: EvalConfig,
                 tasks.append(EvalTask(np.asarray(pose, dtype=np.float64), goal,
                                       combo, pose_id, sample,
                                       [seed, pose_id, goal_id, sample]))
-    chunks = [(model, cfg, tasks[i:i + ROLLOUT_ROWS])
-              for i in range(0, len(tasks), ROLLOUT_ROWS)]
-
-    if workers <= 1 or len(chunks) == 1:
-        results = [_chunk_metrics(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            results = list(pool.map(_chunk_metrics, chunks))
+    chunks = [tasks[i:i + ROLLOUT_ROWS] for i in range(0, len(tasks), ROLLOUT_ROWS)]
+    size = -(-len(chunks) // max(1, min(workers, _process_count(), len(chunks))))
+    results = run_jobs([(_chunks_metrics, (model, cfg, chunks[i:i + size]))
+                        for i in range(0, len(chunks), size)])
     return summarize([row for rows in results for row in rows], cfg)
 
 

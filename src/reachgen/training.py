@@ -5,11 +5,6 @@ closed-loop frame generation runs.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import multiprocessing
-import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -19,22 +14,20 @@ from .autodiff import Tape
 from .body import (FK_ROWS, Skeleton, forward_kinematics, integrate_delta,
                    pose_delta)
 from .dataset import MotionSequence, sample_training_window
-from .errors import CorpusTooSmallError, NumericFault, SkipWindow, WorkerDiedError
+from .errors import CorpusTooSmallError, NumericFault, SkipWindow
 from .intention import (DEFAULT_HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
                         condition_dim)
 from .model import MotionModel, compute_loss, decode, encode, fresh_model
 from .nn import AdamState, adam_step, kl_divergence, reparameterize
 from .rollout import rollout_poses
+from .worker import run_jobs
 
 # Row shards of every training batch, cut from the batch size alone. Each
 # shard's loss is weighted by its share of the batch rows and the shard
 # gradients are summed in shard order, so the bits depend on this constant
-# and never on how many processes ran the shards: one per usable CPU, up to
-# this many. A 32-window step costs about twice a 16-window one.
+# and never on how many processes ran the shards (worker.run_jobs). A
+# 32-window step costs about twice a 16-window one.
 TRAIN_SHARDS = 2
-# names the OpenBLAS builds numpy ships with give their thread-count calls
-_BLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                      "openblas_{}_num_threads")
 
 
 @dataclass(frozen=True)
@@ -250,129 +243,6 @@ def _shard_grads(shard: WindowSet, model: MotionModel, cfg: TrainConfig,
     return model.params.gradients(), breakdown, n_total, n_teacher
 
 
-@functools.cache
-def _blas_thread_calls():
-    """(get, set) thread-count calls of the OpenBLAS numpy loaded, or None
-    where none is found."""
-    try:
-        with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_CALLS:
-            get = getattr(handle, name.format("get"), None)
-            put = getattr(handle, name.format("set"), None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-def _process_count() -> int:
-    """Processes the shards of a batch run in: one per usable CPU, up to
-    TRAIN_SHARDS, or one where OpenBLAS's thread count cannot be set; two
-    processes each running BLAS threads oversubscribe the cores."""
-    if _blas_thread_calls() is None:
-        return 1
-    return min(TRAIN_SHARDS, len(os.sched_getaffinity(0)))
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """OpenBLAS runs one thread inside the block, where its thread count can
-    be set: a matmul's bits can depend on it."""
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
-_worker = None   # (owner pid, Process, Connection) of the shard worker
-
-
-def _serve_shards(conn, parent_end) -> None:
-    """The worker's loop: compute each shard it is sent and send back the
-    result or the exception; exit once the parent's end is closed."""
-    parent_end.close()
-    _blas_thread_calls()[1](1)    # the worker only ever runs shards
-    while True:
-        try:
-            job = conn.recv()
-        except EOFError:
-            return
-        try:
-            result = _shard_grads(*job)
-        except Exception as e:    # the parent raises it
-            result = e
-        conn.send(result)
-
-
-def _worker_connection():
-    """The connection to this process's shard worker, forked at first use
-    (fork, since spawn would re-import __main__) and daemonic, so it ends
-    with the interpreter; one that died is replaced."""
-    global _worker
-    if _worker is None or _worker[0] != os.getpid() or not _worker[1].is_alive():
-        ctx = multiprocessing.get_context("fork")
-        here, there = ctx.Pipe()
-        proc = ctx.Process(target=_serve_shards, args=(there, here), daemon=True,
-                           name="reachgen-train-shard")
-        proc.start()
-        there.close()
-        _worker = (os.getpid(), proc, here)
-    return _worker[2]
-
-
-def _stop_worker() -> None:
-    """Kill and reap this process's worker; the next sharded step forks a
-    new one."""
-    global _worker
-    if _worker is not None and _worker[0] == os.getpid():
-        _worker[1].kill()
-        _worker[1].join()
-        _worker[2].close()
-    _worker = None
-
-
-def _run_shards(jobs: list) -> list:
-    """_shard_grads of each job, in job order, with one BLAS thread in each
-    process, so the bits do not depend on where a job ran. With more than
-    one process, the first job runs here and the rest in the worker."""
-    with _one_blas_thread():
-        if len(jobs) == 1 or _process_count() == 1:
-            return [_shard_grads(*job) for job in jobs]
-        conn = _worker_connection()
-        try:
-            for job in jobs[1:]:
-                conn.send(job)
-            results = [_shard_grads(*jobs[0])]
-            results += [conn.recv() for _ in jobs[1:]]
-        except BaseException as e:
-            proc = _worker[1]
-            _stop_worker()   # a live worker's answer may still be in the pipe
-            if isinstance(e, (EOFError, OSError)):
-                raise WorkerDiedError(f"training shard worker pid {proc.pid} exited "
-                                      f"with code {proc.exitcode}") from e
-            raise
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return results
-
-
 def train_epoch(windows: WindowSet, model: MotionModel,
                 adam: AdamState, epoch: int, cfg: TrainConfig) -> LossBreakdown:
     """One pass over all windows; one Adam step per batch, on the sum of
@@ -387,10 +257,11 @@ def train_epoch(windows: WindowSet, model: MotionModel,
     for bi, lo in enumerate(range(0, len(order), cfg.batch_size)):
         rows = order[lo:lo + cfg.batch_size]
         model.params.zero_grad()    # the worker is sent the model without them
-        jobs = [(windows[rows[a:b]], model, cfg, epoch, bi, (a, len(rows)))
+        jobs = [(_shard_grads,
+                 (windows[rows[a:b]], model, cfg, epoch, bi, (a, len(rows))))
                 for a, b in _shard_bounds(len(rows)) if b > a]
         try:
-            results = _run_shards(jobs)
+            results = run_jobs(jobs)
         except NumericFault as e:
             raise NumericFault(
                 f"epoch {epoch} batch {bi}: {e}", where="train_epoch") from e

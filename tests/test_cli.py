@@ -18,7 +18,7 @@ CLI = [sys.executable, "-m", "reachgen.cli"]
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, preexec_fn=None):
     env = os.environ.copy()
     env.pop("REACHGEN_SEED", None)
     # the checkout's package, also when it is not installed
@@ -26,7 +26,7 @@ def run_cli(*args, env_extra=None, cwd=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=env, cwd=cwd)
+                          env=env, cwd=cwd, preexec_fn=preexec_fn)
 
 
 @pytest.fixture(scope="module")
@@ -125,16 +125,24 @@ def test_generate_deterministic(tmp_path, checkpoint):
     assert a == b
 
 
-def test_evaluate_deterministic_across_workers(tmp_path, tiny_config, checkpoint):
-    reports = []
-    for name, workers in (("w1", "1"), ("w1b", "1"), ("w4", "4")):
-        out = str(tmp_path / name)
-        r = run_cli("evaluate", "--config", tiny_config, "--checkpoint", checkpoint,
-                    "--seed", "11", "--workers", workers, "--out", out)
+def test_evaluate_same_bytes_on_one_cpu_and_all(tmp_path, checkpoint):
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("one usable CPU: no run to compare against")
+    # 36 rollouts, two chunks: one per process where two CPUs are usable
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"eval": {
+        "n_angles": 3, "n_heights": 2, "n_distances": 2, "n_initial_poses": 1,
+        "samples_per_pair": 3, "duration": 10}}))
+    one_cpu = min(cpus)
+    outputs = []
+    for name, pin in (("one", lambda: os.sched_setaffinity(0, {one_cpu})), ("all", None)):
+        out = tmp_path / name
+        r = run_cli("evaluate", "--config", str(config), "--checkpoint", checkpoint,
+                    "--seed", "11", "--out", str(out), preexec_fn=pin)
         assert r.returncode == 0, r.stderr
-        reports.append(open(os.path.join(out, "report.csv"), "rb").read())
-    assert reports[0] == reports[1]
-    assert reports[0] == reports[2]
+        outputs.append([(out / f).read_bytes() for f in ("report.csv", "aggregates.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_inspect_prints_summary(tmp_path, checkpoint, data_dir):
@@ -240,15 +248,23 @@ def test_config_file_preset_selects_its_values(tmp_path):
     assert resolved["model"]["latent_dim"] == 16
 
 
-def test_workers_resolved_only_for_evaluate(tmp_path, tiny_config, data_dir, checkpoint):
-    resolved = json.loads(open(os.path.join(data_dir, "resolved_config.json")).read())
-    assert "workers" not in resolved["resolved"]
+def test_no_command_resolves_workers(tmp_path, tiny_config, data_dir, checkpoint):
     out = str(tmp_path / "eval")
     r = run_cli("evaluate", "--config", tiny_config, "--checkpoint", checkpoint,
-                "--seed", "11", "--out", out, env_extra={"REACHGEN_WORKERS": "2"})
+                "--seed", "11", "--out", out)
     assert r.returncode == 0, r.stderr
-    resolved = json.loads(open(os.path.join(out, "resolved_config.json")).read())
-    assert resolved["resolved"]["workers"] == 2
+    for run in (data_dir, os.path.dirname(checkpoint), out):
+        resolved = json.loads(open(os.path.join(run, "resolved_config.json")).read())
+        assert "workers" not in resolved["resolved"], run
+    assert "--workers" not in run_cli("evaluate", "--help").stdout
+    config = tmp_path / "workers.json"
+    config.write_text(json.dumps({"workers": 2}))
+    out = tmp_path / "bad"
+    r = run_cli("evaluate", "--config", str(config), "--checkpoint", checkpoint,
+                "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error code=InvalidInputError"), r.stderr
+    assert not out.exists()
 
 
 def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
@@ -293,7 +309,6 @@ def test_inspect_takes_one_goal(data_dir):
     ("train", {"model": {"bogus": 1}}, {}, None, "InvalidInputError"),
     ("evaluate", {"eval": {"bogus": 1}}, {}, None, "InvalidInputError"),
     ("gen-data", {}, {"REACHGEN_SEED": "abc"}, None, "InvalidInputError"),
-    ("evaluate", {}, {"REACHGEN_WORKERS": "abc"}, None, "InvalidInputError"),
     ("train", {}, {}, "not json", "CorruptFileError"),
     ("train", {}, {}, "{}", "CorruptFileError"),
     ("gen-data", {"seed": "x"}, {}, None, "InvalidInputError"),
@@ -325,7 +340,7 @@ def test_inspect_takes_one_goal(data_dir):
     ("evaluate", {"eval": {"temperature": "x"}}, {}, None, "InvalidInputError"),
     ("evaluate", {"eval": {"height_range": [1.0]}}, {}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
-        "env-seed", "env-workers", "manifest-not-json", "manifest-no-sequences",
+        "env-seed", "manifest-not-json", "manifest-no-sequences",
         "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
         "workers-str", "workers-bool", "eval-not-object", "train-not-object",
         "data-not-object", "config-not-object", "epochs-zero", "batch-size-zero",

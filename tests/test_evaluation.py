@@ -1,11 +1,16 @@
+import dataclasses
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from reachgen import dataset as ds
 from reachgen import evaluation as ev
 from reachgen import rollout
+from reachgen import worker as wk
 from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose
-from reachgen.errors import DegenerateRotationError, NumericFault
+from reachgen.errors import DegenerateRotationError, NumericFault, WorkerDiedError
 from reachgen.intention import GoalSpec
 from reachgen.model import fresh_model
 from reachgen.rollout import GoalSchedule, draw_latents, generate, rollout_poses
@@ -371,9 +376,31 @@ def test_non_finite_latent_fails_one_row_of_its_chunk(skel, monkeypatch):
     assert [report.rows[i] for i in (0, 1, 3)] == [clean[i] for i in (0, 1, 3)]
 
 
-def test_report_identical_for_any_worker_count(skel, monkeypatch, tmp_path):
-    # 9 rollouts in chunks of 2: five chunks, more than any worker count here
+@pytest.fixture
+def fresh_worker():
+    """A worker forked inside the test, so it runs the test's patches, and
+    stopped after it, so no later test does."""
+    wk._stop_worker()
+    yield
+    wk._stop_worker()
+
+
+def two_chunk_benchmark(skel, monkeypatch):
+    """(model, config) of a benchmark of two one-row chunks, run as two
+    halves, the second in the worker."""
+    monkeypatch.setattr(ev, "ROLLOUT_ROWS", 1)
+    monkeypatch.setattr(wk, "_process_count", lambda: 2)
+    model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=5)
+    cfg = ev.EvalConfig(n_angles=2, n_heights=1, n_distances=1,
+                        n_initial_poses=1, samples_per_pair=1, duration=6,
+                        height_range=(1.0, 1.0), distance_range=(1.0, 1.0))
+    return model, cfg
+
+
+def test_report_identical_for_any_worker_count(skel, monkeypatch, tmp_path, fresh_worker):
+    # 9 rollouts in chunks of 2: five chunks, split 3/2 between two processes
     monkeypatch.setattr(ev, "ROLLOUT_ROWS", 2)
+    monkeypatch.setattr(wk, "_process_count", lambda: 2)
     model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=5)
     cfg = ev.EvalConfig(n_angles=3, n_heights=1, n_distances=1,
                         n_initial_poses=1, samples_per_pair=3, duration=6,
@@ -384,4 +411,51 @@ def test_report_identical_for_any_worker_count(skel, monkeypatch, tmp_path):
         ev.emit_report(ev.run_benchmark(model, cfg, seed=4, workers=workers), out)
         outputs.append([(out / name).read_bytes()
                         for name in ("report.csv", "aggregates.csv")])
+        assert (wk._worker is None) == (workers == 1)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+chunk_metrics = ev._chunk_metrics
+
+
+def dying_chunk(args):
+    """_chunk_metrics, but the worker exits."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return chunk_metrics(args)
+
+
+def test_dead_worker_raises(skel, monkeypatch, fresh_worker):
+    model, cfg = two_chunk_benchmark(skel, monkeypatch)
+    monkeypatch.setattr(ev, "_chunk_metrics", dying_chunk)
+    with pytest.raises(WorkerDiedError, match="exited with code 3"):
+        ev.run_benchmark(model, cfg)
+    assert wk._worker is None
+
+
+def thread_count_rows(args):
+    """_chunk_metrics, each row's error naming the process that ran it and
+    its OpenBLAS thread count."""
+    get = wk._blas_thread_calls()[0]
+    return [dataclasses.replace(row, error=f"{os.getpid()}:{get()}")
+            for row in chunk_metrics(args)]
+
+
+def test_chunks_run_with_one_blas_thread_in_either_process(skel, monkeypatch,
+                                                          fresh_worker):
+    calls = wk._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread-count calls to set")
+    get, put = calls
+    model, cfg = two_chunk_benchmark(skel, monkeypatch)
+    monkeypatch.setattr(ev, "_chunk_metrics", thread_count_rows)
+    before = get()
+    put(2)
+    try:
+        rows = ev.run_benchmark(model, cfg).rows
+        assert get() == 2
+    finally:
+        put(before)
+    pids, threads = zip(*(row.error.split(":") for row in rows))
+    assert threads == ("1", "1")
+    assert pids[0] == str(os.getpid()) != pids[1]

@@ -14,6 +14,7 @@ from reachgen import dataset as ds
 from reachgen import model as md
 from reachgen import nn
 from reachgen import training as tr
+from reachgen import worker as wk
 from reachgen.autodiff import Tape
 from reachgen.body import desk_skeleton, forward_kinematics, integrate_delta, pose_delta
 from reachgen.errors import NumericFault, WorkerDiedError
@@ -64,9 +65,9 @@ def test_worker_and_in_process_give_the_same_bytes(skel, windows, monkeypatch, b
     # 33 windows: a partial last batch of 1 at batch size 32, whose first
     # shard is empty, 11 batches of 3 and 33 of 1
     cfg = config(batch_size)
-    monkeypatch.setattr(tr, "_process_count", lambda: 2)
+    monkeypatch.setattr(wk, "_process_count", lambda: 2)
     in_worker = train_two_epochs(skel, windows, cfg)
-    monkeypatch.setattr(tr, "_process_count", lambda: 1)
+    monkeypatch.setattr(wk, "_process_count", lambda: 1)
     in_process = train_two_epochs(skel, windows, cfg)
     assert in_worker == in_process
 
@@ -74,7 +75,7 @@ def test_worker_and_in_process_give_the_same_bytes(skel, windows, monkeypatch, b
 def test_bits_do_not_depend_on_the_blas_thread_count(skel, monkeypatch):
     # at desk size OpenBLAS rounds a 2-thread matmul differently from a
     # 1-thread one; each process runs a step with one thread, in process too
-    calls = tr._blas_thread_calls()
+    calls = wk._blas_thread_calls()
     if calls is None:
         pytest.skip("no OpenBLAS thread-count calls to set")
     get, put = calls
@@ -88,7 +89,7 @@ def test_bits_do_not_depend_on_the_blas_thread_count(skel, monkeypatch):
     try:
         bits = []
         for processes in (2, 1):
-            monkeypatch.setattr(tr, "_process_count", lambda: processes)
+            monkeypatch.setattr(wk, "_process_count", lambda: processes)
             model = fresh_model(skel, seed=1)
             adam = AdamState(1e-3, 1e-4, 4)
             for epoch in (0, cfg.ramp_epochs):     # s=0, then s=10
@@ -269,7 +270,7 @@ def test_closed_loop_step_matches_the_per_step_composition(skel, windows, s):
 def test_numeric_fault_in_a_shard_names_its_epoch_and_batch(skel, windows, monkeypatch,
                                                             processes):
     cfg = config(32)
-    monkeypatch.setattr(tr, "_process_count", lambda: processes)
+    monkeypatch.setattr(wk, "_process_count", lambda: processes)
     # the s=0 epoch's teacher-forced pass reads the conditions; only the
     # rollout steps of the s=10 epoch read the goal heading
     for epoch, field, at, fault in (
@@ -286,41 +287,54 @@ def test_numeric_fault_in_a_shard_names_its_epoch_and_batch(skel, windows, monke
             assert exc.value.where == "train_epoch"
     # the worker, kept or replaced, still gives the in-process bytes
     after_faults = train_two_epochs(skel, windows, cfg)
-    monkeypatch.setattr(tr, "_process_count", lambda: 1)
+    monkeypatch.setattr(wk, "_process_count", lambda: 1)
     assert after_faults == train_two_epochs(skel, windows, cfg)
 
 
+shard_grads = tr._shard_grads
+
+
+def dying(shard, model, cfg, epoch, bi, batch_rows):
+    """_shard_grads, but the process computing the second shard exits."""
+    if batch_rows[0]:
+        os._exit(3)
+    return shard_grads(shard, model, cfg, epoch, bi, batch_rows)
+
+
 def test_dead_worker_raises(skel, windows, monkeypatch):
-    tr._stop_worker()     # the next sharded step forks a worker that runs this
-    shard_grads = tr._shard_grads
-
-    def dying(shard, model, cfg, epoch, bi, batch_rows):
-        if batch_rows[0]:
-            os._exit(3)
-        return shard_grads(shard, model, cfg, epoch, bi, batch_rows)
-
+    wk._stop_worker()     # the next sharded step forks a worker that runs this
     monkeypatch.setattr(tr, "_shard_grads", dying)
-    monkeypatch.setattr(tr, "_process_count", lambda: 2)
+    monkeypatch.setattr(wk, "_process_count", lambda: 2)
     with pytest.raises(WorkerDiedError, match="exited with code 3"):
         tr.train_epoch(windows, small_model(skel), AdamState(1e-3, 1e-4, 4), 0, config(32))
-    assert tr._worker is None
+    assert wk._worker is None
 
 
-def test_no_worker_outlives_its_process():
-    code = ("import numpy as np\n"
-            "from reachgen import dataset, training\n"
+# a sharded training step, and a benchmark of two one-row chunks
+TRAIN_STEP = ("from reachgen import dataset, training\n"
+              "from reachgen.nn import AdamState\n"
+              "corpus = dataset.generate_synthetic_corpus(dataset.SyntheticGenConfig(\n"
+              "    seed=1, n_locomotion=2, n_reaching=1, n_walk_reach=0), skel)\n"
+              "cfg = training.TrainConfig(window_len=8, batch_size=4)\n"
+              "windows = training.build_training_windows(corpus, cfg, skel)\n"
+              "training.train_epoch(windows, model, AdamState(1e-3, 1e-4, 9), 0, cfg)\n")
+TWO_CHUNKS = ("from reachgen import evaluation\n"
+              "evaluation.ROLLOUT_ROWS = 1\n"
+              "cfg = evaluation.EvalConfig(n_angles=2, n_heights=1, n_distances=1,\n"
+              "    n_initial_poses=1, samples_per_pair=1, duration=4)\n"
+              "evaluation.run_benchmark(model, cfg)\n")
+
+
+@pytest.mark.parametrize("run", [TRAIN_STEP, TWO_CHUNKS], ids=["train", "evaluate"])
+def test_no_worker_outlives_its_process(run):
+    code = ("from reachgen import worker\n"
             "from reachgen.body import desk_skeleton\n"
             "from reachgen.model import fresh_model\n"
-            "from reachgen.nn import AdamState\n"
-            "training._process_count = lambda: 2\n"
+            "worker._process_count = lambda: 2\n"
             "skel = desk_skeleton()\n"
-            "corpus = dataset.generate_synthetic_corpus(dataset.SyntheticGenConfig(\n"
-            "    seed=1, n_locomotion=2, n_reaching=1, n_walk_reach=0), skel)\n"
-            "cfg = training.TrainConfig(window_len=8, batch_size=4)\n"
-            "windows = training.build_training_windows(corpus, cfg, skel)\n"
             "model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2)\n"
-            "training.train_epoch(windows, model, AdamState(1e-3, 1e-4, 9), 0, cfg)\n"
-            "print(training._worker[1].pid)\n")
+            + run +
+            "print(worker._worker[1].pid)\n")
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
