@@ -19,10 +19,10 @@ train_set = [s for s in corpus if s.ident in split.train]
 print(f"{len(corpus)} sequences, {len(train_set)} in the training split")
 
 cfg = TrainConfig(epochs=15, batch_size=32, seed=0, windows_per_sequence=2)
-model, adam, rows = train(train_set, skel, cfg)
+model, rows = train(train_set, skel, cfg)
 for epoch, s, rec, kl, joint, total, lr in rows[::3]:
     print(f"epoch {epoch:2d}  s={s:2d}  rec={rec:.5f}  kl={kl:.2f} "
           f" joint={joint:.5f}  total={total:.5f}  lr={lr:.2e}")
 
-save_checkpoint(model, "demo_model.ckpt", adam_state=adam)
+save_checkpoint(model, "demo_model.ckpt")
 print("checkpoint written to demo_model.ckpt")

@@ -12,7 +12,7 @@ from reachgen.latent_opt import OptObjective, final_wrist_distance, optimize_lat
 from reachgen.model import load_checkpoint
 from reachgen.rollout import GoalSchedule, generate
 
-model, _ = load_checkpoint("demo_model.ckpt")
+model = load_checkpoint("demo_model.ckpt")
 skel = model.skeleton
 
 goal = GoalSpec(np.array([1.0, 1.2, 1.0]), target_frame=90)

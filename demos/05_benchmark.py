@@ -7,7 +7,7 @@ cores: the 162 rollouts run 32 rows at a time through one batched loop).
 from reachgen.evaluation import EvalConfig, emit_report, run_benchmark
 from reachgen.model import load_checkpoint
 
-model, _ = load_checkpoint("demo_model.ckpt")
+model = load_checkpoint("demo_model.ckpt")
 
 cfg = EvalConfig.reduced()
 print(f"grid: {cfg.n_angles} angles x {cfg.n_heights} heights x "

@@ -5,12 +5,13 @@ Tensor objects. When a Tape is active and an input requires gradients, the op
 records a node with a vector-Jacobian closure; Tape.backward walks the nodes
 in reverse creation order (creation order is already topological).
 
-The ops are the ones the package records: add, subtract, multiply, divide
-and matmul (also through Tensor's operators), negative, exp, clip, take
-(indexing), sum, mean and concatenate. Fused ops elsewhere in the
-package (6D decoding, FK, the whole MLP, the condition vector, ...) compute
-their forward in plain numpy and call `record` once with a hand-written VJP,
-so each records one node however many array operations it runs.
+The elementary ops are add, subtract and multiply (also through Tensor's
+`+`, `-` and `*`), negative (unary `-`), exp, clip, take (indexing), sum,
+mean and concatenate. Fused ops elsewhere in the package (6D decoding, FK,
+the whole MLP, the condition vector, a rollout frame, ...) compute their
+forward in plain numpy and call `record` once with a hand-written VJP, so
+each records one node however many array operations it runs. A Tensor has
+no `/` or `@`: a division or a matmul on the tape lives inside a fused op.
 
 Ops never mutate inputs, so the same source line serves data generation,
 inference, and training.
@@ -109,20 +110,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return divide(self, other)
-
-    def __rtruediv__(self, other):
-        return divide(other, self)
-
     def __neg__(self):
         return negative(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -206,32 +195,6 @@ def multiply(x, y):
     xd, yd = value(x), value(y)
     return _record(xd * yd, (x, y),
                    lambda g: (unbroadcast(g * yd, xd.shape), unbroadcast(g * xd, yd.shape)))
-
-
-def divide(x, y):
-    if not _any_tensor(x, y):
-        return np.divide(x, y)
-    xd, yd = value(x), value(y)
-    out = xd / yd
-    return _record(out, (x, y),
-                   lambda g: (unbroadcast(g / yd, xd.shape),
-                              unbroadcast(-g * out / yd, yd.shape)))
-
-
-def matmul(x, y):
-    if not _any_tensor(x, y):
-        return np.matmul(x, y)
-    xd, yd = value(x), value(y)
-    if xd.ndim < 2 or yd.ndim < 2:
-        raise ValueError("matmul requires ndim >= 2 on both sides")
-    out = xd @ yd
-
-    def vjp(g):
-        gx = unbroadcast(g @ yd.mT, xd.shape)
-        gy = unbroadcast(xd.mT @ g, yd.shape)
-        return gx, gy
-
-    return _record(out, (x, y), vjp)
 
 
 # ----------------------------------------------------------------- unary ops

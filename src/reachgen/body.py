@@ -351,7 +351,9 @@ def _chain_walk(pd, ld, skeleton: Skeleton, joint: int):
 
 
 def _heading(root_matrix, skeleton: Skeleton):
-    fwd = ag.matmul(root_matrix, skeleton.forward_axis.reshape(3, 1))[..., 0]
+    """safe_unit of the xy of plain root rotations' forward axes."""
+    root = np.asarray(root_matrix, dtype=np.float64)
+    fwd = (root @ skeleton.forward_axis.reshape(3, 1))[..., 0]
     return safe_unit(fwd[..., 0:2])
 
 

@@ -22,7 +22,7 @@ from .dataset import (MIN_SPLIT_SEQUENCES, SyntheticGenConfig, filter_floating,
                       save_motion_csv, split_dataset, standing_pose,
                       write_manifest)
 from .errors import (CorpusTooSmallError, CorruptFileError, InvalidInputError,
-                     ReachGenError)
+                     ReachGenError, check_count)
 from .evaluation import EvalConfig, emit_report, run_benchmark, distance_to_goal
 from .intention import GoalSpec
 from .latent_opt import OptObjective, optimize_latents, final_wrist_distance
@@ -114,8 +114,7 @@ def resolve_config(args) -> dict:
                                     f"got {env_seed!r}") from e
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        raise InvalidInputError(f"'seed' must be an integer, got {cfg['seed']!r}")
+    check_count("'seed'", cfg["seed"], 0)
     for section in sections:
         if not isinstance(cfg[section], dict):
             raise InvalidInputError(f"{section!r} must be a JSON object, "
@@ -218,12 +217,11 @@ def cmd_train(args) -> int:
     train_cfg = _from_settings(TrainConfig, "train", cfg["train"], seed=cfg["seed"])
     model = _from_settings(fresh_model, "model", cfg["model"], skeleton=skeleton,
                            seed=cfg["seed"])
-    model, adam, rows = train(sequences, skeleton, train_cfg, model=model)
+    model, rows = train(sequences, skeleton, train_cfg, model=model)
     os.makedirs(out, exist_ok=True)
     write_training_log(rows, os.path.join(out, "train_log.csv"))
     ckpt = os.path.join(out, "checkpoint.ckpt")
-    save_checkpoint(model, ckpt, adam_state=adam,
-                    train_meta={"epochs": train_cfg.epochs})
+    save_checkpoint(model, ckpt)
     _write_resolved(cfg, out, "train", {"manifest": manifest_hash})
     print(f"trained {train_cfg.epochs} epochs; final total loss {rows[-1][5]:.6f}; "
           f"checkpoint {ckpt}")
@@ -235,8 +233,7 @@ def _load_model(args):
         raise InvalidInputError("missing --checkpoint path")
     if not os.path.exists(args.checkpoint):
         raise FileNotFoundError(f"checkpoint {args.checkpoint} does not exist")
-    model, _ = load_checkpoint(args.checkpoint)
-    return model
+    return load_checkpoint(args.checkpoint)
 
 
 def cmd_generate(args) -> int:

@@ -27,7 +27,7 @@ from .body import (Skeleton, desk_skeleton, forward_kinematics, heading_of,
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
                      InfeasibleTargetError, InvalidInputError, ModelMismatchError,
-                     SkipWindow)
+                     SkipWindow, check_count, check_positive)
 from .geometry import (_cross, _dot_rows, axis_angle_matrix, matrix_to_sixd,
                        rotation_z_matrix, sixd_to_matrix)
 from .intention import DEFAULT_HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
@@ -50,8 +50,7 @@ class MotionSequence:
     ident: str = ""
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        check_positive("fps", self.fps)
         if self.poses.ndim != 2 or self.poses.shape[0] < 2:
             raise ValueError("a motion sequence needs at least 2 frames")
         if self.poses.shape[1] != pose_dim(self.skeleton.n_rotated):
@@ -84,10 +83,9 @@ class SyntheticGenConfig:
                        self.step_time_range, self.reach_height_range):
             if lo > hi:
                 raise ValueError("config range is not well-ordered")
-        if min(self.n_locomotion, self.n_reaching, self.n_walk_reach) < 0:
-            raise ValueError("counts must be >= 0")
-        if not self.fps > 0:
-            raise ValueError("fps must be positive")
+        for name in ("n_locomotion", "n_reaching", "n_walk_reach"):
+            check_count(name, getattr(self, name), 0)
+        check_positive("fps", self.fps)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the two range checks
+that settings and arguments share."""
+import math
+import numbers
 
 
 class ReachGenError(Exception):
@@ -61,3 +64,16 @@ class WorkerDiedError(ReachGenError):
 
 class VersionMismatchError(ReachGenError):
     """Container file was written by an incompatible format version."""
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """InvalidInputError unless `value` is an integer (not a bool) >= minimum."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """InvalidInputError unless `value` is a finite real number above 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .body import Skeleton, forward_kinematics
 from .dataset import MotionSequence, standing_pose
-from .errors import ReachGenError
+from .errors import ReachGenError, check_count, check_positive
 from .intention import GoalSpec
 from .model import MotionModel
 from .rollout import GoalSchedule, draw_latents, rollout_poses
@@ -51,18 +51,14 @@ class EvalConfig:
     def __post_init__(self):
         for name in ("n_angles", "n_heights", "n_distances", "n_initial_poses",
                      "samples_per_pair", "duration"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(name, getattr(self, name))
         for name in ("height_range", "distance_range"):
             value = getattr(self, name)
             if not (isinstance(value, (tuple, list)) and len(value) == 2
                     and all(map(_finite, value)) and value[0] <= value[1]):
                 raise ValueError(f"{name} must be two finite numbers, low <= high, "
                                  f"got {value!r}")
-        if not (_finite(self.success_radius) and self.success_radius > 0):
-            raise ValueError(f"success_radius must be finite and positive, "
-                             f"got {self.success_radius!r}")
+        check_positive("success_radius", self.success_radius)
         for name in ("skate_threshold", "temperature"):
             value = getattr(self, name)
             if not (_finite(value) and value >= 0):
@@ -173,7 +169,6 @@ class EvalReport:
     sr_by_height: dict
     sr_by_distance: dict
     n_failures: int = 0
-    config: EvalConfig | None = None
 
 
 def default_initial_poses(skeleton: Skeleton, n: int = 6) -> list[np.ndarray]:
@@ -197,11 +192,10 @@ def _failed_row(task: EvalTask, err: ReachGenError, where: str) -> EvalRow:
                    1.0, f"{type(err).__name__}@{where}")
 
 
-def _chunk_metrics(args) -> list[EvalRow]:
+def _chunk_metrics(model: MotionModel, cfg: EvalConfig, tasks: list) -> list[EvalRow]:
     """Rows of one chunk of tasks: one batched rollout, each row's latents
     drawn as generate draws them from the row's seed key (all rows in one
     draw_latents call), and all rows scored from one FK pass."""
-    model, cfg, tasks = args
     latents = draw_latents([np.random.default_rng(t.seed_key) for t in tasks],
                            cfg.duration, model.spec.latent_dim, "sample",
                            cfg.temperature)
@@ -228,7 +222,7 @@ def _chunk_metrics(args) -> list[EvalRow]:
 
 def _chunks_metrics(model: MotionModel, cfg: EvalConfig, chunks: list) -> list[EvalRow]:
     """Rows of consecutive chunks of tasks, in order: one run_benchmark job."""
-    return [row for tasks in chunks for row in _chunk_metrics((model, cfg, tasks))]
+    return [row for tasks in chunks for row in _chunk_metrics(model, cfg, tasks)]
 
 
 def run_benchmark(model: MotionModel, cfg: EvalConfig,
@@ -259,10 +253,10 @@ def run_benchmark(model: MotionModel, cfg: EvalConfig,
     size = -(-len(chunks) // max(1, min(workers, _process_count(), len(chunks))))
     results = run_jobs([(_chunks_metrics, (model, cfg, chunks[i:i + size]))
                         for i in range(0, len(chunks), size)])
-    return summarize([row for rows in results for row in rows], cfg)
+    return summarize([row for rows in results for row in rows])
 
 
-def summarize(rows: list, cfg: EvalConfig | None = None) -> EvalReport:
+def summarize(rows: list) -> EvalReport:
     """Aggregates of the rows; a failed row counts as a miss with FS 1 in
     `sr` and `fs`, and is left out of `fs_ok` and `dtg_cm`."""
     ok = [r for r in rows if not r.error and np.isfinite(r.dtg_cm)]
@@ -278,7 +272,7 @@ def summarize(rows: list, cfg: EvalConfig | None = None) -> EvalReport:
         return {k: float(np.mean(v)) for k, v in sorted(vals.items())}
 
     return EvalReport(rows, sr, fs, fs_ok, dtg, bucket("angle"), bucket("height"),
-                      bucket("distance"), sum(1 for r in rows if r.error), cfg)
+                      bucket("distance"), sum(1 for r in rows if r.error))
 
 
 # ------------------------------------------------------------------- output

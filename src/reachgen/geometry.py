@@ -1,8 +1,10 @@
 """6D rotation encoding, Gram-Schmidt decoding, yaw extraction.
 
 The 6D encoding is the first two columns of a rotation matrix; decoding
-orthonormalizes them. All functions accept plain arrays or autodiff Tensors
-and broadcast over leading axes ((..., 6) -> (..., 3, 3)).
+orthonormalizes them. Functions broadcast over leading axes ((..., 6) ->
+(..., 3, 3)). Only yaw_of records a tape node; the other public functions
+take plain arrays, and the fused ops in body and intention reuse the VJP
+helpers _decode and _project_out.
 """
 from __future__ import annotations
 
@@ -100,13 +102,12 @@ def _decode(rd):
 
 
 def sixd_to_matrix(r):
-    """Decode (..., 6) into orthonormal right-handed (..., 3, 3).
+    """Decode plain (..., 6) into orthonormal right-handed (..., 3, 3).
 
     col1 = normalize(a); col2 = normalize(b - (b.col1)col1); col3 = col1 x col2.
     Raises DegenerateRotationError for near-zero or collinear halves.
     """
-    m, vjp = _decode(ag.value(r))
-    return ag.record(m, (r,), lambda g: (vjp(g),))
+    return _decode(np.asarray(r, dtype=np.float64))[0]
 
 
 def _safe_unit(vd):
@@ -120,10 +121,9 @@ def _safe_unit(vd):
 
 
 def safe_unit(v):
-    """Unit vector along the last axis; zero where the norm is degenerate."""
-    unit, safe, small = _safe_unit(ag.value(v))
-    return ag.record(unit, (v,),
-                     lambda g: (np.where(small, 0.0, _project_out(g, unit, safe)),))
+    """Unit vector of plain vectors along the last axis; zero where the norm
+    is degenerate."""
+    return _safe_unit(np.asarray(v, dtype=np.float64))[0]
 
 
 def matrix_to_sixd(m):

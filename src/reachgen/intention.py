@@ -67,7 +67,7 @@ def _orientation_term(current, goal_direction, goal_heading):
     """
     if goal_heading is None:
         return goal_direction - current
-    return safe_unit(np.asarray(goal_heading, dtype=np.float64)) - current
+    return safe_unit(goal_heading) - current
 
 
 def pelvis_intention(pelvis_pos, goal_pos):

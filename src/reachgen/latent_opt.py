@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ag
 from .autodiff import Tape, Tensor
 from .body import joint_position
-from .errors import InvalidInputError, ModelMismatchError
+from .errors import InvalidInputError, ModelMismatchError, check_count, check_positive
 from .intention import GoalSpec
 from .model import MotionModel
 from .nn import AdamState, ParameterStore, adam_step
@@ -41,10 +41,7 @@ class OptObjective:
             except (TypeError, ValueError):
                 raise InvalidInputError(
                     f"a waypoint is (frame, xy, weight), got {waypoint!r}") from None
-            if (isinstance(frame, bool) or not isinstance(frame, (int, np.integer))
-                    or frame < 0):
-                raise InvalidInputError(
-                    f"waypoint frames must be integers >= 0, got {frame!r}")
+            check_count("waypoint frame", frame, 0)
             if not (np.isfinite(weight) and weight >= 0):
                 raise InvalidInputError(
                     f"waypoint weights must be finite and >= 0, got {weight}")
@@ -103,19 +100,18 @@ def optimize_latents(record: RolloutRecord, goal: GoalSpec,
     """Adam on the latent rows; returns (refined record, report).
 
     Each step rolls out the record's own schedule, as the refined record
-    does, and `goal` is the final wrist target. Dropout stays off and there is no fresh sampling, so the objective is a
-    deterministic function of the latents. The model's parameters are
-    frozen (requires_grad False) for the steps, so the backward pass
-    differentiates the latents only and leaves the model's gradients
-    untouched; their flags are restored on return or raise. Raises
+    does, and `goal` is the final wrist target. Dropout stays off and there
+    is no fresh sampling, so the objective is a deterministic function of
+    the latents. The model's parameters are frozen (requires_grad False)
+    for the steps, so the backward pass differentiates the latents only and
+    leaves the model's gradients untouched; their flags are restored on
+    return or raise. Raises
     InvalidInputError for a negative step count or a learning rate that is
     not finite and positive, and for a waypoint frame past the record's
     duration.
     """
-    if steps < 0:
-        raise InvalidInputError(f"steps must be >= 0, got {steps}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise InvalidInputError(f"lr must be finite and positive, got {lr}")
+    check_count("steps", steps, 0)
+    check_positive("lr", lr)
     for frame, _, _ in objective.waypoints:
         if frame > record.duration:
             raise InvalidInputError(

@@ -12,13 +12,14 @@ import numpy as np
 from . import autodiff as ag
 from .body import Skeleton, forward_kinematics, pose_dim, skeleton_from_text
 from .container import read_container, write_container
-from .errors import CorruptFileError, DimensionMismatchError, ModelMismatchError
+from .errors import (CorruptFileError, DimensionMismatchError, ModelMismatchError,
+                     check_count)
 from .intention import condition_dim
-from .nn import (AdamState, GaussianParams, MlpConfig, ParameterStore,
-                 init_mlp_params, mlp_forward)
+from .nn import (GaussianParams, MlpConfig, ParameterStore, init_mlp_params,
+                 mlp_forward)
 
 CHECKPOINT_MAGIC = b"RGCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,9 @@ class ModelSpec:
     n_rotated: int
     encoder: MlpConfig
     decoder: MlpConfig
+
+    def __post_init__(self):
+        check_count("latent_dim", self.latent_dim)
 
     @property
     def condition_dim(self) -> int:
@@ -131,33 +135,23 @@ def fresh_model(skeleton: Skeleton, latent_dim=16, hidden_dim=64, n_layers=4,
     return MotionModel(spec, init_params(spec, seed), skeleton)
 
 
-def save_checkpoint(model: MotionModel, path, adam_state=None,
-                    train_meta: dict | None = None) -> None:
-    """Container with params (+ optimizer moments) and configs.
+def save_checkpoint(model: MotionModel, path) -> None:
+    """Container with the model's parameters, spec, skeleton and meta.
 
     Byte-identical for identical contents; no timestamps.
     """
     arrays = {name: model.params[name].data for name in model.params.names()}
-    adam_payload = None
-    if adam_state is not None:
-        adam_payload = {k: v for k, v in vars(adam_state).items() if k not in ("m", "v")}
-        for name in model.params.names():
-            if name in adam_state.m:
-                arrays[f"adam.m.{name}"] = adam_state.m[name]
-                arrays[f"adam.v.{name}"] = adam_state.v[name]
     header = {
         "spec": model.spec.to_dict(),
         "skeleton_text": model.skeleton.to_text(),
         "skeleton_hash": model.skeleton.hash,
         "meta": model.meta,
-        "train_meta": train_meta,
-        "adam": adam_payload,
     }
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays)
 
 
-def load_checkpoint(path, expected_skeleton_hash: str | None = None):
-    """Returns (model, adam_state_or_None). Validates magic, version, size."""
+def load_checkpoint(path, expected_skeleton_hash: str | None = None) -> MotionModel:
+    """The model a checkpoint holds. Validates magic, version, size."""
     header, values = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     if expected_skeleton_hash is not None and header.get("skeleton_hash") != expected_skeleton_hash:
         raise ModelMismatchError(
@@ -167,18 +161,8 @@ def load_checkpoint(path, expected_skeleton_hash: str | None = None):
         skeleton = skeleton_from_text(header["skeleton_text"])
         spec = ModelSpec.from_dict(header["spec"])
         store = ParameterStore()
-        param_names = [name for name in values if not name.startswith("adam.")]
-        for name in param_names:
-            store.add(name, values[name])
-        model = MotionModel(spec, store, skeleton, meta=header.get("meta", {}))
-
-        adam = None
-        if header.get("adam"):
-            adam = AdamState(**header["adam"])
-            for name in param_names:
-                if f"adam.m.{name}" in values:
-                    adam.m[name] = values[f"adam.m.{name}"]
-                    adam.v[name] = values[f"adam.v.{name}"]
+        for name, data in values.items():
+            store.add(name, data)
+        return MotionModel(spec, store, skeleton, meta=header.get("meta", {}))
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptFileError(f"{path}: bad checkpoint fields ({e!r})") from e
-    return model, adam

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .autodiff import Tensor
-from .errors import DimensionMismatchError, NumericFault
+from .errors import DimensionMismatchError, NumericFault, check_count
 
 LOG_STD_MIN = -8.0
 LOG_STD_MAX = 4.0
@@ -73,8 +73,8 @@ class MlpConfig:
     layer_norm: bool = True
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
+        check_count("hidden_dim", self.hidden_dim)
+        check_count("n_layers", self.n_layers)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

@@ -16,7 +16,7 @@ from . import autodiff as ag
 from .body import _chain_walk, _integrated, _rotations, pose_dim
 from .dataset import MotionSequence
 from .errors import (DegenerateRotationError, InvalidInputError,
-                     ModelMismatchError, NumericFault)
+                     ModelMismatchError, NumericFault, check_positive)
 from .geometry import degenerate_sixd
 from .intention import INTENTION_DIM, GoalSpec, _conditioned
 from .model import MotionModel
@@ -52,9 +52,7 @@ class GoalSchedule:
             raise InvalidInputError("schedule needs at least one goal")
         if self.policy not in ("on_frame", "on_reach"):
             raise InvalidInputError(f"unknown switch policy {self.policy!r}")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise InvalidInputError(
-                f"radius must be finite and positive, got {self.radius}")
+        check_positive("radius", self.radius)
         if len({g.target_joint for g in self.goals}) > 1:
             raise InvalidInputError("a schedule's goals need one target joint")
         frames = [np.asarray(g.target_frame) for g in self.goals]

@@ -14,7 +14,8 @@ from .autodiff import Tape
 from .body import (FK_ROWS, Skeleton, forward_kinematics, integrate_delta,
                    pose_delta)
 from .dataset import MotionSequence, sample_training_window
-from .errors import CorpusTooSmallError, NumericFault, SkipWindow
+from .errors import (CorpusTooSmallError, NumericFault, SkipWindow, check_count,
+                     check_positive)
 from .intention import (DEFAULT_HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
                         condition_dim)
 from .model import MotionModel, compute_loss, decode, encode, fresh_model
@@ -44,17 +45,15 @@ class TrainConfig:
     seed: int = 0
     window_len: int = 40
     windows_per_sequence: int = 1
-    kl_direction: str = "standard"
     hindsight_horizon: tuple[int, int] = DEFAULT_HINDSIGHT_HORIZON
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.ramp_epochs <= 0 or self.s_max < 0:
-            raise ValueError("rollout schedule parameters must be positive")
-        for name in ("epochs", "batch_size", "window_len", "windows_per_sequence"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name in ("alpha", "lr_base", "lr_final"):
+            check_positive(name, getattr(self, name))
+        for name in ("epochs", "batch_size", "ramp_epochs", "window_len",
+                     "windows_per_sequence"):
+            check_count(name, getattr(self, name))
+        check_count("s_max", self.s_max, 0)
         min_h, max_h = self.hindsight_horizon
         if not 0 <= min_h <= max_h:
             raise ValueError("hindsight_horizon must satisfy 0 <= min <= max")
@@ -188,7 +187,7 @@ def _batch_loss(windows: WindowSet, model: MotionModel,
     parts = [(*compute_loss(pred_pose, windows.poses[:, 1:].reshape(n_teacher, -1),
                             windows.targets.reshape(n_teacher, -1, 3), skeleton),
               n_teacher)]
-    kl = ag.mean(kl_divergence(gauss, cfg.kl_direction))
+    kl = ag.mean(kl_divergence(gauss))
 
     s_eff = min(s_steps, w - 1)
     if s_eff > 0:
@@ -288,8 +287,8 @@ LOG_HEADER = ("# kl summed over latent dims, averaged over teacher-forced "
 
 def train(sequences: list[MotionSequence], skeleton: Skeleton, cfg: TrainConfig,
           model: MotionModel | None = None):
-    """Full training run; returns (model, adam_state, log_rows), the rows
-    as write_training_log takes them."""
+    """Full training run; returns (model, log_rows), the rows as
+    write_training_log takes them."""
     if model is None:
         model = fresh_model(skeleton, seed=cfg.seed)
     windows = build_training_windows(sequences, cfg, skeleton)
@@ -303,7 +302,7 @@ def train(sequences: list[MotionSequence], skeleton: Skeleton, cfg: TrainConfig,
         rows.append((epoch, rollout_steps_for_epoch(epoch, cfg), lb.rec, lb.kl,
                      lb.joint, lb.total, lr))
     model.meta = {**model.meta, "train": asdict(cfg)}
-    return model, adam, rows
+    return model, rows
 
 
 def write_training_log(rows, path) -> None:

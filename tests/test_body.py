@@ -367,30 +367,6 @@ def check_collapsed_rotation_faults_its_row(skel, monkeypatch, name):
     np.testing.assert_array_equal(out.poses[-1][0], out.poses[3][0])
 
 
-@pytest.mark.parametrize("name", ["right_wrist", "left_foot", "pelvis"])
-def test_position_and_heading_gradient_and_nodes(skel, name):
-    rng = np.random.default_rng(33)
-    j = skel.joint_index(name)
-    vec0 = random_poses(skel, rng, (2,))
-    w_pos, w_head = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
-
-    def ref(v):
-        pos, head = body.joint_position_and_heading(v, skel, j)
-        return np.sum(pos * w_pos) + np.sum(head * w_head)
-
-    t = ag.Tensor(vec0, requires_grad=True)
-    with ag.Tape() as tape:
-        pos, head = body.joint_position_and_heading(t, skel, j)
-        n_nodes = len(tape)
-        loss = ag.sum(pos * w_pos) + ag.sum(head * w_head)
-    tape.backward(loss)
-    # the decode and the chain; the heading's root take, matmul, two slices
-    # and safe_unit
-    assert n_nodes == 7
-    fd = ag.finite_difference_gradient(ref, vec0.copy())
-    np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-7)
-
-
 # ------------------------------------------------------ fused pose ops
 #
 # integrate_delta, the decode of a pose's rotations and the chain walk each

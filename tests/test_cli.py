@@ -100,7 +100,7 @@ def test_optimize_writes_exactly_its_outputs(tmp_path, checkpoint):
     assert sorted(os.listdir(out)) == ["initial.mot", "opt_report.csv", "optimized.mot",
                                        "resolved_config.json"]
     # the refined record the command computes, rebuilt through the library
-    model, _ = load_checkpoint(checkpoint)
+    model = load_checkpoint(checkpoint)
     goal = GoalSpec(np.array([0.8, 0.5, 1.1]), 12)
     record = generate(standing_pose(model.skeleton), GoalSchedule.single(goal), 12,
                       model, np.random.default_rng(5))
@@ -339,6 +339,18 @@ def test_inspect_takes_one_goal(data_dir):
      "InvalidInputError"),
     ("evaluate", {"eval": {"temperature": "x"}}, {}, None, "InvalidInputError"),
     ("evaluate", {"eval": {"height_range": [1.0]}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"batch_size": 32.5}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"s_max": 2.5}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"lr_base": "abc"}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"lr_final": -1}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"alpha": float("nan")}}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"kl_direction": "as_written"}}, {}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"n_locomotion": 8.5}}, {}, None, "InvalidInputError"),
+    ("train", {"model": {"latent_dim": 0}}, {}, None, "InvalidInputError"),
+    ("train", {"model": {"hidden_dim": 0}}, {}, None, "InvalidInputError"),
+    ("gen-data --seed -1", {}, {}, None, "InvalidInputError"),
+    ("generate --seed -1", {}, {}, None, "InvalidInputError"),
+    ("train", {"seed": -1}, {}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
         "env-seed", "manifest-not-json", "manifest-no-sequences",
         "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
@@ -347,7 +359,10 @@ def test_inspect_takes_one_goal(data_dir):
         "window-len-zero", "window-len-too-long", "windows-per-sequence-zero",
         "horizon-reversed", "unknown-key", "workers-not-evaluate",
         "turn-rate-reversed", "fps-zero", "fps-negative", "reach-radius-retired",
-        "eval-temperature-str", "eval-height-range-one"])
+        "eval-temperature-str", "eval-height-range-one", "batch-size-float",
+        "s-max-float", "lr-base-str", "lr-final-negative", "alpha-nan",
+        "kl-direction-retired", "count-float", "latent-dim-zero", "hidden-dim-zero",
+        "gen-data-seed-negative", "generate-seed-negative", "train-seed-negative"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
                                               settings, env, manifest, code):
     config = tmp_path / "settings.json"

@@ -42,8 +42,7 @@ def trained_demo_dir(tmp_path_factory):
 def test_train_demo_writes_a_loadable_checkpoint(trained_demo_dir):
     cwd, r = trained_demo_dir
     assert r.returncode == 0, r.stderr
-    model, adam = load_checkpoint(cwd / "demo_model.ckpt")
-    assert adam.step > 0
+    model = load_checkpoint(cwd / "demo_model.ckpt")
     assert model.meta["train"]["epochs"] == 15
 
 

@@ -169,8 +169,7 @@ def test_benchmark_oracle_teleporting_wrist(skel, monkeypatch):
 
     wrist_idx = skel.joint_index("right_wrist")
 
-    def oracle_metrics(args):
-        model, cfg, tasks = args
+    def oracle_metrics(model, cfg, tasks):
         wrist_rest = np.asarray(joint_position(rest_pose(skel), skel, wrist_idx))
         rows = []
         for task in tasks:
@@ -418,11 +417,11 @@ def test_report_identical_for_any_worker_count(skel, monkeypatch, tmp_path, fres
 chunk_metrics = ev._chunk_metrics
 
 
-def dying_chunk(args):
+def dying_chunk(model, cfg, tasks):
     """_chunk_metrics, but the worker exits."""
     if multiprocessing.parent_process() is not None:
         os._exit(3)
-    return chunk_metrics(args)
+    return chunk_metrics(model, cfg, tasks)
 
 
 def test_dead_worker_raises(skel, monkeypatch, fresh_worker):
@@ -433,12 +432,12 @@ def test_dead_worker_raises(skel, monkeypatch, fresh_worker):
     assert wk._worker is None
 
 
-def thread_count_rows(args):
+def thread_count_rows(model, cfg, tasks):
     """_chunk_metrics, each row's error naming the process that ran it and
     its OpenBLAS thread count."""
     get = wk._blas_thread_calls()[0]
     return [dataclasses.replace(row, error=f"{os.getpid()}:{get()}")
-            for row in chunk_metrics(args)]
+            for row in chunk_metrics(model, cfg, tasks)]
 
 
 def test_chunks_run_with_one_blas_thread_in_either_process(skel, monkeypatch,

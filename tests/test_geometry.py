@@ -162,19 +162,6 @@ def test_rotate_pose_z_matches_matrix_product():
         np.testing.assert_array_equal(rotated[:, 9:], pose[:, 9:])
 
 
-def test_sixd_to_matrix_gradient():
-    rng = np.random.default_rng(11)
-    r0 = rng.normal(size=(6,))
-    r = Tensor(r0, requires_grad=True)
-    with Tape() as tape:
-        m = geo.sixd_to_matrix(r)
-        loss = ag.sum(m * np.arange(9.0).reshape(3, 3))
-    tape.backward(loss)
-    fd = ag.finite_difference_gradient(
-        lambda v: np.sum(geo.sixd_to_matrix(v) * np.arange(9.0).reshape(3, 3)), r0.copy())
-    np.testing.assert_allclose(r.grad, fd, rtol=1e-5, atol=1e-8)
-
-
 def test_yaw_and_rotate_gradient():
     rng = np.random.default_rng(12)
     r0 = geo.matrix_to_sixd(random_rotations(1, seed=3)[0])
@@ -295,21 +282,8 @@ def test_fused_op_gradients_batched():
     rng = np.random.default_rng(32)
     r = rng.normal(size=(3, 4, 6))
     angle = rng.uniform(-np.pi, np.pi, size=(3, 4))
-    check_fused_gradient(geo.sixd_to_matrix, [r])
     check_fused_gradient(geo.yaw_of, [r])
-    check_fused_gradient(geo.safe_unit, [rng.normal(size=(3, 4, 2))])
     pose = rng.normal(size=(3, 4, body.pose_dim(2)))
     check_fused_gradient(body.rotate_pose_z, [pose, angle])
     check_fused_gradient(body.rotate_pose_z, [pose, np.array(0.4)])
 
-
-def test_safe_unit_degenerate_branch_has_zero_gradient():
-    rng = np.random.default_rng(33)
-    # every perturbation of size h stays below the threshold, so the op is
-    # locally constant: the zero vector
-    v = rng.normal(size=(4, 2)) * 1e-10
-    check_fused_gradient(geo.safe_unit, [v], h=1e-12)
-    mixed = degenerate_rows(rng.normal(size=(3, 2)))
-    grad = fused_gradients(geo.safe_unit, [mixed], np.ones((3, 2)))[0]
-    np.testing.assert_array_equal(grad[:2], 0.0)
-    assert np.all(grad[2] != 0.0)

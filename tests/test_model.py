@@ -10,6 +10,7 @@ from reachgen import training as tr
 from reachgen.autodiff import Tape
 from reachgen.body import (FK_ROWS, desk_skeleton, forward_kinematics,
                            integrate_delta, pose_delta, pose_dim, rest_pose)
+from reachgen.container import read_container, write_container
 from reachgen.errors import (CorruptFileError, ModelMismatchError, SkipWindow,
                              VersionMismatchError)
 from reachgen.intention import assemble_condition
@@ -266,14 +267,11 @@ def test_checkpoint_roundtrip(tmp_path, skel, small_windows):
     adam = AdamState(1e-3, 1e-4, 100)
     tr.train_epoch(windows, model, adam, epoch=0, cfg=cfg)
     path = tmp_path / "model.ckpt"
-    md.save_checkpoint(model, path, adam_state=adam, train_meta={"epochs": 1})
-    loaded, adam2 = md.load_checkpoint(path)
+    md.save_checkpoint(model, path)
+    loaded = md.load_checkpoint(path)
     for name in model.params.names():
         np.testing.assert_array_equal(loaded.params[name].data,
                                       model.params[name].data)
-    assert adam2.step == adam.step
-    np.testing.assert_array_equal(adam2.m[model.params.names()[0]],
-                                  adam.m[model.params.names()[0]])
     assert loaded.skeleton.hash == skel.hash
     # identical eval outputs on a probe input
     spec = model.spec
@@ -297,8 +295,28 @@ def test_checkpoint_rejects_wrong_skeleton_hash(tmp_path, skel):
     md.save_checkpoint(model, path)
     with pytest.raises(ModelMismatchError):
         md.load_checkpoint(path, expected_skeleton_hash="0" * 64)
-    loaded, _ = md.load_checkpoint(path, expected_skeleton_hash=skel.hash)
+    loaded = md.load_checkpoint(path, expected_skeleton_hash=skel.hash)
     assert loaded.spec == model.spec
+
+
+def test_checkpoint_holds_the_model_only(tmp_path, skel):
+    """A version-3 checkpoint's arrays are the parameters, in store order,
+    and its header has no optimizer state; a version-2 file, which carried
+    the Adam moments, is not read."""
+    model = md.fresh_model(skel, seed=4)
+    model.meta = {"train": {"epochs": 3}}
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(model, path)
+    header, arrays = read_container(path, md.CHECKPOINT_MAGIC, 3)
+    assert list(arrays) == model.params.names()
+    assert set(header) == {"meta", "skeleton_hash", "skeleton_text", "spec"}
+    assert header["meta"] == model.meta
+    v2 = tmp_path / "v2.ckpt"
+    write_container(v2, md.CHECKPOINT_MAGIC, 2,
+                    {**header, "adam": {"step": 1}, "train_meta": {"epochs": 3}},
+                    arrays)
+    with pytest.raises(VersionMismatchError, match="format version 2, expected 3"):
+        md.load_checkpoint(v2)
 
 
 def test_checkpoint_rejects_corruption(tmp_path, skel):
@@ -329,7 +347,7 @@ def test_training_log_format(tmp_path, skel):
     corpus = ds.generate_synthetic_corpus(
         ds.SyntheticGenConfig(n_locomotion=3, n_reaching=2, n_walk_reach=0, seed=7), skel)
     cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=0, window_len=15)
-    _, _, rows = tr.train(corpus, skel, cfg)
+    _, rows = tr.train(corpus, skel, cfg)
     tr.write_training_log(rows, tmp_path / "log.csv")
     text = (tmp_path / "log.csv").read_text()
     lines = text.strip().split("\n")

@@ -227,8 +227,8 @@ def ref_affine(h, w, b):
     """The elementary-op composition of an affine layer, run tape-free; a
     1-D input goes through matmul as a (1, d) matrix."""
     if np.ndim(h) == 1:
-        return ag.matmul(np.reshape(h, (1, -1)), w).reshape(-1) + b
-    return ag.matmul(h, w) + b
+        return (np.reshape(h, (1, -1)) @ w.data).reshape(-1) + b
+    return h @ w.data + b
 
 
 def ref_relu(h):

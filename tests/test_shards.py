@@ -217,7 +217,7 @@ def per_step_batch_loss(windows, model, s, cfg, noise_rng, dropout_seed, batch_r
     pred_pose = integrate_delta(windows.poses[:, :w].reshape(b * w, -1), pred)
     parts = [(*step_loss(deltas, pred, pred_pose, windows.targets.reshape(b * w, -1, 3)),
               b * w)]
-    kl = ag.mean(nn.kl_divergence(gauss, cfg.kl_direction))
+    kl = ag.mean(nn.kl_divergence(gauss))
     s_eff = min(s, w - 1)
     start = w - s_eff
     cur_pose = windows.poses[:, start]
