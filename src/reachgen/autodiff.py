@@ -47,13 +47,12 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def backward(self, output: "Tensor", output_gradient=1.0) -> None:
-        """Seed `output` with `output_gradient` and accumulate leaf grads."""
+    def backward(self, output: "Tensor") -> None:
+        """Seed `output` with ones and accumulate leaf grads."""
         if self._walked:
             raise TapeReuseError("tape has already been walked")
         self._walked = True
-        seed = np.broadcast_to(np.asarray(output_gradient, dtype=np.float64),
-                               output.data.shape).copy()
+        seed = np.ones(output.data.shape)
         output.grad = seed if output.grad is None else output.grad + seed
         for node in reversed(self._nodes):
             if node.grad is None or node._vjp is None:
@@ -250,31 +249,22 @@ def take(x, idx):
     return _record(xd[idx], (x,), vjp)
 
 
-def sum(x, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
+def sum(x, axis=None):  # noqa: A001 - mirrors numpy naming
     if not isinstance(x, Tensor):
-        return np.sum(x, axis=axis, keepdims=keepdims)
+        return np.sum(x, axis=axis)
     xd = value(x)
-    out = np.sum(xd, axis=axis, keepdims=keepdims)
+    out = np.sum(xd, axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, xd.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, xd.shape).copy(),)
 
     return _record(out, (x,), vjp)
 
 
-def mean(x, axis=None, keepdims=False):
-    xd = value(x)
-    if axis is None:
-        n = xd.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for a in axes:
-            n *= xd.shape[a]
-    return sum(x, axis=axis, keepdims=keepdims) * (1.0 / n)
+def mean(x):
+    """Mean over every element."""
+    return sum(x) * (1.0 / value(x).size)
 
 
 def concatenate(parts, axis=-1):

@@ -1,9 +1,8 @@
 """Operator command line: corpus generation, training, generation,
 evaluation, latent optimization, and file inspection.
 
-Settings merge as defaults (preset) <- config file <- REACHGEN_* environment
-variables <- command-line flags; the resolved merge is written into every
-run directory next to the outputs.
+Settings merge as defaults (preset) <- config file <- command-line flags;
+the resolved merge is written into every run directory next to the outputs.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .body import desk_skeleton
-from .dataset import (MIN_SPLIT_SEQUENCES, SyntheticGenConfig, filter_floating,
+from .dataset import (FPS, MIN_SPLIT_SEQUENCES, SyntheticGenConfig, filter_floating,
                       generate_synthetic_corpus, load_motion, save_motion,
                       save_motion_csv, split_dataset, standing_pose,
                       write_manifest)
@@ -29,8 +28,6 @@ from .latent_opt import OptObjective, optimize_latents, final_wrist_distance
 from .model import fresh_model, load_checkpoint, save_checkpoint
 from .rollout import GoalSchedule, generate as rollout_generate
 from .training import TrainConfig, train, write_training_log
-
-ENV_PREFIX = "REACHGEN_"
 
 PRESETS = {
     "desk": {
@@ -75,43 +72,33 @@ def _deep_update(base: dict, extra: dict) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """defaults(preset) <- config file <- env <- flags. The preset itself
-    comes from the flag, else the env, else the file, else desk."""
+    """defaults(preset) <- config file <- flags. The preset itself comes
+    from the flag, else the file, else desk."""
     sections = ("data", "model", "train", "eval")
 
     settings = {}
-    config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
-    if config_path:
+    if args.config:
         try:
-            with open(config_path) as f:
+            with open(args.config) as f:
                 settings = json.load(f)
         except FileNotFoundError as e:
-            raise FileNotFoundError(f"config {config_path} does not exist") from e
+            raise FileNotFoundError(f"config {args.config} does not exist") from e
         except (OSError, ValueError) as e:   # ValueError: bad JSON or text
-            raise InvalidInputError(f"unreadable config {config_path}: {e}") from e
+            raise InvalidInputError(f"unreadable config {args.config}: {e}") from e
         if not isinstance(settings, dict):
-            raise InvalidInputError(f"config {config_path} must hold a JSON object")
+            raise InvalidInputError(f"config {args.config} must hold a JSON object")
         unknown = sorted(set(settings) - {"preset", "seed", *sections})
         if unknown:
-            raise InvalidInputError(f"config {config_path} has unknown settings "
+            raise InvalidInputError(f"config {args.config} has unknown settings "
                                     f"{', '.join(map(repr, unknown))}")
     file_preset = settings.pop("preset", None)
-    preset = (args.preset or os.environ.get(ENV_PREFIX + "PRESET")
-              or file_preset or "desk")
+    preset = args.preset or file_preset or "desk"
     if not isinstance(preset, str) or preset not in PRESETS:
         raise InvalidInputError(f"unknown preset {preset!r}")
     cfg = json.loads(json.dumps(PRESETS[preset]))  # deep copy
     cfg["preset"] = preset
     cfg["seed"] = 0
     _deep_update(cfg, settings)
-
-    env_seed = os.environ.get(ENV_PREFIX + "SEED")
-    if env_seed:
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError as e:
-            raise InvalidInputError(f"{ENV_PREFIX}SEED must be an integer, "
-                                    f"got {env_seed!r}") from e
     if args.seed is not None:
         cfg["seed"] = args.seed
     check_count("'seed'", cfg["seed"], 0)
@@ -312,7 +299,7 @@ def cmd_inspect(args) -> int:
     position = _one_goal(args) if args.goal else None
     skeleton = desk_skeleton()
     seq = load_motion(args.motion, skeleton)
-    print(f"fps: {seq.fps}")
+    print(f"fps: {FPS}")
     print(f"frames: {seq.n_frames}")
     print(f"skeleton: {skeleton.hash}")
     print(f"provenance: {seq.provenance}")
@@ -320,7 +307,7 @@ def cmd_inspect(args) -> int:
     if seq.label is not None:
         g = seq.label
         print(f"label: goal=({g.position[0]:.4f},{g.position[1]:.4f},"
-              f"{g.position[2]:.4f}) frame={g.target_frame} joint={g.target_joint}")
+              f"{g.position[2]:.4f}) frame={g.target_frame}")
     else:
         print("label: none")
     if position is not None:
@@ -402,7 +389,15 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader left (`reachgen inspect x.mot | head -1`): send what is
+        # still buffered to devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Locomotion clips are kinematic walks with the stance foot locked exactly on
 its plant (root height solves the leg-length constraint), so the corpus
 itself scores near-zero foot skating. Reaching clips solve a closed-form
 two-link arm IK so the wrist lands exactly on the sampled target at the
-labeled frame. Everything is a pure function of (config, seed).
+labeled frame. Everything is a pure function of (config, seed), and every
+clip runs at FPS frames per second.
 
 A pose is a (pose_dim,) vector in the body layout: translation 3, then joint
 j's 6D rotation at pose[3+6j : 9+6j], the root's (j = 0) first. The
@@ -26,23 +27,26 @@ from .body import (Skeleton, desk_skeleton, forward_kinematics, heading_of,
                    joint_position, pose_dim)
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
-                     InfeasibleTargetError, InvalidInputError, ModelMismatchError,
-                     SkipWindow, check_count, check_positive)
+                     InfeasibleTargetError, ModelMismatchError, SkipWindow,
+                     check_count, check_range)
 from .geometry import (_cross, _dot_rows, axis_angle_matrix, matrix_to_sixd,
                        rotation_z_matrix, sixd_to_matrix)
 from .intention import DEFAULT_HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
 
 MOTION_MAGIC = b"RGMO"
-MOTION_VERSION = 2
+MOTION_VERSION = 3
+FPS = 30.0                 # frames per second of every clip, stored or generated
 MIN_SPLIT_SEQUENCES = 10   # 80/10/10 needs one validation and one test clip
+FLOAT_HEIGHT = 0.20        # m: a clip whose lowest foot rises above this floats
+REACH_RESAMPLES = 25       # reach targets drawn before a clip gives up
+SWING_LIFT = 0.06          # m: half the outward bulge of a swinging foot
 DOWN = np.array([0.0, 0.0, -1.0])   # rest direction of a leg link
 
 
 @dataclass
 class MotionSequence:
-    """Ordered poses at a fixed fps plus metadata."""
+    """Ordered poses at FPS plus metadata."""
 
-    fps: float
     poses: np.ndarray          # (n_frames, pose_dim)
     skeleton: Skeleton
     label: GoalSpec | None = None
@@ -50,7 +54,6 @@ class MotionSequence:
     ident: str = ""
 
     def __post_init__(self):
-        check_positive("fps", self.fps)
         if self.poses.ndim != 2 or self.poses.shape[0] < 2:
             raise ValueError("a motion sequence needs at least 2 frames")
         if self.poses.shape[1] != pose_dim(self.skeleton.n_rotated):
@@ -74,18 +77,14 @@ class SyntheticGenConfig:
     turn_rate_range: tuple[float, float] = (-0.5, 0.5)   # rad/s
     step_time_range: tuple[float, float] = (0.40, 0.55)  # s per step
     reach_height_range: tuple[float, float] = (0.5, 1.7)
-    fps: float = 30.0
     seed: int = 0
 
     def __post_init__(self):
-        for lo, hi in (self.duration_range, self.reach_duration_range,
-                       self.speed_range, self.turn_rate_range,
-                       self.step_time_range, self.reach_height_range):
-            if lo > hi:
-                raise ValueError("config range is not well-ordered")
+        for name in ("duration_range", "reach_duration_range", "speed_range",
+                     "turn_rate_range", "step_time_range", "reach_height_range"):
+            check_range(name, getattr(self, name))
         for name in ("n_locomotion", "n_reaching", "n_walk_reach"):
             check_count(name, getattr(self, name), 0)
-        check_positive("fps", self.fps)
 
 
 @dataclass(frozen=True)
@@ -254,11 +253,10 @@ class _ArmGestures:
     recovery examples.
     """
 
-    def __init__(self, skeleton: Skeleton, rng: np.random.Generator, n: int,
-                 fps: float):
+    def __init__(self, skeleton: Skeleton, rng: np.random.Generator, n: int):
         self.joints = {name: skeleton.joint_index(name) for name in (
             "right_shoulder", "right_elbow", "left_shoulder", "left_elbow", "spine")}
-        self.keys_at = np.arange(0, n + 1, max(int(rng.uniform(0.8, 1.6) * fps), 8))
+        self.keys_at = np.arange(0, n + 1, max(int(rng.uniform(0.8, 1.6) * FPS), 8))
         if self.keys_at[-1] < n:
             self.keys_at = np.append(self.keys_at, n)
         self.keyframes = [self._random_pose(rng) for _ in self.keys_at]
@@ -289,25 +287,25 @@ class _ArmGestures:
                                                    self.keyframes[k + 1][name], s)
 
 
-def _edge_ramp(n: int, fps: float, ramp_s: float = 1.0) -> np.ndarray:
-    """Smooth 0 -> 1 -> 0 profile: clips start and end at a standstill."""
-    t = np.arange(n) / fps
-    ramp_t = min(ramp_s, (n / fps) / 3.0)
+def _edge_ramp(n: int) -> np.ndarray:
+    """Smooth 0 -> 1 -> 0 profile over 1 s at each end, or a third of a
+    shorter clip: clips start and end at a standstill."""
+    t = np.arange(n) / FPS
+    ramp_t = min(1.0, (n / FPS) / 3.0)
     return _smoothstep(t / ramp_t) * _smoothstep((t[-1] - t) / ramp_t)
 
 
-def _generate_gait(skeleton: Skeleton, fps: float, yaw: np.ndarray,
-                   speed: np.ndarray, start_xy=(0.0, 0.0),
-                   step_time: float = 0.5, swing_lift: float = 0.06,
+def _generate_gait(skeleton: Skeleton, yaw: np.ndarray, speed: np.ndarray,
+                   start_xy=(0.0, 0.0), step_time: float = 0.5,
                    gestures: "_ArmGestures | None" = None) -> np.ndarray:
     """Stance-locked gait following per-frame yaw and speed series, built
     as whole-clip frame stacks."""
     rig = _WalkRig(skeleton)
     n = len(yaw)
-    frames_per_step = max(int(round(step_time * fps)), 6)
+    frames_per_step = max(int(round(step_time * FPS)), 6)
 
     heading = np.stack([-np.sin(yaw), np.cos(yaw)], axis=-1)
-    travel = heading[:-1] * (speed[:-1] / fps)[:, None]
+    travel = heading[:-1] * (speed[:-1] / FPS)[:, None]
     root_xy = np.cumsum(np.concatenate([np.reshape(start_xy, (1, 2)), travel]), axis=0)
     yaw_mats = rotation_z_matrix(yaw)
     hip_xy = np.stack([rig.hip_xy(root_xy, yaw_mats, side) for side in (0, 1)])
@@ -351,7 +349,7 @@ def _generate_gait(skeleton: Skeleton, fps: float, yaw: np.ndarray,
     arc_s = (raw - ds_w) / (1.0 - 2 * ds_w)
     s = _smoothstep(arc_s)
     # circumduction: an outward bulge buys clearance for a rigid leg
-    bulge = np.stack([yaw_mats[:, :2, :2] @ np.array([out * swing_lift * 2.0, 0.0])
+    bulge = np.stack([yaw_mats[:, :2, :2] @ np.array([out * SWING_LIFT * 2.0, 0.0])
                       for out in (-1.0, 1.0)])[swing, frame]
     swing_xy = (prev_plant[:, :2] + (next_plant[:, :2] - prev_plant[:, :2]) * s[:, None]
                 + bulge * np.sin(np.pi * s)[:, None])
@@ -383,35 +381,29 @@ def _generate_gait(skeleton: Skeleton, fps: float, yaw: np.ndarray,
     return poses
 
 
-def _generate_walk(skeleton: Skeleton, rng: np.random.Generator, fps: float,
+def _generate_walk(skeleton: Skeleton, rng: np.random.Generator,
                    duration_s: float, speed: float, turn_rate: float,
-                   start_xy=(0.0, 0.0), start_yaw=None, step_time=None,
-                   ramp_edges=True, gesture=False) -> np.ndarray:
-    """Constant-turn walk; with ramped edges it starts and ends standing."""
-    n = max(int(round(duration_s * fps)), 8)
-    if start_yaw is None:
-        start_yaw = rng.uniform(-np.pi, np.pi)
-    if step_time is None:
-        step_time = rng.uniform(0.40, 0.55)
-    yaw = start_yaw + turn_rate * np.arange(n) / fps
-    profile = _edge_ramp(n, fps) if ramp_edges else np.ones(n)
-    gestures = _ArmGestures(skeleton, rng, n, fps) if gesture else None
-    return _generate_gait(skeleton, fps, yaw, speed * profile, start_xy,
+                   start_xy, step_time: float, gesture=False) -> np.ndarray:
+    """Constant-turn walk from a random heading; it starts and ends standing."""
+    n = max(int(round(duration_s * FPS)), 8)
+    start_yaw = rng.uniform(-np.pi, np.pi)
+    yaw = start_yaw + turn_rate * np.arange(n) / FPS
+    gestures = _ArmGestures(skeleton, rng, n) if gesture else None
+    return _generate_gait(skeleton, yaw, speed * _edge_ramp(n), start_xy,
                           step_time=step_time, gestures=gestures)
 
 
 def _generate_turn_in_place(skeleton: Skeleton, rng: np.random.Generator,
-                            fps: float, duration_s: float,
-                            start_xy=(0.0, 0.0)) -> np.ndarray:
+                            duration_s: float, start_xy=(0.0, 0.0)) -> np.ndarray:
     """Rotate on the spot; covers goals at every bearing via hindsight."""
-    n = max(int(round(duration_s * fps)), 12)
+    n = max(int(round(duration_s * FPS)), 12)
     start_yaw = rng.uniform(-np.pi, np.pi)
     rate = rng.uniform(0.6, 1.4) * rng.choice([-1.0, 1.0])
-    ramp = _edge_ramp(n, fps)
-    yaw = start_yaw + np.concatenate([[0.0], np.cumsum(rate * ramp[:-1] / fps)])
+    ramp = _edge_ramp(n)
+    yaw = start_yaw + np.concatenate([[0.0], np.cumsum(rate * ramp[:-1] / FPS)])
     speed = np.full(n, 0.04) * ramp   # slight drift keeps the step plan alive
-    gestures = _ArmGestures(skeleton, rng, n, fps)
-    return _generate_gait(skeleton, fps, yaw, speed, start_xy,
+    gestures = _ArmGestures(skeleton, rng, n)
+    return _generate_gait(skeleton, yaw, speed, start_xy,
                           step_time=rng.uniform(0.40, 0.55), gestures=gestures)
 
 
@@ -476,21 +468,20 @@ def _solve_reach(skeleton: Skeleton, stand_vec: np.ndarray, target: np.ndarray):
     return None
 
 
-def _generate_reach(skeleton: Skeleton, rng: np.random.Generator, fps: float,
+def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
                     duration_s: float, cfg: SyntheticGenConfig,
-                    stand_xy=(0.0, 0.0), yaw=None, start_vec=None,
-                    resample_cap: int = 25):
+                    stand_xy=(0.0, 0.0), yaw=None, start_vec=None):
     """Stand-and-reach clip; returns (poses, GoalSpec)."""
     if yaw is None:
         yaw = rng.uniform(-np.pi, np.pi)
     stand = standing_pose(skeleton, stand_xy, yaw) if start_vec is None else start_vec
-    n = max(int(round(duration_s * fps)), 10)
-    hold = max(int(round(0.2 * fps)), 2)
+    n = max(int(round(duration_s * FPS)), 10)
+    hold = max(int(round(0.2 * FPS)), 2)
     t_reach = n - 1 - hold
 
     solution = None
     target = None
-    for _ in range(resample_cap):
+    for _ in range(REACH_RESAMPLES):
         # target sampled in a forward shell relative to the body heading
         rz2 = rotation_z_matrix(yaw)[:2, :2]
         lateral = rng.uniform(-0.35, 0.45)     # biased toward the right arm
@@ -503,7 +494,7 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator, fps: float,
             break
     if solution is None:
         raise InfeasibleTargetError(
-            f"no reachable target found in {resample_cap} samples")
+            f"no reachable target found in {REACH_RESAMPLES} samples")
 
     # the moving joints slerp from the stance to the solution, then hold it
     s = _smoothstep(np.minimum(np.arange(n) / t_reach, 1.0))
@@ -516,12 +507,11 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator, fps: float,
         poses[moving, slot] = matrix_to_sixd(track)
         poses[~moving, slot] = six
 
-    goal = GoalSpec(position=target, target_frame=t_reach, target_joint="right_wrist")
-    return poses, goal
+    return poses, GoalSpec(position=target, target_frame=t_reach)
 
 
 def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator,
-                         fps: float, cfg: SyntheticGenConfig):
+                         cfg: SyntheticGenConfig):
     """Turn toward a bearing, walk, stop, reach. Labeled.
 
     The initial turn makes the composite cover goals at every bearing, which
@@ -534,16 +524,16 @@ def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator,
     walk_s = rng.uniform(2.0, 4.0)
     speed = rng.uniform(*cfg.speed_range)
 
-    n_turn = int(round(turn_s * fps))
-    n_walk = int(round(walk_s * fps))
+    n_turn = int(round(turn_s * FPS))
+    n_walk = int(round(walk_s * FPS))
     n = n_turn + n_walk
     # yaw: smooth turn then hold; speed: still during the turn, ramped walk
     t_turn = np.arange(n_turn) / max(n_turn - 1, 1)
     yaw = np.concatenate([start_yaw + turn * _smoothstep(t_turn),
                           np.full(n_walk, start_yaw + turn)])
     speed_series = np.concatenate([np.zeros(n_turn),
-                                   speed * _edge_ramp(n_walk, fps)])
-    walk = _generate_gait(skeleton, fps, yaw, speed_series,
+                                   speed * _edge_ramp(n_walk)])
+    walk = _generate_gait(skeleton, yaw, speed_series,
                           start_xy=rng.uniform(-1.0, 1.0, size=2),
                           step_time=rng.uniform(*cfg.step_time_range))
 
@@ -553,7 +543,7 @@ def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator,
     end_yaw = float(np.arctan2(-hd[0], hd[1]))
     reach_s = rng.uniform(*cfg.reach_duration_range)
     reach, goal = _generate_reach(
-        skeleton, rng, fps, reach_s, cfg,
+        skeleton, rng, reach_s, cfg,
         stand_xy=final[:2], yaw=end_yaw, start_vec=final)
     poses = np.concatenate([walk[:-1], reach], axis=0)
     goal = replace(goal, target_frame=goal.target_frame + walk.shape[0] - 1)
@@ -575,40 +565,39 @@ def generate_synthetic_corpus(cfg: SyntheticGenConfig,
             # every fourth clip rotates on the spot: hindsight goals then
             # appear at all bearings, teaching the model to turn
             poses = _generate_turn_in_place(
-                skeleton, rng, cfg.fps,
+                skeleton, rng,
                 duration_s=rng.uniform(2.5, 5.0),
                 start_xy=rng.uniform(-1.0, 1.0, size=2))
         else:
             poses = _generate_walk(
-                skeleton, rng, cfg.fps,
+                skeleton, rng,
                 duration_s=rng.uniform(*cfg.duration_range),
                 speed=rng.uniform(*cfg.speed_range),
                 turn_rate=rng.uniform(*cfg.turn_rate_range),
                 start_xy=rng.uniform(-1.0, 1.0, size=2),
                 step_time=rng.uniform(*cfg.step_time_range),
                 gesture=(i % 2 == 0))
-        sequences.append(MotionSequence(cfg.fps, poses, skeleton, None,
-                                        "locomotion", f"loco_{i:04d}"))
+        sequences.append(MotionSequence(poses, skeleton, None, "locomotion",
+                                        f"loco_{i:04d}"))
     for i in range(cfg.n_reaching):
         rng = np.random.default_rng(children[k]); k += 1
         poses, goal = _generate_reach(
-            skeleton, rng, cfg.fps, rng.uniform(*cfg.reach_duration_range), cfg,
+            skeleton, rng, rng.uniform(*cfg.reach_duration_range), cfg,
             stand_xy=rng.uniform(-1.0, 1.0, size=2))
-        sequences.append(MotionSequence(cfg.fps, poses, skeleton, goal,
-                                        "reaching", f"reach_{i:04d}"))
+        sequences.append(MotionSequence(poses, skeleton, goal, "reaching",
+                                        f"reach_{i:04d}"))
     for i in range(cfg.n_walk_reach):
         rng = np.random.default_rng(children[k]); k += 1
-        poses, goal = _generate_walk_reach(skeleton, rng, cfg.fps, cfg)
-        sequences.append(MotionSequence(cfg.fps, poses, skeleton, goal,
-                                        "reaching", f"walkreach_{i:04d}"))
+        poses, goal = _generate_walk_reach(skeleton, rng, cfg)
+        sequences.append(MotionSequence(poses, skeleton, goal, "reaching",
+                                        f"walkreach_{i:04d}"))
     return sequences
 
 
-def filter_floating(sequences, skeleton: Skeleton,
-                    threshold: float = 0.20) -> list[MotionSequence]:
-    """Drop sequences with any frame whose lowest foot exceeds `threshold`.
+def filter_floating(sequences, skeleton: Skeleton) -> list[MotionSequence]:
+    """Drop sequences with any frame whose lowest foot exceeds FLOAT_HEIGHT.
 
-    The boundary is strict: exactly `threshold` is kept.
+    The boundary is strict: exactly FLOAT_HEIGHT is kept.
     """
     lf = skeleton.joint_index("left_foot")
     rf = skeleton.joint_index("right_foot")
@@ -616,7 +605,7 @@ def filter_floating(sequences, skeleton: Skeleton,
     for seq in sequences:
         pos = forward_kinematics(seq.poses, skeleton)
         lowest_foot = np.minimum(pos[:, lf, 2], pos[:, rf, 2])
-        if not np.any(lowest_foot > threshold):
+        if not np.any(lowest_foot > FLOAT_HEIGHT):
             kept.append(seq)
     return kept
 
@@ -651,18 +640,15 @@ def sample_training_window(seq: MotionSequence, window_len: int,
     start = int(rng.integers(1, seq.n_frames - window_len + 1))
     if seq.label is None:
         return (start, *hindsight_goal(seq, start, rng, horizon=horizon))
-    goal = seq.label
-    if goal.target_joint != "right_wrist":  # as the training rollout steps assume
-        raise InvalidInputError(f"{seq.ident}: training labels must be right_wrist goals")
-    heading = heading_of(seq.poses[goal.target_frame], seq.skeleton)
-    return start, goal, np.asarray(heading)
+    heading = heading_of(seq.poses[seq.label.target_frame], seq.skeleton)
+    return start, seq.label, np.asarray(heading)
 
 
 # ------------------------------------------------------------------ file IO
 
 def save_motion(seq: MotionSequence, path) -> None:
     """Container with the clip's metadata and its (n, dim) float64 pose rows."""
-    header = {"fps": float(seq.fps), "skeleton_hash": seq.skeleton.hash,
+    header = {"skeleton_hash": seq.skeleton.hash,
               "label": None if seq.label is None else seq.label.to_dict(),
               "provenance": seq.provenance, "ident": seq.ident}
     write_container(path, MOTION_MAGIC, MOTION_VERSION, header, {"poses": seq.poses})
@@ -674,7 +660,7 @@ def load_motion(path, skeleton: Skeleton) -> MotionSequence:
         raise ModelMismatchError(f"{path}: skeleton hash mismatch")
     try:
         label = None if header["label"] is None else GoalSpec(**header["label"])
-        return MotionSequence(header["fps"], arrays["poses"], skeleton, label,
+        return MotionSequence(arrays["poses"], skeleton, label,
                               header["provenance"], header["ident"])
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptFileError(f"{path}: bad motion fields ({e!r})") from e
@@ -682,13 +668,12 @@ def load_motion(path, skeleton: Skeleton) -> MotionSequence:
 
 def save_motion_csv(seq: MotionSequence, path) -> None:
     """Lossless CSV twin (shortest-roundtrip float repr)."""
-    lines = [f"# fps={seq.fps!r} skeleton={seq.skeleton.hash} "
+    lines = [f"# fps={FPS!r} skeleton={seq.skeleton.hash} "
              f"provenance={seq.provenance} ident={seq.ident}"]
     if seq.label is not None:
         g = seq.label
         gx, gy, gz = (repr(float(v)) for v in g.position)
-        lines.append(f"# goal={gx},{gy},{gz}"
-                     f" target_frame={g.target_frame} target_joint={g.target_joint}")
+        lines.append(f"# goal={gx},{gy},{gz} target_frame={g.target_frame}")
     dim = seq.poses.shape[1]
     lines.append(",".join(f"c{i}" for i in range(dim)))
     for row in seq.poses:

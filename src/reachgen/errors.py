@@ -1,5 +1,5 @@
-"""Exception types raised across the package, and the two range checks
-that settings and arguments share."""
+"""Exception types raised across the package, and the range checks that
+settings and arguments share."""
 import math
 import numbers
 
@@ -73,7 +73,20 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def check_positive(name: str, value) -> None:
     """InvalidInputError unless `value` is a finite real number above 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    if not (_finite(value) and value > 0):
         raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_range(name: str, value) -> None:
+    """InvalidInputError unless `value` is a (low, high) pair of finite real
+    numbers with low <= high."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(map(_finite, value)) and value[0] <= value[1]):
+        raise InvalidInputError(f"{name} must be two finite numbers, low <= high, "
+                                f"got {value!r}")

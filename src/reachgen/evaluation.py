@@ -7,8 +7,6 @@ contact/height gating; DTG aggregates as the mean over sequences.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,8 +15,9 @@ import numpy as np
 
 from .body import Skeleton, forward_kinematics
 from .dataset import MotionSequence, standing_pose
-from .errors import ReachGenError, check_count, check_positive
-from .intention import GoalSpec
+from .errors import (InvalidInputError, ReachGenError, _finite, check_count,
+                     check_positive, check_range)
+from .intention import TARGET_JOINT, GoalSpec
 from .model import MotionModel
 from .rollout import GoalSchedule, draw_latents, rollout_poses
 from .worker import MAX_PROCESSES, _process_count, run_jobs
@@ -28,10 +27,6 @@ from .worker import MAX_PROCESSES, _process_count, run_jobs
 # 2-core machine 64 rows ran about 8% faster a rollout than 32, but peaked
 # at 1.5x the memory and leave coarser halves to split between processes.
 ROLLOUT_ROWS = 32
-
-
-def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -46,23 +41,17 @@ class EvalConfig:
     duration: int = 240           # 8 s at 30 fps
     success_radius: float = 0.10
     skate_threshold: float = 0.0066
-    temperature: float = 1.0
 
     def __post_init__(self):
         for name in ("n_angles", "n_heights", "n_distances", "n_initial_poses",
                      "samples_per_pair", "duration"):
             check_count(name, getattr(self, name))
-        for name in ("height_range", "distance_range"):
-            value = getattr(self, name)
-            if not (isinstance(value, (tuple, list)) and len(value) == 2
-                    and all(map(_finite, value)) and value[0] <= value[1]):
-                raise ValueError(f"{name} must be two finite numbers, low <= high, "
-                                 f"got {value!r}")
+        check_range("height_range", self.height_range)
+        check_range("distance_range", self.distance_range)
         check_positive("success_radius", self.success_radius)
-        for name in ("skate_threshold", "temperature"):
-            value = getattr(self, name)
-            if not (_finite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not (_finite(self.skate_threshold) and self.skate_threshold >= 0):
+            raise InvalidInputError(f"skate_threshold must be finite and >= 0, "
+                                    f"got {self.skate_threshold!r}")
 
     @property
     def n_rollouts(self) -> int:
@@ -127,7 +116,7 @@ def distance_to_goal(seq: MotionSequence, goal: GoalSpec,
     """Closest the target joint ever gets to the goal, in meters."""
     pos = forward_kinematics(seq.poses, skeleton)
     return float(_closest_approach(pos, goal.position,
-                                   skeleton.joint_index(goal.target_joint)))
+                                   skeleton.joint_index(TARGET_JOINT)))
 
 
 def is_success(seq: MotionSequence, goal: GoalSpec, skeleton: Skeleton,
@@ -197,11 +186,9 @@ def _chunk_metrics(model: MotionModel, cfg: EvalConfig, tasks: list) -> list[Eva
     drawn as generate draws them from the row's seed key (all rows in one
     draw_latents call), and all rows scored from one FK pass."""
     latents = draw_latents([np.random.default_rng(t.seed_key) for t in tasks],
-                           cfg.duration, model.spec.latent_dim, "sample",
-                           cfg.temperature)
-    joint = tasks[0].goal.target_joint
+                           cfg.duration, model.spec.latent_dim, "sample")
     goal = GoalSpec(np.stack([t.goal.position for t in tasks]),
-                    np.array([t.goal.target_frame for t in tasks]), joint)
+                    np.array([t.goal.target_frame for t in tasks]))
     try:
         out = rollout_poses(np.stack([t.pose for t in tasks]),
                             GoalSchedule.single(goal), cfg.duration, model, latents)
@@ -212,7 +199,7 @@ def _chunk_metrics(model: MotionModel, cfg: EvalConfig, tasks: list) -> list[Eva
         return [_failed_row(t, err, f"rollout frame {frame}")
                 for t, (frame, err) in zip(tasks, out.faults)]
     pos = forward_kinematics(np.stack(out.poses, axis=1), model.skeleton)
-    dtg = _closest_approach(pos, goal.position, model.skeleton.joint_index(joint))
+    dtg = _closest_approach(pos, goal.position, model.skeleton.joint_index(TARGET_JOINT))
     fs = _skate_share(pos, cfg.skate_threshold)
     return [EvalRow(t.pose_id, *t.combo, t.sample, float(d) * 100.0,
                     bool(d <= cfg.success_radius), float(f)) if fault is None

@@ -1,9 +1,10 @@
 """Goal-derived guidance features and the per-frame condition vector.
 
 Three components steer generation toward a 3D goal: the average velocity the
-target joint needs to arrive on time, the heading difference toward the goal
-body/direction, and a saturated pelvis-to-goal xy direction. A hindsight
-pseudo-goal turns unlabeled motion into goal-conditioned training data.
+target joint (TARGET_JOINT, the right wrist, for every goal) needs to arrive
+on time, the heading difference toward the goal body/direction, and a
+saturated pelvis-to-goal xy direction. A hindsight pseudo-goal turns
+unlabeled motion into goal-conditioned training data.
 """
 from __future__ import annotations
 
@@ -19,15 +20,15 @@ from .geometry import _project_out, _safe_unit, safe_unit
 INTENTION_DIM = 7
 PELVIS_SATURATION = 2.0
 DEFAULT_HINDSIGHT_HORIZON = (15, 150)  # frames: 0.5 s to 5 s at 30 fps
+TARGET_JOINT = "right_wrist"   # the joint every goal is reached with
 
 
 @dataclass(frozen=True)
 class GoalSpec:
-    """3D goal position, the frame it should be reached, the reaching joint."""
+    """3D goal position and the frame TARGET_JOINT should reach it."""
 
     position: np.ndarray
     target_frame: int
-    target_joint: str = "right_wrist"
 
     def __post_init__(self):
         object.__setattr__(self, "position",
@@ -38,8 +39,7 @@ class GoalSpec:
     def to_dict(self) -> dict:
         """JSON-ready fields of a single goal; GoalSpec(**d) reads them back."""
         return {"position": [float(v) for v in self.position],
-                "target_frame": int(self.target_frame),
-                "target_joint": self.target_joint}
+                "target_frame": int(self.target_frame)}
 
 
 def _remaining(goal: GoalSpec, current_frame):
@@ -80,8 +80,7 @@ def _pelvis_term(direction, decay):
     return PELVIS_SATURATION * (1.0 - decay) * direction
 
 
-def compute_intention(pose, skeleton: Skeleton, goal: GoalSpec,
-                      current_frame, goal_heading=None):
+def compute_intention(pose, skeleton: Skeleton, goal: GoalSpec, current_frame):
     """(..., 7) intention of one pose: wrist 3, orientation 2, pelvis 2.
 
     All three components are rotated by -yaw of the root into the canonical
@@ -89,7 +88,7 @@ def compute_intention(pose, skeleton: Skeleton, goal: GoalSpec,
     generation, equivariant to world heading.
     """
     return assemble_condition(pose, np.zeros(ag.value(pose).shape), skeleton,
-                              goal, current_frame, goal_heading)[1]
+                              goal, current_frame)[1]
 
 
 def condition_dim(n_rotated: int) -> int:
@@ -107,7 +106,7 @@ def assemble_condition(pose, prev_delta, skeleton: Skeleton,
     xy position when the goal moves with the body.
     """
     wrist, root = joint_position_and_root(pose, skeleton,
-                                          skeleton.joint_index(goal.target_joint))
+                                          skeleton.joint_index(TARGET_JOINT))
     return _condition(pose, root, wrist, prev_delta, skeleton, goal,
                       current_frame, goal_heading)
 
@@ -196,8 +195,8 @@ def _conditioned(pd, rd, wd, dd, skeleton: Skeleton, goal: GoalSpec,
 
 def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator,
                    horizon=DEFAULT_HINDSIGHT_HORIZON):
-    """(goal, goal_heading): the right wrist's position at a random future
-    frame declared the goal, and the body heading at that frame.
+    """(goal, goal_heading): TARGET_JOINT's position at a random future frame
+    declared the goal, and the body heading at that frame.
 
     t_g is drawn uniformly from [anchor+min, min(anchor+max, last_frame)].
     Raises SkipWindow when the sequence cannot host the minimum horizon.
@@ -212,5 +211,5 @@ def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator,
     t_g = int(rng.integers(lo, hi + 1))
     skeleton = sequence.skeleton
     position, heading = joint_position_and_heading(
-        sequence.poses[t_g], skeleton, skeleton.joint_index("right_wrist"))
+        sequence.poses[t_g], skeleton, skeleton.joint_index(TARGET_JOINT))
     return GoalSpec(np.asarray(position), t_g), np.asarray(heading)

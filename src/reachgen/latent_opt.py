@@ -12,7 +12,7 @@ from . import autodiff as ag
 from .autodiff import Tape, Tensor
 from .body import joint_position
 from .errors import InvalidInputError, ModelMismatchError, check_count, check_positive
-from .intention import GoalSpec
+from .intention import TARGET_JOINT, GoalSpec
 from .model import MotionModel
 from .nn import AdamState, ParameterStore, adam_step
 from .rollout import RolloutRecord, rollout_poses, with_latents
@@ -80,8 +80,7 @@ def _objective_terms(latents: Tensor, record: RolloutRecord, goal: GoalSpec,
     out.raise_fault()
     poses = out.poses
     l_norm = 0.5 * ag.sum(latents * latents)
-    wrist_idx = skeleton.joint_index(goal.target_joint)
-    wrist = joint_position(poses[-1], skeleton, wrist_idx)
+    wrist = joint_position(poses[-1], skeleton, skeleton.joint_index(TARGET_JOINT))
     gdiff = wrist - goal.position
     l_goal = ag.sum(gdiff * gdiff)
     l_way = 0.0
@@ -150,5 +149,5 @@ def final_wrist_distance(record: RolloutRecord, goal: GoalSpec,
                          model: MotionModel) -> float:
     """Distance of the last frame's target joint to the goal."""
     wrist = np.asarray(joint_position(record.sequence.poses[-1], model.skeleton,
-                                      model.skeleton.joint_index(goal.target_joint)))
+                                      model.skeleton.joint_index(TARGET_JOINT)))
     return float(np.linalg.norm(wrist - goal.position))

@@ -12,14 +12,13 @@ import numpy as np
 from . import autodiff as ag
 from .body import Skeleton, forward_kinematics, pose_dim, skeleton_from_text
 from .container import read_container, write_container
-from .errors import (CorruptFileError, DimensionMismatchError, ModelMismatchError,
-                     check_count)
+from .errors import CorruptFileError, DimensionMismatchError, check_count
 from .intention import condition_dim
 from .nn import (GaussianParams, MlpConfig, ParameterStore, init_mlp_params,
                  mlp_forward)
 
 CHECKPOINT_MAGIC = b"RGCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -40,14 +39,13 @@ class ModelSpec:
 
     @classmethod
     def build(cls, n_rotated: int, latent_dim: int = 16, hidden_dim: int = 64,
-              n_layers: int = 4, dropout: float = 0.1,
-              layer_norm: bool = True) -> "ModelSpec":
+              n_layers: int = 4, dropout: float = 0.1) -> "ModelSpec":
         d = pose_dim(n_rotated)
         c = condition_dim(n_rotated)
         enc = MlpConfig(in_dim=d + c, out_dim=2 * latent_dim, hidden_dim=hidden_dim,
-                        n_layers=n_layers, dropout=dropout, layer_norm=layer_norm)
+                        n_layers=n_layers, dropout=dropout)
         dec = MlpConfig(in_dim=latent_dim + c, out_dim=d, hidden_dim=hidden_dim,
-                        n_layers=n_layers, dropout=dropout, layer_norm=layer_norm)
+                        n_layers=n_layers, dropout=dropout)
         return cls(latent_dim, n_rotated, enc, dec)
 
     def to_dict(self) -> dict:
@@ -144,19 +142,14 @@ def save_checkpoint(model: MotionModel, path) -> None:
     header = {
         "spec": model.spec.to_dict(),
         "skeleton_text": model.skeleton.to_text(),
-        "skeleton_hash": model.skeleton.hash,
         "meta": model.meta,
     }
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays)
 
 
-def load_checkpoint(path, expected_skeleton_hash: str | None = None) -> MotionModel:
+def load_checkpoint(path) -> MotionModel:
     """The model a checkpoint holds. Validates magic, version, size."""
     header, values = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    if expected_skeleton_hash is not None and header.get("skeleton_hash") != expected_skeleton_hash:
-        raise ModelMismatchError(
-            f"{path}: checkpoint skeleton {str(header.get('skeleton_hash'))[:12]} "
-            f"does not match expected {expected_skeleton_hash[:12]}")
     try:
         skeleton = skeleton_from_text(header["skeleton_text"])
         spec = ModelSpec.from_dict(header["spec"])

@@ -1,4 +1,4 @@
-"""MLP with relu/dropout/layer-norm, Adam with linear lr decay, Gaussian
+"""MLP with layer-norm/relu/dropout, Adam with linear lr decay, Gaussian
 reparameterization and closed-form KL. 64-bit floats throughout so
 finite-difference gradient checks have headroom.
 """
@@ -70,7 +70,6 @@ class MlpConfig:
     hidden_dim: int = 64
     n_layers: int = 4            # number of affine layers
     dropout: float = 0.1
-    layer_norm: bool = True
 
     def __post_init__(self):
         check_count("hidden_dim", self.hidden_dim)
@@ -85,15 +84,16 @@ class MlpConfig:
 
 def init_mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str,
                     rng: np.random.Generator) -> None:
-    """He init for hidden layers; the output layer starts 10x smaller so
-    initial predictions sit near zero (regression targets are small)."""
+    """He init for hidden layers, each followed by a unit-gain layer norm;
+    the output layer starts 10x smaller so initial predictions sit near zero
+    (regression targets are small)."""
     dims = cfg.layer_dims()
     for i, (d_in, d_out) in enumerate(dims):
         last = i == len(dims) - 1
         scale = 0.1 * np.sqrt(1.0 / d_in) if last else np.sqrt(2.0 / d_in)
         store.add(f"{prefix}.w{i}", rng.normal(scale=scale, size=(d_in, d_out)))
         store.add(f"{prefix}.b{i}", np.zeros(d_out))
-        if cfg.layer_norm and not last:
+        if not last:
             store.add(f"{prefix}.ln_g{i}", np.ones(d_out))
             store.add(f"{prefix}.ln_b{i}", np.zeros(d_out))
 
@@ -130,7 +130,7 @@ def mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str) -> list:
     params = []
     for i in range(cfg.n_layers):
         params += (store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
-        if cfg.layer_norm and i < cfg.n_layers - 1:
+        if i < cfg.n_layers - 1:
             params += (store[f"{prefix}.ln_g{i}"], store[f"{prefix}.ln_b{i}"])
     return params
 
@@ -174,9 +174,8 @@ def _mlp(cfg: MlpConfig, params: list, xd, wants_input_grad: bool,
                 h = h @ w + b
             pre = xhat = std = mask = None
             if i < n - 1:
-                if cfg.layer_norm:
-                    h, xhat, std = _layer_norm(h, params[k].data, params[k + 1].data)
-                    k += 2
+                h, xhat, std = _layer_norm(h, params[k].data, params[k + 1].data)
+                k += 2
                 pre = h
                 h = np.maximum(pre, 0.0)
                 if dropout_rng is not None:
@@ -199,12 +198,11 @@ def _mlp(cfg: MlpConfig, params: list, xd, wants_input_grad: bool,
                 if mask is not None:
                     g = g * mask
                 g = g * (pre > 0.0)
-                if xhat is not None:
-                    k -= 2
-                    if wants_param_grads:
-                        lead = tuple(range(g.ndim - 1))
-                        grads += (g.sum(axis=lead), (g * xhat).sum(axis=lead))
-                    g = _layer_norm_vjp(g, xhat, std, params[k].data)
+                k -= 2
+                if wants_param_grads:
+                    lead = tuple(range(g.ndim - 1))
+                    grads += (g.sum(axis=lead), (g * xhat).sum(axis=lead))
+                g = _layer_norm_vjp(g, xhat, std, params[k].data)
             k -= 2
             if wants_param_grads:
                 g2 = g.reshape(-1, g.shape[-1])

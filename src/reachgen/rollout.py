@@ -1,7 +1,8 @@
 """Closed-loop autoregressive generation: recompute intention against the
 active goal each frame, decode a delta, integrate, repeat. Training's
-scheduled rollout steps run the same frame. A record keeps its latents and
-schedule in memory to replay bit-exactly or refine them.
+scheduled rollout steps run the same frame. Latents are unit normals,
+drawn per frame, and generated motion runs at dataset.FPS. A record keeps
+its latents and schedule in memory to replay bit-exactly or refine them.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .dataset import MotionSequence
 from .errors import (DegenerateRotationError, InvalidInputError,
                      ModelMismatchError, NumericFault, check_positive)
 from .geometry import degenerate_sixd
-from .intention import INTENTION_DIM, GoalSpec, _conditioned
+from .intention import INTENTION_DIM, TARGET_JOINT, GoalSpec, _conditioned
 from .model import MotionModel
 from .nn import _mlp, mlp_params
 
@@ -39,8 +40,6 @@ class GoalSchedule:
 
     on_frame: advance once the clock passes the active goal's target frame.
     on_reach: advance once the wrist comes within `radius` of the active goal.
-    The goals share one target joint, which each frame reads once for the
-    switch test and the condition.
     """
 
     goals: tuple[GoalSpec, ...]
@@ -53,8 +52,6 @@ class GoalSchedule:
         if self.policy not in ("on_frame", "on_reach"):
             raise InvalidInputError(f"unknown switch policy {self.policy!r}")
         check_positive("radius", self.radius)
-        if len({g.target_joint for g in self.goals}) > 1:
-            raise InvalidInputError("a schedule's goals need one target joint")
         frames = [np.asarray(g.target_frame) for g in self.goals]
         if any(np.any(b <= a) for a, b in zip(frames, frames[1:])):
             raise InvalidInputError("goal target frames must be strictly increasing")
@@ -127,8 +124,7 @@ class _GoalRows:
         if (active == first).all():
             return self.schedule.goals[first]
         at = (active,) + self.rows
-        return GoalSpec(self.positions[at], self.frames[at],
-                        self.schedule.goals[0].target_joint)
+        return GoalSpec(self.positions[at], self.frames[at])
 
     def advance(self, active, wrist, current_frame: int):
         """Per-row active goal indices after the switch policy's test;
@@ -216,7 +212,7 @@ class _FrameGrads:
         return vjp
 
 
-def rollout_poses(initial_pose, schedule_or_goal, duration: int,
+def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
                   model: MotionModel, latents, prev_delta=None, goal_heading=None,
                   dropout: tuple[int, tuple[int, int]] | None = None) -> Rollout:
     """The closed-loop rollout of B rows, shared by generation, replay,
@@ -249,10 +245,6 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
     it, so the check costs nothing while no row faults; the last frame's
     poses are checked after the loop.
     """
-    if isinstance(schedule_or_goal, GoalSpec):
-        schedule = GoalSchedule.single(schedule_or_goal)
-    else:
-        schedule = schedule_or_goal
     skeleton = model.skeleton
     decoder = model.spec.decoder
     params = mlp_params(decoder, model.params, "dec")
@@ -288,7 +280,7 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
         out.poses[-1] = cur
         return False
 
-    joint = skeleton.joint_index(schedule.goals[0].target_joint)
+    joint = skeleton.joint_index(TARGET_JOINT)
 
     for i in range(1, duration + 1):
         current_frame = i - 1
@@ -339,9 +331,8 @@ def rollout_poses(initial_pose, schedule_or_goal, duration: int,
     return out
 
 
-def _generated_sequence(poses, fps: float, model: MotionModel,
-                        ident: str) -> MotionSequence:
-    return MotionSequence(fps, np.stack(poses), model.skeleton, None, "generated", ident)
+def _generated_sequence(poses, model: MotionModel, ident: str) -> MotionSequence:
+    return MotionSequence(np.stack(poses), model.skeleton, None, "generated", ident)
 
 
 def seed_words(seeds) -> np.ndarray:
@@ -404,13 +395,13 @@ class _HashedSeed(ISeedSequence):
 
 
 def draw_latents(rngs: list[Generator], duration: int, latent_dim: int,
-                 mode: str = "sample", temperature: float = 1.0) -> np.ndarray:
+                 mode: str = "sample") -> np.ndarray:
     """Latents (len(rngs), duration, latent_dim), one row per generator;
     zeros in "mean" mode.
 
     In "sample" mode each row draws one u63 seed per frame from its
-    generator, and frame t's latent is `temperature` times latent_dim
-    normals from `default_rng(seed_t)`. All frames of all rows are hashed
+    generator, and frame t's latent is latent_dim normals from
+    `default_rng(seed_t)`. All frames of all rows are hashed
     in one `seed_words` pass, and each frame's PCG64 is seeded from its
     words, so no SeedSequence is built.
     """
@@ -424,23 +415,20 @@ def draw_latents(rngs: list[Generator], duration: int, latent_dim: int,
     for words, row in zip(seed_words(seeds).reshape(-1, 4),
                           latents.reshape(-1, latent_dim)):
         Generator(PCG64(_HashedSeed(words))).standard_normal(out=row)
-    latents *= temperature
     return latents
 
 
 def generate(initial_pose, schedule: GoalSchedule, duration: int,
              model: MotionModel, rng: np.random.Generator,
-             mode: str = "sample", temperature: float = 1.0,
-             fps: float = 30.0, ident: str = "rollout") -> RolloutRecord:
+             mode: str = "sample", ident: str = "rollout") -> RolloutRecord:
     """Generate `duration` new frames from the initial pose."""
     if duration < 1:
         raise InvalidInputError("duration must be >= 1")
-    latents = draw_latents([rng], duration, model.spec.latent_dim,
-                           mode, temperature)[0]
+    latents = draw_latents([rng], duration, model.spec.latent_dim, mode)[0]
     out = rollout_poses(initial_pose, schedule, duration, model, latents)
     out.raise_fault()
     return RolloutRecord(
-        sequence=_generated_sequence(out.poses, fps, model, ident),
+        sequence=_generated_sequence(out.poses, model, ident),
         latents=latents, intentions=np.stack(out.intentions),
         goal_indices=np.array(out.goal_indices),
         schedule=schedule, model_hash=model.hash())
@@ -459,8 +447,7 @@ def with_latents(record: RolloutRecord, latents: np.ndarray,
     out = rollout_poses(record.sequence.poses[0], record.schedule,
                         record.duration, model, latents)
     out.raise_fault()
-    seq = _generated_sequence(out.poses, record.sequence.fps, model,
-                              record.sequence.ident)
+    seq = _generated_sequence(out.poses, model, record.sequence.ident)
     return replace(record, sequence=seq, latents=np.asarray(latents),
                    intentions=np.stack(out.intentions),
                    goal_indices=np.array(out.goal_indices))

@@ -1,7 +1,8 @@
 """Training loop: per-frame auto-encoding of deltas with goal-conditioned
 conditions, plus a scheduled-rollout curriculum that feeds the model's own
 integrated predictions back in for up to s steps per window, through the
-closed-loop frame generation runs.
+closed-loop frame generation runs. The corpus runs at dataset.FPS and its
+goals, stored or hindsight, are TARGET_JOINT goals, as generation's are.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .intention import (DEFAULT_HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
                         condition_dim)
 from .model import MotionModel, compute_loss, decode, encode, fresh_model
 from .nn import AdamState, adam_step, kl_divergence, reparameterize
-from .rollout import rollout_poses
+from .rollout import GoalSchedule, rollout_poses
 from .worker import run_jobs
 
 # Row shards of every training batch, cut from the batch size alone. Each
@@ -55,7 +56,9 @@ class TrainConfig:
             check_count(name, getattr(self, name))
         check_count("s_max", self.s_max, 0)
         min_h, max_h = self.hindsight_horizon
-        if not 0 <= min_h <= max_h:
+        check_count("hindsight_horizon min", min_h, 0)
+        check_count("hindsight_horizon max", max_h, 0)
+        if min_h > max_h:
             raise ValueError("hindsight_horizon must satisfy 0 <= min <= max")
 
 
@@ -86,7 +89,7 @@ class WindowSet:
     Window i holds W + 1 poses, a context frame then W frames; poses[i, 1]
     is frame start_frame[i] of its source. Entry j of deltas, conditions and
     targets belongs to the step poses[i, j] -> poses[i, j + 1]. Every goal
-    is a right-wrist goal.
+    is a TARGET_JOINT goal.
     """
 
     poses: np.ndarray          # (N, W + 1, pose_dim)
@@ -196,8 +199,8 @@ def _batch_loss(windows: WindowSet, model: MotionModel,
         goal = GoalSpec(windows.goal_position,
                         windows.goal_frame - (windows.start_frame - 1 + start))
         latents = noise_rng.standard_normal((s_eff, n, spec.latent_dim))[:, lo:lo + b]
-        out = rollout_poses(windows.poses[:, start], goal, s_eff, model,
-                            latents.swapaxes(0, 1), windows.deltas[:, start - 1],
+        out = rollout_poses(windows.poses[:, start], GoalSchedule.single(goal), s_eff,
+                            model, latents.swapaxes(0, 1), windows.deltas[:, start - 1],
                             windows.goal_heading, (dropout_seed + 100 + start, (lo, n)))
         out.raise_fault()
         # step-major rows, as the rollout's poses are joined

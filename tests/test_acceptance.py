@@ -230,7 +230,7 @@ def test_criterion_6_benchmark_protocol_fidelity():
     def sequence_from_translations(skel, offsets):
         poses = np.tile(rest_pose(skel), (len(offsets), 1))
         poses[:, :3] += np.asarray(offsets)
-        return ds.MotionSequence(30.0, poses, skel, None, "locomotion", "hand")
+        return ds.MotionSequence(poses, skel, None, "locomotion", "hand")
 
     wrist0 = np.asarray(joint_position(rest_pose(SKEL), SKEL,
                                        SKEL.joint_index("right_wrist")))

@@ -359,7 +359,7 @@ def check_collapsed_rotation_faults_its_row(skel, monkeypatch, name):
 
     calls.clear()
     start = np.stack([standing_pose(skel)] * 2)
-    out = rollout.rollout_poses(start, goal, 8, model,
+    out = rollout.rollout_poses(start, rollout.GoalSchedule.single(goal), 8, model,
                                 np.random.default_rng(1).normal(size=(2, 8, 4)))
     frame, err = out.faults[0]
     assert (frame, type(err)) == (4, DegenerateRotationError)

@@ -18,15 +18,17 @@ CLI = [sys.executable, "-m", "reachgen.cli"]
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, env_extra=None, cwd=None, preexec_fn=None):
+def cli_env(env_extra=None):
     env = os.environ.copy()
-    env.pop("REACHGEN_SEED", None)
     # the checkout's package, also when it is not installed
     env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
-    if env_extra:
-        env.update(env_extra)
+    env.update(env_extra or {})
+    return env
+
+
+def run_cli(*args, env_extra=None, cwd=None, preexec_fn=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=env, cwd=cwd, preexec_fn=preexec_fn)
+                          env=cli_env(env_extra), cwd=cwd, preexec_fn=preexec_fn)
 
 
 @pytest.fixture(scope="module")
@@ -190,22 +192,32 @@ def test_unreadable_input_file_error_codes(tmp_path, capsys, argv, code):
     assert f"error code={code} " in capsys.readouterr().err
 
 
-def test_env_seed_override(tmp_path, tiny_config):
-    out = str(tmp_path / "env")
-    r = run_cli("gen-data", "--config", tiny_config, "--out", out,
-                env_extra={"REACHGEN_SEED": "77"})
-    assert r.returncode == 0, r.stderr
-    resolved = json.loads(open(os.path.join(out, "resolved_config.json")).read())
-    assert resolved["resolved"]["seed"] == 77
-
-
 def test_flag_beats_env(tmp_path, tiny_config):
-    out = str(tmp_path / "flag")
-    r = run_cli("gen-data", "--config", tiny_config, "--seed", "5", "--out", out,
-                env_extra={"REACHGEN_SEED": "77"})
-    assert r.returncode == 0, r.stderr
-    resolved = json.loads(open(os.path.join(out, "resolved_config.json")).read())
-    assert resolved["resolved"]["seed"] == 5
+    # settings come from the preset, the config file and the flags alone:
+    # variables named like the retired REACHGEN_* layer change nothing
+    env = {"REACHGEN_SEED": "77", "REACHGEN_PRESET": "paper",
+           "REACHGEN_CONFIG": str(tmp_path / "nope.json")}
+    for flags, seed in ((("--seed", "5"), 5), ((), 0)):
+        out = str(tmp_path / f"flag{seed}")
+        r = run_cli("gen-data", "--config", tiny_config, *flags, "--out", out,
+                    env_extra=env)
+        assert r.returncode == 0, r.stderr
+        with open(os.path.join(out, "resolved_config.json")) as f:
+            resolved = json.load(f)["resolved"]
+        assert (resolved["seed"], resolved["preset"]) == (seed, "desk")
+
+
+def test_inspect_into_a_closed_pipe_is_quiet(data_dir):
+    # `reachgen inspect x.mot | head -1`: the reader leaves before the output
+    # is written, and the command exits 1 without a traceback
+    manifest = json.loads(open(os.path.join(data_dir, "manifest.json")).read())
+    motion = os.path.join(data_dir, "motions", f"{manifest['sequences'][0]['ident']}.mot")
+    proc = subprocess.Popen(CLI + ["inspect", motion], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=cli_env())
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_unknown_flag_usage_error():
@@ -302,57 +314,59 @@ def test_inspect_takes_one_goal(data_dir):
     assert r.stdout == ""
 
 
-@pytest.mark.parametrize("command,settings,env,manifest,code", [
-    ("gen-data", {"data": {"n_reaching": -1}}, {}, None, "InvalidInputError"),
-    ("gen-data", {"data": {"bogus": 1}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"bogus": 1}}, {}, None, "InvalidInputError"),
-    ("train", {"model": {"bogus": 1}}, {}, None, "InvalidInputError"),
-    ("evaluate", {"eval": {"bogus": 1}}, {}, None, "InvalidInputError"),
-    ("gen-data", {}, {"REACHGEN_SEED": "abc"}, None, "InvalidInputError"),
-    ("train", {}, {}, "not json", "CorruptFileError"),
-    ("train", {}, {}, "{}", "CorruptFileError"),
-    ("gen-data", {"seed": "x"}, {}, None, "InvalidInputError"),
-    ("gen-data", {"seed": True}, {}, None, "InvalidInputError"),
-    ("generate", {"seed": "x"}, {}, None, "InvalidInputError"),
-    ("evaluate", {"seed": "x"}, {}, None, "InvalidInputError"),
-    ("train", {"seed": "x"}, {}, None, "InvalidInputError"),
-    ("evaluate", {"workers": "x"}, {}, None, "InvalidInputError"),
-    ("evaluate", {"workers": False}, {}, None, "InvalidInputError"),
-    ("evaluate", {"eval": 5}, {}, None, "InvalidInputError"),
-    ("train", {"train": 5}, {}, None, "InvalidInputError"),
-    ("gen-data", {"data": [1]}, {}, None, "InvalidInputError"),
-    ("gen-data", [1], {}, None, "InvalidInputError"),
-    ("train --epochs 0", {}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"batch_size": 0}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"window_len": 0}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"window_len": 5000}}, {}, None, "CorpusTooSmallError"),
-    ("train", {"train": {"windows_per_sequence": 0}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"hindsight_horizon": [150, 15]}}, {}, None,
+@pytest.mark.parametrize("command,settings,manifest,code", [
+    ("gen-data", {"data": {"n_reaching": -1}}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"bogus": 1}}, None, "InvalidInputError"),
+    ("train", {"train": {"bogus": 1}}, None, "InvalidInputError"),
+    ("train", {"model": {"bogus": 1}}, None, "InvalidInputError"),
+    ("evaluate", {"eval": {"bogus": 1}}, None, "InvalidInputError"),
+    ("train", {}, "not json", "CorruptFileError"),
+    ("train", {}, "{}", "CorruptFileError"),
+    ("gen-data", {"seed": "x"}, None, "InvalidInputError"),
+    ("gen-data", {"seed": True}, None, "InvalidInputError"),
+    ("generate", {"seed": "x"}, None, "InvalidInputError"),
+    ("evaluate", {"seed": "x"}, None, "InvalidInputError"),
+    ("train", {"seed": "x"}, None, "InvalidInputError"),
+    ("evaluate", {"workers": "x"}, None, "InvalidInputError"),
+    ("evaluate", {"workers": False}, None, "InvalidInputError"),
+    ("evaluate", {"eval": 5}, None, "InvalidInputError"),
+    ("train", {"train": 5}, None, "InvalidInputError"),
+    ("gen-data", {"data": [1]}, None, "InvalidInputError"),
+    ("gen-data", [1], None, "InvalidInputError"),
+    ("train --epochs 0", {}, None, "InvalidInputError"),
+    ("train", {"train": {"batch_size": 0}}, None, "InvalidInputError"),
+    ("train", {"train": {"window_len": 0}}, None, "InvalidInputError"),
+    ("train", {"train": {"window_len": 5000}}, None, "CorpusTooSmallError"),
+    ("train", {"train": {"windows_per_sequence": 0}}, None, "InvalidInputError"),
+    ("train", {"train": {"hindsight_horizon": [150, 15]}}, None, "InvalidInputError"),
+    ("gen-data", {"sed": 3}, None, "InvalidInputError"),
+    ("gen-data", {"workers": 2}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"turn_rate_range": [0.5, -0.5]}}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"fps": 0}}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"fps": -30}}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"reach_radius_range": [0.15, 0.46]}}, None,
      "InvalidInputError"),
-    ("gen-data", {"sed": 3}, {}, None, "InvalidInputError"),
-    ("gen-data", {"workers": 2}, {}, None, "InvalidInputError"),
-    ("gen-data", {"data": {"turn_rate_range": [0.5, -0.5]}}, {}, None,
+    ("evaluate", {"eval": {"temperature": "x"}}, None, "InvalidInputError"),
+    ("evaluate", {"eval": {"height_range": [1.0]}}, None, "InvalidInputError"),
+    ("train", {"train": {"batch_size": 32.5}}, None, "InvalidInputError"),
+    ("train", {"train": {"s_max": 2.5}}, None, "InvalidInputError"),
+    ("train", {"train": {"lr_base": "abc"}}, None, "InvalidInputError"),
+    ("train", {"train": {"lr_final": -1}}, None, "InvalidInputError"),
+    ("train", {"train": {"alpha": float("nan")}}, None, "InvalidInputError"),
+    ("train", {"train": {"kl_direction": "as_written"}}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"n_locomotion": 8.5}}, None, "InvalidInputError"),
+    ("train", {"model": {"latent_dim": 0}}, None, "InvalidInputError"),
+    ("train", {"model": {"hidden_dim": 0}}, None, "InvalidInputError"),
+    ("gen-data --seed -1", {}, None, "InvalidInputError"),
+    ("generate --seed -1", {}, None, "InvalidInputError"),
+    ("train", {"seed": -1}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"speed_range": [float("nan"), 1.0]}}, None,
      "InvalidInputError"),
-    ("gen-data", {"data": {"fps": 0}}, {}, None, "InvalidInputError"),
-    ("gen-data", {"data": {"fps": -30}}, {}, None, "InvalidInputError"),
-    ("gen-data", {"data": {"reach_radius_range": [0.15, 0.46]}}, {}, None,
-     "InvalidInputError"),
-    ("evaluate", {"eval": {"temperature": "x"}}, {}, None, "InvalidInputError"),
-    ("evaluate", {"eval": {"height_range": [1.0]}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"batch_size": 32.5}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"s_max": 2.5}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"lr_base": "abc"}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"lr_final": -1}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"alpha": float("nan")}}, {}, None, "InvalidInputError"),
-    ("train", {"train": {"kl_direction": "as_written"}}, {}, None, "InvalidInputError"),
-    ("gen-data", {"data": {"n_locomotion": 8.5}}, {}, None, "InvalidInputError"),
-    ("train", {"model": {"latent_dim": 0}}, {}, None, "InvalidInputError"),
-    ("train", {"model": {"hidden_dim": 0}}, {}, None, "InvalidInputError"),
-    ("gen-data --seed -1", {}, {}, None, "InvalidInputError"),
-    ("generate --seed -1", {}, {}, None, "InvalidInputError"),
-    ("train", {"seed": -1}, {}, None, "InvalidInputError"),
+    ("train", {"train": {"hindsight_horizon": [15.5, 150]}}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"fps": 30.0}}, None, "InvalidInputError"),
+    ("evaluate", {"eval": {"temperature": 1.0}}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
-        "env-seed", "manifest-not-json", "manifest-no-sequences",
+        "manifest-not-json", "manifest-no-sequences",
         "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
         "workers-str", "workers-bool", "eval-not-object", "train-not-object",
         "data-not-object", "config-not-object", "epochs-zero", "batch-size-zero",
@@ -362,9 +376,10 @@ def test_inspect_takes_one_goal(data_dir):
         "eval-temperature-str", "eval-height-range-one", "batch-size-float",
         "s-max-float", "lr-base-str", "lr-final-negative", "alpha-nan",
         "kl-direction-retired", "count-float", "latent-dim-zero", "hidden-dim-zero",
-        "gen-data-seed-negative", "generate-seed-negative", "train-seed-negative"])
+        "gen-data-seed-negative", "generate-seed-negative", "train-seed-negative",
+        "speed-range-nan", "horizon-float", "fps-retired", "eval-temperature-retired"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
-                                              settings, env, manifest, code):
+                                              settings, manifest, code):
     config = tmp_path / "settings.json"
     config.write_text(json.dumps(settings))
     command, *flags = command.split()
@@ -377,8 +392,7 @@ def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, co
         inputs = ("--data", str(tmp_path))
     out = tmp_path / "out"
     # a repeated flag's last value wins
-    r = run_cli(command, *inputs, *flags, "--config", str(config), "--out", str(out),
-                env_extra=env)
+    r = run_cli(command, *inputs, *flags, "--config", str(config), "--out", str(out))
     assert r.returncode == 1, r.stderr
     assert r.stderr.startswith(f"error code={code}"), r.stderr
     if isinstance(settings, dict):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -74,3 +75,36 @@ def test_reader_rejects_bad_structure(tmp_path, header, payload):
     craft(tmp_path / "bad", header, payload)
     with pytest.raises(CorruptFileError):
         read_container(tmp_path / "bad", b"TEST", 1)
+
+
+def raw_header(path) -> dict:
+    """The JSON header exactly as a file holds it, `arrays` manifest included."""
+    raw = path.read_bytes()
+    return json.loads(raw[PREFIX_BYTES:PREFIX_BYTES
+                          + int.from_bytes(raw[6:PREFIX_BYTES], "little")])
+
+
+def test_file_contracts(tmp_path, files):
+    """A .mot v3 header holds no frame rate and its label no joint; a .ckpt
+    v4 header holds no skeleton hash and its MLP spec no layer-norm switch.
+    A file written at the version before is not read."""
+    d, loaders = files
+    seq = ds.load_motion(d / "m.mot", desk_skeleton())
+    seq = dataclasses.replace(seq, label=GoalSpec(np.array([0.5, 0.5, 1.0]), 2))
+    ds.save_motion(seq, tmp_path / "l.mot")
+    header = raw_header(tmp_path / "l.mot")
+    assert set(header) == {"arrays", "ident", "label", "provenance", "skeleton_hash"}
+    assert set(header["label"]) == {"position", "target_frame"}
+    header = raw_header(d / "m.ckpt")
+    assert set(header) == {"arrays", "meta", "skeleton_text", "spec"}
+    for mlp in ("encoder", "decoder"):
+        assert set(header["spec"][mlp]) == {"in_dim", "out_dim", "hidden_dim",
+                                            "n_layers", "dropout"}
+    for path, magic, version, load in (
+            (tmp_path / "l.mot", ds.MOTION_MAGIC, 3, loaders["m.mot"]),
+            (d / "m.ckpt", md.CHECKPOINT_MAGIC, 4, loaders["m.ckpt"])):
+        old = tmp_path / f"old{path.suffix}"
+        write_container(old, magic, version - 1, *read_container(path, magic, version))
+        with pytest.raises(VersionMismatchError,
+                           match=f"format version {version - 1}, expected {version}"):
+            load(old)

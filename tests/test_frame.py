@@ -19,7 +19,7 @@ from reachgen.body import (desk_skeleton, integrate_delta, joint_position,
 from reachgen.dataset import standing_pose
 from reachgen.errors import DegenerateRotationError
 from reachgen.geometry import degenerate_sixd
-from reachgen.intention import GoalSpec, assemble_condition
+from reachgen.intention import TARGET_JOINT, GoalSpec, assemble_condition
 from reachgen.model import decode, fresh_model
 
 DURATION = 20
@@ -42,7 +42,7 @@ def reference_rollout(initial_pose, schedule, duration, model, latents, decoder=
     active = np.zeros(lead, dtype=np.int64)
     frozen = np.zeros(lead, dtype=bool)
     out = ro.Rollout([cur], [], [], [None] * frozen.size)
-    joint = skeleton.joint_index(schedule.goals[0].target_joint)
+    joint = skeleton.joint_index(TARGET_JOINT)
 
     def hold(bad, frame, error):
         for r in np.flatnonzero(bad & ~frozen):

@@ -1,7 +1,8 @@
 """Every name a module in src/reachgen imports is used in that module, every
-import sits at module level, and every function, method and nested function
-of the package is referred to from src/ or demos/ outside its own body,
-apart from a short allow-list with a reason for each."""
+import sits at module level, every function, method and nested function
+of the package is referred to from src/ or demos/ outside its own body, and
+every parameter with a default is set by some call in src/, demos/ or
+perfbench/, apart from short allow-lists with a reason for each."""
 import ast
 import functools
 import pathlib
@@ -134,3 +135,106 @@ def test_every_dataset_helper_is_used():
     unused = sorted(f.name for f in helpers
                     if package[f.name] == _references(f)[f.name])
     assert not unused, f"dataset.py defines helpers nothing uses: {unused}"
+
+
+# Defaulted parameters no call in src/, demos/ or perfbench/ sets, each kept
+# for a named reader.
+UNSET_DEFAULTS = {
+    "nn.kl_divergence.direction": "acceptance criterion 1",
+    "rollout._HashedSeed.generate_state.dtype": "NumPy's protocol",
+}
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def _defaulted(fn, method: bool):
+    """(name, positional index or None) of every parameter of `fn` with a
+    default; the index counts from the caller's first argument."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    shift = int(method and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in fn.decorator_list))
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _module_names(tree, module: str):
+    """What each name bound at the top of a module refers to: a package
+    module ("mod"), or a function or class ("mod.name"), through `import ...
+    as` aliases."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = f"{module}.{node.name}"
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = (node.module or "").removeprefix("reachgen").lstrip(".")
+            for a in node.names:
+                names[a.asname or a.name] = f"{source}.{a.name}" if source else a.name
+    return names
+
+
+def _calls():
+    """(target, call) of every call in src/, demos/ and perfbench/; the
+    target is "mod.name" for a package function or class, else the bare
+    attribute name of a method call."""
+    for path in [*SRC.glob("*.py"), *DEMOS.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        module = path.stem if path.parent == SRC else ""
+        tree = ast.parse(path.read_text())
+        names = _module_names(tree, module)
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            func = call.func
+            if isinstance(func, ast.Name):
+                yield names.get(func.id, f"{module}.{func.id}"), call
+            elif isinstance(func, ast.Attribute):
+                owner = isinstance(func.value, ast.Name) and names.get(func.value.id)
+                yield (f"{owner}.{func.attr}" if owner else func.attr), call
+
+
+def _sets(call, name: str, index) -> bool:
+    """True when `call` passes the parameter by keyword or position, or may
+    through a * or ** splat."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == index:
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_is_set():
+    # a default no caller overrides is a constant in disguise: each one is
+    # a setting the package cannot be shown to use
+    calls = {}
+    for target, call in _calls():
+        calls.setdefault(target, []).append(call)
+    unset = set()
+
+    def check(qualified, fn, method, targets):
+        found = [c for t in targets for c in calls.get(t, [])]
+        return {f"{qualified}.{p}" for p, i in _defaulted(fn, method)
+                if not any(_sets(c, p, i) for c in found)}
+
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for name, fn in _functions(tree):
+            # a method is matched by name on any object; a nested function
+            # by its bare name in its module
+            qualified = f"{path.stem}.{name}"
+            owner, _, short = qualified.rpartition(".")
+            method = owner.rpartition(".")[2] in {c.name for c in classes}
+            unset |= check(qualified, fn, method,
+                           [qualified, short if method else f"{path.stem}.{short}"])
+        for cls in classes:    # an __init__ is matched against calls of its class
+            for init in (f for f in cls.body if isinstance(f, ast.FunctionDef)
+                         and f.name == "__init__"):
+                qualified = f"{path.stem}.{cls.name}"
+                unset |= check(f"{qualified}.__init__", init, True, [qualified])
+    uncalled = {p for p in unset if p.rpartition(".")[0] in UNCALLED}
+    stray = sorted(unset - uncalled - set(UNSET_DEFAULTS))
+    assert not stray, f"defaulted parameters no call sets: {stray}"
+    assert set(UNSET_DEFAULTS) - unset == set(), "allow-listed parameters are now set"

@@ -72,8 +72,11 @@ def test_pelvis_intention_strictly_increasing_in_distance():
 
 
 def orientation_intention(pose, goal, skel, goal_heading=None):
-    """The orientation columns of compute_intention, in the canonical frame."""
-    return it.compute_intention(pose, skel, goal, 0, goal_heading)[3:5]
+    """The orientation columns of the intention at frame 0, in the canonical
+    frame."""
+    _, intent = it.assemble_condition(pose, np.zeros(pose.shape), skel, goal, 0,
+                                      goal_heading)
+    return intent[3:5]
 
 
 def test_orientation_intention_goal_ahead_is_zero(skel):
@@ -184,7 +187,7 @@ def ref_condition(pose, prev_delta, skel, goal, current_frame, goal_heading=None
     """The elementary-op composition `assemble_condition` replaced, as the
     numpy calls those ops ran without a tape, in the same order."""
     wrist, heading = body.joint_position_and_heading(
-        pose, skel, skel.joint_index(goal.target_joint))
+        pose, skel, skel.joint_index(it.TARGET_JOINT))
     to_goal = goal.position[..., 0:2] - pose[..., 0:2]
     direction = geo.safe_unit(to_goal)
     neg_yaw = -np.arctan2(pose[..., 4], pose[..., 3])

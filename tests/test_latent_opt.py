@@ -137,7 +137,7 @@ def test_refinement_rolls_out_the_records_own_schedule(model, skel):
     _, report = lo.optimize_latents(record, goal, lo.OptObjective(), model,
                                     steps=1, lr=1e-12)
     wrist = joint_position(record.sequence.poses[-1], skel,
-                           skel.joint_index(goal.target_joint))
+                           skel.joint_index("right_wrist"))
     gap = wrist - goal.position
     assert report.l_goal[0] == np.sum(gap * gap)
 

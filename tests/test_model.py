@@ -11,8 +11,7 @@ from reachgen.autodiff import Tape
 from reachgen.body import (FK_ROWS, desk_skeleton, forward_kinematics,
                            integrate_delta, pose_delta, pose_dim, rest_pose)
 from reachgen.container import read_container, write_container
-from reachgen.errors import (CorruptFileError, ModelMismatchError, SkipWindow,
-                             VersionMismatchError)
+from reachgen.errors import CorruptFileError, SkipWindow, VersionMismatchError
 from reachgen.intention import assemble_condition
 from reachgen.nn import AdamState, adam_step
 
@@ -289,33 +288,23 @@ def test_checkpoint_bytes_stable(tmp_path, skel):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_checkpoint_rejects_wrong_skeleton_hash(tmp_path, skel):
-    model = md.fresh_model(skel, seed=4)
-    path = tmp_path / "m.ckpt"
-    md.save_checkpoint(model, path)
-    with pytest.raises(ModelMismatchError):
-        md.load_checkpoint(path, expected_skeleton_hash="0" * 64)
-    loaded = md.load_checkpoint(path, expected_skeleton_hash=skel.hash)
-    assert loaded.spec == model.spec
-
-
 def test_checkpoint_holds_the_model_only(tmp_path, skel):
-    """A version-3 checkpoint's arrays are the parameters, in store order,
+    """A version-4 checkpoint's arrays are the parameters, in store order,
     and its header has no optimizer state; a version-2 file, which carried
     the Adam moments, is not read."""
     model = md.fresh_model(skel, seed=4)
     model.meta = {"train": {"epochs": 3}}
     path = tmp_path / "m.ckpt"
     md.save_checkpoint(model, path)
-    header, arrays = read_container(path, md.CHECKPOINT_MAGIC, 3)
+    header, arrays = read_container(path, md.CHECKPOINT_MAGIC, 4)
     assert list(arrays) == model.params.names()
-    assert set(header) == {"meta", "skeleton_hash", "skeleton_text", "spec"}
+    assert set(header) == {"meta", "skeleton_text", "spec"}
     assert header["meta"] == model.meta
     v2 = tmp_path / "v2.ckpt"
     write_container(v2, md.CHECKPOINT_MAGIC, 2,
                     {**header, "adam": {"step": 1}, "train_meta": {"epochs": 3}},
                     arrays)
-    with pytest.raises(VersionMismatchError, match="format version 2, expected 3"):
+    with pytest.raises(VersionMismatchError, match="format version 2, expected 4"):
         md.load_checkpoint(v2)
 
 

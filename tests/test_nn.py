@@ -14,16 +14,18 @@ def make_mlp(cfg, seed=0):
 
 
 def test_one_layer_identity_relu_shape():
-    # final layer is affine only, so use a 2-layer net to exercise relu
-    cfg = nn.MlpConfig(in_dim=2, out_dim=2, hidden_dim=2, n_layers=2,
-                       dropout=0.0, layer_norm=False)
+    # final layer is affine only, so use a 2-layer net to exercise relu; the
+    # layer norm takes (-1, 1), of variance 1, to (-1, 1) / sqrt(1 + eps)
+    cfg = nn.MlpConfig(in_dim=2, out_dim=2, hidden_dim=2, n_layers=2, dropout=0.0)
     store = nn.ParameterStore()
     store.add("net.w0", np.eye(2))
     store.add("net.b0", np.zeros(2))
+    store.add("net.ln_g0", np.ones(2))
+    store.add("net.ln_b0", np.zeros(2))
     store.add("net.w1", np.eye(2))
     store.add("net.b1", np.zeros(2))
-    out = nn.mlp_forward(cfg, store, np.array([-1.0, 2.0]), prefix="net")
-    np.testing.assert_array_equal(out, [0.0, 2.0])
+    out = nn.mlp_forward(cfg, store, np.array([-1.0, 1.0]), prefix="net")
+    np.testing.assert_array_equal(out, [0.0, 1.0 / np.sqrt(1.0 + nn.LAYER_NORM_EPS)])
 
 
 def test_dropout_rate_zero_train_equals_eval():
@@ -56,11 +58,12 @@ def test_eval_forward_is_pure_function():
 
 
 def test_numeric_fault_carries_layer_index():
-    cfg = nn.MlpConfig(in_dim=2, out_dim=2, hidden_dim=2, n_layers=2,
-                       dropout=0.0, layer_norm=False)
+    cfg = nn.MlpConfig(in_dim=2, out_dim=2, hidden_dim=2, n_layers=2, dropout=0.0)
     store = nn.ParameterStore()
     store.add("net.w0", np.array([[np.inf, 0.0], [0.0, 1.0]]))
     store.add("net.b0", np.zeros(2))
+    store.add("net.ln_g0", np.ones(2))
+    store.add("net.ln_b0", np.zeros(2))
     store.add("net.w1", np.eye(2))
     store.add("net.b1", np.zeros(2))
     with pytest.raises(NumericFault) as exc:
@@ -69,8 +72,7 @@ def test_numeric_fault_carries_layer_index():
 
 
 def test_mlp_gradients_match_finite_differences():
-    cfg = nn.MlpConfig(in_dim=4, out_dim=3, hidden_dim=6, n_layers=3,
-                       dropout=0.0, layer_norm=True)
+    cfg = nn.MlpConfig(in_dim=4, out_dim=3, hidden_dim=6, n_layers=3, dropout=0.0)
     store = make_mlp(cfg, seed=4)
     x0 = np.random.default_rng(5).normal(size=(2, 4))
     w = np.random.default_rng(6).normal(size=(2, 3))
@@ -79,7 +81,7 @@ def test_mlp_gradients_match_finite_differences():
     with Tape() as tape:
         out = nn.mlp_forward(cfg, store, x0, prefix="net")
         loss = ag.sum(out * w)
-    tape.backward(loss, 1.0)
+    tape.backward(loss)
     grads = store.gradients()
 
     for name, param in store.items():
@@ -216,10 +218,10 @@ def test_parameter_store_deterministic_order_and_copy():
 # ------------------------------------------------------------- fused MLP
 
 def ref_layer_norm(x, gain, offset):
-    """The elementary-op composition of a layer norm."""
-    mu = ag.mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = ag.mean(centered * centered, axis=-1, keepdims=True)
+    """The elementary-op composition of a layer norm, run tape-free."""
+    inv_n = 1.0 / np.shape(x)[-1]
+    centered = x - ag.sum(x, axis=-1)[..., None] * inv_n
+    var = ag.sum(centered * centered, axis=-1)[..., None] * inv_n
     return centered / np.sqrt(var + nn.LAYER_NORM_EPS) * gain + offset
 
 
@@ -246,9 +248,7 @@ def ref_mlp(cfg, store, x, prefix="net", train=False, dropout_seed=None):
     for i in range(cfg.n_layers):
         h = ref_affine(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
         if i < cfg.n_layers - 1:
-            if cfg.layer_norm:
-                h = ref_layer_norm(h, store[f"{prefix}.ln_g{i}"],
-                                   store[f"{prefix}.ln_b{i}"])
+            h = ref_layer_norm(h, store[f"{prefix}.ln_g{i}"], store[f"{prefix}.ln_b{i}"])
             h = ref_relu(h)
             if rng is not None:
                 keep = 1.0 - cfg.dropout
@@ -256,9 +256,8 @@ def ref_mlp(cfg, store, x, prefix="net", train=False, dropout_seed=None):
     return h
 
 
-def mlp_case(seed, dropout, layer_norm=True):
-    cfg = nn.MlpConfig(in_dim=8, out_dim=5, hidden_dim=6, n_layers=3,
-                       dropout=dropout, layer_norm=layer_norm)
+def mlp_case(seed, dropout):
+    cfg = nn.MlpConfig(in_dim=8, out_dim=5, hidden_dim=6, n_layers=3, dropout=dropout)
     store = make_mlp(cfg, seed=seed)
     rng = np.random.default_rng(seed + 100)
     for name, p in store.items():    # move the gains and offsets off 1 and 0
@@ -271,16 +270,15 @@ def test_fused_affine_and_layer_norm_forward_bits():
     the bits of the elementary composition."""
     rng = np.random.default_rng(40)
     for dropout in (0.0, 0.4):
-        for layer_norm in (True, False):
-            cfg, store = mlp_case(40, dropout, layer_norm)
-            for lead in ((), (1,), (3,), (2, 3)):
-                x = rng.normal(size=lead + (8,)) * 2.0
-                for train in (False, True):
-                    out = nn.mlp_forward(cfg, store, x, prefix="net", train=train,
-                                         dropout_seed=7)
-                    expected = ref_mlp(cfg, store, x, train=train, dropout_seed=7)
-                    assert out.shape == expected.shape == lead + (5,)
-                    assert out.tobytes() == expected.tobytes(), (dropout, lead, train)
+        cfg, store = mlp_case(40, dropout)
+        for lead in ((), (1,), (3,), (2, 3)):
+            x = rng.normal(size=lead + (8,)) * 2.0
+            for train in (False, True):
+                out = nn.mlp_forward(cfg, store, x, prefix="net", train=train,
+                                     dropout_seed=7)
+                expected = ref_mlp(cfg, store, x, train=train, dropout_seed=7)
+                assert out.shape == expected.shape == lead + (5,)
+                assert out.tobytes() == expected.tobytes(), (dropout, lead, train)
 
 
 def test_fused_affine_and_layer_norm_gradients():

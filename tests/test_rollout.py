@@ -3,7 +3,7 @@ import pytest
 
 from reachgen import body, evaluation as ev, rollout as ro
 from reachgen.body import desk_skeleton, joint_position, rest_pose, rotate_pose_z
-from reachgen.errors import InvalidInputError, ModelMismatchError, NumericFault
+from reachgen.errors import ModelMismatchError, NumericFault
 from reachgen.geometry import rotation_z_matrix
 from reachgen.intention import GoalSpec
 from reachgen.model import fresh_model
@@ -145,16 +145,10 @@ def test_on_reach_reads_the_wrist_once_per_frame(model, skel, monkeypatch):
     assert len(calls) == 12
 
 
-def test_schedule_goals_share_one_target_joint():
-    with pytest.raises(InvalidInputError):
-        ro.GoalSchedule((GoalSpec(np.ones(3), 10),
-                         GoalSpec(np.ones(3), 20, target_joint="left_wrist")))
-
-
 def test_non_finite_decoder_row_holds_only_that_row(model, skel):
     # an inf latent makes the real decoder MLP's row 1 non-finite at frame
     # 11; the frame's per-row check holds that row and its siblings run on
-    goal = goal_at(1.0, 0.5, 1.0, t=20)
+    goal = ro.GoalSchedule.single(goal_at(1.0, 0.5, 1.0, t=20))
     latents = np.random.default_rng(4).standard_normal((3, 20, model.spec.latent_dim))
     initial = np.tile(rest_pose(skel), (3, 1))
     clean = np.stack(ro.rollout_poses(initial, goal, 20, model, latents).poses, axis=1)
@@ -176,7 +170,7 @@ def test_non_finite_decoder_row_holds_only_that_row(model, skel):
 
 def test_raise_fault_checks_every_row(model, skel):
     # only row 2 of three faults: raise_fault still raises it
-    goal = goal_at(1.0, 0.5, 1.0, t=20)
+    goal = ro.GoalSchedule.single(goal_at(1.0, 0.5, 1.0, t=20))
     latents = np.random.default_rng(4).standard_normal((3, 20, model.spec.latent_dim))
     latents[2, 5] = np.inf
     out = ro.rollout_poses(np.tile(rest_pose(skel), (3, 1)), goal, 20, model, latents)
@@ -235,12 +229,12 @@ def test_rows_switch_goals_on_their_own(model, skel, policy):
 
 # ------------------------------------------------------------ latent draws
 
-def per_frame_latents(rngs, duration, latent_dim, mode="sample", temperature=1.0):
+def per_frame_latents(rngs, duration, latent_dim, mode="sample"):
     """The reference draw: one default_rng built per frame from its seed."""
     if mode == "mean":
         return np.zeros((len(rngs), duration, latent_dim))
     return np.stack([np.stack([
-        np.random.default_rng(int(s)).standard_normal(latent_dim) * temperature
+        np.random.default_rng(int(s)).standard_normal(latent_dim)
         for s in rng.integers(0, 2**63 - 1, size=duration, dtype=np.uint64)])
         for rng in rngs])
 
@@ -272,14 +266,13 @@ def test_seed_words_and_draws_match_seed_sequence():
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("temperature", [1.0, 0.7])
-def test_generate_draws_the_per_frame_bits(skel, temperature, monkeypatch):
+def test_generate_draws_the_per_frame_bits(skel, monkeypatch):
     model16 = fresh_model(skel, latent_dim=16, hidden_dim=16, n_layers=2, seed=4)
     sched = ro.GoalSchedule.single(goal_at(1.0, 0.5, 1.0, t=20))
 
     def run():
         return ro.generate(rest_pose(skel), sched, 30, model16,
-                           np.random.default_rng([3, 1]), temperature=temperature)
+                           np.random.default_rng([3, 1]))
 
     rec = run()
     monkeypatch.setattr(ro, "draw_latents", per_frame_latents)

@@ -109,24 +109,31 @@ def test_shard_bounds_come_from_the_batch_size():
 
 
 def test_shard_dropout_masks_are_rows_of_the_batch_masks():
-    # integer weights and inputs and masks of 0 or 2 keep every product and
-    # sum exact, so the outputs agree bit for bit exactly when the masks do
-    cfg = nn.MlpConfig(in_dim=4, out_dim=3, hidden_dim=8, n_layers=3,
-                       dropout=0.5, layer_norm=False)
+    # a layer norm of gain 0 puts out its integer offset exactly, so with
+    # integer weights and masks of 0 or 2 every product and sum is exact and
+    # each layer's output rows agree bit for bit exactly when the masks do
+    cfg = nn.MlpConfig(in_dim=4, out_dim=3, hidden_dim=8, n_layers=3, dropout=0.5)
     rng = np.random.default_rng(0)
     store = nn.ParameterStore()
     for i, (d_in, d_out) in enumerate(cfg.layer_dims()):
         store.add(f"net.w{i}", rng.integers(-3, 4, (d_in, d_out)).astype(float))
         store.add(f"net.b{i}", rng.integers(0, 3, d_out).astype(float))
+        if i < cfg.n_layers - 1:
+            store.add(f"net.ln_g{i}", np.zeros(d_out))
+            store.add(f"net.ln_b{i}", rng.integers(1, 4, d_out).astype(float))
     params = nn.mlp_params(cfg, store, "net")
     x = rng.integers(-2, 3, (7, 4)).astype(float)
-    batch, _ = nn._mlp(cfg, params, x, False, train=True, dropout_seed=5)
+    layers = []
+    batch, _ = nn._mlp(cfg, params, x, False, train=True, dropout_seed=5, inputs=layers)
     untrained, _ = nn._mlp(cfg, params, x, False)
     assert not np.array_equal(batch, untrained)
     for lo, hi in [(0, 3), (3, 7), (2, 5), (6, 7)]:
+        shard_layers = []
         shard, _ = nn._mlp(cfg, params, x[lo:hi], False, train=True, dropout_seed=5,
-                           dropout_rows=(lo, 7))
+                           dropout_rows=(lo, 7), inputs=shard_layers)
         np.testing.assert_array_equal(shard, batch[lo:hi])
+        for got, want in zip(shard_layers, layers):    # every layer's mask
+            np.testing.assert_array_equal(got, want[lo:hi])
 
 
 def capture_noise(monkeypatch):
