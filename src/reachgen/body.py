@@ -28,11 +28,18 @@ FK_ROWS = 64   # poses per batched FK pass; see forward_kinematics
 
 @dataclass(frozen=True)
 class DepthLevel:
-    """Joints at one tree depth with their parents and rest offsets."""
+    """Joints at one tree depth with their parents and rest offsets.
+
+    Round r of `rounds` is (positions in the level, their parents) of every
+    parent's r-th child in joint order, so a round's parents are unique and
+    adding round after round adds each parent's children in joint order, as
+    np.add.at(a, parents, b) adds them.
+    """
 
     joints: np.ndarray     # (K,) joint indices, ascending
     parents: np.ndarray    # (K,)
     offsets: np.ndarray    # (K, 3, 1)
+    rounds: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -87,8 +94,14 @@ class Skeleton:
         levels = []
         for d in range(1, max(depth) + 1):
             joints = np.array([j for j in range(self.n_joints) if depth[j] == d])
-            levels.append(DepthLevel(joints, np.array(self.parents)[joints],
-                                     self.offsets[joints][:, :, None]))
+            parents = np.array(self.parents)[joints]
+            rank = [list(parents[:k]).count(p) for k, p in enumerate(parents)]
+            rounds = []
+            for r in range(max(rank) + 1):
+                at = np.array([k for k in range(len(joints)) if rank[k] == r])
+                rounds.append((at, parents[at]))
+            levels.append(DepthLevel(joints, parents, self.offsets[joints][:, :, None],
+                                     tuple(rounds)))
         return tuple(levels)
 
     @cached_property
@@ -298,9 +311,10 @@ def _positions(pd, ld, skeleton: Skeleton):
             gw = gworld.take(lvl.joints, axis=0)
             gp = gpos.take(lvl.joints, axis=0)
             glocal[lvl.joints] = world.take(lvl.parents, axis=0).mT @ gw
-            np.add.at(gworld, lvl.parents,
-                      gw @ lt.take(lvl.joints, axis=0).mT + gp[..., None] * off.mT)
-            np.add.at(gpos, lvl.parents, gp)
+            g_up = gw @ lt.take(lvl.joints, axis=0).mT + gp[..., None] * off.mT
+            for at, parents in lvl.rounds:
+                gworld[parents] += g_up[at]
+                gpos[parents] += gp[at]
         glocal[0] = gworld[0]
         return gpos[0], ag.unbroadcast(np.moveaxis(glocal, 0, -3), ld.shape)
 

@@ -131,7 +131,7 @@ def optimize_latents(record: RolloutRecord, goal: GoalSpec,
                 total, l_norm, l_goal, l_way = _objective_terms(
                     latents, record, goal, objective, model)
             tape.backward(total)
-            adam_step(adam, store, store.gradients())
+            adam_step(adam, store, store.flat_gradient())
             report.l_opt.append(float(ag.value(total)))
             report.l_norm.append(float(ag.value(l_norm)))
             report.l_goal.append(float(ag.value(l_goal)))

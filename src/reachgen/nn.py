@@ -4,7 +4,7 @@ finite-difference gradient checks have headroom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +55,11 @@ class ParameterStore:
             name: (np.zeros_like(t.data) if t.grad is None else t.grad)
             for name, t in self._params.items()
         }
+
+    def flat_gradient(self) -> np.ndarray:
+        """gradients() as one float64 vector in names() order, the form
+        adam_step takes."""
+        return np.concatenate([g.ravel() for g in self.gradients().values()])
 
     def copy(self) -> "ParameterStore":
         fresh = ParameterStore()
@@ -169,9 +174,10 @@ def _mlp(cfg: MlpConfig, params: list, xd, wants_input_grad: bool,
             # a 1-D h is multiplied as a (1, d) matrix: BLAS may round a
             # vector-matrix product differently, and rollout bits rest on this
             if h.ndim == 1:
-                h = (h.reshape(1, -1) @ w).reshape(-1) + b
+                h = (h.reshape(1, -1) @ w).reshape(-1)
             else:
-                h = h @ w + b
+                h = h @ w
+            h += b
             pre = xhat = std = mask = None
             if i < n - 1:
                 h, xhat, std = _layer_norm(h, params[k].data, params[k + 1].data)
@@ -183,7 +189,7 @@ def _mlp(cfg: MlpConfig, params: list, xd, wants_input_grad: bool,
                     dropout_rng.bit_generator.advance(lo * h.shape[-1])
                     mask = (dropout_rng.random(h.shape) < keep) / keep
                     dropout_rng.bit_generator.advance((rows - lo) * h.shape[-1] - h.size)
-                    h = h * mask
+                    h *= mask
             layers.append((h_in, pre, xhat, std, mask))
     if inputs is not None:
         inputs += [layer[0] for layer in layers]
@@ -219,22 +225,33 @@ def _mlp(cfg: MlpConfig, params: list, xd, wants_input_grad: bool,
 
 def _layer_norm(xd, gain, offset):
     """(out, xhat, std): (x - mean) / sqrt(var + eps) * gain + offset over
-    the last axis, with what its VJP reads."""
+    the last axis, with what its VJP reads. The full-size temporaries are
+    written in place into arrays allocated here, never into `xd`."""
     inv_n = 1.0 / xd.shape[-1]
-    centered = xd - xd.sum(axis=-1, keepdims=True) * inv_n
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered / std
-    return xhat * gain + offset, xhat, std
+    xhat = xd - xd.sum(axis=-1, keepdims=True) * inv_n
+    out = xhat * xhat
+    std = np.sqrt(out.sum(axis=-1, keepdims=True) * inv_n + LAYER_NORM_EPS)
+    xhat /= std
+    np.multiply(xhat, gain, out)
+    out += offset
+    return out, xhat, std
 
 
 def _layer_norm_vjp(g, xhat, std, gain):
     """Gradient of the layer norm's input; its gain's is (g * xhat) and its
-    offset's g, each summed over the leading axes."""
+    offset's g, each summed over the leading axes. The full-size
+    temporaries are written in place into arrays allocated here, never into
+    `g` or `xhat`."""
     inv_n = 1.0 / g.shape[-1]
     gx = g * gain
-    return (gx - gx.sum(axis=-1, keepdims=True) * inv_n
-            - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)) / std
+    gxx = gx * xhat
+    mean_gx = gx.sum(axis=-1, keepdims=True) * inv_n
+    mean_gxx = gxx.sum(axis=-1, keepdims=True) * inv_n
+    gx -= mean_gx
+    np.multiply(xhat, mean_gxx, gxx)
+    gx -= gxx
+    gx /= std
+    return gx
 
 
 @dataclass
@@ -279,7 +296,11 @@ def kl_divergence(g: GaussianParams, direction: str = "standard"):
 
 @dataclass
 class AdamState:
-    """Adam moments plus a linear lr schedule from lr_base to lr_final."""
+    """Adam moments plus a linear lr schedule from lr_base to lr_final.
+
+    `m` and `v` are flat float64 vectors over the store's parameters in
+    names() order, as adam_step's gradient is; None before the first step.
+    """
 
     lr_base: float
     lr_final: float
@@ -288,8 +309,8 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def lr_at(self, step: int) -> float:
         if self.total_steps <= 0:
@@ -300,29 +321,35 @@ class AdamState:
         return self.lr_base * (1.0 - frac) + self.lr_final * frac
 
 
-def adam_step(state: AdamState, store: ParameterStore,
-              grads: dict[str, np.ndarray]) -> None:
-    """One bias-corrected Adam update over every parameter in the store."""
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise NumericFault("non-finite gradient", where="adam_step")
+def adam_step(state: AdamState, store: ParameterStore, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of the store's parameters as one flat
+    vector in names() order, `grad` being the gradient in that layout
+    (ParameterStore.flat_gradient). Each parameter's data becomes its slice
+    of the updated vector. The update is elementwise, so every parameter
+    gets the bits a per-parameter update gives it."""
+    params = [t for _, t in store.items()]
+    theta = np.concatenate([t.data.ravel() for t in params])
+    if grad.shape != theta.shape or (state.m is not None
+                                     and state.m.shape != theta.shape):
+        raise DimensionMismatchError(
+            f"gradient of shape {grad.shape} and moments of "
+            f"{None if state.m is None else state.m.shape} for "
+            f"{theta.size} parameter values")
+    if not np.all(np.isfinite(grad)):
+        raise NumericFault("non-finite gradient", where="adam_step")
     lr = state.lr_at(state.step)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for name, param in store.items():
-        g = grads[name]
-        if g.shape != param.data.shape:
-            raise DimensionMismatchError(f"gradient shape mismatch for {name!r}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(param.data)
-            v = np.zeros_like(param.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = np.zeros_like(theta) if state.m is None else state.m
+    v = np.zeros_like(theta) if state.v is None else state.v
+    state.m = m = b1 * m + (1.0 - b1) * grad
+    state.v = v = b2 * v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    theta = theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    lo = 0
+    for param in params:
+        hi = lo + param.data.size
+        param.data = theta[lo:hi].reshape(param.data.shape)
+        lo = hi

@@ -84,7 +84,9 @@ class LossBreakdown:
 @dataclass(frozen=True)
 class WindowSet:
     """The run's N training windows as stacked arrays, computed once outside
-    any tape; windows[idx] indexes every field along the window axis.
+    any tape; windows[idx] indexes every field along the window axis. The
+    arrays build_training_windows returns are read-only: the training worker
+    keeps its own copy of the set for the whole run (worker.run_jobs).
 
     Window i holds W + 1 poses, a context frame then W frames; poses[i, 1]
     is frame start_frame[i] of its source. Entry j of deltas, conditions and
@@ -150,8 +152,11 @@ def build_training_windows(sequences: list[MotionSequence], cfg: TrainConfig,
             start_frame[c, None] - 1 + np.arange(w),
             goal_heading=goal_heading[c, None])
     targets = forward_kinematics(poses[:, 1:], skeleton)
-    return WindowSet(poses, deltas, conditions, targets, goal_position,
-                     goal_frame, goal_heading, start_frame)
+    arrays = (poses, deltas, conditions, targets, goal_position, goal_frame,
+              goal_heading, start_frame)
+    for a in arrays:
+        a.flags.writeable = False
+    return WindowSet(*arrays)
 
 
 def _batch_loss(windows: WindowSet, model: MotionModel,
@@ -226,29 +231,32 @@ def _shard_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _shard_grads(shard: WindowSet, model: MotionModel, cfg: TrainConfig,
-                 epoch: int, bi: int, batch_rows: tuple[int, int]):
-    """(gradients, LossBreakdown, samples, teacher-forced samples) of one
-    shard of batch `bi`, weighted by its share; the one place a shard is
-    computed, in this process or the worker's. The batch's noise generator
-    and dropout seed come from (seed, epoch, bi), so every shard starts from
-    the same draws."""
+def _shard_grads(windows: WindowSet, rows: np.ndarray, model: MotionModel,
+                 cfg: TrainConfig, epoch: int, bi: int, batch_rows: tuple[int, int]):
+    """(flat gradient, LossBreakdown, samples, teacher-forced samples) of
+    the shard windows[rows] of batch `bi`, weighted by its share; the one
+    place a shard is computed, in this process or the worker's, which reads
+    `windows` from its resident copy of the run's set. The gradient is one
+    float64 vector in params.names() order. The batch's noise
+    generator and dropout seed come from (seed, epoch, bi), so every shard
+    starts from the same draws."""
     noise_rng = np.random.default_rng([cfg.seed, epoch, bi, 1])
     dropout_seed = int(np.random.default_rng([cfg.seed, epoch, bi, 2])
                        .integers(0, 2**31 - 1))
     model.params.zero_grad()
     with Tape() as tape:
         total, breakdown, n_total, n_teacher = _batch_loss(
-            shard, model, rollout_steps_for_epoch(epoch, cfg), cfg, noise_rng,
+            windows[rows], model, rollout_steps_for_epoch(epoch, cfg), cfg, noise_rng,
             dropout_seed, batch_rows=batch_rows)
     tape.backward(total)
-    return model.params.gradients(), breakdown, n_total, n_teacher
+    return model.params.flat_gradient(), breakdown, n_total, n_teacher
 
 
 def train_epoch(windows: WindowSet, model: MotionModel,
                 adam: AdamState, epoch: int, cfg: TrainConfig) -> LossBreakdown:
     """One pass over all windows; one Adam step per batch, on the sum of
-    its shards' gradients."""
+    its shards' gradients. A shard job carries its row indices, the model
+    and the config; the window set stays resident in the worker."""
     if not windows:
         raise ValueError("empty window set")
     order_rng = np.random.default_rng([cfg.seed, epoch, 0xC0FFEE])
@@ -259,18 +267,17 @@ def train_epoch(windows: WindowSet, model: MotionModel,
     for bi, lo in enumerate(range(0, len(order), cfg.batch_size)):
         rows = order[lo:lo + cfg.batch_size]
         model.params.zero_grad()    # the worker is sent the model without them
-        jobs = [(_shard_grads,
-                 (windows[rows[a:b]], model, cfg, epoch, bi, (a, len(rows))))
+        jobs = [(_shard_grads, (rows[a:b], model, cfg, epoch, bi, (a, len(rows))))
                 for a, b in _shard_bounds(len(rows)) if b > a]
         try:
-            results = run_jobs(jobs)
+            results = run_jobs(jobs, resident=windows)
         except NumericFault as e:
             raise NumericFault(
                 f"epoch {epoch} batch {bi}: {e}", where="train_epoch") from e
-        grads = results[0][0]
-        for shard_grads, *_ in results[1:]:
-            grads = {name: g + shard_grads[name] for name, g in grads.items()}
-        adam_step(adam, model.params, grads)
+        grad = results[0][0]
+        for shard_grad, *_ in results[1:]:
+            grad += shard_grad
+        adam_step(adam, model.params, grad)
         n_total = sum(r[2] for r in results)
         n_teacher = sum(r[3] for r in results)
         rec += sum(r[1].rec for r in results) * n_total

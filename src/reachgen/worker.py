@@ -1,5 +1,12 @@
 """The one forked worker process behind training's row shards and
 evaluation's rollout chunks: a job's bits never depend on where it ran.
+
+A job crosses the pipe as (fn, args) plus a resident slot. The worker keeps
+one resident value, training's window set. A worker forked for a call
+holds that call's value from the fork, which shares the parent's pages,
+so nothing is pickled or copied; a live worker gets another value once,
+with the first job that passes it. Later jobs only name it. Each result
+crosses back as it is returned.
 """
 from __future__ import annotations
 
@@ -68,31 +75,43 @@ def _one_blas_thread():
 
 
 _worker = None   # (owner pid, Process, Connection) of the worker
+# the value the worker's resident slot holds; kept referenced here, so its
+# id cannot be reused by another object while the worker holds it
+_resident = None
 
 
 def _serve(conn, parent_end) -> None:
     """The worker's loop: run each job it is sent and send back the result
-    or the exception; exit once the parent's end is closed."""
+    or the exception; exit once the parent's end is closed.
+
+    The resident starts as the value forked with the worker. A job's slot
+    is None for fn(*args), () for fn(resident, *args), and (value,) to make
+    value the resident, replacing the one held, first."""
     parent_end.close()
     _blas_thread_calls()[1](1)    # the worker only ever runs jobs
+    resident = _resident
     while True:
         try:
-            fn, args = conn.recv()
+            fn, args, slot = conn.recv()
         except EOFError:
             return
+        if slot:
+            resident, = slot
         try:
-            result = fn(*args)
+            result = fn(*args) if slot is None else fn(resident, *args)
         except Exception as e:    # the parent raises it
             result = e
         conn.send(result)
 
 
-def _worker_connection():
+def _worker_connection(resident):
     """The connection to this process's worker, forked at first use (fork,
     since spawn would re-import __main__) and daemonic, so it ends with the
-    interpreter; one that died is replaced."""
-    global _worker
+    interpreter; one that died is replaced. A worker forked here holds
+    `resident` from the fork."""
+    global _worker, _resident
     if _worker is None or _worker[0] != os.getpid() or not _worker[1].is_alive():
+        _resident = resident
         ctx = multiprocessing.get_context("fork")
         here, there = ctx.Pipe()
         proc = ctx.Process(target=_serve, args=(there, here), daemon=True,
@@ -104,30 +123,41 @@ def _worker_connection():
 
 
 def _stop_worker() -> None:
-    """Kill and reap this process's worker; the next call with more than
-    one job forks a new one."""
-    global _worker
+    """Kill and reap this process's worker and clear its resident slot; the
+    next call with more than one job forks a new one."""
+    global _worker, _resident
     if _worker is not None and _worker[0] == os.getpid():
         _worker[1].kill()
         _worker[1].join()
         _worker[2].close()
-    _worker = None
+    _worker = _resident = None
 
 
-def run_jobs(jobs: list) -> list:
-    """fn(*args) of each (fn, args) job, in job order, with one BLAS thread
-    in each process. With more than one process, the first job runs here
-    and the rest in the worker, one message each way per job; `fn` must be
-    a module-level function, so it pickles by reference."""
+def run_jobs(jobs: list, resident=None) -> list:
+    """fn(*args) of each (fn, args) job, or fn(resident, *args) where a
+    resident is given, in job order, with one BLAS thread in each process.
+    With more than one process, the first job runs here and the rest in the
+    worker, one message each way per job; `resident` reaches a worker forked
+    for this call by the fork, and crosses to a live worker only when it is
+    not the object the worker holds. `fn` must be a module-level function,
+    so it pickles by reference."""
+    global _resident
+    lead = () if resident is None else (resident,)
     with _one_blas_thread():
         if len(jobs) == 1 or _process_count() == 1:
-            return [fn(*args) for fn, args in jobs]
-        conn = _worker_connection()
+            return [fn(*lead, *args) for fn, args in jobs]
+        conn = _worker_connection(resident)
         try:
-            for job in jobs[1:]:
-                conn.send(job)
+            for fn, args in jobs[1:]:
+                if resident is None:
+                    conn.send((fn, args, None))
+                elif resident is _resident:
+                    conn.send((fn, args, ()))
+                else:
+                    conn.send((fn, args, (resident,)))
+                    _resident = resident
             fn, args = jobs[0]
-            results = [fn(*args)]
+            results = [fn(*lead, *args)]
             results += [conn.recv() for _ in jobs[1:]]
         except BaseException as e:
             proc = _worker[1]

@@ -269,6 +269,45 @@ def test_fk_gradient_batched(skel):
     np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-7)
 
 
+def add_at_positions_vjp(pd, ld, skeleton, g):
+    """_positions's VJP as np.add.at wrote it: each level's child gradients
+    added into their parents in one np.add.at call. Returns the gradients
+    of the translation and of the local rotations."""
+    lead = ld.shape[:-3]
+    lt = np.moveaxis(ld, -3, 0)
+    world = np.empty((skeleton.n_joints,) + lead + (3, 3))
+    world[0] = lt[0]
+    for lvl in skeleton.depth_levels:
+        world[lvl.joints] = world.take(lvl.parents, axis=0) @ lt.take(lvl.joints, axis=0)
+    gpos = np.moveaxis(g, -2, 0).copy()
+    gworld = np.zeros(world.shape)
+    glocal = np.zeros(world.shape)
+    for lvl in reversed(skeleton.depth_levels):
+        off = lvl.offsets.reshape(lvl.offsets.shape[:1] + (1,) * len(lead) + (3, 1))
+        gw = gworld.take(lvl.joints, axis=0)
+        gp = gpos.take(lvl.joints, axis=0)
+        glocal[lvl.joints] = world.take(lvl.parents, axis=0).mT @ gw
+        np.add.at(gworld, lvl.parents,
+                  gw @ lt.take(lvl.joints, axis=0).mT + gp[..., None] * off.mT)
+        np.add.at(gpos, lvl.parents, gp)
+    glocal[0] = gworld[0]
+    return gpos[0], np.moveaxis(glocal, 0, -3)
+
+
+def test_fk_backward_adds_children_in_np_add_at_order(skel):
+    # pelvis and spine each have three children, added over three rounds
+    assert [len(lvl.rounds) for lvl in skel.depth_levels] == [3, 3, 1, 1]
+    rng = np.random.default_rng(30)
+    for lead in ((), (1,), (5,), (2, 3), (640,)):
+        pd = random_poses(skel, rng, lead)
+        ld = rng.normal(size=lead + (skel.n_joints, 3, 3))
+        g = rng.normal(size=lead + (skel.n_joints, 3)) * rng.choice([1e-3, 1.0, 1e3])
+        _, vjp = body._positions(pd, ld, skel)
+        for got, want in zip(vjp(g), add_at_positions_vjp(pd, ld, skel, g)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), lead
+
+
 def test_chain_steps_follow_the_parents(skel):
     wrist = skel.joint_index("right_wrist")
     assert [skel.names[j] for j, _ in skel.chains[wrist]] == [

@@ -214,7 +214,7 @@ def test_memorization_sanity(skel):
             total, breakdown, _, _ = tr._batch_loss(
                 windows, model, 0, cfg, noise_rng, dropout_seed=0)
         tape.backward(total)
-        adam_step(adam, model.params, model.params.gradients())
+        adam_step(adam, model.params, model.params.flat_gradient())
         losses.append(breakdown.rec + breakdown.joint)
     assert losses[-1] < 1e-3, losses[-1]
     # monotone decrease up to small Adam oscillation at the converged tail

@@ -4,7 +4,9 @@ import pytest
 from reachgen import autodiff as ag
 from reachgen import nn
 from reachgen.autodiff import Tape, Tensor
-from reachgen.errors import NumericFault
+from reachgen.body import desk_skeleton
+from reachgen.errors import DimensionMismatchError, NumericFault
+from reachgen.model import fresh_model
 
 
 def make_mlp(cfg, seed=0):
@@ -163,8 +165,7 @@ def test_adam_zero_gradient_keeps_parameters_increments_step():
     store = nn.ParameterStore()
     store.add("p", np.array([1.0, 2.0]))
     state = nn.AdamState(lr_base=1e-2, lr_final=1e-3, total_steps=10)
-    adam_grads = {"p": np.zeros(2)}
-    nn.adam_step(state, store, adam_grads)
+    nn.adam_step(state, store, np.zeros(2))
     np.testing.assert_array_equal(store["p"].data, [1.0, 2.0])
     assert state.step == 1
 
@@ -175,7 +176,7 @@ def test_adam_first_step_hand_computed():
     store = nn.ParameterStore()
     store.add("p", np.array([0.0]))
     state = nn.AdamState(lr_base=1e-2, lr_final=1e-2, total_steps=100)
-    nn.adam_step(state, store, {"p": np.array([1.0])})
+    nn.adam_step(state, store, np.array([1.0]))
     expected = -1e-2 * 1.0 / (1.0 + 1e-8)
     np.testing.assert_allclose(store["p"].data, [expected], rtol=1e-12)
 
@@ -194,7 +195,66 @@ def test_adam_rejects_nonfinite_gradient():
     store.add("p", np.zeros(1))
     state = nn.AdamState(1e-3, 1e-4, 10)
     with pytest.raises(NumericFault):
-        nn.adam_step(state, store, {"p": np.array([np.nan])})
+        nn.adam_step(state, store, np.array([np.nan]))
+
+
+def per_parameter_adam(state, store, grads, moments):
+    """The per-parameter Adam that the flat adam_step replaced; `moments`
+    maps each parameter's name to its (m, v)."""
+    lr = state.lr_at(state.step)
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    for name, param in store.items():
+        g = grads[name]
+        m, v = moments.get(name, (np.zeros_like(param.data), np.zeros_like(param.data)))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        moments[name] = (m, v)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+@pytest.mark.parametrize("case", ["desk-model", "latents"])
+def test_flat_adam_matches_per_parameter_adam_bit_for_bit(case):
+    # the desk model's 28 parameter shapes, one left without a gradient, and
+    # latent refinement's one-parameter store
+    rng = np.random.default_rng(44)
+    if case == "desk-model":
+        store = fresh_model(desk_skeleton(), seed=3).params
+        assert len(store) == 28
+    else:
+        store = nn.ParameterStore()
+        store.add("latents", rng.normal(size=(90, 16)))
+    ref_store = store.copy()
+    state, ref_state = (nn.AdamState(1e-2, 1e-3, total_steps=5) for _ in range(2))
+    moments = {}
+    for _ in range(5):
+        for name, p in list(store.items())[:len(store) - (case == "desk-model")]:
+            p.grad = rng.normal(size=p.data.shape) * rng.choice([1e-6, 1.0, 1e3])
+        nn.adam_step(state, store, store.flat_gradient())
+        per_parameter_adam(ref_state, ref_store, store.gradients(), moments)
+        for name in store.names():
+            assert store[name].data.tobytes() == ref_store[name].data.tobytes(), name
+    assert state.step == ref_state.step == 5
+    m, v = (np.concatenate([moments[name][k].ravel() for name in store.names()])
+            for k in (0, 1))
+    assert (state.m.tobytes(), state.v.tobytes()) == (m.tobytes(), v.tobytes())
+
+
+def test_adam_rejects_a_store_whose_size_changed():
+    store = nn.ParameterStore()
+    store.add("p", np.zeros(3))
+    state = nn.AdamState(1e-3, 1e-4, 10)
+    nn.adam_step(state, store, np.ones(3))
+    with pytest.raises(DimensionMismatchError):
+        nn.adam_step(state, store, np.ones(4))     # a gradient of the wrong size
+    store.add("q", np.zeros(2))
+    with pytest.raises(DimensionMismatchError):
+        nn.adam_step(state, store, np.ones(5))     # moments of the old size
+    assert state.step == 1
+    np.testing.assert_array_equal(store["q"].data, np.zeros(2))
 
 
 def test_gaussian_from_stacked_clamps_log_std():
@@ -254,6 +314,31 @@ def ref_mlp(cfg, store, x, prefix="net", train=False, dropout_seed=None):
                 keep = 1.0 - cfg.dropout
                 h = h * ((rng.random(ag.value(h).shape) < keep) / keep)
     return h
+
+
+def ref_layer_norm_vjp(g, xhat, std, gain):
+    """The layer norm's input gradient as one expression, run tape-free."""
+    inv_n = 1.0 / g.shape[-1]
+    gx = g * gain
+    return (gx - gx.sum(axis=-1, keepdims=True) * inv_n
+            - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)) / std
+
+
+def test_layer_norm_writes_only_into_arrays_it_allocated():
+    rng = np.random.default_rng(45)
+    gain, offset = rng.normal(size=6), rng.normal(size=6)
+    for lead in ((), (1,), (4,), (2, 3)):
+        x = rng.normal(size=lead + (6,)) * 3.0
+        g = rng.normal(size=x.shape)
+        x0, g0 = x.copy(), g.copy()
+        out, xhat, std = nn._layer_norm(x, gain, offset)
+        xhat0 = xhat.copy()
+        assert out.tobytes() == ref_layer_norm(x, gain, offset).tobytes(), lead
+        grad = nn._layer_norm_vjp(g, xhat, std, gain)
+        assert grad.tobytes() == ref_layer_norm_vjp(g, xhat, std, gain).tobytes(), lead
+        for kept, before in ((x, x0), (g, g0), (xhat, xhat0)):
+            assert kept.tobytes() == before.tobytes(), lead
+        assert not np.shares_memory(out, xhat) and not np.shares_memory(grad, xhat)
 
 
 def mlp_case(seed, dropout):

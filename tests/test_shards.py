@@ -3,8 +3,10 @@ shards, and the bits depend on that cut alone, never on whether a shard ran
 in the worker process or in this one."""
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -56,7 +58,7 @@ def train_two_epochs(skel, windows, cfg):
     losses = [tr.train_epoch(windows, model, adam, epoch, cfg) for epoch in (0, 1)]
     assert [tr.rollout_steps_for_epoch(e, cfg) for e in (0, 1)] == [0, 10]
     params = {name: model.params[name].data.tobytes() for name in model.params.names()}
-    moments = {name: (adam.m[name].tobytes(), adam.v[name].tobytes()) for name in adam.m}
+    moments = (adam.m.tobytes(), adam.v.tobytes())
     return losses, params, moments
 
 
@@ -99,6 +101,78 @@ def test_bits_do_not_depend_on_the_blas_thread_count(skel, monkeypatch):
     finally:
         put(before)
     assert bits[0] == bits[1]
+
+
+def test_a_built_window_set_is_read_only(windows):
+    # the worker keeps its own copy of the set, which must not drift
+    for field in dataclasses.fields(windows):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(windows, field.name)[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        windows.poses[1, 2, 3] += 1.0
+
+
+class PipeSpy:
+    """The worker's connection, recording the size of each message sent."""
+
+    def __init__(self, conn, sent):
+        self.conn, self.sent = conn, sent
+
+    def send(self, obj):
+        buf = ForkingPickler.dumps(obj)
+        self.sent.append(len(buf))
+        self.conn.send_bytes(buf)
+
+    def recv(self):
+        return self.conn.recv()
+
+
+def test_the_window_set_crosses_the_pipe_only_to_a_live_worker(skel, windows, monkeypatch):
+    # batch size 8: each batch of 8 sends its second shard, and 33 windows'
+    # last batch of 1 runs here alone. A worker forked at a batch (the first
+    # one, or the first after a stop) holds the set from the fork; a live
+    # worker is sent another set once, with its first batch. Every other
+    # message is the model, the config and a shard's row indices
+    cfg = config(8)
+    wk._stop_worker()
+    monkeypatch.setattr(wk, "_process_count", lambda: 2)
+    sent = []
+    connection = wk._worker_connection
+    monkeypatch.setattr(wk, "_worker_connection",
+                        lambda resident: PipeSpy(connection(resident), sent))
+    model, adam = small_model(skel), AdamState(1e-3, 1e-4, 30)
+    budget = len(pickle.dumps(model)) + 64 * 1024
+    other = windows[1:]
+    assert len(pickle.dumps(other)) > 4 * budget
+    # (window set, epoch, a worker is forked, the set crosses the pipe)
+    runs = [(windows, 0, True, False), (windows, 1, False, False), "stop",
+            (windows, 1, True, False), (other, 0, False, True), (other, 1, False, False)]
+    pids = []
+    for run in runs:
+        if run == "stop":
+            wk._stop_worker()
+            assert (wk._worker, wk._resident) == (None, None)
+            continue
+        ws, epoch, forks, crosses = run
+        sent.clear()
+        tr.train_epoch(ws, model, adam, epoch, cfg)
+        assert len(sent) == len(ws) // 8
+        assert (sent[0] > len(pickle.dumps(ws))) == crosses
+        assert all(n < budget for n in sent[crosses:])
+        assert wk._resident is ws
+        pids.append(wk._worker[1].pid)
+        assert (len(pids) == 1 or pids[-1] != pids[-2]) == forks
+    # in one process the same runs give the same bytes, so the worker
+    # computed on the set each batch named
+    monkeypatch.setattr(wk, "_process_count", lambda: 1)
+    replay, replay_adam = small_model(skel), AdamState(1e-3, 1e-4, 30)
+    for run in runs:
+        if run != "stop":
+            tr.train_epoch(run[0], replay, replay_adam, run[1], cfg)
+    for name in model.params.names():
+        assert model.params[name].data.tobytes() == replay.params[name].data.tobytes()
+    assert (adam.m.tobytes(), adam.v.tobytes()) == (replay_adam.m.tobytes(),
+                                                    replay_adam.v.tobytes())
 
 
 def test_shard_bounds_come_from_the_batch_size():
@@ -301,11 +375,11 @@ def test_numeric_fault_in_a_shard_names_its_epoch_and_batch(skel, windows, monke
 shard_grads = tr._shard_grads
 
 
-def dying(shard, model, cfg, epoch, bi, batch_rows):
+def dying(windows, rows, model, cfg, epoch, bi, batch_rows):
     """_shard_grads, but the process computing the second shard exits."""
     if batch_rows[0]:
         os._exit(3)
-    return shard_grads(shard, model, cfg, epoch, bi, batch_rows)
+    return shard_grads(windows, rows, model, cfg, epoch, bi, batch_rows)
 
 
 def test_dead_worker_raises(skel, windows, monkeypatch):
