@@ -6,12 +6,13 @@ records a node with a vector-Jacobian closure; Tape.backward walks the nodes
 in reverse creation order (creation order is already topological).
 
 The elementary ops are add, subtract and multiply (also through Tensor's
-`+`, `-` and `*`), negative (unary `-`), exp, clip, take (indexing), sum,
-mean and concatenate. Fused ops elsewhere in the package (6D decoding, FK,
-the whole MLP, the condition vector, a rollout frame, ...) compute their
-forward in plain numpy and call `record` once with a hand-written VJP, so
-each records one node however many array operations it runs. A Tensor has
-no `/` or `@`: a division or a matmul on the tape lives inside a fused op.
+`+`, `-` and `*`, with a Tensor on the left of `-`), exp, clip, take
+(indexing), sum, mean and concatenate. Fused ops elsewhere in the package
+(FK, a joint read, a pose delta and its integration, the whole MLP, the
+condition vector, a rollout frame) compute their forward in plain numpy and
+call `record` once with a hand-written VJP, so each records one node however
+many array operations it runs. A Tensor has no unary `-`, `/` or `@`: a
+negation, a division or a matmul on the tape lives inside a fused op.
 
 Ops never mutate inputs, so the same source line serves data generation,
 inference, and training.
@@ -101,16 +102,10 @@ class Tensor:
     def __sub__(self, other):
         return subtract(self, other)
 
-    def __rsub__(self, other):
-        return subtract(other, self)
-
     def __mul__(self, other):
         return multiply(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return negative(self)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -197,13 +192,6 @@ def multiply(x, y):
 
 
 # ----------------------------------------------------------------- unary ops
-
-def negative(x):
-    if not isinstance(x, Tensor):
-        return np.negative(x)
-    xd = value(x)
-    return _record(-xd, (x,), lambda g: (-g,))
-
 
 def exp(x):
     if not isinstance(x, Tensor):

@@ -8,6 +8,11 @@ lists the rotations in joint order. A delta is a vector in the same layout:
 nxt - prev turned by minus the previous frame's global yaw, one z rotation
 on the raw 6D encodings, which keeps integration exactly linear and
 invertible.
+
+forward_kinematics, joint_position, pose_delta and integrate_delta each
+record one fused tape node, built from plain (out, vjp) helpers that the
+condition and the rollout frame run too; the other functions take plain
+arrays.
 """
 from __future__ import annotations
 
@@ -195,11 +200,26 @@ def pose_delta(prev, nxt):
 
     Translation and root-orientation deltas are turned by -yaw(prev) about
     world z; joint rotations are parent-local, so their raw 6D difference is
-    already heading-agnostic and rotate_pose_z copies it.
+    already heading-agnostic and is copied. One fused op over (prev, nxt) in
+    the op order of rotate_pose_z(nxt - prev, -yaw_of(prev[..., 3:9])).
     """
-    if ag.value(prev).shape[-1] != ag.value(nxt).shape[-1]:
+    pd, nd = ag.value(prev), ag.value(nxt)
+    if pd.shape[-1] != nd.shape[-1]:
         raise DimensionMismatchError("poses have different joint counts")
-    return rotate_pose_z(nxt - prev, -yaw_of(prev[..., 3:9]))
+    diff = nd - pd
+    out, turn_vjp = _turned_pose(diff, -yaw_of(pd[..., 3:9]))
+
+    def vjp(g):
+        g_diff, g_angle = turn_vjp(g)
+        g_prev = -ag.unbroadcast(g_diff, pd.shape)
+        x = pd[..., 3]
+        y = pd[..., 4]
+        scale = g_angle / (x * x + y * y)   # d(-yaw) = (y dx - x dy) / r^2
+        g_prev[..., 3] += scale * y
+        g_prev[..., 4] -= scale * x
+        return g_prev, ag.unbroadcast(g_diff, nd.shape)
+
+    return ag.record(out, (prev, nxt), vjp)
 
 
 def integrate_delta(prev, delta):
@@ -233,62 +253,37 @@ def _integrated(pd, dd, wants_prev: bool):
     return out, vjp
 
 
-def _local_rotations(pose, skeleton: Skeleton):
-    """(..., n_joints, 3, 3): every joint's local rotation, the root's
-    first, decoded in one call; one fused op over the whole pose."""
-    pd = ag.value(pose)
-    local, vjp = _rotations(pd, skeleton)
-
-    def pose_vjp(g):
-        gp = np.zeros(pd.shape)
-        gp[..., 3:] = vjp(g)
-        return (gp,)
-
-    return ag.record(local, (pose,), pose_vjp)
-
-
 def _rotations(pd, skeleton: Skeleton):
-    """(local, vjp) of _local_rotations on a plain pose; vjp(g) returns the
-    gradient of the pose's rotation slots, pd[..., 3:]."""
+    """(local, vjp) on a plain pose: every joint's local rotation (...,
+    n_joints, 3, 3), the root's first, decoded in one call.
+    vjp(g_translation, g_local) returns the whole pose's gradient from the
+    gradients of its translation pd[..., 0:3] and of `local`."""
     if pd.shape[-1] != pose_dim(skeleton.n_rotated):
         raise DimensionMismatchError(
             f"pose vector has dim {pd.shape[-1]}, "
             f"skeleton expects {pose_dim(skeleton.n_rotated)}")
     lead = pd.shape[:-1]
     local, decode_vjp = _decode(pd[..., 3:].reshape(lead + (skeleton.n_joints, 6)))
-    return local, lambda g: decode_vjp(g).reshape(lead + (-1,))
+
+    def vjp(g_translation, g_local):
+        gp = np.empty(pd.shape)
+        gp[..., :3] = g_translation
+        gp[..., 3:] = decode_vjp(g_local).reshape(lead + (-1,))
+        return gp
+
+    return local, vjp
 
 
-def _translation_gradient(g, pd):
-    """A pose's gradient from the gradient g of its translation slots."""
-    gp = np.zeros(pd.shape)
-    gp[..., 0:3] = ag.unbroadcast(g, gp[..., 0:3].shape)
-    return gp
-
-
-def _joint_positions(pose, local, skeleton: Skeleton):
-    """World positions (..., n_joints, 3) from the pose's translation and
-    its local rotations, one fused op.
+def _positions(pd, ld, skeleton: Skeleton):
+    """(positions, vjp) on plain arrays: world positions (..., n_joints, 3)
+    from the translation pd[..., 0:3] and the local rotations `ld`; vjp(g)
+    returns the gradients of the translation and of the local rotations.
 
     position(root) = translation; position(j) = position(parent) +
     R_world(parent) @ offset(j); R_world(j) = R_world(parent) @ local(j).
     Each depth level is one stacked matmul per product; arrays are kept
     joint-first so a level's gather is one `take`.
     """
-    pd = ag.value(pose)
-    pos, vjp = _positions(pd, ag.value(local), skeleton)
-
-    def pose_vjp(g):
-        g_translation, g_local = vjp(g)
-        return _translation_gradient(g_translation, pd), g_local
-
-    return ag.record(pos, (pose, local), pose_vjp)
-
-
-def _positions(pd, ld, skeleton: Skeleton):
-    """(positions, vjp) of _joint_positions on plain arrays; vjp(g) returns
-    the gradients of the translation pd[..., 0:3] and of the local
-    rotations."""
     td = pd[..., 0:3]
     lead = np.broadcast_shapes(td.shape[:-1], ld.shape[:-3])
     lt = np.moveaxis(ld, -3, 0)
@@ -321,29 +316,16 @@ def _positions(pd, ld, skeleton: Skeleton):
     return np.ascontiguousarray(np.moveaxis(pos, 0, -2)), vjp
 
 
-def _chain_position(pose, local, skeleton: Skeleton, joint: int):
-    """World position (..., 3) of one joint from the pose's translation and
-    its local rotations, one fused op that walks only the root-to-`joint`
-    chain.
+def _chain_walk(pd, ld, skeleton: Skeleton, joint: int):
+    """(position, vjp) on plain arrays: the world position (..., 3) of one
+    joint from the translation pd[..., 0:3] and the local rotations `ld`,
+    walking only the root-to-`joint` chain; vjp(g) returns the gradients of
+    the translation and of the local rotations.
 
     Each step is FK's for that joint, in the same op order, so the result
     has the bits of forward_kinematics(...)[..., joint, :]; the VJP also
     runs along the chain only.
     """
-    pd = ag.value(pose)
-    pos, vjp = _chain_walk(pd, ag.value(local), skeleton, joint)
-
-    def pose_vjp(g):
-        g_translation, g_local = vjp(g)
-        return _translation_gradient(g_translation, pd), g_local
-
-    return ag.record(pos, (pose, local), pose_vjp)
-
-
-def _chain_walk(pd, ld, skeleton: Skeleton, joint: int):
-    """(position, vjp) of _chain_position on plain arrays; vjp(g) returns
-    the gradients of the translation pd[..., 0:3] and of the local
-    rotations."""
     chain = skeleton.chains[joint]
     world = [ld[..., 0, :, :]]     # the world rotation of each step's parent
     for j, _ in chain[:-1]:
@@ -364,19 +346,31 @@ def _chain_walk(pd, ld, skeleton: Skeleton, joint: int):
     return pos, vjp
 
 
+def _joint_read(pd, skeleton: Skeleton, joint: int):
+    """(local rotations, position, vjp) of joint_position on a plain pose;
+    vjp(g, g_root) returns the pose's gradient from the gradient g of the
+    position and g_root of the root rotation local[..., 0, :, :] (None: no
+    gradient)."""
+    local, rotations_vjp = _rotations(pd, skeleton)
+    position, chain_vjp = _chain_walk(pd, local, skeleton, joint)
+
+    def vjp(g, g_root):
+        g_translation, g_local = chain_vjp(g)
+        if g_root is not None:
+            g_local[..., 0, :, :] += g_root
+        return rotations_vjp(g_translation, g_local)
+
+    return local, position, vjp
+
+
 def _heading(root_matrix, skeleton: Skeleton):
     """safe_unit of the xy of plain root rotations' forward axes."""
-    root = np.asarray(root_matrix, dtype=np.float64)
-    fwd = (root @ skeleton.forward_axis.reshape(3, 1))[..., 0]
+    fwd = (root_matrix @ skeleton.forward_axis.reshape(3, 1))[..., 0]
     return safe_unit(fwd[..., 0:2])
 
 
-def _forward_kinematics(pose, skeleton: Skeleton):
-    return _joint_positions(pose, _local_rotations(pose, skeleton), skeleton)
-
-
 def forward_kinematics(pose, skeleton: Skeleton):
-    """World joint positions (..., n_joints, 3).
+    """World joint positions (..., n_joints, 3), one fused op over the pose.
 
     A tape-free batch of more than FK_ROWS poses along axis 0 runs FK_ROWS
     rows at a time: rows are independent, so the bits do not change, and
@@ -385,43 +379,43 @@ def forward_kinematics(pose, skeleton: Skeleton):
     if isinstance(pose, np.ndarray) and pose.ndim > 1 and len(pose) > FK_ROWS:
         out = np.empty(pose.shape[:-1] + (skeleton.n_joints, 3))
         for i in range(0, len(pose), FK_ROWS):
-            out[i:i + FK_ROWS] = _forward_kinematics(pose[i:i + FK_ROWS], skeleton)
+            chunk = pose[i:i + FK_ROWS]
+            out[i:i + FK_ROWS] = _positions(chunk, _rotations(chunk, skeleton)[0],
+                                            skeleton)[0]
         return out
-    return _forward_kinematics(pose, skeleton)
+    pd = ag.value(pose)
+    local, rotations_vjp = _rotations(pd, skeleton)
+    pos, positions_vjp = _positions(pd, local, skeleton)
+    return ag.record(pos, (pose,), lambda g: (rotations_vjp(*positions_vjp(g)),))
 
 
 def joint_position(pose, skeleton: Skeleton, joint: int):
-    """World position (..., 3) of one joint: every rotation is decoded, as
-    for forward_kinematics, so a degenerate one raises here too, but only
-    the root-to-joint chain is walked."""
-    return _chain_position(pose, _local_rotations(pose, skeleton), skeleton, joint)
+    """World position (..., 3) of one joint, one fused op over the pose:
+    every rotation is decoded, as for forward_kinematics, so a degenerate
+    one raises here too, but only the root-to-joint chain is walked."""
+    _, position, vjp = _joint_read(ag.value(pose), skeleton, joint)
+    return ag.record(position, (pose,), lambda g: (vjp(g, None),))
 
 
 def heading_of(pose, skeleton: Skeleton):
-    """Unit xy direction of the body's forward axis; (0, 0) when degenerate."""
+    """Unit xy direction of the body's forward axis of plain poses; (0, 0)
+    when degenerate."""
     return _heading(sixd_to_matrix(pose[..., 3:9]), skeleton)
 
 
-def joint_position_and_root(pose, skeleton: Skeleton, joint: int):
-    """(joint_position, root rotation (..., 3, 3)) from one decode of the
-    pose's rotations."""
-    local = _local_rotations(pose, skeleton)
-    return (_chain_position(pose, local, skeleton, joint),
-            local[..., 0, :, :])
-
-
 def joint_position_and_heading(pose, skeleton: Skeleton, joint: int):
-    """(joint_position, heading_of) from one decode of the pose's rotations."""
-    position, root = joint_position_and_root(pose, skeleton, joint)
-    return position, _heading(root, skeleton)
+    """(joint_position, heading_of) of plain poses from one decode of their
+    rotations."""
+    local, position, _ = _joint_read(np.asarray(pose, dtype=np.float64), skeleton, joint)
+    return position, _heading(local[..., 0, :, :], skeleton)
 
 
 def rotate_pose_z(pose, angle):
-    """Rigidly rotate poses (..., pose_dim) about the world z axis, one fused
-    op: the translation and both root 6D halves are three xy-rotated
-    3-vectors; the parent-local joint slots are copied."""
-    out, vjp = _turned_pose(ag.value(pose), ag.value(angle))
-    return ag.record(out, (pose, angle), vjp)
+    """Rigidly rotate plain poses (..., pose_dim) about the world z axis: the
+    translation and both root 6D halves are three xy-rotated 3-vectors; the
+    parent-local joint slots are copied."""
+    return _turned_pose(np.asarray(pose, dtype=np.float64),
+                        np.asarray(angle, dtype=np.float64))[0]
 
 
 def _turned_pose(pd, ad):

@@ -27,8 +27,7 @@ from .body import (Skeleton, desk_skeleton, forward_kinematics, heading_of,
                    joint_position, pose_dim)
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
-                     InfeasibleTargetError, ModelMismatchError, SkipWindow,
-                     check_count, check_range)
+                     InfeasibleTargetError, ModelMismatchError, SkipWindow, check_count)
 from .geometry import (_cross, _dot_rows, axis_angle_matrix, matrix_to_sixd,
                        rotation_z_matrix, sixd_to_matrix)
 from .intention import DEFAULT_HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
@@ -41,6 +40,13 @@ FLOAT_HEIGHT = 0.20        # m: a clip whose lowest foot rises above this floats
 REACH_RESAMPLES = 25       # reach targets drawn before a clip gives up
 SWING_LIFT = 0.06          # m: half the outward bulge of a swinging foot
 DOWN = np.array([0.0, 0.0, -1.0])   # rest direction of a leg link
+# the (low, high) ranges the generators draw a clip's settings from
+WALK_DURATION_RANGE = (4.0, 8.0)     # s: a walking clip
+REACH_DURATION_RANGE = (1.5, 3.0)    # s: a reach, alone or after a walk
+SPEED_RANGE = (0.45, 0.75)           # m/s
+TURN_RATE_RANGE = (-0.5, 0.5)        # rad/s
+STEP_TIME_RANGE = (0.40, 0.55)       # s per step
+REACH_HEIGHT_RANGE = (0.5, 1.7)      # m: a reach target's height
 
 
 @dataclass
@@ -71,18 +77,9 @@ class SyntheticGenConfig:
     n_locomotion: int = 120
     n_reaching: int = 120
     n_walk_reach: int = 60
-    duration_range: tuple[float, float] = (4.0, 8.0)     # seconds (locomotion)
-    reach_duration_range: tuple[float, float] = (1.5, 3.0)
-    speed_range: tuple[float, float] = (0.45, 0.75)      # m/s
-    turn_rate_range: tuple[float, float] = (-0.5, 0.5)   # rad/s
-    step_time_range: tuple[float, float] = (0.40, 0.55)  # s per step
-    reach_height_range: tuple[float, float] = (0.5, 1.7)
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("duration_range", "reach_duration_range", "speed_range",
-                     "turn_rate_range", "step_time_range", "reach_height_range"):
-            check_range(name, getattr(self, name))
         for name in ("n_locomotion", "n_reaching", "n_walk_reach"):
             check_count(name, getattr(self, name), 0)
 
@@ -469,8 +466,7 @@ def _solve_reach(skeleton: Skeleton, stand_vec: np.ndarray, target: np.ndarray):
 
 
 def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
-                    duration_s: float, cfg: SyntheticGenConfig,
-                    stand_xy=(0.0, 0.0), yaw=None, start_vec=None):
+                    duration_s: float, stand_xy=(0.0, 0.0), yaw=None, start_vec=None):
     """Stand-and-reach clip; returns (poses, GoalSpec)."""
     if yaw is None:
         yaw = rng.uniform(-np.pi, np.pi)
@@ -486,7 +482,7 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
         rz2 = rotation_z_matrix(yaw)[:2, :2]
         lateral = rng.uniform(-0.35, 0.45)     # biased toward the right arm
         forward = rng.uniform(0.15, 0.45)
-        height = rng.uniform(*cfg.reach_height_range)
+        height = rng.uniform(*REACH_HEIGHT_RANGE)
         xy = np.asarray(stand_xy) + rz2 @ np.array([lateral, forward])
         target = np.array([xy[0], xy[1], height])
         solution = _solve_reach(skeleton, stand, target)
@@ -510,8 +506,7 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
     return poses, GoalSpec(position=target, target_frame=t_reach)
 
 
-def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator,
-                         cfg: SyntheticGenConfig):
+def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator):
     """Turn toward a bearing, walk, stop, reach. Labeled.
 
     The initial turn makes the composite cover goals at every bearing, which
@@ -522,7 +517,7 @@ def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator,
     turn = rng.uniform(-np.pi, np.pi)
     turn_s = max(abs(turn) / rng.uniform(0.8, 1.2), 0.3)
     walk_s = rng.uniform(2.0, 4.0)
-    speed = rng.uniform(*cfg.speed_range)
+    speed = rng.uniform(*SPEED_RANGE)
 
     n_turn = int(round(turn_s * FPS))
     n_walk = int(round(walk_s * FPS))
@@ -535,16 +530,15 @@ def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator,
                                    speed * _edge_ramp(n_walk)])
     walk = _generate_gait(skeleton, yaw, speed_series,
                           start_xy=rng.uniform(-1.0, 1.0, size=2),
-                          step_time=rng.uniform(*cfg.step_time_range))
+                          step_time=rng.uniform(*STEP_TIME_RANGE))
 
     # freeze the final frame and blend the arm into a reach
     final = walk[-1].copy()
     hd = np.asarray(heading_of(final, skeleton))
     end_yaw = float(np.arctan2(-hd[0], hd[1]))
-    reach_s = rng.uniform(*cfg.reach_duration_range)
+    reach_s = rng.uniform(*REACH_DURATION_RANGE)
     reach, goal = _generate_reach(
-        skeleton, rng, reach_s, cfg,
-        stand_xy=final[:2], yaw=end_yaw, start_vec=final)
+        skeleton, rng, reach_s, stand_xy=final[:2], yaw=end_yaw, start_vec=final)
     poses = np.concatenate([walk[:-1], reach], axis=0)
     goal = replace(goal, target_frame=goal.target_frame + walk.shape[0] - 1)
     return poses, goal
@@ -571,24 +565,24 @@ def generate_synthetic_corpus(cfg: SyntheticGenConfig,
         else:
             poses = _generate_walk(
                 skeleton, rng,
-                duration_s=rng.uniform(*cfg.duration_range),
-                speed=rng.uniform(*cfg.speed_range),
-                turn_rate=rng.uniform(*cfg.turn_rate_range),
+                duration_s=rng.uniform(*WALK_DURATION_RANGE),
+                speed=rng.uniform(*SPEED_RANGE),
+                turn_rate=rng.uniform(*TURN_RATE_RANGE),
                 start_xy=rng.uniform(-1.0, 1.0, size=2),
-                step_time=rng.uniform(*cfg.step_time_range),
+                step_time=rng.uniform(*STEP_TIME_RANGE),
                 gesture=(i % 2 == 0))
         sequences.append(MotionSequence(poses, skeleton, None, "locomotion",
                                         f"loco_{i:04d}"))
     for i in range(cfg.n_reaching):
         rng = np.random.default_rng(children[k]); k += 1
         poses, goal = _generate_reach(
-            skeleton, rng, rng.uniform(*cfg.reach_duration_range), cfg,
+            skeleton, rng, rng.uniform(*REACH_DURATION_RANGE),
             stand_xy=rng.uniform(-1.0, 1.0, size=2))
         sequences.append(MotionSequence(poses, skeleton, goal, "reaching",
                                         f"reach_{i:04d}"))
     for i in range(cfg.n_walk_reach):
         rng = np.random.default_rng(children[k]); k += 1
-        poses, goal = _generate_walk_reach(skeleton, rng, cfg)
+        poses, goal = _generate_walk_reach(skeleton, rng)
         sequences.append(MotionSequence(poses, skeleton, goal, "reaching",
                                         f"walkreach_{i:04d}"))
     return sequences

@@ -2,9 +2,9 @@
 
 The 6D encoding is the first two columns of a rotation matrix; decoding
 orthonormalizes them. Functions broadcast over leading axes ((..., 6) ->
-(..., 3, 3)). Only yaw_of records a tape node; the other public functions
-take plain arrays, and the fused ops in body and intention reuse the VJP
-helpers _decode and _project_out.
+(..., 3, 3)). The public functions take plain arrays and record nothing;
+the fused ops in body and intention reuse the VJP helpers _decode,
+_rotated and _project_out.
 """
 from __future__ import annotations
 
@@ -140,24 +140,15 @@ def matrix_to_sixd(m):
 
 
 def yaw_of(r):
-    """Global z Euler angle (extrinsic z-y-x) of the decoded matrix.
+    """Global z Euler angle (extrinsic z-y-x) of the decoded matrix of plain
+    (..., 6) encodings.
 
     Equals atan2(m10, m00). Since column 0 of the decoded matrix is
     normalize(a) and atan2 is scale-invariant, this reads the raw first half
     directly. Gimbal-degenerate inputs resolve to atan2's branch (never fail).
     """
-    rd = ag.value(r)
-    x = rd[..., 0]
-    y = rd[..., 1]
-
-    def vjp(g):
-        scale = g / (x * x + y * y)
-        gr = np.zeros_like(rd)
-        gr[..., 0] = -scale * y
-        gr[..., 1] = scale * x
-        return (gr,)
-
-    return ag.record(np.arctan2(y, x), (r,), vjp)
+    rd = np.asarray(r, dtype=np.float64)
+    return np.arctan2(rd[..., 1], rd[..., 0])
 
 
 def _rotate_xy(vd, c, s):

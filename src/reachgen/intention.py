@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
-from .body import Skeleton, joint_position_and_heading, joint_position_and_root
+from .body import Skeleton, _joint_read, joint_position_and_heading
 from .errors import InvalidInputError, SkipWindow
 from .geometry import _project_out, _safe_unit, safe_unit
 
@@ -104,32 +104,31 @@ def assemble_condition(pose, prev_delta, skeleton: Skeleton,
     Only the z translation enters and the root orientation is
     yaw-canonicalized, so the condition is invariant to world heading and
     xy position when the goal moves with the body.
+
+    One fused op over (pose, pose, prev_delta), the pose's own gradient
+    first and its read's second, the order of the rollout frame's inputs.
+    The target joint is read as joint_position reads it, and the heading,
+    the pelvis-to-goal direction and the three intention terms run the
+    numpy calls of their elementary ops in the same order, so the bits are
+    those of the composition; the VJP is written out by hand.
     """
-    wrist, root = joint_position_and_root(pose, skeleton,
-                                          skeleton.joint_index(TARGET_JOINT))
-    return _condition(pose, root, wrist, prev_delta, skeleton, goal,
-                      current_frame, goal_heading)
+    pd = ag.value(pose)
+    local, wrist, read_vjp = _joint_read(pd, skeleton, skeleton.joint_index(TARGET_JOINT))
+    out, vjp = _conditioned(pd, local[..., 0, :, :], wrist, ag.value(prev_delta), skeleton,
+                            goal, current_frame, goal_heading)
 
+    def condition_vjp(g):
+        g_pose, g_root, g_wrist, g_prev_delta = vjp(g)
+        return g_pose, read_vjp(g_wrist, g_root), g_prev_delta
 
-def _condition(pose, root, wrist, prev_delta, skeleton: Skeleton,
-               goal: GoalSpec, current_frame, goal_heading):
-    """The condition of assemble_condition as one fused op over (pose, root
-    rotation, target joint position, previous delta).
-
-    The heading, the pelvis-to-goal direction and the three intention terms
-    run the numpy calls of their elementary ops in the same order, and one
-    cos/sin of -yaw turns all five xy pairs, so the bits are those of the
-    composition; the VJP is written out by hand.
-    """
-    inputs = (pose, root, wrist, prev_delta)
-    out, vjp = _conditioned(*(ag.value(a) for a in inputs), skeleton, goal,
-                            current_frame, goal_heading)
-    return ag.record(out, inputs, vjp), out[..., -INTENTION_DIM:].copy()
+    return (ag.record(out, (pose, pose, prev_delta), condition_vjp),
+            out[..., -INTENTION_DIM:].copy())
 
 
 def _conditioned(pd, rd, wd, dd, skeleton: Skeleton, goal: GoalSpec,
                  current_frame, goal_heading):
-    """(condition, vjp) of _condition on plain arrays; vjp(g) returns the
+    """(condition, vjp) of assemble_condition on plain arrays, from the
+    pose's root rotation and target joint position; vjp(g) returns the
     gradients of (pose, root rotation, target joint position, previous
     delta)."""
     n = pd.shape[-1]

@@ -14,7 +14,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from . import autodiff as ag
-from .body import _chain_walk, _integrated, _rotations, pose_dim
+from .body import _integrated, _joint_read, pose_dim
 from .dataset import MotionSequence
 from .errors import (DegenerateRotationError, InvalidInputError,
                      ModelMismatchError, NumericFault, check_positive)
@@ -180,10 +180,10 @@ class _FrameGrads:
         It returns the gradients of the frame node's inputs, (pose, pose,
         pose, latents, *decoder parameters). The pose is listed three times,
         so the tape adds its gradients from the integration, the condition
-        and the chain walk with the decode in the composition's order, after
-        any gradient the caller's objective gave it.
+        and the joint read in the composition's order, after any gradient
+        the caller's objective gave it.
         """
-        rotations_vjp, chain_vjp, condition_vjp, decode_vjp, integrate_vjp = vjps
+        read_vjp, condition_vjp, decode_vjp, integrate_vjp = vjps
         k = self.latent_dim
 
         def vjp(g):
@@ -201,11 +201,7 @@ class _FrameGrads:
             if wants_pose:
                 if frame > 1:
                     self.deltas[frame - 1] = g_prev_delta
-                g_translation, g_local = chain_vjp(g_wrist)
-                g_local[..., 0, :, :] += g_root
-                g_read = np.empty(g_cond.shape)
-                g_read[..., :3] = g_translation
-                g_read[..., 3:] = rotations_vjp(g_local)
+                g_read = read_vjp(g_wrist, g_root)
             return (g_prev, g_cond, g_read, self.latents if frame == 1 else None,
                     *g_params)
 
@@ -233,12 +229,12 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
     rows) gives frame i's decoder the training masks of seed + i - 1, rows
     as `nn._mlp` takes them (None: no dropout).
 
-    A frame is one fused op. It decodes the pose's rotations, walks the
-    target joint's chain, runs the goal switch, the condition, the decoder
-    MLP and the integration on plain arrays through the helpers of those
-    fused ops, so its poses have the bits of their composition. When a Tape
-    is active and the latents, the initial pose or the decoder's parameters
-    require gradients, each frame records one node, and every pose is
+    A frame is one fused op. It reads the target joint as joint_position
+    does, runs the goal switch, the condition, the decoder MLP and the
+    integration on plain arrays through the helpers of those fused ops, so
+    its poses have the bits of their composition. When a Tape is active and
+    the latents, the initial pose or the decoder's parameters require
+    gradients, each frame records one node, and every pose is
     differentiable in them; once a row is held, the frames record nothing.
 
     A degenerate 6D rotation is found where the next frame's decode rejects
@@ -286,7 +282,7 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
         current_frame = i - 1
         pd = ag.value(cur)
         try:
-            local, rotations_vjp = _rotations(pd, skeleton)
+            local, wrist, read_vjp = _joint_read(pd, skeleton, joint)
         except DegenerateRotationError:
             bad = _degenerate_rows(pd, skeleton.n_joints)
             if i == 1 or not bad.any():
@@ -294,9 +290,8 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
             if hold_degenerate(bad, current_frame):
                 break
             pd = cur
-            local, rotations_vjp = _rotations(pd, skeleton)
+            local, wrist, read_vjp = _joint_read(pd, skeleton, joint)
         wants_pose = isinstance(cur, ag.Tensor) and cur.requires_grad
-        wrist, chain_vjp = _chain_walk(pd, local, skeleton, joint)
         active = goals.advance(active, wrist, current_frame)
         cond, condition_vjp = _conditioned(pd, local[..., 0, :, :], wrist, prev_delta,
                                            skeleton, goals.goal(active),
@@ -315,8 +310,8 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
             delta = np.where(hold, 0.0, delta)
             nxt = np.where(hold, pd, nxt)
         else:
-            vjp = grads.frame_vjp(i, (rotations_vjp, chain_vjp, condition_vjp,
-                                      decode_vjp, integrate_vjp), wants_pose)
+            vjp = grads.frame_vjp(i, (read_vjp, condition_vjp, decode_vjp, integrate_vjp),
+                                  wants_pose)
             nxt = ag.record(nxt, (cur, cur, cur, latents if i == 1 else None, *params),
                             vjp)
         prev_delta = delta

@@ -22,7 +22,7 @@ from .intention import (DEFAULT_HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
 from .model import MotionModel, compute_loss, decode, encode, fresh_model
 from .nn import AdamState, adam_step, kl_divergence, reparameterize
 from .rollout import GoalSchedule, rollout_poses
-from .worker import run_jobs
+from .worker import _stop_worker, run_jobs
 
 # Row shards of every training batch, cut from the batch size alone. Each
 # shard's loss is weighted by its share of the batch rows and the shard
@@ -298,7 +298,8 @@ LOG_HEADER = ("# kl summed over latent dims, averaged over teacher-forced "
 def train(sequences: list[MotionSequence], skeleton: Skeleton, cfg: TrainConfig,
           model: MotionModel | None = None):
     """Full training run; returns (model, log_rows), the rows as
-    write_training_log takes them."""
+    write_training_log takes them. On return the worker is stopped, so
+    neither process keeps the run's window set."""
     if model is None:
         model = fresh_model(skeleton, seed=cfg.seed)
     windows = build_training_windows(sequences, cfg, skeleton)
@@ -306,11 +307,14 @@ def train(sequences: list[MotionSequence], skeleton: Skeleton, cfg: TrainConfig,
     adam = AdamState(cfg.lr_base, cfg.lr_final,
                      total_steps=cfg.epochs * batches_per_epoch)
     rows = []
-    for epoch in range(cfg.epochs):
-        lr = adam.lr_at(adam.step)
-        lb = train_epoch(windows, model, adam, epoch, cfg)
-        rows.append((epoch, rollout_steps_for_epoch(epoch, cfg), lb.rec, lb.kl,
-                     lb.joint, lb.total, lr))
+    try:
+        for epoch in range(cfg.epochs):
+            lr = adam.lr_at(adam.step)
+            lb = train_epoch(windows, model, adam, epoch, cfg)
+            rows.append((epoch, rollout_steps_for_epoch(epoch, cfg), lb.rec, lb.kl,
+                         lb.joint, lb.total, lr))
+    finally:
+        _stop_worker()
     model.meta = {**model.meta, "train": asdict(cfg)}
     return model, rows
 

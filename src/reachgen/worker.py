@@ -6,7 +6,8 @@ one resident value, training's window set. A worker forked for a call
 holds that call's value from the fork, which shares the parent's pages,
 so nothing is pickled or copied; a live worker gets another value once,
 with the first job that passes it. Later jobs only name it. Each result
-crosses back as it is returned.
+crosses back as it is returned. training.train stops the worker on return,
+so no process keeps a finished run's set.
 """
 from __future__ import annotations
 

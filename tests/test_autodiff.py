@@ -26,7 +26,6 @@ def test_unary_gradients():
     rng = np.random.default_rng(0)
     x = rng.uniform(0.2, 1.5, size=(3, 4))
     check_unary("exp", np.exp, x)
-    check_unary("negative", np.negative, x)
 
 
 def test_binary_gradients_with_broadcasting():

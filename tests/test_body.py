@@ -249,8 +249,8 @@ def test_fk_records_one_node_per_decode_and_walk(skel):
     vec = ag.Tensor(random_poses(skel, rng, (2,)), requires_grad=True)
     with ag.Tape() as tape:
         body.forward_kinematics(vec, skel)
-    # the decode and the walk, each reading its slice of the pose
-    assert len(tape) == 2
+    # the decode and the walk, one node over the whole pose
+    assert len(tape) == 1
 
 
 def test_fk_gradient_batched(skel):
@@ -351,7 +351,7 @@ def test_latent_gradient_through_chain_walk_equals_full_fk(skel, monkeypatch):
         return total.data.tobytes() + latents.grad.tobytes()
 
     chain = value_and_gradient()
-    monkeypatch.setattr(rollout, "_chain_walk", full_fk_chain_walk)
+    monkeypatch.setattr(body, "_chain_walk", full_fk_chain_walk)
     monkeypatch.setattr(latent_opt, "joint_position", full_fk_joint_position)
     assert chain == value_and_gradient()
 
@@ -408,49 +408,46 @@ def check_collapsed_rotation_faults_its_row(skel, monkeypatch, name):
 
 # ------------------------------------------------------ fused pose ops
 #
-# integrate_delta, the decode of a pose's rotations and the chain walk each
-# read their own slices of the pose and record one node. The references
-# are the compositions they replaced, run on plain arrays.
+# integrate_delta, pose_delta, forward_kinematics and joint_position each
+# read the pose as a whole and record one node. The references are the
+# compositions they replaced, run on plain arrays.
 
 def ref_integrate_delta(prev, delta):
     return prev + body.rotate_pose_z(delta, geo.yaw_of(prev[..., 3:9]))
 
 
-def ref_local_rotations(pose, skeleton):
-    rotations = pose[..., 3:].reshape(pose.shape[:-1] + (skeleton.n_joints, 6))
-    return geo.sixd_to_matrix(rotations)
+def ref_pose_delta(prev, nxt):
+    return body.rotate_pose_z(nxt - prev, -geo.yaw_of(prev[..., 3:9]))
 
 
 WRIST = body.desk_skeleton().joint_index("right_wrist")
 FUSED_POSE_OPS = {
     "integrate_delta": lambda prev, delta, skel: body.integrate_delta(prev, delta),
-    "local_rotations": lambda pose, skel: body._local_rotations(pose, skel),
-    "chain_position": lambda pose, local, skel: body._chain_position(pose, local, skel,
-                                                                     WRIST),
+    "pose_delta": lambda prev, nxt, skel: body.pose_delta(prev, nxt),
+    "forward_kinematics": lambda pose, skel: body.forward_kinematics(pose, skel),
+    "joint_position": lambda pose, skel: body.joint_position(pose, skel, WRIST),
 }
 
 
 def fused_pose_case(op, skel, rng, lead):
     pose = random_poses(skel, rng, lead)
-    if op == "integrate_delta":
-        return [pose, rng.normal(scale=0.1, size=pose.shape)]
-    if op == "local_rotations":
-        return [pose]
-    return [pose, ref_local_rotations(pose, skel)]
+    if op in ("integrate_delta", "pose_delta"):
+        return [pose, pose + rng.normal(scale=0.1, size=pose.shape)]
+    return [pose]
 
 
 def test_fused_pose_ops_forward_bits(skel):
     rng = np.random.default_rng(34)
     for lead in ((), (3,), (2, 3)):
-        pose, delta = fused_pose_case("integrate_delta", skel, rng, lead)
-        out = body.integrate_delta(pose, delta)
-        assert out.tobytes() == ref_integrate_delta(pose, delta).tobytes(), lead
-        local = body._local_rotations(pose, skel)
-        assert local.shape == lead + (skel.n_joints, 3, 3)
-        assert local.tobytes() == ref_local_rotations(pose, skel).tobytes(), lead
-        wrist = body._chain_position(pose, local, skel, WRIST)
+        pose, other = fused_pose_case("pose_delta", skel, rng, lead)
+        out = body.integrate_delta(pose, other)
+        assert out.tobytes() == ref_integrate_delta(pose, other).tobytes(), lead
+        delta = body.pose_delta(pose, other)
+        assert delta.shape == pose.shape
+        assert delta.tobytes() == ref_pose_delta(pose, other).tobytes(), lead
+        wrist = body.joint_position(pose, skel, WRIST)
         assert wrist.tobytes() == per_joint_fk(pose, skel)[..., WRIST, :].tobytes(), lead
-        assert not np.shares_memory(body._chain_position(pose, local, skel, 0), pose)
+        assert not np.shares_memory(body.joint_position(pose, skel, 0), pose)
 
 
 @pytest.mark.parametrize("op", sorted(FUSED_POSE_OPS))
@@ -476,6 +473,29 @@ def test_fused_pose_op_gradients_and_one_node(skel, op):
                                        err_msg=f"{op} input {i}, lead {lead}")
 
 
+def test_pose_delta_with_one_plain_pose(skel):
+    """Either pose may be plain: the other's gradient keeps its bits. Only
+    prev's yaw, read from its root slots 3 and 4, tells prev's gradient from
+    minus nxt's."""
+    rng = np.random.default_rng(38)
+    prev, nxt = fused_pose_case("pose_delta", skel, rng, (3,))
+    weights = rng.normal(size=prev.shape)
+
+    def grads(prev_in, nxt_in):
+        with ag.Tape() as tape:
+            loss = ag.sum(body.pose_delta(prev_in, nxt_in) * weights)
+            assert len(tape) == 3    # pose_delta, multiply and sum
+        tape.backward(loss)
+        return [x.grad for x in (prev_in, nxt_in) if isinstance(x, ag.Tensor)]
+
+    both = grads(ag.Tensor(prev, requires_grad=True), ag.Tensor(nxt, requires_grad=True))
+    assert grads(prev, ag.Tensor(nxt, requires_grad=True))[0].tobytes() == both[1].tobytes()
+    assert grads(ag.Tensor(prev, requires_grad=True), nxt)[0].tobytes() == both[0].tobytes()
+    yaw_term = both[0] + both[1]
+    np.testing.assert_array_equal(np.delete(yaw_term, [3, 4], axis=-1), 0.0)
+    assert np.all(yaw_term[:, 3:5] != 0.0)
+
+
 def test_integrate_delta_skips_a_plain_prev(skel):
     """A plain prev gets no gradient; the delta's keeps its bits."""
     rng = np.random.default_rng(36)
@@ -495,7 +515,7 @@ def test_fused_decode_raises_on_a_degenerate_rotation(skel):
     pose = random_poses(skel, np.random.default_rng(37), (2,))
     foot = skel.joint_index("left_foot")
     pose[1, 3 + 6 * foot:9 + 6 * foot] = 0.0
-    for read in (lambda p: body._local_rotations(p, skel),
+    for read in (lambda p: body.forward_kinematics(p, skel),
                  lambda p: body.joint_position(p, skel, WRIST)):
         with pytest.raises(DegenerateRotationError):
             read(pose)

@@ -341,7 +341,7 @@ def test_inspect_takes_one_goal(data_dir):
     ("train", {"train": {"hindsight_horizon": [150, 15]}}, None, "InvalidInputError"),
     ("gen-data", {"sed": 3}, None, "InvalidInputError"),
     ("gen-data", {"workers": 2}, None, "InvalidInputError"),
-    ("gen-data", {"data": {"turn_rate_range": [0.5, -0.5]}}, None, "InvalidInputError"),
+    ("gen-data", {"data": {"turn_rate_range": [-0.5, 0.5]}}, None, "InvalidInputError"),
     ("gen-data", {"data": {"fps": 0}}, None, "InvalidInputError"),
     ("gen-data", {"data": {"fps": -30}}, None, "InvalidInputError"),
     ("gen-data", {"data": {"reach_radius_range": [0.15, 0.46]}}, None,
@@ -360,8 +360,7 @@ def test_inspect_takes_one_goal(data_dir):
     ("gen-data --seed -1", {}, None, "InvalidInputError"),
     ("generate --seed -1", {}, None, "InvalidInputError"),
     ("train", {"seed": -1}, None, "InvalidInputError"),
-    ("gen-data", {"data": {"speed_range": [float("nan"), 1.0]}}, None,
-     "InvalidInputError"),
+    ("gen-data", {"data": {"speed_range": [0.45, 0.75]}}, None, "InvalidInputError"),
     ("train", {"train": {"hindsight_horizon": [15.5, 150]}}, None, "InvalidInputError"),
     ("gen-data", {"data": {"fps": 30.0}}, None, "InvalidInputError"),
     ("evaluate", {"eval": {"temperature": 1.0}}, None, "InvalidInputError"),
@@ -372,12 +371,12 @@ def test_inspect_takes_one_goal(data_dir):
         "data-not-object", "config-not-object", "epochs-zero", "batch-size-zero",
         "window-len-zero", "window-len-too-long", "windows-per-sequence-zero",
         "horizon-reversed", "unknown-key", "workers-not-evaluate",
-        "turn-rate-reversed", "fps-zero", "fps-negative", "reach-radius-retired",
+        "turn-rate-range-retired", "fps-zero", "fps-negative", "reach-radius-retired",
         "eval-temperature-str", "eval-height-range-one", "batch-size-float",
         "s-max-float", "lr-base-str", "lr-final-negative", "alpha-nan",
         "kl-direction-retired", "count-float", "latent-dim-zero", "hidden-dim-zero",
         "gen-data-seed-negative", "generate-seed-negative", "train-seed-negative",
-        "speed-range-nan", "horizon-float", "fps-retired", "eval-temperature-retired"])
+        "speed-range-retired", "horizon-float", "fps-retired", "eval-temperature-retired"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
                                               settings, manifest, code):
     config = tmp_path / "settings.json"

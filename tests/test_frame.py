@@ -1,12 +1,11 @@
 """The fused rollout frame against the composition of public ops it replaced.
 
-`reference_rollout` is the closed loop with a frame of eight live tape nodes:
-the decode and the chain walk of `joint_position_and_root`, the root take,
-the condition, the latent take, the decoder's concatenate and MLP, and
-`integrate_delta`. (Its goal switch test reads the wrist with one more
-`joint_position_and_root`, whose nodes get no gradient.) The fused frame must
-give the same poses, intentions, goal indices, L_opt and latent gradient,
-bit for bit.
+`reference_rollout` is the closed loop with a frame of five live tape nodes:
+`assemble_condition`, the latent take, the decoder's concatenate and MLP,
+and `integrate_delta`. (Its goal switch test reads the wrist with one more
+`joint_position`, whose node gets no gradient.) The fused frame must give
+the same poses, intentions, goal indices, L_opt and latent gradient, bit for
+bit.
 """
 import numpy as np
 import pytest
@@ -14,8 +13,7 @@ import pytest
 from reachgen import autodiff as ag
 from reachgen import latent_opt as lo
 from reachgen import rollout as ro
-from reachgen.body import (desk_skeleton, integrate_delta, joint_position,
-                           joint_position_and_root, pose_dim)
+from reachgen.body import desk_skeleton, integrate_delta, joint_position, pose_dim
 from reachgen.dataset import standing_pose
 from reachgen.errors import DegenerateRotationError
 from reachgen.geometry import degenerate_sixd
@@ -51,7 +49,7 @@ def reference_rollout(initial_pose, schedule, duration, model, latents, decoder=
 
     for i in range(1, duration + 1):
         try:
-            read = joint_position_and_root(cur, skeleton, joint)
+            wrist = joint_position(cur, skeleton, joint)
         except DegenerateRotationError:
             pd = ag.value(cur)
             bad = degenerate_sixd(pd[..., 3:].reshape(lead + (-1, 6))).any(axis=-1)
@@ -59,8 +57,8 @@ def reference_rollout(initial_pose, schedule, duration, model, latents, decoder=
             cur = np.where(bad[..., None], ag.value(out.poses[-2]), pd)
             prev_delta = np.where(bad[..., None], 0.0, ag.value(prev_delta))
             out.poses[-1] = cur
-            read = joint_position_and_root(cur, skeleton, joint)
-        active = goals.advance(active, ag.value(read[0]), i - 1)
+            wrist = joint_position(cur, skeleton, joint)
+        active = goals.advance(active, ag.value(wrist), i - 1)
         cond, intent = assemble_condition(cur, prev_delta, skeleton, goals.goal(active),
                                           i - 1)
         delta = decoder(model.spec, model.params, latents[at_frame + (i - 1,)], cond)

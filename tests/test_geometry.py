@@ -4,7 +4,6 @@ from scipy.spatial.transform import Rotation
 
 from reachgen import autodiff as ag
 from reachgen import body, geometry as geo
-from reachgen.autodiff import Tape, Tensor
 from reachgen.errors import DegenerateRotationError, InvalidRotationError
 
 
@@ -162,33 +161,14 @@ def test_rotate_pose_z_matches_matrix_product():
         np.testing.assert_array_equal(rotated[:, 9:], pose[:, 9:])
 
 
-def test_yaw_and_rotate_gradient():
-    rng = np.random.default_rng(12)
-    r0 = geo.matrix_to_sixd(random_rotations(1, seed=3)[0])
-    v0 = rng.normal(size=(body.pose_dim(1),))
-    weights = np.arange(1.0, body.pose_dim(1) + 1.0)
-    r = Tensor(r0, requires_grad=True)
-    v = Tensor(v0, requires_grad=True)
-    with Tape() as tape:
-        out = body.rotate_pose_z(v, -geo.yaw_of(r))
-        loss = ag.sum(out * weights)
-    tape.backward(loss)
-
-    def ref(rv, vv):
-        return np.sum(body.rotate_pose_z(vv, -geo.yaw_of(rv)) * weights)
-
-    fd_r = ag.finite_difference_gradient(lambda x: ref(x, v0), r0.copy())
-    fd_v = ag.finite_difference_gradient(lambda x: ref(r0, x), v0.copy())
-    np.testing.assert_allclose(r.grad, fd_r, rtol=1e-5, atol=1e-8)
-    np.testing.assert_allclose(v.grad, fd_v, rtol=1e-5, atol=1e-8)
-
-
 # ---------------------------------------------------------------- fused ops
 #
-# Each fused op records one tape node with a hand-written VJP. The reference
-# below is the elementary-op composition it replaced, written as the numpy
+# The 6D decode, the yaw and the pose's z turn each replaced an elementary-op
+# composition. The reference below is that composition, written as the numpy
 # calls those ops ran without a tape, in the same order; the fused forward
-# must match it bit for bit so that tape-free rollouts keep their bytes.
+# must match it bit for bit so that tape-free rollouts keep their bytes. The
+# hand-written VJPs the fused ops of body and intention build on are checked
+# against central differences.
 
 def ref_sixd_to_matrix(r):
     a, b = r[..., 0:3], r[..., 3:6]
@@ -255,35 +235,32 @@ def test_fused_forward_bits_match_elementary_composition():
     assert bits(geo.safe_unit(v)) == bits(ref_safe_unit(v))
 
 
-def fused_gradients(op, inputs, weights):
-    """Tape gradients of sum(op(*inputs) * weights) for every input."""
-    ts = [Tensor(x, requires_grad=True) for x in inputs]
-    with Tape() as tape:
-        loss = ag.sum(op(*ts) * weights)
-    tape.backward(loss)
-    assert len(tape) == 3, "a fused op records one node (plus multiply and sum)"
-    return [t.grad for t in ts]
-
-
-def check_fused_gradient(op, inputs, h=1e-6, rtol=1e-5, atol=1e-8):
+def check_vjp(helper, inputs, h=1e-6, rtol=1e-5, atol=1e-8):
+    """helper(*inputs) returns (out, vjp) and vjp(g) one gradient per input;
+    each matches central differences of a random projection of out."""
     rng = np.random.default_rng(31)
-    weights = rng.normal(size=np.shape(op(*inputs)))
-    grads = fused_gradients(op, inputs, weights)
+    out, vjp = helper(*inputs)
+    weights = rng.normal(size=out.shape)
+    grads = vjp(weights)
     for i, x0 in enumerate(inputs):
         def loss(x, i=i):
             args = list(inputs)
             args[i] = x
-            return np.sum(op(*args) * weights)
+            return np.sum(helper(*args)[0] * weights)
         fd = ag.finite_difference_gradient(loss, np.array(x0, dtype=np.float64), h=h)
         np.testing.assert_allclose(grads[i], fd, rtol=rtol, atol=atol)
 
 
-def test_fused_op_gradients_batched():
-    rng = np.random.default_rng(32)
-    r = rng.normal(size=(3, 4, 6))
-    angle = rng.uniform(-np.pi, np.pi, size=(3, 4))
-    check_fused_gradient(geo.yaw_of, [r])
-    pose = rng.normal(size=(3, 4, body.pose_dim(2)))
-    check_fused_gradient(body.rotate_pose_z, [pose, angle])
-    check_fused_gradient(body.rotate_pose_z, [pose, np.array(0.4)])
+def decode(r):
+    m, vjp = geo._decode(r)
+    return m, lambda g: (vjp(g),)
 
+
+def test_fused_op_gradients_batched():
+    """The plain VJP helpers the fused ops share, on batched inputs: the 6D
+    decode, and the z turn of poses by per-row angles or one angle."""
+    rng = np.random.default_rng(32)
+    check_vjp(decode, [rng.normal(size=(3, 4, 6))])
+    pose = rng.normal(size=(3, 4, body.pose_dim(2)))
+    check_vjp(body._turned_pose, [pose, rng.uniform(-np.pi, np.pi, size=(3, 4))])
+    check_vjp(body._turned_pose, [pose, np.array(0.4)])

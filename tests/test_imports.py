@@ -1,7 +1,8 @@
 """Every name a module in src/reachgen imports is used in that module, every
 import sits at module level, every function, method and nested function
-of the package is referred to from src/ or demos/ outside its own body, and
-every parameter with a default is set by some call in src/, demos/ or
+of the package is referred to from src/ or demos/ outside its own body,
+only public module-level functions record tape nodes outside autodiff.py,
+and every parameter with a default is set by some call in src/, demos/ or
 perfbench/, apart from short allow-lists with a reason for each."""
 import ast
 import functools
@@ -135,6 +136,45 @@ def test_every_dataset_helper_is_used():
     unused = sorted(f.name for f in helpers
                     if package[f.name] == _references(f)[f.name])
     assert not unused, f"dataset.py defines helpers nothing uses: {unused}"
+
+
+# The functions outside autodiff.py that record tape nodes: each public pose
+# op, the condition, the MLP and the rollout, whose frames are one node each.
+RECORDERS = {"body.forward_kinematics", "body.joint_position", "body.pose_delta",
+             "body.integrate_delta", "intention.assemble_condition", "nn.mlp_forward",
+             "rollout.rollout_poses"}
+
+
+def _record_callers(node, stack=()):
+    """The stack of enclosing function, lambda and class names (outermost
+    first) of every call of autodiff's `record` or `_record` below `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("record", "_record"):
+                yield stack
+        inner = stack
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = stack + (child.name,)
+        elif isinstance(child, ast.Lambda):
+            inner = stack + ("<lambda>",)
+        yield from _record_callers(child, inner)
+
+
+def test_only_public_functions_record():
+    # a fused op records its one node in the body of the public function
+    # that is the op, never in a private helper or a closure, so each
+    # recorded op is one call a caller can see
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "autodiff":
+            callers |= {(path.stem,) + stack
+                        for stack in _record_callers(ast.parse(path.read_text()))}
+    stray = sorted(".".join(c) for c in callers
+                   if len(c) != 2 or c[1].startswith("_"))
+    assert not stray, f"record is called outside a public module-level function: {stray}"
+    assert {".".join(c) for c in callers} == RECORDERS
 
 
 # Defaulted parameters no call in src/, demos/ or perfbench/ sets, each kept

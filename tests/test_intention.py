@@ -236,27 +236,24 @@ def test_fused_condition_forward_bits(skel):
 
 
 def test_fused_condition_gradients(skel):
-    """One tape node over (pose, root rotation, wrist, previous delta), and
-    a VJP that matches finite differences for each."""
+    """One tape node over (pose, pose, previous delta), and a VJP that
+    matches finite differences for the pose and the previous delta."""
     rng = np.random.default_rng(51)
-    joint = skel.joint_index("right_wrist")
     for lead in ((), (3,), (2, 3)):
         for with_heading in (False, True):
             pose, prev, goal, frame, heading = condition_case(
                 skel, rng, lead, with_heading)
             goal = GoalSpec(goal.position + 3.0, goal.target_frame)  # off the pelvis
-            wrist, root = (np.asarray(a) for a in
-                           body.joint_position_and_root(pose, skel, joint))
-            inputs = [pose, root.copy(), wrist, prev]
+            inputs = [pose, prev]
             weights = rng.normal(size=lead + (it.condition_dim(skel.n_rotated),))
 
             def loss(*args):
-                cond, _ = it._condition(*args, skel, goal, frame, heading)
+                cond, _ = it.assemble_condition(*args, skel, goal, frame, heading)
                 return np.sum(cond * weights)
 
             ts = [ag.Tensor(a, requires_grad=True) for a in inputs]
             with ag.Tape() as tape:
-                cond, _ = it._condition(*ts, skel, goal, frame, heading)
+                cond, _ = it.assemble_condition(*ts, skel, goal, frame, heading)
                 assert len(tape) == 1
                 total = ag.sum(cond * weights)
             tape.backward(total)
@@ -272,16 +269,18 @@ def test_fused_condition_gradients(skel):
 
 def test_fused_condition_gradient_is_zero_on_a_degenerate_direction(skel):
     """A goal on the pelvis gives the direction and the distance a locally
-    constant value (zero vector, norm 1), so no gradient reaches the
-    pelvis xy of that row; the other row gets one."""
+    constant value (zero vector, norm 1), so the pelvis term sends no
+    gradient to the pelvis xy of that row; the other row gets one. (The
+    wrist term reaches the pelvis xy through the translation, so only the
+    pelvis columns are weighted.)"""
     rng = np.random.default_rng(52)
     pose, prev, goal, frame, _ = condition_case(skel, rng, (2,), False)
-    wrist, root = (np.asarray(a) for a in body.joint_position_and_root(
-        pose, skel, skel.joint_index("right_wrist")))
     t = ag.Tensor(pose, requires_grad=True)
     with ag.Tape() as tape:
-        cond, _ = it._condition(t, root, wrist, prev, skel, goal, frame, None)
-        total = ag.sum(cond * rng.normal(size=cond.shape))
+        cond, _ = it.assemble_condition(t, prev, skel, goal, frame)
+        weights = np.zeros(cond.shape)
+        weights[..., -2:] = rng.normal(size=(2, 2))
+        total = ag.sum(cond * weights)
     tape.backward(total)
     np.testing.assert_array_equal(t.grad[0, 0:2], 0.0)
     assert np.all(t.grad[1, 0:2] != 0.0)

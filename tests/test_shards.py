@@ -175,6 +175,23 @@ def test_the_window_set_crosses_the_pipe_only_to_a_live_worker(skel, windows, mo
                                                     replay_adam.v.tobytes())
 
 
+def test_train_releases_the_window_set_on_return(skel, monkeypatch):
+    # a sharded run forks the worker holding its window set; once train
+    # returns, neither this process nor a worker keeps the set
+    wk._stop_worker()
+    monkeypatch.setattr(wk, "_process_count", lambda: 2)
+    corpus = ds.generate_synthetic_corpus(
+        ds.SyntheticGenConfig(seed=2, n_locomotion=2, n_reaching=1, n_walk_reach=0), skel)
+    cfg = dataclasses.replace(config(8), epochs=1)
+    forked = []
+    connection = wk._worker_connection
+    monkeypatch.setattr(wk, "_worker_connection",
+                        lambda resident: forked.append(resident) or connection(resident))
+    tr.train(corpus, skel, cfg, small_model(skel))
+    assert forked and forked[0] is not None
+    assert (wk._worker, wk._resident) == (None, None)
+
+
 def test_shard_bounds_come_from_the_batch_size():
     assert tr.TRAIN_SHARDS == 2
     assert tr._shard_bounds(32) == [(0, 16), (16, 32)]

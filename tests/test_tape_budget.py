@@ -1,10 +1,10 @@
 """Tape-node budgets of the recorded workloads.
 
 Node counts are deterministic and do not depend on the machine, so they pin
-the size of the autodiff graph. The budgets are the measured counts: 102
-nodes for a 90-frame latent refinement (one fused node a frame, 12 for the
+the size of the autodiff graph. The budgets are the measured counts: 101
+nodes for a 90-frame latent refinement (one fused node a frame, 11 for the
 objective), and for one shard of a 32-window training step, the tape each
-of its TRAIN_SHARDS shards records, 37 at s=0 and 62 at s=10, where the
+of its TRAIN_SHARDS shards records, 36 at s=0 and 60 at s=10, where the
 ten rollout steps add one fused node a frame and one loss over all ten. A
 change that records more nodes fails here; one that records fewer should
 lower the budget. A last guard checks that these workloads record every op
@@ -44,7 +44,7 @@ def test_latent_refinement_tape_budget(desk_model):
     latents = Tensor(record.latents.copy(), requires_grad=True)
     with Tape() as tape:
         lo._objective_terms(latents, record, goal, lo.OptObjective(), desk_model)
-    assert len(tape) <= 102
+    assert len(tape) <= 101
 
 
 def test_training_step_tape_budgets(desk_model):
@@ -62,17 +62,10 @@ def test_training_step_tape_budgets(desk_model):
                                  np.random.default_rng(0), dropout_seed=0,
                                  batch_rows=(lo, len(windows)))
         nodes[s] = len(tape)
-    assert nodes[0] <= 37
-    assert nodes[10] <= 62
+    assert nodes[0] <= 36
+    assert nodes[10] <= 60
 
 
-# Tape ops that neither a training step nor a latent refinement step records,
-# each kept for a named reader.
-UNRECORDED = {
-    "negative": "test_shards' per-step reference differentiates pose_delta",
-    "Tensor.__neg__": "test_shards' per-step reference differentiates pose_delta",
-    "Tensor.__rsub__": "test_shards' per-step reference differentiates pose_delta",
-}
 # autodiff's public functions that are helpers, not ops
 NOT_OPS = {"value", "unbroadcast", "finite_difference_gradient"}
 
@@ -127,5 +120,4 @@ def test_every_tape_op_is_recorded(monkeypatch):
     lo.optimize_latents(record, goal, objective, model, steps=1)
 
     unrecorded = {name for *_, name in ops} - recorded
-    assert unrecorded - set(UNRECORDED) == set(), "tape ops that no step records"
-    assert set(UNRECORDED) - unrecorded == set(), "allow-listed ops are now recorded"
+    assert unrecorded == set(), "tape ops that no step records"
