@@ -1,6 +1,6 @@
 """Generate a small synthetic corpus and train the delta autoencoder on it.
 
-Run: python demos/03_train_desk_model.py    (about 15 s)
+Run: python demos/03_train_desk_model.py    (2-5 s on 2 cores)
 """
 import numpy as np
 

@@ -109,11 +109,14 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _write_resolved(cfg: dict, out_dir: str, command: str,
-                    input_hashes: dict | None = None) -> None:
+def _write_resolved(cfg: dict, out_dir: str, command: str, input_hashes: dict,
+                    flags: dict) -> None:
+    """resolved_config.json: the merged settings, the hashes of the input
+    files, and the values of the command's own flags that the settings do
+    not hold, so the run can be repeated from its directory."""
     os.makedirs(out_dir, exist_ok=True)
     payload = {"command": command, "tool_version": __version__,
-               "resolved": cfg, "input_hashes": input_hashes or {}}
+               "resolved": cfg, "input_hashes": input_hashes, "flags": flags}
     with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -175,7 +178,7 @@ def cmd_gen_data(args) -> int:
         save_motion(seq, os.path.join(motion_dir, f"{seq.ident}.mot"))
     write_manifest(corpus, split, os.path.join(out, "manifest.json"))
     skeleton.save(os.path.join(out, "skeleton.json"))
-    _write_resolved(cfg, out, "gen-data")
+    _write_resolved(cfg, out, "gen-data", {}, {})
     print(f"wrote {len(corpus)} of {planned} planned sequences to {out} "
           f"({len(generated) - len(corpus)} dropped as floating)")
     return 0
@@ -209,7 +212,7 @@ def cmd_train(args) -> int:
     write_training_log(rows, os.path.join(out, "train_log.csv"))
     ckpt = os.path.join(out, "checkpoint.ckpt")
     save_checkpoint(model, ckpt)
-    _write_resolved(cfg, out, "train", {"manifest": manifest_hash})
+    _write_resolved(cfg, out, "train", {"manifest": manifest_hash}, {})
     print(f"trained {train_cfg.epochs} epochs; final total loss {rows[-1][5]:.6f}; "
           f"checkpoint {ckpt}")
     return 0
@@ -237,6 +240,8 @@ def cmd_generate(args) -> int:
     if not frames:
         step = duration // len(positions)
         frames = [step * (i + 1) for i in range(len(positions))]
+    for frame in frames:
+        check_count("--goal-frame", frame, 0)
     goals = tuple(GoalSpec(p, f) for p, f in zip(positions, frames))
     schedule = GoalSchedule(goals, policy=args.switch_policy, radius=args.radius)
     initial = standing_pose(model.skeleton)
@@ -246,8 +251,10 @@ def cmd_generate(args) -> int:
     os.makedirs(out, exist_ok=True)
     save_motion(record.sequence, os.path.join(out, "motion.mot"))
     save_motion_csv(record.sequence, os.path.join(out, "motion.csv"))
-    _write_resolved(cfg, out, "generate",
-                    {"checkpoint": _file_hash(args.checkpoint)})
+    _write_resolved(cfg, out, "generate", {"checkpoint": _file_hash(args.checkpoint)},
+                    {"goal": [p.tolist() for p in positions], "goal_frame": frames,
+                     "duration": duration, "mode": args.mode,
+                     "switch_policy": args.switch_policy, "radius": args.radius})
     dtg = distance_to_goal(record.sequence, goals[-1], model.skeleton)
     print(f"generated {duration} frames; final-goal DTG {dtg * 100:.1f} cm; "
           f"outputs in {out}")
@@ -258,13 +265,11 @@ def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     out = args.out or "runs/evaluate"
     model = _load_model(args)
-    eval_cfg = _from_settings(EvalConfig, "eval", {
-        k: tuple(v) if isinstance(v, list) else v for k, v in cfg["eval"].items()})
+    eval_cfg = _from_settings(EvalConfig, "eval", cfg["eval"])
     report = run_benchmark(model, eval_cfg, seed=cfg["seed"])
     os.makedirs(out, exist_ok=True)
     emit_report(report, out)
-    _write_resolved(cfg, out, "evaluate",
-                    {"checkpoint": _file_hash(args.checkpoint)})
+    _write_resolved(cfg, out, "evaluate", {"checkpoint": _file_hash(args.checkpoint)}, {})
     print(f"{len(report.rows)} rollouts: SR {report.sr * 100:.1f}% "
           f"FS {report.fs * 100:.1f}% DTG {report.dtg_cm:.1f} cm; reports in {out}")
     return 0
@@ -287,8 +292,10 @@ def cmd_optimize(args) -> int:
     save_motion(record.sequence, os.path.join(out, "initial.mot"))
     save_motion(refined.sequence, os.path.join(out, "optimized.mot"))
     report.to_csv(os.path.join(out, "opt_report.csv"))
-    _write_resolved(cfg, out, "optimize",
-                    {"checkpoint": _file_hash(args.checkpoint)})
+    _write_resolved(cfg, out, "optimize", {"checkpoint": _file_hash(args.checkpoint)},
+                    {"goal": [goal.position.tolist()], "duration": args.duration,
+                     "steps": args.steps, "lr": args.lr,
+                     "prior_weight": args.prior_weight})
     print(f"optimized {args.steps} steps: final wrist distance "
           f"{before * 100:.1f} cm -> {report.final_distance * 100:.1f} cm; "
           f"outputs in {out}")
@@ -350,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=int, default=240)
     p.add_argument("--mode", choices=("sample", "mean"), default="sample")
     p.add_argument("--switch-policy", choices=("on_frame", "on_reach"),
-                   default="on_frame")
-    p.add_argument("--radius", type=float, default=0.10)
+                   default=GoalSchedule.policy)
+    p.add_argument("--radius", type=float, default=GoalSchedule.radius)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("evaluate", help="run the goal-reaching benchmark")
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=int, default=90)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--prior-weight", type=float, default=1e-3)
+    p.add_argument("--prior-weight", type=float, default=OptObjective.prior_weight)
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("inspect", help="summarize a motion container file")

@@ -23,14 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .body import (Skeleton, desk_skeleton, forward_kinematics, heading_of,
-                   joint_position, pose_dim)
+from .body import Skeleton, forward_kinematics, heading_of, joint_position, pose_dim
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
                      InfeasibleTargetError, ModelMismatchError, SkipWindow, check_count)
 from .geometry import (_cross, _dot_rows, axis_angle_matrix, matrix_to_sixd,
                        rotation_z_matrix, sixd_to_matrix)
-from .intention import DEFAULT_HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
+from .intention import GoalSpec, hindsight_goal
 
 MOTION_MAGIC = b"RGMO"
 MOTION_VERSION = 3
@@ -74,9 +73,9 @@ class MotionSequence:
 
 @dataclass(frozen=True)
 class SyntheticGenConfig:
-    n_locomotion: int = 120
-    n_reaching: int = 120
-    n_walk_reach: int = 60
+    n_locomotion: int
+    n_reaching: int
+    n_walk_reach: int
     seed: int = 0
 
     def __post_init__(self):
@@ -545,9 +544,8 @@ def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator):
 
 
 def generate_synthetic_corpus(cfg: SyntheticGenConfig,
-                              skeleton: Skeleton | None = None) -> list[MotionSequence]:
+                              skeleton: Skeleton) -> list[MotionSequence]:
     """Deterministic corpus: unlabeled walks + labeled reaches (+ composites)."""
-    skeleton = skeleton or desk_skeleton()
     sequences: list[MotionSequence] = []
     root_ss = np.random.SeedSequence(cfg.seed)
     n_total = cfg.n_locomotion + cfg.n_reaching + cfg.n_walk_reach
@@ -622,8 +620,7 @@ def split_dataset(sequences, seed: int) -> DatasetSplit:
 
 
 def sample_training_window(seq: MotionSequence, window_len: int,
-                           rng: np.random.Generator,
-                           horizon=DEFAULT_HINDSIGHT_HORIZON):
+                           rng: np.random.Generator):
     """(start, goal, goal_heading) of one fixed-length window: it holds
     seq.poses[start - 1 : start + window_len], one leading context frame
     then window_len frames, and its goal is the stored label, else a
@@ -633,7 +630,7 @@ def sample_training_window(seq: MotionSequence, window_len: int,
             f"sequence {seq.ident} has {seq.n_frames} frames, needs {window_len + 1}")
     start = int(rng.integers(1, seq.n_frames - window_len + 1))
     if seq.label is None:
-        return (start, *hindsight_goal(seq, start, rng, horizon=horizon))
+        return (start, *hindsight_goal(seq, start, rng))
     heading = heading_of(seq.poses[seq.label.target_frame], seq.skeleton)
     return start, seq.label, np.asarray(heading)
 

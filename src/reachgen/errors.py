@@ -74,13 +74,21 @@ def check_count(name: str, value, minimum: int = 1) -> None:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    """A finite real number; a bool is not one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def check_positive(name: str, value) -> None:
     """InvalidInputError unless `value` is a finite real number above 0."""
     if not (_finite(value) and value > 0):
         raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_nonnegative(name: str, value) -> None:
+    """InvalidInputError unless `value` is a finite real number >= 0."""
+    if not (_finite(value) and value >= 0):
+        raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def check_range(name: str, value) -> None:

@@ -15,8 +15,7 @@ import numpy as np
 
 from .body import Skeleton, forward_kinematics
 from .dataset import MotionSequence, standing_pose
-from .errors import (InvalidInputError, ReachGenError, _finite, check_count,
-                     check_positive, check_range)
+from .errors import ReachGenError, check_count, check_range
 from .intention import TARGET_JOINT, GoalSpec
 from .model import MotionModel
 from .rollout import GoalSchedule, draw_latents, rollout_poses
@@ -27,6 +26,13 @@ from .worker import MAX_PROCESSES, _process_count, run_jobs
 # 2-core machine 64 rows ran about 8% faster a rollout than 32, but peaked
 # at 1.5x the memory and leave coarser halves to split between processes.
 ROLLOUT_ROWS = 32
+
+# Acceptance criterion 6: a rollout succeeds when the target joint comes
+# within SUCCESS_RADIUS meters of the goal, boundary inclusive, and a frame
+# skates when the lowest joint moves more than SKATE_THRESHOLD meters (3D)
+# to the next frame.
+SUCCESS_RADIUS = 0.10
+SKATE_THRESHOLD = 0.0066
 
 
 @dataclass(frozen=True)
@@ -39,31 +45,19 @@ class EvalConfig:
     n_initial_poses: int = 6
     samples_per_pair: int = 5
     duration: int = 240           # 8 s at 30 fps
-    success_radius: float = 0.10
-    skate_threshold: float = 0.0066
 
     def __post_init__(self):
         for name in ("n_angles", "n_heights", "n_distances", "n_initial_poses",
                      "samples_per_pair", "duration"):
             check_count(name, getattr(self, name))
-        check_range("height_range", self.height_range)
-        check_range("distance_range", self.distance_range)
-        check_positive("success_radius", self.success_radius)
-        if not (_finite(self.skate_threshold) and self.skate_threshold >= 0):
-            raise InvalidInputError(f"skate_threshold must be finite and >= 0, "
-                                    f"got {self.skate_threshold!r}")
+        for name in ("height_range", "distance_range"):
+            check_range(name, getattr(self, name))
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def n_rollouts(self) -> int:
         return (self.n_angles * self.n_heights * self.n_distances
                 * self.n_initial_poses * self.samples_per_pair)
-
-    @classmethod
-    def reduced(cls) -> "EvalConfig":
-        """Small grid for desk-scale comparisons (goals within easy reach)."""
-        return cls(n_angles=3, n_heights=3, n_distances=3,
-                   height_range=(0.7, 1.3), distance_range=(0.4, 2.0),
-                   n_initial_poses=2, samples_per_pair=3, duration=240)
 
 
 @dataclass
@@ -75,7 +69,7 @@ class GoalGrid:
     combos: list       # parallel (angle, height, distance) values
 
 
-def build_goal_grid(center_pose, cfg: EvalConfig = EvalConfig()) -> GoalGrid:
+def build_goal_grid(center_pose, cfg: EvalConfig) -> GoalGrid:
     """Goals covering a cylinder around the human: angles equally spaced over
     2 pi, heights and distances linearly spaced over their ranges."""
     angles = 2.0 * np.pi * np.arange(cfg.n_angles) / cfg.n_angles
@@ -100,15 +94,15 @@ def _closest_approach(pos, goal_position, joint: int):
     return np.min(np.linalg.norm(gap, axis=-1), axis=-1)
 
 
-def _skate_share(pos, threshold: float):
-    """(...) share of frames whose lowest joint moves more than `threshold`
-    (3D displacement, meters) to the next frame; pos (..., n_frames,
-    n_joints, 3)."""
+def _skate_share(pos):
+    """(...) share of frames whose lowest joint moves more than
+    SKATE_THRESHOLD (3D displacement, meters) to the next frame; pos (...,
+    n_frames, n_joints, 3)."""
     lowest = np.argmin(pos[..., :-1, :, 2], axis=-1)[..., None, None]
     a = np.take_along_axis(pos[..., :-1, :, :], lowest, axis=-2)
     b = np.take_along_axis(pos[..., 1:, :, :], lowest, axis=-2)
     disp = np.linalg.norm((b - a)[..., 0, :], axis=-1)
-    return np.mean(disp > threshold, axis=-1)
+    return np.mean(disp > SKATE_THRESHOLD, axis=-1)
 
 
 def distance_to_goal(seq: MotionSequence, goal: GoalSpec,
@@ -119,19 +113,17 @@ def distance_to_goal(seq: MotionSequence, goal: GoalSpec,
                                    skeleton.joint_index(TARGET_JOINT)))
 
 
-def is_success(seq: MotionSequence, goal: GoalSpec, skeleton: Skeleton,
-               radius: float = 0.10) -> bool:
-    """Within the radius counts, boundary inclusive."""
-    return distance_to_goal(seq, goal, skeleton) <= radius
+def is_success(seq: MotionSequence, goal: GoalSpec, skeleton: Skeleton) -> bool:
+    """Within SUCCESS_RADIUS counts, boundary inclusive."""
+    return distance_to_goal(seq, goal, skeleton) <= SUCCESS_RADIUS
 
 
-def foot_skate(seq: MotionSequence, skeleton: Skeleton,
-               threshold: float = 0.0066) -> float:
-    """Fraction of frames whose lowest joint moves more than `threshold`
+def foot_skate(seq: MotionSequence, skeleton: Skeleton) -> float:
+    """Fraction of frames whose lowest joint moves more than SKATE_THRESHOLD
     (3D displacement, meters) to the next frame."""
     if seq.n_frames < 2:
         raise ValueError("foot skate needs at least 2 frames")
-    return float(_skate_share(forward_kinematics(seq.poses, skeleton), threshold))
+    return float(_skate_share(forward_kinematics(seq.poses, skeleton)))
 
 
 @dataclass
@@ -160,7 +152,7 @@ class EvalReport:
     n_failures: int = 0
 
 
-def default_initial_poses(skeleton: Skeleton, n: int = 6) -> list[np.ndarray]:
+def default_initial_poses(skeleton: Skeleton, n: int) -> list[np.ndarray]:
     """Corpus-style standing poses facing n evenly spread directions."""
     return [standing_pose(skeleton, yaw=2.0 * np.pi * k / n) for k in range(n)]
 
@@ -200,9 +192,9 @@ def _chunk_metrics(model: MotionModel, cfg: EvalConfig, tasks: list) -> list[Eva
                 for t, (frame, err) in zip(tasks, out.faults)]
     pos = forward_kinematics(np.stack(out.poses, axis=1), model.skeleton)
     dtg = _closest_approach(pos, goal.position, model.skeleton.joint_index(TARGET_JOINT))
-    fs = _skate_share(pos, cfg.skate_threshold)
+    fs = _skate_share(pos)
     return [EvalRow(t.pose_id, *t.combo, t.sample, float(d) * 100.0,
-                    bool(d <= cfg.success_radius), float(f)) if fault is None
+                    bool(d <= SUCCESS_RADIUS), float(f)) if fault is None
             else _failed_row(t, fault[1], f"rollout frame {fault[0]}")
             for t, d, f, fault in zip(tasks, dtg, fs, out.faults)]
 

@@ -19,7 +19,7 @@ from .geometry import _project_out, _safe_unit, safe_unit
 
 INTENTION_DIM = 7
 PELVIS_SATURATION = 2.0
-DEFAULT_HINDSIGHT_HORIZON = (15, 150)  # frames: 0.5 s to 5 s at 30 fps
+HINDSIGHT_HORIZON = (15, 150)  # frames: 0.5 s to 5 s at 30 fps
 TARGET_JOINT = "right_wrist"   # the joint every goal is reached with
 
 
@@ -192,15 +192,15 @@ def _conditioned(pd, rd, wd, dd, skeleton: Skeleton, goal: GoalSpec,
     return out, vjp
 
 
-def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator,
-                   horizon=DEFAULT_HINDSIGHT_HORIZON):
+def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator):
     """(goal, goal_heading): TARGET_JOINT's position at a random future frame
     declared the goal, and the body heading at that frame.
 
-    t_g is drawn uniformly from [anchor+min, min(anchor+max, last_frame)].
-    Raises SkipWindow when the sequence cannot host the minimum horizon.
+    t_g is drawn uniformly from [anchor+min, min(anchor+max, last_frame)],
+    (min, max) being HINDSIGHT_HORIZON. Raises SkipWindow when the sequence
+    cannot host the minimum horizon.
     """
-    min_h, max_h = horizon
+    min_h, max_h = HINDSIGHT_HORIZON
     last = sequence.n_frames - 1
     lo = anchor_frame + min_h
     if lo > last:

@@ -11,7 +11,8 @@ import numpy as np
 from . import autodiff as ag
 from .autodiff import Tape, Tensor
 from .body import joint_position
-from .errors import InvalidInputError, ModelMismatchError, check_count, check_positive
+from .errors import (InvalidInputError, ModelMismatchError, check_count,
+                     check_nonnegative, check_positive)
 from .intention import TARGET_JOINT, GoalSpec
 from .model import MotionModel
 from .nn import AdamState, ParameterStore, adam_step
@@ -32,9 +33,8 @@ class OptObjective:
     waypoints: tuple = ()
 
     def __post_init__(self):
-        weights = [self.goal_weight, self.prior_weight]
-        if not all(np.isfinite(w) and w >= 0 for w in weights):
-            raise InvalidInputError(f"weights must be finite and >= 0, got {weights}")
+        check_nonnegative("goal_weight", self.goal_weight)
+        check_nonnegative("prior_weight", self.prior_weight)
         for waypoint in self.waypoints:
             try:
                 frame, xy, weight = waypoint
@@ -42,23 +42,22 @@ class OptObjective:
                 raise InvalidInputError(
                     f"a waypoint is (frame, xy, weight), got {waypoint!r}") from None
             check_count("waypoint frame", frame, 0)
-            if not (np.isfinite(weight) and weight >= 0):
-                raise InvalidInputError(
-                    f"waypoint weights must be finite and >= 0, got {weight}")
+            check_nonnegative("waypoint weight", weight)
             if np.shape(xy) != (2,) or not np.all(np.isfinite(xy)):
                 raise InvalidInputError("waypoints are finite xy points")
 
 
 @dataclass
 class OptReport:
-    """Per-iteration loss terms and the final wrist-goal distance (meters)."""
+    """Per-iteration loss terms and the final wrist-goal distance (meters),
+    filled in by optimize_latents."""
 
-    l_opt: list = field(default_factory=list)
-    l_norm: list = field(default_factory=list)
-    l_goal: list = field(default_factory=list)
-    l_waypoint: list = field(default_factory=list)
-    final_distance: float = float("nan")
-    iterations: int = 0
+    l_opt: list = field(default_factory=list, init=False)
+    l_norm: list = field(default_factory=list, init=False)
+    l_goal: list = field(default_factory=list, init=False)
+    l_waypoint: list = field(default_factory=list, init=False)
+    final_distance: float = field(default=float("nan"), init=False)
+    iterations: int = field(default=0, init=False)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
@@ -95,7 +94,7 @@ def _objective_terms(latents: Tensor, record: RolloutRecord, goal: GoalSpec,
 
 def optimize_latents(record: RolloutRecord, goal: GoalSpec,
                      objective: OptObjective, model: MotionModel,
-                     steps: int = 100, lr: float = 1e-2):
+                     steps: int, lr: float):
     """Adam on the latent rows; returns (refined record, report).
 
     Each step rolls out the record's own schedule, as the refined record

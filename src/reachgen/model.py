@@ -38,8 +38,8 @@ class ModelSpec:
         return condition_dim(self.n_rotated)
 
     @classmethod
-    def build(cls, n_rotated: int, latent_dim: int = 16, hidden_dim: int = 64,
-              n_layers: int = 4, dropout: float = 0.1) -> "ModelSpec":
+    def build(cls, n_rotated: int, latent_dim: int, hidden_dim: int,
+              n_layers: int, dropout: float) -> "ModelSpec":
         d = pose_dim(n_rotated)
         c = condition_dim(n_rotated)
         enc = MlpConfig(in_dim=d + c, out_dim=2 * latent_dim, hidden_dim=hidden_dim,

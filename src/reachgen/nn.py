@@ -4,7 +4,7 @@ finite-difference gradient checks have headroom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,6 +15,8 @@ from .errors import DimensionMismatchError, NumericFault, check_count
 LOG_STD_MIN = -8.0
 LOG_STD_MAX = 4.0
 LAYER_NORM_EPS = 1e-5
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class ParameterStore:
@@ -72,9 +74,9 @@ class ParameterStore:
 class MlpConfig:
     in_dim: int
     out_dim: int
-    hidden_dim: int = 64
-    n_layers: int = 4            # number of affine layers
-    dropout: float = 0.1
+    hidden_dim: int
+    n_layers: int                # number of affine layers
+    dropout: float
 
     def __post_init__(self):
         check_count("hidden_dim", self.hidden_dim)
@@ -305,12 +307,9 @@ class AdamState:
     lr_base: float
     lr_final: float
     total_steps: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    step: int = field(default=0, init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    v: np.ndarray | None = field(default=None, init=False)
 
     def lr_at(self, step: int) -> float:
         if self.total_steps <= 0:
@@ -340,14 +339,14 @@ def adam_step(state: AdamState, store: ParameterStore, grad: np.ndarray) -> None
     lr = state.lr_at(state.step)
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETAS
     m = np.zeros_like(theta) if state.m is None else state.m
     v = np.zeros_like(theta) if state.v is None else state.v
     state.m = m = b1 * m + (1.0 - b1) * grad
     state.v = v = b2 * v + (1.0 - b2) * grad * grad
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
-    theta = theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     lo = 0
     for param in params:
         hi = lo + param.data.size

@@ -17,7 +17,7 @@ from .body import (FK_ROWS, Skeleton, forward_kinematics, integrate_delta,
 from .dataset import MotionSequence, sample_training_window
 from .errors import (CorpusTooSmallError, NumericFault, SkipWindow, check_count,
                      check_positive)
-from .intention import (DEFAULT_HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
+from .intention import (HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
                         condition_dim)
 from .model import MotionModel, compute_loss, decode, encode, fresh_model
 from .nn import AdamState, adam_step, kl_divergence, reparameterize
@@ -34,7 +34,8 @@ TRAIN_SHARDS = 2
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Desk-scale defaults; the paper-scale preset lives in cli presets."""
+    """Desk-scale defaults, except windows_per_sequence: 1 here, 2 in the
+    desk preset. Both presets live in cli.PRESETS."""
 
     alpha: float = 1e-2
     batch_size: int = 32
@@ -46,7 +47,6 @@ class TrainConfig:
     seed: int = 0
     window_len: int = 40
     windows_per_sequence: int = 1
-    hindsight_horizon: tuple[int, int] = DEFAULT_HINDSIGHT_HORIZON
 
     def __post_init__(self):
         for name in ("alpha", "lr_base", "lr_final"):
@@ -55,11 +55,6 @@ class TrainConfig:
                      "windows_per_sequence"):
             check_count(name, getattr(self, name))
         check_count("s_max", self.s_max, 0)
-        min_h, max_h = self.hindsight_horizon
-        check_count("hindsight_horizon min", min_h, 0)
-        check_count("hindsight_horizon max", max_h, 0)
-        if min_h > max_h:
-            raise ValueError("hindsight_horizon must satisfy 0 <= min <= max")
 
 
 def rollout_steps_for_epoch(epoch: int, cfg: TrainConfig) -> int:
@@ -123,16 +118,15 @@ def build_training_windows(sequences: list[MotionSequence], cfg: TrainConfig,
         for k in range(cfg.windows_per_sequence):
             rng = np.random.default_rng([cfg.seed, idx, k])
             try:
-                start, goal, heading = sample_training_window(
-                    seq, w, rng, horizon=cfg.hindsight_horizon)
+                start, goal, heading = sample_training_window(seq, w, rng)
             except SkipWindow:
                 continue
             picks.append((seq.poses[start - 1:start + w], start, goal, heading))
     if not picks:
         raise CorpusTooSmallError(
             f"no usable training windows in {len(sequences)} sequences for the "
-            f"'train' window_len {w} and hindsight_horizon "
-            f"{tuple(cfg.hindsight_horizon)}")
+            f"'train' window_len {w} and intention.HINDSIGHT_HORIZON "
+            f"{HINDSIGHT_HORIZON}")
     poses, starts, goals, headings = zip(*picks)
     poses, start_frame = np.stack(poses), np.array(starts)
     goal_heading = np.stack(headings)
@@ -161,18 +155,18 @@ def build_training_windows(sequences: list[MotionSequence], cfg: TrainConfig,
 
 def _batch_loss(windows: WindowSet, model: MotionModel,
                 s_steps: int, cfg: TrainConfig, noise_rng: np.random.Generator,
-                dropout_seed: int, batch_rows: tuple[int, int] | None = None):
+                dropout_seed: int, batch_rows: tuple[int, int]):
     """Teacher-forced pass over every frame plus s generated rollout steps
     from each window's step W - s on, one `rollout_poses` over the rows.
     compute_loss scores the teacher-forced poses once and the rollout
     steps' poses once, against the stored poses and targets; the KL term
     comes from the teacher-forced pass alone.
 
-    With `batch_rows` = (lo, n), `windows` are rows lo.. of an n-row batch,
-    a shard of it. The shard's noise is its rows of what `noise_rng` draws
-    for the whole batch, its dropout masks likewise, and every term is
-    weighted by its share of the batch rows, so the shards' losses,
-    breakdowns and gradients sum to the batch's. A fault in any row's
+    With `batch_rows` = (lo, n), `windows` are rows lo.. of an n-row batch:
+    a shard of it, or the whole batch at (0, n). The shard's noise is its
+    rows of what `noise_rng` draws for the whole batch, its dropout masks
+    likewise, and every term is weighted by its share of the batch rows, so
+    the shards' losses, breakdowns and gradients sum to the batch's. A fault in any row's
     rollout is raised: a held row stops every row's frames recording.
 
     Returns (total loss node, LossBreakdown floats, samples scored,
@@ -180,7 +174,7 @@ def _batch_loss(windows: WindowSet, model: MotionModel,
     """
     spec, store, skeleton = model.spec, model.params, model.skeleton
     b, w = windows.deltas.shape[:2]
-    lo, n = batch_rows or (0, b)
+    lo, n = batch_rows
     n_teacher = b * w
 
     deltas = windows.deltas.reshape(n_teacher, -1)

@@ -141,7 +141,7 @@ def test_criterion_3_gradient_correctness():
 
     def full_loss():
         total, _, _, _ = tr._batch_loss(windows, model, 1, cfg,
-                                        np.random.default_rng(0), 0)
+                                        np.random.default_rng(0), 0, (0, 2))
         return total
 
     model.params.zero_grad()

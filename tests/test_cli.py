@@ -101,6 +101,9 @@ def test_optimize_writes_exactly_its_outputs(tmp_path, checkpoint):
                          "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["initial.mot", "opt_report.csv", "optimized.mot",
                                        "resolved_config.json"]
+    flags = json.loads((out / "resolved_config.json").read_text())["flags"]
+    assert flags == {"goal": [[0.8, 0.5, 1.1]], "duration": 12, "steps": 2, "lr": 1e-2,
+                     "prior_weight": 1e-3}
     # the refined record the command computes, rebuilt through the library
     model = load_checkpoint(checkpoint)
     goal = GoalSpec(np.array([0.8, 0.5, 1.1]), 12)
@@ -112,6 +115,27 @@ def test_optimize_writes_exactly_its_outputs(tmp_path, checkpoint):
         back = load_motion(out / name, model.skeleton)
         np.testing.assert_array_equal(back.poses, rec.sequence.poses)
     assert not np.array_equal(refined.sequence.poses, record.sequence.poses)
+
+
+def test_generate_repeats_from_its_run_directory(tmp_path, checkpoint):
+    first, second = tmp_path / "first", tmp_path / "second"
+    r = run_cli("generate", "--checkpoint", checkpoint, "--goal", "1.0,0.5,1.2",
+                "--goal", "0.3,0.9,1.0", "--duration", "20", "--switch-policy", "on_reach",
+                "--radius", "0.15", "--seed", "4", "--out", str(first))
+    assert r.returncode == 0, r.stderr
+    recorded = json.loads((first / "resolved_config.json").read_text())
+    assert recorded["flags"] == {"goal": [[1.0, 0.5, 1.2], [0.3, 0.9, 1.0]],
+                                 "goal_frame": [10, 20], "duration": 20, "mode": "sample",
+                                 "switch_policy": "on_reach", "radius": 0.15}
+    argv = ["--seed", str(recorded["resolved"]["seed"])]
+    for flag, value in recorded["flags"].items():
+        for v in value if isinstance(value, list) else [value]:
+            argv += [f"--{flag.replace('_', '-')}",
+                     ",".join(map(repr, v)) if isinstance(v, list) else str(v)]
+    r = run_cli("generate", "--checkpoint", checkpoint, *argv, "--out", str(second))
+    assert r.returncode == 0, r.stderr
+    assert (first / "motion.mot").read_bytes() == (second / "motion.mot").read_bytes()
+    assert json.loads((second / "resolved_config.json").read_text()) == recorded
 
 
 def test_generate_deterministic(tmp_path, checkpoint):
@@ -291,6 +315,7 @@ def test_malformed_operator_input_is_a_clean_error(tmp_path, checkpoint):
             gen + ("--goal", "1,1,1", "--duration", "0"),
             gen,
             gen + ("--goal", "1,1,1", "--goal-frame", "10", "--goal-frame", "20"),
+            gen + ("--goal", "1,1,1", "--goal-frame", "-5"),
             opt + ("--goal", "1,2,1"),
             opt + ("--prior-weight", "-1"),
             opt + ("--prior-weight", "nan"),
@@ -364,6 +389,12 @@ def test_inspect_takes_one_goal(data_dir):
     ("train", {"train": {"hindsight_horizon": [15.5, 150]}}, None, "InvalidInputError"),
     ("gen-data", {"data": {"fps": 30.0}}, None, "InvalidInputError"),
     ("evaluate", {"eval": {"temperature": 1.0}}, None, "InvalidInputError"),
+    ("evaluate", {"eval": {"success_radius": 0.1}}, None, "InvalidInputError"),
+    ("evaluate", {"eval": {"skate_threshold": 0.0066}}, None, "InvalidInputError"),
+    ("train", {"train": {"hindsight_horizon": [15, 150]}}, None, "InvalidInputError"),
+    ("train", {"train": {"lr_base": True}}, None, "InvalidInputError"),
+    ("train", {"train": {"alpha": True}}, None, "InvalidInputError"),
+    ("evaluate", {"eval": {"height_range": [False, True]}}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
         "manifest-not-json", "manifest-no-sequences",
         "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
@@ -376,7 +407,9 @@ def test_inspect_takes_one_goal(data_dir):
         "s-max-float", "lr-base-str", "lr-final-negative", "alpha-nan",
         "kl-direction-retired", "count-float", "latent-dim-zero", "hidden-dim-zero",
         "gen-data-seed-negative", "generate-seed-negative", "train-seed-negative",
-        "speed-range-retired", "horizon-float", "fps-retired", "eval-temperature-retired"])
+        "speed-range-retired", "horizon-float", "fps-retired", "eval-temperature-retired",
+        "success-radius-retired", "skate-threshold-retired", "horizon-retired",
+        "lr-base-bool", "alpha-bool", "eval-range-bool"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
                                               settings, manifest, code):
     config = tmp_path / "settings.json"

@@ -8,7 +8,7 @@ from reachgen.body import desk_skeleton, forward_kinematics, joint_position, res
 from reachgen.errors import (CorruptFileError, ModelMismatchError, SkipWindow,
                              VersionMismatchError)
 from reachgen.geometry import matrix_to_sixd, rotation_z_matrix
-from reachgen.intention import GoalSpec, hindsight_goal
+from reachgen.intention import HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
 
 
 @pytest.fixture(scope="module")
@@ -430,25 +430,26 @@ def test_training_window_too_short_skips(skel):
 
 def test_hindsight_static_sequence_goal_is_current_wrist(skel):
     seq = static_sequence(skel)
-    goal, _ = hindsight_goal(seq, 0, np.random.default_rng(0), horizon=(15, 60))
+    goal, _ = hindsight_goal(seq, 0, np.random.default_rng(0))
     wrist = np.asarray(joint_position(seq.poses[0], skel,
                                       skel.joint_index("right_wrist")))
     np.testing.assert_allclose(goal.position, wrist, atol=1e-12)
-    assert 15 <= goal.target_frame <= 60
+    assert HINDSIGHT_HORIZON[0] <= goal.target_frame <= seq.n_frames - 1
 
 
 def test_hindsight_anchor_at_end_raises(skel):
     seq = static_sequence(skel, n=30)
     with pytest.raises(SkipWindow):
-        hindsight_goal(seq, 29, np.random.default_rng(0), horizon=(15, 60))
+        hindsight_goal(seq, 29, np.random.default_rng(0))
 
 
 def test_hindsight_seeded_determinism(skel):
-    seq = static_sequence(skel, n=120)
-    frames = [hindsight_goal(seq, 0, np.random.default_rng(42), horizon=(30, 90))[0].target_frame
+    seq = static_sequence(skel, n=400)
+    frames = [hindsight_goal(seq, 10, np.random.default_rng(42))[0].target_frame
               for _ in range(3)]
     assert len(set(frames)) == 1
-    assert 30 <= frames[0] <= 90
+    lo, hi = HINDSIGHT_HORIZON
+    assert 10 + lo <= frames[0] <= 10 + hi
 
 
 def test_motion_container_roundtrip(tmp_path, small_corpus, skel):

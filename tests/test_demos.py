@@ -1,7 +1,6 @@
 """Every demo runs end to end against the current API. Demos 04 and 05
 refine latents on and benchmark the checkpoint demo 03 trains, in the same
-temporary directory; 03 takes about 10 s, 04 about 9 s and 05 about 4 s on
-2 cores."""
+temporary directory; 03 takes 2-5 s, 04 3-6 s and 05 1-2 s on 2 cores."""
 import os
 import pathlib
 import re

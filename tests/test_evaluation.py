@@ -55,8 +55,7 @@ def test_grid_125_goals_and_3750_rollouts(skel):
     ("height_range", (1.0,)), ("height_range", (1.3, 0.7)),
     ("height_range", (0.0, float("nan"))), ("distance_range", (0.5, float("inf"))),
     ("distance_range", ("0.5", "5.0")), ("distance_range", 2.0),
-    ("success_radius", 0.0), ("success_radius", float("nan")),
-    ("skate_threshold", -1e-3), ("skate_threshold", float("inf")),
+    ("height_range", (False, True)),
 ])
 def test_eval_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -65,8 +64,9 @@ def test_eval_config_rejects_bad_values(field, value):
 
 def test_eval_config_accepts_edge_values():
     cfg = ev.EvalConfig(n_angles=1, duration=1, height_range=(1.0, 1.0),
-                        distance_range=[0.8, 0.8], skate_threshold=0.0)
+                        distance_range=[0.8, 0.8])
     assert cfg.n_rollouts == 5 * 5 * 6 * 5
+    assert cfg.distance_range == (0.8, 0.8)     # a list is stored as a tuple
 
 
 def test_grid_values_match_paper_endpoints(skel):
@@ -110,7 +110,7 @@ def test_static_sequence_constant_distance(skel):
         pytest.approx(0.25, abs=1e-12)
 
 
-def test_success_boundary_rules(skel):
+def test_success_boundary_rules(skel, monkeypatch):
     wrist0 = np.asarray(joint_position(rest_pose(skel), skel,
                                        skel.joint_index("right_wrist")))
     goal = GoalSpec(wrist0, 10)
@@ -120,8 +120,8 @@ def test_success_boundary_rules(skel):
                              goal, skel)
     # boundary is inclusive: a sequence at exactly the radius counts
     seq10 = sequence_from_translations(skel, [[0.10, 0, 0]] * 2)
-    exact = ev.distance_to_goal(seq10, goal, skel)
-    assert ev.is_success(seq10, goal, skel, radius=exact)
+    monkeypatch.setattr(ev, "SUCCESS_RADIUS", ev.distance_to_goal(seq10, goal, skel))
+    assert ev.is_success(seq10, goal, skel)
 
 
 def test_foot_skate_hand_values(skel):
@@ -176,7 +176,7 @@ def test_benchmark_oracle_teleporting_wrist(skel, monkeypatch):
                 skel, [task.goal.position - wrist_rest] * 3)
             dtg = ev.distance_to_goal(seq, task.goal, skel)
             rows.append(ev.EvalRow(task.pose_id, *task.combo, task.sample,
-                                   dtg * 100.0, dtg <= cfg.success_radius, 0.0))
+                                   dtg * 100.0, dtg <= ev.SUCCESS_RADIUS, 0.0))
         return rows
 
     monkeypatch.setattr(ev, "_chunk_metrics", oracle_metrics)
@@ -300,7 +300,7 @@ def test_chunk_rows_match_batch1_generate_within_tolerance(skel):
         np.testing.assert_allclose(chunk_row, rec.sequence.poses, rtol=0, atol=1e-10)
         dtg = ev.distance_to_goal(rec.sequence, goal_k, skel)
         assert row.dtg_cm == pytest.approx(dtg * 100.0, rel=0, abs=1e-8)
-        assert row.fs == ev.foot_skate(rec.sequence, skel, cfg.skate_threshold)
+        assert row.fs == ev.foot_skate(rec.sequence, skel)
 
 
 def test_faulting_row_leaves_siblings_bit_identical(skel, monkeypatch):

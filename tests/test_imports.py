@@ -2,14 +2,17 @@
 import sits at module level, every function, method and nested function
 of the package is referred to from src/ or demos/ outside its own body,
 only public module-level functions record tape nodes outside autodiff.py,
-and every parameter with a default is set by some call in src/, demos/ or
-perfbench/, apart from short allow-lists with a reason for each."""
+every parameter with a default is set by some call in src/, demos/ or
+perfbench/, apart from short allow-lists with a reason for each, and every
+dataclass field with a default is set by such a call or is a preset key."""
 import ast
 import functools
 import pathlib
 from collections import Counter
 
 import pytest
+
+from reachgen.cli import PRESETS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "reachgen"
 
@@ -232,25 +235,32 @@ def _calls():
                 yield (f"{owner}.{func.attr}" if owner else func.attr), call
 
 
+@functools.cache
+def _calls_by_target() -> dict:
+    """The calls of _calls() grouped by target."""
+    calls = {}
+    for target, call in _calls():
+        calls.setdefault(target, []).append(call)
+    return calls
+
+
+def _by_position(call, index) -> bool:
+    """True when `call` passes argument `index` (None: keyword-only) by
+    position, or may through a * splat."""
+    return index is not None and any(isinstance(arg, ast.Starred) or i == index
+                                     for i, arg in enumerate(call.args))
+
+
 def _sets(call, name: str, index) -> bool:
     """True when `call` passes the parameter by keyword or position, or may
     through a * or ** splat."""
-    if any(k.arg in (name, None) for k in call.keywords):
-        return True
-    if index is None:
-        return False
-    for i, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred) or i == index:
-            return True
-    return False
+    return any(k.arg in (name, None) for k in call.keywords) or _by_position(call, index)
 
 
 def test_every_defaulted_parameter_is_set():
     # a default no caller overrides is a constant in disguise: each one is
     # a setting the package cannot be shown to use
-    calls = {}
-    for target, call in _calls():
-        calls.setdefault(target, []).append(call)
+    calls = _calls_by_target()
     unset = set()
 
     def check(qualified, fn, method, targets):
@@ -278,3 +288,43 @@ def test_every_defaulted_parameter_is_set():
     stray = sorted(unset - uncalled - set(UNSET_DEFAULTS))
     assert not stray, f"defaulted parameters no call sets: {stray}"
     assert set(UNSET_DEFAULTS) - unset == set(), "allow-listed parameters are now set"
+
+
+def _dataclass_fields(cls: ast.ClassDef):
+    """(name, position, has default) of each field a dataclass's __init__
+    takes, in order; a field(..., init=False) is state, not a parameter."""
+    out = []
+    for stmt in cls.body:
+        if not isinstance(stmt, ast.AnnAssign):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            has_default = "default" in keywords or "default_factory" in keywords
+        else:
+            has_default = value is not None
+        out.append((stmt.target.id, len(out), has_default))
+    return out
+
+
+def test_every_dataclass_field_is_set():
+    # a field no call sets and no preset carries is a constant in disguise;
+    # a ** splat counts only for the preset keys it can carry
+    preset_keys = {k for sections in PRESETS.values() for section in sections.values()
+                   for k in section}
+    calls = _calls_by_target()
+    unset = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                continue
+            found = calls.get(f"{path.stem}.{cls.name}", [])
+            for name, i, has_default in _dataclass_fields(cls):
+                if has_default and name not in preset_keys and not any(
+                        any(k.arg == name for k in c.keywords) or _by_position(c, i)
+                        for c in found):
+                    unset.add(f"{path.stem}.{cls.name}.{name}")
+    assert not unset, f"dataclass fields no call sets: {sorted(unset)}"

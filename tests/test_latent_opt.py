@@ -98,6 +98,8 @@ def test_optimization_reduces_final_distance(model, skel):
 @pytest.mark.parametrize("fields", [
     {"goal_weight": float("nan")}, {"goal_weight": -1.0},
     {"prior_weight": float("inf")}, {"prior_weight": float("nan")},
+    {"goal_weight": True}, {"prior_weight": "1e-3"},
+    {"waypoints": ((3, np.zeros(2), True),)}, {"waypoints": ((3, np.zeros(2), "1"),)},
     {"waypoints": ((3, np.zeros(2), float("nan")),)},
     {"waypoints": ((3, np.zeros(2), -0.5),)},
     {"waypoints": ((3, np.array([0.0, float("inf")]), 1.0),)},
@@ -123,7 +125,7 @@ def test_waypoint_past_the_duration_fails_before_any_rollout(model, short_record
     past = lo.OptObjective(waypoints=((short_record.duration + 1, np.zeros(2), 1.0),))
     for steps in (0, 1):
         with pytest.raises(InvalidInputError, match="outside rollout duration"):
-            lo.optimize_latents(short_record, goal, past, model, steps=steps)
+            lo.optimize_latents(short_record, goal, past, model, steps=steps, lr=1e-2)
 
 
 def test_refinement_rolls_out_the_records_own_schedule(model, skel):
@@ -162,7 +164,7 @@ def test_waypoint_optimization_reduces_xy_error(model, skel):
 def test_report_csv(tmp_path, model, short_record):
     goal = GoalSpec(np.array([0.6, 0.7, 1.2]), 30)
     _, report = lo.optimize_latents(short_record, goal, lo.OptObjective(),
-                                    model, steps=5)
+                                    model, steps=5, lr=1e-2)
     path = tmp_path / "opt.csv"
     report.to_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -171,7 +173,7 @@ def test_report_csv(tmp_path, model, short_record):
 
 
 @pytest.mark.parametrize("steps,lr", [(-2, 1e-2), (1, 0.0), (1, -1e-2),
-                                      (1, float("nan")), (1, float("inf"))])
+                                      (1, float("nan")), (1, float("inf")), (1, True)])
 def test_optimize_rejects_negative_steps_and_bad_lr(model, short_record, steps, lr):
     goal = GoalSpec(np.array([1.0, 0.8, 1.1]), 40)
     with pytest.raises(InvalidInputError):
@@ -182,7 +184,7 @@ def test_optimize_rejects_negative_steps_and_bad_lr(model, short_record, steps, 
 def test_zero_steps_returns_the_record_unchanged(model, short_record):
     goal = GoalSpec(np.array([1.0, 0.8, 1.1]), 40)
     refined, report = lo.optimize_latents(short_record, goal, lo.OptObjective(), model,
-                                          steps=0)
+                                          steps=0, lr=1e-2)
     assert report.iterations == 0
     np.testing.assert_array_equal(refined.sequence.poses, short_record.sequence.poses)
 
@@ -190,7 +192,7 @@ def test_zero_steps_returns_the_record_unchanged(model, short_record):
 def test_report_csv_cells_parse_as_floats(tmp_path, model, short_record):
     goal = GoalSpec(np.array([0.6, 0.7, 1.2]), 30)
     _, report = lo.optimize_latents(short_record, goal, lo.OptObjective(),
-                                    model, steps=3)
+                                    model, steps=3, lr=1e-2)
     path = tmp_path / "opt.csv"
     report.to_csv(path)
     rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
@@ -215,15 +217,16 @@ def test_optimize_latents_leaves_the_model_as_it_found_it(skel):
     goal = GoalSpec(np.array([1.0, 0.8, 1.1]), 40)
     rec = ro.generate(rest_pose(skel), ro.GoalSchedule.single(goal), 5,
                       model, np.random.default_rng(3))
-    refined, _ = lo.optimize_latents(rec, goal, lo.OptObjective(), model, steps=2)
+    refined, _ = lo.optimize_latents(rec, goal, lo.OptObjective(), model, steps=2,
+                                     lr=1e-2)
     assert np.any(refined.latents != rec.latents)
     assert_model_untouched(model)
     outside = lo.OptObjective(waypoints=((rec.duration + 1, np.zeros(2), 1.0),))
     with pytest.raises(ValueError, match="outside rollout duration"):
-        lo.optimize_latents(rec, goal, outside, model, steps=2)
+        lo.optimize_latents(rec, goal, outside, model, steps=2, lr=1e-2)
     assert_model_untouched(model)
     # non-finite latents make the first step's decoder raise
     with pytest.raises(NumericFault):
         lo.optimize_latents(replace(rec, latents=np.full_like(rec.latents, np.nan)),
-                            goal, lo.OptObjective(), model, steps=2)
+                            goal, lo.OptObjective(), model, steps=2, lr=1e-2)
     assert_model_untouched(model)

@@ -132,8 +132,7 @@ def test_window_set_matches_per_window_reference(skel):
         for k in range(cfg.windows_per_sequence):
             rng = np.random.default_rng([cfg.seed, idx, k])
             try:
-                start, goal, heading = ds.sample_training_window(
-                    seq, w, rng, horizon=cfg.hindsight_horizon)
+                start, goal, heading = ds.sample_training_window(seq, w, rng)
             except SkipWindow:
                 continue
             # one window at a time, as a (W + 1, pose_dim) slice
@@ -159,7 +158,8 @@ def test_window_set_matches_per_window_reference(skel):
 def batch_breakdown(windows, model, s, cfg):
     """(total loss value, LossBreakdown floats) of one batch, fixed noise."""
     total, breakdown, _, _ = tr._batch_loss(windows, model, s, cfg,
-                                            np.random.default_rng(0), dropout_seed=0)
+                                            np.random.default_rng(0), dropout_seed=0,
+                                            batch_rows=(0, len(windows)))
     return float(ag.value(total)), breakdown
 
 
@@ -212,7 +212,8 @@ def test_memorization_sanity(skel):
         noise_rng = np.random.default_rng(0)  # frozen noise
         with Tape() as tape:
             total, breakdown, _, _ = tr._batch_loss(
-                windows, model, 0, cfg, noise_rng, dropout_seed=0)
+                windows, model, 0, cfg, noise_rng, dropout_seed=0,
+                batch_rows=(0, len(windows)))
         tape.backward(total)
         adam_step(adam, model.params, model.params.flat_gradient())
         losses.append(breakdown.rec + breakdown.joint)
@@ -255,7 +256,7 @@ def test_rollout_never_indexes_past_window_end(skel, small_windows):
     with Tape() as tape:
         total, _, n_total, n_teacher = tr._batch_loss(
             windows[:2], model, s_steps=500, cfg=cfg, noise_rng=noise_rng,
-            dropout_seed=0)
+            dropout_seed=0, batch_rows=(0, 2))
     w = windows.deltas.shape[1]
     assert n_total == n_teacher + 2 * (w - 1)
 

@@ -204,7 +204,7 @@ def per_parameter_adam(state, store, grads, moments):
     lr = state.lr_at(state.step)
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = nn.ADAM_BETAS
     for name, param in store.items():
         g = grads[name]
         m, v = moments.get(name, (np.zeros_like(param.data), np.zeros_like(param.data)))
@@ -213,7 +213,7 @@ def per_parameter_adam(state, store, grads, moments):
         moments[name] = (m, v)
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
 
 
 @pytest.mark.parametrize("case", ["desk-model", "latents"])

@@ -3,7 +3,7 @@ import pytest
 
 from reachgen import body, evaluation as ev, rollout as ro
 from reachgen.body import desk_skeleton, joint_position, rest_pose, rotate_pose_z
-from reachgen.errors import ModelMismatchError, NumericFault
+from reachgen.errors import InvalidInputError, ModelMismatchError, NumericFault
 from reachgen.geometry import rotation_z_matrix
 from reachgen.intention import GoalSpec
 from reachgen.model import fresh_model
@@ -125,6 +125,11 @@ def test_on_reach_schedule_advances_only_within_radius(model, skel):
                              policy="on_reach", radius=0.10)
     rec2 = ro.generate(pose, sched2, 10, model, np.random.default_rng(0))
     assert np.all(rec2.goal_indices == 0)
+
+
+def test_schedule_radius_is_a_number_not_a_bool():
+    with pytest.raises(InvalidInputError, match="radius"):
+        ro.GoalSchedule((GoalSpec(np.zeros(3), 10),), radius=True)
 
 
 def test_on_reach_reads_the_wrist_once_per_frame(model, skel, monkeypatch):

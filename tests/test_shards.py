@@ -246,7 +246,7 @@ def capture_noise(monkeypatch):
     return seen
 
 
-def batch_loss(batch, model, s, cfg, batch_rows=None):
+def batch_loss(batch, model, s, cfg, batch_rows):
     with Tape() as tape:
         total, breakdown, n_total, n_teacher = tr._batch_loss(
             batch, model, s, cfg, np.random.default_rng([7, 1]), dropout_seed=11,
@@ -263,7 +263,7 @@ def test_sharded_step_matches_the_unsharded_batch(skel, windows, monkeypatch, s,
     model = small_model(skel)
     rows = np.arange(n)[::-1] + 1
     seen = capture_noise(monkeypatch)
-    grads, whole, n_total, n_teacher = batch_loss(windows[rows], model, s, cfg)
+    grads, whole, n_total, n_teacher = batch_loss(windows[rows], model, s, cfg, (0, n))
     batch_noise = list(seen)
     w = windows.deltas.shape[1]
 
@@ -297,7 +297,7 @@ def per_step_batch_loss(windows, model, s, cfg, noise_rng, dropout_seed, batch_r
     its pose on its own. Returns (total, LossBreakdown floats)."""
     spec, store, skeleton = model.spec, model.params, model.skeleton
     b, w = windows.deltas.shape[:2]
-    lo, n = batch_rows or (0, b)
+    lo, n = batch_rows
 
     def step_loss(true_delta, pred_delta, pred_pose, targets):
         diff = pred_delta - true_delta
@@ -349,7 +349,7 @@ def test_closed_loop_step_matches_the_per_step_composition(skel, windows, s):
     assert model.spec.decoder.dropout > 0
     batch = windows[np.arange(32)]
     for lo, hi in [(0, 32), *tr._shard_bounds(32)]:
-        rows = None if hi - lo == 32 else (lo, 32)
+        rows = (lo, 32)
         model.params.zero_grad()
         with Tape() as tape:
             total, whole = per_step_batch_loss(batch[lo:hi], model, s, cfg,
@@ -364,6 +364,9 @@ def test_closed_loop_step_matches_the_per_step_composition(skel, windows, s):
             assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
 
+# an infinite goal heading divides inf by inf in geometry._safe_unit, in this
+# process or in the forked worker
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("processes", [2, 1])
 def test_numeric_fault_in_a_shard_names_its_epoch_and_batch(skel, windows, monkeypatch,
                                                             processes):

@@ -117,7 +117,7 @@ def test_every_tape_op_is_recorded(monkeypatch):
     record = ro.generate(ds.standing_pose(skel), ro.GoalSchedule.single(goal), 20,
                          model, np.random.default_rng(2))
     objective = lo.OptObjective(waypoints=((10, np.array([0.3, 0.2]), 1.0),))
-    lo.optimize_latents(record, goal, objective, model, steps=1)
+    lo.optimize_latents(record, goal, objective, model, steps=1, lr=1e-2)
 
     unrecorded = {name for *_, name in ops} - recorded
     assert unrecorded == set(), "tape ops that no step records"
