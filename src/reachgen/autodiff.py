@@ -255,7 +255,7 @@ def mean(x):
     return sum(x) * (1.0 / value(x).size)
 
 
-def concatenate(parts, axis=-1):
+def concatenate(parts, axis):
     if not _any_tensor(*parts):
         return np.concatenate(parts, axis=axis)
     datas = [value(p) for p in parts]

@@ -15,13 +15,13 @@ import numpy as np
 
 from .errors import CorruptFileError, VersionMismatchError
 
-DTYPES = ("<f8", "<u8", "<i8")  # 8 bytes per value; never object or pickled
+DTYPES = ("<f8",)  # 8 bytes per value; never object or pickled
 PREFIX_BYTES = 14  # magic (4) + version (2) + header length (8)
 
 
 def write_container(path, magic: bytes, version: int, header: dict,
                     arrays: dict) -> None:
-    """Write `header` fields and the named float64, uint64 or int64 `arrays`."""
+    """Write `header` fields and the named float64 `arrays`."""
     arrays = {name: np.asarray(a) for name, a in arrays.items()}
     manifest = [{"name": name, "dtype": a.dtype.newbyteorder("<").str,
                  "shape": list(a.shape)} for name, a in arrays.items()]

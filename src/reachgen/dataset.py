@@ -292,7 +292,7 @@ def _edge_ramp(n: int) -> np.ndarray:
 
 
 def _generate_gait(skeleton: Skeleton, yaw: np.ndarray, speed: np.ndarray,
-                   start_xy=(0.0, 0.0), step_time: float = 0.5,
+                   start_xy, step_time: float,
                    gestures: "_ArmGestures | None" = None) -> np.ndarray:
     """Stance-locked gait following per-frame yaw and speed series, built
     as whole-clip frame stacks."""
@@ -379,7 +379,7 @@ def _generate_gait(skeleton: Skeleton, yaw: np.ndarray, speed: np.ndarray,
 
 def _generate_walk(skeleton: Skeleton, rng: np.random.Generator,
                    duration_s: float, speed: float, turn_rate: float,
-                   start_xy, step_time: float, gesture=False) -> np.ndarray:
+                   start_xy, step_time: float, gesture: bool) -> np.ndarray:
     """Constant-turn walk from a random heading; it starts and ends standing."""
     n = max(int(round(duration_s * FPS)), 8)
     start_yaw = rng.uniform(-np.pi, np.pi)
@@ -390,7 +390,7 @@ def _generate_walk(skeleton: Skeleton, rng: np.random.Generator,
 
 
 def _generate_turn_in_place(skeleton: Skeleton, rng: np.random.Generator,
-                            duration_s: float, start_xy=(0.0, 0.0)) -> np.ndarray:
+                            duration_s: float, start_xy) -> np.ndarray:
     """Rotate on the spot; covers goals at every bearing via hindsight."""
     n = max(int(round(duration_s * FPS)), 12)
     start_yaw = rng.uniform(-np.pi, np.pi)
@@ -465,7 +465,7 @@ def _solve_reach(skeleton: Skeleton, stand_vec: np.ndarray, target: np.ndarray):
 
 
 def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
-                    duration_s: float, stand_xy=(0.0, 0.0), yaw=None, start_vec=None):
+                    duration_s: float, stand_xy, yaw=None, start_vec=None):
     """Stand-and-reach clip; returns (poses, GoalSpec)."""
     if yaw is None:
         yaw = rng.uniform(-np.pi, np.pi)

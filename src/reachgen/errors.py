@@ -21,11 +21,15 @@ class DimensionMismatchError(ReachGenError):
 
 
 class NumericFault(ReachGenError):
-    """NaN/Inf appeared in a computation; carries a location hint."""
+    """NaN/Inf appeared in a computation; carries a location hint. Both are
+    its args, so a fault raised in a worker process unpickles."""
 
-    def __init__(self, message, where=None):
-        super().__init__(message if where is None else f"{message} (at {where})")
+    def __init__(self, message, where):
+        super().__init__(message, where)
         self.where = where
+
+    def __str__(self):
+        return f"{self.args[0]} (at {self.where})"
 
 
 class TapeReuseError(ReachGenError):
@@ -89,6 +93,12 @@ def check_nonnegative(name: str, value) -> None:
     """InvalidInputError unless `value` is a finite real number >= 0."""
     if not (_finite(value) and value >= 0):
         raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_fraction(name: str, value) -> None:
+    """InvalidInputError unless `value` is a real number in [0, 1)."""
+    if not (_finite(value) and 0 <= value < 1):
+        raise InvalidInputError(f"{name} must be a number in [0, 1), got {value!r}")
 
 
 def check_range(name: str, value) -> None:

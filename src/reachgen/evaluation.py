@@ -205,7 +205,7 @@ def _chunks_metrics(model: MotionModel, cfg: EvalConfig, chunks: list) -> list[E
 
 
 def run_benchmark(model: MotionModel, cfg: EvalConfig,
-                  initial_poses: list[np.ndarray] | None = None, seed: int = 0,
+                  initial_poses: list[np.ndarray] | None = None, *, seed: int,
                   workers: int = MAX_PROCESSES) -> EvalReport:
     """One rollout per (pose, goal, sample), run ROLLOUT_ROWS rows at a time.
 

@@ -1,5 +1,7 @@
 """Conditional VAE over pose deltas: encoder/decoder assembly, the step
-loss, model bundling, and checkpoint IO.
+loss, model bundling, and checkpoint IO. A checkpoint's spec is written as
+`dataclasses.asdict(spec)`, and on load its parameters must have the names,
+order and shapes that spec defines.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import numpy as np
 from . import autodiff as ag
 from .body import Skeleton, forward_kinematics, pose_dim, skeleton_from_text
 from .container import read_container, write_container
-from .errors import CorruptFileError, DimensionMismatchError, check_count
+from .errors import CorruptFileError, check_count
 from .intention import condition_dim
 from .nn import (GaussianParams, MlpConfig, ParameterStore, init_mlp_params,
                  mlp_forward)
@@ -48,14 +50,6 @@ class ModelSpec:
                         n_layers=n_layers, dropout=dropout)
         return cls(latent_dim, n_rotated, enc, dec)
 
-    def to_dict(self) -> dict:
-        return {
-            "latent_dim": self.latent_dim,
-            "n_rotated": self.n_rotated,
-            "encoder": asdict(self.encoder),
-            "decoder": asdict(self.decoder),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         return cls(d["latent_dim"], d["n_rotated"],
@@ -71,28 +65,20 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterStore:
 
 
 def encode(spec: ModelSpec, store: ParameterStore, delta_vec, cond_vec,
-           train: bool = False, dropout_seed: int | None = None,
-           dropout_rows: tuple[int, int] | None = None) -> GaussianParams:
+           dropout: tuple[int, tuple[int, int]] | None) -> GaussianParams:
     """MLP over (delta, condition), split into mean and clamped log-std;
-    `dropout_rows` as `nn._mlp` takes it."""
+    `dropout` as `nn._mlp` takes it."""
     x = ag.concatenate([delta_vec, cond_vec], axis=-1)
-    if ag.value(x).shape[-1] != spec.encoder.in_dim:
-        raise DimensionMismatchError("encoder input dim mismatch")
-    out = mlp_forward(spec.encoder, store, x, prefix="enc", train=train,
-                      dropout_seed=dropout_seed, dropout_rows=dropout_rows)
+    out = mlp_forward(spec.encoder, store, x, "enc", dropout)
     return GaussianParams.from_stacked(out)
 
 
 def decode(spec: ModelSpec, store: ParameterStore, z, cond_vec,
-           train: bool = False, dropout_seed: int | None = None,
-           dropout_rows: tuple[int, int] | None = None):
+           dropout: tuple[int, tuple[int, int]] | None):
     """MLP over (latent, condition), returned in pose-delta vector layout;
-    `dropout_rows` as `nn._mlp` takes it."""
+    `dropout` as `nn._mlp` takes it."""
     x = ag.concatenate([z, cond_vec], axis=-1)
-    if ag.value(x).shape[-1] != spec.decoder.in_dim:
-        raise DimensionMismatchError("decoder input dim mismatch")
-    return mlp_forward(spec.decoder, store, x, prefix="dec", train=train,
-                       dropout_seed=dropout_seed, dropout_rows=dropout_rows)
+    return mlp_forward(spec.decoder, store, x, "dec", dropout)
 
 
 def compute_loss(pred_pose, true_pose, target_joints, skeleton: Skeleton):
@@ -118,7 +104,7 @@ class MotionModel:
 
     def hash(self) -> str:
         h = hashlib.sha256()
-        h.update(json.dumps(self.spec.to_dict(), sort_keys=True).encode())
+        h.update(json.dumps(asdict(self.spec), sort_keys=True).encode())
         h.update(self.skeleton.hash.encode())
         for name in self.params.names():
             h.update(name.encode())
@@ -127,7 +113,7 @@ class MotionModel:
 
 
 def fresh_model(skeleton: Skeleton, latent_dim=16, hidden_dim=64, n_layers=4,
-                dropout=0.1, seed=0) -> MotionModel:
+                dropout=0.1, *, seed: int) -> MotionModel:
     spec = ModelSpec.build(skeleton.n_rotated, latent_dim=latent_dim,
                            hidden_dim=hidden_dim, n_layers=n_layers, dropout=dropout)
     return MotionModel(spec, init_params(spec, seed), skeleton)
@@ -140,7 +126,7 @@ def save_checkpoint(model: MotionModel, path) -> None:
     """
     arrays = {name: model.params[name].data for name in model.params.names()}
     header = {
-        "spec": model.spec.to_dict(),
+        "spec": asdict(model.spec),
         "skeleton_text": model.skeleton.to_text(),
         "meta": model.meta,
     }
@@ -148,11 +134,15 @@ def save_checkpoint(model: MotionModel, path) -> None:
 
 
 def load_checkpoint(path) -> MotionModel:
-    """The model a checkpoint holds. Validates magic, version, size."""
+    """The model a checkpoint holds. Validates magic, version, size, and
+    that its parameters have the names, order and shapes its spec defines."""
     header, values = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
         skeleton = skeleton_from_text(header["skeleton_text"])
         spec = ModelSpec.from_dict(header["spec"])
+        expected = [(name, t.data.shape) for name, t in init_params(spec, 0).items()]
+        if [(name, data.shape) for name, data in values.items()] != expected:
+            raise CorruptFileError(f"{path}: parameters do not match the spec")
         store = ParameterStore()
         for name, data in values.items():
             store.add(name, data)

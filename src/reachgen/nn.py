@@ -1,6 +1,9 @@
 """MLP with layer-norm/relu/dropout, Adam with linear lr decay, Gaussian
-reparameterization and closed-form KL. 64-bit floats throughout so
-finite-difference gradient checks have headroom.
+reparameterization and the closed-form KL to the unit normal. 64-bit floats
+throughout so finite-difference gradient checks have headroom.
+
+Dropout is one argument, `dropout=None | (seed, (lo, n))`, with no default:
+every mask is drawn from a seed, so equal calls give equal bits.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .autodiff import Tensor
-from .errors import DimensionMismatchError, NumericFault, check_count
+from .errors import DimensionMismatchError, NumericFault, check_count, check_fraction
 
 LOG_STD_MIN = -8.0
 LOG_STD_MAX = 4.0
@@ -81,8 +84,7 @@ class MlpConfig:
     def __post_init__(self):
         check_count("hidden_dim", self.hidden_dim)
         check_count("n_layers", self.n_layers)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        check_fraction("dropout", self.dropout)
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = [self.in_dim] + [self.hidden_dim] * (self.n_layers - 1) + [self.out_dim]
@@ -105,25 +107,24 @@ def init_mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str,
             store.add(f"{prefix}.ln_b{i}", np.zeros(d_out))
 
 
-def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str = "mlp",
-                train: bool = False, dropout_seed: int | None = None,
-                dropout_rows: tuple[int, int] | None = None):
+def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str,
+                dropout: tuple[int, tuple[int, int]] | None):
     """Forward pass: per layer affine -> layer-norm -> relu -> dropout
-    (train only, inverted scaling); final layer affine only.
+    (inverted scaling); final layer affine only.
 
     x is (..., in_dim), plain array or Tensor. The whole network is one
     fused op: it records one tape node whose VJP runs back through every
     layer; while no parameter requires a gradient (latent refinement
     freezes the model), it runs only the input path and gives the
-    parameters None. `dropout_rows` is as `_mlp` takes it. Raises
-    NumericFault naming the first layer whose activations went non-finite:
-    only the output is checked on every call, and the layer inputs are
-    scanned once it is non-finite.
+    parameters None. `dropout` is None or (seed, rows), as `_mlp` takes it.
+    Raises NumericFault naming the first layer whose activations went
+    non-finite: only the output is checked on every call, and the layer
+    inputs are scanned once it is non-finite.
     """
     params = mlp_params(cfg, store, prefix)
     inputs = []
     out, vjp = _mlp(cfg, params, ag.value(x), isinstance(x, Tensor) and x.requires_grad,
-                    train, dropout_seed, dropout_rows, inputs)
+                    dropout, inputs)
     if not np.isfinite(out).all():
         bad = next((i for i in range(cfg.n_layers - 1)
                     if not np.isfinite(inputs[i + 1]).all()), cfg.n_layers - 1)
@@ -143,24 +144,24 @@ def mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str) -> list:
 
 
 def _mlp(cfg: MlpConfig, params: list, xd, wants_input_grad: bool,
-         train: bool = False, dropout_seed: int | None = None,
-         dropout_rows: tuple[int, int] | None = None, inputs: list | None = None):
+         dropout: tuple[int, tuple[int, int]] | None, inputs: list | None = None):
     """(out, vjp) of mlp_forward on a plain input, with `params` from
     mlp_params; vjp(g) returns the gradients of (x, *params), None for the
     input unless `wants_input_grad`. A non-finite activation runs on to the
     output quietly; `inputs`, when given, receives each layer's input.
 
-    With `dropout_rows` = (lo, n), the input's rows are rows lo.. of an
-    n-row batch, and each layer's dropout mask is those rows of the mask
-    the seed draws for the whole batch, so a row's mask does not depend on
-    how the batch is cut. The draw takes one PCG64 output per element, so
-    skipping the other rows is an `advance`.
+    `dropout` is None (no dropout) or (seed, (lo, n)): the input's rows
+    are rows lo.. of an n-row batch, and each layer's dropout mask is those
+    rows of the mask the seed draws for the whole batch, so a row's mask
+    does not depend on how the batch is cut. The draw takes one PCG64
+    output per element, so skipping the other rows is an `advance`.
     """
     if xd.shape[-1] != cfg.in_dim:
         raise DimensionMismatchError(
             f"input dim {xd.shape[-1]}, config expects {cfg.in_dim}")
     dropout_rng = None
-    if train and cfg.dropout > 0.0:
+    if dropout is not None and cfg.dropout > 0.0:
+        dropout_seed, (lo, rows) = dropout
         dropout_rng = np.random.default_rng(dropout_seed)
     keep = 1.0 - cfg.dropout
     n = cfg.n_layers
@@ -187,7 +188,6 @@ def _mlp(cfg: MlpConfig, params: list, xd, wants_input_grad: bool,
                 pre = h
                 h = np.maximum(pre, 0.0)
                 if dropout_rng is not None:
-                    lo, rows = dropout_rows or (0, h.size // h.shape[-1])
                     dropout_rng.bit_generator.advance(lo * h.shape[-1])
                     mask = (dropout_rng.random(h.shape) < keep) / keep
                     dropout_rng.bit_generator.advance((rows - lo) * h.shape[-1] - h.size)
@@ -278,21 +278,12 @@ def reparameterize(g: GaussianParams, noise):
     return g.mean + ag.exp(g.log_std) * noise
 
 
-def kl_divergence(g: GaussianParams, direction: str = "standard"):
-    """KL between the encoded Gaussian and the unit normal, summed over dims.
-
-    standard:  KL(N(mu, sigma) || N(0, I)) = sum 0.5(mu^2 + sigma^2 - 1) - log sigma
-    as_written: KL(N(0, I) || N(mu, sigma)) = sum log sigma + (1 + mu^2)/(2 sigma^2) - 0.5
-    """
+def kl_divergence(g: GaussianParams):
+    """KL(N(mu, sigma) || N(0, I)) = sum 0.5(mu^2 + sigma^2 - 1) - log sigma,
+    the encoded Gaussian against the unit normal, summed over dims."""
     mu, ls = g.mean, g.log_std
-    if direction == "standard":
-        sig2 = ag.exp(ls * 2.0)
-        per = 0.5 * (mu * mu + sig2 - 1.0) - ls
-    elif direction == "as_written":
-        inv_sig2 = ag.exp(ls * -2.0)
-        per = ls + (1.0 + mu * mu) * inv_sig2 * 0.5 - 0.5
-    else:
-        raise ValueError(f"unknown KL direction {direction!r}")
+    sig2 = ag.exp(ls * 2.0)
+    per = 0.5 * (mu * mu + sig2 - 1.0) - ls
     return ag.sum(per, axis=-1)
 
 

@@ -253,7 +253,6 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
     wants_latents = grads.latents is not None
     if prev_delta is None:
         prev_delta = np.zeros(lead + (pose_dim(skeleton.n_rotated),))
-    dropout_seed, dropout_rows = dropout or (0, None)
     active = np.zeros(lead, dtype=np.int64)
     frozen = np.zeros(lead, dtype=bool)
     out = Rollout([cur], [], [], [None] * frozen.size)
@@ -297,10 +296,10 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
                                            skeleton, goals.goal(active),
                                            current_frame, goal_heading)
         # the decoded delta is integrated now and conditions the next frame
+        frame_dropout = None if dropout is None else (dropout[0] + i - 1, dropout[1])
         delta, decode_vjp = _mlp(decoder, params,
                                  np.concatenate([lat[at_frame + (i - 1,)], cond], axis=-1),
-                                 wants_latents or wants_pose, dropout is not None,
-                                 dropout_seed + i - 1, dropout_rows)
+                                 wants_latents or wants_pose, frame_dropout)
         if (not np.isfinite(delta).all()
                 and freeze(~np.isfinite(delta).all(axis=-1), i, _non_finite_fault)):
             break
@@ -390,7 +389,7 @@ class _HashedSeed(ISeedSequence):
 
 
 def draw_latents(rngs: list[Generator], duration: int, latent_dim: int,
-                 mode: str = "sample") -> np.ndarray:
+                 mode: str) -> np.ndarray:
     """Latents (len(rngs), duration, latent_dim), one row per generator;
     zeros in "mean" mode.
 

@@ -179,12 +179,10 @@ def _batch_loss(windows: WindowSet, model: MotionModel,
 
     deltas = windows.deltas.reshape(n_teacher, -1)
     conds = windows.conditions.reshape(n_teacher, -1)
-    gauss = encode(spec, store, deltas, conds, train=True,
-                   dropout_seed=dropout_seed, dropout_rows=(lo * w, n * w))
+    gauss = encode(spec, store, deltas, conds, (dropout_seed, (lo * w, n * w)))
     noise = noise_rng.standard_normal((n, w, spec.latent_dim))[lo:lo + b]
     z = reparameterize(gauss, noise.reshape(n_teacher, -1))
-    pred = decode(spec, store, z, conds, train=True,
-                  dropout_seed=dropout_seed + 1, dropout_rows=(lo * w, n * w))
+    pred = decode(spec, store, z, conds, (dropout_seed + 1, (lo * w, n * w)))
     pred_pose = integrate_delta(windows.poses[:, :w].reshape(n_teacher, -1), pred)
     parts = [(*compute_loss(pred_pose, windows.poses[:, 1:].reshape(n_teacher, -1),
                             windows.targets.reshape(n_teacher, -1, 3), skeleton),

@@ -11,7 +11,8 @@ from reachgen import cli
 from reachgen.dataset import load_motion, standing_pose
 from reachgen.intention import GoalSpec
 from reachgen.latent_opt import OptObjective, optimize_latents
-from reachgen.model import load_checkpoint
+from reachgen.container import read_container, write_container
+from reachgen.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 from reachgen.rollout import GoalSchedule, generate
 
 CLI = [sys.executable, "-m", "reachgen.cli"]
@@ -201,6 +202,26 @@ def test_missing_checkpoint_nonzero(tmp_path):
                 "--goal", "1,1,1", "--out", str(tmp_path / "o"))
     assert r.returncode != 0
     assert "error code=" in r.stderr
+
+
+@pytest.mark.parametrize("fault", ["missing", "reshaped", "extra"])
+def test_checkpoint_disagreeing_with_its_spec_is_corrupt(tmp_path, capsys, checkpoint,
+                                                         fault):
+    # a checkpoint's parameters are the names, order and shapes its spec defines
+    header, arrays = read_container(checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    if fault == "missing":
+        del arrays["dec.w0"]
+    elif fault == "reshaped":
+        arrays["dec.w0"] = arrays["dec.w0"][:5]
+    else:
+        arrays["dec.w9"] = np.zeros((2, 2))
+    bad = tmp_path / "bad.ckpt"
+    write_container(bad, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays)
+    out = tmp_path / "out"
+    assert cli.dispatch(["generate", "--checkpoint", str(bad), "--goal", "1,1,1",
+                         "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error code=CorruptFileError")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -395,6 +416,7 @@ def test_inspect_takes_one_goal(data_dir):
     ("train", {"train": {"lr_base": True}}, None, "InvalidInputError"),
     ("train", {"train": {"alpha": True}}, None, "InvalidInputError"),
     ("evaluate", {"eval": {"height_range": [False, True]}}, None, "InvalidInputError"),
+    ("train", {"model": {"dropout": False}}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
         "manifest-not-json", "manifest-no-sequences",
         "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
@@ -409,7 +431,7 @@ def test_inspect_takes_one_goal(data_dir):
         "gen-data-seed-negative", "generate-seed-negative", "train-seed-negative",
         "speed-range-retired", "horizon-float", "fps-retired", "eval-temperature-retired",
         "success-radius-retired", "skate-threshold-retired", "horizon-retired",
-        "lr-base-bool", "alpha-bool", "eval-range-bool"])
+        "lr-base-bool", "alpha-bool", "eval-range-bool", "dropout-bool"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
                                               settings, manifest, code):
     config = tmp_path / "settings.json"

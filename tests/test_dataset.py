@@ -274,7 +274,7 @@ def test_stacked_gait_matches_per_frame_gait_on_corpus_clips(skel, monkeypatch):
     stacked = ds._generate_gait
     calls = Counter()
 
-    def both(skeleton, yaw, speed, start_xy=(0.0, 0.0), step_time=0.5, gestures=None):
+    def both(skeleton, yaw, speed, start_xy, step_time, gestures=None):
         out = stacked(skeleton, yaw, speed, start_xy, step_time, gestures)
         ref = ref_gait(legs, skeleton, yaw, speed, start_xy, step_time, gestures)
         assert out.tobytes() == ref.tobytes()

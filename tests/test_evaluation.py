@@ -287,7 +287,7 @@ def test_chunk_rows_match_batch1_generate_within_tolerance(skel):
     grid = ev.build_goal_grid(pose, cfg)
     keys = [[7, 0, g, 0] for g in range(len(grid.goals))]
     assert len(keys) <= ev.ROLLOUT_ROWS    # one chunk
-    latents = draw_latents([np.random.default_rng(k) for k in keys], 40, 16)
+    latents = draw_latents([np.random.default_rng(k) for k in keys], 40, 16, "sample")
     goal = GoalSpec(np.stack([g.position for g in grid.goals]), 40)
     out = rollout_poses(np.tile(pose, (len(keys), 1)), GoalSchedule.single(goal),
                         40, model, latents)
@@ -427,7 +427,7 @@ def test_dead_worker_raises(skel, monkeypatch, fresh_worker):
     model, cfg = two_chunk_benchmark(skel, monkeypatch)
     monkeypatch.setattr(ev, "_chunk_metrics", dying_chunk)
     with pytest.raises(WorkerDiedError, match="exited with code 3"):
-        ev.run_benchmark(model, cfg)
+        ev.run_benchmark(model, cfg, seed=0)
     assert wk._worker is None
 
 
@@ -450,7 +450,7 @@ def test_chunks_run_with_one_blas_thread_in_either_process(skel, monkeypatch,
     before = get()
     put(2)
     try:
-        rows = ev.run_benchmark(model, cfg).rows
+        rows = ev.run_benchmark(model, cfg, seed=0).rows
         assert get() == 2
     finally:
         put(before)

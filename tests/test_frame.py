@@ -61,7 +61,7 @@ def reference_rollout(initial_pose, schedule, duration, model, latents, decoder=
         active = goals.advance(active, ag.value(wrist), i - 1)
         cond, intent = assemble_condition(cur, prev_delta, skeleton, goals.goal(active),
                                           i - 1)
-        delta = decoder(model.spec, model.params, latents[at_frame + (i - 1,)], cond)
+        delta = decoder(model.spec, model.params, latents[at_frame + (i - 1,)], cond, None)
         hold(~np.isfinite(ag.value(delta)).all(axis=-1), i, ValueError())
         nxt = integrate_delta(cur, delta)
         if frozen.any():
@@ -156,8 +156,8 @@ def test_fused_frame_matches_the_composition_with_held_rows(model, monkeypatch):
                 delta[1, 4] = np.nan
         return delta
 
-    def reference_decoder(spec, store, z, cond):
-        return tamper(decode(spec, store, z, cond), cond)
+    def reference_decoder(spec, store, z, cond, dropout):
+        return tamper(decode(spec, store, z, cond, dropout), cond)
 
     mlp = ro._mlp
 

@@ -3,8 +3,9 @@ import sits at module level, every function, method and nested function
 of the package is referred to from src/ or demos/ outside its own body,
 only public module-level functions record tape nodes outside autodiff.py,
 every parameter with a default is set by some call in src/, demos/ or
-perfbench/, apart from short allow-lists with a reason for each, and every
-dataclass field with a default is set by such a call or is a preset key."""
+perfbench/, apart from short allow-lists with a reason for each, and left
+to its default by another, and every dataclass field with a default is set
+by such a call or is a preset key."""
 import ast
 import functools
 import pathlib
@@ -183,7 +184,6 @@ def test_only_public_functions_record():
 # Defaulted parameters no call in src/, demos/ or perfbench/ sets, each kept
 # for a named reader.
 UNSET_DEFAULTS = {
-    "nn.kl_divergence.direction": "acceptance criterion 1",
     "rollout._HashedSeed.generate_state.dtype": "NumPy's protocol",
 }
 PERFBENCH = SRC.parents[1] / "perfbench"
@@ -257,37 +257,68 @@ def _sets(call, name: str, index) -> bool:
     return any(k.arg in (name, None) for k in call.keywords) or _by_position(call, index)
 
 
-def test_every_defaulted_parameter_is_set():
-    # a default no caller overrides is a constant in disguise: each one is
-    # a setting the package cannot be shown to use
+def _defaulted_parameters():
+    """(qualified name, positional index or None, calls) of every defaulted
+    parameter of a function, method or __init__ in src/; `calls` are the
+    calls of src/, demos/ and perfbench/ that may reach it."""
     calls = _calls_by_target()
-    unset = set()
-
-    def check(qualified, fn, method, targets):
-        found = [c for t in targets for c in calls.get(t, [])]
-        return {f"{qualified}.{p}" for p, i in _defaulted(fn, method)
-                if not any(_sets(c, p, i) for c in found)}
-
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text())
         classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        entries = []
         for name, fn in _functions(tree):
             # a method is matched by name on any object; a nested function
             # by its bare name in its module
             qualified = f"{path.stem}.{name}"
             owner, _, short = qualified.rpartition(".")
             method = owner.rpartition(".")[2] in {c.name for c in classes}
-            unset |= check(qualified, fn, method,
-                           [qualified, short if method else f"{path.stem}.{short}"])
+            entries.append((qualified, fn, method,
+                            [qualified, short if method else f"{path.stem}.{short}"]))
         for cls in classes:    # an __init__ is matched against calls of its class
             for init in (f for f in cls.body if isinstance(f, ast.FunctionDef)
                          and f.name == "__init__"):
                 qualified = f"{path.stem}.{cls.name}"
-                unset |= check(f"{qualified}.__init__", init, True, [qualified])
+                entries.append((f"{qualified}.__init__", init, True, [qualified]))
+        for qualified, fn, method, targets in entries:
+            found = [c for t in targets for c in calls.get(t, [])]
+            for p, i in _defaulted(fn, method):
+                yield f"{qualified}.{p}", i, found
+
+
+def test_every_defaulted_parameter_is_set():
+    # a default no caller overrides is a constant in disguise: each one is
+    # a setting the package cannot be shown to use
+    unset = {p for p, i, found in _defaulted_parameters()
+             if not any(_sets(c, p.rpartition(".")[2], i) for c in found)}
     uncalled = {p for p in unset if p.rpartition(".")[0] in UNCALLED}
     stray = sorted(unset - uncalled - set(UNSET_DEFAULTS))
     assert not stray, f"defaulted parameters no call sets: {stray}"
     assert set(UNSET_DEFAULTS) - unset == set(), "allow-listed parameters are now set"
+
+
+def _overrides(call, name: str, index) -> bool:
+    """True when `call` surely passes the parameter: by keyword, or by a
+    positional argument before any * splat."""
+    if any(k.arg == name for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return False
+        if i == index:
+            return True
+    return False
+
+
+def test_every_default_is_relied_on():
+    # a default every caller overrides is a required parameter in disguise,
+    # and a second home for a value the callers hold; a call that may leave
+    # the parameter to a * or ** splat relies on the default
+    overridden = sorted(p for p, i, found in _defaulted_parameters()
+                        if found and all(_overrides(c, p.rpartition(".")[2], i)
+                                         for c in found))
+    assert not overridden, f"defaulted parameters every call sets: {overridden}"
 
 
 def _dataclass_fields(cls: ast.ClassDef):

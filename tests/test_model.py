@@ -11,7 +11,8 @@ from reachgen.autodiff import Tape
 from reachgen.body import (FK_ROWS, desk_skeleton, forward_kinematics,
                            integrate_delta, pose_delta, pose_dim, rest_pose)
 from reachgen.container import read_container, write_container
-from reachgen.errors import CorruptFileError, SkipWindow, VersionMismatchError
+from reachgen.errors import (CorruptFileError, DimensionMismatchError, SkipWindow,
+                             VersionMismatchError)
 from reachgen.intention import assemble_condition
 from reachgen.nn import AdamState, adam_step
 
@@ -31,7 +32,7 @@ def test_encode_output_shapes(tiny_model):
     spec = tiny_model.spec
     delta = np.zeros(pose_dim(spec.n_rotated))
     cond = np.zeros(spec.condition_dim)
-    g = md.encode(spec, tiny_model.params, delta, cond)
+    g = md.encode(spec, tiny_model.params, delta, cond, None)
     assert ag.value(g.mean).shape == (spec.latent_dim,)
     assert ag.value(g.log_std).shape == (spec.latent_dim,)
     assert np.all(ag.value(g.log_std) >= -8.0)
@@ -45,18 +46,48 @@ def test_encode_decode_deterministic_in_eval(tiny_model):
     delta = rng.normal(size=pose_dim(spec.n_rotated))
     cond = rng.normal(size=spec.condition_dim)
     z = rng.normal(size=spec.latent_dim)
-    a = md.decode(spec, tiny_model.params, z, cond)
-    b = md.decode(spec, tiny_model.params, z, cond)
+    a = md.decode(spec, tiny_model.params, z, cond, None)
+    b = md.decode(spec, tiny_model.params, z, cond, None)
     np.testing.assert_array_equal(a, b)
-    ga = md.encode(spec, tiny_model.params, delta, cond)
-    gb = md.encode(spec, tiny_model.params, delta, cond)
+    ga = md.encode(spec, tiny_model.params, delta, cond, None)
+    gb = md.encode(spec, tiny_model.params, delta, cond, None)
     np.testing.assert_array_equal(ag.value(ga.mean), ag.value(gb.mean))
+
+
+def test_encode_decode_dropout_is_a_function_of_its_seed(skel):
+    # dropout is a (seed, rows) argument: equal calls give equal bits, and
+    # another seed draws other masks
+    model = md.fresh_model(skel, latent_dim=4, hidden_dim=16, n_layers=3,
+                           dropout=0.3, seed=1)
+    spec, store = model.spec, model.params
+    rng = np.random.default_rng(0)
+    delta = rng.normal(size=(5, pose_dim(spec.n_rotated)))
+    cond = rng.normal(size=(5, spec.condition_dim))
+    z = rng.normal(size=(5, spec.latent_dim))
+
+    def run(seed):
+        return (ag.value(md.encode(spec, store, delta, cond, (seed, (0, 5))).mean),
+                md.decode(spec, store, z, cond, (seed, (0, 5))))
+
+    for a, b, c in zip(run(11), run(11), run(12)):
+        assert a.tobytes() == b.tobytes()
+        assert np.any(a != c)
+
+
+def test_wrong_input_width_is_a_dimension_mismatch(tiny_model):
+    spec = tiny_model.spec
+    cond = np.zeros(spec.condition_dim)
+    with pytest.raises(DimensionMismatchError):
+        md.encode(spec, tiny_model.params, np.zeros(pose_dim(spec.n_rotated) + 1),
+                  cond, None)
+    with pytest.raises(DimensionMismatchError):
+        md.decode(spec, tiny_model.params, np.zeros(spec.latent_dim - 1), cond, None)
 
 
 def test_decode_output_dim(tiny_model, skel):
     spec = tiny_model.spec
     out = md.decode(spec, tiny_model.params, np.zeros(spec.latent_dim),
-                    np.zeros(spec.condition_dim))
+                    np.zeros(spec.condition_dim), None)
     assert out.shape == (3 + 6 + 6 * skel.n_rotated,)
 
 
@@ -277,8 +308,8 @@ def test_checkpoint_roundtrip(tmp_path, skel, small_windows):
     spec = model.spec
     rng = np.random.default_rng(3)
     z, cond = rng.normal(size=spec.latent_dim), rng.normal(size=spec.condition_dim)
-    np.testing.assert_array_equal(md.decode(spec, model.params, z, cond),
-                                  md.decode(loaded.spec, loaded.params, z, cond))
+    np.testing.assert_array_equal(md.decode(spec, model.params, z, cond, None),
+                                  md.decode(loaded.spec, loaded.params, z, cond, None))
 
 
 def test_checkpoint_bytes_stable(tmp_path, skel):

@@ -266,7 +266,7 @@ def test_seed_words_and_draws_match_seed_sequence():
                          for s in seeds])
     np.testing.assert_array_equal(words, expected)
     k = 16
-    got = ro.draw_latents([FixedSeeds(seeds)], len(seeds), k)[0]
+    got = ro.draw_latents([FixedSeeds(seeds)], len(seeds), k, "sample")[0]
     want = np.stack([np.random.default_rng(int(s)).standard_normal(k) for s in seeds])
     assert got.tobytes() == want.tobytes()
 

@@ -215,13 +215,13 @@ def test_shard_dropout_masks_are_rows_of_the_batch_masks():
     params = nn.mlp_params(cfg, store, "net")
     x = rng.integers(-2, 3, (7, 4)).astype(float)
     layers = []
-    batch, _ = nn._mlp(cfg, params, x, False, train=True, dropout_seed=5, inputs=layers)
-    untrained, _ = nn._mlp(cfg, params, x, False)
+    batch, _ = nn._mlp(cfg, params, x, False, (5, (0, 7)), inputs=layers)
+    untrained, _ = nn._mlp(cfg, params, x, False, None)
     assert not np.array_equal(batch, untrained)
     for lo, hi in [(0, 3), (3, 7), (2, 5), (6, 7)]:
         shard_layers = []
-        shard, _ = nn._mlp(cfg, params, x[lo:hi], False, train=True, dropout_seed=5,
-                           dropout_rows=(lo, 7), inputs=shard_layers)
+        shard, _ = nn._mlp(cfg, params, x[lo:hi], False, (5, (lo, 7)),
+                           inputs=shard_layers)
         np.testing.assert_array_equal(shard, batch[lo:hi])
         for got, want in zip(shard_layers, layers):    # every layer's mask
             np.testing.assert_array_equal(got, want[lo:hi])
@@ -306,12 +306,10 @@ def per_step_batch_loss(windows, model, s, cfg, noise_rng, dropout_seed, batch_r
 
     deltas = windows.deltas.reshape(b * w, -1)
     conds = windows.conditions.reshape(b * w, -1)
-    gauss = md.encode(spec, store, deltas, conds, train=True, dropout_seed=dropout_seed,
-                      dropout_rows=(lo * w, n * w))
+    gauss = md.encode(spec, store, deltas, conds, (dropout_seed, (lo * w, n * w)))
     noise = noise_rng.standard_normal((n, w, spec.latent_dim))[lo:lo + b]
     z = nn.reparameterize(gauss, noise.reshape(b * w, -1))
-    pred = md.decode(spec, store, z, conds, train=True, dropout_seed=dropout_seed + 1,
-                     dropout_rows=(lo * w, n * w))
+    pred = md.decode(spec, store, z, conds, (dropout_seed + 1, (lo * w, n * w)))
     pred_pose = integrate_delta(windows.poses[:, :w].reshape(b * w, -1), pred)
     parts = [(*step_loss(deltas, pred, pred_pose, windows.targets.reshape(b * w, -1, 3)),
               b * w)]
@@ -326,8 +324,7 @@ def per_step_batch_loss(windows, model, s, cfg, noise_rng, dropout_seed, batch_r
                                      windows.start_frame - 1 + j,
                                      goal_heading=windows.goal_heading)
         zr = noise_rng.standard_normal((n, spec.latent_dim))[lo:lo + b]
-        pred = md.decode(spec, store, zr, cond, train=True,
-                         dropout_seed=dropout_seed + 100 + j, dropout_rows=(lo, n))
+        pred = md.decode(spec, store, zr, cond, (dropout_seed + 100 + j, (lo, n)))
         true = pose_delta(cur_pose, windows.poses[:, j + 1])
         cur_pose = integrate_delta(cur_pose, pred)
         parts.append((*step_loss(true, pred, cur_pose, windows.targets[:, j]), b))
@@ -423,7 +420,7 @@ TWO_CHUNKS = ("from reachgen import evaluation\n"
               "evaluation.ROLLOUT_ROWS = 1\n"
               "cfg = evaluation.EvalConfig(n_angles=2, n_heights=1, n_distances=1,\n"
               "    n_initial_poses=1, samples_per_pair=1, duration=4)\n"
-              "evaluation.run_benchmark(model, cfg)\n")
+              "evaluation.run_benchmark(model, cfg, seed=0)\n")
 
 
 @pytest.mark.parametrize("run", [TRAIN_STEP, TWO_CHUNKS], ids=["train", "evaluate"])
@@ -433,7 +430,7 @@ def test_no_worker_outlives_its_process(run):
             "from reachgen.model import fresh_model\n"
             "worker._process_count = lambda: 2\n"
             "skel = desk_skeleton()\n"
-            "model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2)\n"
+            "model = fresh_model(skel, latent_dim=4, hidden_dim=8, n_layers=2, seed=0)\n"
             + run +
             "print(worker._worker[1].pid)\n")
     env = {**os.environ, "PYTHONPATH": SRC}
