@@ -10,11 +10,12 @@ clip runs at FPS frames per second.
 A pose is a (pose_dim,) vector in the body layout: translation 3, then joint
 j's 6D rotation at pose[3+6j : 9+6j], the root's (j = 0) first. The
 generators build rotation matrices as frame stacks: a walk plans its
-footsteps, root height and both legs in whole-clip array ops and writes one
-(n_frames, n_joints, 3, 3) buffer, a reach collects each moving joint's
-slerped track. Each joint track then becomes 6D in one matrix_to_sixd
-call, which also checks that every written rotation is orthonormal and
-right-handed.
+footsteps, root height and both legs in whole-clip array ops, writes one
+(n_frames, n_joints, 3, 3) buffer and converts each track it writes to 6D
+in one matrix_to_sixd call; a reach slerps its three moving joints as one
+stack and converts them in one call. matrix_to_sixd also checks that every
+written rotation is orthonormal and right-handed; a track no generator
+writes is the identity, written without a check.
 """
 from __future__ import annotations
 
@@ -23,11 +24,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .body import Skeleton, forward_kinematics, heading_of, joint_position, pose_dim
+from .body import Skeleton, _chain_walk, _rotations, heading_of, joint_position, pose_dim
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
                      InfeasibleTargetError, ModelMismatchError, SkipWindow, check_count)
-from .geometry import (_cross, _dot_rows, axis_angle_matrix, matrix_to_sixd,
+from .geometry import (_cross, _dot_rows, axis_angle_matrix, identity_sixd, matrix_to_sixd,
                        rotation_z_matrix, sixd_to_matrix)
 from .intention import GoalSpec, hindsight_goal
 
@@ -36,6 +37,10 @@ MOTION_VERSION = 3
 FPS = 30.0                 # frames per second of every clip, stored or generated
 MIN_SPLIT_SEQUENCES = 10   # 80/10/10 needs one validation and one test clip
 FLOAT_HEIGHT = 0.20        # m: a clip whose lowest foot rises above this floats
+# poses the float check decodes at once: decoding a whole clip in one call
+# raised the peak RSS of repeated gen-data runs, and 128-row chunks cost no
+# measurable time
+FLOAT_ROWS = 128
 REACH_RESAMPLES = 25       # reach targets drawn before a clip gives up
 SWING_LIFT = 0.06          # m: half the outward bulge of a swinging foot
 DOWN = np.array([0.0, 0.0, -1.0])   # rest direction of a leg link
@@ -129,26 +134,32 @@ def _align_rows(src, dst):
 
 
 def _matrix_log_axis_angle(m):
-    """Inverse Rodrigues; angle in [0, pi)."""
-    c = np.clip((np.trace(m) - 1.0) * 0.5, -1.0, 1.0)
+    """Inverse Rodrigues of (..., 3, 3) rotations: unit axes (..., 3) and
+    angles (...) in [0, pi). A zero angle gets the x axis; an angle near pi
+    takes its axis from the symmetric part, one rotation at a time."""
+    c = np.clip((np.trace(m, axis1=-2, axis2=-1) - 1.0) * 0.5, -1.0, 1.0)
     angle = np.arccos(c)
-    if angle < 1e-10:
-        return np.array([1.0, 0.0, 0.0]), 0.0
-    axis = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    n = np.linalg.norm(axis)
-    if n < 1e-10:
-        # angle near pi: extract axis from the symmetric part
-        w, vecs = np.linalg.eigh(m)
-        axis = vecs[:, np.argmax(w)]
-        return axis / np.linalg.norm(axis), angle
-    return axis / n, angle
+    axis = np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
+                     m[..., 1, 0] - m[..., 0, 1]], axis=-1)
+    n = np.sqrt(_dot_rows(axis, axis))
+    zero = angle < 1e-10
+    half_turn = ~zero & (n < 1e-10)
+    axis /= np.where(zero | half_turn, 1.0, n)[..., None]
+    axis[zero] = (1.0, 0.0, 0.0)
+    for i in zip(*np.nonzero(half_turn)):
+        w, vecs = np.linalg.eigh(m[i])
+        v = vecs[:, np.argmax(w)]
+        axis[i] = v / np.linalg.norm(v)
+    return axis, np.where(zero, 0.0, angle)
 
 
-def _slerp_track(m0, m1, s):
-    """(len(s), 3, 3) rotations from m0 toward m1 at fractions s; the
-    matrix log of m0.T @ m1 is taken once for the whole track."""
-    axis, angle = _matrix_log_axis_angle(m0.T @ m1)
-    return m0 @ axis_angle_matrix(axis, s * angle)
+def _slerp_track(m0, m1, pair, s):
+    """(len(s), ..., 3, 3) rotations: frame f runs from m0[pair[f]] toward
+    m1[pair[f]] at fraction s[f], for (P, ..., 3, 3) keyframe pairs; the
+    matrix log of each pair is taken once."""
+    axis, angle = _matrix_log_axis_angle(m0.mT @ m1)
+    s = s.reshape(s.shape + (1,) * (angle.ndim - 1))
+    return m0[pair] @ axis_angle_matrix(axis[pair], s * angle[pair])
 
 
 class _WalkRig:
@@ -249,38 +260,38 @@ class _ArmGestures:
     recovery examples.
     """
 
+    joint_names = ("right_shoulder", "right_elbow", "left_shoulder", "left_elbow", "spine")
+    # a keyframe's uniform draws, in order: the right shoulder's droop (a
+    # negative one raises the arm above horizontal), swing and tilt, the
+    # right elbow, the same four on the left, then the spine's lean, whose
+    # occasional forward bend brings low wrist goals into the data
+    low = np.array([-0.5, -0.9, -0.9, 0.0, -0.5, -0.9, -0.9, 0.0, -0.8])
+    high = np.array([1.4, 0.9, 0.9, 1.5, 1.4, 0.9, 0.9, 1.5, 0.15])
+
     def __init__(self, skeleton: Skeleton, rng: np.random.Generator, n: int):
-        self.joints = {name: skeleton.joint_index(name) for name in (
-            "right_shoulder", "right_elbow", "left_shoulder", "left_elbow", "spine")}
+        self.joints = [skeleton.joint_index(name) for name in self.joint_names]
         self.keys_at = np.arange(0, n + 1, max(int(rng.uniform(0.8, 1.6) * FPS), 8))
         if self.keys_at[-1] < n:
             self.keys_at = np.append(self.keys_at, n)
-        self.keyframes = [self._random_pose(rng) for _ in self.keys_at]
-
-    def _random_pose(self, rng):
-        out = {}
-        for side, sign in (("right", 1.0), ("left", -1.0)):
-            droop = rng.uniform(-0.5, 1.4)   # negative raises above horizontal
-            swing = rng.uniform(-0.9, 0.9)
-            tilt = rng.uniform(-0.9, 0.9)
-            out[f"{side}_shoulder"] = (
+        draws = rng.uniform(self.low, self.high, size=(len(self.keys_at), 9)).T
+        # (n_keys, joint, 3, 3) keyframes, joints in joint_names order
+        self.keyframes = np.empty((len(self.keys_at), len(self.joints), 3, 3))
+        for side, sign in enumerate((1.0, -1.0)):
+            droop, swing, tilt, elbow = draws[4 * side:4 * side + 4]
+            self.keyframes[:, 2 * side] = (
                 rotation_z_matrix(swing)
                 @ axis_angle_matrix([1, 0, 0], tilt)
                 @ axis_angle_matrix([0, 1, 0], sign * droop))
-            out[f"{side}_elbow"] = rotation_z_matrix(sign * rng.uniform(0.0, 1.5))
-        # occasional forward lean brings low wrist goals into the data
-        out["spine"] = axis_angle_matrix([1, 0, 0], rng.uniform(-0.8, 0.15))
-        return out
+            self.keyframes[:, 2 * side + 1] = rotation_z_matrix(sign * elbow)
+        self.keyframes[:, 4] = axis_angle_matrix([1, 0, 0], draws[8])
 
     def apply(self, mats: np.ndarray) -> None:
         """Write the gestured joints' slerped keyframes into a clip's
-        (n_frames, n_joints, 3, 3) rotations, one keyframe pair at a time."""
-        for k in range(len(self.keys_at) - 1):
-            start, stop = self.keys_at[k], self.keys_at[k + 1]
-            s = _smoothstep(np.arange(stop - start) / (stop - start))
-            for name, j in self.joints.items():
-                mats[start:stop, j] = _slerp_track(self.keyframes[k][name],
-                                                   self.keyframes[k + 1][name], s)
+        (n_frames, n_joints, 3, 3) rotations, every keyframe pair at once."""
+        span = np.diff(self.keys_at)
+        pair = np.repeat(np.arange(len(span)), span)
+        s = _smoothstep((np.arange(len(pair)) - self.keys_at[pair]) / span[pair])
+        mats[:, self.joints] = _slerp_track(self.keyframes[:-1], self.keyframes[1:], pair, s)
 
 
 def _edge_ramp(n: int) -> np.ndarray:
@@ -358,6 +369,7 @@ def _generate_gait(skeleton: Skeleton, yaw: np.ndarray, speed: np.ndarray,
     poses[:, 2] = z_root
     mats = _identity_stack(n, skeleton.n_joints)
     mats[:, 0] = yaw_mats
+    written = {0, *rig.hip_idx, *rig.arm_idx.values()}   # root, hips, shoulders
     for side in (0, 1):
         hip = rig.hip_pos(poses[:, 0:3], yaw_mats, side)
         point = np.where((stance == side)[:, None], stance_plant, hold)
@@ -372,8 +384,13 @@ def _generate_gait(skeleton: Skeleton, yaw: np.ndarray, speed: np.ndarray,
         rig.arm_locals(mats, phase, amp)
     else:   # gestures set both shoulders themselves
         gestures.apply(mats)
-    for j in range(skeleton.n_joints):   # one conversion per joint track
-        poses[:, 3 + 6 * j:9 + 6 * j] = matrix_to_sixd(mats[:, j])
+        written.update(gestures.joints)
+    # only the written tracks are converted, one track a call, which keeps
+    # the check's temporaries small; every other track is the identity
+    six = np.tile(identity_sixd(), (n, skeleton.n_joints, 1))
+    for j in sorted(written):
+        six[:, j] = matrix_to_sixd(mats[:, j])
+    poses[:, 3:] = six.reshape(n, -1)
     return poses
 
 
@@ -426,42 +443,51 @@ def standing_pose(skeleton: Skeleton, xy=(0.0, 0.0), yaw: float = 0.0) -> np.nda
     return pose
 
 
-def _solve_reach(skeleton: Skeleton, stand_vec: np.ndarray, target: np.ndarray):
-    """Spine/shoulder/elbow rotations placing the right wrist on `target`.
+REACH_JOINTS = ("spine", "right_shoulder", "right_elbow")   # the joints a reach moves
 
-    Returns {joint_name: 6d} or None when the target is outside the
-    pitched-spine reach envelope.
-    """
+
+def _reach_probes(skeleton: Skeleton, stand: np.ndarray):
+    """(spine, shoulders): the stance with its spine pitched forward by each
+    of 8 pitches, as the spine's 6D rotations (8, 6) and the right
+    shoulder's world positions (8, 3); built once per reach clip."""
     i_spine = skeleton.joint_index("spine")
-    i_sh = skeleton.joint_index("right_shoulder")
+    spine = matrix_to_sixd(axis_angle_matrix([1.0, 0.0, 0.0],
+                                             -np.linspace(0.0, 1.1, 8)))  # lean toward +y
+    probes = np.tile(stand, (len(spine), 1))
+    probes[:, 3 + 6 * i_spine:9 + 6 * i_spine] = spine
+    return spine, np.asarray(joint_position(probes, skeleton,
+                                            skeleton.joint_index("right_shoulder")))
+
+
+def _solve_reach(skeleton: Skeleton, stand: np.ndarray, spine: np.ndarray,
+                 shoulders: np.ndarray, target: np.ndarray):
+    """Spine/shoulder/elbow rotations placing the right wrist on `target`,
+    at the first of the _reach_probes pitches (spine, shoulders) whose
+    shoulder can reach it.
+
+    Returns the REACH_JOINTS' 6D rotations (3, 6), or None when the target
+    is outside the pitched-spine reach envelope.
+    """
     a = float(np.linalg.norm(skeleton.offsets[skeleton.joint_index("right_elbow")]))
     b = float(np.linalg.norm(skeleton.offsets[skeleton.joint_index("right_wrist")]))
-
-    for pitch in np.linspace(0.0, 1.1, 8):
-        probe = stand_vec.copy()
-        spine_local = axis_angle_matrix([1.0, 0.0, 0.0], -pitch)  # lean toward +y
-        spine = probe[3 + 6 * i_spine:9 + 6 * i_spine]
-        spine[:] = matrix_to_sixd(spine_local)
-        shoulder_pos = np.asarray(joint_position(probe, skeleton, i_sh))
-        v = target - shoulder_pos
-        r = float(np.linalg.norm(v))
-        if not (abs(a - b) + 0.02 <= r <= a + b - 0.005):
-            continue
-        # elbow bend in-plane, then one shoulder alignment
-        cos_al = np.clip((r * r - a * a - b * b) / (2 * a * b), -1.0, 1.0)
-        alpha = float(np.arccos(cos_al))
-        elbow_local = rotation_z_matrix(alpha)
-        wrist_in_shoulder = np.array([a + b * np.cos(alpha), b * np.sin(alpha), 0.0])
-        w_sh_parent = sixd_to_matrix(probe[3:9]) @ sixd_to_matrix(spine)
-        # shoulder world rotation must map wrist_in_shoulder onto v
-        world = _align_rows(wrist_in_shoulder / r, v / r)
-        shoulder_local = w_sh_parent.T @ world
-        return {
-            "spine": matrix_to_sixd(spine_local),
-            "right_shoulder": matrix_to_sixd(shoulder_local),
-            "right_elbow": matrix_to_sixd(elbow_local),
-        }
-    return None
+    v = target - shoulders
+    r = np.sqrt(_dot_rows(v, v))
+    feasible = np.flatnonzero((abs(a - b) + 0.02 <= r) & (r <= a + b - 0.005))
+    if len(feasible) == 0:
+        return None
+    p = feasible[0]
+    v, r = v[p], float(r[p])
+    # elbow bend in-plane, then one shoulder alignment
+    cos_al = np.clip((r * r - a * a - b * b) / (2 * a * b), -1.0, 1.0)
+    alpha = float(np.arccos(cos_al))
+    elbow_local = rotation_z_matrix(alpha)
+    wrist_in_shoulder = np.array([a + b * np.cos(alpha), b * np.sin(alpha), 0.0])
+    w_sh_parent = sixd_to_matrix(stand[3:9]) @ sixd_to_matrix(spine[p])
+    # shoulder world rotation must map wrist_in_shoulder onto v
+    world = _align_rows(wrist_in_shoulder / r, v / r)
+    shoulder_local = w_sh_parent.T @ world
+    return np.concatenate([spine[p:p + 1],
+                           matrix_to_sixd(np.stack([shoulder_local, elbow_local]))])
 
 
 def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
@@ -474,6 +500,7 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
     hold = max(int(round(0.2 * FPS)), 2)
     t_reach = n - 1 - hold
 
+    probes = _reach_probes(skeleton, stand)
     solution = None
     target = None
     for _ in range(REACH_RESAMPLES):
@@ -484,7 +511,7 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
         height = rng.uniform(*REACH_HEIGHT_RANGE)
         xy = np.asarray(stand_xy) + rz2 @ np.array([lateral, forward])
         target = np.array([xy[0], xy[1], height])
-        solution = _solve_reach(skeleton, stand, target)
+        solution = _solve_reach(skeleton, stand, *probes, target)
         if solution is not None:
             break
     if solution is None:
@@ -494,13 +521,17 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
     # the moving joints slerp from the stance to the solution, then hold it
     s = _smoothstep(np.minimum(np.arange(n) / t_reach, 1.0))
     moving = s < 1.0
+    joints = [skeleton.joint_index(name) for name in REACH_JOINTS]
+    start = stand[3:].reshape(-1, 6)[joints]
+    track = matrix_to_sixd(_slerp_track(sixd_to_matrix(start)[None],
+                                        sixd_to_matrix(solution)[None],
+                                        np.zeros(np.count_nonzero(moving), dtype=int),
+                                        s[moving]))
     poses = np.tile(stand, (n, 1))
-    for name, six in solution.items():
-        j = skeleton.joint_index(name)
+    for k, j in enumerate(joints):
         slot = slice(3 + 6 * j, 9 + 6 * j)
-        track = _slerp_track(sixd_to_matrix(stand[slot]), sixd_to_matrix(six), s[moving])
-        poses[moving, slot] = matrix_to_sixd(track)
-        poses[~moving, slot] = six
+        poses[moving, slot] = track[:, k]
+        poses[~moving, slot] = solution[k]
 
     return poses, GoalSpec(position=target, target_frame=t_reach)
 
@@ -586,20 +617,28 @@ def generate_synthetic_corpus(cfg: SyntheticGenConfig,
     return sequences
 
 
+def _lowest_foot(poses: np.ndarray, skeleton: Skeleton) -> np.ndarray:
+    """(n_frames,) height of the lower foot of each pose, with forward
+    kinematics' bits. Every rotation is decoded, as forward kinematics
+    does, so a degenerate one raises; then only the two pelvis-hip-foot
+    chains are walked, FLOAT_ROWS poses at a time."""
+    feet = [skeleton.joint_index(foot) for foot in ("left_foot", "right_foot")]
+    out = np.empty(len(poses))
+    for i in range(0, len(poses), FLOAT_ROWS):
+        chunk = poses[i:i + FLOAT_ROWS]
+        local, _ = _rotations(chunk, skeleton)
+        left, right = (_chain_walk(chunk, local, skeleton, j)[0][:, 2] for j in feet)
+        out[i:i + FLOAT_ROWS] = np.minimum(left, right)
+    return out
+
+
 def filter_floating(sequences, skeleton: Skeleton) -> list[MotionSequence]:
     """Drop sequences with any frame whose lowest foot exceeds FLOAT_HEIGHT.
 
     The boundary is strict: exactly FLOAT_HEIGHT is kept.
     """
-    lf = skeleton.joint_index("left_foot")
-    rf = skeleton.joint_index("right_foot")
-    kept = []
-    for seq in sequences:
-        pos = forward_kinematics(seq.poses, skeleton)
-        lowest_foot = np.minimum(pos[:, lf, 2], pos[:, rf, 2])
-        if not np.any(lowest_foot > FLOAT_HEIGHT):
-            kept.append(seq)
-    return kept
+    return [seq for seq in sequences
+            if not np.any(_lowest_foot(seq.poses, skeleton) > FLOAT_HEIGHT)]
 
 
 def split_dataset(sequences, seed: int) -> DatasetSplit:
@@ -646,14 +685,18 @@ def save_motion(seq: MotionSequence, path) -> None:
 
 
 def load_motion(path, skeleton: Skeleton) -> MotionSequence:
+    """The clip a motion file holds; poses that are not finite, or rows the
+    skeleton cannot hold, make it a corrupt file."""
     header, arrays = read_container(path, MOTION_MAGIC, MOTION_VERSION)
     if header.get("skeleton_hash") != skeleton.hash:
         raise ModelMismatchError(f"{path}: skeleton hash mismatch")
     try:
+        if not np.all(np.isfinite(arrays["poses"])):
+            raise ValueError("poses are not finite")
         label = None if header["label"] is None else GoalSpec(**header["label"])
         return MotionSequence(arrays["poses"], skeleton, label,
                               header["provenance"], header["ident"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, DimensionMismatchError) as e:
         raise CorruptFileError(f"{path}: bad motion fields ({e!r})") from e
 
 

@@ -134,12 +134,18 @@ def save_checkpoint(model: MotionModel, path) -> None:
 
 
 def load_checkpoint(path) -> MotionModel:
-    """The model a checkpoint holds. Validates magic, version, size, and
-    that its parameters have the names, order and shapes its spec defines."""
+    """The model a checkpoint holds. Validates magic, version, size, that
+    its spec is the one ModelSpec.build gives for its skeleton and its own
+    MLP settings, and that its parameters have the names, order and shapes
+    that spec defines."""
     header, values = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
         skeleton = skeleton_from_text(header["skeleton_text"])
         spec = ModelSpec.from_dict(header["spec"])
+        mlp = spec.encoder
+        if spec != ModelSpec.build(skeleton.n_rotated, spec.latent_dim, mlp.hidden_dim,
+                                   mlp.n_layers, mlp.dropout):
+            raise CorruptFileError(f"{path}: spec does not match its skeleton and MLP dims")
         expected = [(name, t.data.shape) for name, t in init_params(spec, 0).items()]
         if [(name, data.shape) for name, data in values.items()] != expected:
             raise CorruptFileError(f"{path}: parameters do not match the spec")

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from reachgen import cli
-from reachgen.dataset import load_motion, standing_pose
+from reachgen.dataset import MOTION_MAGIC, MOTION_VERSION, load_motion, standing_pose
 from reachgen.intention import GoalSpec
 from reachgen.latent_opt import OptObjective, optimize_latents
 from reachgen.container import read_container, write_container
@@ -197,6 +198,30 @@ def test_inspect_corrupt_file_nonzero(tmp_path, data_dir):
         assert r.stderr.startswith(code)
 
 
+@pytest.mark.parametrize("fault", ["nan-every-frame", "nan-one-frame", "narrow"])
+def test_non_finite_or_narrow_motion_is_corrupt(tmp_path, capsys, data_dir, fault):
+    # train and inspect both refuse the file, whether or not a training
+    # window would cover the bad frame
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    ident = next(e["ident"] for e in manifest["sequences"] if e["split"] == "train")
+    motion = data / "motions" / f"{ident}.mot"
+    header, arrays = read_container(motion, MOTION_MAGIC, MOTION_VERSION)
+    poses = arrays["poses"]
+    if fault == "narrow":
+        poses = poses[:, :-6]
+    else:
+        poses[slice(None) if fault == "nan-every-frame" else 3, 20] = np.nan
+    write_container(motion, MOTION_MAGIC, MOTION_VERSION, header, {"poses": poses})
+    for argv in (["train", "--epochs", "1", "--data", str(data), "--out", str(tmp_path / "t")],
+                 ["inspect", str(motion)]):
+        assert cli.dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error code=CorruptFileError") and f"{ident}.mot" in err
+    assert not (tmp_path / "t").exists()
+
+
 def test_missing_checkpoint_nonzero(tmp_path):
     r = run_cli("generate", "--checkpoint", str(tmp_path / "nope.ckpt"),
                 "--goal", "1,1,1", "--out", str(tmp_path / "o"))
@@ -204,17 +229,20 @@ def test_missing_checkpoint_nonzero(tmp_path):
     assert "error code=" in r.stderr
 
 
-@pytest.mark.parametrize("fault", ["missing", "reshaped", "extra"])
+@pytest.mark.parametrize("fault", ["missing", "reshaped", "extra", "spec"])
 def test_checkpoint_disagreeing_with_its_spec_is_corrupt(tmp_path, capsys, checkpoint,
                                                          fault):
-    # a checkpoint's parameters are the names, order and shapes its spec defines
+    # a checkpoint's parameters are the names, order and shapes its spec
+    # defines, and its spec is the one its skeleton and MLP dims build
     header, arrays = read_container(checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     if fault == "missing":
         del arrays["dec.w0"]
     elif fault == "reshaped":
         arrays["dec.w0"] = arrays["dec.w0"][:5]
-    else:
+    elif fault == "extra":
         arrays["dec.w9"] = np.zeros((2, 2))
+    else:   # 11 rotated joints beside a 12-joint skeleton, parameters untouched
+        header["spec"]["n_rotated"] = 11
     bad = tmp_path / "bad.ckpt"
     write_container(bad, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays)
     out = tmp_path / "out"

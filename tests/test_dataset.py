@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from reachgen import dataset as ds
 from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose
-from reachgen.errors import (CorruptFileError, ModelMismatchError, SkipWindow,
-                             VersionMismatchError)
-from reachgen.geometry import matrix_to_sixd, rotation_z_matrix
+from reachgen.container import read_container, write_container
+from reachgen.errors import (CorruptFileError, DegenerateRotationError, ModelMismatchError,
+                             SkipWindow, VersionMismatchError)
+from reachgen.geometry import (axis_angle_matrix, identity_sixd, matrix_to_sixd,
+                               rotation_z_matrix, sixd_to_matrix)
 from reachgen.intention import HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
 
 
@@ -36,11 +39,132 @@ def ref_axis_angle_matrix(axis, angle):
     ])
 
 
+def ref_matrix_log(m):
+    """The one-matrix inverse Rodrigues the generators used before keyframe
+    pairs were slerped as stacks."""
+    c = np.clip((np.trace(m) - 1.0) * 0.5, -1.0, 1.0)
+    angle = np.arccos(c)
+    if angle < 1e-10:
+        return np.array([1.0, 0.0, 0.0]), 0.0
+    axis = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    n = np.linalg.norm(axis)
+    if n < 1e-10:
+        w, vecs = np.linalg.eigh(m)
+        axis = vecs[:, np.argmax(w)]
+        return axis / np.linalg.norm(axis), angle
+    return axis / n, angle
+
+
 def ref_slerp(m0, m1, s):
     """One frame of the per-frame slerp the generators used before slerp
     tracks: the matrix log of m0.T @ m1 taken again for every frame."""
-    axis, angle = ds._matrix_log_axis_angle(m0.T @ m1)
+    axis, angle = ref_matrix_log(m0.T @ m1)
     return m0 @ ref_axis_angle_matrix(axis, s * angle)
+
+
+def ref_slerp_track(m0, m1, s):
+    """The one-pair slerp track the generators used before keyframe pairs
+    were slerped as stacks."""
+    axis, angle = ref_matrix_log(m0.T @ m1)
+    return m0 @ axis_angle_matrix(axis, s * angle)
+
+
+class RefGestures:
+    """dataset._ArmGestures as it was before keyframe stacks: scalar draws
+    and rotations per keyframe, and one slerp track per joint per keyframe
+    pair."""
+
+    def __init__(self, skeleton, rng, n):
+        self.joints = {name: skeleton.joint_index(name) for name in (
+            "right_shoulder", "right_elbow", "left_shoulder", "left_elbow", "spine")}
+        self.keys_at = np.arange(0, n + 1, max(int(rng.uniform(0.8, 1.6) * ds.FPS), 8))
+        if self.keys_at[-1] < n:
+            self.keys_at = np.append(self.keys_at, n)
+        self.keyframes = [self._random_pose(rng) for _ in self.keys_at]
+
+    def _random_pose(self, rng):
+        out = {}
+        for side, sign in (("right", 1.0), ("left", -1.0)):
+            droop = rng.uniform(-0.5, 1.4)
+            swing = rng.uniform(-0.9, 0.9)
+            tilt = rng.uniform(-0.9, 0.9)
+            out[f"{side}_shoulder"] = (
+                rotation_z_matrix(swing)
+                @ axis_angle_matrix([1, 0, 0], tilt)
+                @ axis_angle_matrix([0, 1, 0], sign * droop))
+            out[f"{side}_elbow"] = rotation_z_matrix(sign * rng.uniform(0.0, 1.5))
+        out["spine"] = axis_angle_matrix([1, 0, 0], rng.uniform(-0.8, 0.15))
+        return out
+
+    def apply(self, mats):
+        for k in range(len(self.keys_at) - 1):
+            start, stop = self.keys_at[k], self.keys_at[k + 1]
+            s = ds._smoothstep(np.arange(stop - start) / (stop - start))
+            for name, j in self.joints.items():
+                mats[start:stop, j] = ref_slerp_track(self.keyframes[k][name],
+                                                      self.keyframes[k + 1][name], s)
+
+
+def ref_solve_reach(skeleton, stand_vec, target):
+    """dataset._solve_reach as it was before the reach probes were built once
+    per clip: one probe pose and one joint_position call per pitch, tried
+    until one reaches; {joint name: 6D} or None."""
+    i_spine = skeleton.joint_index("spine")
+    i_sh = skeleton.joint_index("right_shoulder")
+    a = float(np.linalg.norm(skeleton.offsets[skeleton.joint_index("right_elbow")]))
+    b = float(np.linalg.norm(skeleton.offsets[skeleton.joint_index("right_wrist")]))
+    for pitch in np.linspace(0.0, 1.1, 8):
+        probe = stand_vec.copy()
+        spine_local = axis_angle_matrix([1.0, 0.0, 0.0], -pitch)
+        spine = probe[3 + 6 * i_spine:9 + 6 * i_spine]
+        spine[:] = matrix_to_sixd(spine_local)
+        v = target - np.asarray(joint_position(probe, skeleton, i_sh))
+        r = float(np.linalg.norm(v))
+        if not (abs(a - b) + 0.02 <= r <= a + b - 0.005):
+            continue
+        cos_al = np.clip((r * r - a * a - b * b) / (2 * a * b), -1.0, 1.0)
+        alpha = float(np.arccos(cos_al))
+        elbow_local = rotation_z_matrix(alpha)
+        wrist_in_shoulder = np.array([a + b * np.cos(alpha), b * np.sin(alpha), 0.0])
+        w_sh_parent = sixd_to_matrix(probe[3:9]) @ sixd_to_matrix(spine)
+        world = ds._align_rows(wrist_in_shoulder / r, v / r)
+        return {"spine": matrix_to_sixd(spine_local),
+                "right_shoulder": matrix_to_sixd(w_sh_parent.T @ world),
+                "right_elbow": matrix_to_sixd(elbow_local)}
+    return None
+
+
+def ref_generate_reach(skeleton, rng, duration_s, stand_xy, yaw=None, start_vec=None):
+    """dataset._generate_reach as it was before the reach probes and the
+    moving joints' slerps were stacks."""
+    if yaw is None:
+        yaw = rng.uniform(-np.pi, np.pi)
+    stand = ds.standing_pose(skeleton, stand_xy, yaw) if start_vec is None else start_vec
+    n = max(int(round(duration_s * ds.FPS)), 10)
+    hold = max(int(round(0.2 * ds.FPS)), 2)
+    t_reach = n - 1 - hold
+    solution = None
+    for _ in range(ds.REACH_RESAMPLES):
+        rz2 = rotation_z_matrix(yaw)[:2, :2]
+        lateral = rng.uniform(-0.35, 0.45)
+        forward = rng.uniform(0.15, 0.45)
+        height = rng.uniform(*ds.REACH_HEIGHT_RANGE)
+        xy = np.asarray(stand_xy) + rz2 @ np.array([lateral, forward])
+        target = np.array([xy[0], xy[1], height])
+        solution = ref_solve_reach(skeleton, stand, target)
+        if solution is not None:
+            break
+    assert solution is not None
+    s = ds._smoothstep(np.minimum(np.arange(n) / t_reach, 1.0))
+    moving = s < 1.0
+    poses = np.tile(stand, (n, 1))
+    for name, six in solution.items():
+        j = skeleton.joint_index(name)
+        slot = slice(3 + 6 * j, 9 + 6 * j)
+        track = ref_slerp_track(sixd_to_matrix(stand[slot]), sixd_to_matrix(six), s[moving])
+        poses[moving, slot] = matrix_to_sixd(track)
+        poses[~moving, slot] = six
+    return poses, GoalSpec(position=target, target_frame=t_reach)
 
 
 def ref_align_vec_to(src, dst):
@@ -233,9 +357,17 @@ def test_slerp_track_matches_per_frame_slerp():
                                                      rng.uniform(-3.0, 3.0))))
     pairs.append((pairs[0][0], pairs[0][0]))
     pairs.append((pairs[1][0], pairs[1][0] @ np.diag([1.0, -1.0, -1.0])))
-    for m0, m1 in pairs:
-        track = ds._slerp_track(m0, m1, s)
-        np.testing.assert_array_equal(track, [ref_slerp(m0, m1, si) for si in s])
+    # all pairs in one call: frame f runs along pair f % len(pairs)
+    m0, m1 = (np.array(m) for m in zip(*pairs))
+    pair = np.arange(len(s)) % len(pairs)
+    track = ds._slerp_track(m0, m1, pair, s)
+    for f, (p, si) in enumerate(zip(pair, s)):
+        np.testing.assert_array_equal(track[f], ref_slerp(m0[p], m1[p], si))
+    # pairs with a joint axis, as the gestures pass them
+    track = ds._slerp_track(m0[None], m1[None], np.zeros(len(s), dtype=int), s)
+    assert track.shape == (len(s), len(pairs), 3, 3)
+    for p in range(len(pairs)):
+        np.testing.assert_array_equal(track[:, p], ref_slerp_track(m0[p], m1[p], s))
 
 
 def test_cross_and_norm_match_numpy_bits():
@@ -305,6 +437,112 @@ def test_stacked_gait_matches_per_frame_gait_on_every_swing_branch(skel, speed,
     ref = ref_gait(legs, skel, yaw, speeds, (0.2, -0.1), step_time=0.5)
     assert out.tobytes() == ref.tobytes()
     assert legs.hits[branch] > 0 and legs.hits["double support"] > 0
+
+
+def test_stacked_gestures_match_per_keyframe_gestures_on_corpus_clips(skel, monkeypatch):
+    # every gestured clip of a corpus (even walks and turns in place): the
+    # keyframe stacks draw the same stream and write the same rotations
+    stacked = ds._ArmGestures
+    built = []
+
+    def both(skeleton, rng, n):
+        twin = copy.deepcopy(rng)
+        out = stacked(skeleton, rng, n)
+        ref = RefGestures(skeleton, twin, n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        mats, ref_mats = ds._identity_stack(n, skeleton.n_joints), ds._identity_stack(n, skeleton.n_joints)
+        out.apply(mats)
+        ref.apply(ref_mats)
+        assert mats.tobytes() == ref_mats.tobytes()
+        built.append(len(ref.keys_at))
+        return out
+
+    monkeypatch.setattr(ds, "_ArmGestures", both)
+    ds.generate_synthetic_corpus(
+        ds.SyntheticGenConfig(n_locomotion=8, n_reaching=0, n_walk_reach=0, seed=3), skel)
+    assert len(built) == 6 and min(built) >= 3
+
+
+def test_reach_probes_solve_as_the_per_pitch_loop_on_corpus_clips(skel, monkeypatch):
+    # every reach target a corpus draws, feasible or not, against the loop
+    # that built one probe per pitch and target
+    stacked = ds._solve_reach
+    outcomes = Counter()
+
+    def both(skeleton, stand, spine, shoulders, target):
+        out = stacked(skeleton, stand, spine, shoulders, target)
+        ref = ref_solve_reach(skeleton, stand, target)
+        if ref is None:
+            assert out is None
+        else:
+            assert out.tobytes() == np.stack([ref[n] for n in ds.REACH_JOINTS]).tobytes()
+        outcomes["none" if ref is None else "solved"] += 1
+        return out
+
+    monkeypatch.setattr(ds, "_solve_reach", both)
+    ds.generate_synthetic_corpus(
+        ds.SyntheticGenConfig(n_locomotion=0, n_reaching=6, n_walk_reach=3, seed=3), skel)
+    assert outcomes["solved"] == 9 and outcomes["none"] > 0
+
+
+def test_unwritten_gait_tracks_are_the_identity(skel):
+    # a plain walk writes the root, both hips and both shoulders; gestures
+    # add the elbows and the spine; every other track is identity_sixd()
+    names = ["pelvis", "left_hip", "right_hip", "left_shoulder", "right_shoulder"]
+    gestured = names + ["left_elbow", "right_elbow", "spine"]
+    cfg = ds.SyntheticGenConfig(n_locomotion=4, n_reaching=0, n_walk_reach=0, seed=5)
+    for i, seq in enumerate(ds.generate_synthetic_corpus(cfg, skel)):
+        written = gestured if i % 2 == 0 or i % 4 == 3 else names
+        tracks = seq.poses[:, 3:].reshape(seq.n_frames, skel.n_joints, 6)
+        for j, name in enumerate(skel.names):
+            assert (name in written) != np.all(tracks[:, j] == identity_sixd()), name
+
+
+def test_lowest_foot_has_forward_kinematics_bits(small_corpus, skel):
+    lf, rf = skel.joint_index("left_foot"), skel.joint_index("right_foot")
+    for seq in small_corpus + [static_sequence(skel, n=2 * ds.FLOAT_ROWS + 1)]:
+        pos = forward_kinematics(seq.poses, skel)
+        assert (ds._lowest_foot(seq.poses, skel).tobytes()
+                == np.minimum(pos[:, lf, 2], pos[:, rf, 2]).tobytes())
+    # every rotation is decoded: a degenerate head, off both foot chains and
+    # past the first FLOAT_ROWS frames, still raises as it does in forward
+    # kinematics
+    bad = static_sequence(skel, n=ds.FLOAT_ROWS + 70)
+    head = skel.joint_index("head")
+    bad.poses[ds.FLOAT_ROWS + 65, 3 + 6 * head:9 + 6 * head] = 0.0
+    for read in (forward_kinematics, ds._lowest_foot):
+        with pytest.raises(DegenerateRotationError):
+            read(bad.poses, skel)
+    with pytest.raises(DegenerateRotationError):
+        ds.filter_floating([bad], skel)
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_corpus_matches_a_build_through_the_per_frame_paths(skel, monkeypatch, seed):
+    # a perfbench-sized corpus (8 walks, 5 reaches, 3 walk-reaches) against
+    # the per-frame gait, the per-keyframe gestures, the per-pitch reach
+    # probes, one slerp per joint, a conversion of every track, and a float
+    # check through whole-body forward kinematics
+    cfg = ds.SyntheticGenConfig(n_locomotion=8, n_reaching=5, n_walk_reach=3, seed=seed)
+    corpus = ds.generate_synthetic_corpus(cfg, skel)
+    kept = ds.filter_floating(corpus, skel)
+    legs = RefLegs(skel)
+    monkeypatch.setattr(ds, "_ArmGestures", RefGestures)
+    monkeypatch.setattr(ds, "_generate_reach", ref_generate_reach)
+    monkeypatch.setattr(ds, "_generate_gait", lambda *args, **kw: ref_gait(legs, *args, **kw))
+    ref = ds.generate_synthetic_corpus(cfg, skel)
+    lf, rf = skel.joint_index("left_foot"), skel.joint_index("right_foot")
+    ref_kept = [seq.ident for seq in ref
+                if not np.any(np.min(forward_kinematics(seq.poses, skel)[:, [lf, rf], 2],
+                                     axis=1) > ds.FLOAT_HEIGHT)]
+    assert len(corpus) == len(ref) == 16
+    for a, b in zip(corpus, ref):
+        assert a.ident == b.ident and a.poses.tobytes() == b.poses.tobytes()
+        assert (a.label is None) == (b.label is None)
+        if a.label is not None:
+            assert a.label.position.tobytes() == b.label.position.tobytes()
+            assert a.label.target_frame == b.label.target_frame
+    assert [seq.ident for seq in kept] == ref_kept
 
 
 def test_leg_helpers_match_per_frame_legs(skel):
@@ -490,6 +728,21 @@ def test_motion_container_rejects_corruption(tmp_path, small_corpus, skel):
     object.__setattr__(other, "offsets", other.offsets * 1.1)
     with pytest.raises(ModelMismatchError):
         ds.load_motion(path, other)
+
+    # a NaN in every frame or in one frame, and rows one pose column short
+    for frames in (slice(None), 7):
+        poses = seq.poses.copy()
+        poses[frames, 20] = np.nan
+        nan = tmp_path / "nan.mot"
+        ds.save_motion(ds.MotionSequence(poses, skel, seq.label, seq.provenance, seq.ident), nan)
+        with pytest.raises(CorruptFileError, match="nan.mot"):
+            ds.load_motion(nan, skel)
+    header, arrays = read_container(path, ds.MOTION_MAGIC, ds.MOTION_VERSION)
+    narrow = tmp_path / "narrow.mot"
+    write_container(narrow, ds.MOTION_MAGIC, ds.MOTION_VERSION, header,
+                    {"poses": arrays["poses"][:, :-1]})
+    with pytest.raises(CorruptFileError, match="narrow.mot"):
+        ds.load_motion(narrow, skel)
 
 
 def test_motion_csv_twin_lossless(tmp_path, small_corpus):

@@ -125,16 +125,17 @@ def test_every_autodiff_function_is_used(module):
 
 
 def test_every_dataset_helper_is_used():
-    # a private function or a rig method counts as used when the package
-    # refers to it outside its own body, so no per-frame leg path can stay
-    # beside the stacked one
+    # a private function, a rig method or a gestures method counts as used
+    # when the package refers to it outside its own body, so no per-frame
+    # leg path or per-keyframe gesture path can stay beside the stacked one
     tree = ast.parse((SRC / "dataset.py").read_text())
-    rig = next(s for s in tree.body if isinstance(s, ast.ClassDef) and s.name == "_WalkRig")
     helpers = [s for s in tree.body
                if isinstance(s, ast.FunctionDef) and s.name.startswith("_")]
-    helpers += [s for s in rig.body
-                if isinstance(s, ast.FunctionDef) and not s.name.startswith("__")]
-    assert {"_align_rows", "to_point", "swing"} <= {f.name for f in helpers}
+    for cls in (s for s in tree.body
+                if isinstance(s, ast.ClassDef) and s.name in ("_WalkRig", "_ArmGestures")):
+        helpers += [s for s in cls.body
+                    if isinstance(s, ast.FunctionDef) and not s.name.startswith("__")]
+    assert {"_align_rows", "to_point", "swing", "apply"} <= {f.name for f in helpers}
     package = sum((_references(ast.parse(p.read_text())) for p in SRC.glob("*.py")),
                   Counter())
     unused = sorted(f.name for f in helpers
