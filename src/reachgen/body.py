@@ -4,7 +4,8 @@ kinematics.
 A pose is a (..., pose_dim) float vector: root translation (3), then one 6D
 rotation per joint with the root's first. Joint j (the root is j = 0) sits
 at pose[..., 3+6j : 9+6j], so pose[..., 3:] reshaped to (..., n_joints, 6)
-lists the rotations in joint order. A delta is a vector in the same layout:
+lists the rotations in joint order; joint_sixd is that view, the one reader
+of the slots outside this module. A delta is a vector in the same layout:
 nxt - prev turned by minus the previous frame's global yaw, one z rotation
 on the raw 6D encodings, which keeps integration exactly linear and
 invertible.
@@ -188,6 +189,12 @@ def pose_dim(n_rotated: int) -> int:
     return 3 + 6 + 6 * n_rotated
 
 
+def joint_sixd(pose, skeleton: Skeleton):
+    """The (..., n_joints, 6) view of a plain pose's joint rotations, the
+    root's first; writes through it land in the pose."""
+    return pose[..., 3:].reshape(pose.shape[:-1] + (skeleton.n_joints, 6))
+
+
 def rest_pose(skeleton: Skeleton, translation=(0.0, 0.0, 0.90)) -> np.ndarray:
     """Identity rotation on every joint, root at `translation`."""
     return np.concatenate([np.asarray(translation, dtype=np.float64),
@@ -212,11 +219,7 @@ def pose_delta(prev, nxt):
     def vjp(g):
         g_diff, g_angle = turn_vjp(g)
         g_prev = -ag.unbroadcast(g_diff, pd.shape)
-        x = pd[..., 3]
-        y = pd[..., 4]
-        scale = g_angle / (x * x + y * y)   # d(-yaw) = (y dx - x dy) / r^2
-        g_prev[..., 3] += scale * y
-        g_prev[..., 4] -= scale * x
+        _add_yaw_grad(g_prev, -g_angle, pd)
         return g_prev, ag.unbroadcast(g_diff, nd.shape)
 
     return ag.record(out, (prev, nxt), vjp)
@@ -235,9 +238,7 @@ def integrate_delta(prev, delta):
 def _integrated(pd, dd, wants_prev: bool):
     """(out, vjp) of integrate_delta on plain arrays; vjp(g) returns the
     gradients of (prev, delta), None for prev unless `wants_prev`."""
-    x = pd[..., 3]
-    y = pd[..., 4]
-    turned, turn_vjp = _turned_pose(dd, np.arctan2(y, x))
+    turned, turn_vjp = _turned_pose(dd, np.arctan2(pd[..., 4], pd[..., 3]))
     out = pd + turned
 
     def vjp(g):
@@ -245,12 +246,20 @@ def _integrated(pd, dd, wants_prev: bool):
         if not wants_prev:
             return None, g_delta
         g_prev = ag.unbroadcast(g, pd.shape).copy()
-        scale = g_yaw / (x * x + y * y)
-        g_prev[..., 3] -= scale * y
-        g_prev[..., 4] += scale * x
+        _add_yaw_grad(g_prev, g_yaw, pd)
         return g_prev, g_delta
 
     return out, vjp
+
+
+def _add_yaw_grad(gp, g_yaw, pd):
+    """Add to the pose gradient `gp` the gradient g_yaw of the root yaw
+    atan2(pd[..., 4], pd[..., 3]) of plain poses `pd`."""
+    x = pd[..., 3]
+    y = pd[..., 4]
+    scale = g_yaw / (x * x + y * y)   # d(yaw) = (x dy - y dx) / r^2
+    gp[..., 3] -= scale * y
+    gp[..., 4] += scale * x
 
 
 def _rotations(pd, skeleton: Skeleton):
@@ -263,7 +272,7 @@ def _rotations(pd, skeleton: Skeleton):
             f"pose vector has dim {pd.shape[-1]}, "
             f"skeleton expects {pose_dim(skeleton.n_rotated)}")
     lead = pd.shape[:-1]
-    local, decode_vjp = _decode(pd[..., 3:].reshape(lead + (skeleton.n_joints, 6)))
+    local, decode_vjp = _decode(joint_sixd(pd, skeleton))
 
     def vjp(g_translation, g_local):
         gp = np.empty(pd.shape)

@@ -8,14 +8,14 @@ labeled frame. Everything is a pure function of (config, seed), and every
 clip runs at FPS frames per second.
 
 A pose is a (pose_dim,) vector in the body layout: translation 3, then joint
-j's 6D rotation at pose[3+6j : 9+6j], the root's (j = 0) first. The
-generators build rotation matrices as frame stacks: a walk plans its
-footsteps, root height and both legs in whole-clip array ops, writes one
-(n_frames, n_joints, 3, 3) buffer and converts each track it writes to 6D
-in one matrix_to_sixd call; a reach slerps its three moving joints as one
-stack and converts them in one call. matrix_to_sixd also checks that every
-written rotation is orthonormal and right-handed; a track no generator
-writes is the identity, written without a check.
+j's 6D rotation at body.joint_sixd(pose, skeleton)[j], the root's (j = 0)
+first. The generators build rotation matrices as frame stacks: a walk plans
+its footsteps, root height and both legs in whole-clip array ops, writes one
+(n_frames, n_joints, 3, 3) buffer and converts each track it writes to 6D in
+one matrix_to_sixd call; a reach slerps its three moving joints as one stack
+and converts them in one call. matrix_to_sixd also checks that every written
+rotation is orthonormal and right-handed; a track no generator writes is the
+identity, written without a check.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .body import Skeleton, _chain_walk, _rotations, heading_of, joint_position, pose_dim
+from .body import (Skeleton, _chain_walk, _rotations, heading_of, joint_position,
+                   joint_sixd, pose_dim)
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
                      InfeasibleTargetError, ModelMismatchError, SkipWindow, check_count)
@@ -387,10 +388,10 @@ def _generate_gait(skeleton: Skeleton, yaw: np.ndarray, speed: np.ndarray,
         written.update(gestures.joints)
     # only the written tracks are converted, one track a call, which keeps
     # the check's temporaries small; every other track is the identity
-    six = np.tile(identity_sixd(), (n, skeleton.n_joints, 1))
+    six = joint_sixd(poses, skeleton)
+    six[:] = identity_sixd()
     for j in sorted(written):
         six[:, j] = matrix_to_sixd(mats[:, j])
-    poses[:, 3:] = six.reshape(n, -1)
     return poses
 
 
@@ -439,7 +440,7 @@ def standing_pose(skeleton: Skeleton, xy=(0.0, 0.0), yaw: float = 0.0) -> np.nda
         if aimed:
             rot[rig.hip_idx[side]] = rig.hip_rotation(yaw_mat, leg_dir)
     rig.arm_locals(rot, 0.0, 0.0)
-    pose[3:] = matrix_to_sixd(rot).reshape(-1)
+    joint_sixd(pose, skeleton)[:] = matrix_to_sixd(rot)
     return pose
 
 
@@ -454,7 +455,7 @@ def _reach_probes(skeleton: Skeleton, stand: np.ndarray):
     spine = matrix_to_sixd(axis_angle_matrix([1.0, 0.0, 0.0],
                                              -np.linspace(0.0, 1.1, 8)))  # lean toward +y
     probes = np.tile(stand, (len(spine), 1))
-    probes[:, 3 + 6 * i_spine:9 + 6 * i_spine] = spine
+    joint_sixd(probes, skeleton)[:, i_spine] = spine
     return spine, np.asarray(joint_position(probes, skeleton,
                                             skeleton.joint_index("right_shoulder")))
 
@@ -482,7 +483,8 @@ def _solve_reach(skeleton: Skeleton, stand: np.ndarray, spine: np.ndarray,
     alpha = float(np.arccos(cos_al))
     elbow_local = rotation_z_matrix(alpha)
     wrist_in_shoulder = np.array([a + b * np.cos(alpha), b * np.sin(alpha), 0.0])
-    w_sh_parent = sixd_to_matrix(stand[3:9]) @ sixd_to_matrix(spine[p])
+    root = joint_sixd(stand, skeleton)[0]
+    w_sh_parent = sixd_to_matrix(root) @ sixd_to_matrix(spine[p])
     # shoulder world rotation must map wrist_in_shoulder onto v
     world = _align_rows(wrist_in_shoulder / r, v / r)
     shoulder_local = w_sh_parent.T @ world
@@ -522,16 +524,15 @@ def _generate_reach(skeleton: Skeleton, rng: np.random.Generator,
     s = _smoothstep(np.minimum(np.arange(n) / t_reach, 1.0))
     moving = s < 1.0
     joints = [skeleton.joint_index(name) for name in REACH_JOINTS]
-    start = stand[3:].reshape(-1, 6)[joints]
+    start = joint_sixd(stand, skeleton)[joints]
     track = matrix_to_sixd(_slerp_track(sixd_to_matrix(start)[None],
                                         sixd_to_matrix(solution)[None],
                                         np.zeros(np.count_nonzero(moving), dtype=int),
                                         s[moving]))
     poses = np.tile(stand, (n, 1))
-    for k, j in enumerate(joints):
-        slot = slice(3 + 6 * j, 9 + 6 * j)
-        poses[moving, slot] = track[:, k]
-        poses[~moving, slot] = solution[k]
+    six = joint_sixd(poses, skeleton)
+    six[np.ix_(moving, joints)] = track
+    six[np.ix_(~moving, joints)] = solution
 
     return poses, GoalSpec(position=target, target_frame=t_reach)
 

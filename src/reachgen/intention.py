@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
-from .body import Skeleton, _joint_read, joint_position_and_heading
+from .body import Skeleton, _add_yaw_grad, _joint_read, joint_position_and_heading
 from .errors import InvalidInputError, SkipWindow
 from .geometry import _project_out, _safe_unit, safe_unit
 
@@ -168,9 +168,7 @@ def _conditioned(pd, rd, wd, dd, skeleton: Skeleton, goal: GoalSpec,
         gu[..., ys] = c * gy - s * gx
         gp = np.zeros(gu.shape[:-1] + (n,))
         gp[..., 2:] = gu[..., :n - 2]
-        scale = g_yaw / (pd[..., 3] * pd[..., 3] + pd[..., 4] * pd[..., 4])
-        gp[..., 3] -= scale * pd[..., 4]
-        gp[..., 4] += scale * pd[..., 3]
+        _add_yaw_grad(gp, g_yaw, pd)
         g_orient = gu[..., i + 3:i + 5]
         g_pelvis = gu[..., i + 5:]
         g_dir = g_pelvis * (PELVIS_SATURATION * (1.0 - decay))

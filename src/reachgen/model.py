@@ -1,7 +1,9 @@
 """Conditional VAE over pose deltas: encoder/decoder assembly, the step
-loss, model bundling, and checkpoint IO. A checkpoint's spec is written as
-`dataclasses.asdict(spec)`, and on load its parameters must have the names,
-order and shapes that spec defines.
+loss, model bundling, and checkpoint IO. A checkpoint stores the four model
+settings (latent_dim, hidden_dim, n_layers, dropout), the skeleton and the
+parameters; on load the spec is built from the settings and the skeleton,
+and the parameters must have the names, order and shapes it defines, and
+finite values.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .nn import (GaussianParams, MlpConfig, ParameterStore, init_mlp_params,
                  mlp_forward)
 
 CHECKPOINT_MAGIC = b"RGCK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,6 @@ class ModelSpec:
     def __post_init__(self):
         check_count("latent_dim", self.latent_dim)
 
-    @property
-    def condition_dim(self) -> int:
-        return condition_dim(self.n_rotated)
-
     @classmethod
     def build(cls, n_rotated: int, latent_dim: int, hidden_dim: int,
               n_layers: int, dropout: float) -> "ModelSpec":
@@ -49,11 +47,6 @@ class ModelSpec:
         dec = MlpConfig(in_dim=latent_dim + c, out_dim=d, hidden_dim=hidden_dim,
                         n_layers=n_layers, dropout=dropout)
         return cls(latent_dim, n_rotated, enc, dec)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(d["latent_dim"], d["n_rotated"],
-                   MlpConfig(**d["encoder"]), MlpConfig(**d["decoder"]))
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParameterStore:
@@ -120,13 +113,15 @@ def fresh_model(skeleton: Skeleton, latent_dim=16, hidden_dim=64, n_layers=4,
 
 
 def save_checkpoint(model: MotionModel, path) -> None:
-    """Container with the model's parameters, spec, skeleton and meta.
+    """Container with the model's parameters, settings, skeleton and meta.
 
     Byte-identical for identical contents; no timestamps.
     """
+    spec, mlp = model.spec, model.spec.decoder
     arrays = {name: model.params[name].data for name in model.params.names()}
     header = {
-        "spec": asdict(model.spec),
+        "model": {"latent_dim": spec.latent_dim, "hidden_dim": mlp.hidden_dim,
+                  "n_layers": mlp.n_layers, "dropout": mlp.dropout},
         "skeleton_text": model.skeleton.to_text(),
         "meta": model.meta,
     }
@@ -135,20 +130,18 @@ def save_checkpoint(model: MotionModel, path) -> None:
 
 def load_checkpoint(path) -> MotionModel:
     """The model a checkpoint holds. Validates magic, version, size, that
-    its spec is the one ModelSpec.build gives for its skeleton and its own
-    MLP settings, and that its parameters have the names, order and shapes
-    that spec defines."""
+    its settings are the four ModelSpec.build takes, and that its parameters
+    are finite and have the names, order and shapes the spec built from
+    those settings and its skeleton defines."""
     header, values = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
         skeleton = skeleton_from_text(header["skeleton_text"])
-        spec = ModelSpec.from_dict(header["spec"])
-        mlp = spec.encoder
-        if spec != ModelSpec.build(skeleton.n_rotated, spec.latent_dim, mlp.hidden_dim,
-                                   mlp.n_layers, mlp.dropout):
-            raise CorruptFileError(f"{path}: spec does not match its skeleton and MLP dims")
+        spec = ModelSpec.build(skeleton.n_rotated, **header["model"])
         expected = [(name, t.data.shape) for name, t in init_params(spec, 0).items()]
         if [(name, data.shape) for name, data in values.items()] != expected:
             raise CorruptFileError(f"{path}: parameters do not match the spec")
+        if not all(np.isfinite(data).all() for data in values.values()):
+            raise CorruptFileError(f"{path}: parameters are not finite")
         store = ParameterStore()
         for name, data in values.items():
             store.add(name, data)

@@ -38,9 +38,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 
@@ -121,7 +118,7 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str,
     non-finite: only the output is checked on every call, and the layer
     inputs are scanned once it is non-finite.
     """
-    params = mlp_params(cfg, store, prefix)
+    params = mlp_params(store, prefix)
     inputs = []
     out, vjp = _mlp(cfg, params, ag.value(x), isinstance(x, Tensor) and x.requires_grad,
                     dropout, inputs)
@@ -132,15 +129,11 @@ def mlp_forward(cfg: MlpConfig, store: ParameterStore, x, prefix: str,
     return ag.record(out, (x, *params), vjp)
 
 
-def mlp_params(cfg: MlpConfig, store: ParameterStore, prefix: str) -> list:
-    """The network's parameters in the order of mlp_forward's inputs: per
-    layer the weight and bias, then the layer norm's gain and offset."""
-    params = []
-    for i in range(cfg.n_layers):
-        params += (store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
-        if i < cfg.n_layers - 1:
-            params += (store[f"{prefix}.ln_g{i}"], store[f"{prefix}.ln_b{i}"])
-    return params
+def mlp_params(store: ParameterStore, prefix: str) -> list:
+    """The network's parameters in the order of mlp_forward's inputs, which
+    is the order init_mlp_params adds them: per layer the weight and bias,
+    then the layer norm's gain and offset."""
+    return [t for name, t in store.items() if name.startswith(prefix + ".")]
 
 
 def _mlp(cfg: MlpConfig, params: list, xd, wants_input_grad: bool,

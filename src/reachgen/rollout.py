@@ -6,7 +6,7 @@ its latents and schedule in memory to replay bit-exactly or refine them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +14,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from . import autodiff as ag
-from .body import _integrated, _joint_read, pose_dim
+from .body import Skeleton, _integrated, _joint_read, joint_sixd, pose_dim
 from .dataset import MotionSequence
 from .errors import (DegenerateRotationError, InvalidInputError,
                      ModelMismatchError, NumericFault, check_positive)
@@ -142,11 +142,9 @@ class _GoalRows:
         return active + ((active < self.last) & (dist <= self.schedule.radius))
 
 
-def _degenerate_rows(pose, n_joints: int):
+def _degenerate_rows(pose, skeleton: Skeleton):
     """Mask of the pose rows holding a 6D rotation sixd_to_matrix rejects."""
-    pd = ag.value(pose)
-    return degenerate_sixd(
-        pd[..., 3:].reshape(pd.shape[:-1] + (n_joints, 6))).any(axis=-1)
+    return degenerate_sixd(joint_sixd(ag.value(pose), skeleton)).any(axis=-1)
 
 
 def _non_finite_fault(frame: int):
@@ -243,7 +241,7 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
     """
     skeleton = model.skeleton
     decoder = model.spec.decoder
-    params = mlp_params(decoder, model.params, "dec")
+    params = mlp_params(model.params, "dec")
     cur = initial_pose
     lead = ag.value(cur).shape[:-1]
     at_frame = (slice(None),) * len(lead)
@@ -283,7 +281,7 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
         try:
             local, wrist, read_vjp = _joint_read(pd, skeleton, joint)
         except DegenerateRotationError:
-            bad = _degenerate_rows(pd, skeleton.n_joints)
+            bad = _degenerate_rows(pd, skeleton)
             if i == 1 or not bad.any():
                 raise   # the caller's input, not a pose the loop integrated
             if hold_degenerate(bad, current_frame):
@@ -319,14 +317,10 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
         out.intentions.append(cond[..., -INTENTION_DIM:].copy())
         out.goal_indices.append(active)
     else:
-        bad = _degenerate_rows(cur, skeleton.n_joints)
+        bad = _degenerate_rows(cur, skeleton)
         if bad.any():
             hold_degenerate(bad, duration)
     return out
-
-
-def _generated_sequence(poses, model: MotionModel, ident: str) -> MotionSequence:
-    return MotionSequence(np.stack(poses), model.skeleton, None, "generated", ident)
 
 
 def seed_words(seeds) -> np.ndarray:
@@ -419,13 +413,7 @@ def generate(initial_pose, schedule: GoalSchedule, duration: int,
     if duration < 1:
         raise InvalidInputError("duration must be >= 1")
     latents = draw_latents([rng], duration, model.spec.latent_dim, mode)[0]
-    out = rollout_poses(initial_pose, schedule, duration, model, latents)
-    out.raise_fault()
-    return RolloutRecord(
-        sequence=_generated_sequence(out.poses, model, ident),
-        latents=latents, intentions=np.stack(out.intentions),
-        goal_indices=np.array(out.goal_indices),
-        schedule=schedule, model_hash=model.hash())
+    return _recorded(initial_pose, schedule, duration, model, latents, ident, model.hash())
 
 
 def replay(record: RolloutRecord, model: MotionModel) -> MotionSequence:
@@ -437,12 +425,19 @@ def replay(record: RolloutRecord, model: MotionModel) -> MotionSequence:
 
 def with_latents(record: RolloutRecord, latents: np.ndarray,
                  model: MotionModel) -> RolloutRecord:
-    """New record generated from the same start with different latents."""
-    out = rollout_poses(record.sequence.poses[0], record.schedule,
-                        record.duration, model, latents)
+    """New record generated from the same start with different latents; it
+    keeps the record's model hash."""
+    return _recorded(record.sequence.poses[0], record.schedule, record.duration, model,
+                     latents, record.sequence.ident, record.model_hash)
+
+
+def _recorded(initial_pose, schedule: GoalSchedule, duration: int, model: MotionModel,
+              latents, ident: str, model_hash: str) -> RolloutRecord:
+    """The record of one unbatched rollout; the first fault raises."""
+    out = rollout_poses(initial_pose, schedule, duration, model, latents)
     out.raise_fault()
-    seq = _generated_sequence(out.poses, model, record.sequence.ident)
-    return replace(record, sequence=seq, latents=np.asarray(latents),
-                   intentions=np.stack(out.intentions),
-                   goal_indices=np.array(out.goal_indices))
+    return RolloutRecord(
+        MotionSequence(np.stack(out.poses), model.skeleton, None, "generated", ident),
+        np.asarray(latents), np.stack(out.intentions), np.array(out.goal_indices),
+        schedule, model_hash)
 

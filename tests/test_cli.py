@@ -229,11 +229,12 @@ def test_missing_checkpoint_nonzero(tmp_path):
     assert "error code=" in r.stderr
 
 
-@pytest.mark.parametrize("fault", ["missing", "reshaped", "extra", "spec"])
+@pytest.mark.parametrize("fault", ["missing", "reshaped", "extra", "non-finite",
+                                   "model-missing", "model-unknown", "model-hidden"])
 def test_checkpoint_disagreeing_with_its_spec_is_corrupt(tmp_path, capsys, checkpoint,
                                                          fault):
-    # a checkpoint's parameters are the names, order and shapes its spec
-    # defines, and its spec is the one its skeleton and MLP dims build
+    # a checkpoint's parameters are finite and have the names, order and
+    # shapes of the spec its skeleton and its four model settings build
     header, arrays = read_container(checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     if fault == "missing":
         del arrays["dec.w0"]
@@ -241,8 +242,15 @@ def test_checkpoint_disagreeing_with_its_spec_is_corrupt(tmp_path, capsys, check
         arrays["dec.w0"] = arrays["dec.w0"][:5]
     elif fault == "extra":
         arrays["dec.w9"] = np.zeros((2, 2))
-    else:   # 11 rotated joints beside a 12-joint skeleton, parameters untouched
-        header["spec"]["n_rotated"] = 11
+    elif fault == "non-finite":
+        arrays["dec.w0"][0, 0] = np.nan
+    elif fault == "model-missing":
+        del header["model"]["dropout"]
+    elif fault == "model-unknown":
+        header["model"]["n_rotated"] = 12
+    else:   # 65 hidden units beside 64-wide arrays
+        assert header["model"]["hidden_dim"] == 64
+        header["model"]["hidden_dim"] = 65
     bad = tmp_path / "bad.ckpt"
     write_container(bad, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays)
     out = tmp_path / "out"

@@ -8,6 +8,7 @@ from reachgen import dataset as ds
 from reachgen import model as md
 from reachgen import rollout as ro
 from reachgen.body import desk_skeleton, rest_pose
+from reachgen.cli import PRESETS
 from reachgen.container import PREFIX_BYTES, read_container, write_container
 from reachgen.errors import CorruptFileError, VersionMismatchError
 from reachgen.intention import GoalSpec
@@ -91,8 +92,9 @@ def raw_header(path) -> dict:
 
 def test_file_contracts(tmp_path, files):
     """A .mot v3 header holds no frame rate and its label no joint; a .ckpt
-    v4 header holds no skeleton hash and its MLP spec no layer-norm switch.
-    A file written at the version before is not read."""
+    v5 header holds no skeleton hash, and its model settings are a preset's
+    model section, not the spec built from them. A file written at the
+    version before is not read."""
     d, loaders = files
     seq = ds.load_motion(d / "m.mot", desk_skeleton())
     seq = dataclasses.replace(seq, label=GoalSpec(np.array([0.5, 0.5, 1.0]), 2))
@@ -101,13 +103,11 @@ def test_file_contracts(tmp_path, files):
     assert set(header) == {"arrays", "ident", "label", "provenance", "skeleton_hash"}
     assert set(header["label"]) == {"position", "target_frame"}
     header = raw_header(d / "m.ckpt")
-    assert set(header) == {"arrays", "meta", "skeleton_text", "spec"}
-    for mlp in ("encoder", "decoder"):
-        assert set(header["spec"][mlp]) == {"in_dim", "out_dim", "hidden_dim",
-                                            "n_layers", "dropout"}
+    assert set(header) == {"arrays", "meta", "model", "skeleton_text"}
+    assert set(header["model"]) == set(PRESETS["desk"]["model"])
     for path, magic, version, load in (
             (tmp_path / "l.mot", ds.MOTION_MAGIC, 3, loaders["m.mot"]),
-            (d / "m.ckpt", md.CHECKPOINT_MAGIC, 4, loaders["m.ckpt"])):
+            (d / "m.ckpt", md.CHECKPOINT_MAGIC, 5, loaders["m.ckpt"])):
         old = tmp_path / f"old{path.suffix}"
         write_container(old, magic, version - 1, *read_container(path, magic, version))
         with pytest.raises(VersionMismatchError,

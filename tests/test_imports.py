@@ -5,10 +5,13 @@ only public module-level functions record tape nodes outside autodiff.py,
 every parameter with a default is set by some call in src/, demos/ or
 perfbench/, apart from short allow-lists with a reason for each, and left
 to its default by another, and every dataclass field with a default is set
-by such a call or is a preset key."""
+by such a call or is a preset key; and only body.py computes where a
+joint's rotation sits in a pose."""
 import ast
 import functools
 import pathlib
+import re
+import tokenize
 from collections import Counter
 
 import pytest
@@ -360,3 +363,31 @@ def test_every_dataclass_field_is_set():
                         for c in found):
                     unset.add(f"{path.stem}.{cls.name}.{name}")
     assert not unset, f"dataclass fields no call sets: {sorted(unset)}"
+
+
+# Pose-column slot arithmetic, matched on a module's code tokens joined by
+# single spaces; body.joint_sixd is the one reader of the slots elsewhere.
+JOINT_SLOTS = {
+    "a 3 + 6 * j or 9 + 6 * j slot bound": r"\b[39] \+ 6 \*",
+    "the root slot 3:9": r"\b3 : 9 \]",
+    "the rotation columns 3:": r"(?<!- )\b3 : \]",
+    "a reshape into 6D rows": r"reshape \([^\n]*, 6 \)",
+}
+
+
+def _code(path):
+    """A module's source with its comments and string literals left out."""
+    with open(path, "rb") as f:
+        return " ".join(t.string for t in tokenize.tokenize(f.readline)
+                        if t.type not in (tokenize.COMMENT, tokenize.STRING,
+                                          tokenize.ENCODING))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "body"),
+                         ids=lambda p: p.name)
+def test_only_body_computes_joint_slots(path):
+    # the pose layout has one home, so a layout change edits body.py alone
+    code = _code(path)
+    found = sorted(what for what, pattern in JOINT_SLOTS.items()
+                   if re.search(pattern, code))
+    assert not found, f"{path.name} computes joint slots itself: {found}"

@@ -220,6 +220,7 @@ def test_optimize_latents_leaves_the_model_as_it_found_it(skel):
     refined, _ = lo.optimize_latents(rec, goal, lo.OptObjective(), model, steps=2,
                                      lr=1e-2)
     assert np.any(refined.latents != rec.latents)
+    assert refined.model_hash == rec.model_hash
     assert_model_untouched(model)
     outside = lo.OptObjective(waypoints=((rec.duration + 1, np.zeros(2), 1.0),))
     with pytest.raises(ValueError, match="outside rollout duration"):

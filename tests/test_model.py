@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from reachgen.body import (FK_ROWS, desk_skeleton, forward_kinematics,
 from reachgen.container import read_container, write_container
 from reachgen.errors import (CorruptFileError, DimensionMismatchError, SkipWindow,
                              VersionMismatchError)
-from reachgen.intention import assemble_condition
+from reachgen.intention import assemble_condition, condition_dim
 from reachgen.nn import AdamState, adam_step
 
 
@@ -31,7 +32,7 @@ def tiny_model(skel):
 def test_encode_output_shapes(tiny_model):
     spec = tiny_model.spec
     delta = np.zeros(pose_dim(spec.n_rotated))
-    cond = np.zeros(spec.condition_dim)
+    cond = np.zeros(condition_dim(spec.n_rotated))
     g = md.encode(spec, tiny_model.params, delta, cond, None)
     assert ag.value(g.mean).shape == (spec.latent_dim,)
     assert ag.value(g.log_std).shape == (spec.latent_dim,)
@@ -44,7 +45,7 @@ def test_encode_decode_deterministic_in_eval(tiny_model):
     spec = tiny_model.spec
     rng = np.random.default_rng(0)
     delta = rng.normal(size=pose_dim(spec.n_rotated))
-    cond = rng.normal(size=spec.condition_dim)
+    cond = rng.normal(size=condition_dim(spec.n_rotated))
     z = rng.normal(size=spec.latent_dim)
     a = md.decode(spec, tiny_model.params, z, cond, None)
     b = md.decode(spec, tiny_model.params, z, cond, None)
@@ -62,7 +63,7 @@ def test_encode_decode_dropout_is_a_function_of_its_seed(skel):
     spec, store = model.spec, model.params
     rng = np.random.default_rng(0)
     delta = rng.normal(size=(5, pose_dim(spec.n_rotated)))
-    cond = rng.normal(size=(5, spec.condition_dim))
+    cond = rng.normal(size=(5, condition_dim(spec.n_rotated)))
     z = rng.normal(size=(5, spec.latent_dim))
 
     def run(seed):
@@ -76,7 +77,7 @@ def test_encode_decode_dropout_is_a_function_of_its_seed(skel):
 
 def test_wrong_input_width_is_a_dimension_mismatch(tiny_model):
     spec = tiny_model.spec
-    cond = np.zeros(spec.condition_dim)
+    cond = np.zeros(condition_dim(spec.n_rotated))
     with pytest.raises(DimensionMismatchError):
         md.encode(spec, tiny_model.params, np.zeros(pose_dim(spec.n_rotated) + 1),
                   cond, None)
@@ -87,7 +88,7 @@ def test_wrong_input_width_is_a_dimension_mismatch(tiny_model):
 def test_decode_output_dim(tiny_model, skel):
     spec = tiny_model.spec
     out = md.decode(spec, tiny_model.params, np.zeros(spec.latent_dim),
-                    np.zeros(spec.condition_dim), None)
+                    np.zeros(condition_dim(spec.n_rotated)), None)
     assert out.shape == (3 + 6 + 6 * skel.n_rotated,)
 
 
@@ -307,7 +308,7 @@ def test_checkpoint_roundtrip(tmp_path, skel, small_windows):
     # identical eval outputs on a probe input
     spec = model.spec
     rng = np.random.default_rng(3)
-    z, cond = rng.normal(size=spec.latent_dim), rng.normal(size=spec.condition_dim)
+    z, cond = rng.normal(size=spec.latent_dim), rng.normal(size=condition_dim(spec.n_rotated))
     np.testing.assert_array_equal(md.decode(spec, model.params, z, cond, None),
                                   md.decode(loaded.spec, loaded.params, z, cond, None))
 
@@ -321,22 +322,26 @@ def test_checkpoint_bytes_stable(tmp_path, skel):
 
 
 def test_checkpoint_holds_the_model_only(tmp_path, skel):
-    """A version-4 checkpoint's arrays are the parameters, in store order,
-    and its header has no optimizer state; a version-2 file, which carried
-    the Adam moments, is not read."""
-    model = md.fresh_model(skel, seed=4)
+    """A version-5 checkpoint's arrays are the parameters, in store order,
+    its header holds the four model settings and no optimizer state; a
+    version-2 file, which carried the Adam moments, is not read."""
+    model = md.fresh_model(skel, latent_dim=6, hidden_dim=24, n_layers=3, dropout=0.2,
+                           seed=4)
     model.meta = {"train": {"epochs": 3}}
     path = tmp_path / "m.ckpt"
     md.save_checkpoint(model, path)
-    header, arrays = read_container(path, md.CHECKPOINT_MAGIC, 4)
+    header, arrays = read_container(path, md.CHECKPOINT_MAGIC, 5)
     assert list(arrays) == model.params.names()
-    assert set(header) == {"meta", "skeleton_text", "spec"}
+    assert set(header) == {"meta", "model", "skeleton_text"}
+    assert header["model"] == {"latent_dim": 6, "hidden_dim": 24, "n_layers": 3,
+                               "dropout": 0.2}
     assert header["meta"] == model.meta
+    assert md.load_checkpoint(path).spec == model.spec
     v2 = tmp_path / "v2.ckpt"
     write_container(v2, md.CHECKPOINT_MAGIC, 2,
                     {**header, "adam": {"step": 1}, "train_meta": {"epochs": 3}},
                     arrays)
-    with pytest.raises(VersionMismatchError, match="format version 2, expected 4"):
+    with pytest.raises(VersionMismatchError, match="format version 2, expected 5"):
         md.load_checkpoint(v2)
 
 
@@ -348,6 +353,12 @@ def test_checkpoint_rejects_corruption(tmp_path, skel):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(raw[:-100])
     with pytest.raises(CorruptFileError):
+        md.load_checkpoint(bad)
+    # a non-finite parameter is a corrupt file, not a fault of the first rollout
+    header, arrays = read_container(path, md.CHECKPOINT_MAGIC, md.CHECKPOINT_VERSION)
+    arrays["dec.w0"][0, 0] = np.nan
+    write_container(bad, md.CHECKPOINT_MAGIC, md.CHECKPOINT_VERSION, header, arrays)
+    with pytest.raises(CorruptFileError, match=re.escape(f"{bad}: parameters are not finite")):
         md.load_checkpoint(bad)
     vers = tmp_path / "vers.ckpt"
     for version in (b"\x42\x00", b"\x01\x00"):  # unknown, and the retired v1

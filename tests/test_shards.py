@@ -212,7 +212,7 @@ def test_shard_dropout_masks_are_rows_of_the_batch_masks():
         if i < cfg.n_layers - 1:
             store.add(f"net.ln_g{i}", np.zeros(d_out))
             store.add(f"net.ln_b{i}", rng.integers(1, 4, d_out).astype(float))
-    params = nn.mlp_params(cfg, store, "net")
+    params = nn.mlp_params(store, "net")
     x = rng.integers(-2, 3, (7, 4)).astype(float)
     layers = []
     batch, _ = nn._mlp(cfg, params, x, False, (5, (0, 7)), inputs=layers)
