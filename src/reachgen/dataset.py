@@ -32,6 +32,7 @@ from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchErr
 from .geometry import (_cross, _dot_rows, axis_angle_matrix, identity_sixd, matrix_to_sixd,
                        rotation_z_matrix, sixd_to_matrix)
 from .intention import GoalSpec, hindsight_goal
+from .worker import MAX_PROCESSES, run_jobs
 
 MOTION_MAGIC = b"RGMO"
 MOTION_VERSION = 3
@@ -575,47 +576,62 @@ def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator):
     return poses, goal
 
 
+def _clips(cfg: SyntheticGenConfig, skeleton: Skeleton, ks: range, seeds) -> list:
+    """(poses, label, provenance, ident) of each corpus clip ks[j], drawn
+    from default_rng(seeds[j]); the clip numbers run through the walks and
+    turns in place, then the reaches, then the walk-reaches. One
+    generate_synthetic_corpus job."""
+    clips = []
+    for k, seed in zip(ks, seeds):
+        rng = np.random.default_rng(seed)
+        if k < cfg.n_locomotion:
+            if k % 4 == 3:
+                # every fourth clip rotates on the spot: hindsight goals then
+                # appear at all bearings, teaching the model to turn
+                poses = _generate_turn_in_place(
+                    skeleton, rng,
+                    duration_s=rng.uniform(2.5, 5.0),
+                    start_xy=rng.uniform(-1.0, 1.0, size=2))
+            else:
+                poses = _generate_walk(
+                    skeleton, rng,
+                    duration_s=rng.uniform(*WALK_DURATION_RANGE),
+                    speed=rng.uniform(*SPEED_RANGE),
+                    turn_rate=rng.uniform(*TURN_RATE_RANGE),
+                    start_xy=rng.uniform(-1.0, 1.0, size=2),
+                    step_time=rng.uniform(*STEP_TIME_RANGE),
+                    gesture=(k % 2 == 0))
+            clips.append((poses, None, "locomotion", f"loco_{k:04d}"))
+        elif k < cfg.n_locomotion + cfg.n_reaching:
+            i = k - cfg.n_locomotion
+            poses, goal = _generate_reach(
+                skeleton, rng, rng.uniform(*REACH_DURATION_RANGE),
+                stand_xy=rng.uniform(-1.0, 1.0, size=2))
+            clips.append((poses, goal, "reaching", f"reach_{i:04d}"))
+        else:
+            i = k - cfg.n_locomotion - cfg.n_reaching
+            poses, goal = _generate_walk_reach(skeleton, rng)
+            clips.append((poses, goal, "reaching", f"walkreach_{i:04d}"))
+    return clips
+
+
 def generate_synthetic_corpus(cfg: SyntheticGenConfig,
                               skeleton: Skeleton) -> list[MotionSequence]:
-    """Deterministic corpus: unlabeled walks + labeled reaches (+ composites)."""
-    sequences: list[MotionSequence] = []
-    root_ss = np.random.SeedSequence(cfg.seed)
+    """Deterministic corpus: unlabeled walks + labeled reaches (+ composites).
+
+    Clip k draws from the k-th child of SeedSequence(cfg.seed) alone. The
+    clips are cut into two contiguous halves by count, one per process
+    (worker.run_jobs), so the bytes do not depend on the process count,
+    and the first clip in clip order that raises is the error raised. The
+    first half, run here, takes the odd clip, so the worker's wake-up and
+    the pipe sit beside the larger share."""
     n_total = cfg.n_locomotion + cfg.n_reaching + cfg.n_walk_reach
-    children = root_ss.spawn(n_total)
-    k = 0
-    for i in range(cfg.n_locomotion):
-        rng = np.random.default_rng(children[k]); k += 1
-        if i % 4 == 3:
-            # every fourth clip rotates on the spot: hindsight goals then
-            # appear at all bearings, teaching the model to turn
-            poses = _generate_turn_in_place(
-                skeleton, rng,
-                duration_s=rng.uniform(2.5, 5.0),
-                start_xy=rng.uniform(-1.0, 1.0, size=2))
-        else:
-            poses = _generate_walk(
-                skeleton, rng,
-                duration_s=rng.uniform(*WALK_DURATION_RANGE),
-                speed=rng.uniform(*SPEED_RANGE),
-                turn_rate=rng.uniform(*TURN_RATE_RANGE),
-                start_xy=rng.uniform(-1.0, 1.0, size=2),
-                step_time=rng.uniform(*STEP_TIME_RANGE),
-                gesture=(i % 2 == 0))
-        sequences.append(MotionSequence(poses, skeleton, None, "locomotion",
-                                        f"loco_{i:04d}"))
-    for i in range(cfg.n_reaching):
-        rng = np.random.default_rng(children[k]); k += 1
-        poses, goal = _generate_reach(
-            skeleton, rng, rng.uniform(*REACH_DURATION_RANGE),
-            stand_xy=rng.uniform(-1.0, 1.0, size=2))
-        sequences.append(MotionSequence(poses, skeleton, goal, "reaching",
-                                        f"reach_{i:04d}"))
-    for i in range(cfg.n_walk_reach):
-        rng = np.random.default_rng(children[k]); k += 1
-        poses, goal = _generate_walk_reach(skeleton, rng)
-        sequences.append(MotionSequence(poses, skeleton, goal, "reaching",
-                                        f"walkreach_{i:04d}"))
-    return sequences
+    children = np.random.SeedSequence(cfg.seed).spawn(n_total)
+    cuts = [-(-n_total * p // MAX_PROCESSES) for p in range(MAX_PROCESSES + 1)]
+    halves = run_jobs([(_clips, (cfg, skeleton, range(lo, hi), children[lo:hi]))
+                       for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
+    return [MotionSequence(poses, skeleton, label, provenance, ident)
+            for clips in halves for poses, label, provenance, ident in clips]
 
 
 def _lowest_foot(poses: np.ndarray, skeleton: Skeleton) -> np.ndarray:

@@ -290,8 +290,10 @@ LOG_HEADER = ("# kl summed over latent dims, averaged over teacher-forced "
 def train(sequences: list[MotionSequence], skeleton: Skeleton, cfg: TrainConfig,
           model: MotionModel | None = None):
     """Full training run; returns (model, log_rows), the rows as
-    write_training_log takes them. On return the worker is stopped, so
-    neither process keeps the run's window set."""
+    write_training_log takes them. A live worker is stopped first, so the
+    first batch forks one holding the window set instead of piping the set
+    to it; on return the worker is stopped, so neither process keeps it."""
+    _stop_worker()
     if model is None:
         model = fresh_model(skeleton, seed=cfg.seed)
     windows = build_training_windows(sequences, cfg, skeleton)

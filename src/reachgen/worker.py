@@ -1,13 +1,15 @@
-"""The one forked worker process behind training's row shards and
-evaluation's rollout chunks: a job's bits never depend on where it ran.
+"""The one forked worker process behind training's row shards,
+evaluation's rollout chunks and the synthetic corpus's two contiguous
+halves of clips: a job's bits never depend on where it ran.
 
 A job crosses the pipe as (fn, args) plus a resident slot. The worker keeps
 one resident value, training's window set. A worker forked for a call
 holds that call's value from the fork, which shares the parent's pages,
 so nothing is pickled or copied; a live worker gets another value once,
 with the first job that passes it. Later jobs only name it. Each result
-crosses back as it is returned. training.train stops the worker on return,
-so no process keeps a finished run's set.
+crosses back as it is returned. training.train stops the worker before its
+first epoch, so a worker left by corpus generation is not sent the set, and
+on return, so no process keeps a finished run's set.
 """
 from __future__ import annotations
 
@@ -136,7 +138,8 @@ def _stop_worker() -> None:
 
 def run_jobs(jobs: list, resident=None) -> list:
     """fn(*args) of each (fn, args) job, or fn(resident, *args) where a
-    resident is given, in job order, with one BLAS thread in each process.
+    resident is given, in job order ([] for no jobs), with one BLAS thread
+    in each process.
     With more than one process, the first job runs here and the rest in the
     worker, one message each way per job; `resident` reaches a worker forked
     for this call by the fork, and crosses to a live worker only when it is
@@ -145,7 +148,7 @@ def run_jobs(jobs: list, resident=None) -> list:
     global _resident
     lead = () if resident is None else (resident,)
     with _one_blas_thread():
-        if len(jobs) == 1 or _process_count() == 1:
+        if len(jobs) <= 1 or _process_count() == 1:
             return [fn(*lead, *args) for fn, args in jobs]
         conn = _worker_connection(resident)
         try:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from reachgen import cli
+from reachgen import cli, worker
 from reachgen.dataset import MOTION_MAGIC, MOTION_VERSION, load_motion, standing_pose
 from reachgen.intention import GoalSpec
 from reachgen.latent_opt import OptObjective, optimize_latents
@@ -31,6 +31,13 @@ def cli_env(env_extra=None):
 def run_cli(*args, env_extra=None, cwd=None, preexec_fn=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
                           env=cli_env(env_extra), cwd=cwd, preexec_fn=preexec_fn)
+
+
+def tree_bytes(root) -> dict:
+    """{relative path: bytes} of every file under root."""
+    root = pathlib.Path(root)
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +84,21 @@ def test_gen_data_reports_planned_and_dropped(tmp_path, tiny_config, capsys):
     kept = len(json.loads((out / "manifest.json").read_text())["sequences"])
     assert capsys.readouterr().out == (f"wrote {kept} of 15 planned sequences to {out} "
                                        f"({15 - kept} dropped as floating)\n")
+
+
+def test_gen_data_bytes_do_not_depend_on_the_process_count(tmp_path, tiny_config,
+                                                           data_dir, monkeypatch):
+    # 15 clips, cut 8/7 between two processes; the subprocess's run, at
+    # this machine's count, writes the same files
+    trees = [tree_bytes(data_dir)]
+    for processes in (1, 2):
+        monkeypatch.setattr(worker, "_process_count", lambda: processes)
+        out = tmp_path / str(processes)
+        assert cli.dispatch(["gen-data", "--config", tiny_config, "--seed", "3",
+                             "--out", str(out)]) == 0
+        trees.append(tree_bytes(out))
+    assert len(trees[0]) > 10
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_train_outputs(checkpoint):

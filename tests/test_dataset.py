@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from reachgen import dataset as ds
+from reachgen import worker as wk
 from reachgen.body import desk_skeleton, forward_kinematics, joint_position, rest_pose
 from reachgen.container import read_container, write_container
-from reachgen.errors import (CorruptFileError, DegenerateRotationError, ModelMismatchError,
-                             SkipWindow, VersionMismatchError)
+from reachgen.errors import (CorruptFileError, DegenerateRotationError, InfeasibleTargetError,
+                             ModelMismatchError, SkipWindow, VersionMismatchError)
 from reachgen.geometry import (axis_angle_matrix, identity_sixd, matrix_to_sixd,
                                rotation_z_matrix, sixd_to_matrix)
 from reachgen.intention import HINDSIGHT_HORIZON, GoalSpec, hindsight_goal
@@ -345,6 +346,54 @@ def test_corpus_deterministic_under_seed(skel):
         np.testing.assert_array_equal(x.poses, y.poses)
 
 
+def corpus_bytes(corpus):
+    """Everything a corpus holds, as bytes and plain values."""
+    return [(seq.poses.tobytes(), seq.provenance, seq.ident,
+             None if seq.label is None else (seq.label.position.tobytes(),
+                                             seq.label.target_frame))
+            for seq in corpus]
+
+
+# no clip, one clip of each kind, an odd count with every kind (plain and
+# gestured walks, a turn in place), and an even one
+@pytest.mark.parametrize("counts", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                    (4, 2, 1), (5, 3, 2)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_corpus_bytes_do_not_depend_on_the_process_count(skel, monkeypatch, counts, seed):
+    cfg = ds.SyntheticGenConfig(*counts, seed=seed)
+    corpora = []
+    for processes in (1, 2):
+        monkeypatch.setattr(wk, "_process_count", lambda: processes)
+        corpus = ds.generate_synthetic_corpus(cfg, skel)
+        assert all(seq.skeleton is skel for seq in corpus)
+        corpora.append(corpus_bytes(corpus))
+    n_loco, n_reach, n_walk_reach = counts
+    assert [clip[2] for clip in corpora[0]] == (
+        [f"loco_{i:04d}" for i in range(n_loco)] + [f"reach_{i:04d}" for i in range(n_reach)]
+        + [f"walkreach_{i:04d}" for i in range(n_walk_reach)])
+    assert corpora[0] == corpora[1]
+
+
+def test_a_clip_failing_in_the_worker_raises_as_in_one_process(skel, monkeypatch,
+                                                                fresh_worker):
+    # six clips: the walk-reaches 3, 4 and 5 are the second half, run in a
+    # worker forked after the patch; each fails with a message of its own,
+    # and the first in clip order is the one raised
+    def failing(skeleton, rng):
+        raise InfeasibleTargetError(f"draw {rng.uniform()!r}")
+
+    monkeypatch.setattr(ds, "_generate_walk_reach", failing)
+    cfg = ds.SyntheticGenConfig(n_locomotion=2, n_reaching=1, n_walk_reach=3, seed=4)
+    first = np.random.default_rng(np.random.SeedSequence(4).spawn(6)[3]).uniform()
+    for processes in (2, 1):
+        monkeypatch.setattr(wk, "_process_count", lambda: processes)
+        with pytest.raises(InfeasibleTargetError) as exc:
+            ds.generate_synthetic_corpus(cfg, skel)
+        assert type(exc.value) is InfeasibleTargetError
+        assert str(exc.value) == f"draw {first!r}"
+        assert wk._worker is not None    # forked at two processes, kept since
+
+
 def test_slerp_track_matches_per_frame_slerp():
     # one matrix log per keyframe pair gives the per-frame slerp's bits,
     # for a generic pair, an equal pair (zero angle) and a half turn
@@ -414,6 +463,7 @@ def test_stacked_gait_matches_per_frame_gait_on_corpus_clips(skel, monkeypatch):
         return out
 
     monkeypatch.setattr(ds, "_generate_gait", both)
+    monkeypatch.setattr(wk, "_process_count", lambda: 1)   # the spy counts here
     cfg = ds.SyntheticGenConfig(n_locomotion=8, n_reaching=1, n_walk_reach=2, seed=3)
     corpus = ds.generate_synthetic_corpus(cfg, skel)
     assert len(corpus) == 11
@@ -458,6 +508,7 @@ def test_stacked_gestures_match_per_keyframe_gestures_on_corpus_clips(skel, monk
         return out
 
     monkeypatch.setattr(ds, "_ArmGestures", both)
+    monkeypatch.setattr(wk, "_process_count", lambda: 1)   # the spy counts here
     ds.generate_synthetic_corpus(
         ds.SyntheticGenConfig(n_locomotion=8, n_reaching=0, n_walk_reach=0, seed=3), skel)
     assert len(built) == 6 and min(built) >= 3
@@ -480,6 +531,7 @@ def test_reach_probes_solve_as_the_per_pitch_loop_on_corpus_clips(skel, monkeypa
         return out
 
     monkeypatch.setattr(ds, "_solve_reach", both)
+    monkeypatch.setattr(wk, "_process_count", lambda: 1)   # the spy counts here
     ds.generate_synthetic_corpus(
         ds.SyntheticGenConfig(n_locomotion=0, n_reaching=6, n_walk_reach=3, seed=3), skel)
     assert outcomes["solved"] == 9 and outcomes["none"] > 0
@@ -527,6 +579,8 @@ def test_corpus_matches_a_build_through_the_per_frame_paths(skel, monkeypatch, s
     corpus = ds.generate_synthetic_corpus(cfg, skel)
     kept = ds.filter_floating(corpus, skel)
     legs = RefLegs(skel)
+    # the patches act in this process only, so both corpora are built here
+    monkeypatch.setattr(wk, "_process_count", lambda: 1)
     monkeypatch.setattr(ds, "_ArmGestures", RefGestures)
     monkeypatch.setattr(ds, "_generate_reach", ref_generate_reach)
     monkeypatch.setattr(ds, "_generate_gait", lambda *args, **kw: ref_gait(legs, *args, **kw))

@@ -374,15 +374,6 @@ def test_non_finite_latent_fails_one_row_of_its_chunk(skel, monkeypatch):
     assert [report.rows[i] for i in (0, 1, 3)] == [clean[i] for i in (0, 1, 3)]
 
 
-@pytest.fixture
-def fresh_worker():
-    """A worker forked inside the test, so it runs the test's patches, and
-    stopped after it, so no later test does."""
-    wk._stop_worker()
-    yield
-    wk._stop_worker()
-
-
 def two_chunk_benchmark(skel, monkeypatch):
     """(model, config) of a benchmark of two one-row chunks, run as two
     halves, the second in the worker."""

@@ -176,19 +176,30 @@ def test_the_window_set_crosses_the_pipe_only_to_a_live_worker(skel, windows, mo
 
 
 def test_train_releases_the_window_set_on_return(skel, monkeypatch):
-    # a sharded run forks the worker holding its window set; once train
-    # returns, neither this process nor a worker keeps the set
+    # generating the corpus leaves a worker live; train stops it, so its
+    # first batch forks a worker holding the window set and no message
+    # carries the set. Once train returns, neither this process nor a
+    # worker keeps it
     wk._stop_worker()
     monkeypatch.setattr(wk, "_process_count", lambda: 2)
     corpus = ds.generate_synthetic_corpus(
         ds.SyntheticGenConfig(seed=2, n_locomotion=2, n_reaching=1, n_walk_reach=0), skel)
-    cfg = dataclasses.replace(config(8), epochs=1)
-    forked = []
+    assert wk._worker is not None
+    cfg = dataclasses.replace(config(8), epochs=1, windows_per_sequence=16)
+    model = small_model(skel)
+    budget = len(pickle.dumps(model)) + 64 * 1024
+    assert len(pickle.dumps(tr.build_training_windows(corpus, cfg, skel))) > 4 * budget
+    asked, sent = [], []
     connection = wk._worker_connection
-    monkeypatch.setattr(wk, "_worker_connection",
-                        lambda resident: forked.append(resident) or connection(resident))
-    tr.train(corpus, skel, cfg, small_model(skel))
-    assert forked and forked[0] is not None
+
+    def spy(resident):
+        asked.append((wk._worker is None, resident is not None))
+        return PipeSpy(connection(resident), sent)
+
+    monkeypatch.setattr(wk, "_worker_connection", spy)
+    tr.train(corpus, skel, cfg, model)
+    assert asked[0] == (True, True)
+    assert sent and all(n < budget for n in sent)
     assert (wk._worker, wk._resident) == (None, None)
 
 
@@ -405,6 +416,14 @@ def test_dead_worker_raises(skel, windows, monkeypatch):
     monkeypatch.setattr(wk, "_process_count", lambda: 2)
     with pytest.raises(WorkerDiedError, match="exited with code 3"):
         tr.train_epoch(windows, small_model(skel), AdamState(1e-3, 1e-4, 4), 0, config(32))
+    assert wk._worker is None
+
+
+@pytest.mark.parametrize("processes", [2, 1])
+def test_no_jobs_give_no_results(monkeypatch, fresh_worker, processes):
+    monkeypatch.setattr(wk, "_process_count", lambda: processes)
+    assert wk.run_jobs([]) == []
+    assert wk.run_jobs([], resident=object()) == []
     assert wk._worker is None
 
 
