@@ -372,12 +372,6 @@ def _joint_read(pd, skeleton: Skeleton, joint: int):
     return local, position, vjp
 
 
-def _heading(root_matrix, skeleton: Skeleton):
-    """safe_unit of the xy of plain root rotations' forward axes."""
-    fwd = (root_matrix @ skeleton.forward_axis.reshape(3, 1))[..., 0]
-    return safe_unit(fwd[..., 0:2])
-
-
 def forward_kinematics(pose, skeleton: Skeleton):
     """World joint positions (..., n_joints, 3), one fused op over the pose.
 
@@ -409,14 +403,8 @@ def joint_position(pose, skeleton: Skeleton, joint: int):
 def heading_of(pose, skeleton: Skeleton):
     """Unit xy direction of the body's forward axis of plain poses; (0, 0)
     when degenerate."""
-    return _heading(sixd_to_matrix(pose[..., 3:9]), skeleton)
-
-
-def joint_position_and_heading(pose, skeleton: Skeleton, joint: int):
-    """(joint_position, heading_of) of plain poses from one decode of their
-    rotations."""
-    local, position, _ = _joint_read(np.asarray(pose, dtype=np.float64), skeleton, joint)
-    return position, _heading(local[..., 0, :, :], skeleton)
+    fwd = (sixd_to_matrix(pose[..., 3:9]) @ skeleton.forward_axis.reshape(3, 1))[..., 0]
+    return safe_unit(fwd[..., 0:2])
 
 
 def rotate_pose_z(pose, angle):

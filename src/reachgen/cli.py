@@ -1,8 +1,9 @@
 """Operator command line: corpus generation, training, generation,
 evaluation, latent optimization, and file inspection.
 
-Settings merge as defaults (preset) <- config file <- command-line flags;
-the resolved merge is written into every run directory next to the outputs.
+Each command resolves only the config sections it reads, merged as
+defaults (preset) <- config file <- command-line flags; the resolved merge
+is written into every run directory next to the outputs.
 """
 from __future__ import annotations
 
@@ -71,42 +72,47 @@ def _deep_update(base: dict, extra: dict) -> dict:
     return base
 
 
-def resolve_config(args) -> dict:
-    """defaults(preset) <- config file <- flags. The preset itself comes
-    from the flag, else the file, else desk."""
-    sections = ("data", "model", "train", "eval")
-
-    settings = {}
-    if args.config:
-        try:
-            with open(args.config) as f:
-                settings = json.load(f)
-        except FileNotFoundError as e:
-            raise FileNotFoundError(f"config {args.config} does not exist") from e
-        except (OSError, ValueError) as e:   # ValueError: bad JSON or text
-            raise InvalidInputError(f"unreadable config {args.config}: {e}") from e
-        if not isinstance(settings, dict):
-            raise InvalidInputError(f"config {args.config} must hold a JSON object")
-        unknown = sorted(set(settings) - {"preset", "seed", *sections})
-        if unknown:
-            raise InvalidInputError(f"config {args.config} has unknown settings "
-                                    f"{', '.join(map(repr, unknown))}")
-    file_preset = settings.pop("preset", None)
-    preset = args.preset or file_preset or "desk"
-    if not isinstance(preset, str) or preset not in PRESETS:
-        raise InvalidInputError(f"unknown preset {preset!r}")
-    cfg = json.loads(json.dumps(PRESETS[preset]))  # deep copy
-    cfg["preset"] = preset
-    cfg["seed"] = 0
-    _deep_update(cfg, settings)
+def resolve_config(args, sections: tuple) -> dict:
+    """The seed and, for a command that reads config sections, the preset
+    and those sections, merged as defaults(preset) <- config file <- flags.
+    The preset comes from the flag, else the file, else desk. A file's
+    sections the command does not read are neither checked nor recorded."""
+    cfg = {"seed": 0}
+    if sections:
+        settings = _config_file(args.config) if args.config else {}
+        preset = args.preset or settings.get("preset") or "desk"
+        if not isinstance(preset, str) or preset not in PRESETS:
+            raise InvalidInputError(f"unknown preset {preset!r}")
+        cfg["preset"] = preset
+        cfg.update(json.loads(json.dumps({s: PRESETS[preset][s] for s in sections})))
+        _deep_update(cfg, {k: v for k, v in settings.items() if k in ("seed", *sections)})
+        for section in sections:
+            if not isinstance(cfg[section], dict):
+                raise InvalidInputError(f"{section!r} must be a JSON object, "
+                                        f"got {cfg[section]!r}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     check_count("'seed'", cfg["seed"], 0)
-    for section in sections:
-        if not isinstance(cfg[section], dict):
-            raise InvalidInputError(f"{section!r} must be a JSON object, "
-                                    f"got {cfg[section]!r}")
     return cfg
+
+
+def _config_file(path) -> dict:
+    """The settings a config file holds: a JSON object whose top-level keys
+    are `preset`, `seed` and the preset's sections."""
+    try:
+        with open(path) as f:
+            settings = json.load(f)
+    except FileNotFoundError as e:
+        raise FileNotFoundError(f"config {path} does not exist") from e
+    except (OSError, ValueError) as e:   # ValueError: bad JSON or text
+        raise InvalidInputError(f"unreadable config {path}: {e}") from e
+    if not isinstance(settings, dict):
+        raise InvalidInputError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(settings) - {"preset", "seed", *PRESETS["desk"]})
+    if unknown:
+        raise InvalidInputError(f"config {path} has unknown settings "
+                                f"{', '.join(map(repr, unknown))}")
+    return settings
 
 
 def _write_resolved(cfg: dict, out_dir: str, command: str, input_hashes: dict,
@@ -161,7 +167,7 @@ def _one_goal(args) -> np.ndarray:
 # ------------------------------------------------------------- subcommands
 
 def cmd_gen_data(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, ("data",))
     out = args.out or "runs/gen-data"
     skeleton = desk_skeleton()
     gen_cfg = _from_settings(SyntheticGenConfig, "data", cfg["data"], seed=cfg["seed"])
@@ -198,7 +204,7 @@ def _load_corpus(data_dir: str, skeleton):
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, ("model", "train"))
     out = args.out or "runs/train"
     skeleton = desk_skeleton()
     sequences, manifest_hash = _load_corpus(args.data, skeleton)
@@ -227,7 +233,7 @@ def _load_model(args):
 
 
 def cmd_generate(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, ())
     out = args.out or "runs/generate"
     model = _load_model(args)
     duration = args.duration
@@ -262,7 +268,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, ("eval",))
     out = args.out or "runs/evaluate"
     model = _load_model(args)
     eval_cfg = _from_settings(EvalConfig, "eval", cfg["eval"])
@@ -276,7 +282,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, ())
     out = args.out or "runs/optimize"
     model = _load_model(args)
     goal = GoalSpec(_one_goal(args), args.duration)
@@ -331,10 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON settings file")
+    def common(p, settings=True):   # settings: the command reads config sections
+        if settings:
+            p.add_argument("--config", help="JSON settings file")
+            p.add_argument("--preset", choices=sorted(PRESETS), default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--preset", choices=sorted(PRESETS), default=None)
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("gen-data", help="generate the synthetic corpus")
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("generate", help="generate a goal-reaching motion")
-    common(p)
+    common(p, settings=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--goal", action="append", default=[],
                    help="x,y,z meters (repeatable for multi-goal)")
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("optimize", help="latent-space refinement of a rollout")
-    common(p)
+    common(p, settings=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--goal", action="append", default=[], required=True)
     p.add_argument("--duration", type=int, default=90)

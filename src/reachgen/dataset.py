@@ -702,15 +702,24 @@ def save_motion(seq: MotionSequence, path) -> None:
 
 
 def load_motion(path, skeleton: Skeleton) -> MotionSequence:
-    """The clip a motion file holds; poses that are not finite, or rows the
-    skeleton cannot hold, make it a corrupt file."""
+    """The clip a motion file holds; poses that are not finite, rows the
+    skeleton cannot hold, or a label whose target_frame is not an integer
+    frame of the clip or whose position is not 3 finite values, make it a
+    corrupt file."""
     header, arrays = read_container(path, MOTION_MAGIC, MOTION_VERSION)
     if header.get("skeleton_hash") != skeleton.hash:
         raise ModelMismatchError(f"{path}: skeleton hash mismatch")
     try:
         if not np.all(np.isfinite(arrays["poses"])):
             raise ValueError("poses are not finite")
-        label = None if header["label"] is None else GoalSpec(**header["label"])
+        label = header["label"]
+        if label is not None:
+            frame = label["target_frame"]    # type(True) is bool, not int
+            if type(frame) is not int or not 0 <= frame < len(arrays["poses"]):
+                raise ValueError(f"label target_frame {frame!r} is not a frame of the clip")
+            if np.shape(label["position"]) != (3,):
+                raise ValueError(f"label position {label['position']!r} is not 3 values")
+            label = GoalSpec(**label)
         return MotionSequence(arrays["poses"], skeleton, label,
                               header["provenance"], header["ident"])
     except (KeyError, TypeError, ValueError, DimensionMismatchError) as e:

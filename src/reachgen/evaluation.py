@@ -62,9 +62,6 @@ class EvalConfig:
 
 @dataclass
 class GoalGrid:
-    angles: np.ndarray
-    heights: np.ndarray
-    distances: np.ndarray
     goals: list        # GoalSpec per (angle, height, distance), angle-major
     combos: list       # parallel (angle, height, distance) values
 
@@ -84,7 +81,7 @@ def build_goal_grid(center_pose, cfg: EvalConfig) -> GoalGrid:
                                 center[1] + d * np.sin(a), h])
                 goals.append(GoalSpec(pos, cfg.duration))
                 combos.append((float(a), float(h), float(d)))
-    return GoalGrid(angles, heights, distances, goals, combos)
+    return GoalGrid(goals, combos)
 
 
 def _closest_approach(pos, goal_position, joint: int):

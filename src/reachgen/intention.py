@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
-from .body import Skeleton, _add_yaw_grad, _joint_read, joint_position_and_heading
+from .body import Skeleton, _add_yaw_grad, _joint_read, heading_of, joint_position
 from .errors import InvalidInputError, SkipWindow
 from .geometry import _project_out, _safe_unit, safe_unit
 
@@ -207,6 +207,6 @@ def hindsight_goal(sequence, anchor_frame: int, rng: np.random.Generator):
     hi = min(anchor_frame + max_h, last)
     t_g = int(rng.integers(lo, hi + 1))
     skeleton = sequence.skeleton
-    position, heading = joint_position_and_heading(
-        sequence.poses[t_g], skeleton, skeleton.joint_index(TARGET_JOINT))
-    return GoalSpec(np.asarray(position), t_g), np.asarray(heading)
+    pose = sequence.poses[t_g]
+    position = joint_position(pose, skeleton, skeleton.joint_index(TARGET_JOINT))
+    return GoalSpec(position, t_g), heading_of(pose, skeleton)

@@ -64,9 +64,8 @@ class OptReport:
             f.write("iteration,l_opt,l_norm,l_goal,l_waypoint,wrist_distance\n")
             for i in range(self.iterations):
                 goal = self.l_goal[i]
-                dist = float(np.sqrt(goal)) if goal >= 0 else float("nan")
-                f.write(f"{i},{self.l_opt[i]!r},{self.l_norm[i]!r},"
-                        f"{goal!r},{self.l_waypoint[i]!r},{dist!r}\n")
+                f.write(f"{i},{self.l_opt[i]!r},{self.l_norm[i]!r},{goal!r},"
+                        f"{self.l_waypoint[i]!r},{float(np.sqrt(goal))!r}\n")
 
 
 def _objective_terms(latents: Tensor, record: RolloutRecord, goal: GoalSpec,

@@ -30,7 +30,6 @@ class ModelSpec:
     """Dimensions of the delta autoencoder for one skeleton."""
 
     latent_dim: int
-    n_rotated: int
     encoder: MlpConfig
     decoder: MlpConfig
 
@@ -46,7 +45,7 @@ class ModelSpec:
                         n_layers=n_layers, dropout=dropout)
         dec = MlpConfig(in_dim=latent_dim + c, out_dim=d, hidden_dim=hidden_dim,
                         n_layers=n_layers, dropout=dropout)
-        return cls(latent_dim, n_rotated, enc, dec)
+        return cls(latent_dim, enc, dec)
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParameterStore:

@@ -19,7 +19,7 @@ from .dataset import MotionSequence
 from .errors import (DegenerateRotationError, InvalidInputError,
                      ModelMismatchError, NumericFault, check_positive)
 from .geometry import degenerate_sixd
-from .intention import INTENTION_DIM, TARGET_JOINT, GoalSpec, _conditioned
+from .intention import TARGET_JOINT, GoalSpec, _conditioned
 from .model import MotionModel
 from .nn import _mlp, mlp_params
 
@@ -67,7 +67,6 @@ class RolloutRecord:
 
     sequence: MotionSequence
     latents: np.ndarray        # (duration, latent_dim)
-    intentions: np.ndarray     # (duration, 7)
     goal_indices: np.ndarray   # (duration,) active goal per generated frame
     schedule: GoalSchedule
     model_hash: str
@@ -80,8 +79,8 @@ class RolloutRecord:
 class Rollout(NamedTuple):
     """The rows of one closed-loop rollout. Each list holds one entry per
     frame, shaped like the rows, (B, ...) or one unbatched row: poses from
-    the initial frame on, intentions and active goal indices from the first
-    generated frame on. The lists stop early only when every row faulted.
+    the initial frame on, active goal indices from the first generated frame
+    on. The lists stop early only when every row faulted.
 
     faults[r] is None, or (frame, error) for the first frame whose pose row
     r could not produce: a non-finite delta (NumericFault) or an integrated
@@ -90,7 +89,6 @@ class Rollout(NamedTuple):
     """
 
     poses: list
-    intentions: list
     goal_indices: list
     faults: list
 
@@ -253,7 +251,7 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
         prev_delta = np.zeros(lead + (pose_dim(skeleton.n_rotated),))
     active = np.zeros(lead, dtype=np.int64)
     frozen = np.zeros(lead, dtype=bool)
-    out = Rollout([cur], [], [], [None] * frozen.size)
+    out = Rollout([cur], [], [None] * frozen.size)
 
     def freeze(bad, frame: int, fault) -> bool:
         """Record the first fault of the bad rows; True once all faulted."""
@@ -314,7 +312,6 @@ def rollout_poses(initial_pose, schedule: GoalSchedule, duration: int,
         prev_delta = delta
         cur = nxt
         out.poses.append(cur)
-        out.intentions.append(cond[..., -INTENTION_DIM:].copy())
         out.goal_indices.append(active)
     else:
         bad = _degenerate_rows(cur, skeleton)
@@ -438,6 +435,5 @@ def _recorded(initial_pose, schedule: GoalSchedule, duration: int, model: Motion
     out.raise_fault()
     return RolloutRecord(
         MotionSequence(np.stack(out.poses), model.skeleton, None, "generated", ident),
-        np.asarray(latents), np.stack(out.intentions), np.array(out.goal_indices),
-        schedule, model_hash)
+        np.asarray(latents), np.array(out.goal_indices), schedule, model_hash)
 

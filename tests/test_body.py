@@ -91,12 +91,9 @@ def test_joint_position_matches_full_fk(skel):
     for pose in (random_pose(skel, rng), random_poses(skel, rng, (5,)),
                  random_poses(skel, rng, (4, 3))):
         full = body.forward_kinematics(pose, skel)
-        heading = body.heading_of(pose, skel)
         for j in range(skel.n_joints):
             expected = np.ascontiguousarray(full[..., j, :]).tobytes()
             assert body.joint_position(pose, skel, j).tobytes() == expected, skel.names[j]
-            pos, head = body.joint_position_and_heading(pose, skel, j)
-            assert pos.tobytes() == expected and head.tobytes() == heading.tobytes()
         # the root's read is a fresh array, not a view of the pose
         assert not np.shares_memory(body.joint_position(pose, skel, 0), pose)
 

@@ -244,6 +244,28 @@ def test_non_finite_or_narrow_motion_is_corrupt(tmp_path, capsys, data_dir, faul
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("label", [{"target_frame": 3.5}, {"target_frame": True},
+                                   {"position": [1.0, 2.0]}],
+                         ids=["frame-float", "frame-bool", "position-two-values"])
+def test_malformed_motion_label_is_corrupt(tmp_path, capsys, data_dir, label):
+    # a label the training window reader would index with is checked on load
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    ident = next(e["ident"] for e in manifest["sequences"]
+                 if e["split"] == "train" and e["labeled"])
+    motion = data / "motions" / f"{ident}.mot"
+    header, arrays = read_container(motion, MOTION_MAGIC, MOTION_VERSION)
+    header["label"].update(label)
+    write_container(motion, MOTION_MAGIC, MOTION_VERSION, header, arrays)
+    out = tmp_path / "t"
+    assert cli.dispatch(["train", "--epochs", "1", "--data", str(data),
+                         "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error code=CorruptFileError") and f"{ident}.mot" in err
+    assert not out.exists()
+
+
 def test_missing_checkpoint_nonzero(tmp_path):
     r = run_cli("generate", "--checkpoint", str(tmp_path / "nope.ckpt"),
                 "--goal", "1,1,1", "--out", str(tmp_path / "o"))
@@ -340,27 +362,68 @@ def test_gen_data_too_small_corpus_is_a_clean_error(tmp_path):
     assert not out.exists()
 
 
-def test_config_file_preset_selects_its_values(tmp_path):
+def test_config_file_preset_selects_its_values(tmp_path, capsys, checkpoint):
+    # the file's preset supplies the eval settings the file leaves out
     config = tmp_path / "paper.json"
     config.write_text(json.dumps(
         {"preset": "paper",
-         "data": {"n_locomotion": 8, "n_reaching": 5, "n_walk_reach": 2}}))
-    out = tmp_path / "paper"
-    r = run_cli("gen-data", "--config", str(config), "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    resolved = json.loads((out / "resolved_config.json").read_text())["resolved"]
-    assert resolved["preset"] == "paper"
-    assert resolved["model"] == {"latent_dim": 64, "hidden_dim": 512,
-                                 "n_layers": 15, "dropout": 0.1}
-    assert resolved["train"]["batch_size"] == 512
-    # the flag beats the file
-    out = tmp_path / "desk"
-    r = run_cli("gen-data", "--config", str(config), "--preset", "desk",
-                "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    resolved = json.loads((out / "resolved_config.json").read_text())["resolved"]
-    assert resolved["preset"] == "desk"
-    assert resolved["model"]["latent_dim"] == 16
+         "eval": {"n_angles": 1, "n_heights": 1, "n_distances": 1,
+                  "n_initial_poses": 1, "samples_per_pair": 1, "duration": 5}}))
+    for flags, preset, height_range in (((), "paper", [0.0, 1.8]),
+                                        (("--preset", "desk"), "desk", [0.7, 1.3])):
+        out = tmp_path / preset
+        assert cli.dispatch(["evaluate", "--config", str(config), *flags,
+                             "--checkpoint", checkpoint, "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())["resolved"]
+        assert resolved["preset"] == preset    # the flag beats the file
+        assert resolved["eval"]["height_range"] == height_range
+
+
+def test_resolved_config_holds_the_sections_the_command_reads(tmp_path, tiny_config,
+                                                              data_dir, checkpoint):
+    runs = {"gen-data": data_dir, "train": os.path.dirname(checkpoint)}
+    for command, argv in (
+            ("evaluate", ["--config", tiny_config]),
+            ("generate", ["--goal", "1.0,0.5,1.2", "--duration", "3"]),
+            ("optimize", ["--goal", "1.0,0.5,1.2", "--duration", "3", "--steps", "1"])):
+        runs[command] = str(tmp_path / command)
+        assert cli.dispatch([command, "--checkpoint", checkpoint, *argv,
+                             "--out", runs[command]]) == 0
+    keys = {command: sorted(json.loads(open(os.path.join(run, "resolved_config.json"))
+                                       .read())["resolved"])
+            for command, run in runs.items()}
+    assert keys == {"gen-data": ["data", "preset", "seed"],
+                    "train": ["model", "preset", "seed", "train"],
+                    "evaluate": ["eval", "preset", "seed"],
+                    "generate": ["seed"], "optimize": ["seed"]}
+
+
+def test_gen_data_ignores_the_sections_it_does_not_read(tmp_path, data_dir):
+    # bad train, model and eval sections are neither checked nor recorded:
+    # the run writes what the tiny config's run wrote, byte for byte
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps({
+        "data": {"n_locomotion": 8, "n_reaching": 5, "n_walk_reach": 2},
+        "train": {"bogus": 1}, "model": {"latent_dim": -3}, "eval": {"duration": "x"}}))
+    out = tmp_path / "data"
+    assert cli.dispatch(["gen-data", "--config", str(config), "--seed", "3",
+                         "--out", str(out)]) == 0
+    assert tree_bytes(out) == tree_bytes(data_dir)
+
+
+@pytest.mark.parametrize("command,flag", [("generate", ["--preset", "desk"]),
+                                          ("optimize", ["--config", "{tmp}/f.json"])])
+def test_generate_and_optimize_take_no_settings_flags(tmp_path, capsys, checkpoint,
+                                                      command, flag):
+    (tmp_path / "f.json").write_text("{}")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        cli.dispatch([command, "--checkpoint", checkpoint, "--goal", "1,1,1",
+                      *[f.format(tmp=tmp_path) for f in flag], "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag[0]}" in err
+    assert not out.exists()
 
 
 def test_no_command_resolves_workers(tmp_path, tiny_config, data_dir, checkpoint):
@@ -428,7 +491,6 @@ def test_inspect_takes_one_goal(data_dir):
     ("train", {}, "{}", "CorruptFileError"),
     ("gen-data", {"seed": "x"}, None, "InvalidInputError"),
     ("gen-data", {"seed": True}, None, "InvalidInputError"),
-    ("generate", {"seed": "x"}, None, "InvalidInputError"),
     ("evaluate", {"seed": "x"}, None, "InvalidInputError"),
     ("train", {"seed": "x"}, None, "InvalidInputError"),
     ("evaluate", {"workers": "x"}, None, "InvalidInputError"),
@@ -477,7 +539,7 @@ def test_inspect_takes_one_goal(data_dir):
     ("train", {"model": {"dropout": False}}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
         "manifest-not-json", "manifest-no-sequences",
-        "gen-data-seed", "seed-bool", "generate-seed", "evaluate-seed", "train-seed",
+        "gen-data-seed", "seed-bool", "evaluate-seed", "train-seed",
         "workers-str", "workers-bool", "eval-not-object", "train-not-object",
         "data-not-object", "config-not-object", "epochs-zero", "batch-size-zero",
         "window-len-zero", "window-len-too-long", "windows-per-sequence-zero",
@@ -503,8 +565,9 @@ def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, co
         (tmp_path / "manifest.json").write_text(manifest)
         inputs = ("--data", str(tmp_path))
     out = tmp_path / "out"
-    # a repeated flag's last value wins
-    r = run_cli(command, *inputs, *flags, "--config", str(config), "--out", str(out))
+    # a repeated flag's last value wins; generate reads no config file
+    settings_flags = () if command == "generate" else ("--config", str(config))
+    r = run_cli(command, *inputs, *flags, *settings_flags, "--out", str(out))
     assert r.returncode == 1, r.stderr
     assert r.stderr.startswith(f"error code={code}"), r.stderr
     if isinstance(settings, dict):

@@ -4,8 +4,9 @@
 `assemble_condition`, the latent take, the decoder's concatenate and MLP,
 and `integrate_delta`. (Its goal switch test reads the wrist with one more
 `joint_position`, whose node gets no gradient.) The fused frame must give
-the same poses, intentions, goal indices, L_opt and latent gradient, bit for
-bit.
+the same poses, goal indices, L_opt and latent gradient, bit for bit. The
+intention is not compared on its own: it feeds the decoder, so any change in
+its bits shows in the poses and the latent gradient.
 """
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def reference_rollout(initial_pose, schedule, duration, model, latents, decoder=
     prev_delta = np.zeros(lead + (pose_dim(skeleton.n_rotated),))
     active = np.zeros(lead, dtype=np.int64)
     frozen = np.zeros(lead, dtype=bool)
-    out = ro.Rollout([cur], [], [], [None] * frozen.size)
+    out = ro.Rollout([cur], [], [None] * frozen.size)
     joint = skeleton.joint_index(TARGET_JOINT)
 
     def hold(bad, frame, error):
@@ -59,7 +60,7 @@ def reference_rollout(initial_pose, schedule, duration, model, latents, decoder=
             out.poses[-1] = cur
             wrist = joint_position(cur, skeleton, joint)
         active = goals.advance(active, ag.value(wrist), i - 1)
-        cond, intent = assemble_condition(cur, prev_delta, skeleton, goals.goal(active),
+        cond, _ = assemble_condition(cur, prev_delta, skeleton, goals.goal(active),
                                           i - 1)
         delta = decoder(model.spec, model.params, latents[at_frame + (i - 1,)], cond, None)
         hold(~np.isfinite(ag.value(delta)).all(axis=-1), i, ValueError())
@@ -70,7 +71,6 @@ def reference_rollout(initial_pose, schedule, duration, model, latents, decoder=
         prev_delta = delta
         cur = nxt
         out.poses.append(cur)
-        out.intentions.append(intent)
         out.goal_indices.append(active)
     return out
 
@@ -101,7 +101,7 @@ def objective(out, latents, goal_position, skeleton):
 
 
 def run(rollout, initial, schedule, model, latents):
-    """Outputs of one taped rollout: pose, intention and goal-index bytes,
+    """Outputs of one taped rollout: pose and goal-index bytes,
     L_opt and the bytes of its gradients in the latents and in the
     decoder's parameters, and the faults."""
     t = ag.Tensor(latents.copy(), requires_grad=True)
@@ -113,9 +113,8 @@ def run(rollout, initial, schedule, model, latents):
     poses = np.stack([ag.value(p) for p in out.poses])
     decoder = b"".join(g.tobytes() for name, g in model.params.gradients().items()
                        if name.startswith("dec."))
-    return ((poses.tobytes(), np.stack(out.intentions).tobytes(),
-             np.stack(out.goal_indices).tobytes(), ag.value(total).tobytes(),
-             t.grad.tobytes(), decoder),
+    return ((poses.tobytes(), np.stack(out.goal_indices).tobytes(),
+             ag.value(total).tobytes(), t.grad.tobytes(), decoder),
             [f and f[0] for f in out.faults], np.stack(out.goal_indices))
 
 
@@ -178,7 +177,7 @@ def test_fused_frame_matches_the_composition_with_held_rows(model, monkeypatch):
     fused, faults, _ = run(ro.rollout_poses, initial, schedule, model, latents)
     assert faults == ref_faults == [None, 6, 4]
     assert fused == reference
-    gradient = np.frombuffer(fused[4]).reshape(latents.shape)
+    gradient = np.frombuffer(fused[3]).reshape(latents.shape)
     assert np.abs(gradient[:, :3]).min() > 0.0   # the waypoint's frames
 
 

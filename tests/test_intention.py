@@ -186,8 +186,8 @@ def ref_rotate_z(v, angle):
 def ref_condition(pose, prev_delta, skel, goal, current_frame, goal_heading=None):
     """The elementary-op composition `assemble_condition` replaced, as the
     numpy calls those ops ran without a tape, in the same order."""
-    wrist, heading = body.joint_position_and_heading(
-        pose, skel, skel.joint_index(it.TARGET_JOINT))
+    wrist = body.joint_position(pose, skel, skel.joint_index(it.TARGET_JOINT))
+    heading = body.heading_of(pose, skel)
     to_goal = goal.position[..., 0:2] - pose[..., 0:2]
     direction = geo.safe_unit(to_goal)
     neg_yaw = -np.arctan2(pose[..., 4], pose[..., 3])

@@ -29,10 +29,10 @@ def tiny_model(skel):
                           dropout=0.0, seed=1)
 
 
-def test_encode_output_shapes(tiny_model):
+def test_encode_output_shapes(tiny_model, skel):
     spec = tiny_model.spec
-    delta = np.zeros(pose_dim(spec.n_rotated))
-    cond = np.zeros(condition_dim(spec.n_rotated))
+    delta = np.zeros(pose_dim(skel.n_rotated))
+    cond = np.zeros(condition_dim(skel.n_rotated))
     g = md.encode(spec, tiny_model.params, delta, cond, None)
     assert ag.value(g.mean).shape == (spec.latent_dim,)
     assert ag.value(g.log_std).shape == (spec.latent_dim,)
@@ -41,11 +41,11 @@ def test_encode_output_shapes(tiny_model):
     assert np.all(np.isfinite(ag.value(g.mean)))
 
 
-def test_encode_decode_deterministic_in_eval(tiny_model):
+def test_encode_decode_deterministic_in_eval(tiny_model, skel):
     spec = tiny_model.spec
     rng = np.random.default_rng(0)
-    delta = rng.normal(size=pose_dim(spec.n_rotated))
-    cond = rng.normal(size=condition_dim(spec.n_rotated))
+    delta = rng.normal(size=pose_dim(skel.n_rotated))
+    cond = rng.normal(size=condition_dim(skel.n_rotated))
     z = rng.normal(size=spec.latent_dim)
     a = md.decode(spec, tiny_model.params, z, cond, None)
     b = md.decode(spec, tiny_model.params, z, cond, None)
@@ -62,8 +62,8 @@ def test_encode_decode_dropout_is_a_function_of_its_seed(skel):
                            dropout=0.3, seed=1)
     spec, store = model.spec, model.params
     rng = np.random.default_rng(0)
-    delta = rng.normal(size=(5, pose_dim(spec.n_rotated)))
-    cond = rng.normal(size=(5, condition_dim(spec.n_rotated)))
+    delta = rng.normal(size=(5, pose_dim(skel.n_rotated)))
+    cond = rng.normal(size=(5, condition_dim(skel.n_rotated)))
     z = rng.normal(size=(5, spec.latent_dim))
 
     def run(seed):
@@ -75,11 +75,11 @@ def test_encode_decode_dropout_is_a_function_of_its_seed(skel):
         assert np.any(a != c)
 
 
-def test_wrong_input_width_is_a_dimension_mismatch(tiny_model):
+def test_wrong_input_width_is_a_dimension_mismatch(tiny_model, skel):
     spec = tiny_model.spec
-    cond = np.zeros(condition_dim(spec.n_rotated))
+    cond = np.zeros(condition_dim(skel.n_rotated))
     with pytest.raises(DimensionMismatchError):
-        md.encode(spec, tiny_model.params, np.zeros(pose_dim(spec.n_rotated) + 1),
+        md.encode(spec, tiny_model.params, np.zeros(pose_dim(skel.n_rotated) + 1),
                   cond, None)
     with pytest.raises(DimensionMismatchError):
         md.decode(spec, tiny_model.params, np.zeros(spec.latent_dim - 1), cond, None)
@@ -88,7 +88,7 @@ def test_wrong_input_width_is_a_dimension_mismatch(tiny_model):
 def test_decode_output_dim(tiny_model, skel):
     spec = tiny_model.spec
     out = md.decode(spec, tiny_model.params, np.zeros(spec.latent_dim),
-                    np.zeros(condition_dim(spec.n_rotated)), None)
+                    np.zeros(condition_dim(skel.n_rotated)), None)
     assert out.shape == (3 + 6 + 6 * skel.n_rotated,)
 
 
@@ -308,7 +308,7 @@ def test_checkpoint_roundtrip(tmp_path, skel, small_windows):
     # identical eval outputs on a probe input
     spec = model.spec
     rng = np.random.default_rng(3)
-    z, cond = rng.normal(size=spec.latent_dim), rng.normal(size=condition_dim(spec.n_rotated))
+    z, cond = rng.normal(size=spec.latent_dim), rng.normal(size=condition_dim(skel.n_rotated))
     np.testing.assert_array_equal(md.decode(spec, model.params, z, cond, None),
                                   md.decode(loaded.spec, loaded.params, z, cond, None))
 

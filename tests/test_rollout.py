@@ -28,7 +28,6 @@ def test_duration_one_single_new_pose(model, skel):
                       duration=1, model=model, rng=np.random.default_rng(0))
     assert rec.sequence.n_frames == 2
     assert rec.latents.shape == (1, model.spec.latent_dim)
-    assert rec.intentions.shape == (1, 7)
     assert rec.goal_indices.shape == (1,)
 
 
