@@ -29,9 +29,6 @@ from .errors import DimensionMismatchError
 from .geometry import _decode, _rotated, identity_sixd, safe_unit, sixd_to_matrix, yaw_of
 
 
-FK_ROWS = 64   # poses per batched FK pass; see forward_kinematics
-
-
 @dataclass(frozen=True)
 class DepthLevel:
     """Joints at one tree depth with their parents and rest offsets.
@@ -374,18 +371,8 @@ def _joint_read(pd, skeleton: Skeleton, joint: int):
 
 def forward_kinematics(pose, skeleton: Skeleton):
     """World joint positions (..., n_joints, 3), one fused op over the pose.
-
-    A tape-free batch of more than FK_ROWS poses along axis 0 runs FK_ROWS
-    rows at a time: rows are independent, so the bits do not change, and
-    a whole motion clip needs no more transient memory than a chunk.
-    """
-    if isinstance(pose, np.ndarray) and pose.ndim > 1 and len(pose) > FK_ROWS:
-        out = np.empty(pose.shape[:-1] + (skeleton.n_joints, 3))
-        for i in range(0, len(pose), FK_ROWS):
-            chunk = pose[i:i + FK_ROWS]
-            out[i:i + FK_ROWS] = _positions(chunk, _rotations(chunk, skeleton)[0],
-                                            skeleton)[0]
-        return out
+    Every row is computed independently, so a caller may cut a large batch
+    into chunks, as build_training_windows does, without changing a bit."""
     pd = ag.value(pose)
     local, rotations_vjp = _rotations(pd, skeleton)
     pos, positions_vjp = _positions(pd, local, skeleton)

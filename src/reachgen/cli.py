@@ -80,9 +80,10 @@ def resolve_config(args, sections: tuple) -> dict:
     cfg = {"seed": 0}
     if sections:
         settings = _config_file(args.config) if args.config else {}
-        preset = args.preset or settings.get("preset") or "desk"
+        preset = args.preset or settings.get("preset", "desk")
         if not isinstance(preset, str) or preset not in PRESETS:
-            raise InvalidInputError(f"unknown preset {preset!r}")
+            raise InvalidInputError(f"'preset' must name one of {sorted(PRESETS)}, "
+                                    f"got {preset!r}")
         cfg["preset"] = preset
         cfg.update(json.loads(json.dumps({s: PRESETS[preset][s] for s in sections})))
         _deep_update(cfg, {k: v for k, v in settings.items() if k in ("seed", *sections)})

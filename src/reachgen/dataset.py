@@ -28,11 +28,12 @@ from .body import (Skeleton, _chain_walk, _rotations, heading_of, joint_position
                    joint_sixd, pose_dim)
 from .container import read_container, write_container
 from .errors import (CorpusTooSmallError, CorruptFileError, DimensionMismatchError,
-                     InfeasibleTargetError, ModelMismatchError, SkipWindow, check_count)
+                     InfeasibleTargetError, ModelMismatchError, SkipWindow, _finite,
+                     check_count)
 from .geometry import (_cross, _dot_rows, axis_angle_matrix, identity_sixd, matrix_to_sixd,
                        rotation_z_matrix, sixd_to_matrix)
 from .intention import GoalSpec, hindsight_goal
-from .worker import MAX_PROCESSES, run_jobs
+from .worker import run_split
 
 MOTION_MAGIC = b"RGMO"
 MOTION_VERSION = 3
@@ -576,62 +577,56 @@ def _generate_walk_reach(skeleton: Skeleton, rng: np.random.Generator):
     return poses, goal
 
 
-def _clips(cfg: SyntheticGenConfig, skeleton: Skeleton, ks: range, seeds) -> list:
-    """(poses, label, provenance, ident) of each corpus clip ks[j], drawn
-    from default_rng(seeds[j]); the clip numbers run through the walks and
-    turns in place, then the reaches, then the walk-reaches. One
-    generate_synthetic_corpus job."""
-    clips = []
-    for k, seed in zip(ks, seeds):
-        rng = np.random.default_rng(seed)
-        if k < cfg.n_locomotion:
-            if k % 4 == 3:
-                # every fourth clip rotates on the spot: hindsight goals then
-                # appear at all bearings, teaching the model to turn
-                poses = _generate_turn_in_place(
-                    skeleton, rng,
-                    duration_s=rng.uniform(2.5, 5.0),
-                    start_xy=rng.uniform(-1.0, 1.0, size=2))
-            else:
-                poses = _generate_walk(
-                    skeleton, rng,
-                    duration_s=rng.uniform(*WALK_DURATION_RANGE),
-                    speed=rng.uniform(*SPEED_RANGE),
-                    turn_rate=rng.uniform(*TURN_RATE_RANGE),
-                    start_xy=rng.uniform(-1.0, 1.0, size=2),
-                    step_time=rng.uniform(*STEP_TIME_RANGE),
-                    gesture=(k % 2 == 0))
-            clips.append((poses, None, "locomotion", f"loco_{k:04d}"))
-        elif k < cfg.n_locomotion + cfg.n_reaching:
-            i = k - cfg.n_locomotion
-            poses, goal = _generate_reach(
-                skeleton, rng, rng.uniform(*REACH_DURATION_RANGE),
-                stand_xy=rng.uniform(-1.0, 1.0, size=2))
-            clips.append((poses, goal, "reaching", f"reach_{i:04d}"))
+def _clip(cfg: SyntheticGenConfig, skeleton: Skeleton, clip: tuple) -> tuple:
+    """(poses, label, provenance, ident) of corpus clip k, drawn from
+    default_rng(seed), for clip = (k, seed); the clip numbers run through
+    the walks and turns in place, then the reaches, then the walk-reaches.
+    One generate_synthetic_corpus item."""
+    k, seed = clip
+    rng = np.random.default_rng(seed)
+    if k < cfg.n_locomotion:
+        if k % 4 == 3:
+            # every fourth clip rotates on the spot: hindsight goals then
+            # appear at all bearings, teaching the model to turn
+            poses = _generate_turn_in_place(
+                skeleton, rng,
+                duration_s=rng.uniform(2.5, 5.0),
+                start_xy=rng.uniform(-1.0, 1.0, size=2))
         else:
-            i = k - cfg.n_locomotion - cfg.n_reaching
-            poses, goal = _generate_walk_reach(skeleton, rng)
-            clips.append((poses, goal, "reaching", f"walkreach_{i:04d}"))
-    return clips
+            poses = _generate_walk(
+                skeleton, rng,
+                duration_s=rng.uniform(*WALK_DURATION_RANGE),
+                speed=rng.uniform(*SPEED_RANGE),
+                turn_rate=rng.uniform(*TURN_RATE_RANGE),
+                start_xy=rng.uniform(-1.0, 1.0, size=2),
+                step_time=rng.uniform(*STEP_TIME_RANGE),
+                gesture=(k % 2 == 0))
+        return poses, None, "locomotion", f"loco_{k:04d}"
+    if k < cfg.n_locomotion + cfg.n_reaching:
+        i = k - cfg.n_locomotion
+        poses, goal = _generate_reach(
+            skeleton, rng, rng.uniform(*REACH_DURATION_RANGE),
+            stand_xy=rng.uniform(-1.0, 1.0, size=2))
+        return poses, goal, "reaching", f"reach_{i:04d}"
+    i = k - cfg.n_locomotion - cfg.n_reaching
+    poses, goal = _generate_walk_reach(skeleton, rng)
+    return poses, goal, "reaching", f"walkreach_{i:04d}"
 
 
 def generate_synthetic_corpus(cfg: SyntheticGenConfig,
                               skeleton: Skeleton) -> list[MotionSequence]:
     """Deterministic corpus: unlabeled walks + labeled reaches (+ composites).
 
-    Clip k draws from the k-th child of SeedSequence(cfg.seed) alone. The
-    clips are cut into two contiguous halves by count, one per process
-    (worker.run_jobs), so the bytes do not depend on the process count,
-    and the first clip in clip order that raises is the error raised. The
-    first half, run here, takes the odd clip, so the worker's wake-up and
-    the pipe sit beside the larger share."""
+    Clip k draws from the k-th child of SeedSequence(cfg.seed) alone, and
+    worker.run_split maps the clips, so the bytes do not depend on the
+    process count, and the first clip in clip order that raises is the
+    error raised. The worker's clips come back as plain tuples, which the
+    caller wraps with its own skeleton."""
     n_total = cfg.n_locomotion + cfg.n_reaching + cfg.n_walk_reach
     children = np.random.SeedSequence(cfg.seed).spawn(n_total)
-    cuts = [-(-n_total * p // MAX_PROCESSES) for p in range(MAX_PROCESSES + 1)]
-    halves = run_jobs([(_clips, (cfg, skeleton, range(lo, hi), children[lo:hi]))
-                       for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
+    clips = run_split(_clip, (cfg, skeleton), list(enumerate(children)))
     return [MotionSequence(poses, skeleton, label, provenance, ident)
-            for clips in halves for poses, label, provenance, ident in clips]
+            for poses, label, provenance, ident in clips]
 
 
 def _lowest_foot(poses: np.ndarray, skeleton: Skeleton) -> np.ndarray:
@@ -717,8 +712,10 @@ def load_motion(path, skeleton: Skeleton) -> MotionSequence:
             frame = label["target_frame"]    # type(True) is bool, not int
             if type(frame) is not int or not 0 <= frame < len(arrays["poses"]):
                 raise ValueError(f"label target_frame {frame!r} is not a frame of the clip")
-            if np.shape(label["position"]) != (3,):
-                raise ValueError(f"label position {label['position']!r} is not 3 values")
+            position = label["position"]
+            if not (isinstance(position, list) and len(position) == 3
+                    and all(map(_finite, position))):
+                raise ValueError(f"label position {position!r} is not 3 finite values")
             label = GoalSpec(**label)
         return MotionSequence(arrays["poses"], skeleton, label,
                               header["provenance"], header["ident"])

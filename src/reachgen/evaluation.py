@@ -19,12 +19,12 @@ from .errors import ReachGenError, check_count, check_range
 from .intention import TARGET_JOINT, GoalSpec
 from .model import MotionModel
 from .rollout import GoalSchedule, draw_latents, rollout_poses
-from .worker import MAX_PROCESSES, _process_count, run_jobs
+from .worker import MAX_PROCESSES, run_split
 
 # Rollouts per batched chunk of run_benchmark. Fixed, because a row's bits
 # depend on the shape of the BLAS calls it shares with its siblings. On a
 # 2-core machine 64 rows ran about 8% faster a rollout than 32, but peaked
-# at 1.5x the memory and leave coarser halves to split between processes.
+# at 1.5x the memory and leave coarser parts to split between processes.
 ROLLOUT_ROWS = 32
 
 # Acceptance criterion 6: a rollout succeeds when the target joint comes
@@ -196,11 +196,6 @@ def _chunk_metrics(model: MotionModel, cfg: EvalConfig, tasks: list) -> list[Eva
             for t, d, f, fault in zip(tasks, dtg, fs, out.faults)]
 
 
-def _chunks_metrics(model: MotionModel, cfg: EvalConfig, chunks: list) -> list[EvalRow]:
-    """Rows of consecutive chunks of tasks, in order: one run_benchmark job."""
-    return [row for tasks in chunks for row in _chunk_metrics(model, cfg, tasks)]
-
-
 def run_benchmark(model: MotionModel, cfg: EvalConfig,
                   initial_poses: list[np.ndarray] | None = None, *, seed: int,
                   workers: int = MAX_PROCESSES) -> EvalReport:
@@ -208,9 +203,8 @@ def run_benchmark(model: MotionModel, cfg: EvalConfig,
 
     Per-rollout seeds derive from the index tuple and the chunks are cut
     from the task list in index order, so every row shares its BLAS calls
-    with the same siblings. Contiguous halves of the chunks run one per
-    process (worker.run_jobs), in at most `workers` processes; the report is
-    identical for any split.
+    with the same siblings. worker.run_split maps the chunks in at most
+    `workers` processes; the report is identical for any split.
     """
     if initial_poses is None:
         initial_poses = default_initial_poses(model.skeleton, cfg.n_initial_poses)
@@ -226,9 +220,7 @@ def run_benchmark(model: MotionModel, cfg: EvalConfig,
                                       combo, pose_id, sample,
                                       [seed, pose_id, goal_id, sample]))
     chunks = [tasks[i:i + ROLLOUT_ROWS] for i in range(0, len(tasks), ROLLOUT_ROWS)]
-    size = -(-len(chunks) // max(1, min(workers, _process_count(), len(chunks))))
-    results = run_jobs([(_chunks_metrics, (model, cfg, chunks[i:i + size]))
-                        for i in range(0, len(chunks), size)])
+    results = run_split(_chunk_metrics, (model, cfg), chunks, processes=workers)
     return summarize([row for rows in results for row in rows])
 
 

@@ -12,8 +12,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .autodiff import Tape
-from .body import (FK_ROWS, Skeleton, forward_kinematics, integrate_delta,
-                   pose_delta)
+from .body import Skeleton, forward_kinematics, integrate_delta, pose_delta
 from .dataset import MotionSequence, sample_training_window
 from .errors import (CorpusTooSmallError, NumericFault, SkipWindow, check_count,
                      check_positive)
@@ -22,14 +21,15 @@ from .intention import (HINDSIGHT_HORIZON, GoalSpec, assemble_condition,
 from .model import MotionModel, compute_loss, decode, encode, fresh_model
 from .nn import AdamState, adam_step, kl_divergence, reparameterize
 from .rollout import GoalSchedule, rollout_poses
-from .worker import _stop_worker, run_jobs
+from .worker import _stop_worker, run_split
 
 # Row shards of every training batch, cut from the batch size alone. Each
 # shard's loss is weighted by its share of the batch rows and the shard
 # gradients are summed in shard order, so the bits depend on this constant
-# and never on how many processes ran the shards (worker.run_jobs). A
+# and never on how many processes ran the shards (worker.run_split). A
 # 32-window step costs about twice a 16-window one.
 TRAIN_SHARDS = 2
+FK_ROWS = 64   # windows per pass of build_training_windows
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class WindowSet:
     """The run's N training windows as stacked arrays, computed once outside
     any tape; windows[idx] indexes every field along the window axis. The
     arrays build_training_windows returns are read-only: the training worker
-    keeps its own copy of the set for the whole run (worker.run_jobs).
+    keeps its own copy of the set for the whole run (worker.run_split).
 
     Window i holds W + 1 poses, a context frame then W frames; poses[i, 1]
     is frame start_frame[i] of its source. Entry j of deltas, conditions and
@@ -135,6 +135,7 @@ def build_training_windows(sequences: list[MotionSequence], cfg: TrainConfig,
 
     deltas = np.empty(poses[:, 1:].shape)
     conditions = np.empty((len(poses), w, condition_dim(skeleton.n_rotated)))
+    targets = np.empty((len(poses), w, skeleton.n_joints, 3))
     for lo in range(0, len(poses), FK_ROWS):
         c = slice(lo, lo + FK_ROWS)
         deltas[c] = pose_delta(poses[c, :-1], poses[c, 1:])
@@ -145,7 +146,7 @@ def build_training_windows(sequences: list[MotionSequence], cfg: TrainConfig,
             GoalSpec(goal_position[c, None], goal_frame[c, None]),
             start_frame[c, None] - 1 + np.arange(w),
             goal_heading=goal_heading[c, None])
-    targets = forward_kinematics(poses[:, 1:], skeleton)
+        targets[c] = forward_kinematics(poses[c, 1:], skeleton)
     arrays = (poses, deltas, conditions, targets, goal_position, goal_frame,
               goal_heading, start_frame)
     for a in arrays:
@@ -223,15 +224,16 @@ def _shard_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _shard_grads(windows: WindowSet, rows: np.ndarray, model: MotionModel,
-                 cfg: TrainConfig, epoch: int, bi: int, batch_rows: tuple[int, int]):
+def _shard_grads(windows: WindowSet, model: MotionModel, cfg: TrainConfig, epoch: int,
+                 bi: int, n: int, shard: tuple[np.ndarray, int]):
     """(flat gradient, LossBreakdown, samples, teacher-forced samples) of
-    the shard windows[rows] of batch `bi`, weighted by its share; the one
-    place a shard is computed, in this process or the worker's, which reads
-    `windows` from its resident copy of the run's set. The gradient is one
-    float64 vector in params.names() order. The batch's noise
-    generator and dropout seed come from (seed, epoch, bi), so every shard
-    starts from the same draws."""
+    the shard (rows, lo), windows[rows] as rows lo.. of the n-row batch
+    `bi`, weighted by its share; the one place a shard is computed, in this
+    process or the worker's, which reads `windows` from its resident copy
+    of the run's set. The gradient is one float64 vector in params.names()
+    order. The batch's noise generator and dropout seed come from (seed,
+    epoch, bi), so every shard starts from the same draws."""
+    rows, lo = shard
     noise_rng = np.random.default_rng([cfg.seed, epoch, bi, 1])
     dropout_seed = int(np.random.default_rng([cfg.seed, epoch, bi, 2])
                        .integers(0, 2**31 - 1))
@@ -239,7 +241,7 @@ def _shard_grads(windows: WindowSet, rows: np.ndarray, model: MotionModel,
     with Tape() as tape:
         total, breakdown, n_total, n_teacher = _batch_loss(
             windows[rows], model, rollout_steps_for_epoch(epoch, cfg), cfg, noise_rng,
-            dropout_seed, batch_rows=batch_rows)
+            dropout_seed, batch_rows=(lo, n))
     tape.backward(total)
     return model.params.flat_gradient(), breakdown, n_total, n_teacher
 
@@ -247,8 +249,9 @@ def _shard_grads(windows: WindowSet, rows: np.ndarray, model: MotionModel,
 def train_epoch(windows: WindowSet, model: MotionModel,
                 adam: AdamState, epoch: int, cfg: TrainConfig) -> LossBreakdown:
     """One pass over all windows; one Adam step per batch, on the sum of
-    its shards' gradients. A shard job carries its row indices, the model
-    and the config; the window set stays resident in the worker."""
+    its shards' gradients. A shard item is its row indices and its first
+    row's place in the batch; the model and the config go with each part,
+    and the window set stays resident in the worker."""
     if not windows:
         raise ValueError("empty window set")
     order_rng = np.random.default_rng([cfg.seed, epoch, 0xC0FFEE])
@@ -259,10 +262,10 @@ def train_epoch(windows: WindowSet, model: MotionModel,
     for bi, lo in enumerate(range(0, len(order), cfg.batch_size)):
         rows = order[lo:lo + cfg.batch_size]
         model.params.zero_grad()    # the worker is sent the model without them
-        jobs = [(_shard_grads, (rows[a:b], model, cfg, epoch, bi, (a, len(rows))))
-                for a, b in _shard_bounds(len(rows)) if b > a]
+        shards = [(rows[a:b], a) for a, b in _shard_bounds(len(rows)) if b > a]
         try:
-            results = run_jobs(jobs, resident=windows)
+            results = run_split(_shard_grads, (model, cfg, epoch, bi, len(rows)), shards,
+                                resident=windows)
         except NumericFault as e:
             raise NumericFault(
                 f"epoch {epoch} batch {bi}: {e}", where="train_epoch") from e

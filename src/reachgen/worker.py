@@ -1,15 +1,17 @@
-"""The one forked worker process behind training's row shards,
-evaluation's rollout chunks and the synthetic corpus's two contiguous
-halves of clips: a job's bits never depend on where it ran.
+"""The one forked worker process, and run_split, the one rule that cuts a
+call's items (training's row shards, evaluation's rollout chunks, the
+corpus's clips) into contiguous parts between processes: an item's bits
+never depend on where it ran.
 
-A job crosses the pipe as (fn, args) plus a resident slot. The worker keeps
-one resident value, training's window set. A worker forked for a call
-holds that call's value from the fork, which shares the parent's pages,
-so nothing is pickled or copied; a live worker gets another value once,
-with the first job that passes it. Later jobs only name it. Each result
-crosses back as it is returned. training.train stops the worker before its
-first epoch, so a worker left by corpus generation is not sent the set, and
-on return, so no process keeps a finished run's set.
+A part crosses the pipe as one (fn, args) job plus a resident slot, and
+its results cross back as one message. The worker keeps one resident
+value, training's window set. A worker forked for a call holds that
+call's value from the fork, which shares the parent's pages, so nothing
+is pickled or copied; a live worker gets another value once, with the
+first part that passes it. Later parts only name it. training.train stops
+the worker before its first epoch, so a worker left by corpus generation
+is not sent the set, and on return, so no process keeps a finished run's
+set.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ def _blas_thread_calls():
 
 
 def _process_count() -> int:
-    """Processes the jobs of a call run in: one per usable CPU, up to
+    """Processes the parts of a call run in: one per usable CPU, up to
     MAX_PROCESSES, or one where OpenBLAS's thread count cannot be set; two
     processes each running BLAS threads oversubscribe the cores."""
     if _blas_thread_calls() is None:
@@ -127,7 +129,7 @@ def _worker_connection(resident):
 
 def _stop_worker() -> None:
     """Kill and reap this process's worker and clear its resident slot; the
-    next call with more than one job forks a new one."""
+    next call with more than one part forks a new one."""
     global _worker, _resident
     if _worker is not None and _worker[0] == os.getpid():
         _worker[1].kill()
@@ -136,33 +138,42 @@ def _stop_worker() -> None:
     _worker = _resident = None
 
 
-def run_jobs(jobs: list, resident=None) -> list:
-    """fn(*args) of each (fn, args) job, or fn(resident, *args) where a
-    resident is given, in job order ([] for no jobs), with one BLAS thread
-    in each process.
-    With more than one process, the first job runs here and the rest in the
-    worker, one message each way per job; `resident` reaches a worker forked
-    for this call by the fork, and crosses to a live worker only when it is
-    not the object the worker holds. `fn` must be a module-level function,
-    so it pickles by reference."""
+def _part(*call) -> list:
+    """fn(*lead, *args, item) of each item of one part of a run_split call,
+    called as _part(*lead, fn, args, items): the job a part is."""
+    *lead, fn, args, items = call
+    return [fn(*lead, *args, item) for item in items]
+
+
+def run_split(fn, args: tuple, items: list, resident=None,
+              processes: int = MAX_PROCESSES) -> list:
+    """[fn(*args, item) for item in items], or fn(resident, *args, item)
+    where a resident is given, in item order, with one BLAS thread in each
+    process. The items are cut into at most min(processes,
+    _process_count(), len(items)) contiguous parts, the first taking any
+    extra item; the first part runs here and each other part in the
+    worker, one message each way. `resident` reaches a worker forked for
+    this call by the fork, and crosses to a live worker only when it is not
+    the object the worker holds. `fn` must be a module-level function, so
+    it pickles by reference."""
     global _resident
     lead = () if resident is None else (resident,)
+    n_parts = min(processes, _process_count(), len(items))
     with _one_blas_thread():
-        if len(jobs) <= 1 or _process_count() == 1:
-            return [fn(*lead, *args) for fn, args in jobs]
+        if n_parts <= 1:
+            return _part(*lead, fn, args, items)
+        cuts = [-(-len(items) * p // n_parts) for p in range(n_parts + 1)]
+        parts = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         conn = _worker_connection(resident)
         try:
-            for fn, args in jobs[1:]:
-                if resident is None:
-                    conn.send((fn, args, None))
-                elif resident is _resident:
-                    conn.send((fn, args, ()))
-                else:
-                    conn.send((fn, args, (resident,)))
+            for part in parts[1:]:
+                slot = (None if resident is None
+                        else () if resident is _resident else (resident,))
+                conn.send((_part, (fn, args, part), slot))
+                if slot:
                     _resident = resident
-            fn, args = jobs[0]
-            results = [fn(*lead, *args)]
-            results += [conn.recv() for _ in jobs[1:]]
+            results = [_part(*lead, fn, args, parts[0])]
+            results += [conn.recv() for _ in parts[1:]]
         except BaseException as e:
             proc = _worker[1]
             _stop_worker()   # a live worker's answer may still be in the pipe
@@ -173,4 +184,4 @@ def run_jobs(jobs: list, resident=None) -> list:
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    return results
+    return [out for part in results for out in part]

@@ -245,8 +245,11 @@ def test_non_finite_or_narrow_motion_is_corrupt(tmp_path, capsys, data_dir, faul
 
 
 @pytest.mark.parametrize("label", [{"target_frame": 3.5}, {"target_frame": True},
-                                   {"position": [1.0, 2.0]}],
-                         ids=["frame-float", "frame-bool", "position-two-values"])
+                                   {"position": [1.0, 2.0]},
+                                   {"position": [True, False, True]},
+                                   {"position": [1.0, "2", 3.0]}],
+                         ids=["frame-float", "frame-bool", "position-two-values",
+                              "position-bool", "position-string"])
 def test_malformed_motion_label_is_corrupt(tmp_path, capsys, data_dir, label):
     # a label the training window reader would index with is checked on load
     data = tmp_path / "data"
@@ -537,6 +540,10 @@ def test_inspect_takes_one_goal(data_dir):
     ("train", {"train": {"alpha": True}}, None, "InvalidInputError"),
     ("evaluate", {"eval": {"height_range": [False, True]}}, None, "InvalidInputError"),
     ("train", {"model": {"dropout": False}}, None, "InvalidInputError"),
+    ("gen-data", {"preset": False}, None, "InvalidInputError"),
+    ("gen-data", {"preset": 0}, None, "InvalidInputError"),
+    ("gen-data", {"preset": ""}, None, "InvalidInputError"),
+    ("gen-data", {"preset": None}, None, "InvalidInputError"),
 ], ids=["negative-count", "data-key", "train-key", "model-key", "eval-key",
         "manifest-not-json", "manifest-no-sequences",
         "gen-data-seed", "seed-bool", "evaluate-seed", "train-seed",
@@ -551,7 +558,8 @@ def test_inspect_takes_one_goal(data_dir):
         "gen-data-seed-negative", "generate-seed-negative", "train-seed-negative",
         "speed-range-retired", "horizon-float", "fps-retired", "eval-temperature-retired",
         "success-radius-retired", "skate-threshold-retired", "horizon-retired",
-        "lr-base-bool", "alpha-bool", "eval-range-bool", "dropout-bool"])
+        "lr-base-bool", "alpha-bool", "eval-range-bool", "dropout-bool",
+        "preset-false", "preset-zero", "preset-empty", "preset-null"])
 def test_malformed_settings_are_a_clean_error(tmp_path, data_dir, checkpoint, command,
                                               settings, manifest, code):
     config = tmp_path / "settings.json"

@@ -391,3 +391,27 @@ def test_only_body_computes_joint_slots(path):
     found = sorted(what for what, pattern in JOINT_SLOTS.items()
                    if re.search(pattern, code))
     assert not found, f"{path.name} computes joint slots itself: {found}"
+
+
+def _workers_default(tree):
+    """The default node of run_benchmark's `workers` parameter, or None."""
+    for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+        if fn.name == "run_benchmark":
+            kw = dict(zip((a.arg for a in fn.args.kwonlyargs), fn.args.kw_defaults))
+            return kw.get("workers")
+    return None
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "worker"),
+                         ids=lambda p: p.name)
+def test_only_worker_cuts_work_between_processes(path):
+    # the split rule has one home, so a change to it edits worker.py alone:
+    # no other module reads the process count, and MAX_PROCESSES is only
+    # the default of run_benchmark's `workers` cap
+    tree = ast.parse(path.read_text())
+    assert _references(tree)["_process_count"] == 0, \
+        f"{path.name} reads the process count"
+    default = _workers_default(tree)
+    stray = [n.lineno for n in ast.walk(tree) if n is not default
+             and "MAX_PROCESSES" in (getattr(n, "id", None), getattr(n, "attr", None))]
+    assert not stray, f"{path.name} reads MAX_PROCESSES at lines {stray}"

@@ -9,8 +9,8 @@ from reachgen import dataset as ds
 from reachgen import model as md
 from reachgen import training as tr
 from reachgen.autodiff import Tape
-from reachgen.body import (FK_ROWS, desk_skeleton, forward_kinematics,
-                           integrate_delta, pose_delta, pose_dim, rest_pose)
+from reachgen.body import (desk_skeleton, forward_kinematics, integrate_delta,
+                           pose_delta, pose_dim, rest_pose)
 from reachgen.container import read_container, write_container
 from reachgen.errors import (CorruptFileError, DimensionMismatchError, SkipWindow,
                              VersionMismatchError)
@@ -152,12 +152,12 @@ def assert_same_bits(actual, expected):
 
 
 def test_window_set_matches_per_window_reference(skel):
-    # more than FK_ROWS windows, so the chunked fill crosses a chunk boundary
+    # more than tr.FK_ROWS windows, so the chunked fill crosses a chunk boundary
     corpus = ds.generate_synthetic_corpus(
         ds.SyntheticGenConfig(n_locomotion=2, n_reaching=1, n_walk_reach=1, seed=1), skel)
     cfg = tr.TrainConfig(seed=1, windows_per_sequence=18)
     windows = tr.build_training_windows(corpus, cfg, skel)
-    assert len(windows) > FK_ROWS
+    assert len(windows) > tr.FK_ROWS
     w = cfg.window_len
     i = 0
     for idx, seq in enumerate(sorted(corpus, key=lambda s: s.ident)):

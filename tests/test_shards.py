@@ -403,11 +403,11 @@ def test_numeric_fault_in_a_shard_names_its_epoch_and_batch(skel, windows, monke
 shard_grads = tr._shard_grads
 
 
-def dying(windows, rows, model, cfg, epoch, bi, batch_rows):
+def dying(windows, model, cfg, epoch, bi, n, shard):
     """_shard_grads, but the process computing the second shard exits."""
-    if batch_rows[0]:
+    if shard[1]:
         os._exit(3)
-    return shard_grads(windows, rows, model, cfg, epoch, bi, batch_rows)
+    return shard_grads(windows, model, cfg, epoch, bi, n, shard)
 
 
 def test_dead_worker_raises(skel, windows, monkeypatch):
@@ -422,8 +422,8 @@ def test_dead_worker_raises(skel, windows, monkeypatch):
 @pytest.mark.parametrize("processes", [2, 1])
 def test_no_jobs_give_no_results(monkeypatch, fresh_worker, processes):
     monkeypatch.setattr(wk, "_process_count", lambda: processes)
-    assert wk.run_jobs([]) == []
-    assert wk.run_jobs([], resident=object()) == []
+    assert wk.run_split(tr._shard_grads, (), []) == []
+    assert wk.run_split(tr._shard_grads, (), [], resident=object()) == []
     assert wk._worker is None
 
 
