@@ -8,6 +8,7 @@ is written into every run directory next to the outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -17,10 +18,9 @@ import numpy as np
 
 from . import __version__
 from .body import desk_skeleton
-from .dataset import (FPS, MIN_SPLIT_SEQUENCES, SyntheticGenConfig, filter_floating,
-                      generate_synthetic_corpus, load_motion, save_motion,
-                      save_motion_csv, split_dataset, standing_pose,
-                      write_manifest)
+from .dataset import (FPS, MIN_SPLIT_SEQUENCES, SyntheticGenConfig, load_motion,
+                      save_motion, save_motion_csv, split_dataset, standing_pose,
+                      write_corpus, write_manifest)
 from .errors import (CorpusTooSmallError, CorruptFileError, InvalidInputError,
                      ReachGenError, check_count)
 from .evaluation import EvalConfig, emit_report, run_benchmark, distance_to_goal
@@ -176,18 +176,20 @@ def cmd_gen_data(args) -> int:
     if planned < MIN_SPLIT_SEQUENCES:
         raise CorpusTooSmallError(f"config asks for {planned} sequences; the split "
                                   f"needs at least {MIN_SPLIT_SEQUENCES}")
-    generated = generate_synthetic_corpus(gen_cfg, skeleton)
-    corpus = filter_floating(generated, skeleton)
-    split = split_dataset(corpus, cfg["seed"])
     motion_dir = os.path.join(out, "motions")
     os.makedirs(motion_dir, exist_ok=True)
-    for seq in corpus:
-        save_motion(seq, os.path.join(motion_dir, f"{seq.ident}.mot"))
-    write_manifest(corpus, split, os.path.join(out, "manifest.json"))
+    manifest = os.path.join(out, "manifest.json")
+    # clips are written as they are built, so a run that fails must not
+    # leave an earlier run's manifest beside them
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest)
+    entries = write_corpus(gen_cfg, skeleton, motion_dir)
+    split = split_dataset(entries, cfg["seed"])
+    write_manifest(entries, split, manifest)
     skeleton.save(os.path.join(out, "skeleton.json"))
     _write_resolved(cfg, out, "gen-data", {}, {})
-    print(f"wrote {len(corpus)} of {planned} planned sequences to {out} "
-          f"({len(generated) - len(corpus)} dropped as floating)")
+    print(f"wrote {len(entries)} of {planned} planned sequences to {out} "
+          f"({planned - len(entries)} dropped as floating)")
     return 0
 
 

@@ -20,7 +20,8 @@ identity, written without a check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import os
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -613,18 +614,22 @@ def _clip(cfg: SyntheticGenConfig, skeleton: Skeleton, clip: tuple) -> tuple:
     return poses, goal, "reaching", f"walkreach_{i:04d}"
 
 
+def _clip_seeds(cfg: SyntheticGenConfig) -> list:
+    """(k, seed) of every corpus clip: clip k draws from the k-th child of
+    SeedSequence(cfg.seed) alone."""
+    n_total = cfg.n_locomotion + cfg.n_reaching + cfg.n_walk_reach
+    return list(enumerate(np.random.SeedSequence(cfg.seed).spawn(n_total)))
+
+
 def generate_synthetic_corpus(cfg: SyntheticGenConfig,
                               skeleton: Skeleton) -> list[MotionSequence]:
     """Deterministic corpus: unlabeled walks + labeled reaches (+ composites).
 
-    Clip k draws from the k-th child of SeedSequence(cfg.seed) alone, and
-    worker.run_split maps the clips, so the bytes do not depend on the
-    process count, and the first clip in clip order that raises is the
-    error raised. The worker's clips come back as plain tuples, which the
-    caller wraps with its own skeleton."""
-    n_total = cfg.n_locomotion + cfg.n_reaching + cfg.n_walk_reach
-    children = np.random.SeedSequence(cfg.seed).spawn(n_total)
-    clips = run_split(_clip, (cfg, skeleton), list(enumerate(children)))
+    Each clip draws from its own seed, and worker.run_split maps the clips,
+    so the bytes do not depend on the process count, and the first clip in
+    clip order that raises is the error raised. The worker's clips come
+    back as plain tuples, which the caller wraps with its own skeleton."""
+    clips = run_split(_clip, (cfg, skeleton), _clip_seeds(cfg))
     return [MotionSequence(poses, skeleton, label, provenance, ident)
             for poses, label, provenance, ident in clips]
 
@@ -644,17 +649,20 @@ def _lowest_foot(poses: np.ndarray, skeleton: Skeleton) -> np.ndarray:
     return out
 
 
-def filter_floating(sequences, skeleton: Skeleton) -> list[MotionSequence]:
-    """Drop sequences with any frame whose lowest foot exceeds FLOAT_HEIGHT.
+def _floats(poses: np.ndarray, skeleton: Skeleton) -> bool:
+    """True when the lowest foot exceeds FLOAT_HEIGHT at any frame; the
+    boundary is strict, so exactly FLOAT_HEIGHT is grounded."""
+    return bool(np.any(_lowest_foot(poses, skeleton) > FLOAT_HEIGHT))
 
-    The boundary is strict: exactly FLOAT_HEIGHT is kept.
-    """
-    return [seq for seq in sequences
-            if not np.any(_lowest_foot(seq.poses, skeleton) > FLOAT_HEIGHT)]
+
+def filter_floating(sequences, skeleton: Skeleton) -> list[MotionSequence]:
+    """The sequences that do not float (_floats), in order."""
+    return [seq for seq in sequences if not _floats(seq.poses, skeleton)]
 
 
 def split_dataset(sequences, seed: int) -> DatasetSplit:
-    """Deterministic shuffle then 80/10/10 by count."""
+    """Deterministic shuffle of the sequences' idents, then 80/10/10 by
+    count; anything with an ident splits, a ManifestEntry too."""
     if len(sequences) < MIN_SPLIT_SEQUENCES:
         raise CorpusTooSmallError(f"need at least {MIN_SPLIT_SEQUENCES} sequences "
                                   f"to split, got {len(sequences)}")
@@ -739,17 +747,58 @@ def save_motion_csv(seq: MotionSequence, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def write_manifest(sequences, split: DatasetSplit, path) -> None:
+@dataclass(frozen=True)
+class ManifestEntry:
+    """What manifest.json says of one clip, its split aside."""
+
+    ident: str
+    provenance: str
+    frames: int
+    labeled: bool
+
+    @classmethod
+    def of(cls, seq: MotionSequence) -> ManifestEntry:
+        return cls(seq.ident, seq.provenance, seq.n_frames, seq.label is not None)
+
+
+def _write_grounded_clip(cfg: SyntheticGenConfig, skeleton: Skeleton, motion_dir,
+                         clip: tuple) -> ManifestEntry | None:
+    """One write_corpus item: the clip _clip builds, written to
+    motion_dir/<ident>.mot unless it floats; its manifest entry, or None
+    for a floating clip, which gets no file."""
+    poses, label, provenance, ident = _clip(cfg, skeleton, clip)
+    if _floats(poses, skeleton):
+        return None
+    seq = MotionSequence(poses, skeleton, label, provenance, ident)
+    save_motion(seq, os.path.join(motion_dir, f"{ident}.mot"))
+    return ManifestEntry.of(seq)
+
+
+def write_corpus(cfg: SyntheticGenConfig, skeleton: Skeleton,
+                 motion_dir) -> list[ManifestEntry]:
+    """gen-data's clips: filter_floating(generate_synthetic_corpus(cfg,
+    skeleton)) written to motion_dir, one <ident>.mot each, and their
+    manifest entries in clip order.
+
+    worker.run_split maps the clips, and each clip is built, float-checked
+    and written by the process that built it, so only the entries cross the
+    worker pipe and no process holds the corpus. The files do not depend on
+    the process count; the first clip in clip order that raises is the
+    error raised, and other clips may already be written by then."""
+    entries = run_split(_write_grounded_clip, (cfg, skeleton, motion_dir),
+                        _clip_seeds(cfg))
+    return [entry for entry in entries if entry is not None]
+
+
+def write_manifest(entries, split: DatasetSplit, path) -> None:
+    """manifest.json: each clip's ManifestEntry and split, by ident."""
     membership = {}
     for name, ids in (("train", split.train), ("val", split.val), ("test", split.test)):
         for i in ids:
             membership[i] = name
     payload = {
-        "sequences": [
-            {"ident": s.ident, "provenance": s.provenance, "frames": s.n_frames,
-             "labeled": s.label is not None, "split": membership.get(s.ident, "")}
-            for s in sorted(sequences, key=lambda s: s.ident)
-        ],
+        "sequences": [{**asdict(e), "split": membership.get(e.ident, "")}
+                      for e in sorted(entries, key=lambda e: e.ident)],
     }
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)

@@ -1,15 +1,19 @@
 import json
 import os
 import pathlib
+import pickle
 import shutil
 import subprocess
 import sys
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
-from reachgen import cli, worker
-from reachgen.dataset import MOTION_MAGIC, MOTION_VERSION, load_motion, standing_pose
+from reachgen import cli, dataset, worker
+from reachgen.body import desk_skeleton
+from reachgen.dataset import (MIN_SPLIT_SEQUENCES, MOTION_MAGIC, MOTION_VERSION, load_motion,
+                              standing_pose)
 from reachgen.intention import GoalSpec
 from reachgen.latent_opt import OptObjective, optimize_latents
 from reachgen.container import read_container, write_container
@@ -99,6 +103,104 @@ def test_gen_data_bytes_do_not_depend_on_the_process_count(tmp_path, tiny_config
         trees.append(tree_bytes(out))
     assert len(trees[0]) > 10
     assert trees[0] == trees[1] == trees[2]
+
+
+def clip_heights(config, seed, monkeypatch) -> dict:
+    """{ident: the lowest foot's greatest height} of each clip gen-data
+    builds from `config` and `seed`, built here, so that no worker is
+    forked before a test patches FLOAT_HEIGHT."""
+    monkeypatch.setattr(worker, "_process_count", lambda: 1)
+    settings = json.loads(pathlib.Path(config).read_text())["data"]
+    skeleton = desk_skeleton()
+    corpus = dataset.generate_synthetic_corpus(
+        dataset.SyntheticGenConfig(**settings, seed=seed), skeleton)
+    return {seq.ident: float(dataset._lowest_foot(seq.poses, skeleton).max())
+            for seq in corpus}
+
+
+def test_gen_data_drops_the_same_clips_in_one_process_and_two(tmp_path, capsys,
+                                                              monkeypatch, fresh_worker):
+    # every clip keeps a foot on the ground up to rounding, so a FLOAT_HEIGHT
+    # at one clip's height drops the clips above it; the worker is forked
+    # after the patch
+    config = tmp_path / "reaches.json"
+    config.write_text(json.dumps(
+        {"data": {"n_locomotion": 4, "n_reaching": 12, "n_walk_reach": 2}}))
+    heights = clip_heights(config, 3, monkeypatch)
+    float_height = sorted(heights.values())[MIN_SPLIT_SEQUENCES - 1]
+    kept = {ident for ident, h in heights.items() if h <= float_height}
+    assert len(kept) < len(heights)
+    monkeypatch.setattr(dataset, "FLOAT_HEIGHT", float_height)
+    trees = []
+    for processes in (1, 2):
+        monkeypatch.setattr(worker, "_process_count", lambda: processes)
+        out = tmp_path / str(processes)
+        assert cli.dispatch(["gen-data", "--config", str(config), "--seed", "3",
+                             "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {len(kept)} of {len(heights)} planned sequences to {out} "
+            f"({len(heights) - len(kept)} dropped as floating)\n")
+        manifest = json.loads((out / "manifest.json").read_text())["sequences"]
+        assert {e["ident"] for e in manifest} == kept
+        assert set(os.listdir(out / "motions")) == {f"{ident}.mot" for ident in kept}
+        trees.append(tree_bytes(out))
+    assert worker._worker is not None    # forked by the two-process run
+    assert trees[0] == trees[1]
+
+
+def test_gen_data_left_too_small_by_drops_writes_no_manifest(tmp_path, tiny_config, capsys,
+                                                             monkeypatch, fresh_worker):
+    # grounded clips are written as they are built, so a run that drops too
+    # many fails after writing some; only the missing manifest.json tells,
+    # also where the run writes over a finished corpus
+    heights = clip_heights(tiny_config, 3, monkeypatch)
+    lowest = min(heights.values())
+    kept = {ident for ident, h in heights.items() if h <= lowest}
+    assert 0 < len(kept) < MIN_SPLIT_SEQUENCES
+    out = tmp_path / "data"
+    argv = ["gen-data", "--config", tiny_config, "--seed", "3", "--out", str(out)]
+    assert cli.dispatch(argv) == 0 and (out / "manifest.json").exists()
+    shutil.rmtree(out / "motions")
+    monkeypatch.setattr(dataset, "FLOAT_HEIGHT", lowest)
+    monkeypatch.setattr(worker, "_process_count", lambda: 2)
+    assert cli.dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith("error code=CorpusTooSmallError")
+    assert not (out / "manifest.json").exists()
+    assert {p.name for p in out.glob("motions/*")} <= {f"{ident}.mot" for ident in kept}
+
+
+class ReceiveSpy:
+    """The worker's connection, recording the size of each message received."""
+
+    def __init__(self, conn, received):
+        self.conn, self.received = conn, received
+
+    def send(self, obj):
+        self.conn.send(obj)
+
+    def recv(self):
+        buf = self.conn.recv_bytes()
+        self.received.append(len(buf))
+        return ForkingPickler.loads(buf)
+
+
+def test_gen_data_sends_no_pose_through_the_pipe(tmp_path, tiny_config, monkeypatch,
+                                                 fresh_worker):
+    # each process writes the clips it builds, so the worker answers with
+    # manifest entries, while any one clip's poses pickle to more
+    budget = 16 * 1024
+    received = []
+    connection = worker._worker_connection
+    monkeypatch.setattr(worker, "_worker_connection",
+                        lambda resident: ReceiveSpy(connection(resident), received))
+    monkeypatch.setattr(worker, "_process_count", lambda: 2)
+    out = tmp_path / "data"
+    assert cli.dispatch(["gen-data", "--config", tiny_config, "--seed", "3",
+                         "--out", str(out)]) == 0
+    assert received and all(n < budget for n in received)
+    skeleton = desk_skeleton()
+    for path in (out / "motions").iterdir():
+        assert len(pickle.dumps(load_motion(path, skeleton).poses)) > budget
 
 
 def test_train_outputs(checkpoint):

@@ -651,6 +651,22 @@ def test_locomotion_feet_stay_near_ground(small_corpus, skel):
         assert np.all(np.minimum(pos[:, lf, 2], pos[:, rf, 2]) < 0.02)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_no_generated_clip_floats(skel, seed):
+    # the invariant filter_floating guards, on every provenance: plain and
+    # gestured walks, turns in place, reaches and walk-reaches
+    cfg = ds.SyntheticGenConfig(n_locomotion=8, n_reaching=4, n_walk_reach=3, seed=seed)
+    corpus = ds.generate_synthetic_corpus(cfg, skel)
+    kinds = Counter("turn" if seq.ident.startswith("loco") and int(seq.ident[-4:]) % 4 == 3
+                    else seq.ident.split("_")[0] for seq in corpus)
+    assert kinds == {"loco": 6, "turn": 2, "reach": 4, "walkreach": 3}
+    lf, rf = skel.joint_index("left_foot"), skel.joint_index("right_foot")
+    for seq in corpus:
+        pos = forward_kinematics(seq.poses, skel)
+        lowest = np.minimum(pos[:, lf, 2], pos[:, rf, 2])
+        assert np.all(lowest <= ds.FLOAT_HEIGHT), seq.ident
+
+
 def test_filter_floating_rules(skel, monkeypatch):
     grounded = static_sequence(skel)
     floating = static_sequence(skel)
@@ -831,7 +847,7 @@ def test_manifest_lists_all(tmp_path, small_corpus):
     import json
     split = ds.split_dataset(small_corpus, seed=1)
     path = tmp_path / "manifest.json"
-    ds.write_manifest(small_corpus, split, path)
+    ds.write_manifest([ds.ManifestEntry.of(s) for s in small_corpus], split, path)
     data = json.loads(path.read_text())
     assert len(data["sequences"]) == len(small_corpus)
     assert all(e["split"] in ("train", "val", "test") for e in data["sequences"])

@@ -107,6 +107,9 @@ def test_every_autodiff_function_is_used(module):
               if isinstance(s, ast.FunctionDef) and not s.name.startswith("_")}
     # the finite-difference checker serves the test suite's gradient checks
     public.discard("finite_difference_gradient")
+    # the in-memory corpus serves demos 02 and 03, training's tests and
+    # perfbench's set-ups, while gen-data writes each clip where it is built
+    public -= {"generate_synthetic_corpus", "filter_floating"}
     # inside the module, a name used by any top-level statement but its own
     # def (Tensor's dunder bodies count); elsewhere, `alias.name` or an import
     used = set()
