@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -180,9 +181,13 @@ def cmd_gen_data(args) -> int:
     os.makedirs(motion_dir, exist_ok=True)
     manifest = os.path.join(out, "manifest.json")
     # clips are written as they are built, so a run that fails must not
-    # leave an earlier run's manifest beside them
+    # leave an earlier run's manifest beside them, and no run may leave an
+    # earlier run's clips its own manifest does not list
     with contextlib.suppress(FileNotFoundError):
         os.remove(manifest)
+    for name in os.listdir(motion_dir):
+        if name.endswith(".mot"):
+            os.remove(os.path.join(motion_dir, name))
     entries = write_corpus(gen_cfg, skeleton, motion_dir)
     split = split_dataset(entries, cfg["seed"])
     write_manifest(entries, split, manifest)
@@ -333,7 +338,11 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first call; callers must not
+    change it. argparse keeps no state between parse_args calls, so
+    in-process dispatches can share it."""
     parser = argparse.ArgumentParser(
         prog="reachgen",
         description="goal-conditioned motion generation engine")

@@ -11,11 +11,11 @@ A pose is a (pose_dim,) vector in the body layout: translation 3, then joint
 j's 6D rotation at body.joint_sixd(pose, skeleton)[j], the root's (j = 0)
 first. The generators build rotation matrices as frame stacks: a walk plans
 its footsteps, root height and both legs in whole-clip array ops, writes one
-(n_frames, n_joints, 3, 3) buffer and converts each track it writes to 6D in
-one matrix_to_sixd call; a reach slerps its three moving joints as one stack
-and converts them in one call. matrix_to_sixd also checks that every written
-rotation is orthonormal and right-handed; a track no generator writes is the
-identity, written without a check.
+(n_frames, n_joints, 3, 3) buffer and converts all the tracks it wrote to 6D
+in one matrix_to_sixd call; a reach slerps its three moving joints as one
+stack and converts them in one call. matrix_to_sixd also checks that every
+written rotation is orthonormal and right-handed; a track no generator writes
+is the identity, written without a check.
 """
 from __future__ import annotations
 
@@ -389,12 +389,12 @@ def _generate_gait(skeleton: Skeleton, yaw: np.ndarray, speed: np.ndarray,
     else:   # gestures set both shoulders themselves
         gestures.apply(mats)
         written.update(gestures.joints)
-    # only the written tracks are converted, one track a call, which keeps
-    # the check's temporaries small; every other track is the identity
+    # the written tracks are checked and converted in one call; every other
+    # track is the identity
     six = joint_sixd(poses, skeleton)
     six[:] = identity_sixd()
-    for j in sorted(written):
-        six[:, j] = matrix_to_sixd(mats[:, j])
+    tracks = sorted(written)
+    six[:, tracks] = matrix_to_sixd(mats[:, tracks])
     return poses
 
 

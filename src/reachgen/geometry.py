@@ -126,15 +126,29 @@ def safe_unit(v):
     return _safe_unit(np.asarray(v, dtype=np.float64))[0]
 
 
+def _left_handed(md):
+    """Per matrix of plain (..., 3, 3), whether its columns form a
+    left-handed frame: the triple product (c0 x c1) . c2, which is det, is
+    negative."""
+    return _dot_rows(_cross(md[..., :, 0], md[..., :, 1]), md[..., :, 2]) < 0.0
+
+
 def matrix_to_sixd(m):
-    """First two columns of an orthonormal matrix as a plain (..., 6) array;
-    it records no tape node."""
+    """First two columns of a rotation matrix as a plain (..., 6) array;
+    it records no tape node.
+
+    Two checks guard every matrix of the stack: its Gram matrix is the
+    identity within ORTHO_TOL, and its columns are right-handed. A matrix
+    that passes the first has |det| within about 5e-6 of 1, so the triple
+    product's sign is det's sign.
+    """
     md = ag.value(m)
-    gram = md.mT @ md
-    eye = np.eye(3)
-    if np.any(np.abs(gram - eye) > ORTHO_TOL):
+    # a contiguous transposed copy: matmul of an array with its own
+    # transposed view takes numpy's slow path, for the same bits
+    gram = np.ascontiguousarray(md.mT) @ md
+    if np.any(np.abs(gram - np.eye(3)) > ORTHO_TOL):
         raise InvalidRotationError("matrix is not orthonormal within tolerance")
-    if np.any(np.linalg.det(md) < 0.0):
+    if np.any(_left_handed(md)):
         raise InvalidRotationError("matrix is left-handed")
     return np.concatenate([md[..., :, 0], md[..., :, 1]], axis=-1)
 

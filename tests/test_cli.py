@@ -169,6 +169,25 @@ def test_gen_data_left_too_small_by_drops_writes_no_manifest(tmp_path, tiny_conf
     assert {p.name for p in out.glob("motions/*")} <= {f"{ident}.mot" for ident in kept}
 
 
+def test_gen_data_over_a_larger_corpus_leaves_only_its_own_clips(tmp_path, data_dir):
+    # a 15-clip corpus, then a 12-clip run into its directory: motions/
+    # holds exactly the new manifest's clips, as a fresh run's does
+    config = tmp_path / "twelve.json"
+    config.write_text(json.dumps(
+        {"data": {"n_locomotion": 6, "n_reaching": 4, "n_walk_reach": 2}}))
+    out, fresh = tmp_path / "data", tmp_path / "fresh"
+    shutil.copytree(data_dir, out)
+    argv = ["gen-data", "--config", str(config), "--seed", "3", "--out"]
+    assert cli.dispatch(argv + [str(out)]) == 0
+    assert cli.dispatch(argv + [str(fresh)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())["sequences"]
+    clips = {f"{e['ident']}.mot" for e in manifest}
+    assert len(clips) == 12
+    assert set(os.listdir(os.path.join(data_dir, "motions"))) - clips   # stale ones existed
+    assert set(os.listdir(out / "motions")) == clips
+    assert tree_bytes(out) == tree_bytes(fresh)
+
+
 class ReceiveSpy:
     """The worker's connection, recording the size of each message received."""
 
@@ -454,6 +473,30 @@ def test_unknown_flag_usage_error():
     for argv in (("train", "--nonsense"), ("gen-data", "--workers", "2")):
         r = run_cli(*argv)
         assert r.returncode != 0
+
+
+def test_in_process_dispatches_share_no_state(data_dir, capsys):
+    # one parser serves every dispatch of the process; no parse leaves a
+    # value for the next, a failed one included
+    manifest = json.loads(open(os.path.join(data_dir, "manifest.json")).read())
+    motion = os.path.join(data_dir, "motions", f"{manifest['sequences'][0]['ident']}.mot")
+    assert cli.build_parser() is cli.build_parser()
+
+    def inspect(*flags):
+        code = cli.dispatch(["inspect", motion, *flags])
+        return code, capsys.readouterr()
+
+    code, with_goal = inspect("--goal", "0.5,0.5,1.0")
+    assert code == 0 and "dtg_m:" in with_goal.out
+    code, bare = inspect()
+    assert code == 0 and "dtg_m:" not in bare.out
+    code, two_goals = inspect("--goal", "0.5,0.5,1.0", "--goal", "1,1,1")
+    assert code == 1 and two_goals.err.startswith("error code=InvalidInputError")
+    with pytest.raises(SystemExit):
+        cli.dispatch(["inspect", motion, "--nonsense"])
+    capsys.readouterr()
+    assert inspect("--goal", "0.5,0.5,1.0") == (0, with_goal)
+    assert cli.build_parser().parse_args(["inspect", motion]).goal == []
 
 
 def test_gen_data_too_small_corpus_is_a_clean_error(tmp_path):

@@ -81,15 +81,36 @@ def test_matrix_to_sixd_stack_matches_each_matrix():
 
 @pytest.mark.parametrize("at", [0, 37, 63])
 def test_matrix_to_sixd_stack_rejects_one_bad_matrix(at):
+    # a walk checks all its tracks as one (n, J, 3, 3) stack: one bad matrix
+    # anywhere fails the call with the message a lone bad matrix gets
     ms = random_rotations(64, seed=14)
     scaled = ms.copy()
     scaled[at] *= 1.1
-    with pytest.raises(InvalidRotationError):
-        geo.matrix_to_sixd(scaled)
+    sheared = ms.copy()
+    sheared[at, :, 1] += 2e-6 * sheared[at, :, 0]
     left_handed = ms.copy()
     left_handed[at] = left_handed[at] @ np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(InvalidRotationError):
-        geo.matrix_to_sixd(left_handed)
+    for bad, message in ((scaled, "not orthonormal within tolerance"),
+                         (sheared, "not orthonormal within tolerance"),
+                         (left_handed, "left-handed")):
+        for shape in ((64, 3, 3), (8, 8, 3, 3)):
+            with pytest.raises(InvalidRotationError, match=f"^matrix is {message}$"):
+                geo.matrix_to_sixd(bad.reshape(shape))
+    geo.matrix_to_sixd(ms.reshape(8, 8, 3, 3))
+
+
+def test_handedness_verdict_is_the_sign_of_det():
+    # rotations, reflections of them, and both nudged within the Gram
+    # tolerance: the triple product's sign is det's
+    rng = np.random.default_rng(17)
+    ms = random_rotations(600, seed=17)
+    flips = np.diag([1.0, 1.0, -1.0]), np.diag([-1.0, 1.0, 1.0]), -np.eye(3)
+    ms[200:] = ms[200:] @ np.stack(flips)[rng.integers(0, 3, 400)]
+    nudged = np.r_[100:200, 400:600]
+    ms[nudged] += rng.uniform(-1e-7, 1e-7, (300, 3, 3))
+    verdict = geo._left_handed(ms)
+    np.testing.assert_array_equal(verdict, np.linalg.det(ms) < 0.0)
+    assert not verdict[:200].any() and verdict[200:].all()
 
 
 def test_rotation_builders_stack_matches_each_angle():
